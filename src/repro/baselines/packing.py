@@ -2,22 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.device.grid import FPGADevice
 from repro.device.resources import ResourceVector
 from repro.floorplan.geometry import Rect
 from repro.floorplan.problem import Region
-
-
-def rect_is_free(device: FPGADevice, rect: Rect, occupied: Sequence[Rect]) -> bool:
-    """Whether a rectangle fits the device, avoids forbidden cells and overlaps."""
-    if not rect.within(device.width, device.height):
-        return False
-    for other in occupied:
-        if rect.overlaps(other):
-            return False
-    return device.forbidden_cell_count(rect.col, rect.row, rect.width, rect.height) == 0
 
 
 def rect_resources(device: FPGADevice, rect: Rect) -> ResourceVector:
@@ -37,15 +29,6 @@ def rect_frames(device: FPGADevice, rect: Rect) -> int:
         count * tile_type.frames
         for count, tile_type in zip(histogram, device.tile_type_list)
     )
-
-
-def rect_satisfies(device: FPGADevice, rect: Rect, region: Region) -> bool:
-    """Whether a rectangle covers the region's resource requirements."""
-    if region.max_width is not None and rect.width > region.max_width:
-        return False
-    if region.max_height is not None and rect.height > region.max_height:
-        return False
-    return rect_resources(device, rect).covers(region.requirements)
 
 
 def iter_feasible_rects(
@@ -72,22 +55,50 @@ def iter_feasible_rects(
         reconfiguration-centric baseline).
     """
     height_options = list(heights) if heights is not None else list(range(device.height, 0, -1))
+    # Cells a candidate may not cover (forbidden or occupied) and the region's
+    # resource types, as per-column row prefix sums.  A (row, height) band
+    # then reduces to one sum per column, and growing a candidate by one
+    # column costs a few additions instead of a pass over the tile grid.
+    blocked = device.forbidden_mask()
+    for rect in occupied:
+        cols = slice(max(rect.col, 0), max(rect.col_end + 1, 0))
+        rows = slice(max(rect.row, 0), max(rect.row_end + 1, 0))
+        blocked[cols, rows] = True
+    type_grid = device.type_index_grid()
+    layers = [blocked.astype(np.int64)] + [
+        np.array([t.resources.get(rtype) for t in device.tile_type_list], dtype=np.int64)[type_grid]
+        for rtype, _ in region.requirements
+    ]
+    prefixes = [np.pad(layer.cumsum(axis=1), ((0, 0), (1, 0))) for layer in layers]
+    required = [count for _, count in region.requirements]
+    max_width = region.max_width or device.width
+    bands: Dict[Tuple[int, int], List[List[int]]] = {}
     for col in range(device.width):
         for h in height_options:
             if h <= 0 or h > device.height:
                 continue
+            if region.max_height is not None and h > region.max_height:
+                continue  # no rectangle of this height satisfies the region
             row_candidates = (
                 range(0, device.height - h + 1, h)
                 if align_rows
                 else range(0, device.height - h + 1)
             )
             for row in row_candidates:
-                for width in range(1, device.width - col + 1):
-                    rect = Rect(col, row, width, h)
-                    if not rect_is_free(device, rect, occupied):
+                band = bands.get((row, h))
+                if band is None:
+                    band = [(p[:, row + h] - p[:, row]).tolist() for p in prefixes]
+                    bands[(row, h)] = band
+                blocked_cols, supply_cols = band[0], band[1:]
+                supply = [0] * len(required)
+                for width in range(1, min(device.width - col, max_width) + 1):
+                    c = col + width - 1
+                    if blocked_cols[c]:
                         break  # growing wider keeps the conflict
-                    if rect_satisfies(device, rect, region):
-                        yield rect
+                    for k, cols in enumerate(supply_cols):
+                        supply[k] += cols[c]
+                    if all(have >= need for have, need in zip(supply, required)):
+                        yield Rect(col, row, width, h)
                         break  # wider rectangles only add waste at this anchor
 
 

@@ -22,7 +22,6 @@ from repro.floorplan.problem import Connection, FloorplanProblem, Region
 
 __all__ = [
     "bench_time_limit",
-    "milp_legacy_mode",
     "small_problem",
     "scaling_problem",
     "pruning_problem",
@@ -38,19 +37,6 @@ __all__ = [
 def bench_time_limit(default: float = 60.0) -> float:
     """Per-solve MILP time limit honoured by every benchmark scenario."""
     return float(os.environ.get("REPRO_BENCH_TIME_LIMIT", default))
-
-
-def milp_legacy_mode() -> bool:
-    """Whether the ``milp.*`` benchmarks should run the pre-optimization path.
-
-    Setting ``REPRO_MILP_LEGACY=1`` makes each factory disable exactly the
-    optimization it measures: ``milp.bb_warmstart`` drops presolve and the
-    warm-start machinery (textbook branch and bound, same pruned model), and
-    ``floorplan.milp_build_pruned`` builds the unpruned model.  The resulting
-    snapshot is the "pre" half of the committed
-    ``benchmarks/baselines/BENCH_milp_pipeline_{pre,post}.json`` pair.
-    """
-    return os.environ.get("REPRO_MILP_LEGACY", "") not in ("", "0")
 
 
 def small_problem(name: str = "ablation") -> FloorplanProblem:
@@ -86,10 +72,9 @@ def pruning_problem(width: int = 64, name: str | None = None) -> FloorplanProble
 
     Every region is tied to a scarce column type (DSP every 11 columns, BRAM
     every 7) with ``max_width`` caps of one or two columns, so most
-    region x placement candidates are geometrically infeasible — the workload
-    where the feasible-placement pruning of
-    :func:`repro.floorplan.milp_builder.build_floorplan_milp` shrinks the
-    model the most (mirroring the scarce-DSP structure of the SDR study).
+    rectangles are geometrically infeasible and the candidate lists of
+    :func:`repro.floorplan.milp_builder.build_floorplan_milp` stay short
+    (mirroring the scarce-DSP structure of the SDR study).
     """
     name = name or f"prune-{width}"
     device = synthetic_device(width, 10, bram_every=7, dsp_every=11, name=f"{name}-dev")
@@ -171,7 +156,7 @@ def server_payloads(unique: int = 4, heavy: bool = False) -> list:
     Small two-region instances with distinct fingerprints (the connection
     weight varies), each solving in a few hundred milliseconds — so the
     cache-miss benchmarks measure batching and dispatch, not MILP asymptotics.
-    ``heavy=True`` switches to ~1-2 s three-region instances for the fleet
+    ``heavy=True`` switches to slower three-region instances for the fleet
     benchmarks, where the solve must dominate multi-process coordination
     overhead for work-collapse margins to be attributable.
     """

@@ -82,7 +82,7 @@ def sp_packing(profile: BenchProfile) -> Workload:
 
 @benchmark("floorplan.milp_build")
 def milp_build(profile: BenchProfile) -> Workload:
-    """Build the full occupancy-grid MILP for a mid-size problem."""
+    """Build the candidate-rectangle MILP for a mid-size problem (no incumbent)."""
     from repro.floorplan.milp_builder import build_floorplan_milp
 
     problem = scenarios.scaling_problem(profile.scaled(16, 33))
@@ -96,18 +96,13 @@ def milp_build(profile: BenchProfile) -> Workload:
 
 @benchmark("floorplan.milp_build_pruned")
 def milp_build_pruned(profile: BenchProfile) -> Workload:
-    """Build the occupancy-grid MILP with feasible-placement pruning.
-
-    ``REPRO_MILP_LEGACY=1`` builds the unpruned model instead, giving the
-    pre-optimization half of the committed snapshot pair.
-    """
+    """Build the candidate-rectangle MILP of the resource-pinned workload."""
     from repro.floorplan.milp_builder import build_floorplan_milp
 
-    prune = not scenarios.milp_legacy_mode()
     problem = scenarios.pruning_problem(profile.scaled(80, 96))
-    stats = build_floorplan_milp(problem, prune=prune).model.stats()
+    stats = build_floorplan_milp(problem).model.stats()
     return Workload(
-        lambda: build_floorplan_milp(problem, prune=prune),
+        lambda: build_floorplan_milp(problem),
         units=stats.num_constraints,
         unit_name="constraints",
     )
@@ -153,22 +148,17 @@ def milp_presolve(profile: BenchProfile) -> Workload:
     return Workload(lambda: presolve(form), units=nnz, unit_name="nonzeros")
 
 
-@benchmark("milp.bb_warmstart")
-def milp_bb_warmstart(profile: BenchProfile) -> Workload:
+def _bb_workload(presolve: bool, warm_start: bool) -> Workload:
     """Branch-and-bound solve of the prebuilt HO ablation model.
 
     The HO model is built (and seeded) once in setup so the timed section
-    measures the solver alone.  ``REPRO_MILP_LEGACY=1`` reverts to the
-    textbook configuration (no presolve, most-fractional branching, no
-    heuristics, per-node constraint split) so the committed pre/post
-    snapshots measure the same workload on both paths.
+    measures the solver alone.
     """
     from repro.floorplan import ObjectiveWeights
     from repro.floorplan.ho import HOSeeder
     from repro.floorplan.milp_builder import build_floorplan_milp
     from repro.milp import SolverOptions, solve
 
-    legacy = scenarios.milp_legacy_mode()
     problem = scenarios.small_problem("bb-warm")
     seed = HOSeeder(problem).build_seed()
     milp = build_floorplan_milp(problem, fixed_relations=seed.fixed_relations())
@@ -177,8 +167,8 @@ def milp_bb_warmstart(profile: BenchProfile) -> Workload:
         backend="branch-bound",
         time_limit=scenarios.bench_time_limit(60.0),
         mip_gap=0.05,
-        presolve=not legacy,
-        warm_start=not legacy,
+        presolve=presolve,
+        warm_start=warm_start,
     )
 
     def run():
@@ -187,6 +177,22 @@ def milp_bb_warmstart(profile: BenchProfile) -> Workload:
         return solution
 
     return Workload(run, units=1, unit_name="solves")
+
+
+@benchmark("milp.bb_warmstart")
+def milp_bb_warmstart(profile: BenchProfile) -> Workload:
+    """Warm-started branch and bound with presolve on the HO ablation model."""
+    return _bb_workload(presolve=True, warm_start=True)
+
+
+@benchmark("milp.bb_textbook")
+def milp_bb_textbook(profile: BenchProfile) -> Workload:
+    """The textbook ablation of ``milp.bb_warmstart`` on the same model.
+
+    No presolve, most-fractional branching, no heuristics and a per-node
+    constraint split.
+    """
+    return _bb_workload(presolve=False, warm_start=False)
 
 
 @benchmark("milp.solve_small")
@@ -572,7 +578,7 @@ def _fleet_miss_rounds(profile: BenchProfile, per_round: int):
     Cache-miss rounds cannot be reset by clearing the shared directory — the
     replicas hold in-memory LRU copies a parent process cannot reach.  Fresh
     fingerprints per round make every round a true miss regardless.  The
-    payloads are the heavy (~1-2 s) instances: collapsing duplicate *solves*
+    payloads are the heavy three-region instances: collapsing duplicate *solves*
     is only visible when a solve costs far more than the lock/poll/HTTP
     coordination spent collapsing it.
     """
@@ -1002,7 +1008,7 @@ def resilience_brownout_floor(profile: BenchProfile) -> Workload:
     The gateway runs with ``brownout_watermark=1``: the moment any work
     queues, the portfolio drops its MILP arm and answers heuristic-only,
     flagged ``degraded``.  Each round is a fresh-fingerprint burst of the
-    heavy (~1-2 s MILP) instances — under brown-out they cost milliseconds,
+    heavy three-region instances — under brown-out they cost milliseconds,
     and the measured throughput is the floor the fleet guarantees while
     overloaded.  ``degraded_share`` in the extras is the evidence the
     mechanism (not a warm cache) produced the numbers.

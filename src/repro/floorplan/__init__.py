@@ -7,7 +7,8 @@ the relocation extension builds on:
   :class:`~repro.floorplan.problem.FloorplanProblem` — the designer-facing
   problem description (regions, resource requirements, connectivity);
 * :class:`~repro.floorplan.placement.Floorplan` — a solved placement;
-* :mod:`~repro.floorplan.milp_builder` — the occupancy-grid MILP ("O" mode);
+* :mod:`~repro.floorplan.milp_builder` — the candidate-rectangle MILP
+  ("O" mode explores it in full);
 * :mod:`~repro.floorplan.sequence_pair` and :mod:`~repro.floorplan.ho` — the
   sequence-pair-constrained "HO" mode seeded by a heuristic solution;
 * :class:`~repro.floorplan.solver.FloorplanSolver` — the user-facing facade

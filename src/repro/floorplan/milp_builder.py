@@ -1,31 +1,38 @@
-"""Occupancy-grid MILP formulation of the floorplanning problem ("O" mode).
+"""Candidate-rectangle MILP formulation of the floorplanning problem.
 
-This module re-derives the FCCM'14 model ([10]) that the relocation extension
-attaches to.  The exact matrix of the original paper is not public; what the
-2015 extension relies on is the *interface* of the model — the variables
-``k[n,p]`` (area n intersects columnar portion p), ``l[n,p,r]`` (tiles of
-portion p covered by area n on row r) and the height ``h[n]`` — plus exact
-non-overlap constraints.  The occupancy-grid formulation below provides those
-variables with exact (not big-M-relaxed) semantics:
+Every area — reconfigurable region or free-compatible area (set ``FC`` of the
+paper, which Section IV adds to ``N``) — picks exactly one rectangle from an
+explicit list of *feasible candidates*: the rectangles that avoid forbidden
+cells, respect the area's extent caps and supply its resource requirements.
+:func:`enumerate_candidates` lists them with summed-area tables over the
+tile-type grid, one numpy pass per shape, so the FCCM'14 constraints on
+coverage, forbidden cells and resources ([10]) hold by construction and the
+model only has to choose:
 
-* column-coverage binaries ``u[n,j]`` and row-coverage binaries ``a[n,r]``
-  with single-run contiguity enforced through start binaries;
-* ``k[n,p]`` derived exactly from the ``u`` variables of the portion's columns;
-* ``l[n,p,r]`` as the exact linearization of ``a[n,r] * sum_{j in p} u[n,j]``;
-* pairwise non-overlap through the classic 4-way relative-position
-  disjunction, which HO mode fixes from a sequence pair;
-* forbidden cells excluded by ``u[n,j] + a[n,r] <= 1``;
-* resource coverage ``sum_p res_t(p) * sum_r l[n,p,r] >= c[n,t]``.
+* one binary ``z[n,i]`` per candidate ``i`` of area ``n``, with
+  ``sum_i z[n,i] == 1`` for every region;
+* wasted frames, perimeter and the relocation cost of eq. 14 as objective
+  coefficients of ``z`` (and of the violation binaries ``v[c]``);
+* wirelength rows written directly over ``z`` with the candidate centres as
+  coefficients;
+* non-overlap: HO sequence-pair rows ``sum (x+w) z[a] <= sum x z[b]`` for
+  pairs with a fixed relation, and one cell-occupancy row ``sum z <= 1`` per
+  device cell over the candidates covering it for every other pair.
 
-Free-compatible areas (set ``FC`` of the paper) are modelled as additional
-areas with no resource requirements, exactly as Section IV prescribes
-(``FC ⊂ N``); the compatibility constraints themselves live in
-:mod:`repro.relocation.constraints`.
+Free-compatible areas are completed by
+:func:`repro.relocation.constraints.apply_relocation_constraints`, which adds
+their assignment rows and the compatibility rows of eqs. 4-12.
+
+Given an incumbent floorplan (the HO seed), the builder also drops every
+region candidate whose wasted frames, added to every other region's minimum,
+already exceed the incumbent's eq.-14 objective: no solution at least as good
+as the incumbent can use it, so the filter is exact.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,219 +40,19 @@ import numpy as np
 from repro.device.grid import FPGADevice
 from repro.device.partition import ColumnarPartition
 from repro.device.resources import ResourceVector
+from repro.floorplan import sequence_pair as sp
 from repro.floorplan.geometry import Rect
-from repro.floorplan.metrics import ObjectiveWeights, normalization_constants
+from repro.floorplan.metrics import (
+    ObjectiveWeights,
+    normalization_constants,
+    total_perimeter,
+    wasted_frames,
+    wirelength,
+)
 from repro.floorplan.placement import Floorplan, RegionPlacement
 from repro.floorplan.problem import FloorplanProblem
-from repro.floorplan import sequence_pair as sp
-from repro.milp import LinExpr, Model, Variable, VarType, quicksum
+from repro.milp import LinExpr, Model, Variable, quicksum
 from repro.milp.solution import MILPSolution
-
-#: Ceiling on elementwise work of the placement enumerator; above it pruning
-#: is skipped for the area (masks stay all-true) rather than risking a mask
-#: pass slower than the model build it is meant to accelerate.
-PRUNE_WORK_LIMIT = 50_000_000
-
-
-@dataclasses.dataclass(frozen=True)
-class PlacementMasks:
-    """Which columns/rows of the device an area can possibly occupy.
-
-    Produced by :func:`feasible_placement_masks`: an entry is ``True`` when at
-    least one *feasible placement candidate* — a rectangle satisfying the
-    area's hard constraints (resource coverage, forbidden-cell avoidance,
-    extent caps) — covers that column/row (``col_cover``/``row_cover``) or has
-    its bottom-left corner there (``col_start``/``row_start``).  Variables at
-    ``False`` positions are zero in every feasible solution of the full MILP,
-    so the builder creates them fixed and skips their constraints.
-    """
-
-    col_cover: np.ndarray
-    col_start: np.ndarray
-    row_cover: np.ndarray
-    row_start: np.ndarray
-    candidates: int
-
-    @property
-    def prunes_anything(self) -> bool:
-        """Whether any position was ruled out."""
-        return not (
-            bool(self.col_cover.all())
-            and bool(self.col_start.all())
-            and bool(self.row_cover.all())
-            and bool(self.row_start.all())
-        )
-
-    @staticmethod
-    def all_true(width: int, height: int) -> "PlacementMasks":
-        """Masks that prune nothing (pruning disabled or skipped)."""
-        return PlacementMasks(
-            col_cover=np.ones(width, dtype=bool),
-            col_start=np.ones(width, dtype=bool),
-            row_cover=np.ones(height, dtype=bool),
-            row_start=np.ones(height, dtype=bool),
-            candidates=-1,
-        )
-
-
-def _prefix2d(values: np.ndarray) -> np.ndarray:
-    """Zero-padded 2D prefix sums (summed-area table)."""
-    padded = np.zeros((values.shape[0] + 1, values.shape[1] + 1))
-    padded[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
-    return padded
-
-
-def _window_sums(strip: np.ndarray, h: int) -> np.ndarray:
-    """Sums of every ``h``-row window from a per-column row-cumsum strip."""
-    top = strip[:, h - 1 :]
-    out = top.copy()
-    if h < strip.shape[1]:
-        out[:, 1:] -= strip[:, : strip.shape[1] - h]
-    return out
-
-
-class _PruneTables:
-    """Device-invariant summed-area tables shared across the areas of a build.
-
-    ``build_floorplan_milp`` constructs one instance per build so the
-    forbidden-cell prefix, the type-index grid and the per-resource-type
-    prefixes are each computed once instead of once per area.
-    """
-
-    def __init__(self, device: FPGADevice) -> None:
-        self.device = device
-        self.forbidden_prefix = _prefix2d(device.forbidden_mask().astype(np.float64))
-        self._type_grid: "np.ndarray | None" = None
-        self._rtype_prefixes: Dict[object, Tuple[np.ndarray, float]] = {}
-        self._forbidden_strips: Dict[int, np.ndarray] = {}
-        self._rtype_strips: Dict[Tuple[object, int], np.ndarray] = {}
-
-    def forbidden_strip(self, w: int) -> np.ndarray:
-        """Row-cumulative forbidden-cell sums over every ``w``-column window."""
-        strip = self._forbidden_strips.get(w)
-        if strip is None:
-            strip = self.forbidden_prefix[w:, 1:] - self.forbidden_prefix[:-w, 1:]
-            self._forbidden_strips[w] = strip
-        return strip
-
-    def rtype_prefix(self, rtype) -> Tuple[np.ndarray, float]:
-        """Prefix table and max per-cell density for one resource type."""
-        cached = self._rtype_prefixes.get(rtype)
-        if cached is None:
-            if self._type_grid is None:
-                self._type_grid = self.device.type_index_grid()
-            per_type = np.array(
-                [tt.resources.get(rtype) for tt in self.device.tile_type_list],
-                dtype=np.float64,
-            )
-            cached = (_prefix2d(per_type[self._type_grid]), float(per_type.max()))
-            self._rtype_prefixes[rtype] = cached
-        return cached
-
-    def rtype_strip(self, rtype, w: int) -> np.ndarray:
-        """Row-cumulative resource sums over every ``w``-column window.
-
-        Depends only on (resource type, width), so areas sharing a scarce
-        type reuse the same strip instead of rebuilding it per area.
-        """
-        strip = self._rtype_strips.get((rtype, w))
-        if strip is None:
-            prefix, _ = self.rtype_prefix(rtype)
-            strip = prefix[w:, 1:] - prefix[:-w, 1:]
-            self._rtype_strips[(rtype, w)] = strip
-        return strip
-
-
-def feasible_placement_masks(
-    device: FPGADevice,
-    area: AreaSpec,
-    work_limit: int = PRUNE_WORK_LIMIT,
-    tables: "_PruneTables | None" = None,
-) -> PlacementMasks:
-    """Enumerate feasible placement candidates of ``area`` on ``device``.
-
-    This is the vectorized analogue of the paper's explicit placement
-    generation: every candidate rectangle ``(x, y, w, h)`` (with ``w``/``h``
-    capped by the area's extent limits) is checked in one numpy pass per
-    shape, using summed-area tables over the tile-type grid — the same
-    aggregation :meth:`FPGADevice.tile_type_histogram` performs for a single
-    rectangle.  A candidate survives when it
-
-    * contains no forbidden cell (hard for every area, soft or not), and
-    * supplies the area's resource requirements by itself.
-
-    Both checks are *necessary* conditions enforced exactly by the MILP, so
-    discarding positions no candidate touches never changes the feasible set.
-    When the total work would exceed ``work_limit`` elementwise operations the
-    enumeration is skipped and all-true masks are returned.
-    """
-    width, height = device.width, device.height
-    wmax = min(width, area.max_width or width)
-    hmax = min(height, area.max_height or height)
-
-    if wmax * hmax * width * height > work_limit:
-        return PlacementMasks.all_true(width, height)
-
-    # Even on uncapped areas the enumeration pays for itself: the handful of
-    # start positions it rules out near device edges tightens the exact model
-    # enough to matter in the solve, which dwarfs the milliseconds spent here.
-    if tables is None:
-        tables = _PruneTables(device)
-
-    requirements: List[Tuple[object, float]] = []
-    min_cells = 0.0
-    if not area.is_free_area:
-        for rtype, required in area.requirements:
-            if required <= 0:
-                continue
-            _, density = tables.rtype_prefix(rtype)
-            requirements.append((rtype, float(required)))
-            # a rect of A cells supplies at most A * max_density of the type,
-            # giving a lower bound on the candidate area worth enumerating
-            if density > 0:
-                min_cells = max(min_cells, float(required) / density)
-
-    col_cover_diff = np.zeros(width + 1, dtype=np.int64)
-    row_cover_diff = np.zeros(height + 1, dtype=np.int64)
-    col_start = np.zeros(width, dtype=bool)
-    row_start = np.zeros(height, dtype=bool)
-    candidates = 0
-
-    for w in range(1, wmax + 1):
-        # collapse the column dimension once per width: a strip[x, y] is the
-        # row-cumulative sum over columns x .. x+w-1, so every height then
-        # costs one O(nx*ny) pass instead of a 2D prefix lookup; strips are
-        # device-invariant per (grid, width) and cached across areas
-        strips = [tables.forbidden_strip(w)] + [
-            tables.rtype_strip(rtype, w) for rtype, _ in requirements
-        ]
-        thresholds = [0.0] + [required for _, required in requirements]
-        min_h = max(1, int(np.ceil(min_cells / w)))
-        for h in range(min_h, hmax + 1):
-            ok = _window_sums(strips[0], h) == 0
-            for strip, required in zip(strips[1:], thresholds[1:]):
-                if not ok.any():
-                    break
-                ok &= _window_sums(strip, h) >= required
-            if not ok.any():
-                continue
-            candidates += int(ok.sum())
-            origin_cols = np.flatnonzero(ok.any(axis=1))
-            origin_rows = np.flatnonzero(ok.any(axis=0))
-            col_start[origin_cols] = True
-            row_start[origin_rows] = True
-            np.add.at(col_cover_diff, origin_cols, 1)
-            np.add.at(col_cover_diff, origin_cols + w, -1)
-            np.add.at(row_cover_diff, origin_rows, 1)
-            np.add.at(row_cover_diff, origin_rows + h, -1)
-
-    return PlacementMasks(
-        col_cover=np.cumsum(col_cover_diff[:-1]) > 0,
-        col_start=col_start,
-        row_cover=np.cumsum(row_cover_diff[:-1]) > 0,
-        row_start=row_start,
-        candidates=candidates,
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -287,43 +94,208 @@ class AreaSpec:
         return self.compatible_with is not None
 
 
+@dataclasses.dataclass(frozen=True)
+class Candidates:
+    """Feasible rectangles of one area as parallel integer arrays.
+
+    Entry ``i`` is the rectangle ``(x[i], y[i], w[i], h[i])``; ``frames[i]``
+    is the number of configuration frames it covers.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    frames: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.x.size)
+
+    def rect(self, index: int) -> Rect:
+        """Candidate ``index`` as a :class:`Rect`."""
+        return Rect(
+            int(self.x[index]), int(self.y[index]), int(self.w[index]), int(self.h[index])
+        )
+
+    def subset(self, keep: np.ndarray) -> "Candidates":
+        """The candidates selected by a boolean mask or index array."""
+        return Candidates(self.x[keep], self.y[keep], self.w[keep], self.h[keep],
+                          self.frames[keep])
+
+
+def _prefix2d(values: np.ndarray) -> np.ndarray:
+    """Zero-padded 2D prefix sums (summed-area table)."""
+    padded = np.zeros((values.shape[0] + 1, values.shape[1] + 1))
+    padded[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
+    return padded
+
+
+def _window_sums(strip: np.ndarray, h: int) -> np.ndarray:
+    """Sums of every ``h``-row window from a per-column row-cumsum strip."""
+    out = strip[:, h - 1 :].copy()
+    if h < strip.shape[1]:
+        out[:, 1:] -= strip[:, : strip.shape[1] - h]
+    return out
+
+
+#: layer keys of the summed-area tables besides the resource types
+_FORBIDDEN = "forbidden"
+_FRAMES = "frames"
+
+
+class _SummedAreaTables:
+    """Device-invariant summed-area tables shared across the areas of a build.
+
+    One prefix table per layer — forbidden cells, frames and each requested
+    resource type — plus, per (layer, width), the strip of row-cumulative sums
+    over every ``width``-column window, so each candidate height then costs
+    one O(width x height) pass.
+    """
+
+    def __init__(self, device: FPGADevice) -> None:
+        self.device = device
+        self._type_grid = device.type_index_grid()
+        self._prefix: Dict[object, np.ndarray] = {
+            _FORBIDDEN: _prefix2d(device.forbidden_mask().astype(np.float64))
+        }
+        self._density: Dict[object, float] = {}
+        self._strips: Dict[Tuple[object, int], np.ndarray] = {}
+        self._add_layer(_FRAMES, [tt.frames for tt in device.tile_type_list])
+
+    def _add_layer(self, key, per_type: Sequence[float]) -> None:
+        values = np.asarray(per_type, dtype=np.float64)
+        self._prefix[key] = _prefix2d(values[self._type_grid])
+        self._density[key] = float(values.max())
+
+    def density(self, rtype) -> float:
+        """Largest per-tile amount of a resource type on the device."""
+        if rtype not in self._prefix:
+            self._add_layer(rtype, [tt.resources.get(rtype) for tt in self.device.tile_type_list])
+        return self._density[rtype]
+
+    def strip(self, key, w: int) -> np.ndarray:
+        """Row-cumulative sums of a layer over every ``w``-column window."""
+        strip = self._strips.get((key, w))
+        if strip is None:
+            prefix = self._prefix[key]
+            strip = prefix[w:, 1:] - prefix[:-w, 1:]
+            self._strips[(key, w)] = strip
+        return strip
+
+
+def enumerate_candidates(
+    device: FPGADevice, area: AreaSpec, tables: _SummedAreaTables | None = None
+) -> Candidates:
+    """Every feasible rectangle of ``area`` on ``device``.
+
+    A rectangle ``(x, y, w, h)`` with ``w``/``h`` within the area's extent
+    caps is a candidate when it contains no forbidden cell and — for regions —
+    supplies every resource requirement by itself.  All rectangles of one
+    shape are checked in one numpy pass over summed-area tables, the
+    aggregation :meth:`FPGADevice.tile_type_histogram` performs for a single
+    rectangle.  Candidates come ordered by width, height, column, row.
+    """
+    if tables is None:
+        tables = _SummedAreaTables(device)
+    width, height = device.width, device.height
+    wmax = min(width, area.max_width or width)
+    hmax = min(height, area.max_height or height)
+
+    requirements: List[Tuple[object, float]] = []
+    min_cells = 0.0
+    if not area.is_free_area:
+        for rtype, required in area.requirements:
+            if required <= 0:
+                continue
+            density = tables.density(rtype)
+            requirements.append((rtype, float(required)))
+            # a rect of A cells supplies at most A * density of the type,
+            # a lower bound on the candidate area worth enumerating
+            min_cells = max(min_cells, float(required) / density if density > 0 else math.inf)
+    if math.isinf(min_cells):
+        wmax = 0
+
+    parts: List[Tuple[np.ndarray, ...]] = []
+    for w in range(1, wmax + 1):
+        forbidden = tables.strip(_FORBIDDEN, w)
+        strips = [(tables.strip(rtype, w), required) for rtype, required in requirements]
+        min_h = max(1, int(np.ceil(min_cells / w)))
+        for h in range(min_h, hmax + 1):
+            ok = _window_sums(forbidden, h) == 0
+            for strip, required in strips:
+                if not ok.any():
+                    break
+                ok &= _window_sums(strip, h) >= required
+            xs, ys = np.nonzero(ok)
+            if xs.size == 0:
+                continue
+            frames = _window_sums(tables.strip(_FRAMES, w), h)[xs, ys]
+            parts.append((xs, ys, np.full(xs.size, w), np.full(xs.size, h), frames))
+
+    if not parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return Candidates(empty, empty, empty, empty, empty)
+    return Candidates(*(np.concatenate(column).astype(np.int64) for column in zip(*parts)))
+
+
+def signature_keys(partition: ColumnarPartition, candidates: Candidates) -> np.ndarray:
+    """Relocation signature of every candidate: (height, column-type sequence).
+
+    Two rectangles get the same key exactly when
+    :func:`repro.relocation.compatibility.areas_compatible` holds for them —
+    on a columnar device the tile layout depends only on the column types.
+    """
+    width, height = partition.width, partition.height
+    types = [partition.type_id(tile_type) for tile_type in partition.column_types]
+    sequence_id = np.full((width, width + 1), -1, dtype=np.int64)
+    interned: Dict[Tuple[int, int], int] = {}
+    for x in range(width):
+        prefix = -1
+        for w in range(1, width - x + 1):
+            # intern (id of the first w-1 types, next type): equal ids <=> equal sequences
+            prefix = interned.setdefault((prefix, types[x + w - 1]), len(interned))
+            sequence_id[x, w] = prefix
+    return sequence_id[candidates.x, candidates.w] * (height + 1) + candidates.h
+
+
 @dataclasses.dataclass
 class FloorplanMILP:
-    """The built model plus handles to every variable family.
+    """The candidate-rectangle model plus the handles its users need.
 
-    The relocation extension (:mod:`repro.relocation.constraints`) and the
-    solver facade both work through this object.
+    ``candidates[n]`` and ``z[n]`` are parallel: ``z[n][i]`` selects the
+    rectangle ``candidates[n].rect(i)``.  The relocation extension
+    (:mod:`repro.relocation.constraints`) and the solver facade both work
+    through this object.
+
+    ``enumerated`` counts every feasible candidate before the incumbent
+    filter, ``kept`` the ones the model holds.  ``filter_weights`` are the
+    objective weights the filter was computed with (``None`` when nothing was
+    filtered): the model is exact only for those weights, so
+    :meth:`set_objective` refuses others until :meth:`cap_wasted_frames`
+    releases the filter.
     """
 
     problem: FloorplanProblem
     partition: ColumnarPartition
     areas: Tuple[AreaSpec, ...]
     model: Model
-    # variable families, keyed by area name
-    col_cover: Dict[str, List[Variable]]
-    col_start: Dict[str, List[Variable]]
-    row_cover: Dict[str, List[Variable]]
-    row_start: Dict[str, List[Variable]]
-    k: Dict[str, List[Variable]]
-    l: Dict[str, List[List[Variable]]]
+    candidates: Dict[str, Candidates]
+    z: Dict[str, List[Variable]]
     violation: Dict[str, Variable]
-    rel_dirs: Dict[Tuple[str, str], Dict[str, Variable]]
-    # derived affine expressions, keyed by area name
-    x_expr: Dict[str, LinExpr]
-    y_expr: Dict[str, LinExpr]
-    w_expr: Dict[str, LinExpr]
-    h_expr: Dict[str, LinExpr]
-    tiles_in_portion: Dict[str, List[LinExpr]]
-    frames_expr: Dict[str, LinExpr]
-    # cost expressions
     wasted_frames_expr: LinExpr
     wirelength_expr: LinExpr
     perimeter_expr: LinExpr
     norms: Dict[str, float]
-    #: per-area pruning statistics (empty when pruning was disabled)
-    prune_stats: Dict[str, Dict[str, int]] = dataclasses.field(default_factory=dict)
+    enumerated: int
+    filter_weights: Optional[ObjectiveWeights] = None
+    filter_bound: Optional[int] = None
 
     # ------------------------------------------------------------------
+    @property
+    def kept(self) -> int:
+        """Candidates (binaries ``z``) in the model."""
+        return sum(len(c) for c in self.candidates.values())
+
     def area_by_name(self, name: str) -> AreaSpec:
         """Look an area spec up by name."""
         for area in self.areas:
@@ -352,6 +324,11 @@ class FloorplanMILP:
     def set_objective(self, weights: ObjectiveWeights | None = None) -> None:
         """Install the normalized weighted objective of eq. 14."""
         weights = weights or ObjectiveWeights.paper_default()
+        if self.filter_weights is not None and weights != self.filter_weights:
+            raise ValueError(
+                f"candidates were filtered for {self.filter_weights}; rebuild the model "
+                f"for {weights} (or with prune=False)"
+            )
         objective = (
             weights.wirelength * self.wirelength_expr * (1.0 / self.norms["wirelength"])
             + weights.perimeter * self.perimeter_expr * (1.0 / self.norms["perimeter"])
@@ -365,9 +342,27 @@ class FloorplanMILP:
             )
         self.model.minimize(objective)
 
+    def cap_wasted_frames(self, value: float) -> None:
+        """Add the lexicographic area cap ``wasted frames <= value``.
+
+        On a filtered model the cap is tightened to the filter's bound when
+        that is smaller.  No solution under it can use a dropped candidate,
+        so the model is then exact for any objective and the filter is
+        released.
+        """
+        if self.filter_bound is not None:
+            value = min(value, self.filter_bound)
+        self.model.add(self.wasted_frames_expr <= value + 1e-6, name="lex_area_cap")
+        self.filter_weights = None
+        self.filter_bound = None
+
     # ------------------------------------------------------------------
     def extract(self, solution: MILPSolution) -> Floorplan:
-        """Turn an MILP solution into a :class:`Floorplan`."""
+        """Turn an MILP solution into a :class:`Floorplan`.
+
+        A soft free area whose violation binary is set selects no candidate;
+        it is still reported, with ``satisfied=False``.
+        """
         floorplan = Floorplan(
             problem=self.problem,
             objective=solution.objective,
@@ -383,36 +378,18 @@ class FloorplanMILP:
         if not solution.status.has_solution:
             return floorplan
         for area in self.areas:
-            satisfied = True
-            if area.soft and area.name in self.violation:
-                satisfied = solution.value(self.violation[area.name]) < 0.5
-            cols = [
-                j
-                for j, var in enumerate(self.col_cover[area.name])
-                if solution.value(var) > 0.5
-            ]
-            rows = [
-                r
-                for r, var in enumerate(self.row_cover[area.name])
-                if solution.value(var) > 0.5
-            ]
-            if not cols or not rows:
-                if area.is_free_area:
-                    satisfied = False
-                    rect = Rect(0, 0, 1, 1)
-                else:
-                    # a placed region always covers at least one tile; this
-                    # branch only triggers on numerically degenerate solutions
-                    rect = Rect(0, 0, 1, 1)
-            else:
-                rect = Rect(min(cols), min(rows), len(cols), len(rows))
-            placement = RegionPlacement(
-                name=area.name,
-                rect=rect,
-                compatible_with=area.compatible_with,
-                satisfied=satisfied,
+            values = np.array([solution.values.get(var, 0.0) for var in self.z[area.name]])
+            chosen = int(values.argmax()) if values.size else -1
+            selected = chosen >= 0 and bool(values[chosen] > 0.5)
+            rect = self.candidates[area.name].rect(chosen) if selected else Rect(0, 0, 1, 1)
+            floorplan.add_placement(
+                RegionPlacement(
+                    name=area.name,
+                    rect=rect,
+                    compatible_with=area.compatible_with,
+                    satisfied=selected,
+                )
             )
-            floorplan.add_placement(placement)
         return floorplan
 
 
@@ -422,8 +399,10 @@ def build_floorplan_milp(
     fixed_relations: Mapping[Tuple[str, str], str] | None = None,
     model_name: str | None = None,
     prune: bool = True,
+    incumbent: Floorplan | None = None,
+    weights: ObjectiveWeights | None = None,
 ) -> FloorplanMILP:
-    """Build the base MILP for a problem plus optional free-compatible areas.
+    """Build the candidate-rectangle MILP for a problem plus free areas.
 
     Parameters
     ----------
@@ -433,24 +412,25 @@ def build_floorplan_milp(
         Additional areas, typically the free-compatible areas requested by a
         :class:`~repro.relocation.spec.RelocationSpec`.
     fixed_relations:
-        HO mode: mapping ``(a, b) -> relation`` (one of ``"left"``, ``"right"``,
-        ``"below"``, ``"above"``) fixing the relative position of area ``a``
-        with respect to ``b``; pairs present here skip the disjunction
-        binaries entirely.
+        HO mode: mapping ``(a, b) -> relation`` (one of ``"left"``,
+        ``"right"``, ``"below"``, ``"above"``) fixing the relative position of
+        area ``a`` with respect to ``b``; these pairs get one sequence-pair
+        row instead of cell-occupancy rows.
     model_name:
         Name for the underlying :class:`~repro.milp.model.Model`.
     prune:
-        Run :func:`feasible_placement_masks` per area and emit fixed-zero
-        variables (and no constraints) for positions no feasible placement
-        candidate touches.  Exact — the feasible set is unchanged — but the
-        model shrinks before it is built, the way the paper's explicit
-        placement-generation step intends.
+        Filter region candidates against ``incumbent`` (exact; see the module
+        docstring).  ``False`` keeps every feasible rectangle.
+    incumbent:
+        A floorplan feasible for this model, typically the HO seed.  Ignored
+        when it is not (a hard free area missing, a fixed relation broken).
+    weights:
+        Objective weights installed on the model and used by the filter.
     """
     partition = problem.partition
-    width, height = partition.width, partition.height
-    portions = partition.portions
+    device = partition.device
     fixed_relations = dict(fixed_relations or {})
-
+    weights = weights or ObjectiveWeights.paper_default()
     areas: List[AreaSpec] = [
         AreaSpec(
             name=region.name,
@@ -464,287 +444,86 @@ def build_floorplan_milp(
     names = [area.name for area in areas]
     if len(set(names)) != len(names):
         raise ValueError("area names must be unique (regions + free-compatible areas)")
+    region_names = set(problem.region_names)
+    for area in areas:
+        if area.is_free_area and area.compatible_with not in region_names:
+            raise KeyError(
+                f"free-compatible area {area.name!r} references unknown region "
+                f"{area.compatible_with!r}"
+            )
+
+    tables = _SummedAreaTables(device)
+    candidates: Dict[str, Candidates] = {
+        area.name: enumerate_candidates(device, area, tables) for area in areas
+    }
+    enumerated = sum(len(c) for c in candidates.values())
+    norms = normalization_constants(problem)
+
+    filter_bound = None
+    if prune and incumbent is not None:
+        filter_bound = _waste_bound(areas, norms, incumbent, weights, fixed_relations)
+    if filter_bound is not None:
+        # the incumbent is feasible, so every region has a candidate
+        waste = {n: candidates[n].frames - problem.required_frames(n) for n in region_names}
+        floor = sum(int(w.min()) for w in waste.values())
+        for name, w in waste.items():
+            candidates[name] = candidates[name].subset(w - w.min() + floor <= filter_bound)
+    # a free area can only take a rectangle whose signature some candidate of
+    # its region shares (eqs. 6-10), so the others never enter the model
+    for area in areas:
+        if area.is_free_area:
+            region_keys = signature_keys(partition, candidates[area.compatible_with])
+            own = candidates[area.name]
+            candidates[area.name] = own.subset(
+                np.isin(signature_keys(partition, own), region_keys)
+            )
 
     model = Model(model_name or f"floorplan[{problem.name}]")
-
-    col_cover: Dict[str, List[Variable]] = {}
-    col_start: Dict[str, List[Variable]] = {}
-    row_cover: Dict[str, List[Variable]] = {}
-    row_start: Dict[str, List[Variable]] = {}
-    k_vars: Dict[str, List[Variable]] = {}
-    l_vars: Dict[str, List[List[Variable]]] = {}
+    z: Dict[str, List[Variable]] = {}
     violation: Dict[str, Variable] = {}
-    x_expr: Dict[str, LinExpr] = {}
-    y_expr: Dict[str, LinExpr] = {}
-    w_expr: Dict[str, LinExpr] = {}
-    h_expr: Dict[str, LinExpr] = {}
-    tiles_in_portion: Dict[str, List[LinExpr]] = {}
-    frames_expr: Dict[str, LinExpr] = {}
-    prune_stats: Dict[str, Dict[str, int]] = {}
-
-    def _fixed_binary(var_name: str) -> Variable:
-        return model.add_var(var_name, VarType.BINARY, ub=0.0)
-
-    prune_tables = _PruneTables(partition.device) if prune else None
-
-    # ------------------------------------------------------------------
-    # per-area geometry variables
-    # ------------------------------------------------------------------
     for area in areas:
-        name = area.name
-        key = _sanitize(name)
-        if prune:
-            masks = feasible_placement_masks(
-                partition.device, area, tables=prune_tables
-            )
-        else:
-            masks = PlacementMasks.all_true(width, height)
-
-        col_cover[name] = [
-            model.add_binary(f"u[{key},{j}]")
-            if masks.col_cover[j]
-            else _fixed_binary(f"u[{key},{j}]")
-            for j in range(width)
-        ]
-        col_start[name] = [
-            model.add_binary(f"us[{key},{j}]")
-            if masks.col_start[j]
-            else _fixed_binary(f"us[{key},{j}]")
-            for j in range(width)
-        ]
-        row_cover[name] = [
-            model.add_binary(f"a[{key},{r}]")
-            if masks.row_cover[r]
-            else _fixed_binary(f"a[{key},{r}]")
-            for r in range(height)
-        ]
-        row_start[name] = [
-            model.add_binary(f"as[{key},{r}]")
-            if masks.row_start[r]
-            else _fixed_binary(f"as[{key},{r}]")
-            for r in range(height)
-        ]
-
-        _add_contiguity(
-            model, col_cover[name], col_start[name], f"col[{key}]",
-            masks.col_cover, masks.col_start,
-        )
-        _add_contiguity(
-            model, row_cover[name], row_start[name], f"row[{key}]",
-            masks.row_cover, masks.row_start,
-        )
-
-        portion_alive = [
-            bool(masks.col_cover[list(portion.columns())].any())
-            for portion in portions
-        ]
-        if prune:
-            area_stats = {
-                "cols_pruned": int((~masks.col_cover).sum()),
-                "rows_pruned": int((~masks.row_cover).sum()),
-                "portions_pruned": int(sum(1 for alive in portion_alive if not alive)),
-            }
-            if masks.candidates >= 0:
-                area_stats["candidates"] = masks.candidates
-            else:
-                # enumeration skipped by the work limit: no candidate count
-                area_stats["enumeration_skipped"] = 1
-            prune_stats[name] = area_stats
-
-        # derived expressions over the live variables only — fixed-zero
-        # variables contribute nothing in any feasible solution, so dropping
-        # them keeps the expressions exact while shrinking every constraint
-        # they feed (extent caps, non-overlap, wirelength, objective)
-        w_expr[name] = quicksum(
-            var for var, ok in zip(col_cover[name], masks.col_cover) if ok
-        )
-        h_expr[name] = quicksum(
-            var for var, ok in zip(row_cover[name], masks.row_cover) if ok
-        )
-        x_expr[name] = LinExpr(
-            {
-                var: float(j)
-                for j, var in enumerate(col_start[name])
-                if masks.col_start[j]
-            }
-        )
-        y_expr[name] = LinExpr(
-            {
-                var: float(r)
-                for r, var in enumerate(row_start[name])
-                if masks.row_start[r]
-            }
-        )
-
-        if area.max_width is not None:
-            model.add(w_expr[name] <= area.max_width, name=f"maxw[{key}]")
-        if area.max_height is not None:
-            model.add(h_expr[name] <= area.max_height, name=f"maxh[{key}]")
-
-        # k[n,p]: exact intersection indicator with each columnar portion.
-        # A portion no feasible placement candidate reaches gets a fixed-zero
-        # indicator and no linking constraints.
-        k_vars[name] = []
-        for portion in portions:
-            if not portion_alive[portion.index]:
-                k_vars[name].append(_fixed_binary(f"k[{key},{portion.index}]"))
-                continue
-            k = model.add_binary(f"k[{key},{portion.index}]")
-            live_cols = [j for j in portion.columns() if masks.col_cover[j]]
-            for j in live_cols:
-                model.add_ge_terms(
-                    {k: 1.0, col_cover[name][j]: -1.0},
-                    0.0,
-                    name=f"kge[{key},{portion.index},{j}]",
-                )
-            kle_terms = {col_cover[name][j]: -1.0 for j in live_cols}
-            kle_terms[k] = 1.0
-            model.add_le_terms(kle_terms, 0.0, name=f"kle[{key},{portion.index}]")
-            k_vars[name].append(k)
-
-        # l[n,p,r]: exact tiles of portion p covered on row r.  The three
-        # linearization constraints per (portion, row) dominate the model; they
-        # are emitted through the coefficient-dict fast path from a per-portion
-        # template of the covered-width terms.  (portion, row) pairs forced to
-        # zero by the placement masks — dead portion or dead row — are the
-        # discarded placement candidates: no variable, no constraints (the
-        # per-portion list then holds the live rows only).
-        l_vars[name] = []
-        tiles_in_portion[name] = []
-        for portion in portions:
-            row_list: List[Variable] = []
-            portion_width = portion.width
-            if not portion_alive[portion.index]:
-                l_vars[name].append(row_list)
-                tiles_in_portion[name].append(LinExpr())
-                continue
-            neg_wcol = {
-                col_cover[name][j]: -1.0
-                for j in portion.columns()
-                if masks.col_cover[j]
-            }
-            for r in range(height):
-                if not masks.row_cover[r]:
-                    continue
-                l = model.add_continuous(
-                    f"l[{key},{portion.index},{r}]", lb=0.0, ub=float(portion_width)
-                )
-                arow = row_cover[name][r]
-                model.add_le_terms(
-                    {l: 1.0, **neg_wcol},
-                    0.0,
-                    name=f"l_le_w[{key},{portion.index},{r}]",
-                )
-                model.add_le_terms(
-                    {l: 1.0, arow: -float(portion_width)},
-                    0.0,
-                    name=f"l_le_a[{key},{portion.index},{r}]",
-                )
-                model.add_ge_terms(
-                    {l: 1.0, arow: -float(portion_width), **neg_wcol},
-                    -float(portion_width),
-                    name=f"l_ge[{key},{portion.index},{r}]",
-                )
-                row_list.append(l)
-            l_vars[name].append(row_list)
-            tiles_in_portion[name].append(quicksum(row_list))
-
-        # frames covered by the area (dead portions contribute empty sums)
-        frames_expr[name] = quicksum(
-            portion.tile_type.frames * tiles_in_portion[name][portion.index]
-            for portion in portions
-            if portion_alive[portion.index]
-        )
-
-        # forbidden cells (trivial once either side is fixed to zero)
-        for fcol, frow in partition.forbidden_cells():
-            if not masks.col_cover[fcol] or not masks.row_cover[frow]:
-                continue
-            model.add_le_terms(
-                {col_cover[name][fcol]: 1.0, row_cover[name][frow]: 1.0},
-                1.0,
-                name=f"forbid[{key},{fcol},{frow}]",
-            )
-
-        # resource coverage (regions only; FC footprints are fixed by eqs. 6-10)
-        if not area.is_free_area:
-            for rtype, required in area.requirements:
-                if required <= 0:
-                    continue
-                supply = quicksum(
-                    portion.tile_type.resources.get(rtype)
-                    * tiles_in_portion[name][portion.index]
-                    for portion in portions
-                    if portion.tile_type.resources.get(rtype) > 0
-                )
-                model.add(supply >= required, name=f"res[{key},{rtype.value}]")
-
-        # violation binary for soft (relocation-as-a-metric) areas
+        key = _sanitize(area.name)
+        count = len(candidates[area.name])
+        z[area.name] = [model.add_binary(f"z[{key},{i}]") for i in range(count)]
         if area.soft:
-            violation[name] = model.add_binary(f"v[{key}]")
+            violation[area.name] = model.add_binary(f"v[{key}]")
+        if not area.is_free_area:
+            model.add_eq_terms(dict.fromkeys(z[area.name], 1.0), 1.0, name=f"assign[{key}]")
 
-    # ------------------------------------------------------------------
-    # pairwise non-overlap
-    # ------------------------------------------------------------------
-    rel_dirs: Dict[Tuple[str, str], Dict[str, Variable]] = {}
+    geometry = _Geometry(candidates, z, violation, partition.width, partition.height)
+    unfixed: set = set()
     for i, first in enumerate(areas):
         for second in areas[i + 1 :]:
-            _add_non_overlap(
-                model,
-                first,
-                second,
-                x_expr,
-                y_expr,
-                w_expr,
-                h_expr,
-                violation,
-                width,
-                height,
-                fixed_relations,
-                rel_dirs,
-            )
+            relation = _relation(fixed_relations, first.name, second.name)
+            if relation is None:
+                unfixed.update((first.name, second.name))
+            else:
+                geometry.add_relation_row(model, first.name, second.name, relation)
+    geometry.add_cell_rows(model, [area.name for area in areas if area.name in unfixed])
 
-    # ------------------------------------------------------------------
-    # cost expressions
-    # ------------------------------------------------------------------
-    region_names = set(problem.region_names)
-    wasted = quicksum(
-        frames_expr[name] for name in names if name in region_names
-    ) - float(problem.total_required_frames())
-
-    wirelength_expr = _build_wirelength(
-        model, problem, areas, x_expr, y_expr, w_expr, h_expr
+    regions = [n for n in names if n in region_names]
+    wasted = LinExpr(
+        geometry.terms(regions, lambda c: c.frames),
+        -float(problem.total_required_frames()),
     )
-    perimeter_expr = quicksum(
-        2.0 * (w_expr[name] + h_expr[name]) for name in names if name in region_names
-    )
-
+    perimeter = LinExpr(geometry.terms(regions, lambda c: 2 * (c.w + c.h)))
     milp = FloorplanMILP(
         problem=problem,
         partition=partition,
         areas=tuple(areas),
         model=model,
-        col_cover=col_cover,
-        col_start=col_start,
-        row_cover=row_cover,
-        row_start=row_start,
-        k=k_vars,
-        l=l_vars,
+        candidates=candidates,
+        z=z,
         violation=violation,
-        rel_dirs=rel_dirs,
-        x_expr=x_expr,
-        y_expr=y_expr,
-        w_expr=w_expr,
-        h_expr=h_expr,
-        tiles_in_portion=tiles_in_portion,
-        frames_expr=frames_expr,
         wasted_frames_expr=wasted,
-        wirelength_expr=wirelength_expr,
-        perimeter_expr=perimeter_expr,
-        norms=normalization_constants(problem),
-        prune_stats=prune_stats,
+        wirelength_expr=geometry.add_wirelength(model, problem),
+        perimeter_expr=perimeter,
+        norms=norms,
+        enumerated=enumerated,
     )
-    milp.set_objective()
+    milp.set_objective(weights)
+    if filter_bound is not None:
+        milp.filter_weights, milp.filter_bound = weights, filter_bound
     return milp
 
 
@@ -755,165 +534,197 @@ def _sanitize(name: str) -> str:
     return name.replace(" ", "_").replace(",", "_")
 
 
-def _add_contiguity(
-    model: Model,
-    cover: List[Variable],
-    start: List[Variable],
-    label: str,
-    cover_ok: "np.ndarray | None" = None,
-    start_ok: "np.ndarray | None" = None,
-) -> None:
-    """Force the covered indices to form exactly one non-empty contiguous run.
+_MIRRORED = {
+    sp.RELATION_LEFT: sp.RELATION_RIGHT,
+    sp.RELATION_RIGHT: sp.RELATION_LEFT,
+    sp.RELATION_BELOW: sp.RELATION_ABOVE,
+    sp.RELATION_ABOVE: sp.RELATION_BELOW,
+}
 
-    ``cover_ok``/``start_ok`` are the placement masks: constraints that are
-    trivially satisfied because one of their variables is fixed to zero are
-    not emitted.  The enumerator guarantees ``start_ok`` implies ``cover_ok``
-    at the same index, so the remaining constraints stay exact.
-    """
-    if cover_ok is None:
-        cover_ok = np.ones(len(cover), dtype=bool)
-    if start_ok is None:
-        start_ok = np.ones(len(start), dtype=bool)
-    model.add(
-        quicksum(s for s, ok in zip(start, start_ok) if ok) == 1,
-        name=f"{label}:one_start",
-    )
-    for idx, (c, s) in enumerate(zip(cover, start)):
-        if start_ok[idx]:
-            model.add_ge_terms(
-                {c: 1.0, s: -1.0}, 0.0, name=f"{label}:cover_ge_start[{idx}]"
-            )
-        if idx == 0:
-            if cover_ok[0]:
-                model.add_le_terms({c: 1.0, s: -1.0}, 0.0, name=f"{label}:first")
-        else:
-            if cover_ok[idx]:
-                model.add_le_terms(
-                    {c: 1.0, cover[idx - 1]: -1.0, s: -1.0},
-                    0.0,
-                    name=f"{label}:chain[{idx}]",
+
+def _relation(fixed: Mapping[Tuple[str, str], str], a: str, b: str) -> Optional[str]:
+    """Fixed relation of ``a`` with respect to ``b``, if any."""
+    if (a, b) in fixed:
+        return fixed[(a, b)]
+    if (b, a) in fixed:
+        return _MIRRORED[fixed[(b, a)]]
+    return None
+
+
+def _relation_holds(relation: str, a: Rect, b: Rect) -> bool:
+    """Whether rectangle ``a`` stands in ``relation`` to rectangle ``b``."""
+    if relation == sp.RELATION_LEFT:
+        return a.col + a.width <= b.col
+    if relation == sp.RELATION_RIGHT:
+        return b.col + b.width <= a.col
+    if relation == sp.RELATION_BELOW:
+        return a.row + a.height <= b.row
+    return b.row + b.height <= a.row
+
+
+class _Geometry:
+    """Writes the rows that couple candidates of different areas."""
+
+    def __init__(
+        self,
+        candidates: Dict[str, Candidates],
+        z: Dict[str, List[Variable]],
+        violation: Dict[str, Variable],
+        width: int,
+        height: int,
+    ) -> None:
+        self.candidates = candidates
+        self.z = z
+        self.violation = violation
+        self.width = width
+        self.height = height
+
+    def terms(self, names: Sequence[str], coefficient) -> Dict[Variable, float]:
+        """``{z: coefficient(candidates)}`` over the candidates of ``names``."""
+        terms: Dict[Variable, float] = {}
+        for name in names:
+            terms.update(zip(self.z[name], coefficient(self.candidates[name]).tolist()))
+        return terms
+
+    def add_relation_row(self, model: Model, a: str, b: str, relation: str) -> None:
+        """One sequence-pair row: ``first`` ends before ``second`` starts.
+
+        A soft area whose violation binary is set selects no candidate, so
+        its position reads 0; when it is the ``second`` area, the row is
+        relaxed by the device span times its violation binary.
+        """
+        first, second = (a, b) if relation in (sp.RELATION_LEFT, sp.RELATION_BELOW) else (b, a)
+        horizontal = relation in (sp.RELATION_LEFT, sp.RELATION_RIGHT)
+        pos, extent, span = ("x", "w", self.width) if horizontal else ("y", "h", self.height)
+        terms = self.terms(
+            [first], lambda c: getattr(c, pos) + getattr(c, extent)
+        )
+        terms.update(self.terms([second], lambda c: -getattr(c, pos)))
+        if second in self.violation:
+            terms[self.violation[second]] = -float(span)
+        model.add_le_terms(
+            terms, 0.0, name=f"sp_{relation}[{_sanitize(a)}|{_sanitize(b)}]"
+        )
+
+    def add_cell_rows(self, model: Model, names: Sequence[str]) -> None:
+        """``sum z <= 1`` per device cell over the candidates covering it."""
+        if len(names) < 2:
+            return
+        cells, owners, areas = [], [], []
+        flat: List[Variable] = []
+        for area_index, name in enumerate(names):
+            cand = self.candidates[name]
+            shapes = np.unique(np.stack([cand.w, cand.h], axis=1), axis=0)
+            for w, h in shapes.tolist():
+                idx = np.flatnonzero((cand.w == w) & (cand.h == h))
+                dx, dy = np.meshgrid(np.arange(w), np.arange(h), indexing="ij")
+                covered = (cand.x[idx, None] + dx.ravel()) * self.height + (
+                    cand.y[idx, None] + dy.ravel()
                 )
-            # a start at idx forbids coverage of idx-1 (the run cannot begin twice)
-            if cover_ok[idx - 1] and start_ok[idx]:
-                model.add_le_terms(
-                    {cover[idx - 1]: 1.0, s: 1.0}, 1.0, name=f"{label}:no_restart[{idx}]"
-                )
-
-
-def _add_non_overlap(
-    model: Model,
-    first: AreaSpec,
-    second: AreaSpec,
-    x_expr: Dict[str, LinExpr],
-    y_expr: Dict[str, LinExpr],
-    w_expr: Dict[str, LinExpr],
-    h_expr: Dict[str, LinExpr],
-    violation: Dict[str, Variable],
-    width: int,
-    height: int,
-    fixed_relations: Mapping[Tuple[str, str], str],
-    rel_dirs: Dict[Tuple[str, str], Dict[str, Variable]],
-) -> None:
-    a, b = first.name, second.name
-    key = f"{_sanitize(a)}|{_sanitize(b)}"
-
-    # soft areas may overlap at the price of their violation binary (Section V)
-    slack = LinExpr()
-    if first.soft and a in violation:
-        slack = slack + violation[a]
-    if second.soft and b in violation:
-        slack = slack + violation[b]
-
-    relation = fixed_relations.get((a, b))
-    if relation is None and (b, a) in fixed_relations:
-        mirrored = {
-            sp.RELATION_LEFT: sp.RELATION_RIGHT,
-            sp.RELATION_RIGHT: sp.RELATION_LEFT,
-            sp.RELATION_BELOW: sp.RELATION_ABOVE,
-            sp.RELATION_ABOVE: sp.RELATION_BELOW,
-        }
-        relation = mirrored[fixed_relations[(b, a)]]
-
-    if relation is not None:
-        # HO mode: the relative position is fixed, no disjunction needed.
-        if relation == sp.RELATION_LEFT:
-            model.add(
-                x_expr[a] + w_expr[a] <= x_expr[b] + width * slack,
-                name=f"sp_left[{key}]",
+                cells.append(covered.ravel())
+                owners.append(np.repeat(idx + len(flat), w * h))
+                areas.append(np.full(covered.size, area_index))
+            flat.extend(self.z[name])
+        if not cells:
+            return
+        cell = np.concatenate(cells)
+        order = np.argsort(cell, kind="stable")
+        cell, owner, area = cell[order], np.concatenate(owners)[order], np.concatenate(areas)[order]
+        starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+        ends = np.r_[starts[1:], cell.size]
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            # cells reachable by a single area are already covered by its
+            # assignment row
+            if area[start] == area[end - 1]:
+                continue
+            col, row = divmod(int(cell[start]), self.height)
+            model.add_le_terms(
+                dict.fromkeys([flat[i] for i in owner[start:end].tolist()], 1.0),
+                1.0,
+                name=f"cell[{col},{row}]",
             )
-        elif relation == sp.RELATION_RIGHT:
-            model.add(
-                x_expr[b] + w_expr[b] <= x_expr[a] + width * slack,
-                name=f"sp_right[{key}]",
-            )
-        elif relation == sp.RELATION_BELOW:
-            model.add(
-                y_expr[a] + h_expr[a] <= y_expr[b] + height * slack,
-                name=f"sp_below[{key}]",
-            )
-        elif relation == sp.RELATION_ABOVE:
-            model.add(
-                y_expr[b] + h_expr[b] <= y_expr[a] + height * slack,
-                name=f"sp_above[{key}]",
-            )
-        else:
-            raise ValueError(f"unknown fixed relation {relation!r}")
-        return
 
-    dirs = {
-        "left": model.add_binary(f"d_left[{key}]"),
-        "right": model.add_binary(f"d_right[{key}]"),
-        "below": model.add_binary(f"d_below[{key}]"),
-        "above": model.add_binary(f"d_above[{key}]"),
-    }
-    rel_dirs[(a, b)] = dirs
-    model.add(quicksum(dirs.values()) >= 1, name=f"sep[{key}]")
-    model.add(
-        x_expr[a] + w_expr[a] <= x_expr[b] + width * (1 - dirs["left"]) + width * slack,
-        name=f"no_l[{key}]",
-    )
-    model.add(
-        x_expr[b] + w_expr[b] <= x_expr[a] + width * (1 - dirs["right"]) + width * slack,
-        name=f"no_r[{key}]",
-    )
-    model.add(
-        y_expr[a] + h_expr[a] <= y_expr[b] + height * (1 - dirs["below"]) + height * slack,
-        name=f"no_b[{key}]",
-    )
-    model.add(
-        y_expr[b] + h_expr[b] <= y_expr[a] + height * (1 - dirs["above"]) + height * slack,
-        name=f"no_a[{key}]",
-    )
+    def add_wirelength(self, model: Model, problem: FloorplanProblem) -> LinExpr:
+        """Weighted Manhattan distance between connected endpoint centres."""
+        total = LinExpr()
+        for idx, connection in enumerate(problem.connections):
+            for axis, pos, extent in (("dx", "x", "w"), ("dy", "y", "h")):
+                distance = model.add_continuous(f"wl_{axis}[{idx}]", lb=0.0)
+                centres = [
+                    self._centre(problem, endpoint, pos, extent)
+                    for endpoint in connection.endpoints()
+                ]
+                for sign, suffix in ((1.0, "p"), (-1.0, "n")):
+                    # distance >= sign * (centre_0 - centre_1)
+                    (t0, c0), (t1, c1) = centres
+                    terms = {var: -sign * coef for var, coef in t0.items()}
+                    for var, coef in t1.items():
+                        terms[var] = terms.get(var, 0.0) + sign * coef
+                    terms[distance] = 1.0
+                    model.add_ge_terms(
+                        terms, sign * (c0 - c1), name=f"wl_{axis}_{suffix}[{idx}]"
+                    )
+                total = total + connection.weight * distance
+        return total
+
+    def _centre(
+        self, problem: FloorplanProblem, endpoint: str, pos: str, extent: str
+    ) -> Tuple[Dict[Variable, float], float]:
+        """Centre coordinate of an endpoint as ``(terms over z, constant)``."""
+        if endpoint in self.candidates:
+            return self.terms(
+                [endpoint], lambda c: getattr(c, pos) + 0.5 * getattr(c, extent)
+            ), 0.0
+        pin = problem.pin_by_name(endpoint)
+        return {}, (pin.col if pos == "x" else pin.row) + 0.5
 
 
-def _build_wirelength(
-    model: Model,
-    problem: FloorplanProblem,
+def _waste_bound(
     areas: Sequence[AreaSpec],
-    x_expr: Dict[str, LinExpr],
-    y_expr: Dict[str, LinExpr],
-    w_expr: Dict[str, LinExpr],
-    h_expr: Dict[str, LinExpr],
-) -> LinExpr:
-    """Weighted Manhattan distance between connected endpoint centres."""
-    area_names = {area.name for area in areas}
-    terms: List[LinExpr] = []
-    for idx, connection in enumerate(problem.connections):
-        centers_x: List[LinExpr] = []
-        centers_y: List[LinExpr] = []
-        for endpoint in connection.endpoints():
-            if endpoint in area_names:
-                centers_x.append(x_expr[endpoint] + 0.5 * w_expr[endpoint])
-                centers_y.append(y_expr[endpoint] + 0.5 * h_expr[endpoint])
-            else:
-                pin = problem.pin_by_name(endpoint)
-                centers_x.append(LinExpr.from_const(pin.col + 0.5))
-                centers_y.append(LinExpr.from_const(pin.row + 0.5))
-        dx = model.add_continuous(f"wl_dx[{idx}]", lb=0.0)
-        dy = model.add_continuous(f"wl_dy[{idx}]", lb=0.0)
-        model.add(dx >= centers_x[0] - centers_x[1], name=f"wl_dx_p[{idx}]")
-        model.add(dx >= centers_x[1] - centers_x[0], name=f"wl_dx_n[{idx}]")
-        model.add(dy >= centers_y[0] - centers_y[1], name=f"wl_dy_p[{idx}]")
-        model.add(dy >= centers_y[1] - centers_y[0], name=f"wl_dy_n[{idx}]")
-        terms.append(connection.weight * (dx + dy))
-    return quicksum(terms) if terms else LinExpr()
+    norms: Dict[str, float],
+    incumbent: Floorplan,
+    weights: ObjectiveWeights,
+    fixed_relations: Mapping[Tuple[str, str], str],
+) -> Optional[int]:
+    """Most wasted frames a solution may have and still match the incumbent.
+
+    The incumbent's eq.-14 objective under ``weights`` is an upper bound on
+    the optimum, and every other term of eq. 14 is non-negative, so a
+    solution whose wasted frames exceed the returned bound is worse than the
+    incumbent.  ``None`` when the incumbent is not a feasible point of the
+    model (its objective then bounds nothing) or wasted frames carry no
+    weight.
+    """
+    from repro.floorplan.verify import verify_floorplan
+
+    if weights.wasted_frames <= 0 or not verify_floorplan(incumbent).is_feasible:
+        return None
+    placed: Dict[str, Rect] = {}
+    missed_weight = 0.0
+    for area in areas:
+        placement = (
+            incumbent.free_areas.get(area.name)
+            if area.is_free_area
+            else incumbent.placements.get(area.name)
+        )
+        if (
+            placement is not None
+            and placement.satisfied
+            and placement.compatible_with == area.compatible_with
+        ):
+            placed[area.name] = placement.rect
+        elif area.soft:
+            missed_weight += area.weight
+        else:
+            return None
+    for (a, b), relation in fixed_relations.items():
+        if a in placed and b in placed and not _relation_holds(relation, placed[a], placed[b]):
+            return None
+    soft_total = max(sum(area.weight for area in areas if area.soft), 1.0)
+    objective = (
+        weights.wirelength * wirelength(incumbent) / norms["wirelength"]
+        + weights.perimeter * total_perimeter(incumbent) / norms["perimeter"]
+        + weights.wasted_frames * wasted_frames(incumbent) / norms["wasted_frames"]
+        + weights.relocation * missed_weight / soft_total
+    )
+    return math.floor(objective * norms["wasted_frames"] / weights.wasted_frames + 1e-6)

@@ -3,8 +3,8 @@
 The HO ("Heuristic Optimal") algorithm of [10] extracts the sequence pair of a
 first feasible solution and uses it as an additional constraint: for every pair
 of areas the relative position (left-of / right-of / below / above) implied by
-the sequence pair is fixed, which removes the pairwise disjunction binaries
-from the MILP and shrinks the search space dramatically.
+the sequence pair is fixed, which replaces the pairwise non-overlap rows of
+the MILP by one row per pair and shrinks the search space dramatically.
 
 Section II.A of the 2015 paper notes that when relocation is used as a
 constraint under HO, the heuristic input must also place the free-compatible

@@ -19,6 +19,7 @@ Typical usage::
 from __future__ import annotations
 
 import dataclasses
+import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.floorplan.metrics import (
@@ -31,7 +32,7 @@ from repro.floorplan.placement import Floorplan
 from repro.floorplan.problem import FloorplanProblem
 from repro.floorplan.verify import VerificationReport, verify_floorplan
 from repro.milp import MILPSolution, SolverOptions, solve
-from repro.obs.trace import collect_stages, stage_timer
+from repro.obs.trace import collect_stages, record_stage, stage_timer
 
 
 @dataclasses.dataclass
@@ -118,7 +119,7 @@ class FloorplanSolver:
         Optional externally-provided heuristic floorplan used as the HO seed
         (free-compatible areas are added on top if the spec requires them).
     prune:
-        Run the vectorized feasible-placement pruning of
+        Filter candidate rectangles against the heuristic seed in
         :func:`~repro.floorplan.milp_builder.build_floorplan_milp` (exact;
         on by default).
     """
@@ -147,23 +148,30 @@ class FloorplanSolver:
 
     # ------------------------------------------------------------------
     def build(self, weights: ObjectiveWeights | None = None) -> FloorplanMILP:
-        """Build the (relocation-extended) MILP without solving it."""
+        """Build the (relocation-extended) MILP for ``weights`` without solving it.
+
+        The heuristic seed is the incumbent the builder filters candidates
+        with; in HO mode its sequence pair also fixes the relative positions.
+        """
+        from repro.floorplan.ho import HOSeeder, HOSeedError
         from repro.relocation.constraints import apply_relocation_constraints
 
         extra_areas = []
-        fixed_relations: Dict[Tuple[str, str], str] | None = None
-
         if self.relocation is not None and len(self.relocation) > 0:
             extra_areas = self.relocation.build_area_specs(self.problem)
 
-        if self.mode == "HO":
-            from repro.floorplan.ho import HOSeeder
-
-            seeder = HOSeeder(self.problem)
-            self._seed = seeder.build_seed(
+        try:
+            seed = HOSeeder(self.problem).build_seed(
                 spec=self.relocation, heuristic=self.heuristic, initial=self.seed_floorplan
             )
-            fixed_relations = self._seed.fixed_relations()
+        except HOSeedError:
+            if self.mode == "HO":
+                raise
+            seed = None  # O mode solves without an incumbent
+        fixed_relations: Dict[Tuple[str, str], str] | None = None
+        if self.mode == "HO":
+            self._seed = seed
+            fixed_relations = seed.fixed_relations()
 
         milp = build_floorplan_milp(
             self.problem,
@@ -171,10 +179,11 @@ class FloorplanSolver:
             fixed_relations=fixed_relations,
             model_name=f"{self.problem.name}[{self.mode}]",
             prune=self.prune,
+            incumbent=seed.floorplan if seed is not None else None,
+            weights=weights,
         )
         if extra_areas:
             apply_relocation_constraints(milp)
-        milp.set_objective(weights)
         return milp
 
     # ------------------------------------------------------------------
@@ -196,37 +205,35 @@ class FloorplanSolver:
             wirelength.
         """
         weights = weights or ObjectiveWeights.paper_default()
-        with stage_timer("floorplan.build", mode=self.mode):
-            milp = self.build(weights=weights)
+        started = time.perf_counter()
+        milp = self.build(weights=_phase1_weights(weights) if lexicographic else weights)
+        record_stage(
+            "floorplan.build",
+            time.perf_counter() - started,
+            mode=self.mode,
+            candidates=milp.enumerated,
+            candidates_kept=milp.kept,
+        )
 
         if lexicographic:
             return self._solve_lexicographic(milp, weights)
 
         solution = solve(milp.model, self.options)
-        return self._finalize(milp, solution)
+        return self._finalize(milp, solution, weights)
 
     # ------------------------------------------------------------------
     def _solve_lexicographic(
         self, milp: FloorplanMILP, weights: ObjectiveWeights
     ) -> SolveReport:
-        # Phase 1: wasted frames (plus the relocation term when in soft mode,
-        # since missing areas are part of the primary cost in Section V).
-        phase1_weights = ObjectiveWeights(
-            wirelength=0.0,
-            perimeter=0.0,
-            wasted_frames=1.0,
-            relocation=weights.relocation,
-        )
-        milp.set_objective(phase1_weights)
+        # Phase 1 (installed by the build): wasted frames plus the relocation
+        # term, since missing areas are part of the primary cost in Section V.
+        phase1_weights = _phase1_weights(weights)
         first = solve(milp.model, self.options)
         if not first.status.has_solution:
-            return self._finalize(milp, first)
+            return self._finalize(milp, first, phase1_weights)
 
-        wasted_value = milp.wasted_frames_expr.evaluate(first.values)
-        # Phase 2: fix the area cost (allowing round-off slack) and polish wires.
-        milp.model.add(
-            milp.wasted_frames_expr <= wasted_value + 1e-6, name="lex_area_cap"
-        )
+        # Phase 2: cap the area cost at its phase-1 value and polish wires.
+        milp.cap_wasted_frames(milp.wasted_frames_expr.evaluate(first.values))
         phase2_weights = ObjectiveWeights(
             wirelength=1.0,
             perimeter=weights.perimeter,
@@ -235,12 +242,22 @@ class FloorplanSolver:
         )
         milp.set_objective(phase2_weights)
         second = solve(milp.model, self.options)
-        chosen = second if second.status.has_solution else first
-        return self._finalize(milp, chosen)
+        if second.status.has_solution:
+            return self._finalize(milp, second, phase2_weights)
+        return self._finalize(milp, first, phase1_weights)
 
     # ------------------------------------------------------------------
-    def _finalize(self, milp: FloorplanMILP, solution: MILPSolution) -> SolveReport:
-        return _finalize_report(milp, solution, seed=self._seed)
+    def _finalize(
+        self, milp: FloorplanMILP, solution: MILPSolution, weights: ObjectiveWeights
+    ) -> SolveReport:
+        return _finalize_report(milp, solution, weights, seed=self._seed)
+
+
+def _phase1_weights(weights: ObjectiveWeights) -> ObjectiveWeights:
+    """Phase-1 weights of the lexicographic protocol: area and relocation only."""
+    return ObjectiveWeights(
+        wirelength=0.0, perimeter=0.0, wasted_frames=1.0, relocation=weights.relocation
+    )
 
 
 def run_job(job) -> SolveReport:
@@ -272,7 +289,7 @@ def run_job(job) -> SolveReport:
 
 
 def _finalize_report(
-    milp: FloorplanMILP, solution: MILPSolution, seed=None
+    milp: FloorplanMILP, solution: MILPSolution, weights: ObjectiveWeights, seed=None
 ) -> SolveReport:
     with stage_timer("floorplan.postsolve"):
         floorplan = milp.extract(solution)
@@ -281,7 +298,7 @@ def _finalize_report(
         metrics = None
         verification = None
         if solution.status.has_solution and floorplan.is_complete:
-            metrics = evaluate_floorplan(floorplan)
+            metrics = evaluate_floorplan(floorplan, weights)
             verification = verify_floorplan(floorplan)
     return SolveReport(
         floorplan=floorplan,

@@ -27,7 +27,7 @@ The algorithm is LP-based branch and bound, hot-started at every level:
 
 ``warm_start=False`` reverts to the textbook configuration (most-fractional
 branching, no heuristics, per-node constraint split) used as the ablation
-baseline by the ``milp.bb_warmstart`` benchmark.
+baseline by the ``milp.bb_textbook`` benchmark.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """MILP presolve: shrink a :class:`~repro.milp.model.MatrixForm` before solving.
 
 The floorplanning models of the paper carry a lot of structure a solver never
-needs to see: binaries fixed to zero by the feasible-placement pruning of
-:mod:`repro.floorplan.milp_builder`, singleton rows that are really variable
+needs to see: fixed binaries, singleton rows that are really variable
 bounds, constraints duplicated between the base model and the relocation
 extension, and rows made redundant by the variable bounds alone.  This module
 removes all of that *exactly* — every reduction preserves the feasible set and

@@ -19,7 +19,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from repro.milp.model import Model
 from repro.milp.solution import MILPSolution, SolveStatus
 from repro.milp.solver import PreparedModel, prepare_model, remaining_budget
-from repro.obs.trace import stage_timer
+from repro.obs.trace import record_stage
 
 
 def solve_with_scipy(
@@ -86,14 +86,21 @@ def solve_with_scipy(
 
     bounds = Bounds(form.var_lb, form.var_ub)
 
-    with stage_timer("milp.search", backend="scipy-highs"):
-        result = milp(
-            c=form.objective,
-            constraints=constraints,
-            integrality=form.integrality,
-            bounds=bounds,
-            options=options,
-        )
+    search_start = time.perf_counter()
+    result = milp(
+        c=form.objective,
+        constraints=constraints,
+        integrality=form.integrality,
+        bounds=bounds,
+        options=options,
+    )
+    node_count = int(getattr(result, "mip_node_count", 0) or 0)
+    record_stage(
+        "milp.search",
+        time.perf_counter() - search_start,
+        backend="scipy-highs",
+        nodes=node_count,
+    )
     elapsed = time.perf_counter() - start
 
     status = _map_status(result)
@@ -112,7 +119,6 @@ def solve_with_scipy(
     elif status is SolveStatus.OPTIMAL:
         bound = objective
 
-    node_count = int(getattr(result, "mip_node_count", 0) or 0)
     return MILPSolution(
         status=status,
         objective=objective,

@@ -221,6 +221,9 @@ def _prepare_model(
 
     if form.num_variables == 0:
         elapsed = time.perf_counter() - start
+        # every row reads 0: the model is decided by whether 0 fits each row
+        feasible = bool(np.all(form.constraint_lb <= 0.0) and np.all(form.constraint_ub >= 0.0))
+        constant = model.objective_value({}) if feasible else float("nan")
         return PreparedModel(
             model=model,
             form=form,
@@ -228,13 +231,13 @@ def _prepare_model(
             active=form,
             prep_time=elapsed,
             shortcut=MILPSolution(
-                status=SolveStatus.OPTIMAL,
-                objective=0.0,
+                status=SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE,
+                objective=constant,
                 values={},
-                bound=0.0,
+                bound=constant,
                 solve_time=elapsed,
                 backend=backend,
-                message="empty model",
+                message="empty model" if feasible else "empty model with an unsatisfiable row",
             ),
         )
 

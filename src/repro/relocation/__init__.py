@@ -7,7 +7,7 @@
   :class:`~repro.relocation.spec.RelocationSpec` (how many free-compatible
   areas per region, hard constraint vs soft metric, weights);
 * :mod:`~repro.relocation.constraints` — the MILP extension of Section IV
-  (offset variables, eqs. 4–10);
+  (candidate assignment and signature rows, eqs. 4–12);
 * :mod:`~repro.relocation.metric` — the soft-constraint variant of Section V
   (violation binaries, eqs. 11–13, the RLcost objective term);
 * :mod:`~repro.relocation.analysis` — the Section VI feasibility analysis and
@@ -22,7 +22,7 @@ from repro.relocation.compatibility import (
     is_free_compatible,
 )
 from repro.relocation.spec import RelocationRequest, RelocationSpec
-from repro.relocation.constraints import RelocationVariables, apply_relocation_constraints
+from repro.relocation.constraints import RelocationRows, apply_relocation_constraints
 from repro.relocation.metric import relocation_cost, relocation_summary
 from repro.relocation.analysis import (
     FeasibilityResult,
@@ -37,7 +37,7 @@ __all__ = [
     "is_free_compatible",
     "RelocationRequest",
     "RelocationSpec",
-    "RelocationVariables",
+    "RelocationRows",
     "apply_relocation_constraints",
     "relocation_cost",
     "relocation_summary",

@@ -1,24 +1,27 @@
 """MILP extension for bitstream relocation (Sections IV and V).
 
 Given a base floorplanning model (:class:`~repro.floorplan.milp_builder.FloorplanMILP`)
-that already contains the free-compatible areas as extra areas of set ``N``,
-this module adds:
+that already lists the free-compatible areas among its areas, this module
+adds, for every free-compatible area ``c`` tied to region ``n``:
 
-* the portion-offset variables ``o[n,p]`` with their semantics constraints
-  (eqs. 4 and 5);
-* the compatibility constraints between every free-compatible area ``c`` and
-  the region ``n`` it must be compatible with:
+* the assignment row of ``c``: ``sum_f z[c,f] == 1`` for a hard area
+  (relocation as a constraint), ``sum_f z[c,f] == 1 - v[c]`` for a soft one
+  (relocation as a metric), so a violated soft area occupies nothing;
+* one compatibility row per signature ``s`` of ``c``'s candidates:
+  ``sum_{f in s} z[c,f] <= sum_{r in s} z[n,r]``.
 
-  - equal heights (eq. 6),
-  - equal number of covered portions (eq. 7),
-  - matching tile types at corresponding relative positions (eq. 10, the
-    tightened form of eq. 8),
-  - equal tile counts in corresponding covered portions (eq. 9).
+A signature is a candidate's (height, column-type sequence), which is exactly
+:func:`~repro.relocation.compatibility.areas_compatible`.  The rows encode
+eqs. 4-12 of the paper over candidates instead of portion variables:
 
-For *soft* areas (relocation as a metric, Section V) every constraint that
-could make the model infeasible receives the violation binary ``v[c]`` as an
-extra big-M slack, turning eqs. 9/10 into eqs. 11/12.  The non-overlap
-constraints were already relaxed with ``v[c]`` by the base builder.
+* eqs. 4-5 (``o[n,p]`` marks the first covered portion) are implicit: a
+  candidate's column fixes its first portion;
+* eq. 6 (equal heights), eq. 7 (equal portion counts), eq. 10 (matching tile
+  types, the tightened eq. 8) and eq. 9 (equal tile counts per covered
+  portion) together say the two rectangles share a signature, which the
+  compatibility rows force whenever ``c`` selects a candidate;
+* eqs. 11-12 (the soft forms) become the ``1 - v[c]`` assignment row; the
+  builder already relaxed the sequence-pair rows with ``v[c]``.
 """
 
 from __future__ import annotations
@@ -26,170 +29,54 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Tuple
 
-from repro.floorplan.milp_builder import FloorplanMILP
-from repro.milp import LinExpr, Model, Variable, quicksum
+import numpy as np
+
+from repro.floorplan.milp_builder import FloorplanMILP, signature_keys
 
 
 @dataclasses.dataclass
-class RelocationVariables:
-    """Handles to the variables added by :func:`apply_relocation_constraints`."""
+class RelocationRows:
+    """What :func:`apply_relocation_constraints` added to the model."""
 
-    offset: Dict[str, List[Variable]]
+    #: (free area, region) pairs, in area order
     pairs: List[Tuple[str, str]]
+    #: compatibility rows per free area (one per signature of its candidates)
+    signatures: Dict[str, int]
     num_constraints_added: int
 
-    def offset_vars(self, area: str) -> List[Variable]:
-        """Offset variables ``o[area, p]`` in portion order."""
-        return self.offset[area]
 
-
-def apply_relocation_constraints(milp: FloorplanMILP) -> RelocationVariables:
-    """Attach the Section IV/V constraints to a built floorplanning model.
+def apply_relocation_constraints(milp: FloorplanMILP) -> RelocationRows:
+    """Attach the Section IV/V rows to a built floorplanning model.
 
     The free-compatible areas and their ``compatible_with`` / ``soft``
-    attributes are read from ``milp.areas``; regions that are not referenced
-    by any free-compatible area get no offset variables (they do not need
-    them).
+    attributes are read from ``milp.areas``.
     """
     model = milp.model
-    partition = milp.partition
-    num_portions = partition.num_portions
-    type_ids = partition.portion_type_ids()
-    height = partition.height
-    max_w = partition.width
-    big_m_tiles = float(max_w * height)
-
-    pairs: List[Tuple[str, str]] = []  # (free area, region)
-    for area in milp.areas:
-        if area.is_free_area:
-            if area.compatible_with is None:
-                continue
-            pairs.append((area.name, area.compatible_with))
-
-    if not pairs:
-        return RelocationVariables(offset={}, pairs=[], num_constraints_added=0)
-
-    involved = {name for pair in pairs for name in pair}
     constraints_before = len(model.constraints)
+    pairs: List[Tuple[str, str]] = []
+    signatures: Dict[str, int] = {}
+    for area in milp.free_area_specs():
+        free, region = area.name, area.compatible_with
+        pairs.append((free, region))
+        key = free.replace(" ", "_").replace(",", "_")
+        assign = dict.fromkeys(milp.z[free], 1.0)
+        if area.soft:
+            assign[milp.violation[free]] = 1.0
+        model.add_eq_terms(assign, 1.0, name=f"assign[{key}]")
 
-    # ------------------------------------------------------------------
-    # offset variables o[n,p]  (eqs. 4 and 5)
-    # ------------------------------------------------------------------
-    offset: Dict[str, List[Variable]] = {}
-    for name in sorted(involved):
-        key = _sanitize(name)
-        k_vars = milp.k[name]
-        o_vars = [
-            model.add_continuous(f"o[{key},{p}]", lb=0.0, ub=1.0)
-            for p in range(num_portions)
-        ]
-        # eq. 4: exactly one first-covered portion
-        model.add(quicksum(o_vars) == 1, name=f"offset_unique[{key}]")
-        # eq. 5: the offset follows from the covered-portion indicators
-        model.add(o_vars[0] == k_vars[0], name=f"offset_first[{key}]")
-        for p in range(1, num_portions):
-            model.add(
-                o_vars[p] >= k_vars[p] - k_vars[p - 1],
-                name=f"offset_step[{key},{p}]",
-            )
-        offset[name] = o_vars
+        free_keys = signature_keys(milp.partition, milp.candidates[free])
+        region_keys = signature_keys(milp.partition, milp.candidates[region])
+        free_vars, region_vars = milp.z[free], milp.z[region]
+        unique = np.unique(free_keys)
+        for signature in unique.tolist():
+            terms = {free_vars[i]: 1.0 for i in np.flatnonzero(free_keys == signature).tolist()}
+            for i in np.flatnonzero(region_keys == signature).tolist():
+                terms[region_vars[i]] = -1.0
+            model.add_le_terms(terms, 0.0, name=f"rel_sig[{key},{signature}]")
+        signatures[free] = int(unique.size)
 
-    # ------------------------------------------------------------------
-    # per-pair compatibility constraints
-    # ------------------------------------------------------------------
-    for area_name, region_name in pairs:
-        if region_name not in milp.h_expr:
-            raise KeyError(
-                f"free-compatible area {area_name!r} references unknown region {region_name!r}"
-            )
-        area_spec = milp.area_by_name(area_name)
-        soft = area_spec.soft
-        violation = milp.violation.get(area_name) if soft else None
-        akey = _sanitize(area_name)
-
-        # eq. 6: equal heights
-        _add_soft_equality(
-            model,
-            milp.h_expr[area_name],
-            milp.h_expr[region_name],
-            float(height),
-            violation,
-            name=f"rel_height[{akey}]",
-        )
-
-        # eq. 7: equal number of covered portions
-        _add_soft_equality(
-            model,
-            quicksum(milp.k[area_name]),
-            quicksum(milp.k[region_name]),
-            float(num_portions),
-            violation,
-            name=f"rel_portions[{akey}]",
-        )
-
-        o_c = offset[area_name]
-        o_n = offset[region_name]
-        k_n = milp.k[region_name]
-        tiles_c = milp.tiles_in_portion[area_name]
-        tiles_n = milp.tiles_in_portion[region_name]
-
-        for pc in range(num_portions):
-            for pn in range(num_portions):
-                for i in range(-num_portions + 1, num_portions):
-                    ci = pc + i
-                    ni = pn + i
-                    if not (0 <= ci < num_portions and 0 <= ni < num_portions):
-                        continue
-                    activation = 3 - o_c[pc] - o_n[pn] - k_n[ni]
-                    if violation is not None:
-                        activation = activation + violation
-
-                    # eq. 10 (eq. 12 when soft): matching tile types
-                    if type_ids[ci] != type_ids[ni]:
-                        bound = 2 if violation is None else 2 + violation
-                        model.add(
-                            o_c[pc] + o_n[pn] + k_n[ni] <= bound,
-                            name=f"rel_type[{akey},{pc},{pn},{i}]",
-                        )
-                        # a type mismatch forbids this alignment entirely, the
-                        # tile-count constraints below would be vacuous
-                        continue
-
-                    # eq. 9 (eq. 11 when soft): equal tile counts in the
-                    # corresponding covered portions
-                    model.add(
-                        tiles_c[ci]
-                        <= tiles_n[ni] + big_m_tiles * activation,
-                        name=f"rel_tiles_le[{akey},{pc},{pn},{i}]",
-                    )
-                    model.add(
-                        tiles_c[ci]
-                        >= tiles_n[ni] - big_m_tiles * activation,
-                        name=f"rel_tiles_ge[{akey},{pc},{pn},{i}]",
-                    )
-
-    return RelocationVariables(
-        offset=offset,
+    return RelocationRows(
         pairs=pairs,
+        signatures=signatures,
         num_constraints_added=len(model.constraints) - constraints_before,
     )
-
-
-def _add_soft_equality(
-    model: Model,
-    left: LinExpr,
-    right: LinExpr,
-    big_m: float,
-    violation: Variable | None,
-    name: str,
-) -> None:
-    """Add ``left == right``, relaxed by ``violation`` when provided."""
-    if violation is None:
-        model.add(left == right, name=name)
-    else:
-        model.add(left <= right + big_m * violation, name=f"{name}:le")
-        model.add(left >= right - big_m * violation, name=f"{name}:ge")
-
-
-def _sanitize(name: str) -> str:
-    return name.replace(" ", "_").replace(",", "_")

@@ -244,8 +244,9 @@ def demo_payloads(
     payloads occupy distinct cache entries while costing the same to solve.
     The default instance is tiny (tens of milliseconds warm) so load tests
     measure the serving path; ``heavy=True`` produces a three-region
-    instance costing ~1-2 s per solve, for benchmarks where the *solve* must
-    dominate coordination overhead (the fleet single-flight herd).
+    instance costing a few hundred milliseconds per solve, for benchmarks
+    where the *solve* must dominate coordination overhead (the fleet
+    single-flight herd).
     """
     from repro.device.catalog import synthetic_device
     from repro.device.resources import ResourceVector

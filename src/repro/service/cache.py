@@ -328,7 +328,7 @@ class SolveCache:
         )
         for _attempt in range(8):  # bounded: stale reclaim may race other claimants
             try:
-                fd = os.open(str(lock_path), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                _publish_lock(lock_path, payload)
             except FileExistsError:
                 if not self._reclaim_if_stale(lock_path):
                     return False
@@ -340,8 +340,6 @@ class SolveCache:
                 with self._lock:
                     self.stats.lock_errors += 1
                 return True
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
             with self._lock:
                 self.stats.flights += 1
             return True
@@ -557,3 +555,21 @@ class SolveCache:
             except OSError:
                 pass
             raise
+
+
+def _publish_lock(lock_path: Path, payload: str) -> None:
+    """Create ``lock_path`` holding ``payload``, atomically.
+
+    The payload goes to a private temporary file that is then hard-linked
+    into place (``FileExistsError`` when the lock exists).  A lock created
+    empty and written afterwards could be read half-written by a concurrent
+    claimant, which would reclaim it as corrupt and solve beside the holder.
+    """
+    temporary = lock_path.with_name(
+        f"{lock_path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
+    temporary.write_text(payload, encoding="utf-8")
+    try:
+        os.link(temporary, lock_path)
+    finally:
+        temporary.unlink(missing_ok=True)

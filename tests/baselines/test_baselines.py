@@ -1,6 +1,7 @@
 """Unit tests for the heuristic floorplanners."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines import (
     AnnealingOptions,
@@ -13,23 +14,84 @@ from repro.baselines.packing import (
     best_rect,
     candidate_orders,
     first_rect,
+    iter_feasible_rects,
     rect_frames,
-    rect_is_free,
     rect_resources,
     sort_regions_by_demand,
     sort_regions_by_scarcity,
 )
+from repro.device.catalog import synthetic_device
+from repro.device.grid import FPGADevice, ForbiddenRect
+from repro.device.resources import ResourceVector
 from repro.floorplan import Rect, verify_floorplan
 from repro.floorplan.metrics import evaluate_floorplan
+from repro.floorplan.problem import Region
 from repro.relocation import RelocationSpec
 
 
-class TestPackingHelpers:
-    def test_rect_is_free_checks_everything(self, small_device):
-        assert rect_is_free(small_device, Rect(0, 0, 2, 2), [])
-        assert not rect_is_free(small_device, Rect(9, 0, 2, 2), [])  # out of bounds
-        assert not rect_is_free(small_device, Rect(0, 0, 2, 2), [Rect(1, 1, 2, 2)])
+def _rect_is_free(device, rect, occupied):
+    """Inside the device, no forbidden cell, no overlap with ``occupied``."""
+    if not rect.within(device.width, device.height):
+        return False
+    if any(rect.overlaps(other) for other in occupied):
+        return False
+    return device.forbidden_cell_count(rect.col, rect.row, rect.width, rect.height) == 0
 
+
+def _reference_feasible_rects(device, region, occupied, heights=None, align_rows=False):
+    """The per-rectangle scan ``iter_feasible_rects`` must reproduce exactly."""
+    height_options = list(heights) if heights is not None else list(range(device.height, 0, -1))
+    for col in range(device.width):
+        for h in height_options:
+            if h <= 0 or h > device.height:
+                continue
+            step = h if align_rows else 1
+            rows = range(0, device.height - h + 1, step)
+            for row in rows:
+                for width in range(1, device.width - col + 1):
+                    rect = Rect(col, row, width, h)
+                    if not _rect_is_free(device, rect, occupied):
+                        break
+                    if region.max_width is not None and width > region.max_width:
+                        continue
+                    if region.max_height is not None and h > region.max_height:
+                        continue
+                    if rect_resources(device, rect).covers(region.requirements):
+                        yield rect
+                        break
+
+
+@st.composite
+def _packing_cases(draw):
+    width, height = draw(st.integers(3, 10)), draw(st.integers(2, 5))
+    base = synthetic_device(width, height, bram_every=draw(st.integers(2, 5)),
+                            dsp_every=draw(st.integers(3, 7)), name="pack-dev")
+    forbidden = [
+        ForbiddenRect(f"f{i}", col=draw(st.integers(0, width - 1)),
+                      row=draw(st.integers(0, height - 1)), width=1, height=1)
+        for i in range(draw(st.integers(0, 2)))
+    ]
+    device = FPGADevice(
+        "pack",
+        [[base.tile_type_at(c, r) for r in range(height)] for c in range(width)],
+        forbidden=forbidden,
+    )
+    region = Region(
+        "r",
+        ResourceVector(CLB=draw(st.integers(1, 5)), BRAM=draw(st.integers(0, 2))),
+        max_width=draw(st.one_of(st.none(), st.integers(1, width))),
+        max_height=draw(st.one_of(st.none(), st.integers(1, height))),
+    )
+    occupied = [
+        Rect(draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1)),
+             draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    heights = draw(st.one_of(st.none(), st.lists(st.integers(0, height + 1), max_size=3)))
+    return device, region, occupied, heights, draw(st.booleans())
+
+
+class TestPackingHelpers:
     def test_rect_resources_and_frames(self, small_device):
         rect = Rect(3, 0, 2, 2)  # includes the BRAM column at col 4
         resources = rect_resources(small_device, rect)
@@ -43,6 +105,14 @@ class TestPackingHelpers:
         assert first is not None and best is not None
         assert rect_resources(small_device, best).covers(region.requirements)
         assert rect_frames(small_device, best) <= rect_frames(small_device, first)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_packing_cases())
+    def test_iter_feasible_rects_matches_per_rectangle_scan(self, case):
+        device, region, occupied, heights, align_rows = case
+        assert list(iter_feasible_rects(device, region, occupied, heights, align_rows)) == list(
+            _reference_feasible_rects(device, region, occupied, heights, align_rows)
+        )
 
     def test_orderings(self, small_device, tiny_problem):
         by_demand = sort_regions_by_demand(tiny_problem.regions)

@@ -13,15 +13,14 @@ from repro.milp import SolveStatus
 
 
 class TestMilpBuilder:
-    def test_variable_families_present(self, tiny_problem):
+    def test_one_binary_per_candidate(self, tiny_problem):
         milp = build_floorplan_milp(tiny_problem)
         for region in tiny_problem.region_names:
-            assert len(milp.col_cover[region]) == tiny_problem.device.width
-            assert len(milp.row_cover[region]) == tiny_problem.device.height
-            assert len(milp.k[region]) == tiny_problem.partition.num_portions
-            assert len(milp.l[region]) == tiny_problem.partition.num_portions
+            assert len(milp.z[region]) == len(milp.candidates[region]) > 0
         stats = milp.model.stats()
-        assert stats.num_binary > 0 and stats.num_constraints > 0
+        assert stats.num_binary == milp.kept == milp.enumerated
+        names = {constraint.name for constraint in milp.model.constraints}
+        assert {f"assign[{region}]" for region in tiny_problem.region_names} <= names
 
     def test_duplicate_area_names_rejected(self, tiny_problem):
         from repro.device.resources import ResourceVector
@@ -32,15 +31,37 @@ class TestMilpBuilder:
                 extra_areas=[AreaSpec("alpha", ResourceVector.zero(), compatible_with="beta")],
             )
 
-    def test_fixed_relations_skip_disjunction_binaries(self, tiny_problem):
+    def test_fixed_relations_replace_cell_rows(self, tiny_problem):
         free = build_floorplan_milp(tiny_problem)
         fixed = build_floorplan_milp(
             tiny_problem,
             fixed_relations={("alpha", "beta"): "left", ("alpha", "gamma"): "left",
                              ("beta", "gamma"): "below"},
         )
-        assert fixed.model.stats().num_binary < free.model.stats().num_binary
-        assert not fixed.rel_dirs and len(free.rel_dirs) == 3
+        fixed_names = [c.name for c in fixed.model.constraints]
+        free_names = [c.name for c in free.model.constraints]
+        assert sum(name.startswith("sp_") for name in fixed_names) == 3
+        assert not any(name.startswith("cell[") for name in fixed_names)
+        assert any(name.startswith("cell[") for name in free_names)
+        assert not any(name.startswith("sp_") for name in free_names)
+
+    def test_filtered_model_refuses_other_weights(self, tiny_problem):
+        seed = HOSeeder(tiny_problem).build_seed()
+        weights = ObjectiveWeights(wirelength=0.0, wasted_frames=1.0)
+        milp = build_floorplan_milp(
+            tiny_problem,
+            fixed_relations=seed.fixed_relations(),
+            incumbent=seed.floorplan,
+            weights=weights,
+        )
+        assert milp.kept < milp.enumerated
+        milp.set_objective(weights)  # the weights it was filtered for
+        with pytest.raises(ValueError, match="filtered"):
+            milp.set_objective(ObjectiveWeights(wirelength=1.0, wasted_frames=0.0))
+        # the lexicographic area cap releases the filter exactly
+        milp.cap_wasted_frames(float("inf"))
+        assert milp.filter_weights is None
+        milp.set_objective(ObjectiveWeights(wirelength=1.0, wasted_frames=0.0))
 
 
 class TestOMode:
@@ -147,3 +168,32 @@ class TestHOMode:
             weights=ObjectiveWeights(wirelength=0.0, wasted_frames=1.0)
         )
         assert report.metrics.wasted_frames <= seed_metrics.wasted_frames + 1e-6
+
+    def test_metrics_objective_uses_the_solve_weights(self, fast_options):
+        from repro.bench import scenarios
+
+        weights = ObjectiveWeights(wirelength=1.0, wasted_frames=0.0)
+        report = FloorplanSolver(
+            scenarios.small_problem(), mode="HO", options=fast_options
+        ).solve(weights=weights)
+        assert report.metrics.objective == pytest.approx(report.solution.objective, abs=1e-9)
+
+    def test_lexicographic_metrics_objective_matches_the_final_phase(
+        self, tiny_problem, fast_options
+    ):
+        report = FloorplanSolver(tiny_problem, mode="HO", options=fast_options).solve(
+            lexicographic=True
+        )
+        assert report.metrics.objective == pytest.approx(report.solution.objective, abs=1e-9)
+
+
+class TestStageAnnotations:
+    def test_run_job_stages_carry_candidate_and_node_counts(self, tiny_problem, fast_options):
+        from repro.floorplan.solver import run_job
+        from repro.service.jobs import SolveJob
+
+        stages = run_job(SolveJob(tiny_problem, mode="HO", options=fast_options)).stages
+        by_name = {stage["name"]: stage for stage in stages}
+        build = by_name["floorplan.build"]
+        assert 0 < build["candidates_kept"] <= build["candidates"]
+        assert by_name["milp.search"]["nodes"] >= 0

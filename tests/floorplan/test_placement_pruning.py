@@ -1,68 +1,101 @@
-"""Unit tests of the vectorized feasible-placement enumerator."""
+"""The candidate-rectangle enumerator against a per-rectangle brute force.
+
+The brute force checks every rectangle of the device on its own through
+:meth:`FPGADevice.tile_type_histogram` and
+:meth:`FPGADevice.forbidden_cell_count` — no prefix sums — so it is an
+independent oracle for the summed-area-table enumerator the MILP is built on.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.device.catalog import synthetic_device
 from repro.device.grid import FPGADevice, ForbiddenRect
-from repro.device.resources import ResourceVector
-from repro.floorplan.milp_builder import (
-    AreaSpec,
-    PlacementMasks,
-    build_floorplan_milp,
-    feasible_placement_masks,
-)
+from repro.device.resources import ResourceType, ResourceVector
+from repro.floorplan.milp_builder import AreaSpec, build_floorplan_milp, enumerate_candidates
 from repro.floorplan.problem import FloorplanProblem, Region
 
 
-def _brute_force_masks(device: FPGADevice, area: AreaSpec) -> PlacementMasks:
-    """Reference enumeration: per-cell loops, no prefix sums."""
-    width, height = device.width, device.height
-    wmax = min(width, area.max_width or width)
-    hmax = min(height, area.max_height or height)
-    col_cover = np.zeros(width, dtype=bool)
-    col_start = np.zeros(width, dtype=bool)
-    row_cover = np.zeros(height, dtype=bool)
-    row_start = np.zeros(height, dtype=bool)
-    candidates = 0
-    requirements = [(rt, req) for rt, req in area.requirements if req > 0]
+def _brute_force(device: FPGADevice, area: AreaSpec):
+    """Every feasible ``(x, y, w, h, frames)``, one rectangle at a time."""
+    types = device.tile_type_list
+    wmax = min(device.width, area.max_width or device.width)
+    hmax = min(device.height, area.max_height or device.height)
+    found = set()
     for w in range(1, wmax + 1):
         for h in range(1, hmax + 1):
-            for x in range(width - w + 1):
-                for y in range(height - h + 1):
-                    cells = [
-                        (c, r) for c in range(x, x + w) for r in range(y, y + h)
-                    ]
-                    if any(device.is_forbidden(c, r) for c, r in cells):
+            for x in range(device.width - w + 1):
+                for y in range(device.height - h + 1):
+                    if device.forbidden_cell_count(x, y, w, h):
                         continue
-                    ok = True
-                    if not area.is_free_area:
-                        for rtype, required in requirements:
-                            supply = sum(
-                                device.tile_type_at(c, r).resources.get(rtype)
-                                for c, r in cells
-                            )
-                            if supply < required:
-                                ok = False
-                                break
-                    if not ok:
+                    histogram = device.tile_type_histogram(x, y, w, h)
+                    supply = ResourceVector.zero()
+                    for tile_type, count in zip(types, histogram):
+                        supply = supply + tile_type.resources * count
+                    if not area.is_free_area and not supply.covers(area.requirements):
                         continue
-                    candidates += 1
-                    col_start[x] = True
-                    row_start[y] = True
-                    col_cover[x : x + w] = True
-                    row_cover[y : y + h] = True
-    return PlacementMasks(col_cover, col_start, row_cover, row_start, candidates)
+                    frames = sum(t.frames * n for t, n in zip(types, histogram))
+                    found.add((x, y, w, h, frames))
+    return found
 
 
-def _assert_masks_equal(fast: PlacementMasks, slow: PlacementMasks) -> None:
-    np.testing.assert_array_equal(fast.col_cover, slow.col_cover)
-    np.testing.assert_array_equal(fast.col_start, slow.col_start)
-    np.testing.assert_array_equal(fast.row_cover, slow.row_cover)
-    np.testing.assert_array_equal(fast.row_start, slow.row_start)
+def _as_set(candidates):
+    columns = (candidates.x, candidates.y, candidates.w, candidates.h, candidates.frames)
+    return set(zip(*(c.tolist() for c in columns)))
 
 
-class TestMaskCorrectness:
+@st.composite
+def _device_and_area(draw):
+    width = draw(st.integers(3, 11))
+    height = draw(st.integers(2, 6))
+    base = synthetic_device(
+        width,
+        height,
+        bram_every=draw(st.integers(2, 5)),
+        dsp_every=draw(st.integers(3, 7)),
+        name="fuzz-dev",
+    )
+    forbidden = []
+    for index in range(draw(st.integers(0, 2))):
+        fw = draw(st.integers(1, max(1, width // 3)))
+        fh = draw(st.integers(1, height))
+        fc = draw(st.integers(0, width - fw))
+        fr = draw(st.integers(0, height - fh))
+        forbidden.append(ForbiddenRect(f"blk{index}", col=fc, row=fr, width=fw, height=fh))
+    device = FPGADevice(
+        "fuzz",
+        [[base.tile_type_at(c, r) for r in range(height)] for c in range(width)],
+        forbidden=forbidden,
+    )
+    if draw(st.booleans()):
+        requirements = ResourceVector.zero()
+        area = AreaSpec("free", requirements, compatible_with="r")
+    else:
+        requirements = ResourceVector(
+            CLB=draw(st.integers(0, 6)),
+            BRAM=draw(st.integers(0, 2)),
+            DSP=draw(st.integers(0, 2)),
+        )
+        area = AreaSpec(
+            "r",
+            requirements,
+            max_width=draw(st.one_of(st.none(), st.integers(1, width))),
+            max_height=draw(st.one_of(st.none(), st.integers(1, height))),
+        )
+    return device, area
+
+
+class TestEnumeratorMatchesBruteForce:
+    @settings(max_examples=60, deadline=None)
+    @given(_device_and_area())
+    def test_random_devices_with_forbidden_rects_and_caps(self, case):
+        device, area = case
+        candidates = enumerate_candidates(device, area)
+        listed = _as_set(candidates)
+        assert len(listed) == len(candidates)  # no rectangle listed twice
+        assert listed == _brute_force(device, area)
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -76,74 +109,32 @@ class TestMaskCorrectness:
     )
     def test_matches_brute_force(self, spec):
         device = synthetic_device(14, 6, bram_every=5, dsp_every=9, name="mask-dev")
-        _assert_masks_equal(
-            feasible_placement_masks(device, spec),
-            _brute_force_masks(device, spec),
-        )
+        assert _as_set(enumerate_candidates(device, spec)) == _brute_force(device, spec)
 
-    def test_matches_brute_force_with_forbidden_block(self):
-        device = synthetic_device(
-            12, 6, bram_every=5, dsp_every=9, name="mask-forbid-dev"
-        )
-        blocked = FPGADevice(
-            "mask-forbid",
-            [[device.tile_type_at(c, r) for r in range(6)] for c in range(12)],
-            forbidden=[ForbiddenRect("blk", col=2, row=1, width=3, height=3)],
-        )
-        spec = AreaSpec("clb", ResourceVector(CLB=6), max_width=4)
-        _assert_masks_equal(
-            feasible_placement_masks(blocked, spec),
-            _brute_force_masks(blocked, spec),
-        )
-
-    def test_candidate_count_matches_brute_force(self):
-        device = synthetic_device(10, 5, bram_every=4, dsp_every=9, name="count-dev")
-        spec = AreaSpec("r", ResourceVector(CLB=3, BRAM=1), max_width=3)
-        fast = feasible_placement_masks(device, spec)
-        slow = _brute_force_masks(device, spec)
-        assert fast.candidates == slow.candidates > 0
-
-    def test_work_limit_disables_pruning(self):
-        device = synthetic_device(10, 5, bram_every=4, dsp_every=9, name="limit-dev")
-        spec = AreaSpec("r", ResourceVector(CLB=3))
-        masks = feasible_placement_masks(device, spec, work_limit=1)
-        assert not masks.prunes_anything
-        assert masks.candidates == -1
-
-    def test_unsatisfiable_requirements_prune_everything(self):
+    def test_unsatisfiable_requirements_give_no_candidates(self):
         device = synthetic_device(10, 5, bram_every=4, dsp_every=9, name="empty-dev")
         spec = AreaSpec("r", ResourceVector(DSP=10_000), max_width=2)
-        masks = feasible_placement_masks(device, spec)
-        assert not masks.col_cover.any()
-        assert masks.candidates == 0
+        assert len(enumerate_candidates(device, spec)) == 0
+
+    def test_resource_missing_from_device_gives_no_candidates(self):
+        device = synthetic_device(6, 3, bram_every=2, dsp_every=100, name="no-dsp")
+        assert all(
+            t.resources.get(ResourceType.DSP) == 0 for t in device.tile_type_list
+        )
+        assert len(enumerate_candidates(device, AreaSpec("r", ResourceVector(DSP=1)))) == 0
 
 
 class TestBuilderIntegration:
-    def test_variable_families_keep_their_shape(self):
+    def test_one_binary_per_candidate(self):
         device = synthetic_device(12, 5, bram_every=4, dsp_every=9, name="shape-dev")
         problem = FloorplanProblem(
-            device,
-            [Region("A", ResourceVector(DSP=2), max_width=1)],
-            name="shape",
+            device, [Region("A", ResourceVector(DSP=2), max_width=1)], name="shape"
         )
-        milp = build_floorplan_milp(problem, prune=True)
-        assert len(milp.col_cover["A"]) == device.width
-        assert len(milp.row_cover["A"]) == device.height
-        assert len(milp.k["A"]) == problem.partition.num_portions
-        assert len(milp.l["A"]) == problem.partition.num_portions
-
-    def test_pruned_variables_are_fixed_to_zero(self):
-        device = synthetic_device(12, 5, bram_every=4, dsp_every=9, name="fix-dev")
-        problem = FloorplanProblem(
-            device,
-            [Region("A", ResourceVector(DSP=2), max_width=1)],
-            name="fix",
-        )
-        milp = build_floorplan_milp(problem, prune=True)
-        masks = feasible_placement_masks(device, milp.areas[0])
-        assert masks.prunes_anything
-        for j, var in enumerate(milp.col_cover["A"]):
-            assert var.ub == (1.0 if masks.col_cover[j] else 0.0)
+        milp = build_floorplan_milp(problem, prune=False)
+        assert len(milp.z["A"]) == len(milp.candidates["A"]) == milp.enumerated
+        assert milp.model.stats().num_binary == len(milp.z["A"])
+        for i in range(len(milp.candidates["A"])):
+            assert milp.candidates["A"].rect(i).width == 1
 
     def test_infeasible_region_makes_model_infeasible(self):
         from repro.milp import SolveStatus, SolverOptions, solve
@@ -152,8 +143,6 @@ class TestBuilderIntegration:
         # more DSP than a single column can supply, but the width cap allows
         # only one column: geometrically infeasible while the aggregate
         # demand still fits the device
-        from repro.device.resources import ResourceType
-
         per_column = sum(
             device.tile_type_at(9, r).resources.get(ResourceType.DSP)
             for r in range(device.height)
@@ -169,10 +158,10 @@ class TestBuilderIntegration:
             result = solve(milp.model, SolverOptions(time_limit=60))
             assert result.status is SolveStatus.INFEASIBLE
 
-    def test_prune_stats_disabled_when_off(self):
+    def test_no_incumbent_keeps_every_candidate(self):
         device = synthetic_device(10, 4, bram_every=4, dsp_every=9, name="off-dev")
-        problem = FloorplanProblem(
-            device, [Region("A", ResourceVector(CLB=3))], name="off"
-        )
-        milp = build_floorplan_milp(problem, prune=False)
-        assert milp.prune_stats == {}
+        problem = FloorplanProblem(device, [Region("A", ResourceVector(CLB=3))], name="off")
+        milp = build_floorplan_milp(problem)
+        assert milp.kept == milp.enumerated > 0
+        assert milp.filter_weights is None
+        assert np.all(milp.candidates["A"].frames > 0)

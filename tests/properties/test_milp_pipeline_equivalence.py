@@ -6,10 +6,10 @@ Three equivalences are enforced:
   MILPs, on both backends;
 * the same holds for floorplanning models produced by the synthetic workload
   builders;
-* pruned and unpruned ``build_floorplan_milp`` models extract identical
-  optimal floorplans (the feasible-placement pruning is exact, and HO-mode
-  fixed relations remove the symmetry that would otherwise let the solver
-  pick a different tie-optimal layout).
+* filtered and unfiltered ``build_floorplan_milp`` models extract identical
+  optimal floorplans (the incumbent filter is exact, and HO-mode fixed
+  relations remove the symmetry that would otherwise let the solver pick a
+  different tie-optimal layout).
 """
 
 import numpy as np
@@ -140,12 +140,17 @@ class TestPresolvedVsRawSolves:
 
 class TestPrunedVsUnprunedBuilds:
     def _solve_both(self, problem, weights):
-        """Build pruned/unpruned HO models and solve them identically."""
-        fixed = HOSeeder(problem).build_seed().fixed_relations()
+        """Build filtered/unfiltered HO models and solve them identically."""
+        seed = HOSeeder(problem).build_seed()
         extracted = {}
         for prune in (False, True):
-            milp = build_floorplan_milp(problem, fixed_relations=fixed, prune=prune)
-            milp.set_objective(weights)
+            milp = build_floorplan_milp(
+                problem,
+                fixed_relations=seed.fixed_relations(),
+                prune=prune,
+                incumbent=seed.floorplan,
+                weights=weights,
+            )
             solution = solve(
                 milp.model,
                 SolverOptions(time_limit=scenarios.bench_time_limit(120.0)),
@@ -175,13 +180,19 @@ class TestPrunedVsUnprunedBuilds:
         pruned_rects = {name: p.rect for name, p in pruned_plan.placements.items()}
         assert pruned_rects == raw_rects
 
-    def test_pruned_model_is_smaller_on_pinned_regions(self):
+    def test_filtered_model_is_smaller_on_pinned_regions(self):
         problem = scenarios.pruning_problem(32, name="prune-shrink")
-        full = build_floorplan_milp(problem, prune=False).model.stats()
-        pruned_milp = build_floorplan_milp(problem, prune=True)
-        pruned = pruned_milp.model.stats()
-        assert pruned.num_constraints < full.num_constraints
+        seed = HOSeeder(problem).build_seed()
+        builds = {
+            prune: build_floorplan_milp(
+                problem,
+                fixed_relations=seed.fixed_relations(),
+                prune=prune,
+                incumbent=seed.floorplan,
+            )
+            for prune in (False, True)
+        }
+        full, pruned = builds[False].model.stats(), builds[True].model.stats()
+        assert builds[True].kept < builds[False].kept == builds[True].enumerated
+        assert pruned.num_variables < full.num_variables
         assert pruned.num_nonzeros < full.num_nonzeros
-        assert any(
-            stats["cols_pruned"] > 0 for stats in pruned_milp.prune_stats.values()
-        )

@@ -1,5 +1,6 @@
 """Tests of the MILP relocation extension (Sections IV and V) and the analysis."""
 
+import numpy as np
 import pytest
 
 from repro.floorplan import FloorplanSolver, verify_floorplan
@@ -19,20 +20,40 @@ from repro.relocation.metric import (
 
 
 class TestRelocationConstraints:
-    def test_offset_variables_created_per_involved_area(self, tiny_problem):
+    def test_one_row_per_free_area_signature(self, tiny_problem):
+        from repro.floorplan.milp_builder import signature_keys
+
         spec = RelocationSpec.as_constraint({"beta": 1})
         milp = build_floorplan_milp(tiny_problem, extra_areas=spec.build_area_specs(tiny_problem))
         added = apply_relocation_constraints(milp)
-        assert set(added.offset) == {"beta", "beta 1"}
         assert added.pairs == [("beta 1", "beta")]
-        assert added.num_constraints_added > 0
-        num_portions = tiny_problem.partition.num_portions
-        assert len(added.offset_vars("beta")) == num_portions
+        keys = signature_keys(milp.partition, milp.candidates["beta 1"])
+        assert added.signatures == {"beta 1": len(set(keys.tolist()))}
+        # the assignment row plus one compatibility row per signature
+        assert added.num_constraints_added == 1 + added.signatures["beta 1"]
+        # every free candidate shares a signature with some region candidate
+        region_keys = set(signature_keys(milp.partition, milp.candidates["beta"]).tolist())
+        assert set(keys.tolist()) <= region_keys
 
     def test_no_free_areas_is_a_noop(self, tiny_problem):
         milp = build_floorplan_milp(tiny_problem)
         added = apply_relocation_constraints(milp)
         assert added.pairs == [] and added.num_constraints_added == 0
+
+    def test_signatures_match_areas_compatible(self, tiny_problem):
+        from repro.floorplan.milp_builder import enumerate_candidates, signature_keys
+        from repro.relocation import areas_compatible
+
+        spec = RelocationSpec.as_constraint({"beta": 1})
+        area = spec.build_area_specs(tiny_problem)[0]
+        candidates = enumerate_candidates(tiny_problem.device, area)
+        keys = signature_keys(tiny_problem.partition, candidates).tolist()
+        rng = np.random.default_rng(0)
+        for i, j in rng.integers(0, len(candidates), size=(400, 2)).tolist():
+            same = keys[i] == keys[j]
+            assert same == areas_compatible(
+                tiny_problem.partition, candidates.rect(i), candidates.rect(j)
+            )
 
     def test_soft_areas_get_violation_binaries(self, tiny_problem):
         spec = RelocationSpec.as_metric({"beta": 1, "gamma": 1})
@@ -49,20 +70,18 @@ class TestRelocationConstraints:
         # the independent verifier re-checks Definition .2 geometrically
         assert verify_floorplan(floorplan).is_feasible
 
-    def test_offset_semantics_in_solution(self, tiny_relocation_solution):
-        """o[n,p] must flag exactly the first covered portion (eqs. 4-5)."""
+    def test_each_area_selects_exactly_one_candidate(self, tiny_relocation_solution):
+        """The extracted rectangle is the one candidate whose binary is set."""
         report, _ = tiny_relocation_solution
         milp = report.milp
-        solution = report.solution
-        # recompute offsets from the k values and compare with the o variables
-        from repro.relocation.constraints import apply_relocation_constraints  # noqa: F401
-
-        for area_name, k_vars in milp.k.items():
-            placement = report.floorplan.placement_for(area_name)
-            first_portion = milp.partition.portion_of_column(placement.rect.col).index
-            covered = [p for p, var in enumerate(k_vars) if solution.value(var) > 0.5]
-            assert covered, f"area {area_name} covers no portion"
-            assert covered[0] == first_portion
+        for area in milp.areas:
+            chosen = [
+                i for i, var in enumerate(milp.z[area.name])
+                if report.solution.value(var) > 0.5
+            ]
+            assert len(chosen) == 1
+            placement = report.floorplan.placement_for(area.name)
+            assert milp.candidates[area.name].rect(chosen[0]) == placement.rect
 
     def test_metric_mode_never_infeasible(self, tiny_problem, fast_options):
         # request an impossible number of copies: soft mode must still solve

@@ -2,7 +2,7 @@
 batch-window expiry, and degraded short-budget solves.
 
 The stub-pool tests prove the *expiry* paths never reach the workers; the
-final test runs a real heavy solve under a sub-second budget and checks the
+final tests run a real slow solve under a sub-second budget and checks the
 answer comes back degraded instead of blocking for the full solver budget.
 """
 
@@ -21,6 +21,17 @@ from tests.server.test_gateway_e2e import stub_gateway
 @pytest.fixture(scope="module")
 def payloads():
     return demo_payloads(unique=2, time_limit=20.0)
+
+
+def _slow_payload():
+    """The SDR case study in HO mode: seconds of seeding and search."""
+    from repro.milp import SolverOptions
+    from repro.server.protocol import job_to_dict
+    from repro.service.jobs import SolveJob
+    from repro.workloads.sdr import sdr_problem
+
+    job = SolveJob(sdr_problem(), mode="HO", options=SolverOptions(time_limit=30.0))
+    return job_to_dict(job)
 
 
 class TestGatewayDeadlines:
@@ -155,10 +166,10 @@ class TestBatcherDeadlines:
 
 class TestShortBudgetDegrades:
     def test_short_deadline_miss_returns_degraded_not_blocking(self):
-        """Acceptance: a heavy miss under a ~0.4 s budget answers within the
+        """Acceptance: a slow miss under a ~0.4 s budget answers within the
         budget's order of magnitude, flagged degraded, instead of holding the
         request for the full 30 s solver time limit."""
-        payload = demo_payloads(unique=1, time_limit=30.0, heavy=True)[0]
+        payload = _slow_payload()
         config = GatewayConfig(port=0, shards=1, batch_workers=1, executor="serial")
         with BackgroundGateway(config) as gw:
             async def scenario():
@@ -175,7 +186,7 @@ class TestShortBudgetDegrades:
         assert gw.gateway.metrics.degraded == 1
 
     def test_degraded_results_are_not_cached(self):
-        payload = demo_payloads(unique=1, time_limit=30.0, heavy=True)[0]
+        payload = _slow_payload()
         config = GatewayConfig(port=0, shards=1, batch_workers=1, executor="serial")
         with BackgroundGateway(config) as gw:
             async def scenario():

@@ -46,6 +46,29 @@ def dead_pid() -> int:
 
 
 class TestFlightLockBasics:
+    def test_simultaneous_claims_elect_exactly_one_holder(self, tmp_path):
+        """A claimant must never see a half-written lock: it would reclaim
+        it as corrupt and solve beside the holder."""
+        caches = [SolveCache(directory=tmp_path) for _ in range(4)]
+        for round_index in range(150):
+            fingerprint = f"{round_index:064x}"
+            barrier = threading.Barrier(len(caches))
+            won = []
+
+            def claim(cache):
+                barrier.wait(timeout=10)
+                if cache.try_acquire_flight(fingerprint):
+                    won.append(cache)
+
+            threads = [threading.Thread(target=claim, args=(c,)) for c in caches]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(won) == 1, f"round {round_index}: {len(won)} holders"
+        assert sum(cache.stats.corrupt_locks for cache in caches) == 0
+
     def test_acquire_is_exclusive_until_released(self, tmp_path):
         first = SolveCache(directory=tmp_path)
         second = SolveCache(directory=tmp_path)
