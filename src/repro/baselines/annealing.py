@@ -203,9 +203,7 @@ class _CostEvaluator:
         wasted = 0
         for name, rect in state.items():
             region = self.regions[name]
-            for col, row in rect.cells():
-                if self.device.is_forbidden(col, row):
-                    forbidden += 1
+            forbidden += self.device.forbidden_cell_count(rect.col, rect.row, rect.width, rect.height)
             covered = rect_resources(self.device, rect)
             deficit_total += covered.deficit(region.requirements).total
             wasted += max(0, rect_frames(self.device, rect) - self.required_frames[name])
@@ -239,9 +237,8 @@ class _CostEvaluator:
             region = self.regions[name]
             if not rect.within(self.device.width, self.device.height):
                 return False
-            for col, row in rect.cells():
-                if self.device.is_forbidden(col, row):
-                    return False
+            if self.device.forbidden_cell_count(rect.col, rect.row, rect.width, rect.height):
+                return False
             if not rect_resources(self.device, rect).covers(region.requirements):
                 return False
         return True

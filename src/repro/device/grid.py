@@ -93,7 +93,7 @@ class FPGADevice:
         forbidden: Iterable[ForbiddenRect] = (),
         registry: TileTypeRegistry | None = None,
     ) -> None:
-        if not tile_types or not tile_types[0]:
+        if len(tile_types) == 0 or len(tile_types[0]) == 0:
             raise ValueError("device grid must be non-empty")
         self.name = name
         self.width = len(tile_types)
@@ -104,20 +104,18 @@ class FPGADevice:
                     f"column {col} has {len(column)} rows, expected {self.height}"
                 )
 
-        # intern tile types into a compact index grid
-        self._type_list: List[TileType] = []
+        # intern tile types into a compact index grid: hash each distinct
+        # object once, in first-seen column-major order, so equal-but-distinct
+        # types share one index; then map every cell through one lookup table
+        cells = np.asarray(tile_types, dtype=object).ravel()
+        ids = np.frompyfunc(id, 1, 1)(cells).astype(np.uint64)
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
         type_index: Dict[TileType, int] = {}
-        grid = np.empty((self.width, self.height), dtype=np.int16)
-        for col in range(self.width):
-            for row in range(self.height):
-                tile_type = tile_types[col][row]
-                idx = type_index.get(tile_type)
-                if idx is None:
-                    idx = len(self._type_list)
-                    type_index[tile_type] = idx
-                    self._type_list.append(tile_type)
-                grid[col, row] = idx
-        self._grid = grid
+        lookup = np.empty(len(first), dtype=np.int16)
+        for unique in np.argsort(first).tolist():
+            lookup[unique] = type_index.setdefault(cells[first[unique]], len(type_index))
+        self._type_list: List[TileType] = list(type_index)
+        self._grid = lookup[inverse.ravel()].reshape(self.width, self.height)
 
         self.forbidden: Tuple[ForbiddenRect, ...] = tuple(forbidden)
         self._forbidden_mask = np.zeros((self.width, self.height), dtype=bool)
@@ -225,20 +223,13 @@ class FPGADevice:
         for col, row in zip(cols.tolist(), rows.tolist()):
             yield col, row
 
-    def cells(self) -> Iterator[Tuple[int, int]]:
-        """Iterate all ``(col, row)`` cells of the grid."""
-        for col in range(self.width):
-            for row in range(self.height):
-                yield col, row
+    def _usable_types(self, col: int) -> np.ndarray:
+        """Distinct type indices of a column's non-forbidden tiles."""
+        return np.unique(self._grid[col][~self._forbidden_mask[col]])
 
     def column_is_uniform(self, col: int) -> bool:
         """True if every (non-forbidden) tile in the column shares one type."""
-        types = {
-            int(self._grid[col, row])
-            for row in range(self.height)
-            if not self._forbidden_mask[col, row]
-        }
-        return len(types) <= 1
+        return len(self._usable_types(col)) <= 1
 
     def column_type(self, col: int) -> TileType:
         """Dominant tile type of a column, ignoring forbidden cells.
@@ -246,17 +237,13 @@ class FPGADevice:
         Raises ``ValueError`` if the column mixes types outside forbidden
         areas (such a device cannot be columnar partitioned).
         """
-        types = {
-            int(self._grid[col, row])
-            for row in range(self.height)
-            if not self._forbidden_mask[col, row]
-        }
-        if not types:
+        types = self._usable_types(col)
+        if not len(types):
             # fully forbidden column: fall back to the raw grid content
-            types = {int(self._grid[col, row]) for row in range(self.height)}
+            types = np.unique(self._grid[col])
         if len(types) != 1:
             raise ValueError(f"column {col} mixes tile types; device is not columnar")
-        return self._type_list[types.pop()]
+        return self._type_list[int(types[0])]
 
     # ------------------------------------------------------------------
     # aggregate queries
@@ -271,33 +258,27 @@ class FPGADevice:
         """Tiles available to reconfigurable regions (not forbidden)."""
         return int(self.num_tiles - self._forbidden_mask.sum())
 
+    def _type_counts(self, include_forbidden: bool) -> List[int]:
+        """Tiles of each dense type index over the (usable) fabric."""
+        cells = self._grid if include_forbidden else self._grid[~self._forbidden_mask]
+        return np.bincount(cells.ravel(), minlength=len(self._type_list)).tolist()
+
     def total_resources(self, include_forbidden: bool = False) -> ResourceVector:
         """Aggregate resources of the fabric."""
         total = ResourceVector.zero()
-        for col, row in self.cells():
-            if not include_forbidden and self._forbidden_mask[col, row]:
-                continue
-            total = total + self.tile_type_at(col, row).resources
+        for tile_type, count in zip(self._type_list, self._type_counts(include_forbidden)):
+            total = total + tile_type.resources * count
         return total
 
     def total_frames(self, include_forbidden: bool = False) -> int:
         """Aggregate configuration frames of the fabric."""
-        total = 0
-        for col, row in self.cells():
-            if not include_forbidden and self._forbidden_mask[col, row]:
-                continue
-            total += self.tile_type_at(col, row).frames
-        return total
+        counts = self._type_counts(include_forbidden)
+        return sum(tile_type.frames * count for tile_type, count in zip(self._type_list, counts))
 
     def tile_count_by_type(self, include_forbidden: bool = False) -> Dict[TileType, int]:
-        """Number of tiles of each type."""
-        counts: Dict[TileType, int] = {}
-        for col, row in self.cells():
-            if not include_forbidden and self._forbidden_mask[col, row]:
-                continue
-            tile_type = self.tile_type_at(col, row)
-            counts[tile_type] = counts.get(tile_type, 0) + 1
-        return counts
+        """Number of tiles of each type (types with no counted tile are omitted)."""
+        counts = self._type_counts(include_forbidden)
+        return {tile_type: count for tile_type, count in zip(self._type_list, counts) if count}
 
     # ------------------------------------------------------------------
     def _check_cell(self, col: int, row: int) -> None:

@@ -161,30 +161,20 @@ def columnar_partition(device: FPGADevice) -> ColumnarPartition:
     # ------------------------------------------------------------------
     # Step 1: replace forbidden tiles by a same-column, non-forbidden tile type.
     # ------------------------------------------------------------------
-    effective = np.empty((width, height), dtype=np.int16)
-    for col in range(width):
-        non_forbidden_types = {
-            device.type_index_at(col, row)
-            for row in range(height)
-            if not device.is_forbidden(col, row)
-        }
-        for row in range(height):
-            if device.is_forbidden(col, row):
-                if not non_forbidden_types:
-                    # A fully forbidden column keeps its underlying types; the
-                    # paper does not cover this case, but keeping the raw type
-                    # lets partitioning proceed and the forbidden-area
-                    # constraints still exclude the column from any region.
-                    effective[col, row] = device.type_index_at(col, row)
-                elif len(non_forbidden_types) == 1:
-                    effective[col, row] = next(iter(non_forbidden_types))
-                else:
-                    raise PartitionError(
-                        f"column {col} mixes tile types outside forbidden areas; "
-                        "cannot pick a replacement type (step 1)"
-                    )
-            else:
-                effective[col, row] = device.type_index_at(col, row)
+    # A fully forbidden column keeps its underlying types; the paper does not
+    # cover this case, but keeping the raw type lets partitioning proceed and
+    # the forbidden-area constraints still exclude the column from any region.
+    effective = device.type_index_grid()
+    forbidden = device.forbidden_mask()
+    for col in np.flatnonzero(forbidden.any(axis=1)).tolist():
+        usable = np.unique(effective[col][~forbidden[col]])
+        if len(usable) > 1:
+            raise PartitionError(
+                f"column {col} mixes tile types outside forbidden areas; "
+                "cannot pick a replacement type (step 1)"
+            )
+        if len(usable) == 1:
+            effective[col][forbidden[col]] = usable[0]
 
     # ------------------------------------------------------------------
     # Steps 2-5: scan top to bottom, left to right, growing portions.

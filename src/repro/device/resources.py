@@ -10,6 +10,7 @@ capacities (device/area coverage).
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 
@@ -46,16 +47,14 @@ class ResourceVector:
 
     def __init__(self, counts: Mapping[ResourceType, int] | None = None, **kwargs: int) -> None:
         merged: Dict[ResourceType, int] = {}
-        if counts:
-            for key, value in counts.items():
-                if not isinstance(key, ResourceType):
-                    key = ResourceType.from_string(str(key))
-                if value:
-                    merged[key] = merged.get(key, 0) + int(value)
-        for name, value in kwargs.items():
-            key = ResourceType.from_string(name)
-            if value:
-                merged[key] = merged.get(key, 0) + int(value)
+        for key, value in itertools.chain((counts or {}).items(), kwargs.items()):
+            if not isinstance(key, ResourceType):
+                key = ResourceType.from_string(str(key))
+            if not value:
+                continue
+            if int(value) != value:
+                raise ValueError(f"resource count for {key} must be integral, got {value!r}")
+            merged[key] = merged.get(key, 0) + int(value)
         for key, value in merged.items():
             if value < 0:
                 raise ValueError(f"negative resource count for {key}: {value}")

@@ -15,7 +15,11 @@ to a 400 response; nothing in a request body can take the server down.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Dict, List, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.device.grid import FPGADevice, ForbiddenRect
 from repro.device.resources import ResourceVector
@@ -91,27 +95,58 @@ def _require(data: Mapping, key: str, context: str):
         raise ProtocolError(f"{context}: missing field {key!r}") from exc
 
 
+def _integer(value: object, what: str) -> int:
+    """An integral JSON number as an ``int``; ``3.0`` passes, ``2.9`` and ``true`` do not."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and math.isfinite(value) and int(value) == value:
+        return int(value)
+    raise ProtocolError(f"{what} must be an integer, got {value!r}")
+
+
+def _integers(values: List[object], what: str, kind: str) -> np.ndarray:
+    """A list of integral JSON numbers as a float array, checked in one numpy pass."""
+    kinds = set(map(type, values))
+    try:
+        if any(issubclass(k, bool) or not issubclass(k, numbers.Real) for k in kinds):
+            raise TypeError
+        array = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"{what} must be {kind}") from exc
+    fractional = array != np.floor(array)  # nan included; inf fails range checks
+    if fractional.any():
+        bad = values[int(np.argmax(fractional))]
+        raise ProtocolError(f"{what} must be {kind}, got {bad!r}")
+    return array
+
+
+def _resources(data: Mapping[str, object], what: str) -> ResourceVector:
+    return ResourceVector({k: _integer(v, f"{what} resource {k!r}") for k, v in data.items()})
+
+
+def _tile_type(entry: Mapping[str, object]) -> TileType:
+    name = str(_require(entry, "name", "tile type"))
+    return TileType(
+        name=name,
+        resources=_resources(_require(entry, "resources", "tile type"), f"tile type {name!r}"),
+        frames=_integer(_require(entry, "frames", "tile type"), f"tile type {name!r} frames"),
+    )
+
+
 def device_from_dict(data: Mapping[str, object]) -> FPGADevice:
     """Rebuild an :class:`FPGADevice` from its canonical content encoding.
 
     The inverse of :func:`repro.service.jobs.device_spec_dict`: tile types are
     re-interned in their original dense-index order and forbidden cells become
     1x1 forbidden rectangles (the fingerprint hashes cells, not rectangles, so
-    the round trip is content-exact).
+    the round trip is content-exact).  The grid and the forbidden cells are
+    validated and mapped to tile types as whole arrays.
     """
     try:
-        types = [
-            TileType(
-                name=str(_require(entry, "name", "tile type")),
-                resources=ResourceVector(_require(entry, "resources", "tile type")),
-                frames=int(_require(entry, "frames", "tile type")),
-            )
-            for entry in _require(data, "types", "device")
-        ]
-        width = int(_require(data, "width", "device"))
-        height = int(_require(data, "height", "device"))
+        types = [_tile_type(entry) for entry in _require(data, "types", "device")]
+        width = _integer(_require(data, "width", "device"), "device width")
+        height = _integer(_require(data, "height", "device"), "device height")
         grid = list(_require(data, "grid", "device"))
-        forbidden_cells = [int(cell) for cell in data.get("forbidden", ())]
+        forbidden_cells = list(data.get("forbidden", ()))
     except ProtocolError:
         raise
     except Exception as exc:  # noqa: BLE001 — request bodies are untrusted
@@ -122,41 +157,40 @@ def device_from_dict(data: Mapping[str, object]) -> FPGADevice:
         raise ProtocolError(
             f"device grid has {len(grid)} cells, expected {width}x{height}={width * height}"
         )
-    try:
-        indices = [int(cell) for cell in grid]
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError("device grid cells must be tile-type indices") from exc
-    if any(index < 0 or index >= len(types) for index in indices):
+    indices = _integers(grid, "device grid cells", "tile-type indices")
+    if ((indices < 0) | (indices >= len(types))).any():
         raise ProtocolError("device grid references an unknown tile-type index")
-    tile_types = [
-        [types[indices[col * height + row]] for row in range(height)]
-        for col in range(width)
+    cells = _integers(forbidden_cells, "forbidden cells", "cell indices")
+    outside = (cells < 0) | (cells >= width * height)
+    if outside.any():
+        cell = cells[int(np.argmax(outside))]
+        raise ProtocolError(f"forbidden cell {cell:.0f} outside the {width}x{height} grid")
+    tile_types = np.asarray(types, dtype=object)[indices.astype(np.intp).reshape(width, height)]
+    rects = [
+        ForbiddenRect(f"cell{index}", *divmod(cell, height), 1, 1)
+        for index, cell in enumerate(cells.astype(np.intp).tolist())
     ]
-    rects = []
-    for index, cell in enumerate(forbidden_cells):
-        col, row = divmod(cell, height)
-        if not (0 <= col < width and 0 <= row < height):
-            raise ProtocolError(f"forbidden cell {cell} outside the {width}x{height} grid")
-        rects.append(ForbiddenRect(f"cell{index}", col, row, 1, 1))
     try:
         return FPGADevice(str(data.get("name") or "device"), tile_types, forbidden=rects)
     except ValueError as exc:
         raise ProtocolError(f"invalid device: {exc}") from exc
 
 
+def _region(entry: Mapping[str, object]) -> Region:
+    name = str(_require(entry, "name", "region"))
+    return Region(
+        name=name,
+        requirements=_resources(_require(entry, "requirements", "region"), f"region {name!r}"),
+        max_width=entry.get("max_width"),
+        max_height=entry.get("max_height"),
+    )
+
+
 def problem_from_dict(data: Mapping[str, object]) -> FloorplanProblem:
     """Rebuild a :class:`FloorplanProblem` from its canonical encoding."""
     device = device_from_dict(_require(data, "device", "problem"))
     try:
-        regions = [
-            Region(
-                name=str(_require(entry, "name", "region")),
-                requirements=ResourceVector(_require(entry, "requirements", "region")),
-                max_width=entry.get("max_width"),
-                max_height=entry.get("max_height"),
-            )
-            for entry in _require(data, "regions", "problem")
-        ]
+        regions = [_region(entry) for entry in _require(data, "regions", "problem")]
         connections = [
             Connection(
                 source=str(_require(entry, "source", "connection")),
@@ -168,8 +202,8 @@ def problem_from_dict(data: Mapping[str, object]) -> FloorplanProblem:
         pins = [
             IOPin(
                 name=str(_require(entry, "name", "pin")),
-                col=int(_require(entry, "col", "pin")),
-                row=int(_require(entry, "row", "pin")),
+                col=_integer(_require(entry, "col", "pin"), "pin col"),
+                row=_integer(_require(entry, "row", "pin"), "pin row"),
             )
             for entry in data.get("pins", ())
         ]
@@ -196,7 +230,9 @@ def relocation_from_list(
         return RelocationSpec(
             RelocationRequest(
                 region=str(_require(entry, "region", "relocation request")),
-                copies=int(_require(entry, "copies", "relocation request")),
+                copies=_integer(
+                    _require(entry, "copies", "relocation request"), "relocation copies"
+                ),
                 hard=bool(entry.get("hard", True)),
                 weight=float(entry.get("weight", 1.0)),
             )

@@ -20,6 +20,8 @@ import hashlib
 import json
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.floorplan.metrics import ObjectiveWeights
 from repro.floorplan.problem import FloorplanProblem
 from repro.milp import SolverOptions
@@ -31,8 +33,10 @@ def device_spec_dict(device) -> Dict[str, object]:
 
     The encoding covers the full tile grid (per-cell type index), the tile
     type definitions (frames, resources) and the forbidden cells — everything
-    the floorplanner's feasible set depends on.  The device *name* is included
-    only as metadata and does not disambiguate distinct grids.
+    the floorplanner's feasible set depends on.  Cells are numbered
+    column-major (``col * height + row``), read straight off the device
+    arrays.  The device *name* is included only as metadata and does not
+    disambiguate distinct grids.
     """
     types = [
         {
@@ -42,20 +46,13 @@ def device_spec_dict(device) -> Dict[str, object]:
         }
         for tile_type in device.tile_type_list
     ]
-    grid: List[int] = []
-    forbidden: List[int] = []
-    for col in range(device.width):
-        for row in range(device.height):
-            grid.append(device.type_index_at(col, row))
-            if device.is_forbidden(col, row):
-                forbidden.append(col * device.height + row)
     return {
         "name": device.name,
         "width": device.width,
         "height": device.height,
         "types": types,
-        "grid": grid,
-        "forbidden": forbidden,
+        "grid": device.type_index_grid().ravel().tolist(),
+        "forbidden": np.flatnonzero(device.forbidden_mask()).tolist(),
     }
 
 

@@ -232,3 +232,11 @@ class TestRectangleAggregates:
             device.tile_type_histogram(0, 0, device.width + 1, 1)
         with pytest.raises(IndexError):
             device.forbidden_cell_count(device.width - 1, 0, 2, 1)
+
+
+def test_resource_vector_refuses_fractional_counts():
+    with pytest.raises(ValueError, match="integral"):
+        ResourceVector(CLB=2.9)
+    with pytest.raises(ValueError, match="integral"):
+        ResourceVector({"BRAM": 0.5})
+    assert ResourceVector(CLB=3.0) == ResourceVector(CLB=3)

@@ -17,6 +17,7 @@ from repro.server.loadgen import GatewayClient, demo_payloads
 from repro.server.protocol import job_from_dict
 from repro.service.cache import SolveCache
 from repro.service.results import JobResult
+from tests.server.malformed_bodies import DEVICE_ERRORS, mutated
 
 
 class StubWorkerPool:
@@ -154,6 +155,17 @@ class TestRouting:
         assert results["missing"][0] == 404
         assert results["wrong_method"][0] == 405
         assert fleet.router.router.metrics.bad_requests == 1
+
+    def test_malformed_device_bodies_answer_400_with_their_message(self):
+        cases = [(mutated(mutate), message) for _id, mutate, message in DEVICE_ERRORS]
+        with StubFleet() as fleet:
+            responses = via_router(fleet, [payload for payload, _message in cases])
+            assert [status for status, _body in responses] == [400] * len(cases)
+            assert [body["error"] for _status, body in responses] == [
+                message for _payload, message in cases
+            ]
+            assert fleet.router.router.metrics.bad_requests == len(cases)
+            assert sum(pool.solved for pool in fleet.pools) == 0
 
     def test_solve_response_is_relayed_verbatim(self, payloads):
         with StubFleet() as fleet:

@@ -14,6 +14,7 @@ from repro.server.gateway import BackgroundGateway, GatewayConfig
 from repro.server.loadgen import GatewayClient, closed_loop, demo_payloads, open_loop
 from repro.service.cache import SolveCache
 from repro.service.results import JobResult
+from tests.server.malformed_bodies import mutated
 
 
 class StubWorkerPool:
@@ -102,6 +103,21 @@ class TestRoutes:
                     assert b"400" in head.split(b"\r\n", 1)[0]
 
             asyncio.run(scenario())
+
+    def test_fractional_value_answers_400(self):
+        def mutate(payload):
+            payload["problem"]["regions"][0]["requirements"]["CLB"] = 2.9
+
+        gw, pool = stub_gateway()
+        with gw:
+            async def scenario():
+                async with GatewayClient(gw.host, gw.port) as client:
+                    return await client.request("POST", "/solve", mutated(mutate))
+
+            status, body = asyncio.run(scenario())
+        assert status == 400
+        assert body["error"] == "region 'A' resource 'CLB' must be an integer, got 2.9"
+        assert pool.solved == 0
 
     def test_oversized_header_answers_413_not_dropped(self, payloads):
         gw, _pool = stub_gateway()

@@ -1,5 +1,7 @@
 """Wire-protocol round trips: encode -> decode must be fingerprint-exact."""
 
+import json
+
 import pytest
 
 from repro.device.catalog import synthetic_device, virtex5_fx70t_like
@@ -16,6 +18,12 @@ from repro.server.protocol import (
     problem_from_dict,
 )
 from repro.service.jobs import SolveJob, device_spec_dict, problem_spec_dict
+from tests.server.malformed_bodies import (
+    DEVICE_ERRORS,
+    NON_INTEGER_VALUES,
+    base_payload,
+    mutated,
+)
 
 
 def rich_problem():
@@ -137,3 +145,51 @@ class TestJobRoundTrip:
     def test_non_mapping_body_rejected(self):
         with pytest.raises(ProtocolError):
             job_from_dict([1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "mutate, message", [case[1:] for case in DEVICE_ERRORS], ids=[case[0] for case in DEVICE_ERRORS]
+)
+def test_malformed_device_messages_are_stable(mutate, message):
+    with pytest.raises(ProtocolError) as excinfo:
+        job_from_dict(mutated(mutate))
+    assert str(excinfo.value) == message
+
+
+class TestIntegerValues:
+    @pytest.mark.parametrize(
+        "mutate", [case[1] for case in NON_INTEGER_VALUES], ids=[case[0] for case in NON_INTEGER_VALUES]
+    )
+    def test_fractional_and_boolean_values_rejected(self, mutate):
+        with pytest.raises(ProtocolError):
+            job_from_dict(mutated(mutate))
+
+    def test_truncation_cannot_alias_another_problem(self):
+        # a fractional requirement and grid cell used to truncate to the
+        # integers and share the integral body's fingerprint (and cache entry)
+        def mutate(payload):
+            payload["problem"]["regions"][0]["requirements"]["CLB"] += 0.9
+            payload["problem"]["device"]["grid"][0] += 0.7
+
+        with pytest.raises(ProtocolError):
+            job_from_dict(mutated(mutate))
+
+    def test_integral_floats_decode_to_the_same_fingerprint(self):
+        ints = base_payload()
+        ints["problem"]["device"]["forbidden"] = [3, 4]
+        floats = json.loads(json.dumps(ints))
+        problem = floats["problem"]
+        device = problem["device"]
+        for key in ("width", "height"):
+            device[key] = float(device[key])
+        for key in ("grid", "forbidden"):
+            device[key] = [float(cell) for cell in device[key]]
+        for entry in device["types"]:
+            entry["frames"] = float(entry["frames"])
+            entry["resources"] = {k: float(v) for k, v in entry["resources"].items()}
+        for region in problem["regions"]:
+            region["requirements"] = {k: float(v) for k, v in region["requirements"].items()}
+        for pin in problem["pins"]:
+            pin["col"], pin["row"] = float(pin["col"]), float(pin["row"])
+        floats["relocation"][0]["copies"] = float(floats["relocation"][0]["copies"])
+        assert job_from_dict(floats).fingerprint == job_from_dict(ints).fingerprint
