@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
-import signal
 import sys
 import tempfile
 from typing import Optional, Sequence
@@ -37,31 +36,15 @@ async def serve(
                 flush=True,
             )
 
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):  # pragma: no cover
-                loop.add_signal_handler(signum, stop.set)
+        async def print_rollup() -> None:
+            # roll up while the replicas are still alive to answer
+            with contextlib.suppress(Exception):
+                rollup = await router.metrics_rollup()
+                print(rollup["tables"]["counters"], flush=True)
 
-        serve_task = asyncio.ensure_future(router.serve_forever())
-        stop_task = asyncio.ensure_future(stop.wait())
-        try:
-            await asyncio.wait(
-                {serve_task, stop_task}, return_when=asyncio.FIRST_COMPLETED
-            )
-        finally:
-            if not quiet:
-                print("draining ...", flush=True)
-            serve_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await serve_task
-            if not quiet:
-                # roll up while the replicas are still alive to answer
-                with contextlib.suppress(Exception):
-                    rollup = await router.metrics_rollup()
-                    print(rollup["tables"]["counters"], flush=True)
-            await router.drain()
-            stop_task.cancel()
+        await router.serve_until_signal(
+            quiet=quiet, before_drain=None if quiet else print_rollup
+        )
     finally:
         manager.stop()
 

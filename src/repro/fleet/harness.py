@@ -12,66 +12,21 @@ would to one gateway; everything behind the router is the fleet's business.
 
 from __future__ import annotations
 
-import asyncio
-import threading
 from typing import Optional, Sequence
 
 from repro.fleet.manager import FleetConfig, FleetManager
 from repro.fleet.router import FleetRouter, RouterConfig
+from repro.server.http import BackgroundServer
 
 __all__ = ["BackgroundRouter", "BackgroundFleet"]
 
 
-class BackgroundRouter:
+class BackgroundRouter(BackgroundServer):
     """Run a :class:`FleetRouter` on a dedicated event-loop thread."""
 
     def __init__(self, router: FleetRouter, start_timeout: float = 10.0) -> None:
         self.router = router
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-fleet-router", daemon=True
-        )
-        self._thread.start()
-        future = asyncio.run_coroutine_threadsafe(self.router.start(), self._loop)
-        try:
-            future.result(timeout=start_timeout)
-        except BaseException:
-            # a failed bind must not leak the loop thread just started
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=start_timeout)
-            if not self._loop.is_running():
-                self._loop.close()
-            raise
-        self._stopped = False
-
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-
-    @property
-    def port(self) -> int:
-        assert self.router.port is not None
-        return self.router.port
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Drain the router and stop the loop thread (idempotent)."""
-        if self._stopped:
-            return
-        self._stopped = True
-        future = asyncio.run_coroutine_threadsafe(self.router.drain(), self._loop)
-        try:
-            future.result(timeout=timeout)
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=timeout)
-            if not self._loop.is_running():
-                self._loop.close()
-
-    def __enter__(self) -> "BackgroundRouter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        super().__init__(router, start_timeout, thread_name="repro-fleet-router")
 
 
 class BackgroundFleet:

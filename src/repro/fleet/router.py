@@ -35,39 +35,28 @@ import random
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.report import (
-    SERVER_COUNTER_HEADERS,
-    SIM_LATENCY_HEADERS,
-    format_table,
-    server_counter_rows,
-    sim_latency_rows,
-)
 from repro.fleet.breaker import CircuitBreaker
 from repro.fleet.hashing import DEFAULT_VNODES, HashRing
-from repro.obs.recorder import TraceRecorder
 from repro.obs.trace import (
     TRACE_HEADER,
     TRACE_SCHEMA_VERSION,
     Span,
     Trace,
     format_trace_header,
-    new_id,
-    summarize_trace_doc,
 )
 from repro.server.http import (
     HttpError,
     HttpRequest,
-    parse_query,
-    read_request,
-    write_response,
+    HttpServer,
+    open_connection,
+    render_tables,
+    round_trip,
 )
 from repro.server.metrics import LatencyHistogram, merge_raw_histograms
 from repro.server.protocol import (
     DEADLINE_HEADER,
     QUEUE_DEPTH_HEADER,
     ProtocolError,
-    deadline_from_payload,
-    job_from_dict,
     parse_deadline,
 )
 from repro.utils.buildinfo import git_rev
@@ -254,27 +243,17 @@ class UpstreamPool:
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, Dict[str, str], bytes]:
         """One round trip on a pooled connection; :class:`UpstreamError` on
-        any transport failure (the connection is discarded, never reused).
-        Returns ``(status, lower-cased response headers, body)``."""
+        any transport failure or malformed response (the connection is
+        discarded, never reused).  Returns ``(status, lower-cased response
+        headers, body)``."""
         reader, writer = await self._checkout()
         try:
-            lines = [
-                f"{method} {path} HTTP/1.1",
-                f"Host: {self.node}",
-                f"Content-Length: {len(body)}",
-                "Content-Type: application/json",
-            ]
-            for name, value in (headers or {}).items():
-                lines.append(f"{name}: {value}")
-            writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
-            await writer.drain()
-            status, response_headers, response_body = await self._read_response(reader)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError, EOFError) as exc:
+            status, response_headers, response_body = await round_trip(
+                reader, writer, method, path, self.node, body, headers
+            )
+        except (ConnectionError, OSError) as exc:
             self._discard(writer)
             raise UpstreamError(f"{self.node}: {exc}") from exc
-        except asyncio.TimeoutError as exc:
-            self._discard(writer)
-            raise UpstreamError(f"{self.node}: connect timed out") from exc
         keep = response_headers.get("connection", "keep-alive").lower() != "close"
         if keep and len(self._idle) < self.config.upstream_idle_max:
             self._idle.append((reader, writer))
@@ -291,37 +270,11 @@ class UpstreamPool:
                 return reader, writer
             self._discard(writer)
         try:
-            return await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
-                timeout=self.config.connect_timeout,
+            return await open_connection(
+                self.host, self.port, timeout=self.config.connect_timeout
             )
         except (ConnectionError, OSError) as exc:
             raise UpstreamError(f"{self.node}: {exc}") from exc
-        except asyncio.TimeoutError as exc:
-            raise UpstreamError(f"{self.node}: connect timed out") from exc
-
-    @staticmethod
-    async def _read_response(reader) -> Tuple[int, Dict[str, str], bytes]:
-        status_line = await reader.readline()
-        if not status_line:
-            raise EOFError("upstream closed the connection")
-        parts = status_line.decode("latin-1").split()
-        if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-            raise EOFError(f"malformed upstream status line: {status_line!r}")
-        status = int(parts[1])
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if not line:
-                raise EOFError("upstream closed mid-headers")
-            if line in (b"\r\n", b"\n"):
-                break
-            name, sep, value = line.decode("latin-1").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
-        body = await reader.readexactly(length) if length else b""
-        return status, headers, body
 
     def _discard(self, writer: asyncio.StreamWriter) -> None:
         try:
@@ -366,8 +319,11 @@ class RouterMetrics:
         }
 
 
-class FleetRouter:
+class FleetRouter(HttpServer):
     """Listen, route, retry, roll up."""
+
+    kind = "router"
+    title = "repro fleet router"
 
     def __init__(
         self,
@@ -376,7 +332,8 @@ class FleetRouter:
     ) -> None:
         if not addresses:
             raise ValueError("a router needs at least one replica address")
-        self.config = config or RouterConfig()
+        config = config or RouterConfig()
+        super().__init__(config)
         self.pools: Dict[str, UpstreamPool] = {}
         for host, port in addresses:
             pool = UpstreamPool(host, port, self.config)
@@ -384,136 +341,25 @@ class FleetRouter:
         self.ring = HashRing(list(self.pools), vnodes=self.config.vnodes)
         self.metrics = RouterMetrics()
         self._jitter = random.Random(self.config.backoff_seed)
-        self.recorder: Optional[TraceRecorder] = (
-            TraceRecorder(
-                capacity=self.config.trace_capacity,
-                sink_path=self.config.trace_sink,
-            )
-            if self.config.tracing
-            else None
-        )
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._draining = False
         self._started = time.time()
-        self.port: Optional[int] = None
-
-    # ------------------------------------------------------------------
-    # lifecycle (mirrors SolveGateway so the CLI/harness code is shared)
-    # ------------------------------------------------------------------
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        self.route("POST", "/solve", self._solve)
 
     async def drain(self) -> None:
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await super().drain()
         for pool in self.pools.values():
             await pool.close()
-
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as exc:
-                    await write_response(
-                        writer, exc.status, {"error": str(exc)}, keep_alive=False
-                    )
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                if request is None:
-                    break
-                try:
-                    status, payload, headers = await self._dispatch(request)
-                except Exception as exc:  # noqa: BLE001 — never kill the
-                    # connection without an answer
-                    status, headers = 500, None
-                    payload = {"error": f"{type(exc).__name__}: {exc}"}
-                keep_alive = request.keep_alive
-                await write_response(
-                    writer, status, payload, keep_alive=keep_alive, extra_headers=headers
-                )
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _dispatch(self, request: HttpRequest):
-        path, _sep, query = request.path.partition("?")
-        route = (request.method, path)
-        if route == ("POST", "/solve"):
-            return await self._solve(request)
-        if route == ("GET", "/healthz"):
-            return 200, self._healthz(), None
-        if route == ("GET", "/metrics"):
-            raw = "format=json" in query.split("&")
-            return 200, await self.metrics_rollup(raw=raw), None
-        if route == ("GET", "/debug/traces"):
-            return self._debug_traces(query)
-        if request.method == "GET" and path.startswith("/debug/traces/"):
-            return self._debug_trace_by_id(path[len("/debug/traces/"):])
-        if route == ("GET", "/dashboard"):
-            return 200, await self._dashboard(), None
-        if path in ("/solve", "/healthz", "/metrics", "/dashboard", "/debug/traces"):
-            return 405, {"error": f"{request.method} not allowed on {path}"}, None
-        return 404, {"error": f"no route for {request.method} {path}"}, None
 
     # ------------------------------------------------------------------
     # the solve route: decode -> ring -> forward with retries
     # ------------------------------------------------------------------
     async def _solve(self, request: HttpRequest):
-        trace: Optional[Trace] = None
-        root: Optional[Span] = None
-        if self.recorder is not None:
-            # the router is normally where the trace id is minted (clients
-            # rarely send the header); replicas continue it downstream
-            trace = Trace.begin(
-                request.header(TRACE_HEADER) or None,
-                origin="router",
-                metadata={"client": request.header("x-client-id") or None},
-            )
-            root = Span(
-                name="router.request",
-                span_id=new_id(),
-                parent_id=trace.remote_parent,
-                start=trace.start,
-                end=0.0,
-            )
-        status = 500
-        try:
-            status, payload, headers = await self._solve_inner(request, trace, root)
-            if trace is not None:
-                headers = dict(headers or {})
-                headers.setdefault(TRACE_HEADER, trace.trace_id)
-            return status, payload, headers
-        finally:
-            # every exit — routed, shed, unroutable, or crashed — lands the
-            # trace with the root span first and the final status
-            if trace is not None:
-                root.annotations["http_status"] = status
-                root.end = trace.wall(time.perf_counter())
-                trace.spans.insert(0, root)
-                trace.finish("ok" if status == 200 else f"http_{status}")
-                self.recorder.record(trace)
+        # the router is normally where the trace id is minted (clients
+        # rarely send the header); replicas continue it downstream
+        return await self.traced(
+            request,
+            request.header("x-client-id") or None,
+            lambda trace, root: self._solve_inner(request, trace, root),
+        )
 
     async def _solve_inner(
         self, request: HttpRequest, trace: Optional[Trace], root: Optional[Span]
@@ -553,30 +399,14 @@ class FleetRouter:
             )
 
         started = time.perf_counter()
-        loop = asyncio.get_running_loop()
         try:
-            # decode off the loop: the fingerprint needs the canonical job
-            # content, and device-grid rebuilds are CPU-bound
-            def _decode():
-                payload = request.json()
-                return job_from_dict(payload), deadline_from_payload(payload)
-
-            job, body_budget = await loop.run_in_executor(None, _decode)
+            job, body_budget = await self.decode_job(request, trace, root)
         except (HttpError, ProtocolError) as exc:
             self.metrics.bad_requests += 1
-            if trace is not None:
-                trace.add_span(
-                    "router.decode", started, time.perf_counter(),
-                    parent=root, error=str(exc),
-                )
             return 400, {"error": str(exc)}, None
         if budget is None and body_budget is not None:
             budget = body_budget
         deadline_at = arrival + budget if budget is not None else None
-        if trace is not None:
-            trace.add_span("router.decode", started, time.perf_counter(), parent=root)
-            trace.metadata["fingerprint"] = job.fingerprint
-            trace.metadata["job"] = job.name
         if deadline_at is not None and time.monotonic() >= deadline_at:
             return self._expired(trace, root, budget)
 
@@ -648,7 +478,8 @@ class FleetRouter:
                 if rank > 0:
                     self.metrics.failovers += 1
                 self.metrics.latency.observe(time.perf_counter() - started)
-                return status, _RawJson(body), None
+                # relayed verbatim: no decode/encode round trip
+                return status, body, None
             if time.monotonic() >= deadline:
                 break
             # full sweep failed (or every circuit was open): back off with
@@ -707,7 +538,7 @@ class FleetRouter:
         """How many upstream circuits are open right now."""
         return sum(1 for pool in self.pools.values() if pool.down)
 
-    def _healthz(self) -> Dict[str, object]:
+    def health(self) -> Dict[str, object]:
         replicas = [
             {
                 "node": pool.node,
@@ -731,40 +562,6 @@ class FleetRouter:
             "trace_schema": TRACE_SCHEMA_VERSION,
             "tracing": self.recorder is not None,
         }
-
-    # ------------------------------------------------------------------
-    # trace inspection and the dashboard
-    # ------------------------------------------------------------------
-    def _debug_traces(self, query: str):
-        if self.recorder is None:
-            return 404, {"error": "tracing is disabled on this router"}, None
-        params = parse_query(query)
-        try:
-            limit = int(params.get("limit", "50"))
-        except ValueError:
-            return 400, {"error": f"bad limit {params.get('limit')!r}"}, None
-        full = params.get("full", "").lower() in ("1", "true", "yes")
-        docs = self.recorder.list(limit=max(1, limit))
-        traces = docs if full else [summarize_trace_doc(doc) for doc in docs]
-        return 200, {"traces": traces, "stats": self.recorder.stats()}, None
-
-    def _debug_trace_by_id(self, trace_id: str):
-        if self.recorder is None:
-            return 404, {"error": "tracing is disabled on this router"}, None
-        doc = self.recorder.get(trace_id.strip("/"))
-        if doc is None:
-            return 404, {"error": f"no trace {trace_id!r} (evicted or never seen)"}, None
-        return 200, doc, None
-
-    async def _dashboard(self):
-        from repro.obs.dashboard import render_dashboard
-
-        return render_dashboard(
-            await self.metrics_rollup(raw=True),
-            traces=self.recorder.list(limit=20) if self.recorder is not None else [],
-            title=f"repro fleet router :{self.port}",
-            health=self._healthz(),
-        )
 
     async def _fetch_replica_metrics(self, pool: UpstreamPool) -> Optional[Dict]:
         try:
@@ -864,20 +661,10 @@ class FleetRouter:
                 name: histogram.raw() for name, histogram in merged.items()
             }
             return document
-        document["tables"] = {
-            "counters": format_table(
-                SERVER_COUNTER_HEADERS,
-                server_counter_rows(counters),
-                title=f"fleet counters ({document['replicas_reporting']} replicas)",
-            ),
-            "latency": format_table(
-                SIM_LATENCY_HEADERS,
-                sim_latency_rows(latency),
-                title="fleet request latency (s)",
-            ),
-        }
-        return document
+        return render_tables(
+            document,
+            f"fleet counters ({document['replicas_reporting']} replicas)",
+            "fleet request latency (s)",
+        )
 
-
-class _RawJson(bytes):
-    """Pre-encoded JSON relayed verbatim (skips a decode/encode round trip)."""
+    metrics_document = metrics_rollup

@@ -14,8 +14,6 @@ discrete-event simulator (:mod:`repro.sim`) layers stochastic traffic, fault
 injection and decision policies on top of this package.
 """
 
-import warnings
-
 from repro.runtime.manager import (
     BitstreamCache,
     ReconfigurationError,
@@ -24,10 +22,6 @@ from repro.runtime.manager import (
 from repro.runtime.scheduler import ModeSchedule, random_schedule, round_robin_schedule
 from repro.runtime.trace import EventKind, RuntimeTrace, TraceEvent
 
-# NOTE: the deprecated RuntimeError_ alias is intentionally NOT in __all__ —
-# a star import would otherwise trigger its DeprecationWarning for everyone.
-# Explicit `from repro.runtime import RuntimeError_` still resolves (and warns)
-# through the module __getattr__ below.
 __all__ = [
     "ReconfigurationManager",
     "ReconfigurationError",
@@ -39,14 +33,3 @@ __all__ = [
     "TraceEvent",
     "EventKind",
 ]
-
-
-def __getattr__(name: str):
-    if name == "RuntimeError_":
-        warnings.warn(
-            "RuntimeError_ is deprecated; use ReconfigurationError instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ReconfigurationError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

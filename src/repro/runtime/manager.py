@@ -25,7 +25,6 @@ Every operation is recorded in a :class:`~repro.runtime.trace.RuntimeTrace`.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -419,14 +418,3 @@ class ReconfigurationManager:
     def _check_region(self, region: str) -> None:
         if region not in self._current_rect:
             raise ReconfigurationError(f"unknown region {region!r}")
-
-
-def __getattr__(name: str):
-    if name == "RuntimeError_":
-        warnings.warn(
-            "RuntimeError_ is deprecated; use ReconfigurationError instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ReconfigurationError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import contextlib
-import signal
 import sys
 from typing import Optional, Sequence
 
@@ -52,27 +50,9 @@ async def serve(config: GatewayConfig, quiet: bool = False) -> None:
             flush=True,
         )
 
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError):  # pragma: no cover - win32
-            loop.add_signal_handler(signum, stop.set)
-
-    serve_task = asyncio.ensure_future(gateway.serve_forever())
-    stop_task = asyncio.ensure_future(stop.wait())
-    try:
-        await asyncio.wait({serve_task, stop_task}, return_when=asyncio.FIRST_COMPLETED)
-    finally:
-        if not quiet:
-            print("draining ...", flush=True)
-        serve_task.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await serve_task
-        await gateway.drain()
-        stop_task.cancel()
-        if not quiet:
-            snapshot = gateway.metrics_snapshot()
-            print(snapshot["tables"]["counters"], flush=True)
+    await gateway.serve_until_signal(quiet=quiet)
+    if not quiet:
+        print(gateway.metrics_snapshot()["tables"]["counters"], flush=True)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -26,47 +26,28 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import threading
 import time
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.report import (
-    SERVER_COUNTER_HEADERS,
-    SIM_LATENCY_HEADERS,
-    format_table,
-    server_counter_rows,
-    sim_latency_rows,
-)
-from repro.obs.recorder import TraceRecorder
-from repro.obs.trace import (
-    TRACE_HEADER,
-    TRACE_SCHEMA_VERSION,
-    Span,
-    Trace,
-    new_id,
-    summarize_trace_doc,
-)
+from repro.obs.trace import TRACE_SCHEMA_VERSION, Span, Trace, new_id
 from repro.server.admission import AdmissionController
 from repro.server.batcher import BatcherDraining, DeadlineExpired, MicroBatcher
 from repro.server.http import (
+    BackgroundServer,
     HttpError,
     HttpRequest,
-    parse_query,
-    read_request,
-    write_response,
+    HttpServer,
+    render_tables,
 )
 from repro.server.metrics import GatewayMetrics
 from repro.server.protocol import (
     DEADLINE_HEADER,
     QUEUE_DEPTH_HEADER,
     ProtocolError,
-    deadline_from_payload,
-    job_from_dict,
     parse_deadline,
 )
 from repro.server.workers import WorkerPool
 from repro.service.cache import CACHE_SCHEMA_VERSION, SolveCache
-from repro.service.results import JobResult
 from repro.utils.buildinfo import git_rev
 
 __all__ = ["GatewayConfig", "SolveGateway", "BackgroundGateway"]
@@ -152,12 +133,15 @@ class GatewayConfig:
             raise ValueError("batch_window must be non-negative")
 
 
-class SolveGateway:
+class SolveGateway(HttpServer):
     """One gateway instance: listener, batcher, shards, metrics.
 
     ``cache`` and ``worker_pool`` are injectable so tests can run the full
     HTTP path against a stub solver.
     """
+
+    kind = "gateway"
+    title = "repro gateway"
 
     def __init__(
         self,
@@ -165,7 +149,8 @@ class SolveGateway:
         cache: Optional[SolveCache] = None,
         worker_pool: Optional[WorkerPool] = None,
     ) -> None:
-        self.config = config or GatewayConfig()
+        config = config or GatewayConfig()
+        super().__init__(config)
         self.cache = cache if cache is not None else SolveCache(
             self.config.cache_dir, capacity=self.config.cache_capacity
         )
@@ -190,40 +175,16 @@ class SolveGateway:
             rate_limit=self.config.rate_limit,
             rate_burst=self.config.rate_burst,
         )
-        self.recorder: Optional[TraceRecorder] = (
-            TraceRecorder(
-                capacity=self.config.trace_capacity,
-                sink_path=self.config.trace_sink,
-            )
-            if self.config.tracing
-            else None
-        )
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._draining = False
-        self.port: Optional[int] = None
+        self.route("POST", "/solve", self._solve)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind the listener (idempotent-unsafe: call once)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
-
     async def drain(self) -> None:
         """Graceful shutdown: refuse new work, finish in-flight work, close."""
         self._draining = True
         await self.batcher.drain()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await super().drain()
         self.workers.shutdown(wait=True)
 
     @property
@@ -236,98 +197,16 @@ class SolveGateway:
         return watermark is not None and self.batcher.queue_depth >= watermark
 
     # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        peer = writer.get_extra_info("peername")
-        peer_host = peer[0] if isinstance(peer, tuple) else "unknown"
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as exc:
-                    await write_response(
-                        writer, exc.status, {"error": str(exc)}, keep_alive=False
-                    )
-                    break
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                if request is None:
-                    break
-                client = peer_host
-                if self.config.trust_client_id:
-                    client = request.header("x-client-id") or peer_host
-                try:
-                    status, payload, headers = await self._dispatch(request, client)
-                except Exception as exc:  # noqa: BLE001 — a request must never
-                    # kill the connection without an answer
-                    status, headers = 500, None
-                    payload = {"error": f"{type(exc).__name__}: {exc}"}
-                keep_alive = request.keep_alive
-                await write_response(
-                    writer, status, payload, keep_alive=keep_alive, extra_headers=headers
-                )
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _dispatch(
-        self, request: HttpRequest, client: str
-    ) -> Tuple[int, Dict[str, object], Optional[Dict[str, str]]]:
-        path, _sep, query = request.path.partition("?")
-        route = (request.method, path)
-        if route == ("POST", "/solve"):
-            return await self._solve(request, client)
-        if route == ("GET", "/healthz"):
-            return 200, self._healthz(), None
-        if route == ("GET", "/metrics"):
-            # ``?format=json`` is the machine-readable form: raw histogram
-            # bucket counts, no rendered tables — what the fleet router's
-            # roll-up and the load generator consume
-            raw = "format=json" in query.split("&")
-            return 200, self.metrics_snapshot(raw=raw), None
-        if route == ("GET", "/debug/traces"):
-            return self._debug_traces(query)
-        if request.method == "GET" and path.startswith("/debug/traces/"):
-            return self._debug_trace_by_id(path[len("/debug/traces/"):])
-        if route == ("GET", "/dashboard"):
-            return 200, self._dashboard(), None
-        if route[1] in ("/solve", "/healthz", "/metrics", "/dashboard", "/debug/traces"):
-            return 405, {"error": f"{request.method} not allowed on {route[1]}"}, None
-        return 404, {"error": f"no route for {request.method} {route[1]}"}, None
-
-    # ------------------------------------------------------------------
     # routes
     # ------------------------------------------------------------------
     async def _solve(
-        self, request: HttpRequest, client: str
+        self, request: HttpRequest
     ) -> Tuple[int, Dict[str, object], Optional[Dict[str, str]]]:
-        trace: Optional[Trace] = None
-        root: Optional[Span] = None
-        if self.recorder is not None:
-            # continue the router-minted trace when the header names one,
-            # otherwise this gateway is the origin and mints the id itself
-            trace = Trace.begin(
-                request.header(TRACE_HEADER) or None,
-                origin="gateway",
-                metadata={"client": client},
-            )
-            root = Span(
-                name="gateway.request",
-                span_id=new_id(),
-                parent_id=trace.remote_parent,
-                start=trace.start,
-                end=0.0,
-            )
-        status = 500
-        try:
+        client = request.peer
+        if self.config.trust_client_id:
+            client = request.header("x-client-id") or client
+
+        async def handle(trace, root):
             status, payload, headers = await self._solve_inner(
                 request, client, trace, root
             )
@@ -335,18 +214,9 @@ class SolveGateway:
             # fleet router can maintain its per-replica load EWMA
             headers = dict(headers or {})
             headers.setdefault(QUEUE_DEPTH_HEADER, str(self.batcher.queue_depth))
-            if trace is not None:
-                headers.setdefault(TRACE_HEADER, trace.trace_id)
             return status, payload, headers
-        finally:
-            # every exit — answered, shed, or crashed — lands the trace in
-            # the recorder with the root span first and the final status
-            if trace is not None:
-                root.annotations["http_status"] = status
-                root.end = trace.wall(time.perf_counter())
-                trace.spans.insert(0, root)
-                trace.finish("ok" if status == 200 else f"http_{status}")
-                self.recorder.record(trace)
+
+        return await self.traced(request, client, handle)
 
     async def _solve_inner(
         self,
@@ -394,31 +264,15 @@ class SolveGateway:
         started = time.perf_counter()
         loop = asyncio.get_running_loop()
         try:
-            # decode off the loop: JSON parse + device-grid rebuild are CPU
-            # work proportional to the (up to 32 MB) body, and one slow
-            # request must not stall every other connection's responses
-            def _decode():
-                payload = request.json()
-                return job_from_dict(payload), deadline_from_payload(payload)
-
-            job, body_budget = await loop.run_in_executor(None, _decode)
+            job, body_budget = await self.decode_job(request, trace, root)
         except (HttpError, ProtocolError) as exc:
             self.metrics.bad_requests += 1
-            if trace is not None:
-                trace.add_span(
-                    "gateway.decode", started, time.perf_counter(),
-                    parent=root, error=str(exc),
-                )
             return 400, {"error": str(exc)}, None
         if deadline_at is None and body_budget is not None:
             # the in-band form (deadline_s); the header, re-stamped hop by
             # hop with the remaining budget, wins when both are present
             budget = body_budget
             deadline_at = arrival + body_budget
-        if trace is not None:
-            trace.add_span("gateway.decode", started, time.perf_counter(), parent=root)
-            trace.metadata["fingerprint"] = job.fingerprint
-            trace.metadata["job"] = job.name
         if deadline_at is not None and time.monotonic() >= deadline_at:
             return self._expired(trace, root, arrival, budget, where="decode")
 
@@ -619,12 +473,10 @@ class SolveGateway:
                 return None
             await asyncio.sleep(self.config.flight_poll)
 
-    def _healthz(self) -> Dict[str, object]:
-        uptime = round(self.metrics.uptime_s, 3)
+    def health(self) -> Dict[str, object]:
         return {
             "status": "draining" if self._draining else "ok",
-            "uptime_s": uptime,  # legacy key, kept for old probes
-            "uptime_seconds": uptime,
+            "uptime_seconds": round(self.metrics.uptime_s, 3),
             "git_rev": git_rev(),
             "cache_schema": CACHE_SCHEMA_VERSION,
             "trace_schema": TRACE_SCHEMA_VERSION,
@@ -633,43 +485,8 @@ class SolveGateway:
             "brownout": self.brownout_active(),
         }
 
-    # ------------------------------------------------------------------
-    # observability routes (repro.obs)
-    # ------------------------------------------------------------------
-    def _debug_traces(
-        self, query: str
-    ) -> Tuple[int, Dict[str, object], Optional[Dict[str, str]]]:
-        if self.recorder is None:
-            return 404, {"error": "tracing is disabled on this gateway"}, None
-        params = parse_query(query)
-        try:
-            limit = int(params.get("limit", "50"))
-        except ValueError:
-            return 400, {"error": "limit must be an integer"}, None
-        full = params.get("full", "") in ("1", "true", "yes")
-        docs = self.recorder.list(limit=max(1, limit))
-        traces = docs if full else [summarize_trace_doc(doc) for doc in docs]
-        return 200, {"traces": traces, "stats": self.recorder.stats()}, None
-
-    def _debug_trace_by_id(
-        self, trace_id: str
-    ) -> Tuple[int, Dict[str, object], Optional[Dict[str, str]]]:
-        if self.recorder is None:
-            return 404, {"error": "tracing is disabled on this gateway"}, None
-        doc = self.recorder.get(trace_id.strip("/"))
-        if doc is None:
-            return 404, {"error": f"no trace {trace_id!r} (evicted or never seen)"}, None
-        return 200, doc, None
-
-    def _dashboard(self):
-        from repro.obs.dashboard import render_dashboard
-
-        return render_dashboard(
-            self.metrics_snapshot(raw=True),
-            traces=self.recorder.list(limit=20) if self.recorder is not None else [],
-            title=f"repro gateway :{self.port}",
-            health=self._healthz(),
-        )
+    async def metrics_document(self, raw: bool = False) -> Dict[str, object]:
+        return self.metrics_snapshot(raw=raw)
 
     def metrics_snapshot(self, raw: bool = False) -> Dict[str, object]:
         """The ``/metrics`` document: raw numbers plus rendered tables.
@@ -692,19 +509,7 @@ class SolveGateway:
         )
         if raw:
             return snapshot
-        snapshot["tables"] = {
-            "counters": format_table(
-                SERVER_COUNTER_HEADERS,
-                server_counter_rows(snapshot["counters"]),
-                title="gateway counters",
-            ),
-            "latency": format_table(
-                SIM_LATENCY_HEADERS,
-                sim_latency_rows(snapshot["latency"]),
-                title="request latency (s)",
-            ),
-        }
-        return snapshot
+        return render_tables(snapshot, "gateway counters", "request latency (s)")
 
     @staticmethod
     def _result_payload(job, result, cached: bool) -> Dict[str, object]:
@@ -718,7 +523,7 @@ class SolveGateway:
         }
 
 
-class BackgroundGateway:
+class BackgroundGateway(BackgroundServer):
     """Run a :class:`SolveGateway` on a dedicated event-loop thread.
 
     The synchronous harness the example, the tests and the ``server.*``
@@ -734,54 +539,9 @@ class BackgroundGateway:
         start_timeout: float = 10.0,
     ) -> None:
         self.gateway = SolveGateway(config=config, cache=cache, worker_pool=worker_pool)
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-gateway", daemon=True
-        )
-        self._thread.start()
-        future = asyncio.run_coroutine_threadsafe(self.gateway.start(), self._loop)
         try:
-            future.result(timeout=start_timeout)
+            super().__init__(self.gateway, start_timeout, thread_name="repro-gateway")
         except BaseException:
-            # a failed bind (port in use, bad host) must not leak the loop
-            # thread this constructor just started
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=start_timeout)
-            if not self._loop.is_running():
-                self._loop.close()
+            # a failed bind must not leak the worker pool either
             self.gateway.workers.shutdown(wait=False)
             raise
-        self._stopped = False
-
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-
-    @property
-    def host(self) -> str:
-        return self.gateway.config.host
-
-    @property
-    def port(self) -> int:
-        assert self.gateway.port is not None
-        return self.gateway.port
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Drain the gateway and stop the loop thread (idempotent)."""
-        if self._stopped:
-            return
-        self._stopped = True
-        future = asyncio.run_coroutine_threadsafe(self.gateway.drain(), self._loop)
-        try:
-            future.result(timeout=timeout)
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=timeout)
-            if not self._loop.is_running():
-                self._loop.close()
-
-    def __enter__(self) -> "BackgroundGateway":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

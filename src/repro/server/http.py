@@ -1,29 +1,62 @@
-"""Minimal asyncio HTTP/1.1 plumbing (stdlib only).
+"""The HTTP/1.1 layer of the gateway and the router (stdlib asyncio only).
 
-The gateway needs exactly four things from HTTP: parse a request line plus
-headers, read a ``Content-Length`` body, write a JSON response, and keep the
-connection alive between requests so closed-loop clients are not paying a TCP
-handshake per solve.  This module provides those four things over
-``asyncio.StreamReader``/``StreamWriter`` and nothing else — no chunked
-encoding, no TLS, no HTTP/2.
+Both network processes — the replica gateway (:mod:`repro.server.gateway`)
+and the fleet router (:mod:`repro.fleet.router`) — serve through this module
+and talk to each other through it:
+
+* **wire format** — :func:`read_request` and :func:`encode_response`:
+  ``Content-Length`` bodies on keep-alive connections, so closed-loop clients
+  pay no TCP handshake per solve.  No chunked encoding, TLS or HTTP/2.
+* **server skeleton** — :class:`HttpServer`: listener lifecycle, connection
+  loop, route table with 404/405 fallbacks, traced-request root span, and
+  the ``/healthz``, ``/metrics``, ``/debug/traces`` and ``/dashboard``
+  mounts; :class:`BackgroundServer` runs one on its own event-loop thread.
+* **keep-alive client** — :func:`open_connection` and :func:`round_trip`
+  (one request encoder, one response reader :func:`read_response`), used by
+  the router's upstream pools and the load generator's ``GatewayClient``.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import dataclasses
 import json
-from typing import Dict, Optional, Tuple
+import signal
+import threading
+import time
+from typing import Awaitable, Callable, Dict, Optional, Tuple
+
+from repro.analysis.report import (
+    SERVER_COUNTER_HEADERS,
+    SIM_LATENCY_HEADERS,
+    format_table,
+    server_counter_rows,
+    sim_latency_rows,
+)
+from repro.obs.recorder import TraceRecorder
+from repro.obs.trace import TRACE_HEADER, Span, Trace, new_id, summarize_trace_doc
+from repro.server.protocol import ProtocolError, deadline_from_payload, job_from_dict
+from repro.service.jobs import SolveJob
 
 __all__ = [
     "HttpError",
     "HttpRequest",
     "HtmlPayload",
+    "HttpServer",
+    "BackgroundServer",
     "read_request",
-    "write_response",
+    "encode_response",
     "parse_query",
-    "parse_response_headers",
+    "render_tables",
+    "open_connection",
+    "round_trip",
+    "read_response",
     "REASONS",
 ]
+
+#: ``(status, payload, extra headers)`` — what every route handler returns.
+Response = Tuple[int, object, Optional[Dict[str, str]]]
 
 
 def parse_query(query: str) -> Dict[str, str]:
@@ -75,12 +108,15 @@ class HttpError(Exception):
 
 @dataclasses.dataclass
 class HttpRequest:
-    """One parsed request."""
+    """One parsed request: ``path`` without the query string, ``query``
+    after the ``?``, and the peer host the connection came from."""
 
     method: str
     path: str
     headers: Dict[str, str]
     body: bytes
+    query: str = ""
+    peer: str = ""
 
     @property
     def keep_alive(self) -> bool:
@@ -123,7 +159,7 @@ async def read_request(reader) -> Optional[HttpRequest]:
     parts = request_line.decode("latin-1").strip().split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise HttpError(400, f"malformed request line: {request_line!r}")
-    method, path, _version = parts
+    method, target, _version = parts
 
     headers: Dict[str, str] = {}
     consumed = len(request_line)
@@ -154,7 +190,10 @@ async def read_request(reader) -> Optional[HttpRequest]:
         body = await reader.readexactly(length)
     elif headers.get("transfer-encoding"):
         raise HttpError(400, "chunked request bodies are not supported")
-    return HttpRequest(method=method.upper(), path=path, headers=headers, body=body)
+    path, _sep, query = target.partition("?")
+    return HttpRequest(
+        method=method.upper(), path=path, headers=headers, body=body, query=query
+    )
 
 
 def encode_response(
@@ -186,44 +225,434 @@ def encode_response(
     return head + body
 
 
-async def write_response(
-    writer,
-    status: int,
-    payload: object,
-    keep_alive: bool = True,
-    extra_headers: Optional[Dict[str, str]] = None,
-) -> None:
-    """Write one response and flush it."""
-    writer.write(encode_response(status, payload, keep_alive, extra_headers))
-    await writer.drain()
+def render_tables(
+    document: Dict[str, object], counters_title: str, latency_title: str
+) -> Dict[str, object]:
+    """Add the rendered counter and latency tables to a ``/metrics`` document."""
+    document["tables"] = {
+        "counters": format_table(
+            SERVER_COUNTER_HEADERS,
+            server_counter_rows(document["counters"]),
+            title=counters_title,
+        ),
+        "latency": format_table(
+            SIM_LATENCY_HEADERS,
+            sim_latency_rows(document["latency"]),
+            title=latency_title,
+        ),
+    }
+    return document
 
 
-def parse_response(raw_head: bytes, body: bytes) -> Tuple[int, object]:
-    """Client-side response decoding (used by the load generator)."""
-    status_line = raw_head.split(b"\r\n", 1)[0].decode("latin-1")
-    parts = status_line.split()
-    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-        raise HttpError(400, f"malformed status line: {status_line!r}")
-    status = int(parts[1])
-    payload: object = None
-    if body:
-        try:
-            payload = json.loads(body)
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            payload = body
-    return status, payload
+# ----------------------------------------------------------------------
+# server skeleton
+# ----------------------------------------------------------------------
+TRACES_PATH = "/debug/traces"
+
+#: A route handler: ``await handler(request)`` answers the request.
+Handler = Callable[[HttpRequest], Awaitable[Response]]
 
 
-def parse_response_headers(raw_head: bytes) -> Dict[str, str]:
-    """Client-side header decoding: lower-cased names, values stripped.
+class HttpServer:
+    """Listener, keep-alive connection loop and route table of one server.
 
-    The chaos invariant checker and the loadgen smoke need to see response
-    headers (``Retry-After``, ``X-Repro-Queue-Depth``) that
-    :func:`parse_response` discards; malformed lines are skipped, never fatal.
+    Mounts ``GET /healthz`` (:meth:`health`), ``GET /metrics``
+    (:meth:`metrics_document`; ``?format=json`` asks for the raw form),
+    ``GET /debug/traces[/<id>]`` over :attr:`recorder`, and
+    ``GET /dashboard``.  Subclasses set :attr:`kind` and :attr:`title`,
+    :meth:`route` their ``/solve`` handler, and implement the two documents.
+
+    ``config`` supplies ``host`` and ``port`` (``port=0`` binds an ephemeral
+    port, read back from :attr:`port` after :meth:`start`) and ``tracing``,
+    ``trace_capacity`` and ``trace_sink`` for the trace recorder.
     """
-    headers: Dict[str, str] = {}
-    for line in raw_head.split(b"\r\n")[1:]:
-        name, sep, value = line.decode("latin-1", errors="replace").partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
-    return headers
+
+    #: names the server in trace origins, root spans and error messages
+    kind: str
+    #: dashboard title prefix (the bound port is appended)
+    title: str
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self.recorder: Optional[TraceRecorder] = (
+            TraceRecorder(capacity=config.trace_capacity, sink_path=config.trace_sink)
+            if config.tracing
+            else None
+        )
+        self.port: Optional[int] = None
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._draining = False
+        self._routes: Dict[str, Dict[str, Handler]] = {}
+        self.route("GET", "/healthz", self._healthz)
+        self.route("GET", "/metrics", self._metrics)
+        self.route("GET", TRACES_PATH, self._debug_traces)
+        self.route("GET", "/dashboard", self._dashboard)
+
+    def route(self, method: str, path: str, handler: Handler) -> None:
+        """Answer ``method path`` with ``await handler(request)``."""
+        self._routes.setdefault(path, {})[method] = handler
+
+    def health(self) -> Dict[str, object]:
+        """The ``/healthz`` document."""
+        raise NotImplementedError
+
+    async def metrics_document(self, raw: bool = False) -> Dict[str, object]:
+        """The ``/metrics`` document (``raw``: the machine-readable form)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    async def start(self) -> None:
+        """Bind the listener (call once)."""
+        self._server = await asyncio.start_server(
+            self._handle_connection, host=self.config.host, port=self.config.port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    async def drain(self) -> None:
+        """Refuse new work and close the listener; subclasses extend this to
+        finish their in-flight work and release their resources."""
+        self._draining = True
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+
+    async def serve_until_signal(
+        self,
+        quiet: bool = False,
+        before_drain: Optional[Callable[[], Awaitable[None]]] = None,
+    ) -> None:
+        """Serve until SIGINT/SIGTERM, then stop accepting and drain.
+
+        ``before_drain`` runs between the two, while whatever stands behind
+        the server can still answer.
+        """
+        assert self._server is not None, "call start() first"
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            with contextlib.suppress(NotImplementedError):  # pragma: no cover - win32
+                loop.add_signal_handler(signum, stop.set)
+        try:
+            await stop.wait()
+        finally:
+            if not quiet:
+                print("draining ...", flush=True)
+            self._server.close()
+            if before_drain is not None:
+                await before_drain()
+            await self.drain()
+
+    # ------------------------------------------------------------------
+    # connection handling
+    # ------------------------------------------------------------------
+    async def _handle_connection(self, reader, writer) -> None:
+        peer = writer.get_extra_info("peername")
+        peer_host = peer[0] if isinstance(peer, tuple) else "unknown"
+        try:
+            while True:
+                try:
+                    request = await read_request(reader)
+                except HttpError as exc:
+                    writer.write(encode_response(exc.status, {"error": str(exc)}, False))
+                    await writer.drain()
+                    break
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    break
+                if request is None:
+                    break
+                request.peer = peer_host
+                try:
+                    status, payload, headers = await self._dispatch(request)
+                except Exception as exc:  # noqa: BLE001 — a request must never
+                    # kill the connection without an answer
+                    status, headers = 500, None
+                    payload = {"error": f"{type(exc).__name__}: {exc}"}
+                writer.write(encode_response(status, payload, request.keep_alive, headers))
+                await writer.drain()
+                if not request.keep_alive:
+                    break
+        except (ConnectionError, asyncio.CancelledError):
+            pass
+        finally:
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    async def _dispatch(self, request: HttpRequest) -> Response:
+        methods = self._routes.get(request.path)
+        if methods is None:
+            if request.method == "GET" and request.path.startswith(TRACES_PATH + "/"):
+                return self._debug_trace_by_id(request.path[len(TRACES_PATH) + 1:])
+            return 404, {"error": f"no route for {request.method} {request.path}"}, None
+        handler = methods.get(request.method)
+        if handler is None:
+            return 405, {"error": f"{request.method} not allowed on {request.path}"}, None
+        return await handler(request)
+
+    async def traced(
+        self,
+        request: HttpRequest,
+        client: Optional[str],
+        handle: Callable[[Optional[Trace], Optional[Span]], Awaitable[Response]],
+    ) -> Response:
+        """Answer ``await handle(trace, root)`` under a ``<kind>.request`` root span.
+
+        The trace continues the id the ``X-Repro-Trace`` header names (or
+        mints one), the response carries the id back, and every exit lands
+        the trace in the recorder with its final status.  With tracing off,
+        ``handle`` gets ``(None, None)``.
+        """
+        if self.recorder is None:
+            return await handle(None, None)
+        trace = Trace.begin(
+            request.header(TRACE_HEADER) or None,
+            origin=self.kind,
+            metadata={"client": client},
+        )
+        root = Span(
+            name=f"{self.kind}.request",
+            span_id=new_id(),
+            parent_id=trace.remote_parent,
+            start=trace.start,
+            end=0.0,
+        )
+        status = 500
+        try:
+            status, payload, headers = await handle(trace, root)
+            headers = dict(headers or {})
+            headers.setdefault(TRACE_HEADER, trace.trace_id)
+            return status, payload, headers
+        finally:
+            root.annotations["http_status"] = status
+            root.end = trace.wall(time.perf_counter())
+            trace.spans.insert(0, root)
+            trace.finish("ok" if status == 200 else f"http_{status}")
+            self.recorder.record(trace)
+
+    async def decode_job(
+        self, request: HttpRequest, trace: Optional[Trace], root: Optional[Span]
+    ) -> Tuple[SolveJob, Optional[float]]:
+        """Decode a ``/solve`` body into ``(job, in-band deadline budget)``.
+
+        Runs off the event loop, since the decode is CPU work proportional to
+        the (up to 32 MB) body, and is traced as ``<kind>.decode``.  Raises
+        :class:`HttpError` or :class:`~repro.server.protocol.ProtocolError`.
+        """
+        started = time.perf_counter()
+
+        def decode():
+            payload = request.json()
+            return job_from_dict(payload), deadline_from_payload(payload)
+
+        try:
+            job, budget = await asyncio.get_running_loop().run_in_executor(None, decode)
+        except (HttpError, ProtocolError) as exc:
+            if trace is not None:
+                trace.add_span(
+                    f"{self.kind}.decode", started, time.perf_counter(),
+                    parent=root, error=str(exc),
+                )
+            raise
+        if trace is not None:
+            trace.add_span(f"{self.kind}.decode", started, time.perf_counter(), parent=root)
+            trace.metadata["fingerprint"] = job.fingerprint
+            trace.metadata["job"] = job.name
+        return job, budget
+
+    # ------------------------------------------------------------------
+    # the shared mounts
+    # ------------------------------------------------------------------
+    async def _healthz(self, request: HttpRequest) -> Response:
+        return 200, self.health(), None
+
+    async def _metrics(self, request: HttpRequest) -> Response:
+        # ``?format=json`` is the machine-readable form: raw histogram bucket
+        # counts, no rendered tables — what the fleet router's roll-up and
+        # the load generator consume
+        raw = "format=json" in request.query.split("&")
+        return 200, await self.metrics_document(raw=raw), None
+
+    def _tracing_disabled(self) -> Response:
+        return 404, {"error": f"tracing is disabled on this {self.kind}"}, None
+
+    async def _debug_traces(self, request: HttpRequest) -> Response:
+        if self.recorder is None:
+            return self._tracing_disabled()
+        params = parse_query(request.query)
+        try:
+            limit = int(params.get("limit", "50"))
+        except ValueError:
+            return 400, {"error": "limit must be an integer"}, None
+        full = params.get("full", "").lower() in ("1", "true", "yes")
+        docs = self.recorder.list(limit=max(1, limit))
+        traces = docs if full else [summarize_trace_doc(doc) for doc in docs]
+        return 200, {"traces": traces, "stats": self.recorder.stats()}, None
+
+    def _debug_trace_by_id(self, trace_id: str) -> Response:
+        if self.recorder is None:
+            return self._tracing_disabled()
+        doc = self.recorder.get(trace_id.strip("/"))
+        if doc is None:
+            return 404, {"error": f"no trace {trace_id!r} (evicted or never seen)"}, None
+        return 200, doc, None
+
+    async def _dashboard(self, request: HttpRequest) -> Response:
+        from repro.obs.dashboard import render_dashboard
+
+        page = render_dashboard(
+            await self.metrics_document(raw=True),
+            traces=self.recorder.list(limit=20) if self.recorder is not None else [],
+            title=f"{self.title} :{self.port}",
+            health=self.health(),
+        )
+        return 200, page, None
+
+
+class BackgroundServer:
+    """Run an :class:`HttpServer` on a dedicated event-loop thread.
+
+    The synchronous harness of the examples, tests and benchmarks: the
+    constructor starts the server, :attr:`port` reads the bound port, load
+    may come from any thread, and :meth:`stop` drains gracefully.  Usable as
+    a context manager.
+    """
+
+    def __init__(
+        self,
+        server: HttpServer,
+        start_timeout: float = 10.0,
+        thread_name: str = "repro-http",
+    ) -> None:
+        self.server = server
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._run_loop, name=thread_name, daemon=True
+        )
+        self._thread.start()
+        future = asyncio.run_coroutine_threadsafe(server.start(), self._loop)
+        try:
+            future.result(timeout=start_timeout)
+        except BaseException:
+            # a failed bind (port in use, bad host) must not leak the loop
+            # thread this constructor just started
+            self._stop_loop(start_timeout)
+            raise
+        self._stopped = False
+
+    def _run_loop(self) -> None:
+        asyncio.set_event_loop(self._loop)
+        self._loop.run_forever()
+
+    def _stop_loop(self, timeout: float) -> None:
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=timeout)
+        if not self._loop.is_running():
+            self._loop.close()
+
+    @property
+    def host(self) -> str:
+        return self.server.config.host
+
+    @property
+    def port(self) -> int:
+        assert self.server.port is not None
+        return self.server.port
+
+    def stop(self, timeout: float = 30.0) -> None:
+        """Drain the server and stop the loop thread (idempotent)."""
+        if self._stopped:
+            return
+        self._stopped = True
+        future = asyncio.run_coroutine_threadsafe(self.server.drain(), self._loop)
+        try:
+            future.result(timeout=timeout)
+        finally:
+            self._stop_loop(timeout)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
+# ----------------------------------------------------------------------
+# keep-alive client
+# ----------------------------------------------------------------------
+async def open_connection(
+    host: str, port: int, timeout: Optional[float] = None
+) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """Open one client connection; a timeout surfaces as :class:`ConnectionError`."""
+    try:
+        return await asyncio.wait_for(asyncio.open_connection(host, port), timeout)
+    except asyncio.TimeoutError as exc:
+        raise ConnectionError("connect timed out") from exc
+
+
+async def read_response(reader) -> Tuple[int, Dict[str, str], bytes]:
+    """Read one response: ``(status, lower-cased headers, body)``.
+
+    Anything but a well-formed response — the peer closing early, a
+    malformed status line, a malformed ``Content-Length`` — raises
+    :class:`ConnectionError`: the connection is unusable either way, and a
+    caller with somewhere else to go (the router's failover) goes there.
+    """
+    try:
+        status_line = await reader.readline()
+        if not status_line:
+            raise ConnectionError("server closed the connection")
+        parts = status_line.decode("latin-1").split()
+        if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
+            raise ConnectionError(f"malformed status line: {status_line!r}")
+        status = int(parts[1])
+        headers: Dict[str, str] = {}
+        while True:
+            line = await reader.readline()
+            if not line:
+                raise ConnectionError("server closed the connection mid-headers")
+            if line in (b"\r\n", b"\n"):
+                break
+            name, sep, value = line.decode("latin-1").partition(":")
+            if sep:
+                headers[name.strip().lower()] = value.strip()
+        length = int(headers.get("content-length", "0"))
+        if length < 0:
+            raise ConnectionError(f"negative Content-Length: {length}")
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError as exc:
+        raise ConnectionError("server closed the connection mid-body") from exc
+    except ValueError as exc:  # a non-integer status or length, or a line
+        # longer than the StreamReader's limit
+        raise ConnectionError(f"malformed response: {exc}") from exc
+    return status, headers, body
+
+
+async def round_trip(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    method: str,
+    path: str,
+    host: str,
+    body: bytes = b"",
+    headers: Optional[Dict[str, str]] = None,
+) -> Tuple[int, Dict[str, str], bytes]:
+    """One request/response on an open keep-alive connection.
+
+    Transport failures raise :class:`ConnectionError` (or :class:`OSError`);
+    the connection must then be discarded, never reused.
+    """
+    lines = [
+        f"{method} {path} HTTP/1.1",
+        f"Host: {host}",
+        f"Content-Length: {len(body)}",
+        "Content-Type: application/json",
+    ]
+    for name, value in (headers or {}).items():
+        lines.append(f"{name}: {value}")
+    writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
+    await writer.drain()
+    return await read_response(reader)

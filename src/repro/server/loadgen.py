@@ -29,7 +29,7 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.server.http import parse_response, parse_response_headers
+from repro.server.http import open_connection, round_trip
 from repro.server.protocol import DEADLINE_HEADER
 
 __all__ = [
@@ -51,7 +51,8 @@ __all__ = [
 
 
 class GatewayClient:
-    """A minimal asyncio HTTP/1.1 keep-alive client for one gateway."""
+    """One keep-alive connection to a gateway (or a fleet router) speaking
+    JSON: request bodies are encoded, response bodies decoded."""
 
     def __init__(self, host: str, port: int, client_id: Optional[str] = None) -> None:
         self.host = host
@@ -62,7 +63,7 @@ class GatewayClient:
         self._writer: Optional[asyncio.StreamWriter] = None
 
     async def connect(self) -> "GatewayClient":
-        self._reader, self._writer = await asyncio.open_connection(self.host, self.port)
+        self._reader, self._writer = await open_connection(self.host, self.port)
         return self
 
     async def close(self) -> None:
@@ -97,32 +98,18 @@ class GatewayClient:
         """
         assert self._writer is not None and self._reader is not None, "not connected"
         body = b"" if payload is None else json.dumps(payload).encode("utf-8")
-        headers = [
-            f"{method} {path} HTTP/1.1",
-            f"Host: {self.host}:{self.port}",
-            f"Content-Length: {len(body)}",
-            "Content-Type: application/json",
-        ]
-        if self.client_id:
-            headers.append(f"X-Client-Id: {self.client_id}")
-        for name, value in (extra_headers or {}).items():
-            headers.append(f"{name}: {value}")
-        self._writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + body)
-        await self._writer.drain()
-
-        head = b""
-        while b"\r\n\r\n" not in head:
-            chunk = await self._reader.readline()
-            if not chunk:
-                raise ConnectionError("gateway closed the connection mid-response")
-            head += chunk
-        length = 0
-        for line in head.split(b"\r\n"):
-            if line.lower().startswith(b"content-length:"):
-                length = int(line.split(b":", 1)[1])
-        body = await self._reader.readexactly(length) if length else b""
-        self.last_headers = parse_response_headers(head)
-        return parse_response(head, body)
+        headers = {"X-Client-Id": self.client_id} if self.client_id else {}
+        headers.update(extra_headers or {})
+        status, self.last_headers, raw = await round_trip(
+            self._reader, self._writer, method, path, f"{self.host}:{self.port}",
+            body, headers,
+        )
+        if not raw:
+            return status, None
+        try:
+            return status, json.loads(raw)
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            return status, raw
 
     async def solve(
         self, payload: Dict[str, object], deadline: Optional[float] = None
@@ -306,25 +293,9 @@ async def closed_loop(
 ) -> LoadResult:
     """``clients`` keep-alive clients, each firing ``requests_per_client``
     requests back to back, round-robining over ``payloads``."""
-    if clients <= 0 or requests_per_client <= 0:
-        raise ValueError("clients and requests_per_client must be positive")
-    latencies: List[float] = []
-    statuses: List[int] = []
-    cached: List[bool] = []
-
-    async def one_client(index: int) -> None:
-        async with GatewayClient(host, port, client_id=f"closed-{index}") as client:
-            for step in range(requests_per_client):
-                payload = payloads[(index + step * clients) % len(payloads)]
-                started = time.perf_counter()
-                status, body = await client.solve(payload)
-                latencies.append(time.perf_counter() - started)
-                statuses.append(status)
-                cached.append(bool(isinstance(body, dict) and body.get("cached")))
-
-    started = time.perf_counter()
-    await asyncio.gather(*(one_client(index) for index in range(clients)))
-    return LoadResult(latencies, statuses, cached, time.perf_counter() - started)
+    return await _closed_loop(
+        [(host, port)], payloads, clients, requests_per_client, "closed"
+    )
 
 
 async def open_loop(
@@ -499,6 +470,16 @@ async def fleet_closed_loop(
     """
     if not targets:
         raise ValueError("fleet_closed_loop needs at least one target")
+    return await _closed_loop(targets, payloads, clients, requests_per_client, "fleet")
+
+
+async def _closed_loop(
+    targets: Sequence[Tuple[str, int]],
+    payloads: Sequence[Dict[str, object]],
+    clients: int,
+    requests_per_client: int,
+    client_prefix: str,
+) -> LoadResult:
     if clients <= 0 or requests_per_client <= 0:
         raise ValueError("clients and requests_per_client must be positive")
     latencies: List[float] = []
@@ -507,7 +488,7 @@ async def fleet_closed_loop(
 
     async def one_client(index: int) -> None:
         host, port = targets[index % len(targets)]
-        async with GatewayClient(host, port, client_id=f"fleet-{index}") as client:
+        async with GatewayClient(host, port, client_id=f"{client_prefix}-{index}") as client:
             for step in range(requests_per_client):
                 payload = payloads[(index + step * clients) % len(payloads)]
                 started = time.perf_counter()

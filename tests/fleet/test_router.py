@@ -7,45 +7,17 @@ is a cache hit, a repeat that strays is a second stub solve.
 """
 
 import asyncio
+import socketserver
+import threading
 
 import pytest
 
 from repro.fleet.harness import BackgroundRouter
 from repro.fleet.router import FleetRouter, RouterConfig
-from repro.server.gateway import BackgroundGateway, GatewayConfig
 from repro.server.loadgen import GatewayClient, demo_payloads
 from repro.server.protocol import job_from_dict
-from repro.service.cache import SolveCache
-from repro.service.results import JobResult
 from tests.server.malformed_bodies import DEVICE_ERRORS, mutated
-
-
-class StubWorkerPool:
-    def __init__(self, cache: SolveCache):
-        self.cache = cache
-        self.solved = 0
-
-    async def solve_batch(self, jobs, budgets=None):
-        results = {}
-        for job in jobs:
-            self.solved += 1
-            result = JobResult(
-                fingerprint=job.fingerprint,
-                job_name=job.name,
-                status="optimal",
-                feasible=True,
-                objective=3.0,
-                solve_time=0.01,
-                wall_time=0.01,
-                backend="stub",
-                mode=job.mode,
-            )
-            self.cache.put(result)
-            results[job.fingerprint] = result
-        return results
-
-    def shutdown(self, wait: bool = True):
-        pass
+from tests.server.test_gateway_e2e import stub_gateway
 
 
 class StubFleet:
@@ -55,13 +27,7 @@ class StubFleet:
         self.gateways = []
         self.pools = []
         for _ in range(replicas):
-            cache = SolveCache()
-            pool = StubWorkerPool(cache)
-            gateway = BackgroundGateway(
-                config=GatewayConfig(port=0, batch_window=0.005),
-                cache=cache,
-                worker_pool=pool,
-            )
+            gateway, pool = stub_gateway()
             self.gateways.append(gateway)
             self.pools.append(pool)
         addresses = [(gw.host, gw.port) for gw in self.gateways]
@@ -243,3 +209,90 @@ class TestRollup:
         assert rollup["replicas_reporting"] == 1
         reporting = {r["node"]: r["reporting"] for r in rollup["replicas"]}
         assert sorted(reporting.values()) == [False, True]
+
+
+#: Broken upstream answers: each must cost a failover, never a 500.
+MALFORMED_RESPONSES = {
+    "content_length": b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n{}",
+    "status_code": b"HTTP/1.1 abc OK\r\nContent-Length: 2\r\n\r\n{}",
+    "status_line": b"HTTP/9 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+}
+
+
+class MalformedUpstream(socketserver.ThreadingTCPServer):
+    """A fake replica: reads one request per connection, answers ``response``."""
+
+    daemon_threads = True
+
+    def __init__(self, response: bytes):
+        super().__init__(("127.0.0.1", 0), _MalformedHandler)
+        self.response = response
+        self.requests = 0
+        self.node = f"127.0.0.1:{self.server_address[1]}"
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread.start()
+
+    def __exit__(self, *exc_info):
+        self.shutdown()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+        super().__exit__(*exc_info)
+
+
+class _MalformedHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        length = 0
+        while True:
+            line = self.rfile.readline()
+            if line in (b"\r\n", b""):
+                break
+            name, _sep, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        self.rfile.read(length)
+        self.server.requests += 1
+        self.wfile.write(self.server.response)
+
+
+@pytest.mark.parametrize(
+    "response", list(MALFORMED_RESPONSES.values()), ids=list(MALFORMED_RESPONSES)
+)
+class TestMalformedUpstream:
+    def test_router_fails_over_to_the_next_replica(self, response):
+        gateway, pool = stub_gateway()
+        with MalformedUpstream(response) as fake, gateway:
+            address = fake.server_address
+            config = RouterConfig(port=0, down_cooldown=60.0, retry_wait=0.02)
+            with BackgroundRouter(
+                FleetRouter([address, (gateway.host, gateway.port)], config)
+            ) as harness:
+                router = harness.router
+                payload = next(
+                    candidate for candidate in demo_payloads(unique=16)
+                    if router.ring.owner(job_from_dict(candidate).fingerprint)
+                    == fake.node
+                )
+
+                async def scenario():
+                    async with GatewayClient(router.config.host, harness.port) as client:
+                        return await client.solve(payload)
+
+                status, body = asyncio.run(scenario())
+                bad = router.pools[fake.node]
+                assert status == 200, body
+                assert body["result"]["backend"] == "stub"
+                assert fake.requests == 1 and pool.solved == 1
+                assert router.metrics.failovers == 1
+                assert bad.failures == 1 and bad.down
+                assert not bad._idle  # discarded, never pooled for reuse
+
+    def test_gateway_client_raises_connection_error(self, response):
+        with MalformedUpstream(response) as fake:
+            host, port = fake.server_address
+
+            async def scenario():
+                async with GatewayClient(host, port) as client:
+                    return await client.healthz()
+
+            with pytest.raises(ConnectionError):
+                asyncio.run(scenario())

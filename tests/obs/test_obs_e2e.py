@@ -120,24 +120,14 @@ class TestOneTraceAcrossTheFleet:
         asyncio.run(scenario())
 
     def test_response_carries_the_trace_header(self, fleet, payloads):
-        # GatewayClient drops response headers, so speak raw HTTP here
         async def scenario():
-            import json as jsonlib
+            async with GatewayClient(fleet.host, fleet.port) as client:
+                status, _body = await client.solve(payloads[1])
+                return status, client.last_headers
 
-            reader, writer = await asyncio.open_connection(fleet.host, fleet.port)
-            body = jsonlib.dumps(payloads[1]).encode()
-            writer.write(
-                b"POST /solve HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
-                + f"Content-Length: {len(body)}\r\n\r\n".encode()
-                + body
-            )
-            await writer.drain()
-            raw = await reader.read(-1)
-            writer.close()
-            head = raw.split(b"\r\n\r\n", 1)[0].decode("latin-1").lower()
-            assert "x-repro-trace:" in head
-
-        asyncio.run(scenario())
+        status, headers = asyncio.run(scenario())
+        assert status == 200
+        assert headers["x-repro-trace"]
 
 
 class TestCaptureReplayRoundTrip:

@@ -14,9 +14,6 @@ from repro.runtime import (
 )
 from repro.runtime.scheduler import random_schedule
 
-# the deprecated alias still resolves (with a warning) for old callers
-RuntimeError_ = ReconfigurationError
-
 
 @pytest.fixture(scope="module")
 def managed_floorplan(tiny_relocation_solution):
@@ -72,19 +69,13 @@ class TestDwellTimes:
 
 
 class TestDeprecatedAlias:
-    def test_package_alias_warns(self):
+    def test_removed_alias_is_gone(self):
         import repro.runtime as runtime
-
-        with pytest.warns(DeprecationWarning, match="ReconfigurationError"):
-            alias = runtime.RuntimeError_
-        assert alias is ReconfigurationError
-
-    def test_module_alias_warns(self):
         import repro.runtime.manager as manager_module
 
-        with pytest.warns(DeprecationWarning, match="ReconfigurationError"):
-            alias = manager_module.RuntimeError_
-        assert alias is ReconfigurationError
+        for module in (runtime, manager_module):
+            with pytest.raises(AttributeError):
+                module.RuntimeError_
 
     def test_regular_imports_do_not_warn(self):
         with warnings.catch_warnings():
@@ -174,7 +165,7 @@ class TestManager:
     def test_requires_complete_floorplan(self, tiny_problem):
         from repro.floorplan.placement import Floorplan
 
-        with pytest.raises(RuntimeError_):
+        with pytest.raises(ReconfigurationError):
             ReconfigurationManager(Floorplan(problem=tiny_problem))
 
     def test_configure_then_reconfigure(self, managed_floorplan):
@@ -203,19 +194,19 @@ class TestManager:
 
     def test_relocate_without_loaded_module_rejected(self, managed_floorplan):
         manager = ReconfigurationManager(managed_floorplan)
-        with pytest.raises(RuntimeError_):
+        with pytest.raises(ReconfigurationError):
             manager.relocate("beta")
 
     def test_relocate_without_reserved_area_rejected(self, managed_floorplan):
         manager = ReconfigurationManager(managed_floorplan)
         manager.reconfigure("alpha", "mode1")  # alpha has no reserved areas
-        with pytest.raises(RuntimeError_):
+        with pytest.raises(ReconfigurationError):
             manager.relocate("alpha")
         assert manager.trace.count(EventKind.REJECT) == 1
 
     def test_unknown_region_rejected(self, managed_floorplan):
         manager = ReconfigurationManager(managed_floorplan)
-        with pytest.raises(RuntimeError_):
+        with pytest.raises(ReconfigurationError):
             manager.reconfigure("nope", "mode1")
 
     def test_schedule_replay_counts_frames(self, managed_floorplan):
@@ -270,7 +261,7 @@ class TestAvailableRelocationTargets:
         assert manager.available_relocation_targets("B") == []
         # ...and A's own current rectangle is excluded from its own targets
         assert manager.available_relocation_targets("A") == []
-        with pytest.raises(RuntimeError_):
+        with pytest.raises(ReconfigurationError):
             manager.relocate("B")
 
     def test_area_freed_again_after_return_home(self, crowded_manager):

@@ -138,7 +138,7 @@ class TestRoutes:
     def test_unexpected_dispatch_error_answers_500(self, payloads, monkeypatch):
         gw, _pool = stub_gateway()
         with gw:
-            async def boom(request, client):
+            async def boom(request):
                 raise KeyError("surprise")
 
             gw.gateway._dispatch = boom

@@ -374,13 +374,3 @@ class TestTopLevelExports:
             "ConfigurationMemory",
         ):
             assert name in repro.__all__ and hasattr(repro, name)
-
-    def test_deprecated_runtime_error_alias(self):
-        import pytest
-
-        from repro.runtime import ReconfigurationError
-
-        with pytest.warns(DeprecationWarning, match="ReconfigurationError"):
-            from repro.runtime import RuntimeError_
-
-        assert RuntimeError_ is ReconfigurationError
