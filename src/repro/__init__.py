@@ -75,7 +75,6 @@ from repro.relocation import (
     areas_compatible,
     enumerate_free_compatible_areas,
     feasibility_analysis,
-    is_free_compatible,
 )
 from repro.baselines import (
     annealing_floorplan,
@@ -179,7 +178,6 @@ __all__ = [
     "RelocationSpec",
     "RelocationRequest",
     "areas_compatible",
-    "is_free_compatible",
     "enumerate_free_compatible_areas",
     "feasibility_analysis",
     # baselines

@@ -34,7 +34,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.packing import first_rect, rect_frames, rect_resources, sort_regions_by_demand
+from repro.baselines.packing import (
+    first_rect,
+    rect_frames,
+    rect_resources,
+    region_anchors,
+    sort_regions_by_demand,
+)
 from repro.floorplan.geometry import Rect, manhattan
 from repro.floorplan.placement import Floorplan, RegionPlacement
 from repro.floorplan.problem import FloorplanProblem, Region
@@ -133,10 +139,11 @@ def annealing_floorplan(
 def _initial_state(problem: FloorplanProblem, rng: np.random.Generator) -> Optional[Dict[str, Rect]]:
     """Greedy construction, falling back to random rectangles when stuck."""
     device = problem.device
+    anchors = region_anchors(device, problem.regions)
     occupied: List[Rect] = []
     state: Dict[str, Rect] = {}
     for region in sort_regions_by_demand(problem.regions):
-        rect = first_rect(device, region, occupied)
+        rect = first_rect(anchors[region.name], occupied)
         if rect is None:
             # random rectangle roughly sized for the demand; the annealer will repair it
             height = int(rng.integers(1, device.height + 1))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Sequence
 
-from repro.baselines.packing import candidate_orders, first_rect
+from repro.baselines.packing import candidate_orders, first_rect, region_anchors
 from repro.floorplan.geometry import Rect
 from repro.floorplan.placement import Floorplan, RegionPlacement
 from repro.floorplan.problem import FloorplanProblem
@@ -45,12 +45,13 @@ def first_fit_floorplan(
     else:
         orders = candidate_orders(device, problem.regions)
 
+    anchors = region_anchors(device, problem.regions)
     for regions in orders:
         occupied: List[Rect] = []
         floorplan = Floorplan(problem=problem, solver_status="first-fit")
         failed = False
         for region in regions:
-            rect = first_rect(device, region, occupied)
+            rect = first_rect(anchors[region.name], occupied)
             if rect is None:
                 failed = True
                 break

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.device.grid import FPGADevice
 from repro.device.resources import ResourceVector
+from repro.floorplan.candidates import Candidates, _SummedAreaTables, enumerate_candidates
 from repro.floorplan.geometry import Rect
+from repro.floorplan.milp_builder import AreaSpec
 from repro.floorplan.problem import Region
 
 
@@ -31,104 +33,63 @@ def rect_frames(device: FPGADevice, rect: Rect) -> int:
     )
 
 
-def iter_feasible_rects(
-    device: FPGADevice,
-    region: Region,
-    occupied: Sequence[Rect],
-    heights: Iterable[int] | None = None,
-    align_rows: bool = False,
-) -> Iterator[Rect]:
-    """Enumerate feasible rectangles for a region.
+def region_anchors(device: FPGADevice, regions: Sequence[Region]) -> Dict[str, Candidates]:
+    """The narrowest feasible rectangle of each region at every anchor.
 
-    Candidates are generated column-first (left to right), then by row, then by
-    height; for each anchor the width grows until the requirement is met, so
-    the yielded rectangle is the narrowest satisfying one at that anchor.
-
-    Parameters
-    ----------
-    heights:
-        Candidate heights to try (defaults to every height from the device
-        height down to 1).
-    align_rows:
-        Restrict anchors to rows that are multiples of the candidate height
-        (the "kernel tessellation" style alignment used by the
-        reconfiguration-centric baseline).
+    An anchor is a ``(x, y, h)`` triple.  The rectangles are selected from
+    :func:`~repro.floorplan.candidates.enumerate_candidates` and ordered by
+    column, decreasing height, row — the first-fit scan order.  A wider
+    rectangle at the same anchor contains the narrowest one, so whatever
+    blocks the narrowest blocks it too: selecting per anchor before masking
+    the occupied cells (:func:`feasible_rects`) gives the rectangles a
+    width-growing scan over the free cells would give.
     """
-    height_options = list(heights) if heights is not None else list(range(device.height, 0, -1))
-    # Cells a candidate may not cover (forbidden or occupied) and the region's
-    # resource types, as per-column row prefix sums.  A (row, height) band
-    # then reduces to one sum per column, and growing a candidate by one
-    # column costs a few additions instead of a pass over the tile grid.
-    blocked = device.forbidden_mask()
+    tables = _SummedAreaTables(device)
+    anchors: Dict[str, Candidates] = {}
+    for region in regions:
+        found = enumerate_candidates(device, AreaSpec.for_region(region), tables)
+        found = found.subset(np.lexsort((found.w, found.y, -found.h, found.x)))
+        narrowest = np.ones(len(found), dtype=bool)
+        narrowest[1:] = (np.diff(found.x) != 0) | (np.diff(found.h) != 0) | (np.diff(found.y) != 0)
+        anchors[region.name] = found.subset(narrowest)
+    return anchors
+
+
+def feasible_rects(
+    anchors: Candidates, occupied: Sequence[Rect], align_rows: bool = False
+) -> Candidates:
+    """The anchors' rectangles that overlap none of ``occupied``, in scan order.
+
+    ``align_rows`` keeps only power-of-two heights anchored at a row that is a
+    multiple of the height (the "kernel tessellation" style alignment used by
+    the reconfiguration-centric baseline).
+    """
+    x, y, w, h = anchors.x, anchors.y, anchors.w, anchors.h
+    keep = np.ones(len(anchors), dtype=bool)
+    if align_rows:
+        keep &= ((h & (h - 1)) == 0) & (y % h == 0)
     for rect in occupied:
-        cols = slice(max(rect.col, 0), max(rect.col_end + 1, 0))
-        rows = slice(max(rect.row, 0), max(rect.row_end + 1, 0))
-        blocked[cols, rows] = True
-    type_grid = device.type_index_grid()
-    layers = [blocked.astype(np.int64)] + [
-        np.array([t.resources.get(rtype) for t in device.tile_type_list], dtype=np.int64)[type_grid]
-        for rtype, _ in region.requirements
-    ]
-    prefixes = [np.pad(layer.cumsum(axis=1), ((0, 0), (1, 0))) for layer in layers]
-    required = [count for _, count in region.requirements]
-    max_width = region.max_width or device.width
-    bands: Dict[Tuple[int, int], List[List[int]]] = {}
-    for col in range(device.width):
-        for h in height_options:
-            if h <= 0 or h > device.height:
-                continue
-            if region.max_height is not None and h > region.max_height:
-                continue  # no rectangle of this height satisfies the region
-            row_candidates = (
-                range(0, device.height - h + 1, h)
-                if align_rows
-                else range(0, device.height - h + 1)
-            )
-            for row in row_candidates:
-                band = bands.get((row, h))
-                if band is None:
-                    band = [(p[:, row + h] - p[:, row]).tolist() for p in prefixes]
-                    bands[(row, h)] = band
-                blocked_cols, supply_cols = band[0], band[1:]
-                supply = [0] * len(required)
-                for width in range(1, min(device.width - col, max_width) + 1):
-                    c = col + width - 1
-                    if blocked_cols[c]:
-                        break  # growing wider keeps the conflict
-                    for k, cols in enumerate(supply_cols):
-                        supply[k] += cols[c]
-                    if all(have >= need for have, need in zip(supply, required)):
-                        yield Rect(col, row, width, h)
-                        break  # wider rectangles only add waste at this anchor
+        keep &= (x > rect.col_end) | (x + w <= rect.col) | (y > rect.row_end) | (y + h <= rect.row)
+    return anchors.subset(keep)
+
+
+def by_frames(rects: Candidates) -> Candidates:
+    """``rects`` ordered by covered frames, then column, row, decreasing height."""
+    return rects.subset(np.lexsort((-rects.h, rects.y, rects.x, rects.frames)))
 
 
 def best_rect(
-    device: FPGADevice,
-    region: Region,
-    occupied: Sequence[Rect],
-    heights: Iterable[int] | None = None,
-    align_rows: bool = False,
+    anchors: Candidates, occupied: Sequence[Rect], align_rows: bool = False
 ) -> Rect | None:
     """The feasible rectangle with the fewest covered frames (ties: leftmost)."""
-    best: Rect | None = None
-    best_key: tuple | None = None
-    for rect in iter_feasible_rects(device, region, occupied, heights, align_rows):
-        key = (rect_frames(device, rect), rect.col, rect.row)
-        if best_key is None or key < best_key:
-            best, best_key = rect, key
-    return best
+    rects = by_frames(feasible_rects(anchors, occupied, align_rows))
+    return rects.rect(0) if len(rects) else None
 
 
-def first_rect(
-    device: FPGADevice,
-    region: Region,
-    occupied: Sequence[Rect],
-    heights: Iterable[int] | None = None,
-) -> Rect | None:
+def first_rect(anchors: Candidates, occupied: Sequence[Rect]) -> Rect | None:
     """The first feasible rectangle in scan order (true first-fit)."""
-    for rect in iter_feasible_rects(device, region, occupied, heights):
-        return rect
-    return None
+    rects = feasible_rects(anchors, occupied)
+    return rects.rect(0) if len(rects) else None
 
 
 def sort_regions_by_demand(regions: Sequence[Region]) -> List[Region]:

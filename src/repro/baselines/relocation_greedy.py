@@ -23,11 +23,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.baselines.packing import (
-    candidate_orders,
-    iter_feasible_rects,
-    rect_frames,
-)
+from repro.baselines.packing import by_frames, candidate_orders, feasible_rects, region_anchors
+from repro.floorplan.candidates import Candidates
 from repro.floorplan.geometry import Rect
 from repro.floorplan.placement import Floorplan, RegionPlacement
 from repro.floorplan.problem import FloorplanProblem
@@ -37,11 +34,15 @@ from repro.relocation.compatibility import (
 )
 from repro.relocation.spec import RelocationSpec
 
+#: How many candidate rectangles are tried (in increasing frame order) for a
+#: region that has relocation requests; keeps the reservation search bounded
+#: on large devices.
+MAX_CANDIDATES_WITH_COPIES = 200
+
 
 def relocation_aware_greedy(
     problem: FloorplanProblem,
     spec: RelocationSpec | None = None,
-    max_candidates_with_copies: int = 200,
 ) -> Optional[Floorplan]:
     """Greedy construction of a floorplan with reserved free-compatible areas.
 
@@ -52,10 +53,6 @@ def relocation_aware_greedy(
     spec:
         Relocation requests; ``None`` or an empty spec degenerates into a
         minimal-frames greedy placer.
-    max_candidates_with_copies:
-        Cap on how many candidate rectangles are tried (in increasing frame
-        order) for a region that has relocation requests; keeps the
-        reservation search bounded on large devices.
 
     Returns
     -------
@@ -67,6 +64,7 @@ def relocation_aware_greedy(
     spec = spec or RelocationSpec.empty()
     start = time.perf_counter()
     device = problem.device
+    anchors = region_anchors(device, problem.regions)
 
     # Orders are explored with a "fail-first" retry: when a region cannot be
     # served, it is promoted to the front of the order and the construction
@@ -86,9 +84,7 @@ def relocation_aware_greedy(
         signature = queue.pop(0)
         attempts += 1
         regions = [problem.region_by_name(name) for name in signature]
-        result, failing = _attempt_order(
-            problem, spec, regions, max_candidates_with_copies
-        )
+        result, failing = _attempt_order(problem, spec, regions, anchors)
         if result is not None:
             result.solve_time = time.perf_counter() - start
             return result
@@ -105,10 +101,9 @@ def _attempt_order(
     problem: FloorplanProblem,
     spec: RelocationSpec,
     regions: List,
-    max_candidates_with_copies: int,
+    anchors: Dict[str, Candidates],
 ) -> Tuple[Optional[Floorplan], Optional[str]]:
     """One greedy pass over ``regions``; returns (floorplan, failing region)."""
-    device = problem.device
     partition = problem.partition
     placements: Dict[str, Rect] = {}
     free_areas: Dict[str, Tuple[Rect, str]] = {}
@@ -118,14 +113,14 @@ def _attempt_order(
         request = spec.request_for(region.name) if region.name in spec else None
         copies = request.copies if request is not None else 0
 
-        candidates = list(iter_feasible_rects(device, region, occupied))
-        candidates.sort(key=lambda rect: (rect_frames(device, rect), rect.col, rect.row))
+        candidates = by_frames(feasible_rects(anchors[region.name], occupied))
         if copies:
-            candidates = candidates[:max_candidates_with_copies]
+            candidates = candidates.subset(slice(MAX_CANDIDATES_WITH_COPIES))
 
         chosen_rect: Optional[Rect] = None
         chosen_copies: List[Rect] = []
-        for rect in candidates:
+        for i in range(len(candidates)):
+            rect = candidates.rect(i)
             if copies:
                 compatible = enumerate_free_compatible_areas(
                     partition, rect, occupied + [rect]

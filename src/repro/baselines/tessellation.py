@@ -20,19 +20,10 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Sequence
 
-from repro.baselines.packing import best_rect, candidate_orders
+from repro.baselines.packing import best_rect, candidate_orders, region_anchors
 from repro.floorplan.geometry import Rect
 from repro.floorplan.placement import Floorplan, RegionPlacement
 from repro.floorplan.problem import FloorplanProblem
-
-
-def _power_of_two_heights(max_height: int) -> List[int]:
-    heights = []
-    h = 1
-    while h <= max_height:
-        heights.append(h)
-        h *= 2
-    return sorted(heights, reverse=True)
 
 
 def tessellation_floorplan(
@@ -66,18 +57,18 @@ def tessellation_floorplan(
     else:
         orders = candidate_orders(device, problem.regions)
 
-    heights = _power_of_two_heights(device.height) if align_rows else None
+    anchors = region_anchors(device, problem.regions)
     floorplan: Optional[Floorplan] = None
     for regions in orders:
         occupied: List[Rect] = []
         candidate = Floorplan(problem=problem, solver_status="tessellation")
         failed = False
         for region in regions:
-            rect = best_rect(device, region, occupied, heights=heights, align_rows=align_rows)
+            rect = best_rect(anchors[region.name], occupied, align_rows)
             if rect is None and align_rows:
                 # fall back to unaligned slots rather than failing outright; the
                 # alignment preference is a heuristic, not a hard requirement
-                rect = best_rect(device, region, occupied, heights=None, align_rows=False)
+                rect = best_rect(anchors[region.name], occupied)
             if rect is None:
                 failed = True
                 break

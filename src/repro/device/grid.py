@@ -208,7 +208,7 @@ class FPGADevice:
         """Dense tile-type indices as a ``(width, height)`` array (copy).
 
         Feeds vectorized geometry passes (prefix-sum placement enumeration in
-        :mod:`repro.floorplan.milp_builder`) that would otherwise loop over
+        :mod:`repro.floorplan.candidates`) that would otherwise loop over
         :meth:`type_index_at` cell by cell.
         """
         return self._grid.copy()

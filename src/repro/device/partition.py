@@ -18,6 +18,7 @@ the FPGA cannot be columnar partitioned" — is reproduced exactly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -89,6 +90,26 @@ class ColumnarPartition:
     def portion_type_ids(self) -> Tuple[int, ...]:
         """``tid_p`` for every portion, in portion order."""
         return tuple(self.type_id(p.tile_type) for p in self.portions)
+
+    @functools.cached_property
+    def sequence_ids(self) -> np.ndarray:
+        """``ids[x, w]``: an id of the column-type sequence of columns ``x .. x+w-1``.
+
+        Two column ranges get the same id exactly when their column types
+        agree one by one, i.e. when equally tall rectangles on them are
+        compatible; ``ids[x, w]`` is ``-1`` where the range leaves the device.
+        """
+        type_ids = {tile_type: i for i, tile_type in enumerate(self.tile_types)}
+        types = [type_ids[tile_type] for tile_type in self.column_types]
+        sequence_id = np.full((self.width, self.width + 1), -1, dtype=np.int64)
+        interned: Dict[Tuple[int, int], int] = {}
+        for x in range(self.width):
+            prefix = -1
+            for w in range(1, self.width - x + 1):
+                # intern (id of the first w-1 types, next type): equal ids <=> equal sequences
+                prefix = interned.setdefault((prefix, types[x + w - 1]), len(interned))
+                sequence_id[x, w] = prefix
+        return sequence_id
 
     # ------------------------------------------------------------------
     def portion_of_column(self, col: int) -> Portion:

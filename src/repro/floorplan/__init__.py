@@ -7,6 +7,8 @@ the relocation extension builds on:
   :class:`~repro.floorplan.problem.FloorplanProblem` — the designer-facing
   problem description (regions, resource requirements, connectivity);
 * :class:`~repro.floorplan.placement.Floorplan` — a solved placement;
+* :mod:`~repro.floorplan.candidates` — the feasible candidate rectangles
+  every placer selects from;
 * :mod:`~repro.floorplan.milp_builder` — the candidate-rectangle MILP
   ("O" mode explores it in full);
 * :mod:`~repro.floorplan.sequence_pair` and :mod:`~repro.floorplan.ho` — the

@@ -26,6 +26,7 @@ from repro.floorplan.metrics import (
     FloorplanMetrics,
     ObjectiveWeights,
     evaluate_floorplan,
+    wasted_frames,
 )
 from repro.floorplan.milp_builder import FloorplanMILP, build_floorplan_milp
 from repro.floorplan.placement import Floorplan
@@ -160,6 +161,7 @@ class FloorplanSolver:
         if self.relocation is not None and len(self.relocation) > 0:
             extra_areas = self.relocation.build_area_specs(self.problem)
 
+        started = time.perf_counter()
         try:
             seed = HOSeeder(self.problem).build_seed(
                 spec=self.relocation, heuristic=self.heuristic, initial=self.seed_floorplan
@@ -168,11 +170,18 @@ class FloorplanSolver:
             if self.mode == "HO":
                 raise
             seed = None  # O mode solves without an incumbent
+        record_stage(
+            "floorplan.ho_seed",
+            time.perf_counter() - started,
+            seed_status=seed.floorplan.solver_status if seed is not None else "failed",
+            seed_wasted_frames=wasted_frames(seed.floorplan) if seed is not None else None,
+        )
         fixed_relations: Dict[Tuple[str, str], str] | None = None
         if self.mode == "HO":
             self._seed = seed
             fixed_relations = seed.fixed_relations()
 
+        started = time.perf_counter()
         milp = build_floorplan_milp(
             self.problem,
             extra_areas=extra_areas,
@@ -184,6 +193,13 @@ class FloorplanSolver:
         )
         if extra_areas:
             apply_relocation_constraints(milp)
+        record_stage(
+            "floorplan.build",
+            time.perf_counter() - started,
+            mode=self.mode,
+            candidates=milp.enumerated,
+            candidates_kept=milp.kept,
+        )
         return milp
 
     # ------------------------------------------------------------------
@@ -205,15 +221,7 @@ class FloorplanSolver:
             wirelength.
         """
         weights = weights or ObjectiveWeights.paper_default()
-        started = time.perf_counter()
         milp = self.build(weights=_phase1_weights(weights) if lexicographic else weights)
-        record_stage(
-            "floorplan.build",
-            time.perf_counter() - started,
-            mode=self.mode,
-            candidates=milp.enumerated,
-            candidates_kept=milp.kept,
-        )
 
         if lexicographic:
             return self._solve_lexicographic(milp, weights)
@@ -277,8 +285,8 @@ def run_job(job) -> SolveReport:
         options=job.options,
         heuristic=job.heuristic,
     )
-    # Collect solver stage timings (floorplan.build, milp.presolve,
-    # milp.search, floorplan.postsolve) on this thread so the serving layers
+    # Collect solver stage timings (floorplan.ho_seed, floorplan.build,
+    # milp.presolve, milp.search, floorplan.postsolve) on this thread so the serving layers
     # can attach them to the request trace — the collector is thread-local,
     # which is exactly what survives the executor pools the service uses.
     with collect_stages() as stages:

@@ -17,9 +17,7 @@
 
 from repro.relocation.compatibility import (
     areas_compatible,
-    compatible_column_offsets,
     enumerate_free_compatible_areas,
-    is_free_compatible,
 )
 from repro.relocation.spec import RelocationRequest, RelocationSpec
 from repro.relocation.constraints import RelocationRows, apply_relocation_constraints
@@ -32,9 +30,7 @@ from repro.relocation.analysis import (
 
 __all__ = [
     "areas_compatible",
-    "compatible_column_offsets",
     "enumerate_free_compatible_areas",
-    "is_free_compatible",
     "RelocationRequest",
     "RelocationSpec",
     "RelocationRows",

@@ -7,15 +7,29 @@ placed area or forbidden area.
 
 On a columnar-partitioned device the tile type of a cell depends only on its
 column, so compatibility of two equally-sized rectangles reduces to comparing
-the column-type sequences of their column ranges — which is what the
-functions below exploit (and what makes exhaustive enumeration cheap).
+the column-type sequences of their column ranges.
+:func:`enumerate_free_compatible_areas` therefore finds every free-compatible
+area of a region in one numpy pass over the positions of a rectangle of the
+region's shape, as the conjunction of three masks:
+
+* no forbidden cell — the window sums of the forbidden layer of the
+  summed-area tables :func:`~repro.floorplan.candidates.enumerate_candidates`
+  uses;
+* the region's column-type sequence — the partition's interned sequence ids,
+  which also key the MILP's relocation signatures
+  (:func:`~repro.floorplan.candidates.signature_keys`);
+* no overlap with an occupied rectangle or the region itself — one slice
+  assignment per rectangle.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
+
+import numpy as np
 
 from repro.device.partition import ColumnarPartition
+from repro.floorplan.candidates import forbidden_free_windows
 from repro.floorplan.geometry import Rect
 
 
@@ -38,67 +52,10 @@ def areas_compatible(partition: ColumnarPartition, a: Rect, b: Rect) -> bool:
     return True
 
 
-def _rect_touches_forbidden(partition: ColumnarPartition, rect: Rect) -> bool:
-    for area in partition.forbidden_areas:
-        if rect.col > area.col_end or rect.col_end < area.col_start:
-            continue
-        if any(rect.row <= row <= rect.row_end for row in area.rows):
-            return True
-    return False
-
-
-def is_free_compatible(
-    partition: ColumnarPartition,
-    region_rect: Rect,
-    candidate: Rect,
-    occupied: Iterable[Rect] = (),
-) -> bool:
-    """Definition .2: candidate is compatible with the region and free.
-
-    ``occupied`` lists every rectangle the candidate must not overlap: the
-    placements of all reconfigurable regions (including the source region)
-    and any already-reserved free-compatible area.
-    """
-    if not areas_compatible(partition, region_rect, candidate):
-        return False
-    if _rect_touches_forbidden(partition, candidate):
-        return False
-    for rect in occupied:
-        if candidate.overlaps(rect):
-            return False
-    return True
-
-
-def compatible_column_offsets(
-    partition: ColumnarPartition, rect: Rect
-) -> List[int]:
-    """Leftmost columns at which a compatible copy of ``rect`` could start.
-
-    Because tile types are constant along a column, a copy placed with its
-    left edge at column ``c`` is compatible iff the column-type sequence of
-    ``c .. c+width-1`` equals that of the original rectangle; the row position
-    is unconstrained by compatibility (only by overlap/forbidden checks).
-    The original column is included in the result.
-    """
-    if not rect.within(partition.width, partition.height):
-        raise ValueError(f"rectangle {rect} lies outside the device")
-    signature = [partition.column_type(rect.col + off) for off in range(rect.width)]
-    offsets: List[int] = []
-    for col in range(0, partition.width - rect.width + 1):
-        if all(
-            partition.column_type(col + off) == signature[off]
-            for off in range(rect.width)
-        ):
-            offsets.append(col)
-    return offsets
-
-
 def enumerate_free_compatible_areas(
     partition: ColumnarPartition,
     region_rect: Rect,
     occupied: Sequence[Rect] = (),
-    include_original: bool = False,
-    limit: int | None = None,
 ) -> List[Rect]:
     """Enumerate every free-compatible area for a placed region.
 
@@ -107,16 +64,12 @@ def enumerate_free_compatible_areas(
     partition:
         Columnar partition of the device.
     region_rect:
-        Rectangle currently assigned to the region.
+        Rectangle currently assigned to the region; it must lie inside the
+        device.  Its own position is never reported (a relocation target must
+        differ from the source).
     occupied:
         Rectangles that candidates must not overlap (typically all current
         placements; the region's own rectangle is handled automatically).
-    include_original:
-        Whether the region's own position may be reported (it trivially
-        satisfies compatibility); off by default because a relocation target
-        must differ from the source.
-    limit:
-        Stop after this many candidates (``None`` = enumerate all).
 
     Returns
     -------
@@ -126,20 +79,20 @@ def enumerate_free_compatible_areas(
         mutually disjoint subset is done by the callers
         (:class:`repro.floorplan.ho.HOSeeder`, the run-time manager).
     """
-    blockers = list(occupied)
-    if not include_original and region_rect not in blockers:
-        blockers.append(region_rect)
-    candidates: List[Rect] = []
-    for col in compatible_column_offsets(partition, region_rect):
-        for row in range(0, partition.height - region_rect.height + 1):
-            candidate = Rect(col, row, region_rect.width, region_rect.height)
-            if not include_original and candidate == region_rect:
-                continue
-            if is_free_compatible(partition, region_rect, candidate, blockers):
-                candidates.append(candidate)
-                if limit is not None and len(candidates) >= limit:
-                    return candidates
-    return candidates
+    if not region_rect.within(partition.width, partition.height):
+        raise ValueError(f"rectangle {region_rect} lies outside the device")
+    w, h = region_rect.width, region_rect.height
+    sequences = partition.sequence_ids[: partition.width - w + 1, w]
+    free = forbidden_free_windows(partition.device, w, h)
+    free &= (sequences == sequences[region_rect.col])[:, None]
+    for rect in (*occupied, region_rect):
+        # windows at (x, y) with x in (col - w, col_end], y in (row - h, row_end]
+        free[
+            max(rect.col - w + 1, 0) : max(rect.col_end + 1, 0),
+            max(rect.row - h + 1, 0) : max(rect.row_end + 1, 0),
+        ] = False
+    cols, rows = np.nonzero(free)
+    return [Rect(col, row, w, h) for col, row in zip(cols.tolist(), rows.tolist())]
 
 
 def select_disjoint_areas(candidates: Sequence[Rect], count: int) -> List[Rect]:

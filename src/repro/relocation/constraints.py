@@ -31,7 +31,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.floorplan.milp_builder import FloorplanMILP, signature_keys
+from repro.floorplan.candidates import signature_keys
+from repro.floorplan.milp_builder import FloorplanMILP
 
 
 @dataclasses.dataclass

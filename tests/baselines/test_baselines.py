@@ -12,11 +12,13 @@ from repro.baselines import (
 )
 from repro.baselines.packing import (
     best_rect,
+    by_frames,
     candidate_orders,
+    feasible_rects,
     first_rect,
-    iter_feasible_rects,
     rect_frames,
     rect_resources,
+    region_anchors,
     sort_regions_by_demand,
     sort_regions_by_scarcity,
 )
@@ -38,13 +40,18 @@ def _rect_is_free(device, rect, occupied):
     return device.forbidden_cell_count(rect.col, rect.row, rect.width, rect.height) == 0
 
 
-def _reference_feasible_rects(device, region, occupied, heights=None, align_rows=False):
-    """The per-rectangle scan ``iter_feasible_rects`` must reproduce exactly."""
-    height_options = list(heights) if heights is not None else list(range(device.height, 0, -1))
+def _reference_feasible_rects(device, region, occupied, align_rows=False):
+    """The per-rectangle scan ``feasible_rects`` must reproduce exactly.
+
+    Column-first, then decreasing height (powers of two only under
+    ``align_rows``), then row; the narrowest free, resource-covering
+    rectangle at each anchor.
+    """
+    height_options = [
+        h for h in range(device.height, 0, -1) if not align_rows or h & (h - 1) == 0
+    ]
     for col in range(device.width):
         for h in height_options:
-            if h <= 0 or h > device.height:
-                continue
             step = h if align_rows else 1
             rows = range(0, device.height - h + 1, step)
             for row in rows:
@@ -87,8 +94,7 @@ def _packing_cases(draw):
              draw(st.integers(1, 3)), draw(st.integers(1, 2)))
         for _ in range(draw(st.integers(0, 2)))
     ]
-    heights = draw(st.one_of(st.none(), st.lists(st.integers(0, height + 1), max_size=3)))
-    return device, region, occupied, heights, draw(st.booleans())
+    return device, region, occupied, draw(st.booleans())
 
 
 class TestPackingHelpers:
@@ -100,8 +106,9 @@ class TestPackingHelpers:
 
     def test_first_and_best_rect(self, small_device, tiny_problem):
         region = tiny_problem.region_by_name("beta")  # 2 CLB + 1 BRAM
-        first = first_rect(small_device, region, [])
-        best = best_rect(small_device, region, [])
+        anchors = region_anchors(small_device, [region])["beta"]
+        first = first_rect(anchors, [])
+        best = best_rect(anchors, [])
         assert first is not None and best is not None
         assert rect_resources(small_device, best).covers(region.requirements)
         assert rect_frames(small_device, best) <= rect_frames(small_device, first)
@@ -109,9 +116,14 @@ class TestPackingHelpers:
     @settings(max_examples=80, deadline=None)
     @given(_packing_cases())
     def test_iter_feasible_rects_matches_per_rectangle_scan(self, case):
-        device, region, occupied, heights, align_rows = case
-        assert list(iter_feasible_rects(device, region, occupied, heights, align_rows)) == list(
-            _reference_feasible_rects(device, region, occupied, heights, align_rows)
+        device, region, occupied, align_rows = case
+        rects = feasible_rects(region_anchors(device, [region])["r"], occupied, align_rows)
+        expected = list(_reference_feasible_rects(device, region, occupied, align_rows))
+        assert [rects.rect(i) for i in range(len(rects))] == expected
+        # best-fit order: fewest frames, then leftmost, lowest, tallest
+        best = by_frames(rects)
+        assert [best.rect(i) for i in range(len(best))] == sorted(
+            expected, key=lambda rect: (rect_frames(device, rect), rect.col, rect.row)
         )
 
     def test_orderings(self, small_device, tiny_problem):

@@ -189,11 +189,18 @@ class TestHOMode:
 
 class TestStageAnnotations:
     def test_run_job_stages_carry_candidate_and_node_counts(self, tiny_problem, fast_options):
+        from repro.floorplan.metrics import wasted_frames
+        from repro.floorplan.ho import HOSeeder
         from repro.floorplan.solver import run_job
         from repro.service.jobs import SolveJob
 
         stages = run_job(SolveJob(tiny_problem, mode="HO", options=fast_options)).stages
         by_name = {stage["name"]: stage for stage in stages}
+        # seeding is its own stage, recorded before the model build
+        assert [stage["name"] for stage in stages][:2] == ["floorplan.ho_seed", "floorplan.build"]
+        seed = HOSeeder(tiny_problem).build_seed().floorplan
+        assert by_name["floorplan.ho_seed"]["seed_status"] == seed.solver_status
+        assert by_name["floorplan.ho_seed"]["seed_wasted_frames"] == wasted_frames(seed)
         build = by_name["floorplan.build"]
         assert 0 < build["candidates_kept"] <= build["candidates"]
         assert by_name["milp.search"]["nodes"] >= 0

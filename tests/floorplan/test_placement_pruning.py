@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from repro.device.catalog import synthetic_device
 from repro.device.grid import FPGADevice, ForbiddenRect
 from repro.device.resources import ResourceType, ResourceVector
-from repro.floorplan.milp_builder import AreaSpec, build_floorplan_milp, enumerate_candidates
+from repro.floorplan.candidates import enumerate_candidates
+from repro.floorplan.milp_builder import AreaSpec, build_floorplan_milp
 from repro.floorplan.problem import FloorplanProblem, Region
 
 

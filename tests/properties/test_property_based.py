@@ -7,11 +7,8 @@ from repro.bitstream import crc32, generate_bitstream, relocate_bitstream
 from repro.device import ResourceVector, columnar_partition, synthetic_device
 from repro.floorplan import Rect, SequencePair
 from repro.milp import Model, quicksum
-from repro.relocation.compatibility import (
-    areas_compatible,
-    compatible_column_offsets,
-    enumerate_free_compatible_areas,
-)
+from repro.relocation.compatibility import areas_compatible, enumerate_free_compatible_areas
+from tests.relocation.free_area_oracle import compatible_column_offsets
 
 # keep hypothesis examples modest: every example builds devices / models
 COMMON_SETTINGS = dict(

