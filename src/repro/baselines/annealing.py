@@ -34,15 +34,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.packing import (
-    first_rect,
-    rect_frames,
-    rect_resources,
-    region_anchors,
-    sort_regions_by_demand,
-)
+from repro.baselines.packing import first_rect, region_anchors, sort_regions_by_demand
 from repro.floorplan.geometry import Rect, manhattan
-from repro.floorplan.placement import Floorplan, RegionPlacement
+from repro.floorplan.placement import Floorplan, RegionPlacement, rect_frames, rect_resources
 from repro.floorplan.problem import FloorplanProblem, Region
 
 

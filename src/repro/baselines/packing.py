@@ -14,25 +14,6 @@ from repro.floorplan.milp_builder import AreaSpec
 from repro.floorplan.problem import Region
 
 
-def rect_resources(device: FPGADevice, rect: Rect) -> ResourceVector:
-    """Resources covered by a rectangle (histogram-based, one grid pass)."""
-    histogram = device.tile_type_histogram(rect.col, rect.row, rect.width, rect.height)
-    total = ResourceVector.zero()
-    for count, tile_type in zip(histogram, device.tile_type_list):
-        if count:
-            total = total + tile_type.resources * count
-    return total
-
-
-def rect_frames(device: FPGADevice, rect: Rect) -> int:
-    """Configuration frames covered by a rectangle."""
-    histogram = device.tile_type_histogram(rect.col, rect.row, rect.width, rect.height)
-    return sum(
-        count * tile_type.frames
-        for count, tile_type in zip(histogram, device.tile_type_list)
-    )
-
-
 def region_anchors(device: FPGADevice, regions: Sequence[Region]) -> Dict[str, Candidates]:
     """The narrowest feasible rectangle of each region at every anchor.
 

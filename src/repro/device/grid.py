@@ -187,7 +187,7 @@ class FPGADevice:
 
         The rectangle must lie within the device.  Index ``i`` of the result
         counts tiles whose type is ``tile_type_list[i]`` — the building block
-        of :func:`repro.baselines.packing.rect_resources` and the annealer's
+        of :func:`repro.floorplan.placement.rect_resources` and the annealer's
         incremental cost updates, replacing the per-cell ``tile_type_at``
         loop.
         """

@@ -3,7 +3,7 @@
 An area's *candidates* are the rectangles that avoid forbidden cells, respect
 its extent caps and supply its resource requirements.
 :func:`enumerate_candidates` lists them with summed-area tables over the
-tile-type grid, one numpy pass per shape.  Every consumer selects from these
+tile-type grid, one numpy pass per width.  Every consumer selects from these
 arrays: the MILP builder (:mod:`repro.floorplan.milp_builder`) gives each
 candidate a binary, the greedy placers (:mod:`repro.baselines.packing`) mask
 and order them, and the free-compatible-area search
@@ -65,11 +65,8 @@ def _prefix2d(values: np.ndarray) -> np.ndarray:
 
 
 def _window_sums(strip: np.ndarray, h: int) -> np.ndarray:
-    """Sums of every ``h``-row window from a per-column row-cumsum strip."""
-    out = strip[:, h - 1 :].copy()
-    if h < strip.shape[1]:
-        out[:, 1:] -= strip[:, : strip.shape[1] - h]
-    return out
+    """Sums of every ``h``-row window from a zero-led row-cumsum strip."""
+    return strip[:, h:] - strip[:, :-h]
 
 
 #: layer keys of the summed-area tables besides the resource types
@@ -82,8 +79,8 @@ class _SummedAreaTables:
 
     One prefix table per layer — forbidden cells, frames and each requested
     resource type — plus, per (layer, width), the strip of row-cumulative sums
-    over every ``width``-column window, so each candidate height then costs
-    one O(width x height) pass.
+    over every ``width``-column window, led by a zero column, so the sum over
+    rows ``y .. y+h-1`` of a window is ``strip[x, y+h] - strip[x, y]``.
     """
 
     def __init__(self, device: FPGADevice) -> None:
@@ -108,11 +105,11 @@ class _SummedAreaTables:
         return self._density[rtype]
 
     def strip(self, key, w: int) -> np.ndarray:
-        """Row-cumulative sums of a layer over every ``w``-column window."""
+        """Zero-led row-cumulative sums of a layer over every ``w``-column window."""
         strip = self._strips.get((key, w))
         if strip is None:
             prefix = self._prefix[key]
-            strip = prefix[w:, 1:] - prefix[:-w, 1:]
+            strip = prefix[w:] - prefix[:-w]
             self._strips[(key, w)] = strip
         return strip
 
@@ -125,7 +122,7 @@ def enumerate_candidates(
     A rectangle ``(x, y, w, h)`` with ``w``/``h`` within the area's extent
     caps is a candidate when it contains no forbidden cell and — for regions —
     supplies every resource requirement by itself.  All rectangles of one
-    shape are checked in one numpy pass over summed-area tables, the
+    width are checked in one numpy pass over summed-area tables, the
     aggregation :meth:`FPGADevice.tile_type_histogram` performs for a single
     rectangle.  Candidates come ordered by width, height, column, row.
     """
@@ -149,22 +146,37 @@ def enumerate_candidates(
     if math.isinf(min_cells):
         wmax = 0
 
+    # every (height, row) window at once: rows y .. y+h-1 end below ``tops``,
+    # clipped to the device where the window would stick out
+    heights = np.arange(1, hmax + 1)
+    tops = np.arange(height) + heights[:, None]
+    inside = tops <= height
+    np.minimum(tops, height, out=tops)
+
     parts: List[Tuple[np.ndarray, ...]] = []
     for w in range(1, wmax + 1):
-        forbidden = tables.strip(_FORBIDDEN, w)
-        strips = [(tables.strip(rtype, w), required) for rtype, required in requirements]
-        min_h = max(1, int(np.ceil(min_cells / w)))
-        for h in range(min_h, hmax + 1):
-            ok = _window_sums(forbidden, h) == 0
-            for strip, required in strips:
-                if not ok.any():
-                    break
-                ok &= _window_sums(strip, h) >= required
-            xs, ys = np.nonzero(ok)
-            if xs.size == 0:
-                continue
-            frames = _window_sums(tables.strip(_FRAMES, w), h)[xs, ys]
-            parts.append((xs, ys, np.full(xs.size, w), np.full(xs.size, h), frames))
+        lo = max(1, int(np.ceil(min_cells / w))) - 1
+        if lo >= hmax:
+            continue
+
+        def windows(key) -> np.ndarray:
+            """``sums[x, k, y]``: the layer over the window of height ``heights[lo + k]``."""
+            strip = tables.strip(key, w)
+            return strip[:, tops[lo:]] - strip[:, None, :height]
+
+        ok = inside[lo:] & (windows(_FORBIDDEN) == 0)
+        for rtype, required in requirements:
+            if not ok.any():
+                break
+            ok &= windows(rtype) >= required
+        k, xs, ys = np.nonzero(ok.transpose(1, 0, 2))
+        if xs.size == 0:
+            continue
+        hs = heights[lo:][k]
+        frames = tables.strip(_FRAMES, w)
+        parts.append(
+            (xs, ys, np.full(xs.size, w), hs, frames[xs, ys + hs] - frames[xs, ys])
+        )
 
     if not parts:
         empty = np.zeros(0, dtype=np.int64)

@@ -5,7 +5,7 @@ paper, which Section IV adds to ``N``) — picks exactly one rectangle from an
 explicit list of *feasible candidates*: the rectangles that avoid forbidden
 cells, respect the area's extent caps and supply its resource requirements.
 :func:`~repro.floorplan.candidates.enumerate_candidates` lists them with
-summed-area tables over the tile-type grid, one numpy pass per shape, so the
+summed-area tables over the tile-type grid, one numpy pass per width, so the
 FCCM'14 constraints on coverage, forbidden cells and resources ([10]) hold by
 construction and the model only has to choose:
 
@@ -15,18 +15,26 @@ construction and the model only has to choose:
   coefficients of ``z`` (and of the violation binaries ``v[c]``);
 * wirelength rows written directly over ``z`` with the candidate centres as
   coefficients;
-* non-overlap: HO sequence-pair rows ``sum (x+w) z[a] <= sum x z[b]`` for
-  pairs with a fixed relation, and one cell-occupancy row ``sum z <= 1`` per
-  device cell over the candidates covering it for every other pair.
+* non-overlap: for each pair with a fixed HO relation, sequence-pair rows
+  written as cut-line cliques ``sum_{end_i > t} z[a,i] + sum_{start_j <= t}
+  z[b,j] <= 1`` (``a`` must end before ``b`` starts on the relation's axis);
+  for every other pair, one cell-occupancy row ``sum z <= 1`` per device cell
+  over the candidates covering it.
 
 Free-compatible areas are completed by
 :func:`repro.relocation.constraints.apply_relocation_constraints`, which adds
 their assignment rows and the compatibility rows of eqs. 4-12.
 
-Given an incumbent floorplan (the HO seed), the builder also drops every
-region candidate whose wasted frames, added to every other region's minimum,
-already exceed the incumbent's eq.-14 objective: no solution at least as good
-as the incumbent can use it, so the filter is exact.
+Before any variable is created, exact filters shrink the candidate lists.  A
+free area keeps only rectangles whose signature some candidate of its region
+shares.  With ``prune`` on, every candidate that no candidate of a related
+area can stand beside is dropped as well (a ``left`` area's candidate ending
+after the last start among its partner's candidates, and the mirror image);
+the two filters run together until nothing changes.  Both depend only on
+feasibility.  Given an incumbent floorplan (the HO seed), the builder then
+drops every region candidate whose wasted frames, added to every other
+region's minimum, already exceed the incumbent's eq.-14 objective: no solution
+at least as good as the incumbent can use it, so this filter is exact too.
 """
 
 from __future__ import annotations
@@ -118,8 +126,9 @@ class FloorplanMILP:
     (:mod:`repro.relocation.constraints`) and the solver facade both work
     through this object.
 
-    ``enumerated`` counts every feasible candidate before the incumbent
-    filter, ``kept`` the ones the model holds.  ``filter_weights`` are the
+    ``enumerated`` counts every feasible candidate, ``related`` the ones left
+    after the signature and relation filters, ``kept`` the ones the model
+    holds after the incumbent filter as well.  ``filter_weights`` are the
     objective weights the filter was computed with (``None`` when nothing was
     filtered): the model is exact only for those weights, so
     :meth:`set_objective` refuses others until :meth:`cap_wasted_frames`
@@ -138,6 +147,7 @@ class FloorplanMILP:
     perimeter_expr: LinExpr
     norms: Dict[str, float]
     enumerated: int
+    related: int
     filter_weights: Optional[ObjectiveWeights] = None
     filter_bound: Optional[int] = None
 
@@ -265,13 +275,15 @@ def build_floorplan_milp(
     fixed_relations:
         HO mode: mapping ``(a, b) -> relation`` (one of ``"left"``,
         ``"right"``, ``"below"``, ``"above"``) fixing the relative position of
-        area ``a`` with respect to ``b``; these pairs get one sequence-pair
-        row instead of cell-occupancy rows.
+        area ``a`` with respect to ``b``; these pairs get cut-line
+        sequence-pair rows instead of cell-occupancy rows.
     model_name:
         Name for the underlying :class:`~repro.milp.model.Model`.
     prune:
-        Filter region candidates against ``incumbent`` (exact; see the module
-        docstring).  ``False`` keeps every feasible rectangle.
+        Drop candidates that cannot satisfy a fixed relation, and region
+        candidates that cannot beat ``incumbent`` (both exact; see the module
+        docstring).  ``False`` keeps every feasible rectangle a free area's
+        signature allows.
     incumbent:
         A floorplan feasible for this model, typically the HO seed.  Ignored
         when it is not (a hard free area missing, a fixed relation broken).
@@ -302,6 +314,28 @@ def build_floorplan_milp(
     enumerated = sum(len(c) for c in candidates.values())
     norms = normalization_constants(problem)
 
+    relations: List[Tuple[str, str, str]] = []
+    unfixed: set = set()
+    for i, first in enumerate(areas):
+        for second in areas[i + 1 :]:
+            relation = _relation(fixed_relations, first.name, second.name)
+            if relation is None:
+                unfixed.update((first.name, second.name))
+            else:
+                relations.append((first.name, second.name, relation))
+
+    def settle() -> None:
+        # the signature and relation filters feed each other: a region that
+        # loses candidates may lose signatures its free areas need, and an
+        # area that loses candidates narrows every relation it is in
+        changed = True
+        while changed:
+            changed = _drop_unmatched_signatures(partition, areas, candidates)
+            if prune:
+                changed |= _drop_unrelatable(areas, candidates, relations)
+
+    settle()
+    related = sum(len(c) for c in candidates.values())
     filter_bound = None
     if prune and incumbent is not None:
         filter_bound = _waste_bound(areas, norms, incumbent, weights, fixed_relations)
@@ -311,16 +345,7 @@ def build_floorplan_milp(
         floor = sum(int(w.min()) for w in waste.values())
         for name, w in waste.items():
             candidates[name] = candidates[name].subset(w - w.min() + floor <= filter_bound)
-    # a free area can only take a rectangle whose signature some candidate of
-    # its region shares (eqs. 6-10), so the others never enter the model
-    for area in areas:
-        if area.is_free_area:
-            region_keys = signature_keys(partition, candidates[area.compatible_with])
-            own = candidates[area.name]
-            candidates[area.name] = own.subset(
-                np.isin(signature_keys(partition, own), region_keys)
-            )
-
+        settle()
     model = Model(model_name or f"floorplan[{problem.name}]")
     z: Dict[str, List[Variable]] = {}
     violation: Dict[str, Variable] = {}
@@ -333,16 +358,10 @@ def build_floorplan_milp(
         if not area.is_free_area:
             model.add_eq_terms(dict.fromkeys(z[area.name], 1.0), 1.0, name=f"assign[{key}]")
 
-    geometry = _Geometry(candidates, z, violation, partition.width, partition.height)
-    unfixed: set = set()
-    for i, first in enumerate(areas):
-        for second in areas[i + 1 :]:
-            relation = _relation(fixed_relations, first.name, second.name)
-            if relation is None:
-                unfixed.update((first.name, second.name))
-            else:
-                geometry.add_relation_row(model, first.name, second.name, relation)
-    geometry.add_cell_rows(model, [area.name for area in areas if area.name in unfixed])
+    geometry = _Geometry(candidates, z, partition.height)
+    for a, b, relation in relations:
+        geometry.add_relation_rows(model, a, b, relation)
+    geometry.add_cell_rows(model, [name for name in names if name in unfixed])
 
     regions = [n for n in names if n in region_names]
     wasted = LinExpr(
@@ -363,6 +382,7 @@ def build_floorplan_milp(
         perimeter_expr=perimeter,
         norms=norms,
         enumerated=enumerated,
+        related=related,
     )
     milp.set_objective(weights)
     if filter_bound is not None:
@@ -405,21 +425,77 @@ def _relation_holds(relation: str, a: Rect, b: Rect) -> bool:
     return b.row + b.height <= a.row
 
 
+def _ordered(a: str, b: str, relation: str) -> Tuple[str, str, str, str]:
+    """``(first, second, position, extent)``: ``first`` must end before ``second`` starts."""
+    first, second = (a, b) if relation in (sp.RELATION_LEFT, sp.RELATION_BELOW) else (b, a)
+    horizontal = relation in (sp.RELATION_LEFT, sp.RELATION_RIGHT)
+    return (first, second) + (("x", "w") if horizontal else ("y", "h"))
+
+
+def _drop_unmatched_signatures(
+    partition: ColumnarPartition, areas: Sequence[AreaSpec], candidates: Dict[str, Candidates]
+) -> bool:
+    """Drop free-area candidates whose signature no candidate of the region has.
+
+    A free area can only take a rectangle whose signature some candidate of
+    its region shares (eqs. 6-10).  Returns whether anything was dropped.
+    """
+    changed = False
+    for area in areas:
+        if area.is_free_area:
+            own = candidates[area.name]
+            keep = np.isin(
+                signature_keys(partition, own),
+                signature_keys(partition, candidates[area.compatible_with]),
+            )
+            if not keep.all():
+                candidates[area.name] = own.subset(keep)
+                changed = True
+    return changed
+
+
+def _drop_unrelatable(
+    areas: Sequence[AreaSpec],
+    candidates: Dict[str, Candidates],
+    relations: Sequence[Tuple[str, str, str]],
+) -> bool:
+    """Drop candidates that no candidate of a related area can stand beside.
+
+    With ``first`` fixed before ``second`` on an axis, a ``first`` candidate
+    ending after the largest start among ``second``'s candidates, or a
+    ``second`` candidate starting before the smallest end among ``first``'s,
+    breaks the relation whatever the other area selects.  The direction whose
+    partner is a soft area is skipped: a violated soft area selects nothing,
+    so it constrains no one.  Returns whether anything was dropped.
+    """
+    soft = {area.name for area in areas if area.soft}
+    changed = False
+    for a, b, relation in relations:
+        first, second, pos, extent = _ordered(a, b, relation)
+        before, after = candidates[first], candidates[second]
+        if not len(before) or not len(after):
+            continue
+        if second not in soft:
+            keep = getattr(before, pos) + getattr(before, extent) <= getattr(after, pos).max()
+            if not keep.all():
+                before = candidates[first] = before.subset(keep)
+                changed = True
+        if first not in soft and len(before):
+            keep = getattr(after, pos) >= (getattr(before, pos) + getattr(before, extent)).min()
+            if not keep.all():
+                candidates[second] = after.subset(keep)
+                changed = True
+    return changed
+
+
 class _Geometry:
     """Writes the rows that couple candidates of different areas."""
 
     def __init__(
-        self,
-        candidates: Dict[str, Candidates],
-        z: Dict[str, List[Variable]],
-        violation: Dict[str, Variable],
-        width: int,
-        height: int,
+        self, candidates: Dict[str, Candidates], z: Dict[str, List[Variable]], height: int
     ) -> None:
         self.candidates = candidates
         self.z = z
-        self.violation = violation
-        self.width = width
         self.height = height
 
     def terms(self, names: Sequence[str], coefficient) -> Dict[Variable, float]:
@@ -429,25 +505,44 @@ class _Geometry:
             terms.update(zip(self.z[name], coefficient(self.candidates[name]).tolist()))
         return terms
 
-    def add_relation_row(self, model: Model, a: str, b: str, relation: str) -> None:
-        """One sequence-pair row: ``first`` ends before ``second`` starts.
+    def add_relation_rows(self, model: Model, a: str, b: str, relation: str) -> None:
+        """Sequence-pair rows of one fixed relation, one clique per cut line.
 
-        A soft area whose violation binary is set selects no candidate, so
-        its position reads 0; when it is the ``second`` area, the row is
-        relaxed by the device span times its violation binary.
+        ``first`` must end before ``second`` starts.  Two of their candidates
+        clash exactly when some cut line ``t`` has ``start(second) <= t <
+        end(first)``, so for every cut line ``t``
+        ``sum_{end_i > t} z[first,i] + sum_{start_j <= t} z[second,j] <= 1``
+        admits the same integer points as the aggregated big-coefficient row
+        ``sum (x+w) z[first] <= sum x z[second]``, with a far tighter LP
+        relaxation.  A line between two consecutive starts of ``second`` has
+        the ``second`` side of the line at the lower start and a smaller
+        ``first`` side, so the lines at the distinct starts below the last
+        end of ``first`` give every row that is not dominated.  A violated
+        soft area has all its ``z`` at 0, so its side reads 0 and no
+        violation term is needed.
         """
-        first, second = (a, b) if relation in (sp.RELATION_LEFT, sp.RELATION_BELOW) else (b, a)
-        horizontal = relation in (sp.RELATION_LEFT, sp.RELATION_RIGHT)
-        pos, extent, span = ("x", "w", self.width) if horizontal else ("y", "h", self.height)
-        terms = self.terms(
-            [first], lambda c: getattr(c, pos) + getattr(c, extent)
-        )
-        terms.update(self.terms([second], lambda c: -getattr(c, pos)))
-        if second in self.violation:
-            terms[self.violation[second]] = -float(span)
-        model.add_le_terms(
-            terms, 0.0, name=f"sp_{relation}[{_sanitize(a)}|{_sanitize(b)}]"
-        )
+        first, second, pos, extent = _ordered(a, b, relation)
+        before, after = self.candidates[first], self.candidates[second]
+        if not len(before) or not len(after):
+            return
+        ends = getattr(before, pos) + getattr(before, extent)
+        starts = getattr(after, pos)
+        # order both sides so each row is a prefix of each: ends descending,
+        # starts ascending
+        end_order = np.argsort(-ends, kind="stable")
+        start_order = np.argsort(starts, kind="stable")
+        z_first = [self.z[first][i] for i in end_order.tolist()]
+        z_second = [self.z[second][j] for j in start_order.tolist()]
+        lines = np.unique(starts[starts < ends.max()])
+        ending_after = np.searchsorted(-ends[end_order], -lines, side="left")
+        started = np.searchsorted(starts[start_order], lines, side="right")
+        label = f"sp_{relation}[{_sanitize(a)}|{_sanitize(b)}"
+        for t, k_first, k_second in zip(lines.tolist(), ending_after.tolist(), started.tolist()):
+            model.add_le_terms(
+                dict.fromkeys(z_first[:k_first] + z_second[:k_second], 1.0),
+                1.0,
+                name=f"{label},{t}]",
+            )
 
     def add_cell_rows(self, model: Model, names: Sequence[str]) -> None:
         """``sum z <= 1`` per device cell over the candidates covering it."""

@@ -18,6 +18,25 @@ from repro.floorplan.geometry import Rect
 from repro.floorplan.problem import FloorplanProblem
 
 
+def rect_resources(device: FPGADevice, rect: Rect) -> ResourceVector:
+    """Resources covered by a rectangle (histogram-based, one grid pass)."""
+    histogram = device.tile_type_histogram(rect.col, rect.row, rect.width, rect.height)
+    total = ResourceVector.zero()
+    for count, tile_type in zip(histogram, device.tile_type_list):
+        if count:
+            total = total + tile_type.resources * count
+    return total
+
+
+def rect_frames(device: FPGADevice, rect: Rect) -> int:
+    """Configuration frames covered by a rectangle."""
+    histogram = device.tile_type_histogram(rect.col, rect.row, rect.width, rect.height)
+    return sum(
+        count * tile_type.frames
+        for count, tile_type in zip(histogram, device.tile_type_list)
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class RegionPlacement:
     """The rectangle assigned to one area (region or free-compatible area).
@@ -49,16 +68,11 @@ class RegionPlacement:
 
     def covered_resources(self, device: FPGADevice) -> ResourceVector:
         """Resources of the tiles covered on ``device``."""
-        total = ResourceVector.zero()
-        for col, row in self.rect.cells():
-            total = total + device.tile_type_at(col, row).resources
-        return total
+        return rect_resources(device, self.rect)
 
     def covered_frames(self, device: FPGADevice) -> int:
         """Configuration frames of the tiles covered on ``device``."""
-        return sum(
-            device.tile_type_at(col, row).frames for col, row in self.rect.cells()
-        )
+        return rect_frames(device, self.rect)
 
     def covered_tiles_by_type(self, device: FPGADevice) -> Dict[str, int]:
         """Number of covered tiles per tile-type name."""

@@ -120,9 +120,9 @@ class FloorplanSolver:
         Optional externally-provided heuristic floorplan used as the HO seed
         (free-compatible areas are added on top if the spec requires them).
     prune:
-        Filter candidate rectangles against the heuristic seed in
-        :func:`~repro.floorplan.milp_builder.build_floorplan_milp` (exact;
-        on by default).
+        In :func:`~repro.floorplan.milp_builder.build_floorplan_milp`, drop
+        candidate rectangles that cannot satisfy an HO fixed relation or
+        cannot beat the heuristic seed (exact; on by default).
     """
 
     def __init__(
@@ -198,6 +198,7 @@ class FloorplanSolver:
             time.perf_counter() - started,
             mode=self.mode,
             candidates=milp.enumerated,
+            candidates_related=milp.related,
             candidates_kept=milp.kept,
         )
         return milp

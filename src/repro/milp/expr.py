@@ -106,8 +106,8 @@ class Variable:
             return self._as_expr() == other
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return id(self)
+    # identity hash, kept in C: the builders hash every variable they put in a row
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r}, {self.vtype.value}, [{self.lb}, {self.ub}])"

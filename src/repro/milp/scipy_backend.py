@@ -94,13 +94,8 @@ def solve_with_scipy(
         bounds=bounds,
         options=options,
     )
+    search_seconds = time.perf_counter() - search_start
     node_count = int(getattr(result, "mip_node_count", 0) or 0)
-    record_stage(
-        "milp.search",
-        time.perf_counter() - search_start,
-        backend="scipy-highs",
-        nodes=node_count,
-    )
     elapsed = time.perf_counter() - start
 
     status = _map_status(result)
@@ -118,6 +113,13 @@ def solve_with_scipy(
         bound = prepared.user_bound(float(mip_dual_bound))
     elif status is SolveStatus.OPTIMAL:
         bound = objective
+    record_stage(
+        "milp.search",
+        search_seconds,
+        backend="scipy-highs",
+        nodes=node_count,
+        bound=bound,
+    )
 
     return MILPSolution(
         status=status,

@@ -21,7 +21,8 @@ eqs. 4-12 of the paper over candidates instead of portion variables:
   portion) together say the two rectangles share a signature, which the
   compatibility rows force whenever ``c`` selects a candidate;
 * eqs. 11-12 (the soft forms) become the ``1 - v[c]`` assignment row; the
-  builder already relaxed the sequence-pair rows with ``v[c]``.
+  builder's sequence-pair rows need no relaxation, because a violated area
+  selects no candidate and so reads 0 in each of them.
 """
 
 from __future__ import annotations

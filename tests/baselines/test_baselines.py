@@ -16,8 +16,6 @@ from repro.baselines.packing import (
     candidate_orders,
     feasible_rects,
     first_rect,
-    rect_frames,
-    rect_resources,
     region_anchors,
     sort_regions_by_demand,
     sort_regions_by_scarcity,
@@ -27,6 +25,7 @@ from repro.device.grid import FPGADevice, ForbiddenRect
 from repro.device.resources import ResourceVector
 from repro.floorplan import Rect, verify_floorplan
 from repro.floorplan.metrics import evaluate_floorplan
+from repro.floorplan.placement import rect_frames, rect_resources
 from repro.floorplan.problem import Region
 from repro.relocation import RelocationSpec
 

@@ -3,9 +3,9 @@
 The five instances are rebuilt from :mod:`repro.workloads` and solved in HO
 mode with the paper-default weights.  Their optimal objectives and wasted
 frames were recorded with the occupancy-grid formulation the
-candidate-rectangle model replaced; both models must agree on them.  The
-candidate counts before and after the incumbent filter are pinned for two
-reference instances as well.
+candidate-rectangle model replaced; both models, and both MILP backends, must
+agree on them.  The candidate counts before and after the candidate filters
+are pinned for two reference instances as well.
 """
 
 import pytest
@@ -38,11 +38,19 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("build, relocation, objective, wasted", GOLDEN)
-def test_miss_instance_optimum(build, relocation, objective, wasted):
+@pytest.mark.parametrize(
+    "build, relocation, objective, wasted, backend",
+    [pytest.param(*case.values, "highs", id=case.id) for case in GOLDEN]
+    + [
+        pytest.param(*case.values, "branch-bound", id=f"{case.id}-branch-bound")
+        for case in GOLDEN
+    ],
+)
+def test_miss_instance_optimum(build, relocation, objective, wasted, backend):
     spec = RelocationSpec.as_constraint(relocation) if relocation else None
     report = FloorplanSolver(
-        build(), relocation=spec, mode="HO", options=SolverOptions(time_limit=60)
+        build(), relocation=spec, mode="HO",
+        options=SolverOptions(time_limit=60, backend=backend),
     ).solve()
     assert report.solution.status is SolveStatus.OPTIMAL
     assert report.solution.objective == pytest.approx(objective, abs=1e-9)
@@ -54,7 +62,7 @@ def test_miss_instance_optimum(build, relocation, objective, wasted):
     "build, mode, enumerated, kept",
     [
         pytest.param(lambda: scenarios.scaling_problem(33), "O", 31_012, 348, id="scale-33-O"),
-        pytest.param(sdr_problem, "HO", 19_375, 8_190, id="sdr-HO"),
+        pytest.param(sdr_problem, "HO", 19_375, 873, id="sdr-HO"),
     ],
 )
 def test_incumbent_filter_counts(build, mode, enumerated, kept):

@@ -32,18 +32,42 @@ class TestMilpBuilder:
             )
 
     def test_fixed_relations_replace_cell_rows(self, tiny_problem):
+        relations = {("alpha", "beta"): "left", ("alpha", "gamma"): "left",
+                     ("beta", "gamma"): "below"}
         free = build_floorplan_milp(tiny_problem)
-        fixed = build_floorplan_milp(
-            tiny_problem,
-            fixed_relations={("alpha", "beta"): "left", ("alpha", "gamma"): "left",
-                             ("beta", "gamma"): "below"},
-        )
+        fixed = build_floorplan_milp(tiny_problem, fixed_relations=relations)
         fixed_names = [c.name for c in fixed.model.constraints]
         free_names = [c.name for c in free.model.constraints]
-        assert sum(name.startswith("sp_") for name in fixed_names) == 3
+        prefixes = [f"sp_{relation}[{a}|{b}," for (a, b), relation in relations.items()]
+        for prefix in prefixes:
+            assert any(name.startswith(prefix) for name in fixed_names), prefix
+        assert all(
+            any(name.startswith(prefix) for prefix in prefixes)
+            for name in fixed_names
+            if name.startswith("sp_")
+        )
         assert not any(name.startswith("cell[") for name in fixed_names)
         assert any(name.startswith("cell[") for name in free_names)
         assert not any(name.startswith("sp_") for name in free_names)
+
+        # select the alpha candidate that ends last and the beta candidate
+        # that starts first: alpha is then not left of beta
+        model = fixed.model
+        alpha, beta = fixed.candidates["alpha"], fixed.candidates["beta"]
+        picks = {
+            "alpha": int((alpha.x + alpha.w).argmax()),
+            "beta": int(beta.x.argmin()),
+            "gamma": 0,
+        }
+        assert alpha.x[picks["alpha"]] + alpha.w[picks["alpha"]] > beta.x[picks["beta"]]
+        values = {var: 0.0 for var in model.variables}
+        for name, index in picks.items():
+            values[fixed.z[name][index]] = 1.0
+        for var in model.variables:
+            if var.name.startswith("wl_"):
+                values[var] = 1e6  # wirelength rows are lower bounds only
+        violated = [c.name for c in model.check_assignment(values)]
+        assert any(name.startswith(prefixes[0]) for name in violated), violated
 
     def test_filtered_model_refuses_other_weights(self, tiny_problem):
         seed = HOSeeder(tiny_problem).build_seed()
@@ -158,6 +182,25 @@ class TestHOMode:
         assert report.verification.is_feasible
         assert report.floorplan.metadata.get("ho_seed_status")
 
+    def test_solve_keeps_no_reference_to_its_device(self, fast_options):
+        """A server decodes a new device per request: nothing may pin it."""
+        import gc
+        import weakref
+
+        from repro.bench import scenarios
+        from repro.relocation.spec import RelocationSpec
+
+        problem = scenarios.scaling_problem(12)
+        device = weakref.ref(problem.device)
+        report = FloorplanSolver(
+            problem, relocation=RelocationSpec.as_metric({"A": 1}), mode="HO",
+            options=fast_options,
+        ).solve()
+        assert report.solution.status.has_solution
+        del problem, report
+        gc.collect()
+        assert device() is None
+
     def test_ho_not_worse_than_its_seed(self, tiny_problem, fast_options):
         from repro.floorplan.metrics import evaluate_floorplan
 
@@ -204,3 +247,15 @@ class TestStageAnnotations:
         build = by_name["floorplan.build"]
         assert 0 < build["candidates_kept"] <= build["candidates"]
         assert by_name["milp.search"]["nodes"] >= 0
+
+    def test_stages_show_each_filter_and_the_search_bound(self, tiny_problem, fast_options):
+        from repro.floorplan.solver import run_job
+        from repro.service.jobs import SolveJob
+
+        report = run_job(SolveJob(tiny_problem, mode="HO", options=fast_options))
+        by_name = {stage["name"]: stage for stage in report.stages}
+        build = by_name["floorplan.build"]
+        # the relation filter removes candidates on its own in HO mode
+        assert 0 < build["candidates_kept"] <= build["candidates_related"] < build["candidates"]
+        assert by_name["milp.search"]["bound"] == report.solution.bound
+        assert report.solution.bound <= report.solution.objective + 1e-9

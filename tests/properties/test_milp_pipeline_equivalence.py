@@ -1,6 +1,6 @@
 """Property/fuzz tests of the fast MILP pipeline.
 
-Three equivalences are enforced:
+Four equivalences are enforced:
 
 * presolved and raw solves agree on status and objective across randomized
   MILPs, on both backends;
@@ -9,18 +9,28 @@ Three equivalences are enforced:
 * filtered and unfiltered ``build_floorplan_milp`` models extract identical
   optimal floorplans (the incumbent filter is exact, and HO-mode fixed
   relations remove the symmetry that would otherwise let the solver pick a
-  different tie-optimal layout).
+  different tie-optimal layout);
+* on random small HO problems with no, hard and soft relocation, the relation
+  filter keeps every rectangle of the HO seed, and pruned and unpruned solves
+  agree on status and objective with verified floorplans.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.bench import scenarios
+from repro.device.catalog import synthetic_device
+from repro.device.resources import ResourceVector
 from repro.floorplan import FloorplanSolver, ObjectiveWeights
-from repro.floorplan.ho import HOSeeder
+from repro.floorplan.ho import HOSeedError, HOSeeder
 from repro.floorplan.milp_builder import build_floorplan_milp
-from repro.floorplan.problem import Connection, FloorplanProblem, IOPin
+from repro.floorplan.problem import Connection, FloorplanProblem, IOPin, Region
+from repro.floorplan.verify import verify_floorplan
 from repro.milp import Model, SolveStatus, SolverOptions, solve
+from repro.relocation.constraints import apply_relocation_constraints
+from repro.relocation.spec import RelocationSpec
 from repro.workloads.synthetic import SyntheticWorkloadConfig, synthetic_problem
 
 OBJ_TOL = 1e-6
@@ -196,3 +206,87 @@ class TestPrunedVsUnprunedBuilds:
         assert builds[True].kept < builds[False].kept == builds[True].enumerated
         assert pruned.num_variables < full.num_variables
         assert pruned.num_nonzeros < full.num_nonzeros
+
+
+@st.composite
+def _small_ho_problems(draw):
+    """A small synthetic problem plus no, hard or soft relocation of ``R0``."""
+    width, height = draw(st.integers(6, 10)), draw(st.integers(3, 5))
+    config = SyntheticWorkloadConfig(
+        num_regions=draw(st.integers(2, 3)),
+        utilization=draw(st.sampled_from([0.2, 0.35, 0.5])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    problem = synthetic_problem(synthetic_device(width, height), config, name="prop-ho")
+    copies = draw(st.integers(1, 2))
+    relocation = draw(
+        st.sampled_from(
+            [
+                None,
+                RelocationSpec.as_constraint({"R0": copies}),
+                RelocationSpec.as_metric({"R0": copies}),
+            ]
+        )
+    )
+    return problem, relocation
+
+
+class TestRelationFilter:
+    @given(case=_small_ho_problems())
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_relation_filter_is_exact(self, case):
+        problem, relocation = case
+        try:
+            seed = HOSeeder(problem).build_seed(spec=relocation)
+        except HOSeedError:
+            return  # no HO seed, no HO model
+        options = SolverOptions(time_limit=30, mip_gap=0.0)
+        solvers = {
+            prune: FloorplanSolver(
+                problem, relocation=relocation, mode="HO", options=options,
+                seed_floorplan=seed.floorplan, prune=prune,
+            )
+            for prune in (False, True)
+        }
+        milp = solvers[True].build()
+        for placement in seed.floorplan.all_placements():
+            cand = milp.candidates[placement.name]
+            rect = placement.rect
+            assert np.any(
+                (cand.x == rect.col) & (cand.y == rect.row)
+                & (cand.w == rect.width) & (cand.h == rect.height)
+            ), placement.name
+
+        reports = {prune: solver.solve() for prune, solver in solvers.items()}
+        assert reports[True].solution.status is reports[False].solution.status
+        for report in reports.values():
+            assert report.solution.status is SolveStatus.OPTIMAL
+            assert verify_floorplan(report.floorplan).is_feasible
+        assert reports[True].solution.objective == pytest.approx(
+            reports[False].solution.objective, abs=OBJ_TOL
+        )
+
+    @pytest.mark.parametrize("relation, pin_col", [("left", 11), ("right", 0)])
+    def test_soft_partner_narrows_nothing(self, relation, pin_col):
+        """The optimum gives the soft copy up to put ``R`` where its partner
+        would have to be; the filter must not have dropped that rectangle."""
+        device = synthetic_device(12, 3)
+        problem = FloorplanProblem(
+            device, [Region("R", ResourceVector(CLB=2))], [Connection("R", "pin", weight=8.0)],
+            pins=[IOPin("pin", col=pin_col, row=0)], name="soft-partner",
+        )
+        areas = RelocationSpec.as_metric({"R": 1}).build_area_specs(problem)
+        weights = ObjectiveWeights(wirelength=1.0, wasted_frames=0.0, relocation=0.01)
+        solved = {}
+        for prune in (False, True):
+            milp = build_floorplan_milp(
+                problem, extra_areas=areas, fixed_relations={("R", areas[0].name): relation},
+                prune=prune, weights=weights,
+            )
+            apply_relocation_constraints(milp)
+            solution = solve(milp.model, SolverOptions(mip_gap=0.0))
+            solved[prune] = (solution, milp.extract(solution))
+        assert solved[True][0].objective == pytest.approx(solved[False][0].objective, abs=OBJ_TOL)
+        floorplan = solved[True][1]
+        assert floorplan.placements["R"].rect.col == pin_col
+        assert not floorplan.free_areas[areas[0].name].satisfied

@@ -24,13 +24,18 @@ def payloads():
 
 
 def _slow_payload():
-    """The SDR case study in HO mode: seconds of seeding and search."""
+    """A 10-region HO instance on a 40x12 device: far more than a second of search."""
+    from repro.device.catalog import synthetic_device
     from repro.milp import SolverOptions
     from repro.server.protocol import job_to_dict
     from repro.service.jobs import SolveJob
-    from repro.workloads.sdr import sdr_problem
+    from repro.workloads.synthetic import SyntheticWorkloadConfig, synthetic_problem
 
-    job = SolveJob(sdr_problem(), mode="HO", options=SolverOptions(time_limit=30.0))
+    problem = synthetic_problem(
+        synthetic_device(40, 12, name="deadline-device"),
+        SyntheticWorkloadConfig(num_regions=10, utilization=0.5, seed=3),
+    )
+    job = SolveJob(problem, mode="HO", options=SolverOptions(time_limit=30.0))
     return job_to_dict(job)
 
 
