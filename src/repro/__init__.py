@@ -25,6 +25,15 @@ The public API re-exported here is the surface a downstream user needs:
 * serving (:mod:`repro.server`): the asyncio JSON-over-HTTP solve gateway
   with micro-batching, admission control and a load-testing harness.
 
+The exports are lazy (PEP 562, through :mod:`repro._lazy`): ``import repro``
+loads no subpackage, and each name imports the subpackage that defines it on
+first access.  ``from repro import X``, ``from repro import *``,
+``hasattr(repro, X)`` and ``dir(repro)`` work as with eager imports, but a
+caller that needs only the simulator, such as ``python -m repro.capacity``,
+no longer pays for scipy, the MILP layer or the serving stack.
+``repro.floorplan``, ``repro.sim`` and ``repro.fleet`` export lazily the same
+way.
+
 Quickstart::
 
     from repro import (
@@ -39,200 +48,106 @@ Quickstart::
     print(render_floorplan(report.floorplan))
 """
 
-from repro.device import (
-    FPGADevice,
-    ForbiddenArea,
-    Portion,
-    ResourceType,
-    ResourceVector,
-    TileType,
-    columnar_partition,
-    simple_two_type_device,
-    synthetic_device,
-    virtex5_fx70t_like,
-    virtex7_like,
-    zynq_like,
-)
-from repro.floorplan import (
-    Connection,
-    Floorplan,
-    FloorplanProblem,
-    FloorplanSolver,
-    IOPin,
-    ObjectiveWeights,
-    Rect,
-    Region,
-    RegionPlacement,
-    SequencePair,
-    SolveReport,
-    evaluate_floorplan,
-    verify_floorplan,
-)
-from repro.milp import Model, SolverOptions, SolveStatus, solve
-from repro.relocation import (
-    RelocationRequest,
-    RelocationSpec,
-    areas_compatible,
-    enumerate_free_compatible_areas,
-    feasibility_analysis,
-)
-from repro.baselines import (
-    annealing_floorplan,
-    first_fit_floorplan,
-    tessellation_floorplan,
-)
-from repro.bitstream import (
-    ConfigurationMemory,
-    PartialBitstream,
-    RelocationError,
-    generate_bitstream,
-    relocate_bitstream,
-)
-from repro.runtime import (
-    ReconfigurationError,
-    ReconfigurationManager,
-    RuntimeTrace,
-)
-from repro.workloads import (
-    SyntheticWorkloadConfig,
-    sdr_problem,
-    sdr2_spec,
-    sdr3_spec,
-    synthetic_problem,
-)
-from repro.analysis import render_floorplan, render_partition
-from repro.service import (
-    BatchSolver,
-    SolveCache,
-    SolveJob,
-    SweepReport,
-    run_portfolio,
-    run_sweep,
-    sweep_jobs,
-)
-from repro.server import (
-    BackgroundGateway,
-    GatewayConfig,
-    SolveGateway,
-)
-from repro.fleet import (
-    BackgroundFleet,
-    FleetConfig,
-    FleetManager,
-    FleetRouter,
-    HashRing,
-    RouterConfig,
-)
-from repro.sim import (
-    InhomogeneousPoissonTraffic,
-    MMPPTraffic,
-    PoissonTraffic,
-    RandomFaults,
-    ReconfigureInPlace,
-    RelocateFirst,
-    ResolveViaService,
-    ScheduledFaults,
-    SimConfig,
-    SimulationEngine,
-    TraceReplayTraffic,
-    sinusoidal_rate,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # device
-    "FPGADevice",
-    "TileType",
-    "ResourceType",
-    "ResourceVector",
-    "Portion",
-    "ForbiddenArea",
-    "columnar_partition",
-    "virtex5_fx70t_like",
-    "virtex7_like",
-    "zynq_like",
-    "synthetic_device",
-    "simple_two_type_device",
-    # floorplanning
-    "Rect",
-    "Region",
-    "IOPin",
-    "Connection",
-    "FloorplanProblem",
-    "RegionPlacement",
-    "Floorplan",
-    "ObjectiveWeights",
-    "SequencePair",
-    "FloorplanSolver",
-    "SolveReport",
-    "evaluate_floorplan",
-    "verify_floorplan",
-    # MILP substrate
-    "Model",
-    "solve",
-    "SolverOptions",
-    "SolveStatus",
-    # relocation
-    "RelocationSpec",
-    "RelocationRequest",
-    "areas_compatible",
-    "enumerate_free_compatible_areas",
-    "feasibility_analysis",
-    # baselines
-    "first_fit_floorplan",
-    "tessellation_floorplan",
-    "annealing_floorplan",
-    # bitstreams
-    "PartialBitstream",
-    "generate_bitstream",
-    "relocate_bitstream",
-    "RelocationError",
-    "ConfigurationMemory",
-    # runtime
-    "ReconfigurationManager",
-    "ReconfigurationError",
-    "RuntimeTrace",
-    # workloads
-    "sdr_problem",
-    "sdr2_spec",
-    "sdr3_spec",
-    "SyntheticWorkloadConfig",
-    "synthetic_problem",
-    # analysis
-    "render_floorplan",
-    "render_partition",
-    # batch service
-    "SolveJob",
-    "SolveCache",
-    "BatchSolver",
-    "SweepReport",
-    "sweep_jobs",
-    "run_sweep",
-    "run_portfolio",
-    # serving
-    "SolveGateway",
-    "GatewayConfig",
-    "BackgroundGateway",
-    # fleet
-    "HashRing",
-    "FleetConfig",
-    "FleetManager",
-    "RouterConfig",
-    "FleetRouter",
-    "BackgroundFleet",
-    # online simulation
-    "SimulationEngine",
-    "SimConfig",
-    "PoissonTraffic",
-    "InhomogeneousPoissonTraffic",
-    "sinusoidal_rate",
-    "MMPPTraffic",
-    "TraceReplayTraffic",
-    "ScheduledFaults",
-    "RandomFaults",
-    "ReconfigureInPlace",
-    "RelocateFirst",
-    "ResolveViaService",
-]
+_EXPORTS = {
+    "repro.device": [
+        "FPGADevice",
+        "TileType",
+        "ResourceType",
+        "ResourceVector",
+        "Portion",
+        "ForbiddenArea",
+        "columnar_partition",
+        "virtex5_fx70t_like",
+        "virtex7_like",
+        "zynq_like",
+        "synthetic_device",
+        "simple_two_type_device",
+    ],
+    "repro.floorplan": [
+        "Rect",
+        "Region",
+        "IOPin",
+        "Connection",
+        "FloorplanProblem",
+        "RegionPlacement",
+        "Floorplan",
+        "ObjectiveWeights",
+        "SequencePair",
+        "FloorplanSolver",
+        "SolveReport",
+        "evaluate_floorplan",
+        "verify_floorplan",
+    ],
+    "repro.milp": ["Model", "solve", "SolverOptions", "SolveStatus"],
+    "repro.relocation": [
+        "RelocationSpec",
+        "RelocationRequest",
+        "areas_compatible",
+        "enumerate_free_compatible_areas",
+        "feasibility_analysis",
+    ],
+    "repro.baselines": [
+        "first_fit_floorplan",
+        "tessellation_floorplan",
+        "annealing_floorplan",
+    ],
+    "repro.bitstream": [
+        "PartialBitstream",
+        "generate_bitstream",
+        "relocate_bitstream",
+        "RelocationError",
+        "ConfigurationMemory",
+    ],
+    "repro.runtime": [
+        "ReconfigurationManager",
+        "ReconfigurationError",
+        "RuntimeTrace",
+    ],
+    "repro.workloads": [
+        "sdr_problem",
+        "sdr2_spec",
+        "sdr3_spec",
+        "SyntheticWorkloadConfig",
+        "synthetic_problem",
+    ],
+    "repro.analysis": ["render_floorplan", "render_partition"],
+    "repro.service": [
+        "SolveJob",
+        "SolveCache",
+        "BatchSolver",
+        "SweepReport",
+        "sweep_jobs",
+        "run_sweep",
+        "run_portfolio",
+    ],
+    "repro.server": ["SolveGateway", "GatewayConfig", "BackgroundGateway"],
+    "repro.fleet": [
+        "HashRing",
+        "FleetConfig",
+        "FleetManager",
+        "RouterConfig",
+        "FleetRouter",
+        "BackgroundFleet",
+    ],
+    "repro.sim": [
+        "SimulationEngine",
+        "SimConfig",
+        "PoissonTraffic",
+        "InhomogeneousPoissonTraffic",
+        "sinusoidal_rate",
+        "MMPPTraffic",
+        "TraceReplayTraffic",
+        "ScheduledFaults",
+        "RandomFaults",
+        "ReconfigureInPlace",
+        "RelocateFirst",
+        "ResolveViaService",
+    ],
+}
+
+__all__ = ["__version__", *(name for names in _EXPORTS.values() for name in names)]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -122,7 +122,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     outcome = plan_min_devices(scenario, slo, max_devices=args.max_devices)
     multipliers = parse_multipliers(args.sweep)
     curve = (
-        capacity_curve(scenario, slo, multipliers, max_devices=args.max_devices)
+        capacity_curve(
+            scenario,
+            slo,
+            multipliers,
+            max_devices=args.max_devices,
+            planned={1.0: outcome},
+        )
         if multipliers
         else None
     )

@@ -13,6 +13,7 @@ sequence and device states they make the same choices.
 from __future__ import annotations
 
 import abc
+import math
 from typing import List, Optional, Sequence
 
 from repro.fleet.hashing import DEFAULT_VNODES, HashRing
@@ -29,8 +30,9 @@ class Dispatcher(abc.ABC):
         """The device that should serve ``request`` (``None`` = shed it).
 
         ``devices`` are the fleet's device states in fixed index order; each
-        exposes ``name``, ``index`` and ``can_accept()`` (up, with a free
-        port or queue headroom).
+        exposes ``name``, ``index``, ``up``, ``load`` (busy ports plus queued
+        requests), ``limit`` (the load at which it is full) and
+        ``can_accept()`` (``up and load < limit``).
         """
 
 
@@ -58,14 +60,15 @@ class LeastLoaded(Dispatcher):
     name = "least-loaded"
 
     def assign(self, request: ModeRequest, devices: Sequence) -> Optional[object]:
-        best = None
+        # one pass in index order; a strict ``<`` lets the lower index win ties
+        best, best_load = None, math.inf
         for device in devices:
-            if not device.can_accept():
-                continue
-            key = (device.load, device.index)  # index breaks ties deterministically
-            if best is None or key < best[0]:
-                best = (key, device)
-        return best[1] if best is not None else None
+            load = device.load
+            if load < best_load and device.up and load < device.limit:
+                if load == 0:
+                    return device  # idle: no later device can do better
+                best, best_load = device, load
+        return best
 
 
 class ConsistentHash(Dispatcher):

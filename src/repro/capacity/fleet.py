@@ -23,8 +23,10 @@ deterministic.  Two runs of the same scenario produce identical stats.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 from collections import deque
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.bitstream.frames import frame_count
 from repro.capacity.dispatch import Dispatcher
@@ -112,32 +114,31 @@ class _Pending:
 
 
 class _Device:
-    """Run-time state of one fleet device."""
+    """Run-time state of one fleet device.
+
+    ``load`` counts in-flight work (busy ports plus queued requests) and
+    ``limit`` is the load at which the device stops accepting: every port
+    busy and the queue full.  An up device never holds a queue beside a free
+    port (every state change drains it), so ``up and load < limit`` is
+    exactly "up, with a free port or queue headroom".
+    """
 
     def __init__(self, index: int, name: str, profile: DeviceProfile, config: FleetConfig):
         self.index = index
         self.name = name
         self.profile = profile
-        self.config = config
         self.free_ports = profile.num_ports
         self.queue: Deque[_Pending] = deque()
+        self.load = 0
+        capacity = config.queue_capacity
+        self.limit = math.inf if capacity is None else profile.num_ports + capacity
         self.up = True
         self.stats = SimStats()
         self.downtime = 0.0
         self._down_since = 0.0
 
-    @property
-    def load(self) -> int:
-        """In-flight work: busy ports plus queued requests."""
-        return (self.profile.num_ports - self.free_ports) + len(self.queue)
-
     def can_accept(self) -> bool:
-        if not self.up:
-            return False
-        if self.free_ports > 0:
-            return True
-        capacity = self.config.queue_capacity
-        return capacity is None or len(self.queue) < capacity
+        return self.up and self.load < self.limit
 
 
 @dataclasses.dataclass
@@ -207,7 +208,8 @@ class FleetSimulation:
     # ------------------------------------------------------------------
     def run(self) -> FleetResult:
         horizon = self.config.horizon
-        self._queue.push_batch(
+        by_name = {device.name: device for device in self.devices}
+        arrivals = (
             (
                 request.time,
                 SimEventKind.ARRIVAL,
@@ -215,15 +217,14 @@ class FleetSimulation:
             )
             for index, request in enumerate(self.traffic.generate(horizon))
         )
-        by_name = {device.name: device for device in self.devices}
-        for name in sorted(self.fault_plans):
-            device = by_name.get(name)
-            if device is None:
-                continue
-            self._queue.push_batch(
-                (event.time, SimEventKind.FAULT, device)
-                for event in self.fault_plans[name].events(horizon)
-            )
+        faults = (
+            (event.time, SimEventKind.FAULT, by_name[name])
+            for name in sorted(self.fault_plans)
+            if name in by_name
+            for event in self.fault_plans[name].events(horizon)
+        )
+        # one batch, arrivals then faults by device name: one sort, no merge
+        self._queue.push_batch(itertools.chain(arrivals, faults))
 
         while self._queue:
             event = self._queue.pop()
@@ -263,6 +264,7 @@ class FleetSimulation:
         if device is None:
             self._shed += 1  # no device can accept: shed at the front door
             return
+        device.load += 1
         if device.up and device.free_ports > 0:
             self._start(device, pending)
         else:
@@ -271,6 +273,7 @@ class FleetSimulation:
     def _on_complete(self, payload: Tuple[_Device, _Pending]) -> None:
         device, pending = payload
         device.free_ports += 1
+        device.load -= 1
         device.stats.record(
             RequestRecord(
                 request_id=pending.request_id,
@@ -288,18 +291,17 @@ class FleetSimulation:
         self._drain(device)
 
     def _on_fault(self, device: _Device) -> None:
-        if device.up:
-            device.up = False
-            device._down_since = self.clock.now
-            device.stats.record_fault(self.clock.now)
-        # re-faulting a down device extends nothing: repair is already queued
+        # re-faulting a down device extends nothing: its repair is already queued
+        if not device.up:
+            return
+        device.up = False
+        device._down_since = self.clock.now
+        device.stats.record_fault(self.clock.now)
         self._queue.push(
             self.clock.now + self.config.repair_time, SimEventKind.REPAIR, device
         )
 
     def _on_repair(self, device: _Device) -> None:
-        if device.up:
-            return
         device.up = True
         device.downtime += self.clock.now - device._down_since
         self._drain(device)

@@ -19,7 +19,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.capacity.dispatch import make_dispatcher
 from repro.capacity.fleet import DeviceProfile, FleetConfig, FleetResult, FleetSimulation
@@ -219,15 +219,24 @@ def capacity_curve(
     slo: CapacitySLO,
     multipliers: Sequence[float],
     max_devices: int = 1024,
+    planned: Optional[Mapping[float, PlanOutcome]] = None,
 ) -> List[Dict[str, object]]:
-    """Minimum fleet size at each rate multiplier (the capacity curve)."""
+    """Minimum fleet size at each rate multiplier (the capacity curve).
+
+    Each distinct multiplier is planned once.  ``planned`` supplies outcomes
+    the caller already has, keyed by multiplier, for the same ``slo`` and
+    ``max_devices`` (the CLI passes its multiplier-1.0 plan).
+    """
+    outcomes: Dict[float, PlanOutcome] = dict(planned or {})
     curve: List[Dict[str, object]] = []
     for multiplier in multipliers:
         if multiplier <= 0:
             raise ValueError("rate multipliers must be positive")
-        outcome = plan_min_devices(
-            scenario, slo, max_devices=max_devices, rate_multiplier=multiplier
-        )
+        outcome = outcomes.get(multiplier)
+        if outcome is None:
+            outcome = outcomes[multiplier] = plan_min_devices(
+                scenario, slo, max_devices=max_devices, rate_multiplier=multiplier
+            )
         point: Dict[str, object] = {
             "rate_multiplier": float(multiplier),
             "offered_rate": scenario.rate * multiplier,

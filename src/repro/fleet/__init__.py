@@ -25,21 +25,19 @@ Quickstart::
     python -m repro.fleet --replicas 4 --cache-dir /tmp/fleet-cache
 """
 
-from repro.fleet.harness import BackgroundFleet, BackgroundRouter
-from repro.fleet.hashing import DEFAULT_VNODES, HashRing
-from repro.fleet.manager import FleetConfig, FleetManager, Replica
-from repro.fleet.router import FleetRouter, RouterConfig, UpstreamError, UpstreamPool
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_VNODES",
-    "HashRing",
-    "FleetConfig",
-    "FleetManager",
-    "Replica",
-    "FleetRouter",
-    "RouterConfig",
-    "UpstreamError",
-    "UpstreamPool",
-    "BackgroundRouter",
-    "BackgroundFleet",
-]
+_EXPORTS = {
+    "repro.fleet.hashing": ["DEFAULT_VNODES", "HashRing"],
+    "repro.fleet.manager": ["FleetConfig", "FleetManager", "Replica"],
+    "repro.fleet.router": [
+        "FleetRouter",
+        "RouterConfig",
+        "UpstreamError",
+        "UpstreamPool",
+    ],
+    "repro.fleet.harness": ["BackgroundRouter", "BackgroundFleet"],
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

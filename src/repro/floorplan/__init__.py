@@ -19,28 +19,21 @@ the relocation extension builds on:
   metrics and an MILP-independent feasibility checker.
 """
 
-from repro.floorplan.geometry import Rect
-from repro.floorplan.problem import Connection, FloorplanProblem, IOPin, Region
-from repro.floorplan.placement import Floorplan, RegionPlacement
-from repro.floorplan.metrics import FloorplanMetrics, ObjectiveWeights, evaluate_floorplan
-from repro.floorplan.sequence_pair import SequencePair
-from repro.floorplan.verify import VerificationReport, verify_floorplan
-from repro.floorplan.solver import FloorplanSolver, SolveReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Rect",
-    "Region",
-    "IOPin",
-    "Connection",
-    "FloorplanProblem",
-    "RegionPlacement",
-    "Floorplan",
-    "ObjectiveWeights",
-    "FloorplanMetrics",
-    "evaluate_floorplan",
-    "SequencePair",
-    "VerificationReport",
-    "verify_floorplan",
-    "FloorplanSolver",
-    "SolveReport",
-]
+_EXPORTS = {
+    "repro.floorplan.geometry": ["Rect"],
+    "repro.floorplan.problem": ["Region", "IOPin", "Connection", "FloorplanProblem"],
+    "repro.floorplan.placement": ["RegionPlacement", "Floorplan"],
+    "repro.floorplan.metrics": [
+        "ObjectiveWeights",
+        "FloorplanMetrics",
+        "evaluate_floorplan",
+    ],
+    "repro.floorplan.sequence_pair": ["SequencePair"],
+    "repro.floorplan.verify": ["VerificationReport", "verify_floorplan"],
+    "repro.floorplan.solver": ["FloorplanSolver", "SolveReport"],
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -30,73 +30,40 @@ Quickstart::
     print(result.format_report())
 """
 
-from repro.sim.clock import SimTimeError, VirtualClock
-from repro.sim.engine import SimConfig, SimResult, SimulationEngine
-from repro.sim.events import EventQueue, SimEvent, SimEventKind
-from repro.sim.faults import (
-    FaultEvent,
-    FaultPlan,
-    RandomFaults,
-    ScheduledFaults,
-    fault_masked_problem,
-    poisson_times,
-)
-from repro.sim.policies import (
-    Policy,
-    PolicyOutcome,
-    ReconfigureInPlace,
-    RelocateFirst,
-    ResolveViaService,
-    placement_fault_masked,
-)
-from repro.sim.stats import RequestRecord, SimStats, histogram, percentile
-from repro.sim.traffic import (
-    InhomogeneousPoissonTraffic,
-    MMPPTraffic,
-    ModeRequest,
-    PoissonTraffic,
-    TraceReplayTraffic,
-    TrafficModel,
-    batched_poisson_times,
-    sinusoidal_rate,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # clock / events
-    "VirtualClock",
-    "SimTimeError",
-    "EventQueue",
-    "SimEvent",
-    "SimEventKind",
-    # traffic
-    "TrafficModel",
-    "ModeRequest",
-    "PoissonTraffic",
-    "InhomogeneousPoissonTraffic",
-    "MMPPTraffic",
-    "TraceReplayTraffic",
-    "sinusoidal_rate",
-    "batched_poisson_times",
-    # faults
-    "FaultPlan",
-    "FaultEvent",
-    "ScheduledFaults",
-    "RandomFaults",
-    "fault_masked_problem",
-    "poisson_times",
-    # policies
-    "Policy",
-    "PolicyOutcome",
-    "ReconfigureInPlace",
-    "RelocateFirst",
-    "ResolveViaService",
-    "placement_fault_masked",
-    # engine / stats
-    "SimulationEngine",
-    "SimConfig",
-    "SimResult",
-    "SimStats",
-    "RequestRecord",
-    "percentile",
-    "histogram",
-]
+_EXPORTS = {
+    "repro.sim.clock": ["VirtualClock", "SimTimeError"],
+    "repro.sim.events": ["EventQueue", "SimEvent", "SimEventKind"],
+    "repro.sim.traffic": [
+        "TrafficModel",
+        "ModeRequest",
+        "PoissonTraffic",
+        "InhomogeneousPoissonTraffic",
+        "MMPPTraffic",
+        "TraceReplayTraffic",
+        "sinusoidal_rate",
+        "batched_poisson_times",
+    ],
+    "repro.sim.faults": [
+        "FaultPlan",
+        "FaultEvent",
+        "ScheduledFaults",
+        "RandomFaults",
+        "fault_masked_problem",
+        "poisson_times",
+    ],
+    "repro.sim.policies": [
+        "Policy",
+        "PolicyOutcome",
+        "ReconfigureInPlace",
+        "RelocateFirst",
+        "ResolveViaService",
+        "placement_fault_masked",
+    ],
+    "repro.sim.engine": ["SimulationEngine", "SimConfig", "SimResult"],
+    "repro.sim.stats": ["SimStats", "RequestRecord", "percentile", "histogram"],
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

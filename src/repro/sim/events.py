@@ -19,10 +19,9 @@ the batched part pops by cursor increment.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import heapq
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 
 class SimEventKind(enum.Enum):
@@ -43,8 +42,7 @@ _PRIORITY = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     """One scheduled simulator event."""
 
     time: float
@@ -65,9 +63,10 @@ class EventQueue:
     def _entry(self, time: float, kind: SimEventKind, payload: object) -> tuple:
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
-        event = SimEvent(time=float(time), kind=kind, seq=self._seq, payload=payload)
-        self._seq += 1
-        return (event.time, _PRIORITY[kind], event.seq, event)
+        time = float(time)
+        seq = self._seq
+        self._seq = seq + 1
+        return (time, _PRIORITY[kind], seq, SimEvent(time, kind, seq, payload))
 
     def push(self, time: float, kind: SimEventKind, payload: object = None) -> SimEvent:
         """Schedule one event; returns the stored record."""

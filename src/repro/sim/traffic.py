@@ -7,8 +7,8 @@ Four generator families cover the scenarios the online benchmarks need:
 * :class:`InhomogeneousPoissonTraffic` — time-varying rate λ(t) simulated by
   the inversion / order-statistics method of the IPPP package (PAPERS.md):
   draw N ~ Poisson(Λ(T)), then map sorted uniforms through the inverse
-  cumulative rate.  The classic Lewis–Shedler thinning loop is kept as the
-  per-event reference oracle;
+  cumulative rate.  The tests compare it with the classic Lewis–Shedler
+  thinning loop;
 * :class:`MMPPTraffic` — a two-state Markov-modulated Poisson process for
   bursty traffic (quiet/burst phases with exponential sojourns), vectorized
   per phase by memorylessness;
@@ -23,9 +23,10 @@ Stream layout: arrival *times* consume ``make_rng(seed)``, region picks
 sojourns ``make_rng(seed + 3)``.  Hoisting the draws onto independent streams
 (the idiom :class:`~repro.sim.faults.RandomFaults` established) is what lets
 the batched numpy implementation produce *bitwise identical* request streams
-to the per-event ``generate_reference`` loops: ``rng.exponential(s, size=n)``
-consumes the same underlying draws as ``n`` scalar calls and ``np.cumsum``
-accumulates strictly left-to-right, which the equivalence property tests pin.
+to per-event loops: ``rng.exponential(s, size=n)`` consumes the same
+underlying draws as ``n`` scalar calls and ``np.cumsum`` accumulates strictly
+left-to-right.  The equivalence property tests pin this against the per-event
+reference generators in ``tests/sim/traffic_oracles.py``.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class _RandomModeMixin:
 
     Picks live on their own seeded streams (``seed + 1`` for regions,
     ``seed + 2`` for modes) so the arrival-time stream is identical between
-    the vectorized and per-event implementations.
+    the vectorized generators and their per-event test references.
     """
 
     regions: Sequence[str]
@@ -116,25 +117,12 @@ class _RandomModeMixin:
             for time, r, m in zip(times, region_idx, mode_idx)
         ]
 
-    def _reference_picker(self):
-        """Per-event pick closure consuming the same streams one draw at a time."""
-        region_rng = make_rng(self.seed + 1)
-        mode_rng = make_rng(self.seed + 2)
-        regions, modes = self.regions, self._mode_names()
-
-        def pick(time: float) -> ModeRequest:
-            region = regions[int(region_rng.integers(len(regions)))]
-            mode = modes[int(mode_rng.integers(self.modes_per_region))]
-            return ModeRequest(time=time, region=region, mode=mode)
-
-        return pick
-
 
 class PoissonTraffic(_RandomModeMixin, TrafficModel):
     """Homogeneous Poisson arrivals at ``rate`` requests per second.
 
     ``method="gap"`` (default) batch-samples exponential gaps — bitwise
-    identical to the per-event loop in :meth:`generate_reference`.
+    identical to the per-event gap-sampling loop.
     ``method="inversion"`` uses the order-statistics construction
     (N ~ Poisson(rate·T), sorted uniforms scaled to the horizon); it draws a
     different stream but the same distribution, which the property tests
@@ -171,18 +159,6 @@ class PoissonTraffic(_RandomModeMixin, TrafficModel):
             times = batched_poisson_times(rng, self.rate, horizon)
         return self._materialize(times)
 
-    def generate_reference(self, horizon: float) -> List[ModeRequest]:
-        """Per-event gap-sampling oracle for the equivalence property tests."""
-        horizon = self._check_horizon(horizon)
-        rng = make_rng(self.seed)
-        pick = self._reference_picker()
-        requests: List[ModeRequest] = []
-        time = float(rng.exponential(1.0 / self.rate))
-        while time < horizon:
-            requests.append(pick(time))
-            time += float(rng.exponential(1.0 / self.rate))
-        return requests
-
 
 class InhomogeneousPoissonTraffic(_RandomModeMixin, TrafficModel):
     """Inhomogeneous Poisson arrivals with rate ``rate_fn(t)``.
@@ -194,9 +170,8 @@ class InhomogeneousPoissonTraffic(_RandomModeMixin, TrafficModel):
     ``rate_fn`` must satisfy ``0 <= rate_fn(t) <= rate_max`` over the horizon
     (checked on the grid; violations raise, as the thinning loop always did).
 
-    :meth:`generate_reference` keeps the Lewis–Shedler thinning loop as the
-    per-event oracle; the two agree distributionally (same seed, KS-tested)
-    but not draw-for-draw.
+    It agrees with the Lewis–Shedler thinning loop distributionally (same
+    seed, KS-tested) but not draw-for-draw.
     """
 
     def __init__(
@@ -246,24 +221,6 @@ class InhomogeneousPoissonTraffic(_RandomModeMixin, TrafficModel):
         times = times[times < horizon]
         return self._materialize(times)
 
-    def generate_reference(self, horizon: float) -> List[ModeRequest]:
-        """Per-event Lewis–Shedler thinning oracle."""
-        horizon = self._check_horizon(horizon)
-        rng = make_rng(self.seed)
-        pick = self._reference_picker()
-        requests: List[ModeRequest] = []
-        time = float(rng.exponential(1.0 / self.rate_max))
-        while time < horizon:
-            rate = float(self.rate_fn(time))
-            if rate < 0 or rate > self.rate_max + 1e-9:
-                raise ValueError(
-                    f"rate_fn({time:.6f}) = {rate} outside [0, rate_max={self.rate_max}]"
-                )
-            if rng.random() < rate / self.rate_max:
-                requests.append(pick(time))
-            time += float(rng.exponential(1.0 / self.rate_max))
-        return requests
-
 
 def sinusoidal_rate(
     base: float, amplitude: float, period: float
@@ -293,7 +250,7 @@ class MMPPTraffic(_RandomModeMixin, TrafficModel):
     quiet stretches punctuated by high-rate bursts.
 
     Phase sojourns are drawn on their own stream (``seed + 3``), so the
-    vectorized path and :meth:`generate_reference` see *identical* phase
+    vectorized path and a per-event loop see *identical* phase
     boundaries; within each phase, memorylessness makes per-phase
     order-statistics regeneration exact, which the distributional property
     tests check window by window.
@@ -347,29 +304,6 @@ class MMPPTraffic(_RandomModeMixin, TrafficModel):
         else:
             times = np.empty(0)
         return self._materialize(times)
-
-    def generate_reference(self, horizon: float) -> List[ModeRequest]:
-        """Per-event oracle: gap-sampling restarted at each phase switch."""
-        horizon = self._check_horizon(horizon)
-        phase_rng = make_rng(self.seed + 3)
-        rng = make_rng(self.seed)
-        pick = self._reference_picker()
-        requests: List[ModeRequest] = []
-        state, time = 0, 0.0
-        phase_end = float(phase_rng.exponential(self.mean_sojourns[state]))
-        while time < horizon:
-            gap = float(rng.exponential(1.0 / self.rates[state]))
-            if time + gap >= phase_end:
-                # no arrival before the phase switch: jump states and retry
-                time = phase_end
-                state = 1 - state
-                phase_end = time + float(phase_rng.exponential(self.mean_sojourns[state]))
-                continue
-            time += gap
-            if time >= horizon:
-                break
-            requests.append(pick(time))
-        return requests
 
 
 class TraceReplayTraffic(TrafficModel):

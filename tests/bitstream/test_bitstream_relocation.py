@@ -15,10 +15,11 @@ from repro.bitstream import (
     relocate_bitstream,
 )
 from repro.bitstream.bitstream import WORDS_PER_FRAME
-from repro.bitstream.crc import crc32_of_words, crc32_reference
+from repro.bitstream.crc import crc32_of_words
 from repro.bitstream.frames import frame_count
 from repro.bitstream.memory import ConfigurationError
 from repro.floorplan import Rect
+from tests.bitstream.crc_oracle import crc32_reference
 
 
 class TestCrc:

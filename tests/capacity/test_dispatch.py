@@ -1,5 +1,7 @@
 """Tests of the fleet dispatchers."""
 
+import math
+
 import pytest
 
 from repro.capacity import (
@@ -13,14 +15,19 @@ from repro.sim.traffic import ModeRequest
 
 
 class FakeDevice:
-    def __init__(self, index, name, load=0, accepting=True):
+    def __init__(self, index, name, load=0, accepting=True, limit=math.inf):
         self.index = index
         self.name = name
         self.load = load
         self.accepting = accepting
+        self.limit = limit
+
+    @property
+    def up(self):
+        return self.accepting
 
     def can_accept(self):
-        return self.accepting
+        return self.accepting and self.load < self.limit
 
 
 def request(region="A"):
@@ -68,6 +75,15 @@ class TestLeastLoaded:
         devices[0].accepting = False
         devices[1].load = 9
         assert LeastLoaded().assign(request(), devices).index == 1
+
+    def test_skips_full_devices(self):
+        devices = fleet(3, limit=4)
+        devices[0].load = 4
+        devices[1].load = 3
+        devices[2].load = 4
+        assert LeastLoaded().assign(request(), devices).index == 1
+        devices[1].load = 4
+        assert LeastLoaded().assign(request(), devices) is None
 
 
 class TestConsistentHash:

@@ -104,6 +104,22 @@ class TestFleetSimulation:
         # the fleet keeps serving through the fault window
         assert result.metrics()["throughput_fraction"] > 0.9
 
+    def test_fault_on_a_down_device_does_not_repair_a_later_outage(self):
+        # the 1.5 s fault lands on a down device; it must not queue a second
+        # repair, which would end the outage that starts at 3.0 s at 3.5 s
+        plans = {
+            "dev-000": ScheduledFaults(
+                [(0.5, "dev-000"), (1.5, "dev-000"), (3.0, "dev-000")]
+            )
+        }
+        result = simulation(
+            num_devices=1, rate=5.0, fault_plans=plans, config={"repair_time": 2.0}
+        ).run()
+        # down 0.5 -> 2.5 and 3.0 -> 5.0
+        assert result.downtime == {"dev-000": pytest.approx(4.0)}
+        assert result.stats.fault_times == [0.5, 3.0]
+        assert not [r for r in result.stats.records if 3.0 < r.start < 5.0]
+
     def test_random_fault_plans_are_deterministic(self):
         def build():
             return simulation(

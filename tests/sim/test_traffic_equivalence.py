@@ -7,6 +7,7 @@ streams are *identical*; for the inversion/order-statistics paths
 (homogeneous inversion, inhomogeneous IPPP inversion, per-phase MMPP
 regeneration) the draws differ but the distribution must not, which a
 fixed-seed two-sample Kolmogorov–Smirnov check and per-window counts pin.
+The per-event references live in :mod:`tests.sim.traffic_oracles`.
 """
 
 import numpy as np
@@ -20,6 +21,11 @@ from repro.sim import (
     sinusoidal_rate,
 )
 from repro.utils.rng import make_rng
+from tests.sim.traffic_oracles import (
+    mmpp_reference,
+    poisson_reference,
+    thinning_reference,
+)
 
 REGIONS = ["A", "B", "C"]
 
@@ -43,11 +49,11 @@ class TestHomogeneousPoissonIdenticalStreams:
     @pytest.mark.parametrize("seed", [0, 1, 7, 1234])
     def test_vectorized_equals_per_event_stream(self, seed):
         traffic = PoissonTraffic(REGIONS, rate=8.0, modes_per_region=4, seed=seed)
-        assert traffic.generate(60.0) == traffic.generate_reference(60.0)
+        assert traffic.generate(60.0) == poisson_reference(traffic, 60.0)
 
     def test_single_region_single_mode(self):
         traffic = PoissonTraffic(["only"], rate=2.0, modes_per_region=1, seed=3)
-        assert traffic.generate(25.0) == traffic.generate_reference(25.0)
+        assert traffic.generate(25.0) == poisson_reference(traffic, 25.0)
 
     def test_fault_poisson_times_match_scalar_loop(self):
         # poisson_times feeds RandomFaults and the chaos planner: the batched
@@ -89,7 +95,7 @@ class TestInhomogeneousPoissonDistribution:
     def _pair(self, seed):
         rate = sinusoidal_rate(base=6.0, amplitude=4.0, period=60.0)
         traffic = InhomogeneousPoissonTraffic(REGIONS, rate, rate_max=10.0, seed=seed)
-        return traffic.generate(self.HORIZON), traffic.generate_reference(self.HORIZON)
+        return traffic.generate(self.HORIZON), thinning_reference(traffic, self.HORIZON)
 
     def test_ks_against_thinning_reference(self):
         inversion, thinning = self._pair(seed=5)
@@ -131,7 +137,7 @@ class TestMMPPDistribution:
             REGIONS, rates=(3.0, 30.0), mean_sojourns=(10.0, 3.0), seed=4
         )
         vectorized = [r.time for r in traffic.generate(300.0)]
-        reference = [r.time for r in traffic.generate_reference(300.0)]
+        reference = [r.time for r in mmpp_reference(traffic, 300.0)]
         assert ks_statistic(vectorized, reference) < ks_threshold(
             len(vectorized), len(reference)
         )
@@ -141,7 +147,7 @@ class TestMMPPDistribution:
             REGIONS, rates=(2.0, 25.0), mean_sojourns=(12.0, 4.0), seed=8
         )
         vectorized = np.array([r.time for r in traffic.generate(200.0)])
-        reference = np.array([r.time for r in traffic.generate_reference(200.0)])
+        reference = np.array([r.time for r in mmpp_reference(traffic, 200.0)])
         for start, end, state in traffic.phase_segments(200.0):
             expected = traffic.rates[state] * (end - start)
             got_vec = int(np.sum((vectorized >= start) & (vectorized < end)))
