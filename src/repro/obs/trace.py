@@ -271,19 +271,26 @@ class Trace:
         return span
 
     def add_stage_spans(
-        self, stages: Optional[Sequence[Mapping[str, object]]], parent: Span
+        self,
+        stages: Optional[Sequence[Mapping[str, object]]],
+        parent: Span,
+        start: Optional[float] = None,
+        end: Optional[float] = None,
     ) -> None:
         """Re-attach solver stage timings as child spans of ``parent``.
 
         Stages carry durations, not absolute instants (they may have been
         measured in another thread or process), so they are laid out
-        back-to-back from the parent span's start — preserving order and
-        proportion, which is what the dashboard and the nesting tests read.
+        back-to-back — preserving order and proportion, which is what the
+        dashboard and the nesting tests read.  The first starts at ``start``
+        (a ``perf_counter`` instant; default the parent span's start).  With
+        ``end`` (the ``perf_counter`` instant the result arrived) the last
+        ends there instead, unless that would start the first before
+        ``start``: a solve that waited for a thread after ``start`` is drawn
+        where it ran, not inside the wait.
         """
-        if not stages:
-            return
-        cursor = parent.start
-        for stage in stages:
+        laid = []
+        for stage in stages or ():
             try:
                 seconds = max(0.0, float(stage["seconds"]))
                 name = str(stage["name"])
@@ -294,6 +301,11 @@ class Trace:
                 for key, value in stage.items()
                 if key not in ("name", "seconds")
             }
+            laid.append((name, seconds, annotations))
+        cursor = parent.start if start is None else self.wall(start)
+        if end is not None:
+            cursor = max(cursor, self.wall(end) - sum(seconds for _, seconds, _ in laid))
+        for name, seconds, annotations in laid:
             self.spans.append(
                 Span(
                     name=name,

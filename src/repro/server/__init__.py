@@ -6,9 +6,9 @@ system: an asyncio JSON-over-HTTP gateway that validates and fingerprints
 incoming solve requests (:mod:`~repro.server.protocol`), answers repeats
 inline from the content-addressed :class:`~repro.service.cache.SolveCache`,
 coalesces cache misses in a time/size micro-batch window with per-batch dedup
-(:mod:`~repro.server.batcher`), and executes batches on worker shards running
-:class:`~repro.service.executor.BatchSolver` or portfolio races off the event
-loop (:mod:`~repro.server.workers`).  Admission control
+(:mod:`~repro.server.batcher`), and executes batches on worker shards that
+run MILP solves or portfolio races off the event loop and stream each result
+back as it lands (:mod:`~repro.server.workers`).  Admission control
 (:mod:`~repro.server.admission`) sheds load with 429s — per-client token
 buckets at the front door, a bounded solver queue behind the cache — and
 ``/healthz`` + ``/metrics`` expose queue depth, hit rate and latency

@@ -6,11 +6,18 @@ oldest pending job has waited ``max_wait`` seconds — and hands each batch to
 the worker shards in one call.  Coalescing buys two things:
 
 * **per-batch dedup** — concurrent requests for the same fingerprint (the
-  thundering-herd shape of a cache miss under fan-in traffic) are solved once
-  and fanned back out to every waiter;
-* **batch-level parallelism** — the worker shard runs the whole batch through
-  :class:`~repro.service.executor.BatchSolver`'s pool instead of paying
-  per-request dispatch.
+  thundering-herd shape of a cache miss under fan-in traffic) are solved
+  once for every waiter;
+* **batch-level parallelism** — a worker shard runs the batch's solves
+  concurrently instead of paying per-request dispatch.
+
+The solver streams a batch's results back one job at a time
+(:data:`SolveBatch`), and the batcher answers a fingerprint's waiters the
+moment its result arrives: the first waiter gets the result as solved, the
+deduplicated ones a ``cached=True`` copy.  No waiter is held for a slower
+sibling in its batch, and ``queue_depth`` drops as each job is answered.  If
+the stream fails partway, answered waiters keep their results and only the
+rest get the error.
 
 ``max_batch=1`` (or ``max_wait=0`` with single submits) degenerates to the
 one-request-per-solve baseline the ``server.miss_unbatched`` benchmark
@@ -20,8 +27,9 @@ measures against.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
-from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple
+from typing import AsyncIterator, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.obs.trace import Span, Trace
 from repro.service.jobs import SolveJob
@@ -32,6 +40,10 @@ __all__ = ["BatcherDraining", "DeadlineExpired", "MicroBatcher"]
 #: Trace context a submission may carry through the batch window: the request
 #: trace plus the parent span new batcher spans hang under.
 TraceCtx = Tuple[Trace, Optional[Span]]
+
+#: One waiting submission: (job, waiter, trace ctx, submitted perf_counter,
+#: monotonic deadline).
+Entry = Tuple[SolveJob, asyncio.Future, Optional[TraceCtx], float, Optional[float]]
 
 
 class BatcherDraining(RuntimeError):
@@ -46,11 +58,12 @@ class DeadlineExpired(RuntimeError):
     gateway maps this to a 504 with ``Retry-After``.
     """
 
-#: Signature of the downstream solver: unique jobs in, results by fingerprint,
-#: plus the per-fingerprint remaining-budget map (seconds; absent fingerprints
-#: are unbudgeted).
+#: Signature of the downstream solver: unique jobs plus the per-fingerprint
+#: remaining-budget map (seconds; absent fingerprints are unbudgeted) in, a
+#: stream of ``(fingerprint, result)`` out, each yielded as soon as that job's
+#: result is in the solve cache.
 SolveBatch = Callable[
-    [List[SolveJob], Dict[str, float]], Awaitable[Dict[str, JobResult]]
+    [List[SolveJob], Dict[str, float]], AsyncIterator[Tuple[str, JobResult]]
 ]
 
 
@@ -77,10 +90,7 @@ class MicroBatcher:
         self.max_batch = max_batch
         self.max_wait = max_wait
         self._on_batch = on_batch
-        # (job, waiter, trace ctx, submitted perf_counter, monotonic deadline)
-        self._pending: List[
-            Tuple[SolveJob, asyncio.Future, Optional[TraceCtx], float, Optional[float]]
-        ] = []
+        self._pending: List[Entry] = []
         self._timer: Optional[asyncio.TimerHandle] = None
         self._tasks: Set[asyncio.Task] = set()
         self._inflight_jobs = 0
@@ -139,21 +149,17 @@ class MicroBatcher:
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
-    async def _run_batch(
-        self,
-        batch: List[
-            Tuple[SolveJob, asyncio.Future, Optional[TraceCtx], float, Optional[float]]
-        ],
-    ) -> None:
+    async def _run_batch(self, batch: List[Entry]) -> None:
         # drop waiters whose budget ran out in the window *before* assembling
         # the batch: an expired entry must never reach a solver
         now = time.monotonic()
-        live: List[
-            Tuple[SolveJob, asyncio.Future, Optional[TraceCtx], float, Optional[float]]
-        ] = []
+        live: List[Entry] = []
+        waiters: Dict[str, List[Entry]] = {}
+        budgets: Dict[str, float] = {}
         for entry in batch:
             job, future, _ctx, _submitted, deadline = entry
             if deadline is not None and now >= deadline:
+                self._inflight_jobs -= 1
                 if not future.done():
                     future.set_exception(
                         DeadlineExpired(
@@ -162,20 +168,16 @@ class MicroBatcher:
                     )
                 continue
             live.append(entry)
-        if not live:
-            self._inflight_jobs -= len(batch)
-            return
-        unique: Dict[str, SolveJob] = {}
-        budgets: Dict[str, float] = {}
-        for job, _future, _ctx, _submitted, deadline in live:
-            unique.setdefault(job.fingerprint, job)
+            waiters.setdefault(job.fingerprint, []).append(entry)
             if deadline is not None:
                 remaining = deadline - now
                 budgets[job.fingerprint] = min(
                     budgets.get(job.fingerprint, remaining), remaining
                 )
+        if not live:
+            return
         if self._on_batch is not None:
-            self._on_batch(len(live), len(unique))
+            self._on_batch(len(live), len(waiters))
         flushed = time.perf_counter()
         for _job, _future, ctx, submitted, _deadline in live:
             if ctx is None:
@@ -187,32 +189,57 @@ class MicroBatcher:
                 flushed,
                 parent=parent,
                 batch_size=len(live),
-                unique=len(unique),
+                unique=len(waiters),
             )
+        unique = [entries[0][0] for entries in waiters.values()]
+        failure: Optional[Exception] = None
         try:
-            results = await self._solve_batch(list(unique.values()), budgets)
+            async for fingerprint, result in self._solve_batch(unique, budgets):
+                entries = waiters.pop(fingerprint, None)
+                if entries is not None:
+                    self._answer(entries, result, flushed)
         except Exception as exc:  # noqa: BLE001 — fail the waiters, not the loop
-            for _job, future, _ctx, _submitted, _deadline in live:
-                if not future.done():
-                    future.set_exception(exc)
-            return
+            failure = exc
         finally:
-            self._inflight_jobs -= len(batch)
-        seen_first: Set[str] = set()
-        for job, future, _ctx, _submitted, _deadline in live:
+            # the stream ended (or broke) with these fingerprints unanswered
+            for entries in waiters.values():
+                missing = RuntimeError(
+                    f"worker returned no result for {entries[0][0].short_id}"
+                )
+                self._answer(entries, failure or missing, flushed)
+
+    def _answer(
+        self,
+        entries: List[Entry],
+        outcome: Union[JobResult, Exception],
+        flushed: float,
+    ) -> None:
+        """Resolve every waiter on one fingerprint (it leaves the queue first).
+
+        The first waiter still waiting gets the result as solved, with the
+        solver's stage timings laid under its trace to end now, when the
+        result arrived (but never before the batch's ``flushed`` instant, the
+        earliest its solve can have begun); the rest were deduplicated and
+        get a ``cached=True`` copy.
+        """
+        self._inflight_jobs -= len(entries)
+        fresh = True
+        for _job, future, ctx, _submitted, _deadline in entries:
             if future.done():
                 continue
-            result = results.get(job.fingerprint)
-            if result is None:
-                future.set_exception(
-                    RuntimeError(f"worker returned no result for {job.short_id}")
-                )
+            if isinstance(outcome, Exception):
+                future.set_exception(outcome)
                 continue
-            # slots beyond the first sharing a fingerprint were deduplicated
-            if job.fingerprint in seen_first:
-                result = result if result.cached else _as_cached(result)
-            else:
-                seen_first.add(job.fingerprint)
+            result = outcome
+            if not result.cached:
+                if not fresh:
+                    result = dataclasses.replace(result, cached=True)
+                elif ctx is not None and ctx[1] is not None:
+                    trace, parent = ctx
+                    trace.add_stage_spans(
+                        result.stages, parent, start=flushed, end=time.perf_counter()
+                    )
+            fresh = False
             future.set_result(result)
 
     # ------------------------------------------------------------------
@@ -222,9 +249,3 @@ class MicroBatcher:
         self._flush()
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
-
-
-def _as_cached(result: JobResult) -> JobResult:
-    import dataclasses
-
-    return dataclasses.replace(result, cached=True)

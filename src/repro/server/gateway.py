@@ -12,8 +12,9 @@ Request lifecycle for ``POST /solve``:
    micro-batcher already holds ``max_queue_depth`` unserved jobs;
 5. **batch + solve** — admitted misses coalesce in the
    :class:`~repro.server.batcher.MicroBatcher` window and execute on the
-   :class:`~repro.server.workers.WorkerPool` shards; the response carries the
-   full :class:`~repro.service.results.JobResult`.
+   :class:`~repro.server.workers.WorkerPool` shards; each request is answered
+   when its own job's solve finishes, and the response carries the full
+   :class:`~repro.service.results.JobResult`.
 
 ``GET /healthz`` reports liveness and queue depth; ``GET /metrics`` serves
 counters, latency histograms and cache stats, plus the rendered
@@ -393,10 +394,6 @@ class SolveGateway(HttpServer):
             solve_span.annotations.update(
                 cached=result.cached, backend=result.backend, worker=result.worker
             )
-            if not result.cached:
-                # lay the solver's stage timings (collected in the worker
-                # thread/process) as children of the solve span
-                trace.add_stage_spans(result.stages, solve_span)
         elapsed = time.perf_counter() - started
         if result.status == "error":
             self.metrics.observe_solved(elapsed, error=True)

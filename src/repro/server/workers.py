@@ -1,27 +1,35 @@
 """Worker shards: run solver batches off the gateway event loop.
 
 A :class:`WorkerPool` owns ``shards`` dedicated threads.  Each flushed batch
-occupies one shard thread, which runs it through the existing service-layer
-machinery — :class:`~repro.service.executor.BatchSolver` (default) or a
-:func:`~repro.service.portfolio.run_portfolio` race per unique job — so the
-event loop never blocks on a MILP.  The shard count bounds concurrent batch
-execution; ``batch_workers`` bounds intra-batch parallelism, giving
-``shards * batch_workers`` as the solver-process/thread ceiling.
+occupies one shard thread, so the event loop never blocks on a MILP.  The
+shard streams the batch back one job at a time: cache hits first, then every
+fresh result the moment its own solve finishes — an
+:func:`~repro.service.executor.execute_job` MILP solve (time limit clamped to
+a tight client deadline), a :func:`~repro.service.portfolio.run_portfolio`
+race, or the brown-out heuristic.  A batch's MILP solves run concurrently, so
+no job waits for a slower sibling; races (each already spread over
+``batch_workers`` threads) and the GIL-bound heuristic run one after another
+on the shard thread.  Either way the micro-batcher answers each job's waiters
+as its result arrives.  The shard count bounds concurrent batch execution;
+``batch_workers`` bounds intra-batch parallelism, giving
+``shards * batch_workers`` as the solver-process/thread ceiling (a race's
+abandoned losers finish in the background on top of it).
 
-The pool shares the gateway's :class:`~repro.service.cache.SolveCache`, so
-results solved here are the cache hits the next request is answered with
-inline.
+The pool shares the gateway's :class:`~repro.service.cache.SolveCache`.  A
+result is stored before it is yielded, so the solve that answers one request
+is already the cache hit that answers its repeat inline.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional
+import functools
+from concurrent.futures import ThreadPoolExecutor, as_completed
+from typing import AsyncIterator, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.service.cache import SolveCache
-from repro.service.executor import BatchSolver, execute_job
+from repro.service.executor import execute_job, make_pool
 from repro.service.jobs import SolveJob
 from repro.service.results import JobResult
 
@@ -45,15 +53,15 @@ class WorkerPool:
     shards:
         Number of batches that may execute concurrently.
     batch_workers:
-        ``max_workers`` handed to each shard's :class:`BatchSolver`.
+        Concurrent solves per batch (and threads per portfolio race).
     executor:
         Executor kind inside a shard: ``"thread"`` (default — the scipy/HiGHS
         backend releases the GIL during the solve), ``"process"`` or
         ``"serial"``.
     solver:
-        ``"batch"`` (one BatchSolver per batch) or ``"portfolio"`` (race the
-        default strategy portfolio per unique job; wins on hard instances,
-        costs a full portfolio per job).
+        ``"batch"`` (one MILP solve per unique job) or ``"portfolio"`` (race
+        the default strategy portfolio per unique job; wins on hard
+        instances, costs a full portfolio per job).
     portfolio_deadline:
         Shared wall-clock budget per portfolio race (``solver="portfolio"``).
     brownout:
@@ -91,140 +99,156 @@ class WorkerPool:
     # ------------------------------------------------------------------
     async def solve_batch(
         self, jobs: List[SolveJob], budgets: Optional[Dict[str, float]] = None
-    ) -> Dict[str, JobResult]:
+    ) -> AsyncIterator[Tuple[str, JobResult]]:
         """Solve one (already deduplicated) batch on a shard thread.
 
-        ``budgets`` maps fingerprints to the remaining wall-clock seconds of
-        the most impatient waiter; a budget tighter than the job's own
-        ``time_limit`` clamps the solver, and a clamped solve that could not
-        prove optimality comes back ``degraded`` (and is never cached).
+        Yields ``(fingerprint, result)`` on the event loop as each job
+        finishes, in completion order.  ``budgets`` maps fingerprints to the
+        remaining wall-clock seconds of the most impatient waiter; a budget
+        tighter than the job's own ``time_limit`` (the portfolio deadline
+        under ``solver="portfolio"``) clamps the solver, and a clamped solve
+        that could not prove optimality comes back ``degraded`` (and is never
+        cached).  A failure ends the stream by raising, after every result
+        that landed before it.
         """
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._threads, self._solve_sync, list(jobs), dict(budgets or {})
-        )
+        arrivals: asyncio.Queue = asyncio.Queue()
+        jobs, budgets = list(jobs), dict(budgets or {})
 
-    def _solve_sync(
+        def pump() -> None:
+            try:
+                for item in self._iter_results(jobs, budgets):
+                    loop.call_soon_threadsafe(arrivals.put_nowait, item)
+            finally:
+                loop.call_soon_threadsafe(arrivals.put_nowait, None)
+
+        shard = loop.run_in_executor(self._threads, pump)
+        while (item := await arrivals.get()) is not None:
+            yield item
+        await shard  # re-raise the failure that ended the stream, if any
+
+    def _iter_results(
         self, jobs: List[SolveJob], budgets: Dict[str, float]
-    ) -> Dict[str, JobResult]:
-        if self.brownout is not None and self.brownout():
-            return self._solve_heuristic(jobs)
-        if self.solver == "portfolio":
-            return self._solve_portfolio(jobs, budgets)
-        results: Dict[str, JobResult] = {}
-        clamped = [job for job in jobs if self._budget_binds(job, budgets)]
-        for job in clamped:
-            results[job.fingerprint] = self._solve_clamped(job, budgets[job.fingerprint])
-        unclamped = [job for job in jobs if job.fingerprint not in results]
-        if not unclamped:
-            return results
-        # single-job batches (the max_batch=1 configuration, or a window that
-        # caught one request) run in-process: no point spawning a pool of one
-        executor = "serial" if len(unclamped) == 1 else self.executor
-        solver = BatchSolver(
-            cache=self.cache, max_workers=self.batch_workers, executor=executor
-        )
-        for _index, job, result in solver.iter_results(unclamped):
-            results[job.fingerprint] = result
-        return results
+    ) -> Iterator[Tuple[str, JobResult]]:
+        """The shard thread's per-job result stream.
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _budget_binds(job: SolveJob, budgets: Dict[str, float]) -> bool:
-        budget = budgets.get(job.fingerprint)
-        if budget is None:
-            return False
-        limit = job.options.time_limit
-        return limit is None or budget < limit
-
-    def _solve_clamped(self, job: SolveJob, budget: float) -> JobResult:
-        """One solve under a client deadline tighter than its own time limit.
-
-        The job is re-solved with ``time_limit`` clamped to the remaining
-        budget.  A clamp changes the job's content fingerprint, so the result
-        is re-keyed to the *request* fingerprint before fan-out; it is marked
-        ``degraded`` (and kept out of the cache) unless the solver proved
-        optimality anyway — in which case the clamp did not bind and the
-        answer is canonical.
+        Cache hits come first; every other job becomes one task — a MILP
+        solve (time limit clamped to a tight budget), a portfolio race, or
+        the brown-out heuristic — and each result is yielded the moment it is
+        finished and stored.  A batch's MILP solves run concurrently, clamped
+        ones included; races and heuristics run one after another.
         """
-        hit = self.cache.get(job.fingerprint)
-        if hit is not None:
-            return dataclasses.replace(hit, cached=True)
-        clamp = max(budget, MIN_CLAMPED_TIME_LIMIT)
-        derived = dataclasses.replace(job, options=job.options.replace(time_limit=clamp))
-        result = execute_job(derived)
-        result = dataclasses.replace(result, fingerprint=job.fingerprint)
-        if result.status == "optimal":
-            self.cache.put(result)
-            return result
-        return dataclasses.replace(result, degraded=True)
-
-    def _solve_heuristic(self, jobs: List[SolveJob]) -> Dict[str, JobResult]:
-        """Brown-out path: annealing only, every fresh result ``degraded``."""
-        from repro.service.portfolio import HEURISTIC_STRATEGIES, run_strategy
-
-        results: Dict[str, JobResult] = {}
+        heuristic = self.brownout is not None and self.brownout()
+        tasks: List[Tuple[SolveJob, Optional[float]]] = []
         for job in jobs:
             hit = self.cache.get(job.fingerprint)
             if hit is not None:
-                results[job.fingerprint] = dataclasses.replace(hit, cached=True)
-                continue
-            result = run_strategy(
+                yield job.fingerprint, dataclasses.replace(hit, cached=True)
+            else:
+                tasks.append((job, None if heuristic else self._clamp(job, budgets)))
+        # Only MILP solves share a pool.  The brown-out heuristic holds the
+        # GIL, so threads would interleave its jobs and delay every answer to
+        # the last; a portfolio race already spreads over batch_workers
+        # threads, and racing several at once would multiply that ceiling.
+        # Those run here one at a time, each yielded the moment it finishes,
+        # as does a one-job batch (no point in a pool of one).
+        pooled = self.executor != "serial" and self.solver == "batch" and not heuristic
+        if not pooled or len(tasks) <= 1:
+            for job, clamp in tasks:
+                result = self._task(job, clamp, heuristic)()
+                yield job.fingerprint, self._finish(job, result, clamp, heuristic)
+            return
+        with make_pool(self.executor, self.batch_workers, len(tasks)) as pool:
+            futures = {
+                pool.submit(self._task(job, clamp, heuristic)): (job, clamp)
+                for job, clamp in tasks
+            }
+            for future in as_completed(futures):
+                job, clamp = futures[future]
+                result = self._finish(job, future.result(), clamp, heuristic)
+                yield job.fingerprint, result
+
+    # ------------------------------------------------------------------
+    def _clamp(self, job: SolveJob, budgets: Dict[str, float]) -> Optional[float]:
+        """The solver limit a client budget clamps ``job`` to (``None``: no clamp)."""
+        budget = budgets.get(job.fingerprint)
+        if self.solver == "portfolio":
+            limit = self.portfolio_deadline
+        else:
+            limit = job.options.time_limit
+        if budget is None or (limit is not None and budget >= limit):
+            return None
+        return max(budget, MIN_CLAMPED_TIME_LIMIT)
+
+    def _task(
+        self, job: SolveJob, clamp: Optional[float], heuristic: bool
+    ) -> Callable[[], JobResult]:
+        """One job's solve as a zero-argument call (a MILP solve's pickles for a process pool)."""
+        if heuristic:
+            from repro.service.portfolio import HEURISTIC_STRATEGIES, run_strategy
+
+            return functools.partial(
+                run_strategy,
                 HEURISTIC_STRATEGIES[0],
                 job.problem,
                 relocation=job.relocation,
                 options=job.options,
                 weights=job.weights,
             )
-            results[job.fingerprint] = dataclasses.replace(
-                result, fingerprint=job.fingerprint, degraded=True
-            )
-        return results
+        if self.solver == "portfolio":
+            deadline = self.portfolio_deadline if clamp is None else clamp
+            return functools.partial(_race, job, deadline, self.batch_workers)
+        if clamp is not None:
+            job = dataclasses.replace(job, options=job.options.replace(time_limit=clamp))
+        return functools.partial(execute_job, job)
 
-    def _solve_portfolio(
-        self, jobs: List[SolveJob], budgets: Dict[str, float]
-    ) -> Dict[str, JobResult]:
-        from repro.service.portfolio import run_portfolio
+    def _finish(
+        self,
+        job: SolveJob,
+        result: JobResult,
+        clamp: Optional[float],
+        heuristic: bool,
+    ) -> JobResult:
+        """Key a fresh result by the request fingerprint; flag or cache it.
 
-        results: Dict[str, JobResult] = {}
-        for job in jobs:
-            hit = self.cache.get(job.fingerprint)
-            if hit is not None:
-                results[job.fingerprint] = dataclasses.replace(hit, cached=True)
-                continue
-            deadline = self.portfolio_deadline
-            budget = budgets.get(job.fingerprint)
-            clamped = budget is not None and (deadline is None or budget < deadline)
-            if clamped:
-                deadline = max(budget, MIN_CLAMPED_TIME_LIMIT)
-            race = run_portfolio(
-                job.problem,
-                relocation=job.relocation,
-                options=job.options,
-                weights=job.weights,
-                deadline=deadline,
-                policy="first_feasible",
-                executor="thread",
-                max_workers=self.batch_workers,
-            )
-            result = race.winner_result
-            if result is None:
-                # no strategy produced a feasible plan: surface the best
-                # attempt (sorted like the portfolio's own "best" policy)
-                outcomes = sorted(race.outcomes.values(), key=lambda r: r.objective_key())
-                result = outcomes[0] if outcomes else JobResult.failure(
-                    job, "portfolio produced no outcome"
-                )
-            # key the outcome by the *request* fingerprint so waiters find it
-            result = dataclasses.replace(result, fingerprint=job.fingerprint)
-            if clamped and result.status != "optimal":
-                result = dataclasses.replace(result, degraded=True)
-            elif result.status != "error":
-                self.cache.put(result)
-            results[job.fingerprint] = result
-        return results
+        A clamp changes the job's content fingerprint, and a portfolio or
+        heuristic answer carries its strategy's, so every result is re-keyed
+        to the *request* fingerprint before it is yielded.  Heuristic answers
+        and clamped solves that could not prove optimality are ``degraded``
+        and never cached — a clamped solve that proved optimality anyway did
+        not bind and is canonical.  Other non-error results are stored
+        before they are yielded, so a waiter's repeat request is a hit.
+        """
+        result = dataclasses.replace(result, fingerprint=job.fingerprint)
+        if heuristic or (clamp is not None and result.status != "optimal"):
+            return dataclasses.replace(result, degraded=True)
+        if result.status != "error":
+            self.cache.put(result)
+        return result
 
     # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting batches and (optionally) wait for running ones."""
         self._threads.shutdown(wait=wait)
+
+
+def _race(job: SolveJob, deadline: Optional[float], max_workers: Optional[int]) -> JobResult:
+    """Race the default portfolio on ``job``: the first feasible plan wins."""
+    from repro.service.portfolio import run_portfolio
+
+    race = run_portfolio(
+        job.problem,
+        relocation=job.relocation,
+        options=job.options,
+        weights=job.weights,
+        deadline=deadline,
+        policy="first_feasible",
+        executor="thread",
+        max_workers=max_workers,
+    )
+    if race.winner_result is not None:
+        return race.winner_result
+    # no strategy produced a feasible plan: surface the best attempt (sorted
+    # like the portfolio's own "best" policy)
+    outcomes = sorted(race.outcomes.values(), key=lambda r: r.objective_key())
+    return outcomes[0] if outcomes else JobResult.failure(job, "portfolio produced no outcome")

@@ -47,6 +47,19 @@ def execute_job(job: SolveJob) -> JobResult:
     return JobResult.from_report(job, report, wall_time=timer.elapsed, worker=worker)
 
 
+def make_pool(executor: str, max_workers: Optional[int], num_tasks: int) -> Executor:
+    """A ``"thread"`` or ``"process"`` pool for ``num_tasks`` concurrent tasks.
+
+    Sized ``max_workers`` (default ``os.cpu_count()``), capped by the number
+    of tasks so a small batch never spawns idle workers.
+    """
+    workers = max_workers or os.cpu_count() or 1
+    workers = max(1, min(workers, num_tasks))
+    if executor == "thread":
+        return ThreadPoolExecutor(max_workers=workers)
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 class BatchSolver:
     """Solve many floorplanning jobs concurrently, with caching and dedup.
 
@@ -113,7 +126,7 @@ class BatchSolver:
                 yield from self._store_and_fan_out(jobs, indices, result)
             return
 
-        with self._make_pool(len(pending)) as pool:
+        with make_pool(self.executor, self.max_workers, len(pending)) as pool:
             future_to_fp = {
                 pool.submit(execute_job, jobs[indices_by_fp[fp][0]]): fp
                 for fp in pending
@@ -153,10 +166,3 @@ class BatchSolver:
             # duplicates beyond the first were deduplicated, not re-solved
             copy = dataclasses.replace(result, cached=position > 0)
             yield index, jobs[index], copy
-
-    def _make_pool(self, num_tasks: int) -> Executor:
-        workers = self.max_workers or os.cpu_count() or 1
-        workers = max(1, min(workers, num_tasks))
-        if self.executor == "thread":
-            return ThreadPoolExecutor(max_workers=workers)
-        return ProcessPoolExecutor(max_workers=workers)

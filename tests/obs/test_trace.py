@@ -84,6 +84,19 @@ class TestTrace:
         assert laid[1].start == pytest.approx(laid[0].end)
         assert laid[0].annotations == {"shortcut": False}
 
+    def test_stage_spans_end_at_arrival_but_not_before_start(self):
+        trace = Trace.begin(None)
+        parent = Span("solve", new_id(), None, trace.start, trace.start + 2.0)
+        stages = [{"name": "a", "seconds": 0.25}, {"name": "b", "seconds": 0.5}]
+        # the solve waited for a thread: drawn where it ran, ending on arrival
+        trace.add_stage_spans(stages, parent, start=10.0, end=11.0)
+        # arrival earlier than start + total: clamped to start
+        trace.add_stage_spans(stages, parent, start=10.0, end=10.5)
+        waited, clamped = trace.spans[:2], trace.spans[2:]
+        assert waited[0].start == pytest.approx(trace.wall(10.25))
+        assert waited[1].end == pytest.approx(trace.wall(11.0))
+        assert clamped[0].start == pytest.approx(trace.wall(10.0))
+
     def test_summary_matches_doc_summary(self):
         trace = Trace.begin(None, origin="gateway")
         trace.metadata["fingerprint"] = "f00d"

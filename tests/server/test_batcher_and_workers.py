@@ -1,12 +1,17 @@
 """Micro-batcher coalescing/dedup/drain and worker-shard execution."""
 
 import asyncio
+import dataclasses
+import threading
+import time
 
 import pytest
 
 from repro.milp import SolverOptions
+from repro.server import workers
 from repro.server.batcher import MicroBatcher
 from repro.server.workers import WorkerPool
+from repro.service import portfolio
 from repro.service.cache import SolveCache
 from repro.service.jobs import SolveJob
 from repro.service.results import JobResult
@@ -35,7 +40,7 @@ def canned_result(job: SolveJob) -> JobResult:
 
 
 class RecordingSolver:
-    """A solve_batch stub that records batches and answers instantly."""
+    """A solve_batch stub that records batches and streams canned results."""
 
     def __init__(self, delay: float = 0.0, fail: bool = False) -> None:
         self.batches = []
@@ -48,7 +53,25 @@ class RecordingSolver:
             await asyncio.sleep(self.delay)
         if self.fail:
             raise RuntimeError("shard exploded")
-        return {job.fingerprint: canned_result(job) for job in jobs}
+        for job in jobs:
+            yield job.fingerprint, canned_result(job)
+
+
+class StreamingSolver:
+    """A solve_batch stub whose jobs wait out their own delays concurrently,
+    each result streaming back the moment its delay ends."""
+
+    def __init__(self, delays=None) -> None:
+        self.delays = dict(delays or {})
+
+    async def __call__(self, jobs, budgets=None):
+        async def solve(job):
+            await asyncio.sleep(self.delays.get(job.fingerprint, 0.0))
+            return canned_result(job)
+
+        for landed in asyncio.as_completed([solve(job) for job in jobs]):
+            result = await landed
+            yield result.fingerprint, result
 
 
 class TestMicroBatcher:
@@ -140,6 +163,56 @@ class TestMicroBatcher:
             MicroBatcher(solver, max_wait=-1.0)
 
 
+class TestStreamingDelivery:
+    def test_fast_waiter_answered_while_slow_job_runs(self):
+        async def scenario():
+            fast, slow = make_job(1), make_job(2)
+            batcher = MicroBatcher(
+                StreamingSolver({slow.fingerprint: 0.3}), max_batch=2, max_wait=60.0
+            )
+            fast_task = asyncio.ensure_future(batcher.submit(fast))
+            slow_task = asyncio.ensure_future(batcher.submit(slow))
+            assert (await fast_task).fingerprint == fast.fingerprint
+            assert not slow_task.done()  # same batch, still solving
+            assert batcher.queue_depth == 1  # the answered job left the queue
+            assert (await slow_task).fingerprint == slow.fingerprint
+            assert batcher.queue_depth == 0
+
+        asyncio.run(scenario())
+
+    def test_duplicates_answered_on_their_own_delivery(self):
+        async def scenario():
+            slow = make_job(8)
+            batcher = MicroBatcher(
+                StreamingSolver({slow.fingerprint: 0.3}), max_batch=4, max_wait=60.0
+            )
+            slow_task = asyncio.ensure_future(batcher.submit(slow))
+            copies = await asyncio.gather(*(batcher.submit(make_job(7)) for _ in range(3)))
+            assert not slow_task.done()
+            # the first waiter paid the solve, the rest were deduplicated
+            assert [r.cached for r in copies] == [False, True, True]
+            assert (await slow_task).cached is False
+
+        asyncio.run(scenario())
+
+    def test_failure_after_one_delivery_fails_only_the_rest(self):
+        async def explode_after_one(jobs, budgets=None):
+            yield jobs[0].fingerprint, canned_result(jobs[0])
+            raise RuntimeError("shard exploded mid-batch")
+
+        async def scenario():
+            batcher = MicroBatcher(explode_after_one, max_batch=3, max_wait=60.0)
+            results = await asyncio.gather(
+                *(batcher.submit(make_job(seed)) for seed in (1, 2, 3)),
+                return_exceptions=True,
+            )
+            assert results[0].status == "optimal"  # delivered before the crash
+            assert all(isinstance(r, RuntimeError) for r in results[1:])
+            assert batcher.queue_depth == 0
+
+        asyncio.run(scenario())
+
+
 class TestWorkerPool:
     def test_solves_batch_off_loop_and_caches(self):
         cache = SolveCache()
@@ -147,8 +220,7 @@ class TestWorkerPool:
         job = make_job(0, time_limit=30.0)
 
         async def scenario():
-            results = await pool.solve_batch([job])
-            return results
+            return {fp: result async for fp, result in pool.solve_batch([job])}
 
         results = asyncio.run(scenario())
         result = results[job.fingerprint]
@@ -161,3 +233,137 @@ class TestWorkerPool:
             WorkerPool(shards=0)
         with pytest.raises(ValueError):
             WorkerPool(solver="magic")
+
+    def test_tiny_job_streams_first_and_is_cached_on_arrival(self, monkeypatch):
+        """Real solves on a thread-executor pool; the slower job is held an
+        extra 0.3 s after its solve so the completion order is certain."""
+        tiny, slower = make_job(0), make_job(1)
+        solve = workers.execute_job
+
+        def slowed(job):
+            result = solve(job)
+            if job.fingerprint == slower.fingerprint:
+                time.sleep(0.3)
+            return result
+
+        monkeypatch.setattr(workers, "execute_job", slowed)
+        cache = SolveCache()
+        pool = WorkerPool(cache=cache, shards=1, batch_workers=2, executor="thread")
+
+        async def scenario():
+            batcher = MicroBatcher(pool.solve_batch, max_batch=2, max_wait=60.0)
+            answered = []
+
+            async def submit(job):
+                await batcher.submit(job)
+                answered.append(
+                    (job.fingerprint, job.fingerprint in cache, slower.fingerprint in cache)
+                )
+
+            await asyncio.gather(submit(slower), submit(tiny))
+            return answered
+
+        answered = asyncio.run(scenario())
+        pool.shutdown()
+        # the tiny job came back first, already cached, while the slower
+        # one was still out
+        assert answered[0] == (tiny.fingerprint, True, False)
+        assert answered[1][:2] == (slower.fingerprint, True)
+
+    def test_clamped_and_unclamped_jobs_run_concurrently(self, monkeypatch):
+        intervals = {}
+
+        def timed(job):
+            started = time.perf_counter()
+            time.sleep(0.2)
+            intervals[job.options.time_limit] = (started, time.perf_counter())
+            return canned_result(job)
+
+        monkeypatch.setattr(workers, "execute_job", timed)
+        pool = WorkerPool(cache=SolveCache(), shards=1, batch_workers=2, executor="thread")
+        clamped, free = make_job(1), make_job(2)
+
+        async def scenario():
+            stream = pool.solve_batch([clamped, free], {clamped.fingerprint: 5.0})
+            return {fp: result async for fp, result in stream}
+
+        results = asyncio.run(scenario())
+        pool.shutdown()
+        assert set(results) == {clamped.fingerprint, free.fingerprint}
+        (clamp_start, clamp_end), (free_start, free_end) = intervals[5.0], intervals[30.0]
+        assert clamp_start < free_end and free_start < clamp_end  # they overlapped
+
+
+def strategy_stub(calls, loser_sleep=0.0):
+    """A ``run_strategy`` stand-in: every strategy answers with a feasible
+    plan keyed by its own fingerprint after 50 ms, except the MILP arm "O",
+    which loses by sleeping ``loser_sleep`` seconds first."""
+
+    def run_strategy(strategy, problem, relocation=None, options=None, weights=None):
+        started = time.perf_counter()
+        time.sleep(loser_sleep if strategy.name == "O" else 0.05)
+        calls.append((strategy.name, threading.current_thread().name, started, time.perf_counter()))
+        return dataclasses.replace(
+            canned_result(SolveJob(problem, options=options)),
+            fingerprint=f"{strategy.name}:{problem.name}",
+            status="feasible",
+        )
+
+    return run_strategy
+
+
+async def collect(stream):
+    return {fp: result async for fp, result in stream}
+
+
+class TestWorkerPoolRacesAndBrownout:
+    def test_portfolio_shard_returns_before_a_losing_strategy(self, monkeypatch):
+        """Races run on the shard thread even under the process executor, so
+        a batch ends with its winners, not when abandoned losers finish."""
+        calls = []
+        monkeypatch.setattr(portfolio, "run_strategy", strategy_stub(calls, loser_sleep=1.2))
+        cache = SolveCache()
+        pool = WorkerPool(
+            cache=cache, shards=1, executor="process", solver="portfolio",
+            portfolio_deadline=5.0,
+        )
+        clamped, free = make_job(1), make_job(2)
+        started = time.perf_counter()
+        stream = pool.solve_batch([clamped, free], {clamped.fingerprint: 0.5})
+        results = asyncio.run(collect(stream))
+        elapsed = time.perf_counter() - started
+        pool.shutdown()
+        assert elapsed < 0.8  # the "O" losers still had 0.4+ s to sleep
+        assert not any(name == "O" for name, *_ in calls)
+        # re-keyed to the request fingerprints; the clamped race could not
+        # prove optimality, so it is degraded and kept out of the cache
+        assert set(results) == {clamped.fingerprint, free.fingerprint}
+        assert results[clamped.fingerprint].degraded
+        assert clamped.fingerprint not in cache
+        assert not results[free.fingerprint].degraded
+        assert cache.get(free.fingerprint).fingerprint == free.fingerprint
+
+    def test_brownout_heuristics_run_one_by_one_degraded_and_uncached(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(portfolio, "run_strategy", strategy_stub(calls))
+        cache = SolveCache()
+        hit = make_job(3)
+        cache.put(canned_result(hit))
+        pool = WorkerPool(
+            cache=cache, shards=1, batch_workers=4, executor="thread",
+            brownout=lambda: True,
+        )
+        jobs = [make_job(1), make_job(2), hit]
+        results = asyncio.run(collect(pool.solve_batch(jobs)))
+        pool.shutdown()
+        assert results[hit.fingerprint].cached and not results[hit.fingerprint].degraded
+        fresh = jobs[:2]
+        for job in fresh:
+            assert results[job.fingerprint].fingerprint == job.fingerprint
+            assert results[job.fingerprint].degraded
+            assert job.fingerprint not in cache
+        # annealing only, on the shard thread, one job after the other
+        assert [name for name, *_ in calls] == ["annealing", "annealing"]
+        assert all(thread.startswith("repro-shard") for _, thread, *_ in calls)
+        (_, _, _, first_end), (_, _, second_start, _) = calls
+        assert first_end <= second_start

@@ -157,7 +157,8 @@ class TestBatcherDeadlines:
                 captured.update(budgets or {})
                 from tests.server.test_batcher_and_workers import canned_result
 
-                return {job.fingerprint: canned_result(job) for job in jobs}
+                for job in jobs:
+                    yield job.fingerprint, canned_result(job)
 
         async def scenario():
             batcher = MicroBatcher(BudgetSolver(), max_batch=1, max_wait=0.01)

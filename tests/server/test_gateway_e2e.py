@@ -7,30 +7,41 @@ the full stack.
 
 import asyncio
 import json
+import time
 
 import pytest
 
 from repro.server.gateway import BackgroundGateway, GatewayConfig
 from repro.server.loadgen import GatewayClient, closed_loop, demo_payloads, open_loop
+from repro.server.protocol import job_from_dict
 from repro.service.cache import SolveCache
 from repro.service.results import JobResult
 from tests.server.malformed_bodies import mutated
 
 
 class StubWorkerPool:
-    """Answers every job with a canned optimal result after ``delay``."""
+    """Answers every job with a canned optimal result after ``delay``.
 
-    def __init__(self, cache: SolveCache, delay: float = 0.0, fail: bool = False):
+    ``delays`` overrides the delay per fingerprint; a batch's jobs wait
+    concurrently and each result streams back the moment its own delay ends.
+    """
+
+    def __init__(
+        self,
+        cache: SolveCache,
+        delay: float = 0.0,
+        fail: bool = False,
+        delays=None,
+    ):
         self.cache = cache
         self.delay = delay
         self.fail = fail
+        self.delays = dict(delays or {})
         self.solved = 0
 
     async def solve_batch(self, jobs, budgets=None):
-        if self.delay:
-            await asyncio.sleep(self.delay)
-        results = {}
-        for job in jobs:
+        async def solve(job):
+            await asyncio.sleep(self.delays.get(job.fingerprint, self.delay))
             self.solved += 1
             status = "error" if self.fail else "optimal"
             result = JobResult(
@@ -47,8 +58,11 @@ class StubWorkerPool:
             )
             if not self.fail:
                 self.cache.put(result)
-            results[job.fingerprint] = result
-        return results
+            return result
+
+        for landed in asyncio.as_completed([solve(job) for job in jobs]):
+            result = await landed
+            yield result.fingerprint, result
 
     def shutdown(self, wait: bool = True):
         pass
@@ -319,6 +333,35 @@ class TestWarmHitRate:
         assert result.hit_rate >= 0.9
 
 
+class TestStreamedAnswers:
+    def test_fast_request_answered_before_its_slow_batch_mate(self, payloads):
+        slow, fast = payloads[1], payloads[0]
+        cache = SolveCache()
+        pool = StubWorkerPool(cache, delays={job_from_dict(slow).fingerprint: 0.3})
+        # a window wide enough that both concurrent misses share one batch
+        config = GatewayConfig(port=0, batch_window=0.05)
+        with BackgroundGateway(config=config, cache=cache, worker_pool=pool) as gw:
+            async def scenario():
+                answered = []
+
+                async def solve(payload):
+                    async with GatewayClient(gw.host, gw.port) as client:
+                        status, body = await client.solve(payload)
+                        assert status == 200, body
+                        answered.append((body["fingerprint"], time.perf_counter()))
+
+                await asyncio.gather(solve(slow), solve(fast))
+                return answered
+
+            answered = asyncio.run(scenario())
+        assert gw.gateway.metrics.batches == 1
+        (first, fast_at), (second, slow_at) = answered
+        assert [first, second] == [
+            job_from_dict(fast).fingerprint, job_from_dict(slow).fingerprint
+        ]
+        assert slow_at - fast_at > 0.15  # not held for the slow solve
+
+
 class TestRealSolveEndToEnd:
     def test_one_real_milp_solve_through_http(self):
         """Full stack, no stubs: HTTP -> protocol -> batcher -> BatchSolver."""
@@ -338,3 +381,34 @@ class TestRealSolveEndToEnd:
 
             body = asyncio.run(scenario())
         assert body["result"]["floorplan"] is not None
+
+    def test_stage_spans_sit_between_the_flush_and_the_answer(self):
+        """In a traced miss the solver's stages start no earlier than the end
+        of the request's batch window and end by the end of its solve."""
+        batch = demo_payloads(unique=2, time_limit=30.0)
+        config = GatewayConfig(port=0, batch_window=0.05, executor="thread")
+        with BackgroundGateway(config) as gw:
+            async def solve(payload):
+                async with GatewayClient(gw.host, gw.port) as client:
+                    status, body = await client.solve(payload)
+                    assert status == 200, body
+
+            async def scenario():
+                await asyncio.gather(*(solve(payload) for payload in batch))
+
+            asyncio.run(scenario())
+            docs = gw.gateway.recorder.list()
+        assert len(docs) == 2
+        for doc in docs:
+            spans = doc["spans"]
+            solve_span = next(span for span in spans if span["name"] == "gateway.solve")
+            assembly = next(span for span in spans if span["name"] == "batch.assembly")
+            assert assembly["annotations"]["unique"] == 2
+            stages = [
+                span for span in spans
+                if span["parent_id"] == solve_span["span_id"]
+                and span["name"] != "batch.assembly"
+            ]
+            assert stages, "a fresh solve lays its stage spans"
+            assert stages[0]["start"] >= assembly["end"]
+            assert stages[-1]["end"] <= solve_span["end"]
