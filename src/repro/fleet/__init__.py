@@ -8,7 +8,8 @@ One machine, N replica processes, one front door.  The pieces:
 * :mod:`repro.fleet.hashing` — the consistent-hash ring that gives every job
   fingerprint an owning replica (and a deterministic failover chain).
 * :mod:`repro.fleet.router` — the stdlib-asyncio frontend that routes each
-  decoded job to its owner over keep-alive upstream pools, retries on the
+  job, by the fingerprint its body decodes to (or its decode-memo entry
+  holds), to its owner over keep-alive upstream pools, retries on the
   next replica when an upstream is down, and serves the fleet-wide
   ``/metrics`` roll-up.
 * :mod:`repro.fleet.harness` — :class:`BackgroundFleet`, the synchronous

@@ -1,10 +1,13 @@
 """The fleet's front door: consistent-hash routing over replica gateways.
 
 A :class:`FleetRouter` is a stdlib-asyncio HTTP frontend that owns no solver
-at all.  For every ``POST /solve`` it decodes the body into a fingerprint-
-exact :class:`~repro.service.jobs.SolveJob` (off the event loop, exactly like
-the gateway does) and forwards the request to the replica that **owns** that
-fingerprint on the :class:`~repro.fleet.hashing.HashRing`.  Ownership is what
+at all.  For every ``POST /solve`` it reads the body's job fingerprint through
+the same :meth:`~repro.server.http.HttpServer.decode_job` the gateway uses: a
+body seen before is a decode-memo hit, keyed on the event loop without a
+parse; a new one is decoded into a fingerprint-exact
+:class:`~repro.service.jobs.SolveJob` off the loop.  The request is forwarded,
+body bytes untouched, to the replica that **owns** that fingerprint on the
+:class:`~repro.fleet.hashing.HashRing`.  Ownership is what
 makes the fleet's caches compose: repeats of a job land where its entry is
 already memory-hot, and concurrent identical misses meet in one process where
 the micro-batcher dedups them before the cache tier's cross-replica lock
@@ -68,6 +71,7 @@ _SUMMED_COUNTERS = (
     "received",
     "ok",
     "bad_requests",
+    "decode_memo_hits",
     "shed_rate_limited",
     "shed_queue_full",
     "rejected_draining",
@@ -295,6 +299,7 @@ class RouterMetrics:
     received: int = 0  # solve requests accepted off the wire
     routed: int = 0  # solve requests answered by an upstream
     bad_requests: int = 0  # undecodable bodies answered 400 here
+    decode_memo_hits: int = 0  # bodies keyed from the decode memo, not parsed
     retries: int = 0  # forward attempts beyond the first
     failovers: int = 0  # requests NOT answered by their ring owner
     unavailable: int = 0  # 503s after the retry budget ran out
@@ -310,6 +315,7 @@ class RouterMetrics:
             "received": self.received,
             "routed": self.routed,
             "bad_requests": self.bad_requests,
+            "decode_memo_hits": self.decode_memo_hits,
             "retries": self.retries,
             "failovers": self.failovers,
             "unavailable": self.unavailable,
@@ -350,7 +356,7 @@ class FleetRouter(HttpServer):
             await pool.close()
 
     # ------------------------------------------------------------------
-    # the solve route: decode -> ring -> forward with retries
+    # the solve route: decode (memo first) -> ring -> forward with retries
     # ------------------------------------------------------------------
     async def _solve(self, request: HttpRequest):
         # the router is normally where the trace id is minted (clients
@@ -400,12 +406,14 @@ class FleetRouter(HttpServer):
 
         started = time.perf_counter()
         try:
-            job, body_budget = await self.decode_job(request, trace, root)
+            key, job = await self.decode_job(request, trace, root)
         except (HttpError, ProtocolError) as exc:
             self.metrics.bad_requests += 1
             return 400, {"error": str(exc)}, None
-        if budget is None and body_budget is not None:
-            budget = body_budget
+        if job is None:
+            self.metrics.decode_memo_hits += 1
+        if budget is None:
+            budget = key.deadline_s
         deadline_at = arrival + budget if budget is not None else None
         if deadline_at is not None and time.monotonic() >= deadline_at:
             return self._expired(trace, root, budget)
@@ -421,7 +429,7 @@ class FleetRouter(HttpServer):
                 trace.trace_id, root.span_id
             )
 
-        preference = list(self.ring.preference(job.fingerprint))
+        preference = list(self.ring.preference(key.fingerprint))
         # the retry budget is derived from the client's deadline when one is
         # given: a 2 s request must not be swept for the full retry_deadline
         retry_budget = self.config.retry_deadline

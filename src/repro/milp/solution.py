@@ -8,6 +8,9 @@ from typing import Dict, Mapping
 
 from repro.milp.expr import Variable
 
+#: Floor of :attr:`MILPSolution.gap`'s denominator.
+_GAP_EPS = 1e-12
+
 
 class SolveStatus(enum.Enum):
     """Outcome of a solve call."""
@@ -82,12 +85,17 @@ class MILPSolution:
 
     @property
     def gap(self) -> float:
-        """Relative optimality gap ``|objective - bound| / max(1, |objective|)``."""
+        """Relative optimality gap ``|objective - bound| / |objective|``.
+
+        HiGHS's definition; the denominator is guarded by a tiny epsilon, so a
+        zero objective with a zero bound reports 0.  Eq.-14 objectives are
+        all below 1, which is why the denominator is not ``max(1, ...)``.
+        """
         import math
 
         if math.isnan(self.objective) or math.isnan(self.bound):
             return float("inf")
-        return abs(self.objective - self.bound) / max(1.0, abs(self.objective))
+        return abs(self.objective - self.bound) / max(abs(self.objective), _GAP_EPS)
 
     def __bool__(self) -> bool:
         return self.status.has_solution

@@ -3,8 +3,9 @@
 Everything built below this package — the MILP pipeline, the batch service,
 the portfolio — is a blocking library call.  ``repro.server`` turns it into a
 system: an asyncio JSON-over-HTTP gateway that validates and fingerprints
-incoming solve requests (:mod:`~repro.server.protocol`), answers repeats
-inline from the content-addressed :class:`~repro.service.cache.SolveCache`,
+incoming solve requests (:mod:`~repro.server.protocol`; a repeated body is
+keyed from a bounded decode memo without a parse), answers repeats inline
+from the content-addressed :class:`~repro.service.cache.SolveCache`,
 coalesces cache misses in a time/size micro-batch window with per-batch dedup
 (:mod:`~repro.server.batcher`), and executes batches on worker shards that
 run MILP solves or portfolio races off the event loop and stream each result

@@ -3,13 +3,19 @@
 Request lifecycle for ``POST /solve``:
 
 1. **rate limit** — per-client token bucket (429 ``rate_limited``);
-2. **decode** — body JSON -> :class:`~repro.service.jobs.SolveJob` via
+2. **decode** — the body's :class:`~repro.server.http.JobKey` (fingerprint,
+   in-band budget, name).  A body seen before is a decode-memo hit, answered
+   on the event loop without parsing it; a new body is decoded off the loop
+   into a :class:`~repro.service.jobs.SolveJob` via
    :mod:`repro.server.protocol` (400 on anything malformed);
-3. **cache** — the job fingerprint is looked up in the shared
-   :class:`~repro.service.cache.SolveCache`; hits are answered inline without
-   touching the solver queue;
-4. **admission** — misses are shed with 429 ``queue_full`` when the
-   micro-batcher already holds ``max_queue_depth`` unserved jobs;
+3. **cache** — the fingerprint is looked up in the in-memory tier of the
+   shared :class:`~repro.service.cache.SolveCache` on the loop, and in the
+   disk tier off the loop only when memory misses and a directory is set;
+   hits are answered inline without touching the solver queue or decoding
+   the job;
+4. **job + admission** — a miss whose key came from the memo is decoded into
+   its full job now, off the loop; misses are shed with 429 ``queue_full``
+   when the micro-batcher already holds ``max_queue_depth`` unserved jobs;
 5. **batch + solve** — admitted misses coalesce in the
    :class:`~repro.server.batcher.MicroBatcher` window and execute on the
    :class:`~repro.server.workers.WorkerPool` shards; each request is answered
@@ -45,6 +51,7 @@ from repro.server.protocol import (
     DEADLINE_HEADER,
     QUEUE_DEPTH_HEADER,
     ProtocolError,
+    job_from_dict,
     parse_deadline,
 )
 from repro.server.workers import WorkerPool
@@ -265,24 +272,25 @@ class SolveGateway(HttpServer):
         started = time.perf_counter()
         loop = asyncio.get_running_loop()
         try:
-            job, body_budget = await self.decode_job(request, trace, root)
+            key, job = await self.decode_job(request, trace, root)
         except (HttpError, ProtocolError) as exc:
             self.metrics.bad_requests += 1
             return 400, {"error": str(exc)}, None
-        if deadline_at is None and body_budget is not None:
+        if job is None:
+            self.metrics.decode_memo_hits += 1
+        if deadline_at is None and key.deadline_s is not None:
             # the in-band form (deadline_s); the header, re-stamped hop by
             # hop with the remaining budget, wins when both are present
-            budget = body_budget
-            deadline_at = arrival + body_budget
+            budget = key.deadline_s
+            deadline_at = arrival + key.deadline_s
         if deadline_at is not None and time.monotonic() >= deadline_at:
             return self._expired(trace, root, arrival, budget, where="decode")
 
         lookup_started = time.perf_counter()
-        if self.cache.directory is None:
-            hit = self.cache.get(job.fingerprint)  # pure in-memory probe
-        else:
-            # the disk layer does file IO on a miss-in-memory: off the loop
-            hit = await loop.run_in_executor(None, self.cache.get, job.fingerprint)
+        hit = self.cache.get_memory(key.fingerprint)
+        if hit is None and self.cache.directory is not None:
+            # the disk tier does file IO: off the loop
+            hit = await loop.run_in_executor(None, self.cache.get_disk, key.fingerprint)
         if trace is not None:
             trace.add_span(
                 "cache.lookup", lookup_started, time.perf_counter(),
@@ -290,8 +298,18 @@ class SolveGateway(HttpServer):
             )
         if hit is not None:
             self.metrics.observe_hit(time.perf_counter() - started)
-            return 200, self._result_payload(job, hit, cached=True), None
+            return 200, self._result_payload(key.fingerprint, hit, cached=True), None
         self.metrics.cache_misses += 1
+
+        if job is None:
+            # a memo hit that both cache tiers missed: the solve (or a flight
+            # wait) needs the full job, decoded off the loop as on a first send
+            decode_started = time.perf_counter()
+            job = await loop.run_in_executor(None, lambda: job_from_dict(request.json()))
+            if trace is not None:
+                trace.add_span(
+                    "gateway.decode_job", decode_started, time.perf_counter(), parent=root
+                )
 
         # cross-replica single-flight: with a shared cache directory, only the
         # per-fingerprint lock holder may occupy solver capacity for this job;
@@ -314,7 +332,7 @@ class SolveGateway(HttpServer):
                 if result is not None:
                     self.metrics.flight_waits += 1
                     self.metrics.observe_hit(time.perf_counter() - started)
-                    return 200, self._result_payload(job, result, cached=True), None
+                    return 200, self._result_payload(key.fingerprint, result, cached=True), None
                 if deadline_at is not None and time.monotonic() >= deadline_at:
                     return self._expired(trace, root, arrival, budget, where="flight")
                 # the holder died, wedged, or the wait timed out: break its
@@ -397,11 +415,11 @@ class SolveGateway(HttpServer):
         elapsed = time.perf_counter() - started
         if result.status == "error":
             self.metrics.observe_solved(elapsed, error=True)
-            return 500, self._result_payload(job, result, cached=False), None
+            return 500, self._result_payload(key.fingerprint, result, cached=False), None
         if result.degraded:
             self.metrics.degraded += 1
         self.metrics.observe_solved(elapsed)
-        return 200, self._result_payload(job, result, cached=result.cached), None
+        return 200, self._result_payload(key.fingerprint, result, cached=result.cached), None
 
     def _expired(
         self,
@@ -509,11 +527,11 @@ class SolveGateway(HttpServer):
         return render_tables(snapshot, "gateway counters", "request latency (s)")
 
     @staticmethod
-    def _result_payload(job, result, cached: bool) -> Dict[str, object]:
+    def _result_payload(fingerprint: str, result, cached: bool) -> Dict[str, object]:
         data = result.as_dict()
         data["cached"] = bool(cached)  # describes *this* response, not the store
         return {
-            "fingerprint": job.fingerprint,
+            "fingerprint": fingerprint,
             "cached": bool(cached),
             "degraded": bool(result.degraded),
             "result": data,

@@ -14,6 +14,9 @@ and talk to each other through it:
 * **keep-alive client** — :func:`open_connection` and :func:`round_trip`
   (one request encoder, one response reader :func:`read_response`), used by
   the router's upstream pools and the load generator's ``GatewayClient``.
+* **``/solve`` decode** — :meth:`HttpServer.decode_job` and its
+  :class:`DecodeMemo`: a body seen before is answered with its
+  :class:`JobKey` without a JSON parse or a thread hop.
 """
 
 from __future__ import annotations
@@ -21,11 +24,13 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
+import hashlib
 import json
 import signal
 import threading
 import time
-from typing import Awaitable, Callable, Dict, Optional, Tuple
+from collections import OrderedDict
+from typing import Awaitable, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.analysis.report import (
     SERVER_COUNTER_HEADERS,
@@ -45,6 +50,8 @@ __all__ = [
     "HtmlPayload",
     "HttpServer",
     "BackgroundServer",
+    "DecodeMemo",
+    "JobKey",
     "read_request",
     "encode_response",
     "parse_query",
@@ -245,6 +252,71 @@ def render_tables(
 
 
 # ----------------------------------------------------------------------
+# /solve decode memo
+# ----------------------------------------------------------------------
+#: Entries of a server's :class:`DecodeMemo`.  One entry is a 32-byte digest
+#: and a :class:`JobKey` whose name is at most :data:`MEMO_NAME_CHARS` long,
+#: so the memo stays under 1 MB at this bound whatever the bodies' size.
+DECODE_MEMO_ENTRIES = 1024
+
+#: Longest job name a memo entry keeps; the name comes from the body, so a
+#: body with a longer one is decoded in full on every send instead.
+MEMO_NAME_CHARS = 256
+
+#: Bodies shorter than this are hashed for the memo on the event loop (64 KiB
+#: hash in ~50 us); longer ones are hashed off the loop, beside their decode.
+INLINE_DIGEST_BYTES = 64 * 1024
+
+
+class JobKey(NamedTuple):
+    """What routing and a cache probe need of a ``/solve`` body: the job
+    fingerprint, the in-band ``deadline_s`` budget and the job name."""
+
+    fingerprint: str
+    deadline_s: Optional[float]
+    name: str
+
+
+class DecodeMemo:
+    """Bounded LRU from the SHA-256 of a body's exact bytes to its :class:`JobKey`.
+
+    :func:`job_from_dict` and :func:`deadline_from_payload` are pure
+    functions of the body, so a hit is exact.  Values hold no job, problem or
+    device, and only bodies that decoded are stored.  Thread-safe: long
+    bodies are looked up and stored from executor threads.
+    """
+
+    def __init__(self, capacity: int = DECODE_MEMO_ENTRIES) -> None:
+        self.capacity = capacity
+        self._entries: "OrderedDict[bytes, JobKey]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def digest(body: bytes) -> bytes:
+        return hashlib.sha256(body).digest()
+
+    def get(self, digest: bytes) -> Optional[JobKey]:
+        with self._lock:
+            key = self._entries.get(digest)
+            if key is not None:
+                self._entries.move_to_end(digest)
+        return key
+
+    def put(self, digest: bytes, key: JobKey) -> None:
+        """Store ``key``, unless its name is longer than :data:`MEMO_NAME_CHARS`."""
+        if len(key.name) > MEMO_NAME_CHARS:
+            return
+        with self._lock:
+            self._entries[digest] = key
+            self._entries.move_to_end(digest)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+# ----------------------------------------------------------------------
 # server skeleton
 # ----------------------------------------------------------------------
 TRACES_PATH = "/debug/traces"
@@ -279,6 +351,7 @@ class HttpServer:
             if config.tracing
             else None
         )
+        self.decode_memo = DecodeMemo()
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._draining = False
@@ -435,33 +508,58 @@ class HttpServer:
 
     async def decode_job(
         self, request: HttpRequest, trace: Optional[Trace], root: Optional[Span]
-    ) -> Tuple[SolveJob, Optional[float]]:
-        """Decode a ``/solve`` body into ``(job, in-band deadline budget)``.
+    ) -> Tuple[JobKey, Optional[SolveJob]]:
+        """Decode a ``/solve`` body into ``(key, job)``.
 
-        Runs off the event loop, since the decode is CPU work proportional to
-        the (up to 32 MB) body, and is traced as ``<kind>.decode``.  Raises
-        :class:`HttpError` or :class:`~repro.server.protocol.ProtocolError`.
+        A body already in :attr:`decode_memo` is answered from it with
+        ``job=None``: no JSON parse, no ``job_from_dict``, and for a body
+        under :data:`INLINE_DIGEST_BYTES` no executor hop.  Any other body is
+        decoded off the event loop, since the decode is CPU work proportional
+        to the (up to 32 MB) body, and its key is memoized.  Traced as
+        ``<kind>.decode`` with ``memo=true|false``.  Raises
+        :class:`HttpError` or :class:`~repro.server.protocol.ProtocolError`;
+        a body that fails to decode is never memoized.
         """
         started = time.perf_counter()
+        memo = self.decode_memo
+        body = request.body
+        digest = memo.digest(body) if len(body) < INLINE_DIGEST_BYTES else None
+        key = memo.get(digest) if digest is not None else None
+        job: Optional[SolveJob] = None
+        if key is None:
 
-        def decode():
-            payload = request.json()
-            return job_from_dict(payload), deadline_from_payload(payload)
-
-        try:
-            job, budget = await asyncio.get_running_loop().run_in_executor(None, decode)
-        except (HttpError, ProtocolError) as exc:
-            if trace is not None:
-                trace.add_span(
-                    f"{self.kind}.decode", started, time.perf_counter(),
-                    parent=root, error=str(exc),
+            def decode():
+                nonlocal digest
+                if digest is None:  # a long body: hash and probe here
+                    digest = memo.digest(body)
+                    hit = memo.get(digest)
+                    if hit is not None:
+                        return hit, None
+                payload = request.json()
+                decoded = job_from_dict(payload)
+                found = JobKey(
+                    decoded.fingerprint, deadline_from_payload(payload), decoded.name
                 )
-            raise
+                memo.put(digest, found)
+                return found, decoded
+
+            try:
+                key, job = await asyncio.get_running_loop().run_in_executor(None, decode)
+            except (HttpError, ProtocolError) as exc:
+                if trace is not None:
+                    trace.add_span(
+                        f"{self.kind}.decode", started, time.perf_counter(),
+                        parent=root, memo=False, error=str(exc),
+                    )
+                raise
         if trace is not None:
-            trace.add_span(f"{self.kind}.decode", started, time.perf_counter(), parent=root)
-            trace.metadata["fingerprint"] = job.fingerprint
-            trace.metadata["job"] = job.name
-        return job, budget
+            trace.add_span(
+                f"{self.kind}.decode", started, time.perf_counter(),
+                parent=root, memo=job is None,
+            )
+            trace.metadata["fingerprint"] = key.fingerprint
+            trace.metadata["job"] = key.name
+        return key, job
 
     # ------------------------------------------------------------------
     # the shared mounts

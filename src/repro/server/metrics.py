@@ -204,6 +204,7 @@ class GatewayMetrics:
     received: int = 0  # POST /solve requests accepted off the wire
     ok: int = 0  # 200 responses
     bad_requests: int = 0  # 400 undecodable bodies
+    decode_memo_hits: int = 0  # bodies keyed from the decode memo, not parsed
     shed_rate_limited: int = 0  # 429 per-client token bucket
     shed_queue_full: int = 0  # 429 bounded-queue load shedding
     rejected_draining: int = 0  # 503 during graceful drain
@@ -280,6 +281,7 @@ class GatewayMetrics:
             "received": self.received,
             "ok": self.ok,
             "bad_requests": self.bad_requests,
+            "decode_memo_hits": self.decode_memo_hits,
             "shed_rate_limited": self.shed_rate_limited,
             "shed_queue_full": self.shed_queue_full,
             "shed_rate": round(self.shed_rate, 6),

@@ -214,7 +214,39 @@ class SolveCache:
 
     # ------------------------------------------------------------------
     def get(self, fingerprint: str) -> Optional[JobResult]:
-        """Look a result up, trying memory first, then disk (LRU-refreshed)."""
+        """Look a result up, trying memory first, then disk (LRU-refreshed).
+
+        Counts exactly one hit or one miss.  The gateway runs the two halves
+        itself: :meth:`get_memory` on its event loop, then :meth:`get_disk`
+        off the loop only when memory missed and a directory is set.
+        """
+        result = self.get_memory(fingerprint)
+        if result is None and self.directory is not None:
+            result = self.get_disk(fingerprint)
+        return result
+
+    def get_memory(self, fingerprint: str) -> Optional[JobResult]:
+        """The in-memory half of :meth:`get`: no file IO, cheap enough for an
+        event loop.
+
+        A hit is counted here.  A miss is counted here only without a
+        directory, where it ends the lookup; with one, :meth:`get_disk`
+        finishes the lookup and counts it.
+        """
+        with self._lock:
+            result = self._from_memory(fingerprint)
+            if result is not None:
+                self.stats.hits += 1
+            elif self.directory is None:
+                self.stats.misses += 1
+        return result
+
+    def get_disk(self, fingerprint: str) -> Optional[JobResult]:
+        """The disk half of :meth:`get`, after :meth:`get_memory` missed.
+
+        Re-checks memory (a store may have landed since), then loads the
+        entry from disk and promotes it into memory; counts one hit or miss.
+        """
         result = self.probe(fingerprint)
         with self._lock:
             if result is None:
@@ -230,9 +262,7 @@ class SolveCache:
         swamp the hit-rate statistics with retries of one lookup.
         """
         with self._lock:
-            result = self._memory.get(fingerprint)
-            if result is not None:
-                self._memory.move_to_end(fingerprint)
+            result = self._from_memory(fingerprint)
         if result is None and self.directory is not None:
             result = self._load(fingerprint)
             if result is not None:
@@ -458,6 +488,13 @@ class SolveCache:
             pass  # a concurrent reclaimer won the race
 
     # ------------------------------------------------------------------
+    def _from_memory(self, fingerprint: str) -> Optional[JobResult]:
+        """The memory entry, LRU-refreshed (caller holds the lock)."""
+        result = self._memory.get(fingerprint)
+        if result is not None:
+            self._memory.move_to_end(fingerprint)
+        return result
+
     def _evict_overflow(self) -> None:
         """Pop LRU-tail entries past capacity (caller holds the lock)."""
         if self.capacity is None:

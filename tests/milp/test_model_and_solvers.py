@@ -175,6 +175,13 @@ class TestSolutionObject:
         assert not bool(empty)
         assert math.isinf(empty.gap)
 
+    def test_gap_is_relative_below_one(self):
+        # SDR at mip_gap=0.05: an absolute gap of 0.002 is a 5.6% relative gap
+        result = MILPSolution(
+            status=SolveStatus.FEASIBLE, objective=0.03544, bound=0.03347
+        )
+        assert result.gap == pytest.approx(0.0556, abs=1e-4)
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             solve(Model(), SolverOptions(backend="cplex"))

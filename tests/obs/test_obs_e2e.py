@@ -176,3 +176,56 @@ class TestCaptureReplayRoundTrip:
         assert outcome.result.ok == 6
         # replayed jobs were all solved before: served from cache end to end
         assert outcome.result.hits == 6
+
+
+class TestDecodeMemoAcrossTheFleet:
+    def test_second_send_is_a_memo_hit_in_router_and_replica(self, fleet, payloads):
+        payload = payloads[5]
+        fingerprint = job_from_dict(payload).fingerprint
+
+        def memo_flags(doc, span_name):
+            return [
+                span["annotations"]["memo"]
+                for span in doc["spans"] if span["name"] == span_name
+            ]
+
+        async def traces_of(port):
+            status, listing = await fetch_json(
+                fleet.host, port, "/debug/traces?full=1&limit=50"
+            )
+            assert status == 200
+            # most recent first: reverse into send order
+            return [
+                doc for doc in reversed(listing["traces"])
+                if doc["metadata"].get("fingerprint") == fingerprint
+            ]
+
+        async def scenario():
+            _status, before = await fetch_json(
+                fleet.host, fleet.port, "/metrics?format=json"
+            )
+            async with GatewayClient(fleet.host, fleet.port) as client:
+                for _ in range(2):
+                    status, body = await client.solve(payload)
+                    assert status == 200, body
+            _status, after = await fetch_json(
+                fleet.host, fleet.port, "/metrics?format=json"
+            )
+            router_docs = await traces_of(fleet.port)
+            replica_docs = []
+            for port in fleet.manager.ports:
+                replica_docs += await traces_of(port)
+            return before, after, router_docs, replica_docs
+
+        before, after, router_docs, replica_docs = asyncio.run(scenario())
+        assert [memo_flags(doc, "router.decode") for doc in router_docs] == [
+            [False], [True]
+        ]
+        assert [memo_flags(doc, "gateway.decode") for doc in replica_docs] == [
+            [False], [True]
+        ]
+        router_hits = after["router"]["decode_memo_hits"] - before["router"]["decode_memo_hits"]
+        replica_hits = (
+            after["counters"]["decode_memo_hits"] - before["counters"]["decode_memo_hits"]
+        )
+        assert router_hits == 1 and replica_hits == 1

@@ -167,6 +167,41 @@ class TestSolveCache:
         cache.clear()
         assert len(cache) == 0
 
+    @pytest.mark.parametrize("halves", [False, True], ids=["get", "memory-then-disk"])
+    def test_each_lookup_counts_one_hit_or_miss(self, tmp_path, halves):
+        # ``halves`` runs the lookup the way the gateway does: the memory half
+        # on the event loop, the disk half only when memory missed
+        cache = SolveCache(tmp_path)
+
+        def lookup(fingerprint):
+            if not halves:
+                return cache.get(fingerprint)
+            hit = cache.get_memory(fingerprint)
+            return hit if hit is not None else cache.get_disk(fingerprint)
+
+        def counts():
+            return cache.stats.hits, cache.stats.misses
+
+        cache.put(make_result())
+        assert lookup("f" * 64) is not None  # memory hit
+        assert counts() == (1, 0)
+        cache.drop_memory()
+        assert cache.memory_size == 0
+        assert lookup("f" * 64) is not None  # disk-only hit ...
+        assert counts() == (2, 0)
+        assert cache.memory_size == 1  # ... promoted into memory
+        assert cache.get_memory("f" * 64) is not None
+        assert counts() == (3, 0)
+        assert lookup("a" * 64) is None  # miss in both tiers
+        assert counts() == (3, 1)
+
+    def test_memory_half_counts_the_miss_without_a_directory(self):
+        cache = SolveCache()
+        assert cache.get_memory("f" * 64) is None
+        cache.put(make_result())
+        assert cache.get_memory("f" * 64) is not None
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+
     def test_stats(self):
         stats = CacheStats(hits=3, misses=1)
         assert stats.lookups == 4
