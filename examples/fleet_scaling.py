@@ -11,7 +11,8 @@ The table to watch is ``solves/unique``: however many replicas the duplicate
 herd is spread over, the shared cache tier's per-fingerprint lock files elect
 exactly **one** solver per unique job fleet-wide — every other replica awaits
 the winner's entry (``flight_waits``) instead of burning a core re-solving
-it.  On a multi-core box the distinct-miss work also spreads across replica
+it, and repeats that reach the winner's own replica join its solve there.
+On a multi-core box the distinct-miss work also spreads across replica
 processes for near-linear throughput; on a single-core runner throughput is
 roughly flat and the win is the collapsed work.
 
@@ -29,11 +30,11 @@ from repro.analysis import format_table
 from repro.fleet import BackgroundFleet
 from repro.server.loadgen import demo_payloads, fetch_metrics_json, run_fleet_closed_loop
 
-# the published no-dedup ablation shape (server.miss_unbatched): batching off
-# and a shard pool wider than the herd, so nothing inside one replica hides
-# the duplicate work the cache tier is there to collapse
-NO_DEDUP_ARGS = (
-    "--max-batch", "1", "--batch-window", "0",
+# the published unbatched ablation shape (server.miss_unbatched): one job
+# per batch and a shard pool wider than the herd.  Duplicates that reach one
+# replica join its solve; the ones spread over replicas meet in the cache tier
+UNBATCHED_ARGS = (
+    "--max-batch", "1",
     "--shards", "12", "--batch-workers", "8",
 )
 
@@ -45,7 +46,7 @@ def drive_fleet(replicas: int, payloads) -> dict:
     """One fleet size: spawn, herd, scrape the roll-up, tear down."""
     cache_dir = tempfile.mkdtemp(prefix=f"fleet-scaling-{replicas}-")
     with BackgroundFleet(
-        replicas=replicas, cache_dir=cache_dir, server_args=NO_DEDUP_ARGS
+        replicas=replicas, cache_dir=cache_dir, server_args=UNBATCHED_ARGS
     ) as fleet:
         # duplicates are spread across the replica *ports* (round-robin), so
         # collapsing them is the shared tier's job, not the router's affinity

@@ -25,12 +25,11 @@ def burst_refill_s(config: GatewayConfig) -> float:
 
 
 def main() -> None:
-    # 1. gateway: 2 worker shards behind a 10 ms x 8 micro-batch window,
+    # 1. gateway: 2 worker shards taking batches of up to 8 misses,
     #    per-client rate limit of 40 req/s (burst 10)
     config = GatewayConfig(
         port=0,  # ephemeral: read the bound port back from the handle
         max_batch=8,
-        batch_window=0.01,
         rate_limit=40.0,
         rate_burst=10.0,
     )
@@ -40,7 +39,7 @@ def main() -> None:
         print(f"gateway listening on http://{background.host}:{background.port}\n")
 
         # 2. cold run: every unique job is a cache miss; concurrent duplicates
-        #    coalesce in the micro-batch window and are deduplicated
+        #    join the solve of their job and are deduplicated
         cold = run_closed_loop(
             background.host, background.port, payloads, clients=4, requests_per_client=4
         )

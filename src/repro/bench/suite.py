@@ -513,14 +513,14 @@ def server_gateway_open_loop(profile: BenchProfile) -> Workload:
 
 @benchmark("server.miss_microbatch")
 def server_miss_microbatch(profile: BenchProfile) -> Workload:
-    """Cold-cache misses through the micro-batcher (coalescing + dedup).
+    """Cold-cache misses through the micro-batcher (batching + dedup).
 
-    8 concurrent requests over 4 unique jobs land inside one batch window —
-    the thundering-herd shape of a popular cache entry expiring.  The batcher
-    dedups the duplicate fingerprints and solves only the unique jobs, across
+    8 concurrent requests over 4 unique jobs — the thundering-herd shape of a
+    popular cache entry expiring.  Each unique job dispatches to a free shard
+    and its duplicates join it, so only the unique jobs are solved, across
     the full worker width.  Compare against ``server.miss_unbatched``
-    (identical gateway shape and load; only the batching knobs differ) for
-    the measured micro-batching margin.
+    (identical gateway shape and load; only ``max_batch`` differs) for the
+    measured batching margin.
     """
     from repro.server.gateway import GatewayConfig
     from repro.server.loadgen import run_closed_loop
@@ -530,7 +530,7 @@ def server_miss_microbatch(profile: BenchProfile) -> Workload:
 
     return _gateway_workload(
         profile,
-        lambda: GatewayConfig(port=0, max_batch=16, batch_window=0.05, **_MISS_SHAPE),
+        lambda: GatewayConfig(port=0, max_batch=16, **_MISS_SHAPE),
         load,
         warm=False,
         unique=4,
@@ -541,10 +541,10 @@ def server_miss_microbatch(profile: BenchProfile) -> Workload:
 def server_miss_unbatched(profile: BenchProfile) -> Workload:
     """The one-request-per-solve baseline: same load, ``max_batch=1``.
 
-    No coalescing window: every request is dispatched as its own single-job
-    batch the moment it arrives, so concurrent duplicates race and each pays
-    its own full solve.  This is the ablation half of the micro-batching
-    comparison — same shard/worker shape, no window, no dedup.
+    Every unique job is dispatched as its own single-job batch the moment it
+    arrives.  Concurrent duplicates still join the solve of their job, as
+    they do at any ``max_batch``.  This is the ablation half of the
+    micro-batching comparison — same shard/worker shape, one job per batch.
     """
     from repro.server.gateway import GatewayConfig
     from repro.server.loadgen import run_closed_loop
@@ -554,7 +554,7 @@ def server_miss_unbatched(profile: BenchProfile) -> Workload:
 
     return _gateway_workload(
         profile,
-        lambda: GatewayConfig(port=0, max_batch=1, batch_window=0.0, **_MISS_SHAPE),
+        lambda: GatewayConfig(port=0, max_batch=1, **_MISS_SHAPE),
         load,
         warm=False,
         unique=4,
@@ -564,12 +564,12 @@ def server_miss_unbatched(profile: BenchProfile) -> Workload:
 # ----------------------------------------------------------------------
 # fleet: multi-process replicas behind the consistent-hash router
 # ----------------------------------------------------------------------
-#: Per-replica knobs of the fleet cache-miss benchmarks: no micro-batch
-#: window, so within one process every request dispatches as its own
-#: single-job batch.  This is the same unbatched ablation shape as
-#: ``server.miss_unbatched`` — it makes duplicate-collapse attributable to
-#: the cache tier's cross-replica single-flight, not in-process coalescing.
-_FLEET_UNBATCHED = ("--max-batch", "1", "--batch-window", "0")
+#: Per-replica knobs of the fleet cache-miss benchmarks: within one process
+#: every unique job dispatches as its own single-job batch, the unbatched
+#: ablation shape of ``server.miss_unbatched``.  Duplicates that meet in one
+#: replica join its solve; duplicates spread over replicas are collapsed by
+#: the cache tier's cross-replica single-flight.
+_FLEET_UNBATCHED = ("--max-batch", "1")
 
 
 def _fleet_miss_rounds(profile: BenchProfile, per_round: int):
@@ -654,17 +654,15 @@ def _fleet_workload(
 
 @benchmark("fleet.herd_single")
 def fleet_herd_single(profile: BenchProfile) -> Workload:
-    """The no-dedup baseline for the duplicate-miss herd: one gateway in the
+    """The duplicate-miss herd against one gateway in the
     ``server.miss_unbatched`` ablation shape.
 
     8 concurrent requests over 2 unique jobs, fresh fingerprints per round,
-    ``max_batch=1`` over the wide ``_MISS_SHAPE`` shard pool — the exact
-    configuration ``server.miss_unbatched`` publishes as "every concurrent
-    duplicate races its twin and pays its own full solve" (narrow shard
-    pools dedup repeats per shard through the BatchSolver's fingerprint
-    cache; the wide pool is what removes coalescing *everywhere*).  This is
-    the cost of duplicate misses with no collapse mechanism at any layer;
-    ``fleet.herd_fleet4`` shows the same herd with fleet-wide single-flight.
+    ``max_batch=1`` over the wide ``_MISS_SHAPE`` shard pool.  Every
+    duplicate meets its job in the gateway's batcher and joins that solve,
+    so ``solves_per_unique`` is 1; ``fleet.herd_fleet4`` spreads the same
+    herd over four replicas, where the cache tier's single-flight collapses
+    it instead.
     """
     from repro.server.gateway import GatewayConfig
     from repro.server.loadgen import run_closed_loop
@@ -675,7 +673,7 @@ def fleet_herd_single(profile: BenchProfile) -> Workload:
     from repro.server.gateway import BackgroundGateway
 
     background = BackgroundGateway(
-        GatewayConfig(port=0, max_batch=1, batch_window=0.0, **_MISS_SHAPE)
+        GatewayConfig(port=0, max_batch=1, **_MISS_SHAPE)
     )
     gateway = background.gateway
 
@@ -717,10 +715,8 @@ def fleet_herd_fleet4(profile: BenchProfile) -> Workload:
     in the shared cache tier, the per-fingerprint lock files elect one
     solver per unique job, and everyone else serves the stored result.  The
     snapshot's acceptance evidence: ``solves_per_unique == 1`` (8 duplicate
-    misses → 2 solves fleet-wide, where the baseline pays 8) and a ≥2×
-    closed-loop throughput margin over ``fleet.herd_single`` — the margin is
-    work collapse, which is why it survives even a single-core runner where
-    CPU-parallel replica scaling is physically unavailable.
+    misses → 2 solves fleet-wide, as on the single gateway of
+    ``fleet.herd_single``).
     """
     return _fleet_workload(profile, replicas=4, clients=8, per_round=2, direct=True)
 

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from repro.milp.model import MatrixForm, Model
-from repro.milp.solution import MILPSolution, SolveStatus
+from repro.milp.solution import GAP_EPS, MILPSolution, SolveStatus, relative_gap
 from repro.milp.solver import (
     PreparedModel,
     SplitForm,
@@ -176,20 +176,29 @@ def solve_with_branch_bound(
     pseudo = _PseudoCosts(form.num_variables)
     timed_out = False
 
+    def _gap_scale() -> float:
+        """Denominator of the incumbent's relative gap (:func:`relative_gap`).
+
+        The gap is measured on the user-facing objective, constant included,
+        as :attr:`MILPSolution.gap` reports it; the lowering shifts the
+        objective but not the difference to a bound.
+        """
+        return max(abs(prepared.user_bound(incumbent_obj)), GAP_EPS)
+
     def _prune_cut() -> float:
         """Objective level at which a subtree is not worth exploring.
 
         Warm mode discards subtrees that cannot improve the incumbent by more
         than the requested MIP gap — the contract of ``mip_gap`` — instead of
         only strictly-dominated ones; ``pruned_bound`` records what was cut so
-        the reported bound never overstates what was proven.
+        the reported bound never overstates what was proven.  Without a gap
+        the cut keeps a 1e-9 tolerance; with one it is exactly the allowance,
+        so a cut subtree never widens the gap past ``mip_gap``.
         """
         if not math.isfinite(incumbent_obj):
             return math.inf
-        allowance = (
-            gap_target * max(1.0, abs(incumbent_obj)) if warm_start else 0.0
-        )
-        return incumbent_obj - allowance - 1e-9
+        allowance = gap_target * _gap_scale() if warm_start else 0.0
+        return incumbent_obj - max(allowance, 1e-9)
 
     # ------------------------------------------------------------------
     # root node
@@ -309,7 +318,7 @@ def solve_with_branch_bound(
         if heap and incumbent_obj < math.inf:
             open_bound = heap[0].priority
             if open_bound > -math.inf:
-                gap = (incumbent_obj - open_bound) / max(1.0, abs(incumbent_obj))
+                gap = (incumbent_obj - open_bound) / _gap_scale()
                 if gap <= gap_target:
                     break
 
@@ -350,7 +359,7 @@ def solve_with_branch_bound(
     values = prepared.restore_values(incumbent_x)
     objective = model.objective_value(values)
     user_bound = prepared.user_bound(best_bound)
-    gap = abs(incumbent_obj - best_bound) / max(1.0, abs(incumbent_obj))
+    gap = relative_gap(objective, user_bound)
 
     return MILPSolution(
         status=SolveStatus.OPTIMAL if proven_optimal else SolveStatus.FEASIBLE,

@@ -8,8 +8,18 @@ from typing import Dict, Mapping
 
 from repro.milp.expr import Variable
 
-#: Floor of :attr:`MILPSolution.gap`'s denominator.
-_GAP_EPS = 1e-12
+#: Floor of :func:`relative_gap`'s denominator.
+GAP_EPS = 1e-12
+
+
+def relative_gap(objective: float, bound: float) -> float:
+    """Relative optimality gap ``|objective - bound| / |objective|``.
+
+    HiGHS's definition; the denominator is guarded by a tiny epsilon, so a
+    zero objective with a zero bound reports 0.  Eq.-14 objectives are all
+    below 1, which is why the denominator is not ``max(1, ...)``.
+    """
+    return abs(objective - bound) / max(abs(objective), GAP_EPS)
 
 
 class SolveStatus(enum.Enum):
@@ -85,17 +95,12 @@ class MILPSolution:
 
     @property
     def gap(self) -> float:
-        """Relative optimality gap ``|objective - bound| / |objective|``.
-
-        HiGHS's definition; the denominator is guarded by a tiny epsilon, so a
-        zero objective with a zero bound reports 0.  Eq.-14 objectives are
-        all below 1, which is why the denominator is not ``max(1, ...)``.
-        """
+        """:func:`relative_gap` of objective and bound (``inf`` if either is unknown)."""
         import math
 
         if math.isnan(self.objective) or math.isnan(self.bound):
             return float("inf")
-        return abs(self.objective - self.bound) / max(abs(self.objective), _GAP_EPS)
+        return relative_gap(self.objective, self.bound)
 
     def __bool__(self) -> bool:
         return self.status.has_solution

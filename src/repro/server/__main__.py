@@ -19,7 +19,6 @@ def build_config(args: argparse.Namespace) -> GatewayConfig:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        batch_window=args.batch_window,
         max_queue_depth=args.queue_depth if args.queue_depth > 0 else None,
         rate_limit=args.rate_limit,
         shards=args.shards,
@@ -42,11 +41,11 @@ async def serve(config: GatewayConfig, quiet: bool = False) -> None:
     gateway = SolveGateway(config)
     await gateway.start()
     if not quiet:
+        depth = config.max_queue_depth or "unbounded"
         print(
             f"repro.server listening on http://{config.host}:{gateway.port} "
-            f"(batch window {config.batch_window * 1e3:.0f} ms x {config.max_batch}, "
-            f"{config.shards} shard(s), queue depth "
-            f"{config.max_queue_depth if config.max_queue_depth else 'unbounded'})",
+            f"(batches of up to {config.max_batch} on {config.shards} shard(s), "
+            f"queue depth {depth})",
             flush=True,
         )
 
@@ -62,10 +61,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8765)
-    parser.add_argument("--max-batch", type=int, default=8, help="micro-batch size cap")
-    parser.add_argument(
-        "--batch-window", type=float, default=0.01, help="micro-batch window (s)"
-    )
+    parser.add_argument("--max-batch", type=int, default=8, help="unique jobs per batch cap")
     parser.add_argument(
         "--queue-depth", type=int, default=64, help="solver queue bound (0 = unbounded)"
     )

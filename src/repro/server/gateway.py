@@ -13,20 +13,26 @@ Request lifecycle for ``POST /solve``:
    disk tier off the loop only when memory misses and a directory is set;
    hits are answered inline without touching the solver queue or decoding
    the job;
-4. **job + admission** — a miss whose key came from the memo is decoded into
-   its full job now, off the loop; misses are shed with 429 ``queue_full``
-   when the micro-batcher already holds ``max_queue_depth`` unserved jobs;
-5. **batch + solve** — admitted misses coalesce in the
-   :class:`~repro.server.batcher.MicroBatcher` window and execute on the
-   :class:`~repro.server.workers.WorkerPool` shards; each request is answered
-   when its own job's solve finishes, and the response carries the full
-   :class:`~repro.service.results.JobResult`.
+4. **job** — a miss whose key came from the memo is decoded into its full
+   job now, off the loop;
+5. **single-flight** — a fingerprint this replica is already solving joins
+   that solve in the batcher; otherwise, with a shared cache directory, the
+   request takes the per-fingerprint flight lock or awaits the replica that
+   holds it;
+6. **admission** — misses are shed with 429 ``queue_full`` when the
+   micro-batcher already holds ``max_queue_depth`` unserved jobs;
+7. **batch + solve** — admitted misses go to the
+   :class:`~repro.server.batcher.MicroBatcher`, which dispatches them to a
+   free :class:`~repro.server.workers.WorkerPool` shard at once (or, with
+   every shard busy, in the next batch a shard takes); each request is
+   answered when its own job's solve finishes, and the response carries the
+   full :class:`~repro.service.results.JobResult`.
 
 ``GET /healthz`` reports liveness and queue depth; ``GET /metrics`` serves
 counters, latency histograms and cache stats, plus the rendered
 :mod:`repro.analysis` tables.  :meth:`SolveGateway.drain` implements graceful
-shutdown: stop admitting (503), flush the batch window, wait for in-flight
-batches, then close the listener.
+shutdown: stop admitting (503), solve every accepted job, then close the
+listener.
 """
 
 from __future__ import annotations
@@ -70,9 +76,11 @@ class GatewayConfig:
     host, port:
         Listen address; ``port=0`` binds an ephemeral port (tests and
         benchmarks read the bound port back from :attr:`SolveGateway.port`).
-    max_batch, batch_window:
-        Micro-batch flush triggers: size cap and time window in seconds.
-        ``max_batch=1`` disables coalescing (the unbatched baseline).
+    max_batch:
+        Most unique jobs one batch carries.  A miss dispatches as soon as one
+        of the ``shards`` is free; misses that arrive while every shard is
+        busy wait and go out together.  ``max_batch=1`` gives every job its
+        own batch (the unbatched baseline).
     max_queue_depth:
         Cache misses the batcher may hold before load shedding; ``None``
         disables the bound.
@@ -117,7 +125,6 @@ class GatewayConfig:
     host: str = "127.0.0.1"
     port: int = 8765
     max_batch: int = 8
-    batch_window: float = 0.01
     max_queue_depth: Optional[int] = 64
     rate_limit: Optional[float] = None
     rate_burst: Optional[float] = None
@@ -135,10 +142,6 @@ class GatewayConfig:
     tracing: bool = True
     trace_capacity: int = 256
     trace_sink: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be non-negative")
 
 
 class SolveGateway(HttpServer):
@@ -175,9 +178,11 @@ class SolveGateway(HttpServer):
         self.batcher = MicroBatcher(
             self.workers.solve_batch,
             max_batch=self.config.max_batch,
-            max_wait=self.config.batch_window,
+            slots=self.config.shards,
             on_batch=self.metrics.observe_batch,
         )
+        #: fingerprints a request here is taking the flight lock for
+        self._claims: Dict[str, asyncio.Event] = {}
         self.admission = AdmissionController(
             max_queue_depth=self.config.max_queue_depth,
             rate_limit=self.config.rate_limit,
@@ -314,14 +319,14 @@ class SolveGateway(HttpServer):
         # cross-replica single-flight: with a shared cache directory, only the
         # per-fingerprint lock holder may occupy solver capacity for this job;
         # every other replica's request awaits the shared entry instead of
-        # duplicating the solve.  Directory-less caches grant every claim
-        # (in-process dedup is the micro-batcher's job).
-        acquired = True
+        # duplicating the solve.  A repeat of a job this replica is already
+        # solving joins it in the batcher, as it does without a directory.
+        acquired = False  # does this request hold the flight lock?
+        claim: Optional[bool] = None
         if self.cache.directory is not None:
-            acquired = await loop.run_in_executor(
-                None, self.cache.try_acquire_flight, job.fingerprint
-            )
-            if not acquired:
+            claim = await self._claim_flight(job.fingerprint)
+            acquired = claim is True
+            if claim is False:
                 flight_started = time.perf_counter()
                 result = await self._await_flight(job, deadline_at)
                 if trace is not None:
@@ -349,26 +354,33 @@ class SolveGateway(HttpServer):
                     None, self.cache.try_acquire_flight, job.fingerprint
                 )
 
-        queue_started = time.perf_counter()
-        decision = self.admission.check_queue(self.batcher.queue_depth)
-        if trace is not None:
-            trace.add_span(
-                "admission.queue", queue_started, time.perf_counter(),
-                parent=root, admitted=decision.admitted,
-                queue_depth=self.batcher.queue_depth,
-            )
-        if not decision.admitted:
-            if acquired:
-                await loop.run_in_executor(
-                    None, self.cache.release_flight, job.fingerprint
+        try:
+            queue_started = time.perf_counter()
+            decision = self.admission.check_queue(self.batcher.queue_depth)
+            if trace is not None:
+                trace.add_span(
+                    "admission.queue", queue_started, time.perf_counter(),
+                    parent=root, admitted=decision.admitted,
+                    queue_depth=self.batcher.queue_depth,
                 )
-            self.metrics.shed_queue_full += 1
-            retry_after = str(max(1, round(decision.retry_after)))
-            return (
-                429,
-                {"error": "shed", "reason": decision.reason},
-                {"Retry-After": retry_after},
-            )
+            if not decision.admitted:
+                if acquired:
+                    await loop.run_in_executor(
+                        None, self.cache.release_flight, job.fingerprint
+                    )
+                self.metrics.shed_queue_full += 1
+                retry_after = str(max(1, round(decision.retry_after)))
+                return (
+                    429,
+                    {"error": "shed", "reason": decision.reason},
+                    {"Retry-After": retry_after},
+                )
+        finally:
+            if claim is True:
+                # admitted (it submits below without yielding, so a woken
+                # repeat finds the job in the batcher) or shed with the lock
+                # already released (a woken repeat takes the lock afresh)
+                self._end_claim(job.fingerprint)
 
         submit_started = time.perf_counter()
         solve_span: Optional[Span] = None
@@ -401,7 +413,7 @@ class SolveGateway(HttpServer):
             self.metrics.observe_solved(time.perf_counter() - started, error=True)
             return 500, {"error": f"{type(exc).__name__}: {exc}"}, None
         finally:
-            if acquired and self.cache.directory is not None:
+            if acquired:
                 await loop.run_in_executor(
                     None, self.cache.release_flight, job.fingerprint
                 )
@@ -452,6 +464,37 @@ class SolveGateway(HttpServer):
             {"error": "deadline expired", "reason": "deadline_expired", "where": where},
             {"Retry-After": "1"},
         )
+
+    async def _claim_flight(self, fingerprint: str) -> Optional[bool]:
+        """Take ``fingerprint``'s flight lock unless this replica solves it already.
+
+        ``None`` means the batcher already holds the fingerprint: the request
+        joins that solve and takes no lock.  Otherwise the result says whether
+        the lock is now this request's (``False``: another replica holds it).
+        Requests on this replica claim a fingerprint one at a time, so a
+        repeat that arrives while the first is taking the lock finds the job
+        in the batcher, not behind the lock file its own process wrote.  A
+        ``True`` claim stays open until the caller ends it with
+        :meth:`_end_claim`, once it has submitted the job or released the lock.
+        """
+        while (pending := self._claims.get(fingerprint)) is not None:
+            await pending.wait()
+        if self.batcher.holds(fingerprint):
+            return None
+        self._claims[fingerprint] = asyncio.Event()
+        acquired = False
+        try:
+            acquired = await asyncio.get_running_loop().run_in_executor(
+                None, self.cache.try_acquire_flight, fingerprint
+            )
+            return acquired
+        finally:
+            if not acquired:
+                self._end_claim(fingerprint)
+
+    def _end_claim(self, fingerprint: str) -> None:
+        """Wake the requests queued behind this replica's claim on ``fingerprint``."""
+        self._claims.pop(fingerprint).set()
 
     async def _await_flight(self, job, deadline_at: Optional[float] = None):
         """Poll for another replica's in-flight solve of ``job`` to land.

@@ -211,9 +211,9 @@ class GatewayMetrics:
     solve_errors: int = 0  # 500 job executed but failed
     cache_hits: int = 0  # answered inline from the solve cache
     cache_misses: int = 0  # routed into the micro-batcher
-    batches: int = 0  # batches flushed to the worker shards
+    batches: int = 0  # batches dispatched to the worker shards
     batched_jobs: int = 0  # jobs carried by those batches
-    deduped_jobs: int = 0  # batch slots answered by an in-batch duplicate
+    deduped_jobs: int = 0  # waiters a batch carried beyond one per job
     flight_waits: int = 0  # misses served by awaiting another replica's solve
     flight_takeovers: int = 0  # awaited flights that died and were re-solved here
     deadline_expired: int = 0  # 504s: the client budget ran out before a result

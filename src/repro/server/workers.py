@@ -1,9 +1,10 @@
 """Worker shards: run solver batches off the gateway event loop.
 
-A :class:`WorkerPool` owns ``shards`` dedicated threads.  Each flushed batch
-occupies one shard thread, so the event loop never blocks on a MILP.  The
-shard streams the batch back one job at a time: cache hits first, then every
-fresh result the moment its own solve finishes — an
+A :class:`WorkerPool` owns ``shards`` dedicated threads.  Each dispatched
+batch occupies one shard thread, so the event loop never blocks on a MILP; the
+micro-batcher runs at most ``shards`` batches at once, so none waits here for
+a thread.  The shard streams the batch back one job at a time: cache hits
+first, then every fresh result the moment its own solve finishes — an
 :func:`~repro.service.executor.execute_job` MILP solve (time limit clamped to
 a tight client deadline), a :func:`~repro.service.portfolio.run_portfolio`
 race, or the brown-out heuristic.  A batch's MILP solves run concurrently, so

@@ -185,3 +185,36 @@ class TestSolutionObject:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             solve(Model(), SolverOptions(backend="cplex"))
+
+
+def _small_cover(seed: int, constant: float = 0.0) -> Model:
+    """A random 14-set cover with costs 0.01-0.05: its objective is below 1."""
+    rng = np.random.default_rng(seed)
+    model = Model()
+    picks = [model.add_binary(f"x{i}") for i in range(14)]
+    costs = rng.uniform(0.01, 0.05, len(picks))
+    for _ in range(10):
+        members = rng.choice(len(picks), size=3, replace=False)
+        model.add(quicksum(picks[i] for i in members) >= 1)
+    model.minimize(quicksum(float(c) * p for c, p in zip(costs, picks)) + constant)
+    return model
+
+
+class TestBranchBoundGap:
+    @pytest.mark.parametrize("constant", [0.0, -0.05], ids=["plain", "negative-constant"])
+    def test_mip_gap_bounds_the_reported_relative_gap(self, constant):
+        # the gap is MILPSolution.gap's, on the objective with its constant
+        for seed in range(40):
+            result = solve(
+                _small_cover(seed, constant), SolverOptions(backend="branch-bound", mip_gap=0.05)
+            )
+            assert result.status.has_solution
+            assert abs(result.objective) < 1.0
+            assert result.gap <= 0.05 + 1e-9, (seed, result.gap)
+
+    def test_runs_without_mip_gap_stay_exact(self):
+        for seed in range(10):
+            exact = solve(_small_cover(seed), SolverOptions(backend="branch-bound"))
+            highs = solve(_small_cover(seed), SolverOptions(backend="highs"))
+            assert exact.status is SolveStatus.OPTIMAL
+            assert exact.objective == pytest.approx(highs.objective, abs=1e-9)

@@ -1,4 +1,4 @@
-"""Micro-batcher coalescing/dedup/drain and worker-shard execution."""
+"""Micro-batcher slot dispatch/dedup/drain and worker-shard execution."""
 
 import asyncio
 import dataclasses
@@ -74,33 +74,32 @@ class StreamingSolver:
             yield result.fingerprint, result
 
 
+async def until(predicate, ticks: int = 100) -> None:
+    """Yield to the loop until ``predicate()`` holds (at most ``ticks`` times)."""
+    for _ in range(ticks):
+        if predicate():
+            return
+        await asyncio.sleep(0)
+    raise AssertionError("condition never held")
+
+
 class TestMicroBatcher:
-    def test_size_trigger_coalesces(self):
+    def test_same_tick_submissions_share_a_batch(self):
         async def scenario():
             solver = RecordingSolver()
-            batcher = MicroBatcher(solver, max_batch=3, max_wait=60.0)
+            batcher = MicroBatcher(solver, max_batch=3)
             jobs = [make_job(seed) for seed in range(3)]
             results = await asyncio.gather(*(batcher.submit(job) for job in jobs))
-            assert len(solver.batches) == 1  # one flush at max_batch
+            assert len(solver.batches) == 1  # one dispatch on the next tick
             assert sorted(solver.batches[0]) == sorted(j.fingerprint for j in jobs)
             assert [r.fingerprint for r in results] == [j.fingerprint for j in jobs]
-
-        asyncio.run(scenario())
-
-    def test_window_trigger_flushes_partial_batch(self):
-        async def scenario():
-            solver = RecordingSolver()
-            batcher = MicroBatcher(solver, max_batch=100, max_wait=0.02)
-            result = await asyncio.wait_for(batcher.submit(make_job(1)), timeout=5.0)
-            assert result.status == "optimal"
-            assert len(solver.batches) == 1
 
         asyncio.run(scenario())
 
     def test_duplicates_deduplicated_and_fanned_out(self):
         async def scenario():
             solver = RecordingSolver()
-            batcher = MicroBatcher(solver, max_batch=4, max_wait=60.0)
+            batcher = MicroBatcher(solver, max_batch=4)
             job = make_job(7)
             copies = [make_job(7) for _ in range(3)] + [make_job(8)]
             results = await asyncio.gather(*(batcher.submit(j) for j in copies))
@@ -117,7 +116,7 @@ class TestMicroBatcher:
 
     def test_worker_failure_fails_all_waiters(self):
         async def scenario():
-            batcher = MicroBatcher(RecordingSolver(fail=True), max_batch=2, max_wait=60.0)
+            batcher = MicroBatcher(RecordingSolver(fail=True), max_batch=2)
             jobs = [make_job(1), make_job(2)]
             results = await asyncio.gather(
                 *(batcher.submit(job) for job in jobs), return_exceptions=True
@@ -129,14 +128,15 @@ class TestMicroBatcher:
     def test_queue_depth_tracks_pending_and_inflight(self):
         async def scenario():
             solver = RecordingSolver(delay=0.05)
-            batcher = MicroBatcher(solver, max_batch=2, max_wait=60.0)
+            batcher = MicroBatcher(solver, max_batch=2, slots=1)
             assert batcher.queue_depth == 0
             task_a = asyncio.ensure_future(batcher.submit(make_job(1)))
-            await asyncio.sleep(0)
-            assert batcher.queue_depth == 1  # pending in the window
+            await until(lambda: len(solver.batches) == 1)
+            assert batcher.queue_depth == 1  # in flight
             task_b = asyncio.ensure_future(batcher.submit(make_job(2)))
             await asyncio.sleep(0.01)
-            assert batcher.queue_depth == 2  # flushed, in flight
+            assert batcher.queue_depth == 2  # one in flight, one pending
+            assert len(solver.batches) == 1
             await asyncio.gather(task_a, task_b)
             assert batcher.queue_depth == 0
 
@@ -145,11 +145,16 @@ class TestMicroBatcher:
     def test_drain_flushes_and_refuses_new_work(self):
         async def scenario():
             solver = RecordingSolver(delay=0.02)
-            batcher = MicroBatcher(solver, max_batch=100, max_wait=60.0)
-            task = asyncio.ensure_future(batcher.submit(make_job(3)))
-            await asyncio.sleep(0)  # let the submit enqueue
+            batcher = MicroBatcher(solver, max_batch=100, slots=1)
+            running = asyncio.ensure_future(batcher.submit(make_job(3)))
+            await until(lambda: len(solver.batches) == 1)
+            waiting = asyncio.ensure_future(batcher.submit(make_job(5)))
+            await asyncio.sleep(0)  # let the submit enqueue behind the busy slot
             await batcher.drain()
-            assert (await task).status == "optimal"
+            # drain solved the job still waiting for the slot, too
+            assert (await running).status == "optimal"
+            assert (await waiting).status == "optimal"
+            assert len(solver.batches) == 2
             with pytest.raises(RuntimeError, match="draining"):
                 await batcher.submit(make_job(4))
 
@@ -160,7 +165,70 @@ class TestMicroBatcher:
         with pytest.raises(ValueError):
             MicroBatcher(solver, max_batch=0)
         with pytest.raises(ValueError):
-            MicroBatcher(solver, max_wait=-1.0)
+            MicroBatcher(solver, slots=0)
+
+
+class TestSlotDispatch:
+    def test_idle_slot_answers_without_waiting(self):
+        async def scenario():
+            solver = RecordingSolver()
+            batcher = MicroBatcher(solver, slots=1)
+            task = asyncio.ensure_future(batcher.submit(make_job(1)))
+            # a handful of loop ticks, no timer: a window would still be open
+            await until(task.done, ticks=10)
+            assert task.result().status == "optimal"
+            assert len(solver.batches) == 1
+
+        asyncio.run(scenario())
+
+    def test_busy_slot_sends_the_next_three_as_one_batch(self):
+        async def scenario():
+            blocker = make_job(0)
+            solver = RecordingSolver(delay=0.2)
+            batcher = MicroBatcher(solver, max_batch=8, slots=1)
+            first = asyncio.ensure_future(batcher.submit(blocker))
+            await until(lambda: len(solver.batches) == 1)
+            jobs = [make_job(seed) for seed in (1, 2, 3)]
+            waiting = []
+            for job in jobs:  # on separate ticks, while the slot is busy
+                waiting.append(asyncio.ensure_future(batcher.submit(job)))
+                await asyncio.sleep(0.01)
+            assert len(solver.batches) == 1 and batcher.queue_depth == 4
+            await asyncio.gather(first, *waiting)
+            assert solver.batches == [
+                [blocker.fingerprint], [job.fingerprint for job in jobs]
+            ]
+
+        asyncio.run(scenario())
+
+    def test_max_batch_caps_each_batch_a_freed_slot_takes(self):
+        async def scenario():
+            solver = RecordingSolver(delay=0.05)
+            batcher = MicroBatcher(solver, max_batch=2, slots=1)
+            first = asyncio.ensure_future(batcher.submit(make_job(0)))
+            await until(lambda: len(solver.batches) == 1)
+            rest = [asyncio.ensure_future(batcher.submit(make_job(s))) for s in range(1, 6)]
+            await asyncio.gather(first, *rest)
+            assert [len(batch) for batch in solver.batches] == [1, 2, 2, 1]
+
+        asyncio.run(scenario())
+
+    def test_repeat_of_an_in_flight_job_is_attached(self):
+        async def scenario():
+            job = make_job(7)
+            solver = RecordingSolver(delay=0.1)
+            batcher = MicroBatcher(solver, slots=2)
+            first = asyncio.ensure_future(batcher.submit(job))
+            await until(lambda: len(solver.batches) == 1)
+            assert batcher.holds(job.fingerprint)
+            # a free slot is left, yet the repeat joins the running solve
+            repeat = await batcher.submit(make_job(7))
+            assert (await first).cached is False
+            assert repeat.cached is True
+            assert solver.batches == [[job.fingerprint]]
+            assert not batcher.holds(job.fingerprint) and batcher.queue_depth == 0
+
+        asyncio.run(scenario())
 
 
 class TestStreamingDelivery:
@@ -168,7 +236,7 @@ class TestStreamingDelivery:
         async def scenario():
             fast, slow = make_job(1), make_job(2)
             batcher = MicroBatcher(
-                StreamingSolver({slow.fingerprint: 0.3}), max_batch=2, max_wait=60.0
+                StreamingSolver({slow.fingerprint: 0.3}), max_batch=2
             )
             fast_task = asyncio.ensure_future(batcher.submit(fast))
             slow_task = asyncio.ensure_future(batcher.submit(slow))
@@ -184,7 +252,7 @@ class TestStreamingDelivery:
         async def scenario():
             slow = make_job(8)
             batcher = MicroBatcher(
-                StreamingSolver({slow.fingerprint: 0.3}), max_batch=4, max_wait=60.0
+                StreamingSolver({slow.fingerprint: 0.3}), max_batch=4
             )
             slow_task = asyncio.ensure_future(batcher.submit(slow))
             copies = await asyncio.gather(*(batcher.submit(make_job(7)) for _ in range(3)))
@@ -201,7 +269,7 @@ class TestStreamingDelivery:
             raise RuntimeError("shard exploded mid-batch")
 
         async def scenario():
-            batcher = MicroBatcher(explode_after_one, max_batch=3, max_wait=60.0)
+            batcher = MicroBatcher(explode_after_one, max_batch=3)
             results = await asyncio.gather(
                 *(batcher.submit(make_job(seed)) for seed in (1, 2, 3)),
                 return_exceptions=True,
@@ -251,7 +319,7 @@ class TestWorkerPool:
         pool = WorkerPool(cache=cache, shards=1, batch_workers=2, executor="thread")
 
         async def scenario():
-            batcher = MicroBatcher(pool.solve_batch, max_batch=2, max_wait=60.0)
+            batcher = MicroBatcher(pool.solve_batch, max_batch=2, slots=1)
             answered = []
 
             async def submit(job):

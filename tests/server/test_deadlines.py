@@ -1,5 +1,5 @@
 """Deadline propagation end to end: header/body budgets, 504 shedding,
-batch-window expiry, and degraded short-budget solves.
+expiry while waiting for a solver slot, and degraded short-budget solves.
 
 The stub-pool tests prove the *expiry* paths never reach the workers; the
 final tests run a real slow solve under a sub-second budget and checks the
@@ -11,11 +11,15 @@ import time
 
 import pytest
 
+from repro.server import workers
 from repro.server.batcher import DeadlineExpired, MicroBatcher
 from repro.server.gateway import BackgroundGateway, GatewayConfig
 from repro.server.loadgen import GatewayClient, demo_payloads
+from repro.server.protocol import job_from_dict
+from repro.service.cache import SolveCache
+from repro.service.results import JobResult
 
-from tests.server.test_gateway_e2e import stub_gateway
+from tests.server.test_gateway_e2e import StubWorkerPool, stub_gateway
 
 
 @pytest.fixture(scope="module")
@@ -113,36 +117,42 @@ class TestGatewayDeadlines:
 
 
 class TestBatcherDeadlines:
-    def test_deadline_expiring_in_window_drops_the_entry(self):
-        from tests.server.test_batcher_and_workers import RecordingSolver, make_job
+    def test_deadline_expiring_while_the_slot_is_busy_drops_the_entry(self):
+        from tests.server.test_batcher_and_workers import RecordingSolver, make_job, until
 
         async def scenario():
-            solver = RecordingSolver()
-            batcher = MicroBatcher(solver, max_batch=100, max_wait=0.1)
-            # expires long before the 100 ms window closes
+            solver = RecordingSolver(delay=0.1)
+            batcher = MicroBatcher(solver, max_batch=100, slots=1)
+            blocker = asyncio.ensure_future(batcher.submit(make_job(0)))
+            await until(lambda: len(solver.batches) == 1)
+            # expires long before the 100 ms solve frees the slot
             doomed = batcher.submit(make_job(1), deadline=time.monotonic() + 0.01)
             with pytest.raises(DeadlineExpired):
                 await doomed
-            assert solver.batches == []  # nothing reached the solver
+            await blocker
+            assert len(solver.batches) == 1  # the doomed job reached no solver
+            assert batcher.queue_depth == 0
 
         asyncio.run(scenario())
 
     def test_live_entries_survive_an_expired_sibling(self):
-        from tests.server.test_batcher_and_workers import RecordingSolver, make_job
+        from tests.server.test_batcher_and_workers import RecordingSolver, make_job, until
 
         async def scenario():
-            solver = RecordingSolver()
-            batcher = MicroBatcher(solver, max_batch=100, max_wait=0.1)
+            solver = RecordingSolver(delay=0.1)
+            batcher = MicroBatcher(solver, max_batch=100, slots=1)
+            blocker = asyncio.ensure_future(batcher.submit(make_job(0)))
+            await until(lambda: len(solver.batches) == 1)
             doomed = asyncio.ensure_future(
                 batcher.submit(make_job(1), deadline=time.monotonic() + 0.01)
             )
             alive = asyncio.ensure_future(
                 batcher.submit(make_job(2), deadline=time.monotonic() + 30.0)
             )
-            results = await asyncio.gather(doomed, alive, return_exceptions=True)
-            assert isinstance(results[0], DeadlineExpired)
-            assert results[1].status == "optimal"
-            assert len(solver.batches) == 1 and len(solver.batches[0]) == 1
+            results = await asyncio.gather(blocker, doomed, alive, return_exceptions=True)
+            assert isinstance(results[1], DeadlineExpired)
+            assert results[2].status == "optimal"
+            assert len(solver.batches) == 2 and len(solver.batches[1]) == 1
             assert batcher.queue_depth == 0  # accounting survived the drop
 
         asyncio.run(scenario())
@@ -161,13 +171,143 @@ class TestBatcherDeadlines:
                     yield job.fingerprint, canned_result(job)
 
         async def scenario():
-            batcher = MicroBatcher(BudgetSolver(), max_batch=1, max_wait=0.01)
+            batcher = MicroBatcher(BudgetSolver(), max_batch=1)
             job = make_job(5)
             await batcher.submit(job, deadline=time.monotonic() + 7.0)
             assert job.fingerprint in captured
             assert 0.0 < captured[job.fingerprint] <= 7.0
 
         asyncio.run(scenario())
+
+    def test_waiter_for_a_busy_slot_leaves_at_its_own_deadline(self):
+        from tests.server.test_batcher_and_workers import RecordingSolver, make_job, until
+
+        async def scenario():
+            solver = RecordingSolver(delay=1.0)
+            batcher = MicroBatcher(solver, max_batch=100, slots=1)
+            blocker = asyncio.ensure_future(batcher.submit(make_job(0)))
+            await until(lambda: len(solver.batches) == 1)
+            started = time.monotonic()
+            with pytest.raises(DeadlineExpired):
+                await batcher.submit(make_job(1), deadline=started + 0.1)
+            assert time.monotonic() - started < 0.5  # not when the slot frees
+            assert batcher.queue_depth == 1
+            assert not batcher.holds(make_job(1).fingerprint)
+            await blocker
+            assert len(solver.batches) == 1  # the expired job was never solved
+
+        asyncio.run(scenario())
+
+    def test_joiner_of_a_running_solve_leaves_at_its_own_deadline(self):
+        """A repeat's budget cannot clamp a solve already running, so the
+        repeat must not wait that solve out past its own deadline."""
+        from tests.server.test_batcher_and_workers import RecordingSolver, make_job, until
+
+        async def scenario():
+            solver = RecordingSolver(delay=1.0)
+            batcher = MicroBatcher(solver, max_batch=100, slots=2)
+            running = asyncio.ensure_future(batcher.submit(make_job(0)))
+            await until(lambda: len(solver.batches) == 1)
+            started = time.monotonic()
+            with pytest.raises(DeadlineExpired):
+                await batcher.submit(make_job(0), deadline=started + 0.1)
+            assert time.monotonic() - started < 0.5  # not the 1 s solve
+            assert batcher.queue_depth == 1  # only the first waiter is left
+            result = await running
+            assert result.status == "optimal" and not result.cached
+            assert len(solver.batches) == 1 and batcher.queue_depth == 0
+
+        asyncio.run(scenario())
+
+
+class TestJoinerDeadline:
+    @pytest.mark.parametrize("with_directory", [False, True], ids=["memory", "directory"])
+    def test_repeat_joining_a_slow_solve_gets_504_on_time(
+        self, payloads, tmp_path, with_directory
+    ):
+        """A repeat with a 0.2 s budget that joins a 1 s solve in flight is
+        answered 504 at its own deadline, with or without a cache directory."""
+        cache = SolveCache(tmp_path if with_directory else None)
+        pool = StubWorkerPool(cache, delay=1.0)
+        fingerprint = job_from_dict(payloads[0]).fingerprint
+        with BackgroundGateway(
+            config=GatewayConfig(port=0), cache=cache, worker_pool=pool
+        ) as gw:
+            async def scenario():
+                async with GatewayClient(gw.host, gw.port) as first, \
+                        GatewayClient(gw.host, gw.port) as second:
+                    running = asyncio.ensure_future(first.solve(payloads[0]))
+                    while not gw.gateway.batcher.holds(fingerprint):
+                        await asyncio.sleep(0.005)
+                    sent = time.monotonic()
+                    status, body = await second.solve(payloads[0], deadline=0.2)
+                    waited = time.monotonic() - sent
+                    return (status, body, waited), await running
+
+            (status, body, waited), (first_status, first_body) = asyncio.run(scenario())
+        assert status == 504 and body["where"] == "batch"
+        assert waited < 0.6  # the solve it joined takes 1 s
+        assert first_status == 200 and first_body["cached"] is False
+        assert pool.solved == 1
+        assert gw.gateway.metrics.flight_waits == 0
+
+
+class TestDeadlinesAtDispatch:
+    """One shard, busy with a slow first job, while a budgeted job waits.
+
+    The budget is checked, and the solver clamp computed, when the shard
+    takes the waiting job, not when it was first queued.
+    """
+
+    BLOCK_S = 0.5
+
+    def _serve(self, monkeypatch, payloads, second_deadline):
+        blocker, budgeted = (job_from_dict(payload) for payload in payloads)
+        calls = []
+
+        def execute(job):
+            calls.append((job.name, job.options.time_limit, time.monotonic()))
+            if job.name == blocker.name:
+                time.sleep(self.BLOCK_S)
+            return JobResult(
+                fingerprint=job.fingerprint, job_name=job.name, status="optimal",
+                feasible=True, objective=1.0, solve_time=0.0, wall_time=0.0,
+                backend="stub", mode=job.mode,
+            )
+
+        monkeypatch.setattr(workers, "execute_job", execute)
+        config = GatewayConfig(port=0, shards=1, batch_workers=1, executor="serial")
+        with BackgroundGateway(config) as gw:
+            async def scenario():
+                async with GatewayClient(gw.host, gw.port) as first, \
+                        GatewayClient(gw.host, gw.port) as second:
+                    running = asyncio.ensure_future(first.solve(payloads[0]))
+                    while not calls:  # the blocker holds the only shard
+                        await asyncio.sleep(0.005)
+                    sent = time.monotonic()
+                    status, body = await second.solve(payloads[1], deadline=second_deadline)
+                    await running
+                    return sent, status, body
+
+            sent, status, body = asyncio.run(scenario())
+        reached = {name: (limit, at) for name, limit, at in calls}
+        return sent, status, body, reached.get(budgeted.name)
+
+    def test_budget_spent_waiting_for_the_shard_expires_unsolved(self, monkeypatch, payloads):
+        _sent, status, body, call = self._serve(monkeypatch, payloads, 0.2)
+        assert status == 504
+        assert body["where"] == "batch"
+        assert call is None  # never reached the solver
+
+    def test_clamp_is_the_budget_left_at_dispatch(self, monkeypatch, payloads):
+        sent, status, body, call = self._serve(monkeypatch, payloads, 2.0)
+        assert status == 200, body
+        clamp, called_at = call
+        left = sent + 2.0 - called_at
+        assert left < 2.0 - self.BLOCK_S + 0.1  # it did wait behind the blocker
+        # the slack covers the hop to the gateway and to the shard thread; a
+        # clamp taken when the job was queued is BLOCK_S larger
+        assert clamp <= left + 0.2
 
 
 class TestShortBudgetDegrades:

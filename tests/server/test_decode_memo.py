@@ -186,7 +186,7 @@ def _stub_gateway():
     cache = SolveCache()
     pool = StubWorkerPool(cache)
     gateway = BackgroundGateway(
-        config=GatewayConfig(port=0, batch_window=0.005), cache=cache, worker_pool=pool
+        config=GatewayConfig(port=0), cache=cache, worker_pool=pool
     )
     return gateway, cache, pool
 

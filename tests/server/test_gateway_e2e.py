@@ -71,7 +71,7 @@ class StubWorkerPool:
 def stub_gateway(config=None, delay: float = 0.0, fail: bool = False):
     cache = SolveCache()
     pool = StubWorkerPool(cache, delay=delay, fail=fail)
-    config = config or GatewayConfig(port=0, batch_window=0.005)
+    config = config or GatewayConfig(port=0)
     return BackgroundGateway(config=config, cache=cache, worker_pool=pool), pool
 
 
@@ -206,7 +206,9 @@ class TestRoutes:
 
 class TestAdmission:
     def test_queue_full_sheds_with_429(self, payloads):
-        config = GatewayConfig(port=0, max_queue_depth=1, batch_window=0.2, max_batch=100)
+        # one shard, busy with the first miss for 0.2 s: the rest find the
+        # queue full
+        config = GatewayConfig(port=0, max_queue_depth=1, shards=1, max_batch=100)
         gw, _pool = stub_gateway(config=config, delay=0.2)
         with gw:
             async def scenario():
@@ -333,13 +335,24 @@ class TestWarmHitRate:
         assert result.hit_rate >= 0.9
 
 
+async def until_queue_depth(gateway, depth: int) -> None:
+    """Poll until ``gateway``'s batcher holds ``depth`` unanswered jobs."""
+    for _ in range(1000):
+        if gateway.batcher.queue_depth == depth:
+            return
+        await asyncio.sleep(0.002)
+    raise AssertionError(f"queue depth never reached {depth}")
+
+
 class TestStreamedAnswers:
     def test_fast_request_answered_before_its_slow_batch_mate(self, payloads):
-        slow, fast = payloads[1], payloads[0]
+        blocker, slow, fast = payloads[2], payloads[1], payloads[0]
         cache = SolveCache()
-        pool = StubWorkerPool(cache, delays={job_from_dict(slow).fingerprint: 0.3})
-        # a window wide enough that both concurrent misses share one batch
-        config = GatewayConfig(port=0, batch_window=0.05)
+        pool = StubWorkerPool(cache, delays={
+            job_from_dict(blocker).fingerprint: 0.3, job_from_dict(slow).fingerprint: 0.3,
+        })
+        # one shard: both misses wait out the blocker and then share a batch
+        config = GatewayConfig(port=0, shards=1)
         with BackgroundGateway(config=config, cache=cache, worker_pool=pool) as gw:
             async def scenario():
                 answered = []
@@ -350,11 +363,16 @@ class TestStreamedAnswers:
                         assert status == 200, body
                         answered.append((body["fingerprint"], time.perf_counter()))
 
+                first = asyncio.ensure_future(solve(blocker))
+                await until_queue_depth(gw.gateway, 1)
                 await asyncio.gather(solve(slow), solve(fast))
-                return answered
+                await first
+                return answered[1:]
 
             answered = asyncio.run(scenario())
-        assert gw.gateway.metrics.batches == 1
+        # the blocker alone, then the two misses together
+        assert gw.gateway.metrics.batches == 2
+        assert gw.gateway.metrics.batched_jobs == 3
         (first, fast_at), (second, slow_at) = answered
         assert [first, second] == [
             job_from_dict(fast).fingerprint, job_from_dict(slow).fingerprint
@@ -382,11 +400,26 @@ class TestRealSolveEndToEnd:
             body = asyncio.run(scenario())
         assert body["result"]["floorplan"] is not None
 
-    def test_stage_spans_sit_between_the_flush_and_the_answer(self):
+    def test_stage_spans_sit_between_the_flush_and_the_answer(self, monkeypatch):
         """In a traced miss the solver's stages start no earlier than the end
-        of the request's batch window and end by the end of its solve."""
-        batch = demo_payloads(unique=2, time_limit=30.0)
-        config = GatewayConfig(port=0, batch_window=0.05, executor="thread")
+        of the request's wait for a shard and end by the end of its solve.
+
+        One shard, held by a first real solve padded by 0.3 s, so the two
+        misses behind it share the next batch.
+        """
+        from repro.server import workers
+
+        blocker, *batch = demo_payloads(unique=3, time_limit=30.0)
+        blocker_name = job_from_dict(blocker).name
+        execute = workers.execute_job
+
+        def padded(job):
+            if job.name == blocker_name:
+                time.sleep(0.3)
+            return execute(job)
+
+        monkeypatch.setattr(workers, "execute_job", padded)
+        config = GatewayConfig(port=0, shards=1, executor="thread")
         with BackgroundGateway(config) as gw:
             async def solve(payload):
                 async with GatewayClient(gw.host, gw.port) as client:
@@ -394,10 +427,19 @@ class TestRealSolveEndToEnd:
                     assert status == 200, body
 
             async def scenario():
+                first = asyncio.ensure_future(solve(blocker))
+                await until_queue_depth(gw.gateway, 1)
                 await asyncio.gather(*(solve(payload) for payload in batch))
+                await first
 
             asyncio.run(scenario())
-            docs = gw.gateway.recorder.list()
+            docs = [
+                doc for doc in gw.gateway.recorder.list()
+                if any(
+                    span["name"] == "batch.assembly" and span["annotations"]["unique"] == 2
+                    for span in doc["spans"]
+                )
+            ]
         assert len(docs) == 2
         for doc in docs:
             spans = doc["spans"]
@@ -412,3 +454,65 @@ class TestRealSolveEndToEnd:
             assert stages, "a fresh solve lays its stage spans"
             assert stages[0]["start"] >= assembly["end"]
             assert stages[-1]["end"] <= solve_span["end"]
+
+
+class TestSameReplicaRepeats:
+    @pytest.mark.parametrize("with_directory", [False, True], ids=["memory", "directory"])
+    def test_concurrent_identical_misses_solve_once(self, payloads, tmp_path, with_directory):
+        """The repeat joins the first request's solve in the batcher; with a
+        cache directory it does not wait on its own process's flight lock."""
+        cache = SolveCache(tmp_path if with_directory else None)
+        pool = StubWorkerPool(cache, delay=0.2)
+        with BackgroundGateway(
+            config=GatewayConfig(port=0), cache=cache, worker_pool=pool
+        ) as gw:
+            async def solve():
+                async with GatewayClient(gw.host, gw.port) as client:
+                    return await client.solve(payloads[0])
+
+            async def scenario():
+                return await asyncio.gather(solve(), solve())
+
+            answers = asyncio.run(scenario())
+            spans = [span["name"] for doc in gw.gateway.recorder.list() for span in doc["spans"]]
+        assert [status for status, _body in answers] == [200, 200]
+        assert sorted(body["cached"] for _status, body in answers) == [False, True]
+        assert pool.solved == 1
+        assert gw.gateway.metrics.flight_waits == 0
+        assert "flight.wait" not in spans
+
+    def test_shed_claimant_releases_the_lock_before_a_repeat_tries_it(
+        self, payloads, tmp_path
+    ):
+        """A claimant shed by admission hands its flight lock back before the
+        repeat queued behind its claim tries the lock, so the repeat never
+        polls its own process's lock file or takes it over."""
+        cache = SolveCache(tmp_path)
+        release = cache.release_flight
+
+        def slow_release(fingerprint):
+            time.sleep(0.1)  # widen the window between the shed and the release
+            release(fingerprint)
+
+        cache.release_flight = slow_release
+        pool = StubWorkerPool(cache, delay=2.0)  # holds the queue while both are shed
+        config = GatewayConfig(port=0, max_queue_depth=1)
+        with BackgroundGateway(config=config, cache=cache, worker_pool=pool) as gw:
+            async def solve(payload):
+                async with GatewayClient(gw.host, gw.port) as client:
+                    return await client.solve(payload)
+
+            async def scenario():
+                blocker = asyncio.ensure_future(solve(payloads[1]))
+                while gw.gateway.batcher.queue_depth < 1:  # the queue is full
+                    await asyncio.sleep(0.005)
+                shed = await asyncio.gather(solve(payloads[0]), solve(payloads[0]))
+                await blocker
+                return shed
+
+            answers = asyncio.run(scenario())
+            spans = [span["name"] for doc in gw.gateway.recorder.list() for span in doc["spans"]]
+        assert [status for status, _body in answers] == [429, 429]
+        assert gw.gateway.metrics.flight_takeovers == 0
+        assert gw.gateway.metrics.flight_waits == 0
+        assert "flight.wait" not in spans

@@ -26,7 +26,7 @@ def servers():
     try:
         for tracing in (True, False):
             gateway, _pool = stub_gateway(
-                GatewayConfig(port=0, batch_window=0.005, tracing=tracing)
+                GatewayConfig(port=0, tracing=tracing)
             )
             harnesses[("gateway", tracing)] = gateway
             harnesses[("router", tracing)] = BackgroundRouter(
