@@ -136,19 +136,7 @@ def milp_matrix_form(profile: BenchProfile) -> Workload:
     return Workload(lambda: model.to_matrix_form(), units=nnz, unit_name="nonzeros")
 
 
-@benchmark("milp.presolve")
-def milp_presolve(profile: BenchProfile) -> Workload:
-    """Presolve the lowered floorplanning model (reductions + postsolve map)."""
-    from repro.floorplan.milp_builder import build_floorplan_milp
-    from repro.milp import presolve
-
-    problem = scenarios.scaling_problem(profile.scaled(16, 33), name="presolve")
-    form = build_floorplan_milp(problem).model.to_matrix_form()
-    nnz = int(form.constraint_matrix.nnz)
-    return Workload(lambda: presolve(form), units=nnz, unit_name="nonzeros")
-
-
-def _bb_workload(presolve: bool, warm_start: bool) -> Workload:
+def _bb_workload(warm_start: bool) -> Workload:
     """Branch-and-bound solve of the prebuilt HO ablation model.
 
     The HO model is built (and seeded) once in setup so the timed section
@@ -167,7 +155,6 @@ def _bb_workload(presolve: bool, warm_start: bool) -> Workload:
         backend="branch-bound",
         time_limit=scenarios.bench_time_limit(60.0),
         mip_gap=0.05,
-        presolve=presolve,
         warm_start=warm_start,
     )
 
@@ -181,18 +168,18 @@ def _bb_workload(presolve: bool, warm_start: bool) -> Workload:
 
 @benchmark("milp.bb_warmstart")
 def milp_bb_warmstart(profile: BenchProfile) -> Workload:
-    """Warm-started branch and bound with presolve on the HO ablation model."""
-    return _bb_workload(presolve=True, warm_start=True)
+    """Warm-started branch and bound on the HO ablation model."""
+    return _bb_workload(warm_start=True)
 
 
 @benchmark("milp.bb_textbook")
 def milp_bb_textbook(profile: BenchProfile) -> Workload:
     """The textbook ablation of ``milp.bb_warmstart`` on the same model.
 
-    No presolve, most-fractional branching, no heuristics and a per-node
-    constraint split.
+    Most-fractional branching, no heuristics and a per-node constraint
+    split.
     """
-    return _bb_workload(presolve=False, warm_start=False)
+    return _bb_workload(warm_start=False)
 
 
 @benchmark("milp.solve_small")

@@ -287,7 +287,7 @@ def run_job(job) -> SolveReport:
         heuristic=job.heuristic,
     )
     # Collect solver stage timings (floorplan.ho_seed, floorplan.build,
-    # milp.presolve, milp.search, floorplan.postsolve) on this thread so the serving layers
+    # milp.lower, milp.search, floorplan.postsolve) on this thread so the serving layers
     # can attach them to the request trace — the collector is thread-local,
     # which is exactly what survives the executor pools the service uses.
     with collect_stages() as stages:

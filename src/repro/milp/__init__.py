@@ -20,13 +20,6 @@ small but complete modelling language of its own:
 from repro.milp.expr import LinExpr, Variable, VarType, quicksum
 from repro.milp.constraint import Constraint, Sense
 from repro.milp.model import MatrixForm, Model, ModelStats
-
-# NOTE: the package attribute ``repro.milp.presolve`` resolves to the
-# *function* (the module's primary API), shadowing the submodule of the same
-# name.  Module internals not re-exported here are reachable with
-# ``from repro.milp.presolve import <name>``, which always resolves against
-# the submodule itself.
-from repro.milp.presolve import PresolveResult, PresolveStats, PresolveStatus, presolve
 from repro.milp.solution import MILPSolution, SolveStatus
 from repro.milp.solver import SolverOptions, prepare_model, solve, split_matrix_form
 
@@ -43,10 +36,6 @@ __all__ = [
     "MILPSolution",
     "SolveStatus",
     "SolverOptions",
-    "PresolveResult",
-    "PresolveStats",
-    "PresolveStatus",
-    "presolve",
     "prepare_model",
     "split_matrix_form",
     "solve",

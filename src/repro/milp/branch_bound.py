@@ -9,7 +9,7 @@ This backend exists for two reasons:
 
 The algorithm is LP-based branch and bound, hot-started at every level:
 
-1. the model is lowered and presolved once through
+1. the model is lowered once through
    :func:`repro.milp.solver.prepare_model`, and the ``linprog``-shaped
    constraint split (:func:`repro.milp.solver.split_matrix_form`) is built
    once per solve instead of once per node — only the variable-bound arrays
@@ -126,7 +126,6 @@ def solve_with_branch_bound(
     mip_gap: float | None = None,
     max_nodes: int = 200_000,
     verbose: bool = False,
-    presolve: bool = True,
     warm_start: bool = True,
     prepared: PreparedModel | None = None,
 ) -> MILPSolution:
@@ -135,12 +134,12 @@ def solve_with_branch_bound(
     Parameters mirror :func:`repro.milp.scipy_backend.solve_with_scipy`;
     ``max_nodes`` bounds the search tree as a safety valve, ``warm_start``
     toggles pseudo-cost branching plus the primal heuristics, and the
-    ``time_limit`` budget covers matrix lowering and presolve as well as the
+    ``time_limit`` budget covers matrix lowering as well as the
     node loop.
     """
     start = time.perf_counter()
     if prepared is None:
-        prepared = prepare_model(model, run_presolve=presolve, backend="branch-bound")
+        prepared = prepare_model(model, backend="branch-bound")
 
     if prepared.shortcut is not None:
         # copy before stamping: a PreparedModel may be reused across backends
@@ -150,15 +149,14 @@ def solve_with_branch_bound(
             solve_time=time.perf_counter() - start,
         )
 
-    form = prepared.active
+    form = prepared.form
     budget, exhausted = remaining_budget(time_limit, start)
     if exhausted:
         return MILPSolution(
             status=SolveStatus.TIME_LIMIT,
             solve_time=time.perf_counter() - start,
             backend="branch-bound",
-            message="time limit exhausted during matrix build/presolve (gap=inf)",
-            presolve_stats=prepared.stats,
+            message="time limit exhausted during lowering (gap=inf)",
         )
     deadline = None if budget is None else time.perf_counter() + budget
     gap_target = 0.0 if mip_gap is None else float(mip_gap)
@@ -204,8 +202,14 @@ def solve_with_branch_bound(
     # root node
     # ------------------------------------------------------------------
     search_start = time.perf_counter()
-    root_lower = form.var_lb.astype(float).copy()
-    root_upper = form.var_ub.astype(float).copy()
+    # integer variables take only integer values: round their bounds inward
+    # once, so the rounding heuristic cannot clip onto a fractional bound
+    var_lower = form.var_lb.astype(float).copy()
+    var_upper = form.var_ub.astype(float).copy()
+    var_lower[integer_indices] = np.ceil(var_lower[integer_indices] - _INT_TOL)
+    var_upper[integer_indices] = np.floor(var_upper[integer_indices] + _INT_TOL)
+    root_lower = var_lower.copy()
+    root_upper = var_upper.copy()
     nodes_explored += 1
     root = _solve_lp_with_duals(form, split, root_lower, root_upper)
     if root is None:
@@ -221,7 +225,6 @@ def solve_with_branch_bound(
             node_count=nodes_explored,
             backend="branch-bound",
             message="LP relaxation infeasible",
-            presolve_stats=prepared.stats,
         )
     root_obj, root_x, root_rc_lb, root_rc_ub = root
     best_bound = root_obj
@@ -234,7 +237,7 @@ def solve_with_branch_bound(
     else:
         if warm_start:
             # primal heuristics: rounding, then depth-limited diving
-            rounded = _try_round(form, root_x, integer_indices)
+            rounded = _try_round(form, root_x, integer_indices, var_lower, var_upper)
             if rounded is not None and rounded[0] < incumbent_obj:
                 incumbent_obj, incumbent_x = rounded[0], rounded[1]
             dive = _dive(
@@ -298,7 +301,7 @@ def solve_with_branch_bound(
             continue
 
         if warm_start:
-            rounded = _try_round(form, x, integer_indices)
+            rounded = _try_round(form, x, integer_indices, var_lower, var_upper)
             if rounded is not None and rounded[0] < incumbent_obj:
                 incumbent_obj, incumbent_x = rounded[0], rounded[1]
             # subtree-local reduced-cost fixing against the pruning cutoff
@@ -351,7 +354,6 @@ def solve_with_branch_bound(
                 if timed_out
                 else "search exhausted without incumbent"
             ),
-            presolve_stats=prepared.stats,
         )
 
     proven_optimal = not timed_out and best_bound >= incumbent_obj - 1e-9
@@ -374,7 +376,6 @@ def solve_with_branch_bound(
             if proven_optimal
             else f"stopped early with incumbent (gap={gap:.4%})"
         ),
-        presolve_stats=prepared.stats,
     )
 
 
@@ -529,14 +530,22 @@ def _most_fractional(
 # primal heuristics
 # ----------------------------------------------------------------------
 def _try_round(
-    form: MatrixForm, x: np.ndarray, integer_indices: np.ndarray
+    form: MatrixForm,
+    x: np.ndarray,
+    integer_indices: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
 ) -> Optional[Tuple[float, np.ndarray]]:
-    """Round the LP solution to the nearest integers and test feasibility."""
+    """Round the LP solution to the nearest integers and test feasibility.
+
+    ``lower``/``upper`` are the variable bounds with integer bounds rounded
+    inward, so clipping keeps the rounded integers integral.
+    """
     if integer_indices.size == 0:
         return None
     xr = x.copy()
     xr[integer_indices] = np.round(xr[integer_indices])
-    np.clip(xr, form.var_lb, form.var_ub, out=xr)
+    np.clip(xr, lower, upper, out=xr)
     activity = form.constraint_matrix @ xr
     tol = 1e-7
     if np.all(activity >= form.constraint_lb - tol) and np.all(

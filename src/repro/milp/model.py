@@ -282,7 +282,7 @@ class Model:
         """Lower the model into matrix form for the backends.
 
         The default path builds a :class:`scipy.sparse.csr_matrix` — the form
-        both backends and the presolver consume.  ``dense=True`` materializes
+        both backends consume.  ``dense=True`` materializes
         a plain ``np.ndarray`` instead; it exists so tests can cross-check the
         sparse lowering and costs O(rows x cols) memory, so never use it on
         SDR-scale models.

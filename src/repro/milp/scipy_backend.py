@@ -4,9 +4,9 @@
 MILP solver; the paper's formulation therefore keeps its feasibility and
 optimality semantics when solved through this backend.
 
-The model is lowered and presolved through the shared
-:func:`repro.milp.solver.prepare_model` glue, so HiGHS sees the reduced
-problem and the returned solution is mapped back to the original variables.
+The model is lowered through the shared
+:func:`repro.milp.solver.prepare_model` glue and HiGHS solves that matrix form
+directly; HiGHS runs its own presolve.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ def solve_with_scipy(
     time_limit: float | None = None,
     mip_gap: float | None = None,
     verbose: bool = False,
-    presolve: bool = True,
     prepared: PreparedModel | None = None,
 ) -> MILPSolution:
     """Solve ``model`` using ``scipy.optimize.milp`` (HiGHS).
@@ -38,20 +37,18 @@ def solve_with_scipy(
         The model to solve.
     time_limit:
         Wall-clock limit in seconds (``None`` = no limit).  The budget covers
-        matrix lowering and presolve as well as HiGHS time.
+        matrix lowering as well as HiGHS time.
     mip_gap:
         Relative MIP gap at which HiGHS may stop early.
     verbose:
         Forwarded to HiGHS output.
-    presolve:
-        Run the exact presolve reductions before handing off to HiGHS.
     prepared:
         Pre-built :class:`~repro.milp.solver.PreparedModel` (the facade
         passes one to avoid lowering twice); built here when omitted.
     """
     start = time.perf_counter()
     if prepared is None:
-        prepared = prepare_model(model, run_presolve=presolve, backend="scipy-highs")
+        prepared = prepare_model(model, backend="scipy-highs")
 
     if prepared.shortcut is not None:
         # copy before stamping: a PreparedModel may be reused across backends
@@ -61,15 +58,14 @@ def solve_with_scipy(
             solve_time=time.perf_counter() - start,
         )
 
-    form = prepared.active
+    form = prepared.form
     budget, exhausted = remaining_budget(time_limit, start)
     if exhausted:
         return MILPSolution(
             status=SolveStatus.TIME_LIMIT,
             solve_time=time.perf_counter() - start,
             backend="scipy-highs",
-            message="time limit exhausted during matrix build/presolve",
-            presolve_stats=prepared.stats,
+            message="time limit exhausted during lowering",
         )
 
     options: dict = {"disp": bool(verbose)}
@@ -103,8 +99,8 @@ def solve_with_scipy(
     objective = float("nan")
     if result.x is not None:
         values = prepared.restore_values(result.x)
-        # Evaluate through the user-facing objective so the presolve offset
-        # and any constants the lowering dropped are reflected.
+        # Evaluate through the user-facing objective so the constant the
+        # lowering dropped is reflected.
         objective = model.objective_value(values)
 
     bound = float("nan")
@@ -130,7 +126,6 @@ def solve_with_scipy(
         node_count=node_count,
         backend="scipy-highs",
         message=str(getattr(result, "message", "")),
-        presolve_stats=prepared.stats,
     )
 
 

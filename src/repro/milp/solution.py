@@ -61,9 +61,6 @@ class MILPSolution:
         Name of the backend that produced the result.
     message:
         Free-form backend status message.
-    presolve_stats:
-        :class:`~repro.milp.presolve.PresolveStats` of the presolve run that
-        preceded the backend, or ``None`` when presolve was disabled.
     """
 
     status: SolveStatus
@@ -74,7 +71,6 @@ class MILPSolution:
     node_count: int = 0
     backend: str = ""
     message: str = ""
-    presolve_stats: object | None = None
 
     # ------------------------------------------------------------------
     def value(self, var: Variable, default: float | None = None) -> float:

@@ -3,16 +3,15 @@
 Besides the user-facing :func:`solve`, this module owns the glue that both
 backends used to duplicate:
 
-* :func:`prepare_model` lowers a model to sparse matrix form, runs
-  :mod:`repro.milp.presolve` and produces a :class:`PreparedModel` carrying
-  the reduced form, the postsolve mapping and shortcut solutions (empty or
-  presolve-decided models);
+* :func:`prepare_model` lowers a model to sparse matrix form and produces a
+  :class:`PreparedModel` carrying that form and, for a model without
+  variables, its shortcut solution;
 * :func:`split_matrix_form` converts the two-sided ``lb <= A x <= ub`` row
   form into the ``A_ub/b_ub/A_eq/b_eq`` shape ``scipy.optimize.linprog``
   wants — computed once per solve instead of once per branch-and-bound node.
 
 Both backends accept a ``prepared=`` argument so advanced callers (tests,
-ablations) can lower/presolve once and solve the same prepared problem with
+ablations) can lower once and solve the same prepared problem with
 several backends; each backend copies any shortcut solution before stamping
 it, so a shared :class:`PreparedModel` is safe to reuse.  The time-limit
 budget always covers the preparation work, whoever triggered it.
@@ -29,7 +28,6 @@ from scipy import sparse
 
 from repro.milp.expr import Variable
 from repro.milp.model import MatrixForm, Model
-from repro.milp.presolve import PresolveResult, PresolveStatus, presolve
 from repro.milp.solution import MILPSolution, SolveStatus
 from repro.obs.trace import record_stage
 
@@ -49,7 +47,7 @@ class SolverOptions:
         (pure-Python reference implementation).
     time_limit:
         Wall-clock limit in seconds, or ``None`` for no limit.  The budget
-        covers matrix lowering and presolve, not just backend time.
+        covers matrix lowering, not just backend time.
     mip_gap:
         Relative optimality gap at which the solver may stop.
     max_nodes:
@@ -57,8 +55,10 @@ class SolverOptions:
     verbose:
         Enable backend log output.
     presolve:
-        Run the exact presolve reductions before handing the model to the
-        backend (both backends).
+        Accepted and ignored: both backends solve the lowered model directly.
+        The field stays because job fingerprints hash :meth:`as_dict`, so
+        dropping it would change every fingerprint and orphan every cache
+        entry.
     warm_start:
         Branch-and-bound only: pseudo-cost branching plus rounding/diving
         primal heuristics hot-started from parent-node LP solutions.
@@ -147,38 +147,23 @@ class PreparedModel:
     """Everything a backend needs, built once by :func:`prepare_model`.
 
     ``shortcut`` is a complete :class:`MILPSolution` when preparation already
-    decided the model (empty model, presolve-proven infeasibility, or every
-    variable fixed); backends must return it directly after stamping their
-    name and the preparation time.
+    decided the model (a model without variables); backends must return it
+    directly after stamping their name and their solve time.
     """
 
     model: Model
     form: MatrixForm
-    presolve_result: Optional[PresolveResult]
-    active: MatrixForm
-    prep_time: float
     shortcut: Optional[MILPSolution] = None
+    # always None; read by perfbench/layers.py's solver_stages
+    stats = None
 
     # ------------------------------------------------------------------
-    @property
-    def stats(self):
-        """Presolve statistics (``None`` when presolve was skipped)."""
-        return self.presolve_result.stats if self.presolve_result else None
-
     def restore_values(self, x: np.ndarray) -> Dict[Variable, float]:
-        """Map a backend solution on the active form to original variables."""
-        if self.presolve_result is not None:
-            return self.presolve_result.restore_values(x)
+        """Map a backend solution on ``form`` to the model's variables."""
         values = {}
         for var, val in zip(self.form.variables, x):
             values[var] = float(round(val)) if var.is_integral else float(val)
         return values
-
-    def restore_bound(self, internal_bound: float) -> float:
-        """Dual bound of the active form -> internal bound of the original."""
-        if self.presolve_result is not None:
-            return self.presolve_result.restore_objective(internal_bound)
-        return float(internal_bound)
 
     def user_bound(self, internal_bound: float) -> float:
         """Internal (minimize-sense) bound -> user-facing objective sense.
@@ -187,116 +172,39 @@ class PreparedModel:
         returned bound is comparable to ``MILPSolution.objective`` and the
         ``gap`` property is meaningful.
         """
-        restored = self.restore_bound(internal_bound)
         constant = self.model.objective.constant
         if self.model.is_minimization:
-            return constant + restored
-        return constant - restored
+            return constant + float(internal_bound)
+        return constant - float(internal_bound)
 
 
 def prepare_model(
     model: Model,
+    # ignored; passed by perfbench/layers.py's solver_stages
     run_presolve: bool = True,
     backend: str = "",
 ) -> PreparedModel:
-    """Lower ``model`` and presolve it; shared entry point of both backends."""
-    prepared = _prepare_model(model, run_presolve=run_presolve, backend=backend)
-    # Tracing stage hook: a no-op unless a collector is active on this thread
-    # (see repro.obs.trace.collect_stages).
-    record_stage(
-        "milp.presolve",
-        prepared.prep_time,
-        shortcut=prepared.shortcut is not None,
-    )
-    return prepared
-
-
-def _prepare_model(
-    model: Model,
-    run_presolve: bool = True,
-    backend: str = "",
-) -> PreparedModel:
+    """Lower ``model`` to matrix form; shared entry point of both backends."""
     start = time.perf_counter()
     form = model.to_matrix_form()
-
+    shortcut: Optional[MILPSolution] = None
     if form.num_variables == 0:
-        elapsed = time.perf_counter() - start
         # every row reads 0: the model is decided by whether 0 fits each row
         feasible = bool(np.all(form.constraint_lb <= 0.0) and np.all(form.constraint_ub >= 0.0))
         constant = model.objective_value({}) if feasible else float("nan")
-        return PreparedModel(
-            model=model,
-            form=form,
-            presolve_result=None,
-            active=form,
-            prep_time=elapsed,
-            shortcut=MILPSolution(
-                status=SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE,
-                objective=constant,
-                values={},
-                bound=constant,
-                solve_time=elapsed,
-                backend=backend,
-                message="empty model" if feasible else "empty model with an unsatisfiable row",
-            ),
-        )
-
-    if not run_presolve:
-        return PreparedModel(
-            model=model,
-            form=form,
-            presolve_result=None,
-            active=form,
-            prep_time=time.perf_counter() - start,
-        )
-
-    result = presolve(form)
-    elapsed = time.perf_counter() - start
-    shortcut: Optional[MILPSolution] = None
-    active = form
-
-    if result.status is PresolveStatus.INFEASIBLE:
         shortcut = MILPSolution(
-            status=SolveStatus.INFEASIBLE,
-            solve_time=elapsed,
+            status=SolveStatus.OPTIMAL if feasible else SolveStatus.INFEASIBLE,
+            objective=constant,
+            values={},
+            bound=constant,
+            solve_time=time.perf_counter() - start,
             backend=backend,
-            message=f"presolve proved infeasibility: {result.message}",
-            presolve_stats=result.stats,
+            message="empty model" if feasible else "empty model with an unsatisfiable row",
         )
-    elif result.status is PresolveStatus.SOLVED:
-        values = result.fixed_only_values()
-        violated = model.check_assignment(values)
-        if violated:
-            shortcut = MILPSolution(
-                status=SolveStatus.INFEASIBLE,
-                solve_time=elapsed,
-                backend=backend,
-                message="presolve fixed point violates remaining constraints",
-                presolve_stats=result.stats,
-            )
-        else:
-            objective = model.objective_value(values)
-            shortcut = MILPSolution(
-                status=SolveStatus.OPTIMAL,
-                objective=objective,
-                values=values,
-                bound=objective,
-                solve_time=elapsed,
-                backend=backend,
-                message="solved by presolve",
-                presolve_stats=result.stats,
-            )
-    else:
-        active = result.reduced
-
-    return PreparedModel(
-        model=model,
-        form=form,
-        presolve_result=result,
-        active=active,
-        prep_time=elapsed,
-        shortcut=shortcut,
-    )
+    # Tracing stage hook: a no-op unless a collector is active on this thread
+    # (see repro.obs.trace.collect_stages).
+    record_stage("milp.lower", time.perf_counter() - start, shortcut=shortcut is not None)
+    return PreparedModel(model=model, form=form, shortcut=shortcut)
 
 
 def remaining_budget(
@@ -330,7 +238,6 @@ def solve(model: Model, options: SolverOptions | None = None) -> MILPSolution:
             time_limit=options.time_limit,
             mip_gap=options.mip_gap,
             verbose=options.verbose,
-            presolve=options.presolve,
         )
     if backend in ("branch-bound", "bb", "branch_and_bound"):
         return solve_with_branch_bound(
@@ -339,7 +246,6 @@ def solve(model: Model, options: SolverOptions | None = None) -> MILPSolution:
             mip_gap=options.mip_gap,
             max_nodes=options.max_nodes,
             verbose=options.verbose,
-            presolve=options.presolve,
             warm_start=options.warm_start,
         )
     raise ValueError(f"unknown MILP backend {options.backend!r}")

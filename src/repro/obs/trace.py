@@ -18,7 +18,7 @@ precision while absolute times stay comparable across processes on one host.
 **Solver stage hooks.**  The MILP and floorplan solvers run deep below the
 gateway, often on pool threads or in child processes where no trace object is
 reachable.  They report coarse stage timings (``floorplan.ho_seed``,
-``floorplan.build``, ``milp.presolve``, ``milp.search``,
+``floorplan.build``, ``milp.lower``, ``milp.search``,
 ``floorplan.postsolve``) through a thread-local sink: :func:`record_stage` is
 a no-op costing one attribute probe unless :func:`collect_stages` installed a
 sink on the current thread — which :func:`repro.floorplan.solver.run_job`

@@ -10,9 +10,12 @@ from repro.milp import (
     MILPSolution,
     SolveStatus,
     SolverOptions,
+    prepare_model,
     quicksum,
     solve,
+    split_matrix_form,
 )
+from repro.obs.trace import collect_stages
 
 BACKENDS = ["highs", "branch-bound"]
 
@@ -218,3 +221,154 @@ class TestBranchBoundGap:
             highs = solve(_small_cover(seed), SolverOptions(backend="highs"))
             assert exact.status is SolveStatus.OPTIMAL
             assert exact.objective == pytest.approx(highs.objective, abs=1e-9)
+
+
+def _mixed_model() -> Model:
+    """Integer and fixed continuous variables, a duplicate and a slack row."""
+    model = Model("mixed")
+    x = model.add_integer("x", lb=0, ub=10)
+    y = model.add_integer("y", lb=0, ub=10)
+    z = model.add_continuous("z", lb=2, ub=2)
+    model.add(x <= 7.5, name="singleton")
+    model.add(x + y <= 12, name="pair")
+    model.add(x + y <= 12, name="pair_dup")
+    model.add(x + y <= 100, name="slack")
+    model.add(x + y + z >= 3, name="with_fixed")
+    model.minimize(-2 * x - y + z)
+    return model
+
+
+class TestSharedGlue:
+    def test_split_matrix_form_blocks(self):
+        model = Model()
+        x = model.add_continuous("x", lb=0, ub=4)
+        y = model.add_continuous("y", lb=0, ub=4)
+        model.add(x + y <= 5)
+        model.add(x - y >= -2)
+        model.add(x + 2 * y == 3)
+        split = split_matrix_form(model.to_matrix_form())
+        assert split.a_ub.shape == (2, 2)
+        assert split.a_eq.shape == (1, 2)
+        assert np.allclose(split.b_ub, [5.0, 2.0])
+        assert np.allclose(split.b_eq, [3.0])
+
+    def test_dense_flag_matches_sparse_lowering(self):
+        model = _mixed_model()
+        sparse_form = model.to_matrix_form()
+        dense_form = model.to_matrix_form(dense=True)
+        assert sparse_form.is_sparse and not dense_form.is_sparse
+        assert np.allclose(
+            dense_form.constraint_matrix, sparse_form.constraint_matrix.toarray()
+        )
+        assert np.array_equal(dense_form.constraint_lb, sparse_form.constraint_lb)
+        assert np.array_equal(dense_form.constraint_ub, sparse_form.constraint_ub)
+        assert np.array_equal(dense_form.integrality, sparse_form.integrality)
+
+    def test_prepare_model_charges_time_budget(self):
+        from repro.milp.branch_bound import solve_with_branch_bound
+        from repro.milp.scipy_backend import solve_with_scipy
+
+        model = _mixed_model()
+        for backend in (solve_with_branch_bound, solve_with_scipy):
+            result = backend(model, time_limit=0.0)
+            assert result.status is SolveStatus.TIME_LIMIT
+            assert "during lowering" in result.message
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_fixed_variable_violating_a_row_is_infeasible(self, backend):
+        model = Model()
+        x = model.add_integer("x", lb=4, ub=4)
+        model.add(x <= 3)
+        model.minimize(x)
+        result = solve(model, SolverOptions(backend=backend))
+        assert result.status is SolveStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_all_variables_fixed_is_optimal(self, backend):
+        model = Model()
+        x = model.add_integer("x", lb=4, ub=4)
+        y = model.add_continuous("y", lb=1.5, ub=1.5)
+        model.add(x + y <= 6)
+        model.minimize(x + 2 * y)
+        result = solve(model, SolverOptions(backend=backend))
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == pytest.approx(7.0)
+        assert result.values[x] == 4.0
+        assert result.values[y] == pytest.approx(1.5)
+
+    def test_presolve_field_stays_in_the_fingerprinted_dict(self):
+        # job fingerprints hash as_dict(), so the ignored field must stay in it
+        options = SolverOptions(presolve=False)
+        assert options.as_dict()["presolve"] is False
+        assert SolverOptions().as_dict()["presolve"] is True
+        assert SolverOptions.from_dict(options.as_dict()) == options
+
+    def test_prepare_model_compatibility_names(self):
+        model = _mixed_model()
+        plain = prepare_model(model)
+        flagged = prepare_model(model, run_presolve=False)
+        assert plain.stats is None and flagged.stats is None
+        assert plain.shortcut is None and flagged.shortcut is None
+        assert np.allclose(
+            plain.form.constraint_matrix.toarray(), flagged.form.constraint_matrix.toarray()
+        )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestDirectSolveEdgeCases:
+    """Structures the backends now meet unreduced, solved end to end."""
+
+    def test_mixed_model_keeps_fixed_values_exact(self, backend):
+        model = _mixed_model()
+        result = solve(model, SolverOptions(backend=backend))
+        assert result.status is SolveStatus.OPTIMAL
+        # x <= 7.5 caps the integer x at 7, the pair row leaves y = 5
+        assert result.objective == pytest.approx(-2 * 7 - 5 + 2)
+        assert len(result.values) == 3
+        assert result.value(model.variable_by_name("z")) == pytest.approx(2.0)
+        assert model.check_assignment(result.values) == []
+        assert result.gap == pytest.approx(0.0, abs=1e-9)
+
+    def test_fractional_integer_bounds_round_inward(self, backend):
+        model = Model()
+        x = model.add_integer("x", lb=0.4, ub=8.7)
+        model.minimize(x)
+        low = solve(model, SolverOptions(backend=backend))
+        model.maximize(x)
+        high = solve(model, SolverOptions(backend=backend))
+        assert low.status is high.status is SolveStatus.OPTIMAL
+        assert low.values[x] == 1.0
+        assert high.values[x] == 8.0
+
+    def test_contradictory_rows_on_one_variable_are_infeasible(self, backend):
+        model = Model()
+        x = model.add_integer("x", lb=0, ub=5)
+        model.add(x >= 3)
+        model.add(x <= 2)
+        model.minimize(x)
+        assert solve(model, SolverOptions(backend=backend)).status is SolveStatus.INFEASIBLE
+
+    def test_parallel_rows_with_empty_intersection_are_infeasible(self, backend):
+        model = Model()
+        x = model.add_continuous("x", lb=0, ub=10)
+        y = model.add_continuous("y", lb=0, ub=10)
+        model.add(x + y <= 3)
+        model.add(x + y >= 8)
+        model.minimize(x)
+        assert solve(model, SolverOptions(backend=backend)).status is SolveStatus.INFEASIBLE
+
+    def test_presolve_option_is_ignored(self, backend):
+        model = _mixed_model()
+        on = solve(model, SolverOptions(backend=backend, presolve=True))
+        off = solve(model, SolverOptions(backend=backend, presolve=False))
+        assert on.status is off.status is SolveStatus.OPTIMAL
+        assert on.objective == off.objective
+        assert on.values == off.values
+
+    def test_lowering_is_recorded_as_a_stage(self, backend):
+        with collect_stages() as stages:
+            solve(_mixed_model(), SolverOptions(backend=backend))
+            solve(Model(), SolverOptions(backend=backend))
+        lowered = [stage for stage in stages if stage["name"] == "milp.lower"]
+        assert [stage["shortcut"] for stage in lowered] == [False, True]
+        assert not any("presolve" in str(stage["name"]) for stage in stages)

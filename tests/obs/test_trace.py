@@ -73,13 +73,13 @@ class TestTrace:
         trace = Trace.begin(None)
         parent = Span("solve", new_id(), None, trace.start, trace.start + 1.0)
         stages = [
-            {"name": "milp.presolve", "seconds": 0.25, "shortcut": False},
+            {"name": "milp.lower", "seconds": 0.25, "shortcut": False},
             {"name": "milp.search", "seconds": 0.5, "backend": "scipy-highs"},
             {"name": "bogus entry without seconds"},  # skipped, not fatal
         ]
         trace.add_stage_spans(stages, parent)
         laid = [span for span in trace.spans if span.parent_id == parent.span_id]
-        assert [span.name for span in laid] == ["milp.presolve", "milp.search"]
+        assert [span.name for span in laid] == ["milp.lower", "milp.search"]
         assert laid[0].start == parent.start
         assert laid[1].start == pytest.approx(laid[0].end)
         assert laid[0].annotations == {"shortcut": False}
@@ -119,10 +119,10 @@ class TestStageHooks:
 
     def test_collects_stages_with_annotations(self):
         with collect_stages() as stages:
-            record_stage("milp.presolve", 0.1, shortcut=True)
+            record_stage("milp.lower", 0.1, shortcut=True)
             with stage_timer("milp.search", backend="bb"):
                 pass
-        assert [s["name"] for s in stages] == ["milp.presolve", "milp.search"]
+        assert [s["name"] for s in stages] == ["milp.lower", "milp.search"]
         assert stages[0]["shortcut"] is True
         assert stages[1]["seconds"] >= 0.0
 
