@@ -30,8 +30,8 @@ from repro.analysis import format_table
 from repro.fleet import BackgroundFleet
 from repro.server.loadgen import demo_payloads, fetch_metrics_json, run_fleet_closed_loop
 
-# the published unbatched ablation shape (server.miss_unbatched): one job
-# per batch and a shard pool wider than the herd.  Duplicates that reach one
+# the single-gateway shape of the fleet.herd_single benchmark: one job per
+# batch and a shard pool wider than the herd.  Duplicates that reach one
 # replica join its solve; the ones spread over replicas meet in the cache tier
 UNBATCHED_ARGS = (
     "--max-batch", "1",

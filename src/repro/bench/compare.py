@@ -71,10 +71,6 @@ class CompareResult:
         return [d for d in self.deltas if d.is_regression(self.threshold)]
 
     @property
-    def improvements(self) -> List[Delta]:
-        return [d for d in self.deltas if d.is_improvement(self.threshold)]
-
-    @property
     def ok(self) -> bool:
         """True when no benchmark regressed past the threshold."""
         return not self.regressions

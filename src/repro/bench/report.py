@@ -29,14 +29,15 @@ The file layout (schema version 1)::
       ]
     }
 
-``extras`` carries workload-reported auxiliary metrics (the ``server.*``
-benchmarks record latency percentiles, hit rate and shed rate there); it is
+``extras`` carries workload-reported auxiliary metrics (the ``fleet.*`` and
+``resilience.*`` benchmarks record latency percentiles and error counts
+there); it is
 optional on read and omitted on write when empty, so snapshots from before
 the field existed still load.
 
-Percentiles are linearly interpolated over the sorted samples (the
-``fraction * (n - 1)`` position convention); with a single sample every
-quantile field equals that sample.
+Percentiles are nearest-rank (:func:`repro.sim.stats.percentile`, the routine
+the load generator, chaos harness and simulator share); with a single sample
+every quantile field equals that sample.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.runner import Measurement
+from repro.sim.stats import percentile
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -186,16 +188,6 @@ def default_report_name(rev: str | None = None) -> str:
     return f"BENCH_{rev or git_revision()}.json"
 
 
-def _quantile(sorted_times: Sequence[float], fraction: float) -> float:
-    if len(sorted_times) == 1:
-        return sorted_times[0]
-    position = fraction * (len(sorted_times) - 1)
-    low = int(position)
-    high = min(low + 1, len(sorted_times) - 1)
-    weight = position - low
-    return sorted_times[low] * (1.0 - weight) + sorted_times[high] * weight
-
-
 def summarize(measurements: Sequence[Measurement], profile_name: str) -> BenchReport:
     """Reduce raw measurements into a serializable report."""
     results = []
@@ -209,8 +201,8 @@ def summarize(measurements: Sequence[Measurement], profile_name: str) -> BenchRe
                 repeats=len(ordered),
                 warmup=measurement.profile.warmup,
                 median_s=median,
-                p10_s=_quantile(ordered, 0.10),
-                p90_s=_quantile(ordered, 0.90),
+                p10_s=percentile(ordered, 10, presorted=True),
+                p90_s=percentile(ordered, 90, presorted=True),
                 mean_s=statistics.fmean(ordered),
                 min_s=ordered[0],
                 units=measurement.units,

@@ -151,11 +151,11 @@ def throughput_sweep_jobs(
 
 
 def server_payloads(unique: int = 4, heavy: bool = False) -> list:
-    """Request bodies for the ``server.*`` and ``fleet.*`` benchmarks.
+    """Request bodies for the serving benchmarks (``fleet.*``, ``obs.*``,
+    ``resilience.*``).
 
     Small two-region instances with distinct fingerprints (the connection
-    weight varies), each solving in a few hundred milliseconds — so the
-    cache-miss benchmarks measure batching and dispatch, not MILP asymptotics.
+    weight varies), each solving in a few hundred milliseconds.
     ``heavy=True`` switches to slower three-region instances for the fleet
     benchmarks, where the solve must dominate multi-process coordination
     overhead for work-collapse margins to be attributable.

@@ -6,6 +6,11 @@ covering the same ground as the ``benchmarks/bench_*.py`` scripts (sequence
 pairs, MILP build/lowering/solve, heuristic baselines, the discrete-event
 simulator, the bitstream path and the batch-service sweep machinery).
 
+End-to-end serving and planner traffic (cache misses, warm hits through the
+router, the capacity CLI) is measured by ``perfbench``; the serving
+benchmarks here measure one mechanism each: herd collapse, replica scaling,
+tracing overhead, failover and brown-out.
+
 Sizes are profile-dependent: ``--quick`` stays small enough for a CI smoke
 job, ``--full`` uses inputs large enough to expose asymptotic differences.
 """
@@ -305,31 +310,6 @@ def capacity_fleet_sim(profile: BenchProfile) -> Workload:
     return workload
 
 
-@benchmark("capacity.plan_small")
-def capacity_plan_small(profile: BenchProfile) -> Workload:
-    """One full minimum-fleet-size search (doubling + binary search)."""
-    from repro.capacity import CapacityScenario, CapacitySLO, plan_min_devices
-
-    scenario = CapacityScenario(
-        profile=_capacity_profile(),
-        rate=float(profile.scaled(40, 80)),
-        horizon=float(profile.scaled(20, 60)),
-        seed=0,
-    )
-    slo = CapacitySLO(
-        max_p99_latency_s=0.5, max_blocking=0.02, min_throughput_fraction=0.95
-    )
-
-    def run():
-        outcome = plan_min_devices(scenario, slo, max_devices=64)
-        workload.units = float(len(outcome.evaluations))
-        workload.extras["min_devices"] = float(outcome.min_devices or 0)
-        return outcome
-
-    workload = Workload(run, units=1.0, unit_name="evaluations")
-    return workload
-
-
 # ----------------------------------------------------------------------
 # bitstream: generation and relocation filter
 # ----------------------------------------------------------------------
@@ -397,166 +377,17 @@ def service_fingerprint(profile: BenchProfile) -> Workload:
 
 
 # ----------------------------------------------------------------------
-# server: the asyncio solve gateway under load
-# ----------------------------------------------------------------------
-#: Shared server shape of the two cache-miss benchmarks: enough shards that
-#: one-request-per-solve dispatch is never queue-limited (making the batched
-#: win attributable to coalescing/dedup, not shard starvation), thread
-#: executor so no per-batch process-spawn cost muddies the comparison.
-_MISS_SHAPE = {"shards": 12, "batch_workers": 8, "executor": "thread"}
-
-
-def _gateway_workload(profile, make_config, run_load, warm: bool, unique: int = 4):
-    """Shared shape of the ``server.*`` benchmarks.
-
-    A :class:`~repro.server.gateway.BackgroundGateway` is started once in
-    setup (torn down by the harness's ``teardown`` hook); each timed round
-    throws one load pattern at it over real loopback HTTP and records the
-    load generator's percentile/shed/hit metrics into the workload extras.
-    ``warm=True`` prefills the solve cache in setup so the timed rounds
-    measure the serving path; ``warm=False`` clears the cache every round so
-    they measure the cache-miss solve pipeline.
-    """
-    from repro.server.gateway import BackgroundGateway
-
-    payloads = scenarios.server_payloads(unique=unique)
-    background = BackgroundGateway(make_config())
-    gateway = background.gateway
-
-    def run():
-        result = run_load(background.host, background.port, payloads)
-        workload.units = float(result.sent)
-        workload.extras.update(
-            {
-                "throughput_rps": round(result.throughput, 3),
-                "p50_ms": round(result.p50_s * 1e3, 3),
-                "p99_ms": round(result.p99_s * 1e3, 3),
-                "shed_rate": round(result.shed_rate, 6),
-                "hit_rate": round(result.hit_rate, 6),
-            }
-        )
-        return result
-
-    workload = Workload(run, units=1.0, unit_name="requests")
-    workload.teardown = background.stop
-    try:
-        if warm:
-            run()  # prefill: the timed rounds then serve a warm cache
-        else:
-            def reset():
-                gateway.cache.clear(disk=False)
-
-            workload.reset = reset
-            reset()
-    except BaseException:
-        # the runner only sees the Workload (and its teardown) if the factory
-        # returns; a failed prefill must not leak the gateway thread/port
-        background.stop()
-        raise
-    return workload
-
-
-@benchmark("server.gateway_closed_loop")
-def server_gateway_closed_loop(profile: BenchProfile) -> Workload:
-    """Warm-cache closed-loop serving: N keep-alive clients back to back."""
-    from repro.server.gateway import GatewayConfig
-    from repro.server.loadgen import run_closed_loop
-
-    requests = profile.scaled(10, 40)
-
-    def load(host, port, payloads):
-        return run_closed_loop(
-            host, port, payloads, clients=4, requests_per_client=requests
-        )
-
-    return _gateway_workload(
-        profile, lambda: GatewayConfig(port=0), load, warm=True
-    )
-
-
-@benchmark("server.gateway_open_loop")
-def server_gateway_open_loop(profile: BenchProfile) -> Workload:
-    """Warm-cache open-loop serving: Poisson arrivals past a rate limiter.
-
-    The offered rate deliberately exceeds the per-client token bucket, so the
-    snapshot records a non-zero shed rate — the admission-control path is part
-    of what this benchmark guards.
-    """
-    from repro.server.gateway import GatewayConfig
-    from repro.server.loadgen import run_open_loop
-
-    rate = float(profile.scaled(150, 300))
-
-    def load(host, port, payloads):
-        return run_open_loop(host, port, payloads, rate=rate, horizon=1.0, seed=7)
-
-    return _gateway_workload(
-        profile,
-        lambda: GatewayConfig(port=0, rate_limit=0.6 * rate, rate_burst=0.2 * rate),
-        load,
-        warm=True,
-    )
-
-
-@benchmark("server.miss_microbatch")
-def server_miss_microbatch(profile: BenchProfile) -> Workload:
-    """Cold-cache misses through the micro-batcher (batching + dedup).
-
-    8 concurrent requests over 4 unique jobs — the thundering-herd shape of a
-    popular cache entry expiring.  Each unique job dispatches to a free shard
-    and its duplicates join it, so only the unique jobs are solved, across
-    the full worker width.  Compare against ``server.miss_unbatched``
-    (identical gateway shape and load; only ``max_batch`` differs) for the
-    measured batching margin.
-    """
-    from repro.server.gateway import GatewayConfig
-    from repro.server.loadgen import run_closed_loop
-
-    def load(host, port, payloads):
-        return run_closed_loop(host, port, payloads, clients=8, requests_per_client=1)
-
-    return _gateway_workload(
-        profile,
-        lambda: GatewayConfig(port=0, max_batch=16, **_MISS_SHAPE),
-        load,
-        warm=False,
-        unique=4,
-    )
-
-
-@benchmark("server.miss_unbatched")
-def server_miss_unbatched(profile: BenchProfile) -> Workload:
-    """The one-request-per-solve baseline: same load, ``max_batch=1``.
-
-    Every unique job is dispatched as its own single-job batch the moment it
-    arrives.  Concurrent duplicates still join the solve of their job, as
-    they do at any ``max_batch``.  This is the ablation half of the
-    micro-batching comparison — same shard/worker shape, one job per batch.
-    """
-    from repro.server.gateway import GatewayConfig
-    from repro.server.loadgen import run_closed_loop
-
-    def load(host, port, payloads):
-        return run_closed_loop(host, port, payloads, clients=8, requests_per_client=1)
-
-    return _gateway_workload(
-        profile,
-        lambda: GatewayConfig(port=0, max_batch=1, **_MISS_SHAPE),
-        load,
-        warm=False,
-        unique=4,
-    )
-
-
-# ----------------------------------------------------------------------
 # fleet: multi-process replicas behind the consistent-hash router
 # ----------------------------------------------------------------------
 #: Per-replica knobs of the fleet cache-miss benchmarks: within one process
-#: every unique job dispatches as its own single-job batch, the unbatched
-#: ablation shape of ``server.miss_unbatched``.  Duplicates that meet in one
-#: replica join its solve; duplicates spread over replicas are collapsed by
-#: the cache tier's cross-replica single-flight.
+#: every unique job dispatches as its own single-job batch.  Duplicates that
+#: meet in one replica join its solve; duplicates spread over replicas are
+#: collapsed by the cache tier's cross-replica single-flight.
 _FLEET_UNBATCHED = ("--max-batch", "1")
+#: The one gateway of ``fleet.herd_single``: one job per batch, enough shards
+#: that dispatch is never queue-limited, and a thread executor so no
+#: per-batch process spawn muddies the comparison with the fleet.
+_HERD_GATEWAY = {"max_batch": 1, "shards": 12, "batch_workers": 8, "executor": "thread"}
 
 
 def _fleet_miss_rounds(profile: BenchProfile, per_round: int):
@@ -641,27 +472,21 @@ def _fleet_workload(
 
 @benchmark("fleet.herd_single")
 def fleet_herd_single(profile: BenchProfile) -> Workload:
-    """The duplicate-miss herd against one gateway in the
-    ``server.miss_unbatched`` ablation shape.
+    """The duplicate-miss herd against one gateway.
 
     8 concurrent requests over 2 unique jobs, fresh fingerprints per round,
-    ``max_batch=1`` over the wide ``_MISS_SHAPE`` shard pool.  Every
+    ``max_batch=1`` over the wide ``_HERD_GATEWAY`` shard pool.  Every
     duplicate meets its job in the gateway's batcher and joins that solve,
     so ``solves_per_unique`` is 1; ``fleet.herd_fleet4`` spreads the same
     herd over four replicas, where the cache tier's single-flight collapses
     it instead.
     """
-    from repro.server.gateway import GatewayConfig
+    from repro.server.gateway import BackgroundGateway, GatewayConfig
     from repro.server.loadgen import run_closed_loop
 
     rounds = _fleet_miss_rounds(profile, 2)
     state = {"round": 0, "batches": 0.0}
-
-    from repro.server.gateway import BackgroundGateway
-
-    background = BackgroundGateway(
-        GatewayConfig(port=0, max_batch=1, **_MISS_SHAPE)
-    )
+    background = BackgroundGateway(GatewayConfig(port=0, **_HERD_GATEWAY))
     gateway = background.gateway
 
     def run():
@@ -716,8 +541,7 @@ def fleet_miss_r1(profile: BenchProfile) -> Workload:
     clients, 4 unique jobs per round, no duplicates — so single-flight never
     fires and the margin is pure multi-process parallelism.  On a
     multi-core host r4 approaches linear scaling; on a single-core runner
-    (like the box that produced ``BENCH_fleet.json``) the pair is ~flat and
-    documents exactly that.
+    the pair is ~flat and documents exactly that.
     """
     return _fleet_workload(profile, replicas=1, clients=4, per_round=4, direct=False)
 
@@ -729,53 +553,6 @@ def fleet_miss_r4(profile: BenchProfile) -> Workload:
     See ``fleet.miss_r1`` — this is the scaled half of the pair.
     """
     return _fleet_workload(profile, replicas=4, clients=4, per_round=4, direct=False)
-
-
-@benchmark("fleet.router_closed_loop")
-def fleet_router_closed_loop(profile: BenchProfile) -> Workload:
-    """Warm-cache serving *through the router*: the frontend's overhead.
-
-    The fleet analogue of ``server.gateway_closed_loop`` — same closed-loop
-    hit traffic, but every request additionally pays the router's decode,
-    ring lookup and upstream hop.  Guards routing-path regressions.
-    """
-    import tempfile
-
-    from repro.fleet import BackgroundFleet
-    from repro.server.loadgen import run_closed_loop
-
-    requests = profile.scaled(10, 40)
-    payloads = scenarios.server_payloads(unique=4)
-    fleet = BackgroundFleet(
-        replicas=2,
-        cache_dir=tempfile.mkdtemp(prefix="repro-bench-fleet-"),
-        server_args=(),  # default batching: this benchmark serves hits
-    )
-
-    def run():
-        result = run_closed_loop(
-            fleet.host, fleet.port, payloads,
-            clients=4, requests_per_client=requests,
-        )
-        workload.units = float(result.sent)
-        workload.extras.update(
-            {
-                "throughput_rps": round(result.throughput, 3),
-                "p50_ms": round(result.p50_s * 1e3, 3),
-                "p99_ms": round(result.p99_s * 1e3, 3),
-                "hit_rate": round(result.hit_rate, 6),
-            }
-        )
-        return result
-
-    workload = Workload(run, units=1.0, unit_name="requests")
-    workload.teardown = fleet.stop
-    try:
-        run()  # prefill: the timed rounds then serve warm hits end to end
-    except BaseException:
-        fleet.stop()
-        raise
-    return workload
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -129,10 +129,6 @@ class PartialBitstream:
     def is_crc_valid(self) -> bool:
         """Whether the stored CRC matches the content."""
         return self.crc == self.compute_crc()
-
-    def frame_addresses(self) -> List[FrameAddress]:
-        """Addresses in canonical (sorted) order."""
-        return sorted(self.frames)
 
     def frame_address_set(self) -> FrozenSet[FrameAddress]:
         """The addresses as a cached frozenset (the memory's conflict unit)."""

@@ -94,10 +94,6 @@ class ForbiddenArea:
         """Number of columns spanned."""
         return self.col_end - self.col_start + 1
 
-    def lies_on_row(self, row: int) -> bool:
-        """Parameter ``ra[a,r]`` of the paper."""
-        return row in self.rows
-
     def cells(self) -> Iterator[Tuple[int, int]]:
         """All ``(col, row)`` cells covered by the forbidden area."""
         for col in range(self.col_start, self.col_end + 1):

@@ -157,13 +157,6 @@ class FloorplanMILP:
         """Candidates (binaries ``z``) in the model."""
         return sum(len(c) for c in self.candidates.values())
 
-    def area_by_name(self, name: str) -> AreaSpec:
-        """Look an area spec up by name."""
-        for area in self.areas:
-            if area.name == name:
-                return area
-        raise KeyError(f"unknown area {name!r}")
-
     def free_area_specs(self) -> List[AreaSpec]:
         """The free-compatible areas of the model."""
         return [area for area in self.areas if area.is_free_area]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -76,14 +76,6 @@ class MatrixForm:
     def num_variables(self) -> int:
         """Number of variable columns."""
         return len(self.variables)
-
-    def to_sparse(self) -> "MatrixForm":
-        """Return an equivalent form with a CSR constraint matrix."""
-        if self.is_sparse:
-            return self
-        return dataclasses.replace(
-            self, constraint_matrix=sparse.csr_matrix(self.constraint_matrix)
-        )
 
 
 class Model:
@@ -197,13 +189,6 @@ class Model:
     def add_eq_terms(self, terms: Dict[Variable, float], rhs: float, name: str) -> Constraint:
         """``sum(terms) == rhs`` without building intermediate expressions."""
         return self.add_terms(terms, Sense.EQ, rhs, name)
-
-    def add_all(self, constraints: Iterable[Constraint], prefix: str = "c") -> List[Constraint]:
-        """Register several constraints, naming them ``prefix{i}``."""
-        added = []
-        for i, constraint in enumerate(constraints):
-            added.append(self.add(constraint, name=f"{prefix}{len(self._constraints)}"))
-        return added
 
     @property
     def constraints(self) -> Sequence[Constraint]:

@@ -86,11 +86,6 @@ def feasibility_analysis(
     return results
 
 
-def relocatable_regions(results: Sequence[FeasibilityResult]) -> List[str]:
-    """Names of the regions found relocatable by a feasibility analysis."""
-    return [result.region for result in results if result.feasible]
-
-
 def count_reachable_copies(
     floorplan: Floorplan, region_name: str, max_copies: int | None = None
 ) -> int:

@@ -30,8 +30,8 @@ others a ``cached=True`` copy.  No waiter is held for a slower sibling in its
 batch, and ``queue_depth`` drops as each job is answered.  If the stream fails
 partway, answered waiters keep their results and only the rest get the error.
 
-``max_batch=1`` is the one-job-per-batch baseline the
-``server.miss_unbatched`` benchmark measures against.
+``max_batch=1`` dispatches every job as its own batch, the shape the
+``fleet.*`` cache-miss benchmarks run each replica in.
 """
 
 from __future__ import annotations

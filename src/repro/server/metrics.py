@@ -8,8 +8,8 @@ worst-case bucket resolution.
 
 The snapshot feeds three consumers: the ``/metrics`` endpoint (flat JSON),
 the :mod:`repro.analysis` tables (``SERVER_COUNTER_HEADERS`` two-column table
-plus the shared ``SIM_LATENCY_HEADERS`` percentile table), and the
-``server.*`` benchmark extras recorded in ``BENCH_server.json``.
+plus the shared ``SIM_LATENCY_HEADERS`` percentile table), and the fleet
+router's ``/metrics`` roll-up, which merges the raw bucket counts.
 """
 
 from __future__ import annotations

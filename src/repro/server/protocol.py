@@ -275,8 +275,3 @@ def job_to_dict(job: SolveJob) -> Dict[str, object]:
     if job.tag:
         data["tag"] = job.tag
     return data
-
-
-def job_payloads(jobs: Sequence[SolveJob]) -> List[Dict[str, object]]:
-    """Encode a batch of jobs (convenience for load generators)."""
-    return [job_to_dict(job) for job in jobs]

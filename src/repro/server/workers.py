@@ -30,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import AsyncIterator, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.service.cache import SolveCache
-from repro.service.executor import execute_job, make_pool
+from repro.service.executor import check_executor, execute_job, make_pool
 from repro.service.jobs import SolveJob
 from repro.service.results import JobResult
 
@@ -86,6 +86,7 @@ class WorkerPool:
             raise ValueError("shards must be positive")
         if solver not in SOLVER_KINDS:
             raise ValueError(f"solver must be one of {SOLVER_KINDS}, got {solver!r}")
+        check_executor(executor)
         self.cache = cache if cache is not None else SolveCache()
         self.shards = shards
         self.batch_workers = batch_workers

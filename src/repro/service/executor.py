@@ -33,6 +33,12 @@ from repro.utils.timing import Timer
 EXECUTOR_KINDS = ("process", "thread", "serial")
 
 
+def check_executor(executor: str) -> None:
+    """Reject an executor kind outside :data:`EXECUTOR_KINDS`."""
+    if executor not in EXECUTOR_KINDS:
+        raise ValueError(f"executor must be one of {EXECUTOR_KINDS}, got {executor!r}")
+
+
 def execute_job(job: SolveJob) -> JobResult:
     """Solve one job and flatten the outcome (pool-worker entry point)."""
     worker = f"pid-{os.getpid()}"
@@ -51,8 +57,11 @@ def make_pool(executor: str, max_workers: Optional[int], num_tasks: int) -> Exec
     """A ``"thread"`` or ``"process"`` pool for ``num_tasks`` concurrent tasks.
 
     Sized ``max_workers`` (default ``os.cpu_count()``), capped by the number
-    of tasks so a small batch never spawns idle workers.
+    of tasks so a small batch never spawns idle workers.  Any other kind,
+    ``"serial"`` included, has no pool and is an error.
     """
+    if executor not in ("thread", "process"):
+        raise ValueError(f"no pool for executor {executor!r}: use 'thread' or 'process'")
     workers = max_workers or os.cpu_count() or 1
     workers = max(1, min(workers, num_tasks))
     if executor == "thread":
@@ -84,10 +93,7 @@ class BatchSolver:
         max_workers: Optional[int] = None,
         executor: str = "process",
     ) -> None:
-        if executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_KINDS}, got {executor!r}"
-            )
+        check_executor(executor)
         self.cache = cache if cache is not None else SolveCache()
         self.max_workers = max_workers
         self.executor = executor

@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.floorplan.metrics import ObjectiveWeights, evaluate_floorplan
@@ -29,7 +29,7 @@ from repro.floorplan.problem import FloorplanProblem
 from repro.floorplan.verify import verify_floorplan
 from repro.milp import SolverOptions
 from repro.relocation.spec import RelocationSpec
-from repro.service.executor import execute_job
+from repro.service.executor import check_executor, execute_job, make_pool
 from repro.service.jobs import SolveJob, problem_spec_dict, relocation_spec_dict
 from repro.service.results import JobResult
 from repro.utils.timing import Timer
@@ -237,10 +237,7 @@ def run_portfolio(
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
-    if executor not in ("process", "thread", "serial"):
-        raise ValueError(
-            f"executor must be 'process', 'thread' or 'serial', got {executor!r}"
-        )
+    check_executor(executor)
     strategies = list(strategies)
     names = [strategy.name for strategy in strategies]
     if len(set(names)) != len(names):
@@ -287,13 +284,11 @@ def _race_pool(
     strategies, outcomes, timer, deadline, policy, executor,
     max_workers, problem, relocation, options, weights,
 ) -> None:
-    pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-    workers = max(1, min(max_workers or len(strategies), len(strategies)))
     # No `with` block: the context manager's shutdown(wait=True) would join
     # still-running workers and blow straight through the deadline.  Instead
     # the pool is shut down without waiting — queued strategies are cancelled,
     # already-running ones are abandoned to finish in the background.
-    pool = pool_cls(max_workers=workers)
+    pool = make_pool(executor, max_workers or len(strategies), len(strategies))
     reason = "cancelled"
     try:
         future_to_name = {

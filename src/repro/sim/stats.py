@@ -179,10 +179,6 @@ class SimStats:
             "service": self._summary([record.service for record in served]),
         }
 
-    def latency_histogram(self, bins: int = 10) -> List[Tuple[float, float, int]]:
-        """Histogram of served-request latencies."""
-        return histogram([record.latency for record in self.served], bins=bins)
-
     # ------------------------------------------------------------------
     # utilization
     # ------------------------------------------------------------------

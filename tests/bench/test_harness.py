@@ -359,3 +359,15 @@ def test_cli_list_prints_registered_names(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out == REGISTRY.names()
     assert "floorplan.sp_relations" in out
+
+
+def test_committed_snapshot_covers_exactly_the_registered_benchmarks():
+    from pathlib import Path
+
+    from repro.bench import suite
+    from repro.bench.registry import REGISTRY
+
+    suite.load()
+    snapshot = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
+    report = load_report(snapshot / "BENCH_snapshot.json")
+    assert sorted(report.names()) == sorted(REGISTRY.names())
