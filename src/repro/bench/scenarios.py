@@ -151,8 +151,8 @@ def throughput_sweep_jobs(
 
 
 def server_payloads(unique: int = 4, heavy: bool = False) -> list:
-    """Request bodies for the serving benchmarks (``fleet.*``, ``obs.*``,
-    ``resilience.*``).
+    """Request bodies for the serving benchmarks (``server.*``, ``fleet.*``,
+    ``obs.*``, ``resilience.*``).
 
     Small two-region instances with distinct fingerprints (the connection
     weight varies), each solving in a few hundred milliseconds.

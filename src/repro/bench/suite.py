@@ -6,9 +6,10 @@ covering the same ground as the ``benchmarks/bench_*.py`` scripts (sequence
 pairs, MILP build/lowering/solve, heuristic baselines, the discrete-event
 simulator, the bitstream path and the batch-service sweep machinery).
 
-End-to-end serving and planner traffic (cache misses, warm hits through the
-router, the capacity CLI) is measured by ``perfbench``; the serving
-benchmarks here measure one mechanism each: herd collapse, replica scaling,
+End-to-end serving and planner traffic (closed-loop cache misses and warm
+hits through a one-replica fleet, the capacity CLI) is measured by
+``perfbench``; the serving benchmarks here measure one mechanism each:
+admission control under open-loop load, herd collapse, replica scaling,
 tracing overhead, failover and brown-out.
 
 Sizes are profile-dependent: ``--quick`` stays small enough for a CI smoke
@@ -374,6 +375,55 @@ def service_fingerprint(profile: BenchProfile) -> Workload:
             _ = job.fingerprint
 
     return Workload(run, units=len(jobs), unit_name="jobs")
+
+
+# ----------------------------------------------------------------------
+# server: admission control under open-loop load
+# ----------------------------------------------------------------------
+@benchmark("server.gateway_open_loop")
+def server_gateway_open_loop(profile: BenchProfile) -> Workload:
+    """Warm-cache open-loop serving: Poisson arrivals past a rate limiter.
+
+    The offered rate deliberately exceeds the per-client token bucket, so the
+    snapshot records a non-zero shed rate — the admission-control path is part
+    of what this benchmark guards.  ``perfbench`` runs closed-loop clients
+    with no rate limit and never sheds.
+    """
+    from repro.server.gateway import BackgroundGateway, GatewayConfig
+    from repro.server.loadgen import run_open_loop
+
+    rate = float(profile.scaled(150, 300))
+    payloads = scenarios.server_payloads(unique=4)
+    background = BackgroundGateway(
+        GatewayConfig(port=0, rate_limit=0.6 * rate, rate_burst=0.2 * rate)
+    )
+
+    def run():
+        result = run_open_loop(
+            background.host, background.port, payloads, rate=rate, horizon=1.0, seed=7
+        )
+        workload.units = float(result.sent)
+        workload.extras.update(
+            {
+                "throughput_rps": round(result.throughput, 3),
+                "p50_ms": round(result.p50_s * 1e3, 3),
+                "p99_ms": round(result.p99_s * 1e3, 3),
+                "shed_rate": round(result.shed_rate, 6),
+                "hit_rate": round(result.hit_rate, 6),
+            }
+        )
+        return result
+
+    workload = Workload(run, units=1.0, unit_name="requests")
+    workload.teardown = background.stop
+    try:
+        run()  # prefill: the timed rounds then serve a warm cache
+    except BaseException:
+        # the runner only sees the Workload (and its teardown) if the factory
+        # returns; a failed prefill must not leak the gateway thread/port
+        background.stop()
+        raise
+    return workload
 
 
 # ----------------------------------------------------------------------

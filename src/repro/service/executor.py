@@ -57,11 +57,10 @@ def make_pool(executor: str, max_workers: Optional[int], num_tasks: int) -> Exec
     """A ``"thread"`` or ``"process"`` pool for ``num_tasks`` concurrent tasks.
 
     Sized ``max_workers`` (default ``os.cpu_count()``), capped by the number
-    of tasks so a small batch never spawns idle workers.  Any other kind,
-    ``"serial"`` included, has no pool and is an error.
+    of tasks so a small batch never spawns idle workers.  Callers check the
+    kind with :func:`check_executor` when they are built and run ``"serial"``
+    without a pool.
     """
-    if executor not in ("thread", "process"):
-        raise ValueError(f"no pool for executor {executor!r}: use 'thread' or 'process'")
     workers = max_workers or os.cpu_count() or 1
     workers = max(1, min(workers, num_tasks))
     if executor == "thread":

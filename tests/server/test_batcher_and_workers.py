@@ -13,7 +13,7 @@ from repro.server.batcher import MicroBatcher
 from repro.server.workers import WorkerPool
 from repro.service import portfolio
 from repro.service.cache import SolveCache
-from repro.service.executor import make_pool
+from repro.service.executor import BatchSolver
 from repro.service.jobs import SolveJob
 from repro.service.results import JobResult
 from repro.workloads.synthetic import SyntheticWorkloadConfig, synthetic_problem
@@ -304,11 +304,12 @@ class TestWorkerPool:
             WorkerPool(solver="magic")
 
     def test_mistyped_executor_is_rejected_not_run_as_a_process_pool(self):
-        with pytest.raises(ValueError, match="executor"):
+        with pytest.raises(ValueError, match="executor must be one of"):
             WorkerPool(executor="threads")
-        for kind in ("threads", "serial"):
-            with pytest.raises(ValueError, match="no pool"):
-                make_pool(kind, 2, 2)
+        with pytest.raises(ValueError, match="executor must be one of"):
+            BatchSolver(executor="threads")
+        with pytest.raises(ValueError, match="executor must be one of"):
+            portfolio.run_portfolio(None, executor="threads")
 
     def test_tiny_job_streams_first_and_is_cached_on_arrival(self, monkeypatch):
         """Real solves on a thread-executor pool; the slower job is held an
