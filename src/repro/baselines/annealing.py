@@ -16,13 +16,13 @@ driven by an explicit ``numpy`` generator seed, so runs are reproducible.
 Cost evaluation is *incremental*: a neighbour move changes one region's
 rectangle, so only that region's forbidden/deficit/wasted components, its
 overlap terms and the wirelength of the connections touching it are
-recomputed (:class:`_IncrementalCostEvaluator`).  The full recompute
-(:class:`_CostEvaluator`) is kept both as the readable specification of the
-cost and as the reference that the equivalence tests run the annealer
-against — the incremental path reproduces its costs bit-for-bit (integer
-components are exact; the wirelength sum is re-accumulated in connection
-order), so both evaluators drive the annealer through identical
-accept/reject trajectories.
+recomputed (:class:`_IncrementalCostEvaluator`).  The full recompute that
+specifies the cost lives with the test oracles
+(``tests/baselines/annealing_oracle.py``); the equivalence tests run the
+annealer on it and check that the incremental path reproduces its costs
+bit-for-bit (integer components are exact; the wirelength sum is
+re-accumulated in connection order), so both evaluators drive the annealer
+through identical accept/reject trajectories.
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ class AnnealingOptions:
     forbidden_penalty: float = 500.0
     wasted_frame_weight: float = 1.0
     wirelength_weight: float = 0.2
-    #: Use the delta-cost evaluator (False falls back to full re-evaluation;
-    #: both produce identical trajectories — this knob exists for the
-    #: equivalence tests and for debugging).
-    incremental: bool = True
 
 
 def annealing_floorplan(
@@ -79,11 +75,7 @@ def annealing_floorplan(
     if state is None:
         return None
 
-    evaluator = (
-        _IncrementalCostEvaluator(problem, options)
-        if options.incremental
-        else _CostEvaluator(problem, options)
-    )
+    evaluator = _IncrementalCostEvaluator(problem, options)
     current_cost = evaluator.reset(state)
     best_state = dict(state)
     best_cost = current_cost
@@ -173,94 +165,6 @@ def _propose(
     return candidate
 
 
-class _CostEvaluator:
-    """Penalized cost of a (possibly infeasible) placement state.
-
-    This is the reference implementation: every call re-evaluates the whole
-    state.  It defines the semantics that :class:`_IncrementalCostEvaluator`
-    must reproduce exactly.
-    """
-
-    def __init__(self, problem: FloorplanProblem, options: AnnealingOptions) -> None:
-        self.problem = problem
-        self.options = options
-        self.device = problem.device
-        self.regions: Dict[str, Region] = {r.name: r for r in problem.regions}
-        self.required_frames = {
-            r.name: problem.required_frames(r) for r in problem.regions
-        }
-
-    # ------------------------------------------------------------------
-    def cost(self, state: Dict[str, Rect]) -> float:
-        options = self.options
-        overlap = 0
-        rects = list(state.items())
-        for i, (_, first) in enumerate(rects):
-            for _, second in rects[i + 1 :]:
-                overlap += first.intersection_area(second)
-
-        forbidden = 0
-        deficit_total = 0
-        wasted = 0
-        for name, rect in state.items():
-            region = self.regions[name]
-            forbidden += self.device.forbidden_cell_count(rect.col, rect.row, rect.width, rect.height)
-            covered = rect_resources(self.device, rect)
-            deficit_total += covered.deficit(region.requirements).total
-            wasted += max(0, rect_frames(self.device, rect) - self.required_frames[name])
-
-        wirelength = 0.0
-        for connection in self.problem.connections:
-            centers = []
-            for endpoint in connection.endpoints():
-                if endpoint in state:
-                    centers.append(state[endpoint].center)
-                else:
-                    pin = self.problem.pin_by_name(endpoint)
-                    centers.append(pin.center)
-            wirelength += connection.weight * manhattan(centers[0], centers[1])
-
-        return (
-            options.overlap_penalty * overlap
-            + options.forbidden_penalty * forbidden
-            + options.deficit_penalty * deficit_total
-            + options.wasted_frame_weight * wasted
-            + options.wirelength_weight * wirelength
-        )
-
-    def is_feasible(self, state: Dict[str, Rect]) -> bool:
-        rects = list(state.values())
-        for i, first in enumerate(rects):
-            for second in rects[i + 1 :]:
-                if first.overlaps(second):
-                    return False
-        for name, rect in state.items():
-            region = self.regions[name]
-            if not rect.within(self.device.width, self.device.height):
-                return False
-            if self.device.forbidden_cell_count(rect.col, rect.row, rect.width, rect.height):
-                return False
-            if not rect_resources(self.device, rect).covers(region.requirements):
-                return False
-        return True
-
-    # -- annealer protocol (full re-evaluation on every call) -----------
-    def reset(self, state: Dict[str, Rect]) -> float:
-        return self.cost(state)
-
-    def propose(self, name: str, new_rect: Rect, state: Dict[str, Rect]) -> float:
-        return self.cost(state)
-
-    def commit(self) -> None:
-        pass
-
-    def reject(self) -> None:
-        pass
-
-    def feasible(self, state: Dict[str, Rect]) -> bool:
-        return self.is_feasible(state)
-
-
 class _IncrementalCostEvaluator:
     """Delta-cost evaluation: only re-measure what a single move changed.
 
@@ -270,7 +174,8 @@ class _IncrementalCostEvaluator:
     the total pairwise overlap (exact integer, updated with the O(n) terms
     involving the moved region) and the per-connection wirelengths.
 
-    Bit-for-bit equivalence with :class:`_CostEvaluator`: all penalty
+    Bit-for-bit equivalence with the full-recompute reference of the test
+    oracles (``tests/baselines/annealing_oracle.py``): all penalty
     components are integers (exact under any update order) and the wirelength
     is re-accumulated over the per-connection values in connection order —
     the same additions, in the same order, as the reference loop.
@@ -430,7 +335,7 @@ class _IncrementalCostEvaluator:
     def feasible(self, state: Dict[str, Rect]) -> bool:
         """Feasibility from the cached components (post-commit state).
 
-        Equivalent to :meth:`_CostEvaluator.is_feasible`: zero overlap, every
+        Equivalent to the full-recompute reference's check: zero overlap, every
         rectangle within bounds and off forbidden cells, zero resource
         deficit.
         """

@@ -434,10 +434,9 @@ def server_gateway_open_loop(profile: BenchProfile) -> Workload:
 #: meet in one replica join its solve; duplicates spread over replicas are
 #: collapsed by the cache tier's cross-replica single-flight.
 _FLEET_UNBATCHED = ("--max-batch", "1")
-#: The one gateway of ``fleet.herd_single``: one job per batch, enough shards
-#: that dispatch is never queue-limited, and a thread executor so no
-#: per-batch process spawn muddies the comparison with the fleet.
-_HERD_GATEWAY = {"max_batch": 1, "shards": 12, "batch_workers": 8, "executor": "thread"}
+#: The one gateway of ``fleet.herd_single``: one job per batch and enough
+#: shards that dispatch is never queue-limited.
+_HERD_GATEWAY = {"max_batch": 1, "shards": 12, "batch_workers": 8}
 
 
 def _fleet_miss_rounds(profile: BenchProfile, per_round: int):
@@ -815,13 +814,16 @@ def resilience_failover_latency(profile: BenchProfile) -> Workload:
 def resilience_brownout_floor(profile: BenchProfile) -> Workload:
     """Throughput floor of a browned-out gateway on heavy cache misses.
 
-    The gateway runs with ``brownout_watermark=1``: the moment any work
-    queues, the portfolio drops its MILP arm and answers heuristic-only,
-    flagged ``degraded``.  Each round is a fresh-fingerprint burst of the
-    heavy three-region instances — under brown-out they cost milliseconds,
-    and the measured throughput is the floor the fleet guarantees while
-    overloaded.  ``degraded_share`` in the extras is the evidence the
-    mechanism (not a warm cache) produced the numbers.
+    The gateway runs with ``brownout_watermark=1``: the queue depth is at
+    least one while any batch runs, so every fresh job is answered by the
+    annealing heuristic instead of a MILP solve, flagged ``degraded``.  Each
+    round is a fresh-fingerprint burst of the heavy three-region instances;
+    a shard anneals its batch's jobs one at a time on its own thread, so an
+    answer costs about a second (p50 1671 ms in the committed
+    ``benchmarks/baselines/BENCH_snapshot.json``), and the measured
+    throughput is the floor the gateway holds while overloaded.
+    ``degraded_share`` in the extras is the evidence the mechanism (not a
+    warm cache) produced the numbers.
     """
     from repro.server.gateway import BackgroundGateway, GatewayConfig
     from repro.server.loadgen import run_closed_loop
@@ -832,9 +834,7 @@ def resilience_brownout_floor(profile: BenchProfile) -> Workload:
     batches = [
         pool[index * per_round : (index + 1) * per_round] for index in range(rounds)
     ]
-    background = BackgroundGateway(
-        GatewayConfig(port=0, solver="portfolio", brownout_watermark=1)
-    )
+    background = BackgroundGateway(GatewayConfig(port=0, brownout_watermark=1))
     gateway = background.gateway
     state = {"round": 0, "degraded": 0.0}
 

@@ -8,7 +8,7 @@ small but complete modelling language of its own:
 * :class:`~repro.milp.expr.Variable` and :class:`~repro.milp.expr.LinExpr`
   implement affine expressions with operator overloading;
 * :class:`~repro.milp.model.Model` collects variables, linear constraints and
-  an objective, and can export the problem in a dense/sparse matrix form;
+  an objective, and can export the problem in a sparse matrix form;
 * :mod:`~repro.milp.scipy_backend` compiles a model to
   :func:`scipy.optimize.milp` (the HiGHS branch-and-cut solver);
 * :mod:`~repro.milp.branch_bound` is a pure-Python branch-and-bound solver on

@@ -47,25 +47,18 @@ class ModelStats:
 class MatrixForm:
     """Dense-vector / sparse-matrix lowering of a model.
 
-    ``constraint_matrix`` is a ``scipy.sparse.csr_matrix`` on the default
-    (sparse) lowering path and a dense ``np.ndarray`` when the model was
-    lowered with ``to_matrix_form(dense=True)`` — the dense path exists for
-    tests and debugging only; both backends consume the sparse form.
+    ``constraint_matrix`` is a ``scipy.sparse.csr_matrix``, the form both
+    backends consume.
     """
 
     objective: np.ndarray
-    constraint_matrix: "sparse.csr_matrix | np.ndarray"
+    constraint_matrix: sparse.csr_matrix
     constraint_lb: np.ndarray
     constraint_ub: np.ndarray
     var_lb: np.ndarray
     var_ub: np.ndarray
     integrality: np.ndarray
     variables: List[Variable]
-
-    @property
-    def is_sparse(self) -> bool:
-        """Whether the constraint matrix is stored sparse (CSR)."""
-        return sparse.issparse(self.constraint_matrix)
 
     @property
     def num_constraints(self) -> int:
@@ -241,7 +234,7 @@ class Model:
         )
 
     def _constraint_bounds(self) -> tuple:
-        """Row activity bounds ``(lb, ub)`` shared by both lowering paths."""
+        """Row activity bounds ``(lb, ub)`` of the lowered constraints."""
         lbs = np.empty(len(self._constraints))
         ubs = np.empty(len(self._constraints))
         for i, constraint in enumerate(self._constraints):
@@ -255,7 +248,7 @@ class Model:
         return lbs, ubs
 
     def _variable_arrays(self) -> tuple:
-        """Variable bound/integrality arrays shared by both lowering paths."""
+        """Variable bound/integrality arrays of the lowered model."""
         var_lb = np.array([v.lb for v in self._variables])
         var_ub = np.array([v.ub for v in self._variables])
         integrality = np.array(
@@ -263,14 +256,11 @@ class Model:
         )
         return var_lb, var_ub, integrality
 
-    def to_matrix_form(self, dense: bool = False) -> MatrixForm:
+    def to_matrix_form(self) -> MatrixForm:
         """Lower the model into matrix form for the backends.
 
-        The default path builds a :class:`scipy.sparse.csr_matrix` — the form
-        both backends consume.  ``dense=True`` materializes
-        a plain ``np.ndarray`` instead; it exists so tests can cross-check the
-        sparse lowering and costs O(rows x cols) memory, so never use it on
-        SDR-scale models.
+        The constraint matrix is a :class:`scipy.sparse.csr_matrix` — the form
+        both backends consume.
         """
         nvars = len(self._variables)
         objective = np.zeros(nvars)
@@ -281,34 +271,27 @@ class Model:
         lbs, ubs = self._constraint_bounds()
         var_lb, var_ub, integrality = self._variable_arrays()
 
-        if dense:
-            matrix = np.zeros((len(self._constraints), nvars))
-            for i, constraint in enumerate(self._constraints):
-                for var, coef in constraint.lhs.terms.items():
-                    if coef != 0.0:
-                        matrix[i, var.index] += coef
-        else:
-            # pre-size the coefficient arrays: counting first avoids the list
-            # append/convert churn on models with tens of thousands of nonzeros
-            nnz = 0
-            for constraint in self._constraints:
-                for coef in constraint.lhs.terms.values():
-                    if coef != 0.0:
-                        nnz += 1
-            rows = np.empty(nnz, dtype=np.int64)
-            cols = np.empty(nnz, dtype=np.int64)
-            data = np.empty(nnz, dtype=np.float64)
-            cursor = 0
-            for i, constraint in enumerate(self._constraints):
-                for var, coef in constraint.lhs.terms.items():
-                    if coef != 0.0:
-                        rows[cursor] = i
-                        cols[cursor] = var.index
-                        data[cursor] = coef
-                        cursor += 1
-            matrix = sparse.csr_matrix(
-                (data, (rows, cols)), shape=(len(self._constraints), nvars)
-            )
+        # pre-size the coefficient arrays: counting first avoids the list
+        # append/convert churn on models with tens of thousands of nonzeros
+        nnz = 0
+        for constraint in self._constraints:
+            for coef in constraint.lhs.terms.values():
+                if coef != 0.0:
+                    nnz += 1
+        rows = np.empty(nnz, dtype=np.int64)
+        cols = np.empty(nnz, dtype=np.int64)
+        data = np.empty(nnz, dtype=np.float64)
+        cursor = 0
+        for i, constraint in enumerate(self._constraints):
+            for var, coef in constraint.lhs.terms.items():
+                if coef != 0.0:
+                    rows[cursor] = i
+                    cols[cursor] = var.index
+                    data[cursor] = coef
+                    cursor += 1
+        matrix = sparse.csr_matrix(
+            (data, (rows, cols)), shape=(len(self._constraints), nvars)
+        )
 
         return MatrixForm(
             objective=objective,

@@ -116,7 +116,6 @@ class SplitForm:
 def split_matrix_form(form: MatrixForm) -> SplitForm:
     """Split two-sided rows into the inequality/equality blocks once."""
     matrix = form.constraint_matrix
-    is_sparse = sparse.issparse(matrix)
     lb = form.constraint_lb
     ub = form.constraint_ub
     finite_ub = np.isfinite(ub)
@@ -134,8 +133,7 @@ def split_matrix_form(form: MatrixForm) -> SplitForm:
         a_ub_parts.append(-matrix[ineq_lb])
         b_ub_parts.append(-lb[ineq_lb])
 
-    stack = sparse.vstack if is_sparse else np.vstack
-    a_ub = stack(a_ub_parts) if a_ub_parts else None
+    a_ub = sparse.vstack(a_ub_parts) if a_ub_parts else None
     b_ub = np.concatenate(b_ub_parts) if b_ub_parts else None
     a_eq = matrix[equality] if np.any(equality) else None
     b_eq = lb[equality] if np.any(equality) else None

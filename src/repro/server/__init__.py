@@ -9,8 +9,8 @@ from the content-addressed :class:`~repro.service.cache.SolveCache`,
 hands cache misses to the first free worker shard, batching the ones that
 arrive while every shard is busy and solving concurrent repeats of one job
 once (:mod:`~repro.server.batcher`), and executes batches on worker shards that
-run MILP solves or portfolio races off the event loop and stream each result
-back as it lands (:mod:`~repro.server.workers`).  Admission control
+run MILP solves off the event loop and stream each result back as it lands
+(:mod:`~repro.server.workers`).  Admission control
 (:mod:`~repro.server.admission`) sheds load with 429s — per-client token
 buckets at the front door, a bounded solver queue behind the cache — and
 ``/healthz`` + ``/metrics`` expose queue depth, hit rate and latency

@@ -23,8 +23,6 @@ def build_config(args: argparse.Namespace) -> GatewayConfig:
         rate_limit=args.rate_limit,
         shards=args.shards,
         batch_workers=args.batch_workers,
-        executor=args.executor,
-        solver=args.solver,
         cache_dir=args.cache_dir,
         cache_capacity=args.cache_capacity if args.cache_capacity > 0 else None,
         trust_client_id=args.trust_client_id,
@@ -72,10 +70,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--batch-workers", type=int, default=4, help="solver workers per shard"
     )
-    parser.add_argument(
-        "--executor", choices=("thread", "process", "serial"), default="thread"
-    )
-    parser.add_argument("--solver", choices=("batch", "portfolio"), default="batch")
     parser.add_argument("--cache-dir", default=None, help="persist solve results here")
     parser.add_argument(
         "--trust-client-id", action="store_true",

@@ -87,7 +87,7 @@ class GatewayConfig:
     rate_limit, rate_burst:
         Per-client token bucket (requests/second, bucket size); ``None``
         disables rate limiting.
-    shards, batch_workers, executor, solver, portfolio_deadline:
+    shards, batch_workers:
         Worker-pool shape (see :class:`~repro.server.workers.WorkerPool`).
     cache_dir:
         Optional persistence directory for the solve cache.  Pointing several
@@ -130,9 +130,6 @@ class GatewayConfig:
     rate_burst: Optional[float] = None
     shards: int = 2
     batch_workers: Optional[int] = 4
-    executor: str = "thread"
-    solver: str = "batch"
-    portfolio_deadline: Optional[float] = None
     cache_dir: Optional[str] = None
     cache_capacity: Optional[int] = 1024
     flight_timeout: float = 60.0
@@ -170,9 +167,6 @@ class SolveGateway(HttpServer):
             cache=self.cache,
             shards=self.config.shards,
             batch_workers=self.config.batch_workers,
-            executor=self.config.executor,
-            solver=self.config.solver,
-            portfolio_deadline=self.config.portfolio_deadline,
             brownout=self.brownout_active,
         )
         self.batcher = MicroBatcher(
@@ -497,39 +491,24 @@ class SolveGateway(HttpServer):
         self._claims.pop(fingerprint).set()
 
     async def _await_flight(self, job, deadline_at: Optional[float] = None):
-        """Poll for another replica's in-flight solve of ``job`` to land.
+        """Await another replica's in-flight solve of ``job``.
 
         Returns the shared cache entry once the holder stores it, or ``None``
         when the lock disappears/goes stale without a result or the wait bound
-        expires — the caller then breaks the lock and takes the solve over.
-        The bound is the flight timeout capped by the request's remaining
-        deadline budget (``deadline_at``, absolute ``time.monotonic()``), so a
-        budgeted waiter never outwaits its own client.  All disk probes run
-        off the event loop; waiting costs no solver capacity here (unlike a
-        thread-pool wait, any number of requests can park on this loop).
+        expires — the caller then breaks the lock and takes the solve over
+        (see :meth:`~repro.service.cache.SolveCache.await_flight`).  The bound
+        is ``max(flight_timeout, 2 x the job's time_limit)`` capped by the
+        request's remaining deadline budget (``deadline_at``, absolute
+        ``time.monotonic()``), so a budgeted waiter never outwaits its own
+        client.
         """
-        loop = asyncio.get_running_loop()
-        time_limit = getattr(job.options, "time_limit", None) or 0.0
+        time_limit = job.options.time_limit or 0.0
         timeout = max(self.config.flight_timeout, 2.0 * float(time_limit))
         if deadline_at is not None:
             timeout = min(timeout, max(0.0, deadline_at - time.monotonic()))
-        deadline = loop.time() + timeout
-        while True:
-            result = await loop.run_in_executor(None, self.cache.probe, job.fingerprint)
-            if result is not None:
-                return result
-            in_progress = await loop.run_in_executor(
-                None, self.cache.flight_in_progress, job.fingerprint
-            )
-            if not in_progress:
-                # released (or reclaimed as stale): one last probe catches the
-                # holder's store-then-release window before we take over
-                return await loop.run_in_executor(
-                    None, self.cache.probe, job.fingerprint
-                )
-            if loop.time() >= deadline:
-                return None
-            await asyncio.sleep(self.config.flight_poll)
+        return await self.cache.await_flight(
+            job.fingerprint, timeout=timeout, poll_interval=self.config.flight_poll
+        )
 
     def health(self) -> Dict[str, object]:
         return {

@@ -34,6 +34,7 @@ to a newer version sharing the directory.
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import json
 import os
@@ -418,33 +419,36 @@ class SolveCache:
             return False
         return not self._reclaim_if_stale(lock_path)
 
-    def await_flight(
+    async def await_flight(
         self,
         fingerprint: str,
         timeout: float = 60.0,
         poll_interval: float = 0.02,
     ) -> Optional[JobResult]:
-        """Block until another process's in-flight solve lands, and return it.
+        """Wait for another process's in-flight solve to land, and return it.
 
         Returns ``None`` when the lock disappears or goes stale without a
         result (the holder failed — the caller should claim the flight and
         solve), or when ``timeout`` expires (the caller should solve anyway:
-        liveness beats deduplication).  The async equivalent lives on the
-        gateway, which polls :meth:`probe`/:meth:`flight_in_progress` off the
-        event loop.
+        liveness beats deduplication).  Every disk probe runs off the event
+        loop, so waiting parks no thread: any number of waiters can share one
+        loop.
         """
-        deadline = time.monotonic() + timeout
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
         while True:
-            result = self.probe(fingerprint)
+            result = await loop.run_in_executor(None, self.probe, fingerprint)
             if result is not None:
                 return result
-            if not self.flight_in_progress(fingerprint):
+            if not await loop.run_in_executor(
+                None, self.flight_in_progress, fingerprint
+            ):
                 # released (or reclaimed) — one last probe catches the
                 # store-then-release window before giving up on the holder
-                return self.probe(fingerprint)
-            if time.monotonic() >= deadline:
+                return await loop.run_in_executor(None, self.probe, fingerprint)
+            if loop.time() >= deadline:
                 return None
-            time.sleep(poll_interval)
+            await asyncio.sleep(poll_interval)
 
     def _lock_path(self, fingerprint: str) -> Path:
         assert self.directory is not None

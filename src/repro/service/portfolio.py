@@ -64,12 +64,10 @@ DEFAULT_STRATEGIES: Tuple[Strategy, ...] = (
     Strategy("annealing", kind="annealing"),
 )
 
-#: The brown-out portfolio: the MILP arms dropped, leaving only the cheap
-#: heuristic members.  An overloaded gateway races this instead of
-#: :data:`DEFAULT_STRATEGIES` and flags the results ``degraded``.
-HEURISTIC_STRATEGIES: Tuple[Strategy, ...] = tuple(
-    strategy for strategy in DEFAULT_STRATEGIES if strategy.kind == "annealing"
-)
+#: The brown-out strategy: while a gateway is overloaded its worker shards
+#: answer each fresh job with this heuristic instead of a MILP solve, one job
+#: at a time on the shard thread, and flag the results ``degraded``.
+BROWNOUT_STRATEGY = Strategy("annealing", kind="annealing")
 
 
 @dataclasses.dataclass

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.milp import (
     Model,
     MILPSolution,
+    Sense,
     SolveStatus,
     SolverOptions,
     prepare_model,
@@ -252,17 +254,24 @@ class TestSharedGlue:
         assert np.allclose(split.b_ub, [5.0, 2.0])
         assert np.allclose(split.b_eq, [3.0])
 
-    def test_dense_flag_matches_sparse_lowering(self):
+    def test_sparse_lowering_matches_a_dense_assembly(self):
         model = _mixed_model()
-        sparse_form = model.to_matrix_form()
-        dense_form = model.to_matrix_form(dense=True)
-        assert sparse_form.is_sparse and not dense_form.is_sparse
-        assert np.allclose(
-            dense_form.constraint_matrix, sparse_form.constraint_matrix.toarray()
-        )
-        assert np.array_equal(dense_form.constraint_lb, sparse_form.constraint_lb)
-        assert np.array_equal(dense_form.constraint_ub, sparse_form.constraint_ub)
-        assert np.array_equal(dense_form.integrality, sparse_form.integrality)
+        form = model.to_matrix_form()
+        assert sparse.issparse(form.constraint_matrix)
+        dense = np.zeros((len(model.constraints), len(model.variables)))
+        lb = np.full(len(model.constraints), -np.inf)
+        ub = np.full(len(model.constraints), np.inf)
+        for row, constraint in enumerate(model.constraints):
+            for var, coef in constraint.lhs.terms.items():
+                dense[row, var.index] += coef
+            if constraint.sense is not Sense.GE:
+                ub[row] = constraint.rhs
+            if constraint.sense is not Sense.LE:
+                lb[row] = constraint.rhs
+        assert np.array_equal(form.constraint_matrix.toarray(), dense)
+        assert np.array_equal(form.constraint_lb, lb)
+        assert np.array_equal(form.constraint_ub, ub)
+        assert list(form.integrality) == [int(v.is_integral) for v in model.variables]
 
     def test_prepare_model_charges_time_budget(self):
         from repro.milp.branch_bound import solve_with_branch_bound

@@ -7,8 +7,8 @@ Two families of checks:
   re-implementation of the pre-optimization algorithms (naive per-call
   position rebuilds; ``networkx``-based graph extraction);
 * the incremental annealing evaluator against the full-re-evaluation
-  reference: same seeds must produce *identical* placements, because the
-  delta costs are exact.
+  reference of ``tests/baselines/annealing_oracle.py``: same seeds must
+  produce *identical* placements, because the delta costs are exact.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.baselines import annealing
 from repro.baselines.annealing import (
     AnnealingOptions,
-    _CostEvaluator,
     _IncrementalCostEvaluator,
     annealing_floorplan,
 )
@@ -34,6 +34,7 @@ from repro.floorplan.sequence_pair import (
     _horizontal_relation,
     _vertical_relation,
 )
+from tests.baselines.annealing_oracle import CostEvaluator
 
 SEEDS = range(8)
 
@@ -178,15 +179,20 @@ def test_packing_of_known_pair():
 # ----------------------------------------------------------------------
 # annealing equivalence
 # ----------------------------------------------------------------------
+def _reference_floorplan(problem, options):
+    """Anneal with the full-recompute oracle standing in for the incremental
+    evaluator."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(annealing, "_IncrementalCostEvaluator", CostEvaluator)
+        return annealing_floorplan(problem, options)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_incremental_annealer_is_placement_identical(seed):
     problem = small_problem(f"anneal-eq-{seed}")
-    reference = annealing_floorplan(
-        problem, AnnealingOptions(iterations=1500, seed=seed, incremental=False)
-    )
-    optimized = annealing_floorplan(
-        problem, AnnealingOptions(iterations=1500, seed=seed, incremental=True)
-    )
+    options = AnnealingOptions(iterations=1500, seed=seed)
+    reference = _reference_floorplan(problem, options)
+    optimized = annealing_floorplan(problem, options)
     assert reference is not None and optimized is not None
     assert {n: p.rect for n, p in reference.placements.items()} == {
         n: p.rect for n, p in optimized.placements.items()
@@ -198,15 +204,14 @@ def test_incremental_annealer_is_placement_identical(seed):
 def test_incremental_annealer_identical_on_wider_device():
     problem = scaling_problem(24, name="anneal-eq-wide")
     for seed in range(2):
-        reference = annealing_floorplan(
-            problem, AnnealingOptions(iterations=1000, seed=seed, incremental=False)
-        )
-        optimized = annealing_floorplan(
-            problem, AnnealingOptions(iterations=1000, seed=seed, incremental=True)
-        )
+        options = AnnealingOptions(iterations=1000, seed=seed)
+        reference = _reference_floorplan(problem, options)
+        optimized = annealing_floorplan(problem, options)
         assert {n: p.rect for n, p in reference.placements.items()} == {
             n: p.rect for n, p in optimized.placements.items()
         }
+        assert reference.metadata["final_cost"] == optimized.metadata["final_cost"]
+        assert reference.solver_status == optimized.solver_status
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -216,7 +221,7 @@ def test_incremental_evaluator_costs_match_reference_under_fuzz(seed):
 
     problem = small_problem(f"fuzz-{seed}")
     options = AnnealingOptions(seed=seed)
-    reference = _CostEvaluator(problem, options)
+    reference = CostEvaluator(problem, options)
     incremental = _IncrementalCostEvaluator(problem, options)
     state = random_rect_state(problem, seed=seed)
     assert incremental.reset(state) == reference.cost(state)

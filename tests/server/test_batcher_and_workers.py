@@ -285,7 +285,7 @@ class TestStreamingDelivery:
 class TestWorkerPool:
     def test_solves_batch_off_loop_and_caches(self):
         cache = SolveCache()
-        pool = WorkerPool(cache=cache, shards=1, executor="serial")
+        pool = WorkerPool(cache=cache, shards=1)
         job = make_job(0, time_limit=30.0)
 
         async def scenario():
@@ -300,19 +300,15 @@ class TestWorkerPool:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             WorkerPool(shards=0)
-        with pytest.raises(ValueError):
-            WorkerPool(solver="magic")
 
     def test_mistyped_executor_is_rejected_not_run_as_a_process_pool(self):
-        with pytest.raises(ValueError, match="executor must be one of"):
-            WorkerPool(executor="threads")
         with pytest.raises(ValueError, match="executor must be one of"):
             BatchSolver(executor="threads")
         with pytest.raises(ValueError, match="executor must be one of"):
             portfolio.run_portfolio(None, executor="threads")
 
     def test_tiny_job_streams_first_and_is_cached_on_arrival(self, monkeypatch):
-        """Real solves on a thread-executor pool; the slower job is held an
+        """Real solves on a shard's thread pool; the slower job is held an
         extra 0.3 s after its solve so the completion order is certain."""
         tiny, slower = make_job(0), make_job(1)
         solve = workers.execute_job
@@ -325,7 +321,7 @@ class TestWorkerPool:
 
         monkeypatch.setattr(workers, "execute_job", slowed)
         cache = SolveCache()
-        pool = WorkerPool(cache=cache, shards=1, batch_workers=2, executor="thread")
+        pool = WorkerPool(cache=cache, shards=1, batch_workers=2)
 
         async def scenario():
             batcher = MicroBatcher(pool.solve_batch, max_batch=2, slots=1)
@@ -357,7 +353,7 @@ class TestWorkerPool:
             return canned_result(job)
 
         monkeypatch.setattr(workers, "execute_job", timed)
-        pool = WorkerPool(cache=SolveCache(), shards=1, batch_workers=2, executor="thread")
+        pool = WorkerPool(cache=SolveCache(), shards=1, batch_workers=2)
         clamped, free = make_job(1), make_job(2)
 
         async def scenario():
@@ -371,14 +367,13 @@ class TestWorkerPool:
         assert clamp_start < free_end and free_start < clamp_end  # they overlapped
 
 
-def strategy_stub(calls, loser_sleep=0.0):
+def strategy_stub(calls):
     """A ``run_strategy`` stand-in: every strategy answers with a feasible
-    plan keyed by its own fingerprint after 50 ms, except the MILP arm "O",
-    which loses by sleeping ``loser_sleep`` seconds first."""
+    plan keyed by its own fingerprint after 50 ms."""
 
     def run_strategy(strategy, problem, relocation=None, options=None, weights=None):
         started = time.perf_counter()
-        time.sleep(loser_sleep if strategy.name == "O" else 0.05)
+        time.sleep(0.05)
         calls.append((strategy.name, threading.current_thread().name, started, time.perf_counter()))
         return dataclasses.replace(
             canned_result(SolveJob(problem, options=options)),
@@ -393,43 +388,14 @@ async def collect(stream):
     return {fp: result async for fp, result in stream}
 
 
-class TestWorkerPoolRacesAndBrownout:
-    def test_portfolio_shard_returns_before_a_losing_strategy(self, monkeypatch):
-        """Races run on the shard thread even under the process executor, so
-        a batch ends with its winners, not when abandoned losers finish."""
-        calls = []
-        monkeypatch.setattr(portfolio, "run_strategy", strategy_stub(calls, loser_sleep=1.2))
-        cache = SolveCache()
-        pool = WorkerPool(
-            cache=cache, shards=1, executor="process", solver="portfolio",
-            portfolio_deadline=5.0,
-        )
-        clamped, free = make_job(1), make_job(2)
-        started = time.perf_counter()
-        stream = pool.solve_batch([clamped, free], {clamped.fingerprint: 0.5})
-        results = asyncio.run(collect(stream))
-        elapsed = time.perf_counter() - started
-        pool.shutdown()
-        assert elapsed < 0.8  # the "O" losers still had 0.4+ s to sleep
-        assert not any(name == "O" for name, *_ in calls)
-        # re-keyed to the request fingerprints; the clamped race could not
-        # prove optimality, so it is degraded and kept out of the cache
-        assert set(results) == {clamped.fingerprint, free.fingerprint}
-        assert results[clamped.fingerprint].degraded
-        assert clamped.fingerprint not in cache
-        assert not results[free.fingerprint].degraded
-        assert cache.get(free.fingerprint).fingerprint == free.fingerprint
-
+class TestWorkerPoolBrownout:
     def test_brownout_heuristics_run_one_by_one_degraded_and_uncached(self, monkeypatch):
         calls = []
         monkeypatch.setattr(portfolio, "run_strategy", strategy_stub(calls))
         cache = SolveCache()
         hit = make_job(3)
         cache.put(canned_result(hit))
-        pool = WorkerPool(
-            cache=cache, shards=1, batch_workers=4, executor="thread",
-            brownout=lambda: True,
-        )
+        pool = WorkerPool(cache=cache, shards=1, batch_workers=4, brownout=lambda: True)
         jobs = [make_job(1), make_job(2), hit]
         results = asyncio.run(collect(pool.solve_batch(jobs)))
         pool.shutdown()

@@ -276,7 +276,7 @@ class TestDeadlinesAtDispatch:
             )
 
         monkeypatch.setattr(workers, "execute_job", execute)
-        config = GatewayConfig(port=0, shards=1, batch_workers=1, executor="serial")
+        config = GatewayConfig(port=0, shards=1, batch_workers=1)
         with BackgroundGateway(config) as gw:
             async def scenario():
                 async with GatewayClient(gw.host, gw.port) as first, \
@@ -316,7 +316,7 @@ class TestShortBudgetDegrades:
         budget's order of magnitude, flagged degraded, instead of holding the
         request for the full 30 s solver time limit."""
         payload = _slow_payload()
-        config = GatewayConfig(port=0, shards=1, batch_workers=1, executor="serial")
+        config = GatewayConfig(port=0, shards=1, batch_workers=1)
         with BackgroundGateway(config) as gw:
             async def scenario():
                 async with GatewayClient(gw.host, gw.port) as client:
@@ -333,7 +333,7 @@ class TestShortBudgetDegrades:
 
     def test_degraded_results_are_not_cached(self):
         payload = _slow_payload()
-        config = GatewayConfig(port=0, shards=1, batch_workers=1, executor="serial")
+        config = GatewayConfig(port=0, shards=1, batch_workers=1)
         with BackgroundGateway(config) as gw:
             async def scenario():
                 async with GatewayClient(gw.host, gw.port) as client:

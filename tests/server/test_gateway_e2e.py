@@ -384,7 +384,7 @@ class TestRealSolveEndToEnd:
     def test_one_real_milp_solve_through_http(self):
         """Full stack, no stubs: HTTP -> protocol -> batcher -> BatchSolver."""
         payload = demo_payloads(unique=1, time_limit=30.0)[0]
-        config = GatewayConfig(port=0, shards=1, batch_workers=1, executor="serial")
+        config = GatewayConfig(port=0, shards=1, batch_workers=1)
         with BackgroundGateway(config) as gw:
             async def scenario():
                 async with GatewayClient(gw.host, gw.port) as client:
@@ -419,7 +419,7 @@ class TestRealSolveEndToEnd:
             return execute(job)
 
         monkeypatch.setattr(workers, "execute_job", padded)
-        config = GatewayConfig(port=0, shards=1, executor="thread")
+        config = GatewayConfig(port=0, shards=1)
         with BackgroundGateway(config) as gw:
             async def solve(payload):
                 async with GatewayClient(gw.host, gw.port) as client:
@@ -516,3 +516,76 @@ class TestSameReplicaRepeats:
         assert gw.gateway.metrics.flight_takeovers == 0
         assert gw.gateway.metrics.flight_waits == 0
         assert "flight.wait" not in spans
+
+
+class TestCrossReplicaFlightWait:
+    """A miss whose fingerprint another replica is solving awaits the shared
+    cache entry.  A second :class:`SolveCache` on the same directory holds the
+    flight lock, standing in for that replica."""
+
+    @staticmethod
+    def holder_gateway(tmp_path, **config):
+        cache = SolveCache(tmp_path)
+        pool = StubWorkerPool(cache)
+        gateway = BackgroundGateway(
+            config=GatewayConfig(port=0, **config), cache=cache, worker_pool=pool
+        )
+        return gateway, pool, SolveCache(tmp_path)
+
+    @staticmethod
+    async def solve(gw, payload, deadline=None):
+        async with GatewayClient(gw.host, gw.port) as client:
+            return await client.solve(payload, deadline=deadline)
+
+    def test_deadline_ends_the_wait_with_504_at_the_flight(self, payloads, tmp_path):
+        fingerprint = job_from_dict(payloads[0]).fingerprint
+        gw, pool, holder = self.holder_gateway(tmp_path)
+        assert holder.try_acquire_flight(fingerprint)
+        try:
+            with gw:
+                started = time.monotonic()
+                status, body = asyncio.run(self.solve(gw, payloads[0], deadline=0.3))
+                elapsed = time.monotonic() - started
+        finally:
+            holder.release_flight(fingerprint)
+        assert status == 504 and body["where"] == "flight"
+        assert elapsed < 5.0  # the budget, not the 60 s flight_timeout, ended it
+        assert pool.solved == 0
+        assert gw.gateway.metrics.flight_takeovers == 0
+
+    def test_result_the_holder_stores_answers_the_waiter(self, payloads, tmp_path):
+        fingerprint = job_from_dict(payloads[0]).fingerprint
+        gw, pool, holder = self.holder_gateway(tmp_path)
+        assert holder.try_acquire_flight(fingerprint)
+        with gw:
+            async def scenario():
+                waiter = asyncio.ensure_future(self.solve(gw, payloads[0]))
+                await asyncio.sleep(0.2)
+                holder.put(
+                    JobResult(
+                        fingerprint=fingerprint, job_name="holder", status="optimal",
+                        feasible=True, objective=3.0, solve_time=0.01, wall_time=0.01,
+                        backend="holder", mode="HO",
+                    )
+                )
+                holder.release_flight(fingerprint)
+                return await waiter
+
+            status, body = asyncio.run(scenario())
+        assert status == 200 and body["cached"] is True
+        assert body["result"]["backend"] == "holder"
+        assert gw.gateway.metrics.flight_waits == 1
+        assert pool.solved == 0
+
+    def test_wedged_holder_is_taken_over_after_the_flight_timeout(self, tmp_path):
+        payload = demo_payloads(unique=1, time_limit=0.1)[0]
+        fingerprint = job_from_dict(payload).fingerprint
+        gw, pool, holder = self.holder_gateway(tmp_path, flight_timeout=0.2)
+        assert holder.try_acquire_flight(fingerprint)  # never released
+        with gw:
+            status, body = asyncio.run(self.solve(gw, payload))
+        assert status == 200 and body["cached"] is False
+        assert gw.gateway.metrics.flight_takeovers == 1
+        assert gw.gateway.cache.stats.broken_locks == 1
+        assert pool.solved == 1
+        assert not (tmp_path / f"{fingerprint}.lock").exists()

@@ -3,9 +3,12 @@
 The multi-process tests spawn real child processes (``multiprocessing``) so
 the per-fingerprint lock files are exercised across actual process
 boundaries — concurrent identical misses elect exactly one solver, a killed
-holder's stale lock is reclaimed, and corrupt locks are swept.
+holder's stale lock is reclaimed, and corrupt locks are swept.  Waits drive
+:meth:`SolveCache.await_flight`, the coroutine the gateway awaits, under
+``asyncio.run``.
 """
 
+import asyncio
 import json
 import multiprocessing
 import os
@@ -126,7 +129,7 @@ class TestAwaitFlight:
         thread = threading.Thread(target=solve_and_release)
         thread.start()
         try:
-            result = waiter.await_flight(FP, timeout=5.0, poll_interval=0.01)
+            result = asyncio.run(waiter.await_flight(FP, timeout=5.0, poll_interval=0.01))
         finally:
             thread.join()
         assert result is not None and result.fingerprint == FP
@@ -136,7 +139,7 @@ class TestAwaitFlight:
         waiter = SolveCache(directory=tmp_path)
         assert holder.try_acquire_flight(FP)
         threading.Timer(0.05, holder.release_flight, args=(FP,)).start()
-        result = waiter.await_flight(FP, timeout=5.0, poll_interval=0.01)
+        result = asyncio.run(waiter.await_flight(FP, timeout=5.0, poll_interval=0.01))
         assert result is None  # the holder failed: caller should solve
 
     def test_timeout_expires_while_holder_is_alive(self, tmp_path):
@@ -145,7 +148,7 @@ class TestAwaitFlight:
         assert holder.try_acquire_flight(FP)
         try:
             started = time.monotonic()
-            result = waiter.await_flight(FP, timeout=0.15, poll_interval=0.01)
+            result = asyncio.run(waiter.await_flight(FP, timeout=0.15, poll_interval=0.01))
             assert result is None
             assert time.monotonic() - started < 5.0
         finally:
@@ -212,7 +215,7 @@ def _race_worker(directory, fingerprint, queue):
         cache.release_flight(fingerprint)
         queue.put(("solved", True))
     else:
-        result = cache.await_flight(fingerprint, timeout=30.0, poll_interval=0.01)
+        result = asyncio.run(cache.await_flight(fingerprint, timeout=30.0, poll_interval=0.01))
         queue.put(("awaited", result is not None))
 
 
@@ -282,7 +285,7 @@ class TestLockEdgeCases:
         lock = tmp_path / f"{FP}.lock"
         threading.Timer(0.05, lock.write_text, args=('{"chaos": truncated',)).start()
         started = time.monotonic()
-        result = waiter.await_flight(FP, timeout=30.0, poll_interval=0.01)
+        result = asyncio.run(waiter.await_flight(FP, timeout=30.0, poll_interval=0.01))
         assert result is None  # no result landed: the waiter should solve
         assert time.monotonic() - started < 5.0  # nowhere near the 30 s bound
         assert waiter.stats.corrupt_locks == 1
@@ -304,7 +307,7 @@ class TestLockEdgeCases:
             os.kill(holder.pid, signal.SIGSTOP)
 
             waiter = SolveCache(directory=tmp_path)
-            result = waiter.await_flight(FP, timeout=0.3, poll_interval=0.02)
+            result = asyncio.run(waiter.await_flight(FP, timeout=0.3, poll_interval=0.02))
             assert result is None  # the bound expired, not stale reclaim
             assert waiter.stats.stale_locks == 0  # the holder never looked dead
 
