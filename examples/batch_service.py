@@ -1,10 +1,11 @@
 #!/usr/bin/env python
-"""Batch service walkthrough: a cached sweep, then a portfolio race.
+"""Batch service walkthrough: a cached sweep, then a strategy portfolio.
 
 Expands a devices x workloads x relocation-specs grid into content-hashed
 solve jobs, fans them across a process pool with an on-disk solve cache,
-re-runs the sweep to show the 100% warm-cache replay, and finally races the
-O / HO / annealing strategies on the hardest instance of the grid.
+re-runs the sweep to show the 100% warm-cache replay, and finally runs the
+O / HO / annealing strategies in turn on the hardest instance of the grid,
+keeping the best feasible floorplan.
 
 Run with::
 
@@ -42,14 +43,13 @@ def main() -> None:
         replay = run_sweep(jobs, cache=cache)
         print("replay:", replay.summary(), "\n")
 
-    # 4. portfolio race on one instance: first verified-feasible result wins
+    # 4. strategy portfolio on one instance: the best feasible result wins
     hardest = max(jobs, key=lambda job: len(job.problem.regions))
     result = run_portfolio(
         hardest.problem,
         relocation=hardest.relocation,
         options=SolverOptions(time_limit=30, mip_gap=0.05),
         deadline=90,
-        policy="best",
     )
     print("portfolio:", result.summary())
 

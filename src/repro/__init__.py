@@ -18,7 +18,7 @@ The public API re-exported here is the surface a downstream user needs:
   generators;
 * analysis (:mod:`repro.analysis`): ASCII floorplan rendering and tables;
 * batch service (:mod:`repro.service`): content-addressed solve caching,
-  parallel batch execution, portfolio racing and scenario sweeps;
+  parallel batch execution, a strategy portfolio and scenario sweeps;
 * online simulation (:mod:`repro.sim`): discrete-event simulation of the
   runtime under stochastic traffic, fault injection and live
   re-floorplanning policies;

@@ -69,7 +69,3 @@ def area_frame_addresses(device: FPGADevice, rect: Rect) -> List[FrameAddress]:
                 )
     return addresses
 
-
-def frame_count(device: FPGADevice, rect: Rect) -> int:
-    """Total number of frames needed to configure ``rect``."""
-    return sum(device.tile_type_at(col, row).frames for col, row in rect.cells())

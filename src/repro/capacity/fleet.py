@@ -10,7 +10,7 @@ roll-up.
 The per-device model is deliberately lighter than
 :class:`~repro.sim.engine.SimulationEngine`: a :class:`DeviceProfile` carries
 the configuration-frame count per region (frames depend only on the placed
-rectangle, not the mode — see :func:`repro.bitstream.frames.frame_count`), so
+rectangle, not the mode — see :func:`repro.floorplan.placement.rect_frames`), so
 service time is ``frames * seconds_per_frame`` without touching the bitstream
 machinery.  That is what makes binary-searching fleet sizes over hundreds of
 devices tractable, while staying calibrated to the single-device engine.
@@ -28,8 +28,8 @@ import math
 from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
-from repro.bitstream.frames import frame_count
 from repro.capacity.dispatch import Dispatcher
+from repro.floorplan.placement import rect_frames
 from repro.sim.clock import VirtualClock
 from repro.sim.events import EventQueue, SimEventKind
 from repro.sim.faults import FaultPlan
@@ -71,7 +71,7 @@ class DeviceProfile:
     ) -> "DeviceProfile":
         """Derive frame counts from a device model and per-region rectangles."""
         counts = {
-            region: frame_count(device, rect) for region, rect in placements.items()
+            region: rect_frames(device, rect) for region, rect in placements.items()
         }
         return cls(
             name=name or device.name,

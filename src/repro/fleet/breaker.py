@@ -6,8 +6,8 @@ fixed window, then hammered again at full rate.  The breaker adds the two
 missing behaviours:
 
 * **failure accumulation** — the circuit opens only after
-  ``failure_threshold`` *consecutive* failures, so one flaky connect does not
-  blackhole a healthy replica;
+  ``failure_threshold`` *consecutive* failures (the fleet router opens on
+  the first);
 * **probing** — after ``open_for`` seconds the circuit goes *half-open* and
   admits exactly one trial request; its outcome closes the circuit (success)
   or re-opens it for another window (failure), so a still-dead replica sees
@@ -36,8 +36,8 @@ class CircuitBreaker:
     Parameters
     ----------
     failure_threshold:
-        Consecutive failures that open the circuit.  ``1`` reproduces the old
-        cooldown behaviour (any failure opens).
+        Consecutive failures that open the circuit.  The fleet router uses
+        ``1``: any failure opens.
     open_for:
         Seconds the circuit stays open before admitting a half-open probe.
     clock:

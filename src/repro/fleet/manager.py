@@ -39,6 +39,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["FleetConfig", "Replica", "FleetManager"]
 
+#: Seconds a replica must stay up for its restart backoff to reset.
+HEALTHY_RESET_AFTER = 10.0
+
 
 @dataclasses.dataclass(frozen=True)
 class FleetConfig:
@@ -71,8 +74,6 @@ class FleetConfig:
         (some supervision tests want exact restart instants).
     backoff_seed:
         Seed for the jitter RNG (chaos plans replay deterministically).
-    healthy_reset_after:
-        Seconds a replica must stay up for its backoff to reset.
     health_timeout:
         How long :meth:`FleetManager.start` waits for the full fleet to
         answer ``/healthz``.
@@ -89,7 +90,6 @@ class FleetConfig:
     backoff_cap: float = 5.0
     backoff_jitter: bool = True
     backoff_seed: Optional[int] = None
-    healthy_reset_after: float = 10.0
     health_timeout: float = 120.0
     poll_interval: float = 0.1
 
@@ -356,8 +356,7 @@ class FleetManager:
                     if replica.alive:
                         if (
                             replica.consecutive_failures
-                            and now - replica.started_at
-                            >= self.config.healthy_reset_after
+                            and now - replica.started_at >= HEALTHY_RESET_AFTER
                         ):
                             replica.consecutive_failures = 0
                         continue

@@ -23,7 +23,10 @@ costs latency, never failed client requests, as long as the supervisor
 restarts it within the budget.
 
 ``GET /metrics`` serves a **fleet-wide roll-up**: counters summed across the
-replicas' machine-readable ``/metrics?format=json`` documents, latency
+replicas' machine-readable ``/metrics?format=json`` documents into the
+gateway's own :class:`~repro.server.metrics.GatewayMetrics` and
+:class:`~repro.service.cache.CacheStats` (so rates derive by the gateway's
+formulas), latency
 histograms merged bucket-by-bucket (:func:`repro.server.metrics.
 merge_raw_histograms` — exact, unlike averaging rendered percentiles), plus
 the router's own routing/retry counters.
@@ -55,53 +58,27 @@ from repro.server.http import (
     render_tables,
     round_trip,
 )
-from repro.server.metrics import LatencyHistogram, merge_raw_histograms
+from repro.server.metrics import GatewayMetrics, LatencyHistogram, merge_raw_histograms
 from repro.server.protocol import (
     DEADLINE_HEADER,
     QUEUE_DEPTH_HEADER,
     ProtocolError,
     parse_deadline,
 )
+from repro.service.cache import CacheStats
 from repro.utils.buildinfo import git_rev
 
 __all__ = ["RouterConfig", "FleetRouter", "UpstreamError", "UpstreamPool"]
 
-#: Replica counter fields summed verbatim in the fleet roll-up.
-_SUMMED_COUNTERS = (
-    "received",
-    "ok",
-    "bad_requests",
-    "decode_memo_hits",
-    "shed_rate_limited",
-    "shed_queue_full",
-    "rejected_draining",
-    "solve_errors",
-    "cache_hits",
-    "cache_misses",
-    "batches",
-    "batched_jobs",
-    "deduped_jobs",
-    "flight_waits",
-    "flight_takeovers",
-    "deadline_expired",
-    "degraded",
-    "queue_depth",
-)
-
-_SUMMED_CACHE = (
-    "hits",
-    "misses",
-    "stores",
-    "evictions",
-    "corrupt",
-    "migrated",
-    "flights",
-    "stale_locks",
-    "corrupt_locks",
-    "broken_locks",
-    "lock_errors",
-    "store_errors",
-)
+#: Seconds to establish one upstream connection.
+CONNECT_TIMEOUT = 2.0
+#: Keep-alive connections pooled per replica.
+UPSTREAM_IDLE_MAX = 16
+#: Upper bound on the between-sweep retry backoff, in seconds.
+RETRY_WAIT_CAP = 1.0
+#: Smoothing factor of the per-replica queue-depth EWMA fed by the
+#: ``X-Repro-Queue-Depth`` response header.
+DEPTH_EWMA_ALPHA = 0.3
 
 
 class UpstreamError(ConnectionError):
@@ -118,17 +95,10 @@ class RouterConfig:
         Downstream listen address (``port=0`` binds an ephemeral port).
     vnodes:
         Virtual nodes per replica on the hash ring.
-    connect_timeout:
-        Seconds to establish one upstream connection.
-    upstream_idle_max:
-        Keep-alive connections pooled per replica.
     down_cooldown:
         Seconds a failed upstream's circuit stays open before a half-open
-        probe is admitted (the breaker's ``open_for``).
-    breaker_failures:
-        Consecutive failures that open an upstream's circuit.  The default of
-        1 reproduces the old any-failure-cools-down behaviour; raise it so a
-        single flaky connect no longer blackholes a healthy replica.
+        probe is admitted (the breaker's ``open_for``).  One failure opens
+        the circuit.
     retry_deadline:
         Total per-request retry budget across preference sweeps; the router
         answers 503 only after the whole fleet stayed unreachable this long.
@@ -136,10 +106,8 @@ class RouterConfig:
     retry_wait:
         Base pause between full sweeps of the preference list; successive
         sweeps back off exponentially (doubling, capped at
-        ``retry_wait_cap``) with full jitter so concurrent retriers spread
-        out instead of sweeping in lockstep.
-    retry_wait_cap:
-        Upper bound on the between-sweep backoff.
+        :data:`RETRY_WAIT_CAP`) with full jitter so concurrent retriers
+        spread out instead of sweeping in lockstep.
     backoff_seed:
         Seed for the jitter RNG (deterministic retries in tests).
     shed_watermark:
@@ -147,9 +115,6 @@ class RouterConfig:
         replicas) past which new solves are shed at the front door with 503
         and an honest ``Retry-After``.  ``None`` disables front-door
         shedding.
-    depth_ewma_alpha:
-        Smoothing factor of the per-replica queue-depth EWMA fed by the
-        ``X-Repro-Queue-Depth`` response header.
     tracing, trace_capacity, trace_sink:
         When ``tracing`` is on (the default) the router mints a trace id per
         ``/solve``, records decode + per-attempt forward spans into a bounded
@@ -162,16 +127,11 @@ class RouterConfig:
     host: str = "127.0.0.1"
     port: int = 8770
     vnodes: int = DEFAULT_VNODES
-    connect_timeout: float = 2.0
-    upstream_idle_max: int = 16
     down_cooldown: float = 0.5
-    breaker_failures: int = 1
     retry_deadline: float = 15.0
     retry_wait: float = 0.05
-    retry_wait_cap: float = 1.0
     backoff_seed: Optional[int] = None
     shed_watermark: Optional[float] = None
-    depth_ewma_alpha: float = 0.3
     tracing: bool = True
     trace_capacity: int = 256
     trace_sink: Optional[str] = None
@@ -179,10 +139,6 @@ class RouterConfig:
     def __post_init__(self) -> None:
         if self.retry_deadline <= 0 or self.retry_wait < 0:
             raise ValueError("retry_deadline must be positive, retry_wait >= 0")
-        if self.breaker_failures <= 0:
-            raise ValueError("breaker_failures must be positive")
-        if not 0.0 < self.depth_ewma_alpha <= 1.0:
-            raise ValueError("depth_ewma_alpha must be in (0, 1]")
         if self.shed_watermark is not None and self.shed_watermark <= 0:
             raise ValueError("shed_watermark must be positive (or None)")
 
@@ -197,10 +153,7 @@ class UpstreamPool:
         self.node = f"{host}:{port}"
         self.config = config
         self._idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-        self.breaker = CircuitBreaker(
-            failure_threshold=config.breaker_failures,
-            open_for=config.down_cooldown,
-        )
+        self.breaker = CircuitBreaker(failure_threshold=1, open_for=config.down_cooldown)
         self.routed = 0
         self.failures = 0
         #: EWMA of the replica's self-reported micro-batcher queue depth
@@ -232,11 +185,12 @@ class UpstreamPool:
             depth = float(raw)
         except ValueError:
             return
-        alpha = self.config.depth_ewma_alpha
         if self.depth_ewma is None:
             self.depth_ewma = depth
         else:
-            self.depth_ewma = alpha * depth + (1.0 - alpha) * self.depth_ewma
+            self.depth_ewma = (
+                DEPTH_EWMA_ALPHA * depth + (1.0 - DEPTH_EWMA_ALPHA) * self.depth_ewma
+            )
 
     # ------------------------------------------------------------------
     async def request(
@@ -259,7 +213,7 @@ class UpstreamPool:
             self._discard(writer)
             raise UpstreamError(f"{self.node}: {exc}") from exc
         keep = response_headers.get("connection", "keep-alive").lower() != "close"
-        if keep and len(self._idle) < self.config.upstream_idle_max:
+        if keep and len(self._idle) < UPSTREAM_IDLE_MAX:
             self._idle.append((reader, writer))
         else:
             self._discard(writer)
@@ -274,9 +228,7 @@ class UpstreamPool:
                 return reader, writer
             self._discard(writer)
         try:
-            return await open_connection(
-                self.host, self.port, timeout=self.config.connect_timeout
-            )
+            return await open_connection(self.host, self.port, timeout=CONNECT_TIMEOUT)
         except (ConnectionError, OSError) as exc:
             raise UpstreamError(f"{self.node}: {exc}") from exc
 
@@ -493,7 +445,7 @@ class FleetRouter(HttpServer):
             # full sweep failed (or every circuit was open): back off with
             # full jitter — exponential so a dead fleet is not hammered, and
             # jittered so concurrent retriers do not sweep in lockstep
-            ceiling = min(self.config.retry_wait_cap, self.config.retry_wait * (2 ** sweep))
+            ceiling = min(RETRY_WAIT_CAP, self.config.retry_wait * (2 ** sweep))
             delay = self._jitter.uniform(0.0, ceiling)
             sweep += 1
             delay = min(delay, max(0.0, deadline - time.monotonic()))
@@ -595,8 +547,9 @@ class FleetRouter(HttpServer):
         snapshots = await asyncio.gather(
             *(self._fetch_replica_metrics(pool) for pool in pools)
         )
-        counters: Dict[str, float] = {name: 0 for name in _SUMMED_COUNTERS}
-        cache: Dict[str, float] = {name: 0 for name in _SUMMED_CACHE}
+        summed = GatewayMetrics()
+        cache = CacheStats()
+        queue_depth = 0
         uptime = 0.0
         merged_raws: Dict[str, List[Dict]] = {}
         replicas = []
@@ -618,31 +571,14 @@ class FleetRouter(HttpServer):
             if snapshot is None:
                 continue
             replica_counters = snapshot.get("counters", {})
-            for name in _SUMMED_COUNTERS:
-                counters[name] += replica_counters.get(name, 0)
+            _add_fields(summed, replica_counters)
+            _add_fields(cache, snapshot.get("cache", {}))
+            queue_depth += replica_counters.get("queue_depth", 0)
             uptime = max(uptime, replica_counters.get("uptime_s", 0.0))
-            replica_cache = snapshot.get("cache", {})
-            for name in _SUMMED_CACHE:
-                cache[name] += replica_cache.get(name, 0)
             for name, histogram_raw in snapshot.get("histograms", {}).items():
                 merged_raws.setdefault(name, []).append(histogram_raw)
+        counters = summed.counters(queue_depth=queue_depth)
         counters["uptime_s"] = round(uptime, 3)
-        shed = counters["shed_rate_limited"] + counters["shed_queue_full"]
-        counters["shed_rate"] = round(
-            shed / counters["received"] if counters["received"] else 0.0, 6
-        )
-        lookups = counters["cache_hits"] + counters["cache_misses"]
-        counters["hit_rate"] = round(
-            counters["cache_hits"] / lookups if lookups else 0.0, 6
-        )
-        counters["mean_batch_size"] = round(
-            counters["batched_jobs"] / counters["batches"]
-            if counters["batches"]
-            else 0.0,
-            3,
-        )
-        cache_lookups = cache["hits"] + cache["misses"]
-        cache["hit_rate"] = cache["hits"] / cache_lookups if cache_lookups else 0.0
 
         merged = {
             name: merge_raw_histograms(raws) for name, raws in merged_raws.items()
@@ -660,7 +596,7 @@ class FleetRouter(HttpServer):
             },
             "counters": counters,
             "latency": latency,
-            "cache": cache,
+            "cache": cache.as_dict(),
             "replicas": replicas,
             "replicas_reporting": sum(1 for r in replicas if r["reporting"]),
         }
@@ -676,3 +612,10 @@ class FleetRouter(HttpServer):
         )
 
     metrics_document = metrics_rollup
+
+
+def _add_fields(total, snapshot: Dict[str, float]) -> None:
+    """Add a replica's raw counts of ``total``'s dataclass fields into it."""
+    for field in dataclasses.fields(total):
+        name = field.name
+        setattr(total, name, getattr(total, name) + snapshot.get(name, 0))

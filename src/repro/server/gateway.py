@@ -96,11 +96,11 @@ class GatewayConfig:
         cross-replica single-flight on concurrent identical misses.
     cache_capacity:
         In-memory LRU bound of the solve cache.
-    flight_timeout, flight_poll:
-        Single-flight wait tuning: a request that finds another replica
-        already solving its fingerprint polls the shared cache every
-        ``flight_poll`` seconds for up to ``max(flight_timeout, 2 x the job's
-        time_limit)`` seconds before taking the solve over.
+    flight_timeout:
+        Single-flight wait bound: a request that finds another replica
+        already solving its fingerprint polls the shared cache (every
+        0.02 s) for up to ``max(flight_timeout, 2 x the job's time_limit)``
+        seconds before taking the solve over.
     brownout_watermark:
         Queue depth at which the gateway enters brown-out: fresh solves are
         served heuristic-only (annealing, no MILP) and flagged
@@ -133,7 +133,6 @@ class GatewayConfig:
     cache_dir: Optional[str] = None
     cache_capacity: Optional[int] = 1024
     flight_timeout: float = 60.0
-    flight_poll: float = 0.02
     brownout_watermark: Optional[int] = None
     trust_client_id: bool = False
     tracing: bool = True
@@ -506,9 +505,7 @@ class SolveGateway(HttpServer):
         timeout = max(self.config.flight_timeout, 2.0 * float(time_limit))
         if deadline_at is not None:
             timeout = min(timeout, max(0.0, deadline_at - time.monotonic()))
-        return await self.cache.await_flight(
-            job.fingerprint, timeout=timeout, poll_interval=self.config.flight_poll
-        )
+        return await self.cache.await_flight(job.fingerprint, timeout=timeout)
 
     def health(self) -> Dict[str, object]:
         return {

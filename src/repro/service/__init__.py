@@ -1,4 +1,4 @@
-"""Batch-solving service: jobs, caching, parallel execution, racing, sweeps.
+"""Batch-solving service: jobs, caching, parallel execution, portfolio, sweeps.
 
 The library core (:mod:`repro.floorplan`) answers one floorplanning question
 per blocking call.  This package turns those calls into *jobs* that a
@@ -10,8 +10,8 @@ production deployment can throw traffic at:
   in-memory + JSON-on-disk result store;
 * :mod:`~repro.service.executor` — :class:`BatchSolver`, a process-pool
   fan-out with job deduplication and streamed results;
-* :mod:`~repro.service.portfolio` — strategy racing (O / HO variants /
-  annealing) under a shared deadline;
+* :mod:`~repro.service.portfolio` — the strategy portfolio (O / HO variants /
+  annealing) run in turn under a shared deadline, best result kept;
 * :mod:`~repro.service.sweep` — scenario grids (devices x workloads x
   relocation specs) expanded into job lists;
 * :mod:`~repro.service.results` — :class:`JobResult` records and the

@@ -1,19 +1,11 @@
-"""Portfolio racing: several strategies, one instance, one winner.
+"""Strategy portfolio: several strategies, one instance, one winner.
 
 MILP floorplanning run times are heavy-tailed: O mode can prove optimality on
 one instance in seconds and stall for minutes on the next, while the HO
-variants and the annealing heuristic are fast but weaker.  Racing the
-strategies side by side under a shared deadline buys the robustness of the
-whole portfolio at the wall-clock cost of (roughly) its fastest member —
-the classic algorithm-portfolio trick.
-
-Two selection policies are provided:
-
-* ``"first_feasible"`` — return as soon as any strategy produces a
-  verified-feasible floorplan (lowest latency, non-deterministic winner);
-* ``"best"`` — wait for every strategy (or the deadline) and pick the best
-  feasible result by ``(wasted frames, wirelength)`` (deterministic winner
-  given deterministic strategy results).
+variants and the annealing heuristic are fast but weaker.  The portfolio runs
+the strategies one after another, in-process, under a shared deadline and
+keeps the best feasible result by ``(wasted frames, wirelength)`` — a
+deterministic winner given deterministic strategy results.
 """
 
 from __future__ import annotations
@@ -21,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from concurrent.futures import FIRST_COMPLETED, wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.floorplan.metrics import ObjectiveWeights, evaluate_floorplan
@@ -29,17 +20,15 @@ from repro.floorplan.problem import FloorplanProblem
 from repro.floorplan.verify import verify_floorplan
 from repro.milp import SolverOptions
 from repro.relocation.spec import RelocationSpec
-from repro.service.executor import check_executor, execute_job, make_pool
+from repro.service.executor import execute_job
 from repro.service.jobs import SolveJob, problem_spec_dict, relocation_spec_dict
 from repro.service.results import JobResult
 from repro.utils.timing import Timer
 
-POLICIES = ("first_feasible", "best")
-
 
 @dataclasses.dataclass(frozen=True)
 class Strategy:
-    """One member of the racing portfolio.
+    """One member of the portfolio.
 
     ``kind`` is ``"milp"`` (a :class:`~repro.floorplan.solver.FloorplanSolver`
     run in the given mode with the given HO heuristic) or ``"annealing"``
@@ -56,7 +45,7 @@ class Strategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
 
 
-#: The portfolio of Section II/VI strategies raced by default.
+#: The portfolio of Section II/VI strategies run by default.
 DEFAULT_STRATEGIES: Tuple[Strategy, ...] = (
     Strategy("O", kind="milp", mode="O"),
     Strategy("HO-tessellation", kind="milp", mode="HO", heuristic="tessellation"),
@@ -72,11 +61,10 @@ BROWNOUT_STRATEGY = Strategy("annealing", kind="annealing")
 
 @dataclasses.dataclass
 class PortfolioResult:
-    """Outcome of one race."""
+    """Outcome of one portfolio run."""
 
     outcomes: Dict[str, JobResult]
     winner: Optional[str]
-    policy: str
     wall_time: float
 
     @property
@@ -93,7 +81,7 @@ class PortfolioResult:
                 f"{mark}{name}: {outcome.status}"
                 + (f" wasted={wasted}" if wasted is not None else "")
             )
-        head = f"winner={self.winner or 'none'} ({self.policy}, {self.wall_time:.2f}s)"
+        head = f"winner={self.winner or 'none'} ({self.wall_time:.2f}s)"
         return head + " | " + "; ".join(parts)
 
 
@@ -103,9 +91,8 @@ def run_strategy(
     relocation: Optional[RelocationSpec] = None,
     options: Optional[SolverOptions] = None,
     weights: Optional[ObjectiveWeights] = None,
-    lexicographic: bool = False,
 ) -> JobResult:
-    """Run one portfolio member to completion (pool-worker entry point)."""
+    """Run one portfolio member to completion."""
     if strategy.kind == "milp":
         job = SolveJob(
             problem=problem,
@@ -114,13 +101,12 @@ def run_strategy(
             options=options or SolverOptions(),
             heuristic=strategy.heuristic,
             weights=weights,
-            lexicographic=lexicographic,
             tag=strategy.name,
         )
         return execute_job(job)
     try:
         return _run_annealing(strategy, problem, relocation)
-    except Exception as exc:  # noqa: BLE001 — a crashed member must not kill the race
+    except Exception as exc:  # noqa: BLE001 — a crashed member must not kill the portfolio
         return JobResult(
             fingerprint=_heuristic_fingerprint(strategy, problem, relocation),
             job_name=f"{problem.name}[{strategy.name}]",
@@ -214,28 +200,14 @@ def run_portfolio(
     weights: Optional[ObjectiveWeights] = None,
     strategies: Sequence[Strategy] = DEFAULT_STRATEGIES,
     deadline: Optional[float] = None,
-    policy: str = "best",
-    executor: str = "process",
-    max_workers: Optional[int] = None,
 ) -> PortfolioResult:
-    """Race ``strategies`` on one instance under a shared deadline.
+    """Run ``strategies`` in order on one instance and keep the best result.
 
-    Parameters
-    ----------
-    deadline:
-        Shared wall-clock budget in seconds.  Strategies that have not
-        finished when it expires are recorded with status ``"deadline"``
-        (running MILP workers are abandoned, not interrupted).
-    policy:
-        ``"first_feasible"`` or ``"best"`` (see module docstring).
-    executor:
-        ``"process"`` (default), ``"thread"``, or ``"serial"``.  Serial mode
-        runs strategies one after another in submission order — fully
-        deterministic, used by the tests.
+    ``deadline`` is a shared wall-clock budget in seconds, checked before
+    each strategy starts: a strategy not yet started when it has passed is
+    recorded with status ``"deadline"``.  A running strategy is never
+    interrupted.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
-    check_executor(executor)
     strategies = list(strategies)
     names = [strategy.name for strategy in strategies]
     if len(set(names)) != len(names):
@@ -244,120 +216,35 @@ def run_portfolio(
     timer = Timer()
     outcomes: Dict[str, JobResult] = {}
     with timer:
-        if executor == "serial":
-            _race_serial(
-                strategies, outcomes, timer, deadline, policy,
-                problem, relocation, options, weights,
-            )
-        else:
-            _race_pool(
-                strategies, outcomes, timer, deadline, policy, executor,
-                max_workers, problem, relocation, options, weights,
-            )
-
-    winner = _pick_winner(names, outcomes, policy)
-    ordered = {name: outcomes[name] for name in names if name in outcomes}
+        for strategy in strategies:
+            if deadline is not None and timer.lap() >= deadline:
+                outcomes[strategy.name] = _unfinished_result(strategy, problem)
+            else:
+                outcomes[strategy.name] = run_strategy(
+                    strategy, problem, relocation, options, weights
+                )
     return PortfolioResult(
-        outcomes=ordered, winner=winner, policy=policy, wall_time=timer.elapsed
+        outcomes=outcomes, winner=_pick_winner(names, outcomes), wall_time=timer.elapsed
     )
 
 
-# ----------------------------------------------------------------------
-def _race_serial(
-    strategies, outcomes, timer, deadline, policy,
-    problem, relocation, options, weights,
-) -> None:
-    for strategy in strategies:
-        if deadline is not None and timer.lap() >= deadline:
-            outcomes[strategy.name] = _unfinished_result(strategy, problem, "deadline")
-            continue
-        outcomes[strategy.name] = run_strategy(
-            strategy, problem, relocation, options, weights
-        )
-        if policy == "first_feasible" and outcomes[strategy.name].feasible:
-            break
-
-
-def _race_pool(
-    strategies, outcomes, timer, deadline, policy, executor,
-    max_workers, problem, relocation, options, weights,
-) -> None:
-    # No `with` block: the context manager's shutdown(wait=True) would join
-    # still-running workers and blow straight through the deadline.  Instead
-    # the pool is shut down without waiting — queued strategies are cancelled,
-    # already-running ones are abandoned to finish in the background.
-    pool = make_pool(executor, max_workers or len(strategies), len(strategies))
-    reason = "cancelled"
-    try:
-        future_to_name = {
-            pool.submit(
-                run_strategy, strategy, problem, relocation, options, weights
-            ): strategy.name
-            for strategy in strategies
-        }
-        pending = set(future_to_name)
-        while pending:
-            budget = None
-            if deadline is not None:
-                budget = max(0.0, deadline - timer.lap())
-            done, pending = wait(pending, timeout=budget, return_when=FIRST_COMPLETED)
-            if not done:  # deadline expired with strategies still running
-                reason = "deadline"
-                break
-            for future in done:
-                name = future_to_name[future]
-                outcomes[name] = future.result()
-            if policy == "first_feasible" and any(
-                outcomes[future_to_name[f]].feasible for f in done
-            ):
-                reason = "cancelled"  # another strategy already won
-                break
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    strategies_by_name = {strategy.name: strategy for strategy in strategies}
-    for future, name in future_to_name.items():
-        if name in outcomes:
-            continue
-        # a strategy may have finished in the same wave the race ended on
-        if future.done() and not future.cancelled():
-            try:
-                outcomes[name] = future.result()
-                continue
-            except Exception:  # noqa: BLE001 — fall through to the placeholder
-                pass
-        outcomes[name] = _unfinished_result(strategies_by_name[name], problem, reason)
-
-
-def _unfinished_result(
-    strategy: Strategy, problem: FloorplanProblem, reason: str
-) -> JobResult:
-    message = (
-        "shared portfolio deadline expired"
-        if reason == "deadline"
-        else "race ended before this strategy finished"
-    )
+def _unfinished_result(strategy: Strategy, problem: FloorplanProblem) -> JobResult:
     return JobResult(
         fingerprint="",
         job_name=f"{problem.name}[{strategy.name}]",
-        status=reason,
+        status="deadline",
         feasible=False,
         objective=float("nan"),
         solve_time=0.0,
         wall_time=0.0,
         backend="",
         mode=strategy.mode if strategy.kind == "milp" else "heuristic",
-        error=message,
+        error="shared portfolio deadline expired",
     )
 
 
-def _pick_winner(
-    names: List[str], outcomes: Dict[str, JobResult], policy: str
-) -> Optional[str]:
-    feasible = [name for name in names if name in outcomes and outcomes[name].feasible]
+def _pick_winner(names: List[str], outcomes: Dict[str, JobResult]) -> Optional[str]:
+    feasible = [name for name in names if outcomes[name].feasible]
     if not feasible:
         return None
-    if policy == "first_feasible":
-        # serial mode stopped at the first feasible outcome; pool mode may
-        # have collected several in the final wave — earliest wall time wins.
-        return min(feasible, key=lambda name: (outcomes[name].wall_time, name))
     return min(feasible, key=lambda name: outcomes[name].objective_key())

@@ -152,10 +152,10 @@ class ResolveViaService(Policy):
 
     Requests are first tried with :class:`RelocateFirst`; when that blocks,
     the floorplanning problem is re-solved via
-    :func:`repro.service.portfolio.run_portfolio` (serial executor, ``best``
-    policy — fully deterministic), a fresh manager is built on the winning
-    floorplan, previously-loaded modules are reloaded at their new homes and
-    the request is served there.  The sim charges ``resolve_latency`` virtual
+    :func:`repro.service.portfolio.run_portfolio` (strategies run in order,
+    best result kept — fully deterministic), a fresh manager is built on the
+    winning floorplan, previously-loaded modules are reloaded at their new
+    homes and the request is served there.  The sim charges ``resolve_latency`` virtual
     seconds for the re-solve, standing in for the solver deadline budget.
     """
 
@@ -221,8 +221,6 @@ class ResolveViaService(Policy):
             weights=self.weights,
             strategies=self.strategies or DEFAULT_STRATEGIES,
             deadline=self.deadline,
-            policy="best",
-            executor="serial",
         )
         winner = result.winner_result
         if winner is None or winner.floorplan is None:

@@ -16,9 +16,9 @@ from repro.bitstream import (
 )
 from repro.bitstream.bitstream import WORDS_PER_FRAME
 from repro.bitstream.crc import crc32_of_words
-from repro.bitstream.frames import frame_count
 from repro.bitstream.memory import ConfigurationError
 from repro.floorplan import Rect
+from repro.floorplan.placement import rect_frames
 from tests.bitstream.crc_oracle import crc32_reference
 
 
@@ -57,8 +57,19 @@ class TestFrameAddresses:
         rect = Rect(3, 0, 3, 2)  # 4 CLB + 2 BRAM tiles
         addresses = area_frame_addresses(two_type_device, rect)
         assert len(addresses) == 4 * 36 + 2 * 30
-        assert frame_count(two_type_device, rect) == len(addresses)
+        assert rect_frames(two_type_device, rect) == len(addresses)
         assert len(set(addresses)) == len(addresses)
+
+    def test_rect_frames_counts_every_addressed_frame(self, two_type_device):
+        # the histogram-based count equals the per-tile frame addresses on
+        # random rectangles of the device
+        rng = random.Random(3)
+        width, height = two_type_device.width, two_type_device.height
+        for _ in range(200):
+            col, row = rng.randrange(width), rng.randrange(height)
+            rect = Rect(col, row, rng.randint(1, width - col), rng.randint(1, height - row))
+            addresses = area_frame_addresses(two_type_device, rect)
+            assert rect_frames(two_type_device, rect) == len(addresses), rect
 
     def test_translation(self):
         address = FrameAddress(3, 1, 7, "CLB")

@@ -46,13 +46,13 @@ class TestDeviceProfile:
             DeviceProfile("bad", {"A": 1}, num_ports=0)
 
     def test_from_floorplan_uses_frame_counts(self, two_type_device):
-        from repro.bitstream.frames import frame_count
         from repro.floorplan import Rect
+        from repro.floorplan.placement import rect_frames
 
         rects = {"A": Rect(0, 0, 2, 2), "B": Rect(5, 0, 2, 2)}
         built = DeviceProfile.from_floorplan(two_type_device, rects)
         for region, rect in rects.items():
-            assert built.frame_counts[region] == frame_count(two_type_device, rect)
+            assert built.frame_counts[region] == rect_frames(two_type_device, rect)
 
 
 class TestFleetSimulation:

@@ -15,7 +15,9 @@ import pytest
 from repro.fleet.harness import BackgroundRouter
 from repro.fleet.router import FleetRouter, RouterConfig
 from repro.server.loadgen import GatewayClient, demo_payloads
+from repro.server.metrics import GatewayMetrics
 from repro.server.protocol import job_from_dict
+from repro.service.cache import CacheStats
 from tests.server.malformed_bodies import DEVICE_ERRORS, mutated
 from tests.server.test_gateway_e2e import stub_gateway
 
@@ -209,6 +211,55 @@ class TestRollup:
         assert rollup["replicas_reporting"] == 1
         reporting = {r["node"]: r["reporting"] for r in rollup["replicas"]}
         assert sorted(reporting.values()) == [False, True]
+
+
+class TestRollupArithmetic:
+    """The roll-up sums raw replica fields and renders them with the
+    gateway's own counter and cache formulas (no replica is contacted)."""
+
+    @staticmethod
+    def snapshot(metrics, cache, queue_depth, uptime):
+        counters = metrics.counters(queue_depth=queue_depth)
+        counters["uptime_s"] = uptime
+        return {"counters": counters, "cache": cache.as_dict(), "histograms": {}}
+
+    def test_raw_fields_are_summed_and_rates_rederived(self, monkeypatch):
+        first = GatewayMetrics(
+            received=10, ok=7, shed_rate_limited=1, shed_queue_full=2,
+            cache_hits=3, cache_misses=4, batches=2, batched_jobs=5, flight_waits=1,
+        )
+        second = GatewayMetrics(
+            received=30, ok=25, shed_queue_full=1, cache_hits=9, cache_misses=3,
+            batches=1, batched_jobs=4, degraded=2,
+        )
+        snapshots = [
+            self.snapshot(first, CacheStats(hits=5, misses=5, stores=4), 2, 12.5),
+            self.snapshot(second, CacheStats(hits=7, misses=1, corrupt=1), 3, 40.25),
+        ]
+        router = FleetRouter([("127.0.0.1", 1), ("127.0.0.1", 2)], RouterConfig(port=0))
+        replies = iter(snapshots)
+
+        async def fake_fetch(pool):
+            return next(replies)
+
+        monkeypatch.setattr(router, "_fetch_replica_metrics", fake_fetch)
+        rollup = asyncio.run(router.metrics_rollup(raw=True))
+        counters, cache = rollup["counters"], rollup["cache"]
+
+        assert set(GatewayMetrics().counters()) <= set(counters)
+        assert set(CacheStats().as_dict()) <= set(cache)
+        assert rollup["replicas_reporting"] == 2
+        assert counters["received"] == 40 and counters["ok"] == 32
+        assert counters["shed_queue_full"] == 3 and counters["degraded"] == 2
+        assert counters["flight_waits"] == 1
+        assert counters["queue_depth"] == 5
+        assert counters["uptime_s"] == 40.25
+        assert cache["hits"] == 12 and cache["stores"] == 4 and cache["corrupt"] == 1
+        # the gateway's formulas applied to the summed counts
+        assert counters["shed_rate"] == round(4 / 40, 6)
+        assert counters["hit_rate"] == round(12 / 19, 6)
+        assert counters["mean_batch_size"] == round(9 / 3, 3)
+        assert cache["hit_rate"] == 12 / 18
 
 
 #: Broken upstream answers: each must cost a failover, never a 500.

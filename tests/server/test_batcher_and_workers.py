@@ -304,8 +304,6 @@ class TestWorkerPool:
     def test_mistyped_executor_is_rejected_not_run_as_a_process_pool(self):
         with pytest.raises(ValueError, match="executor must be one of"):
             BatchSolver(executor="threads")
-        with pytest.raises(ValueError, match="executor must be one of"):
-            portfolio.run_portfolio(None, executor="threads")
 
     def test_tiny_job_streams_first_and_is_cached_on_arrival(self, monkeypatch):
         """Real solves on a shard's thread pool; the slower job is held an

@@ -1,9 +1,11 @@
-"""Batch execution, sweep aggregation and portfolio racing.
+"""Batch execution, sweep aggregation and the strategy portfolio.
 
 The MILP-solving tests share one module-scoped job grid (8 jobs on a small
 device) and one cold batch solve, so the whole file adds a handful of
 seconds, not a fresh solve per test.
 """
+
+import time
 
 import pytest
 
@@ -11,17 +13,34 @@ from repro.device.catalog import synthetic_device
 from repro.milp import SolverOptions
 from repro.service import (
     BatchSolver,
+    JobResult,
     SolveCache,
     Strategy,
+    portfolio,
     run_portfolio,
     run_sweep,
     sweep_jobs,
 )
-from repro.service.portfolio import _pick_winner
+from repro.service.portfolio import DEFAULT_STRATEGIES, _pick_winner
 from repro.service.sweep import constraint_for
 from repro.workloads.synthetic import config_grid
 
 FAST = SolverOptions(time_limit=30, mip_gap=0.05)
+
+
+def fake_result(name, wasted, wires, feasible=True):
+    return JobResult(
+        fingerprint="",
+        job_name=name,
+        status="optimal" if feasible else "infeasible",
+        feasible=feasible,
+        objective=0.0,
+        solve_time=0.0,
+        wall_time=0.0,
+        backend="",
+        mode="O",
+        metrics={"wasted_frames": wasted, "wirelength": wires},
+    )
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +239,6 @@ class TestPortfolio:
                 Strategy("HO-tessellation", kind="milp", mode="HO"),
                 Strategy("annealing", kind="annealing"),
             ),
-            policy="best",
-            executor="serial",
         )
 
     def test_winner_is_best_feasible_by_objective_key(self, race):
@@ -239,78 +256,71 @@ class TestPortfolio:
         assert list(race.outcomes) == ["HO-tessellation", "annealing"]
         assert "winner=" in race.summary()
 
-    def test_first_feasible_serial_stops_early(self, grid_jobs):
-        job = grid_jobs[0]
-        result = run_portfolio(
-            job.problem,
-            options=FAST,
-            strategies=(
-                Strategy("annealing", kind="annealing"),
-                Strategy("HO-tessellation", kind="milp", mode="HO"),
-            ),
-            policy="first_feasible",
-            executor="serial",
-        )
-        assert result.winner == "annealing"
-        # the race stopped before the MILP strategy started
-        assert "HO-tessellation" not in result.outcomes
-
     def test_expired_deadline_marks_everything(self, grid_jobs):
         result = run_portfolio(
             grid_jobs[0].problem,
             options=FAST,
             deadline=0.0,
-            executor="serial",
         )
         assert result.winner is None
         assert all(o.status == "deadline" for o in result.outcomes.values())
 
     def test_pick_winner_prefers_fewer_wasted_frames(self):
-        from repro.service import JobResult
-
-        def fake(name, wasted, wires, feasible=True):
-            return JobResult(
-                fingerprint="",
-                job_name=name,
-                status="optimal" if feasible else "infeasible",
-                feasible=feasible,
-                objective=0.0,
-                solve_time=0.0,
-                wall_time=0.0,
-                backend="",
-                mode="O",
-                metrics={"wasted_frames": wasted, "wirelength": wires},
-            )
-
         names = ["a", "b", "c", "d"]
         outcomes = {
-            "a": fake("a", wasted=10, wires=1.0),
-            "b": fake("b", wasted=4, wires=9.0),
-            "c": fake("c", wasted=4, wires=2.0),
-            "d": fake("d", wasted=0, wires=0.0, feasible=False),
+            "a": fake_result("a", wasted=10, wires=1.0),
+            "b": fake_result("b", wasted=4, wires=9.0),
+            "c": fake_result("c", wasted=4, wires=2.0),
+            "d": fake_result("d", wasted=0, wires=0.0, feasible=False),
         }
         # fewest wasted frames wins; wirelength breaks the tie; infeasible
         # results never win no matter their metrics
-        assert _pick_winner(names, outcomes, "best") == "c"
+        assert _pick_winner(names, outcomes) == "c"
 
-    def test_deadline_returns_promptly_in_pool_mode(self, grid_jobs):
-        # the pool must not be joined on exit: a strategy that needs far
-        # longer than the deadline is abandoned, not waited for
-        from repro.utils.timing import Timer
+    def test_deadline_after_first_strategy_keeps_its_result(self, grid_jobs, monkeypatch):
+        calls = []
 
-        slow = SolverOptions(time_limit=10, mip_gap=None)
-        with Timer() as timer:
-            result = run_portfolio(
-                grid_jobs[-1].problem,
-                relocation=grid_jobs[-1].relocation,
-                options=slow,
-                strategies=(Strategy("O-slow", kind="milp", mode="O"),),
-                deadline=0.2,
-                executor="thread",
-            )
-        assert timer.elapsed < 8  # not joined until the 10s solve finishes
-        outcome = result.outcomes["O-slow"]
-        assert outcome.status in ("deadline", "optimal", "feasible")
+        def stub(strategy, problem, relocation=None, options=None, weights=None):
+            calls.append(strategy.name)
+            time.sleep(0.05)  # the shared deadline passes while this one runs
+            return fake_result(strategy.name, wasted=3, wires=1.0)
+
+        monkeypatch.setattr(portfolio, "run_strategy", stub)
+        result = run_portfolio(
+            grid_jobs[0].problem,
+            strategies=(
+                Strategy("first"),
+                Strategy("second", mode="HO"),
+                Strategy("third", kind="annealing"),
+            ),
+            deadline=0.01,
+        )
+        assert calls == ["first"]
+        assert list(result.outcomes) == ["first", "second", "third"]
+        assert result.outcomes["first"].status == "optimal"
+        assert result.outcomes["second"].status == "deadline"
+        assert result.outcomes["third"].status == "deadline"
+        assert result.winner == "first"
+
+    def test_default_strategies_run_in_order_and_best_wins(self, grid_jobs, monkeypatch):
+        scores = {
+            "O": (6, 1.0),
+            "HO-tessellation": (2, 3.0),
+            "HO-first-fit": (2, 1.5),
+            "annealing": (9, 0.5),
+        }
+        calls = []
+
+        def stub(strategy, problem, relocation=None, options=None, weights=None):
+            calls.append(strategy.name)
+            wasted, wires = scores[strategy.name]
+            return fake_result(strategy.name, wasted=wasted, wires=wires)
+
+        monkeypatch.setattr(portfolio, "run_strategy", stub)
+        result = run_portfolio(grid_jobs[0].problem)
+        assert calls == [strategy.name for strategy in DEFAULT_STRATEGIES]
+        assert list(result.outcomes) == calls
+        assert result.winner == "HO-first-fit"
 
     def test_crashing_annealing_strategy_is_captured(self, grid_jobs, monkeypatch):
         import repro.baselines.annealing as annealing_mod
@@ -323,20 +333,11 @@ class TestPortfolio:
             grid_jobs[0].problem,
             options=FAST,
             strategies=(Strategy("annealing", kind="annealing"),),
-            executor="serial",
         )
         outcome = result.outcomes["annealing"]
         assert outcome.status == "error"
         assert "annealer exploded" in outcome.error
         assert result.winner is None
-
-    def test_invalid_policy_rejected(self, grid_jobs):
-        with pytest.raises(ValueError):
-            run_portfolio(grid_jobs[0].problem, policy="median")
-
-    def test_invalid_executor_rejected(self, grid_jobs):
-        with pytest.raises(ValueError):
-            run_portfolio(grid_jobs[0].problem, executor="threads")
 
     def test_duplicate_strategy_names_rejected(self, grid_jobs):
         with pytest.raises(ValueError):
