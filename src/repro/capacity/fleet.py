@@ -15,28 +15,31 @@ service time is ``frames * seconds_per_frame`` without touching the bitstream
 machinery.  That is what makes binary-searching fleet sizes over hundreds of
 devices tractable, while staying calibrated to the single-device engine.
 
-Determinism: one :class:`~repro.sim.events.EventQueue` orders everything by
-``(time, kind, seq)``; traffic and fault streams are seeded; dispatchers are
-deterministic.  Two runs of the same scenario produce identical stats.
+Determinism: one flat loop orders plain ``(time, kind, seq, payload)``
+tuples by the :class:`~repro.sim.events.SimEventKind` priorities; traffic and
+fault streams are seeded; dispatchers are deterministic.  Two runs of the
+same scenario produce identical stats.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import heapq
 import math
 from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.capacity.dispatch import Dispatcher
 from repro.floorplan.placement import rect_frames
-from repro.sim.clock import VirtualClock
-from repro.sim.events import EventQueue, SimEventKind
+from repro.sim.clock import SimTimeError
+from repro.sim.events import SimEventKind
 from repro.sim.faults import FaultPlan
-from repro.sim.stats import RequestRecord, SimStats
+from repro.sim.stats import RequestRecord, SimStats, summarize
 from repro.sim.traffic import ModeRequest, TrafficModel
 
 __all__ = ["DeviceProfile", "FleetConfig", "FleetResult", "FleetSimulation"]
+
+_COMPLETE, _REPAIR, _FAULT, _ARRIVAL = SimEventKind  # in priority order
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,14 +108,6 @@ class FleetConfig:
             raise ValueError("repair_time must be positive")
 
 
-@dataclasses.dataclass
-class _Pending:
-    request_id: int
-    request: ModeRequest
-    arrival: float
-    start: float = 0.0
-
-
 class _Device:
     """Run-time state of one fleet device.
 
@@ -128,14 +123,14 @@ class _Device:
         self.name = name
         self.profile = profile
         self.free_ports = profile.num_ports
-        self.queue: Deque[_Pending] = deque()
+        self.queue: Deque[Tuple[int, ModeRequest]] = deque()  # (request id, request)
         self.load = 0
         capacity = config.queue_capacity
         self.limit = math.inf if capacity is None else profile.num_ports + capacity
         self.up = True
         self.stats = SimStats()
         self.downtime = 0.0
-        self._down_since = 0.0
+        self.down_since = 0.0
 
     def can_accept(self) -> bool:
         return self.up and self.load < self.limit
@@ -161,13 +156,13 @@ class FleetResult:
 
     def metrics(self) -> Dict[str, float]:
         """The SLO-relevant scalars of this run."""
-        summary = self.stats.latency_summary()["latency"]
-        served = len(self.stats.served)
+        served = self.stats.served
+        summary = summarize([record.latency for record in served])
         return {
             "offered": float(self.offered),
-            "served": float(served),
+            "served": float(len(served)),
             "served_throughput": self.served_throughput,
-            "throughput_fraction": served / self.offered if self.offered else 1.0,
+            "throughput_fraction": len(served) / self.offered if self.offered else 1.0,
             "blocking_probability": self.stats.blocking_probability,
             "p50_latency_s": float(summary.get("p50", 0.0)),
             "p99_latency_s": float(summary.get("p99", 0.0)),
@@ -194,127 +189,117 @@ class FleetSimulation:
         self.traffic = traffic
         self.dispatcher = dispatcher
         self.config = config or FleetConfig()
-        self.clock = VirtualClock()
-        self._queue = EventQueue()
         self.devices = [
             _Device(index, f"{profile.name}-{index:03d}", profile, self.config)
             for index in range(num_devices)
         ]
         self.fault_plans = dict(fault_plans or {})
-        self._shed = 0
-        self._offered = 0
-        self._events_processed = 0
 
     # ------------------------------------------------------------------
     def run(self) -> FleetResult:
+        """Play every event in ``(time, kind, seq)`` order; roll up the stats.
+
+        Arrivals (their ``seq`` is their request id), then each device's
+        faults in device-name order, form one sorted static run read by a
+        cursor.  Completions and repairs go on a small heap, and each step
+        takes the smaller of the two fronts.  ``tests/capacity/fleet_oracle.py``
+        keeps the event-queue, handler-per-kind loop this replaced.
+        """
         horizon = self.config.horizon
-        by_name = {device.name: device for device in self.devices}
-        arrivals = (
-            (
-                request.time,
-                SimEventKind.ARRIVAL,
-                _Pending(request_id=index, request=request, arrival=request.time),
-            )
-            for index, request in enumerate(self.traffic.generate(horizon))
-        )
-        faults = (
-            (event.time, SimEventKind.FAULT, by_name[name])
-            for name in sorted(self.fault_plans)
-            if name in by_name
-            for event in self.fault_plans[name].events(horizon)
-        )
-        # one batch, arrivals then faults by device name: one sort, no merge
-        self._queue.push_batch(itertools.chain(arrivals, faults))
+        repair_time = self.config.repair_time
+        devices = self.devices
+        assign = self.dispatcher.assign
+        frames = self.profile.frame_counts
+        service = {region: self.profile.service_time(region) for region in frames}
+        by_name = {device.name: device for device in devices}
 
-        while self._queue:
-            event = self._queue.pop()
-            self.clock.advance_to(event.time)
-            self._events_processed += 1
-            if event.kind is SimEventKind.ARRIVAL:
-                self._on_arrival(event.payload)
-            elif event.kind is SimEventKind.COMPLETE:
-                self._on_complete(event.payload)
-            elif event.kind is SimEventKind.FAULT:
-                self._on_fault(event.payload)
+        static = [
+            (float(request.time), _ARRIVAL, seq, request)
+            for seq, request in enumerate(self.traffic.generate(horizon))
+        ]
+        seq = len(static)
+        for name in sorted(self.fault_plans.keys() & by_name.keys()):
+            for event in self.fault_plans[name].events(horizon):
+                static.append((float(event.time), _FAULT, seq, by_name[name]))
+                seq += 1
+        static.sort()
+        if static and static[0][0] < 0:
+            raise ValueError(f"event time must be non-negative, got {static[0][0]}")
+        static.append((math.inf, _ARRIVAL, seq, None))  # sentinel: pops after the heap
+
+        heap: List[tuple] = []
+        push, pop = heapq.heappush, heapq.heappop
+        cursor = 0
+        now = 0.0
+        processed = offered = shed = 0
+        while True:
+            if heap and heap[0] < static[cursor]:
+                time, kind, key, payload = pop(heap)
             else:
-                self._on_repair(event.payload)
+                time, kind, key, payload = static[cursor]
+                if time == math.inf:
+                    break
+                cursor += 1
+            if time < now - 1e-12:
+                raise SimTimeError(f"cannot advance virtual time backwards: {time} < {now}")
+            if time > now:
+                now = time
+            processed += 1
 
-        per_device = {device.name: device.stats for device in self.devices}
-        stats = SimStats.merged([device.stats for device in self.devices])
-        stats.rejected_arrivals += self._shed
+            if kind == _ARRIVAL:
+                offered += 1
+                device = assign(payload, devices)
+                if device is None:
+                    shed += 1  # no device can accept: shed at the front door
+                    continue
+                device.load += 1
+                device.queue.append((key, payload))  # the drain below starts it
+            elif kind == _COMPLETE:
+                device, request_id, request, start = payload
+                device.free_ports += 1
+                device.load -= 1
+                record = RequestRecord(
+                    request_id, request.region, request.mode, request.time, start,
+                    now, "reconfigure", frames[request.region], True, device.name,
+                )
+                device.stats.record(record)
+            elif kind == _FAULT:
+                device = payload
+                # re-faulting a down device extends nothing: its repair is queued
+                if device.up:
+                    device.up = False
+                    device.down_since = now
+                    device.stats.record_fault(now)
+                    push(heap, (now + repair_time, _REPAIR, seq, device))
+                    seq += 1
+                continue
+            else:
+                device = payload
+                device.up = True
+                device.downtime += now - device.down_since
+
+            # start queued requests FIFO on the free ports of an up device
+            queue = device.queue
+            while queue and device.up and device.free_ports > 0:
+                request_id, request = queue.popleft()
+                device.free_ports -= 1
+                started = (device, request_id, request, now)
+                push(heap, (now + service[request.region], _COMPLETE, seq, started))
+                seq += 1
+
+        stats = SimStats.merged([device.stats for device in devices])
+        stats.rejected_arrivals += shed
         return FleetResult(
             stats=stats,
-            per_device=per_device,
-            num_devices=len(self.devices),
+            per_device={device.name: device.stats for device in devices},
+            num_devices=len(devices),
             config=self.config,
-            makespan=self.clock.now,
-            events_processed=self._events_processed,
-            offered=self._offered,
+            makespan=now,
+            events_processed=processed,
+            offered=offered,
             downtime={
                 device.name: device.downtime
-                for device in self.devices
+                for device in devices
                 if device.downtime > 0.0
             },
         )
-
-    # ------------------------------------------------------------------
-    def _on_arrival(self, pending: _Pending) -> None:
-        self._offered += 1
-        device = self.dispatcher.assign(pending.request, self.devices)
-        if device is None:
-            self._shed += 1  # no device can accept: shed at the front door
-            return
-        device.load += 1
-        if device.up and device.free_ports > 0:
-            self._start(device, pending)
-        else:
-            device.queue.append(pending)
-
-    def _on_complete(self, payload: Tuple[_Device, _Pending]) -> None:
-        device, pending = payload
-        device.free_ports += 1
-        device.load -= 1
-        device.stats.record(
-            RequestRecord(
-                request_id=pending.request_id,
-                region=pending.request.region,
-                mode=pending.request.mode,
-                arrival=pending.arrival,
-                start=pending.start,
-                finish=self.clock.now,
-                action="reconfigure",
-                frames=device.profile.frame_counts[pending.request.region],
-                ok=True,
-                detail=device.name,
-            )
-        )
-        self._drain(device)
-
-    def _on_fault(self, device: _Device) -> None:
-        # re-faulting a down device extends nothing: its repair is already queued
-        if not device.up:
-            return
-        device.up = False
-        device._down_since = self.clock.now
-        device.stats.record_fault(self.clock.now)
-        self._queue.push(
-            self.clock.now + self.config.repair_time, SimEventKind.REPAIR, device
-        )
-
-    def _on_repair(self, device: _Device) -> None:
-        device.up = True
-        device.downtime += self.clock.now - device._down_since
-        self._drain(device)
-
-    # ------------------------------------------------------------------
-    def _start(self, device: _Device, pending: _Pending) -> None:
-        device.free_ports -= 1
-        pending.start = self.clock.now
-        service = device.profile.service_time(pending.request.region)
-        self._queue.push(
-            self.clock.now + service, SimEventKind.COMPLETE, (device, pending)
-        )
-
-    def _drain(self, device: _Device) -> None:
-        while device.up and device.free_ports > 0 and device.queue:
-            self._start(device, device.queue.popleft())

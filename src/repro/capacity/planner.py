@@ -13,7 +13,8 @@ sizes its fleet from.
 
 Everything is seeded and deterministic: the same scenario produces the same
 evaluations, the same minimum, and (through :mod:`repro.capacity.report`)
-byte-identical reports.
+byte-identical reports.  So one plan draws its arrival stream, and each
+device's fault times, once and replays them in every evaluation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.capacity.dispatch import make_dispatcher
 from repro.capacity.fleet import DeviceProfile, FleetConfig, FleetResult, FleetSimulation
 from repro.sim.faults import FaultPlan, RandomFaults
-from repro.sim.traffic import PoissonTraffic
+from repro.sim.traffic import PoissonTraffic, TrafficModel
 
 __all__ = [
     "CapacitySLO",
@@ -113,6 +114,23 @@ class CapacityScenario:
         )
 
 
+class _Replay(TrafficModel, FaultPlan):
+    """A seeded stream's first draw, replayed as traffic or as a fault plan.
+
+    Every evaluation of one plan draws the same arrivals (same seed, rate and
+    horizon) and gives device ``i`` the same faults (seed ``seed + 1000 +
+    i``), so :func:`plan_min_devices` draws each stream once.
+    """
+
+    def __init__(self, drawn: list) -> None:
+        self.drawn = drawn
+
+    def generate(self, horizon: float) -> list:
+        return self.drawn
+
+    events = generate
+
+
 @dataclasses.dataclass(frozen=True)
 class Evaluation:
     """One evaluated fleet size: metrics plus the SLO verdict."""
@@ -174,9 +192,21 @@ def plan_min_devices(
     if max_devices <= 0:
         raise ValueError("max_devices must be positive")
     evaluations: List[Evaluation] = []
+    horizon = scenario.horizon
+    traffic: Optional[_Replay] = None
+    faults: Dict[str, _Replay] = {}  # device name -> its drawn fault events
 
     def evaluate(num_devices: int) -> Evaluation:
-        result = scenario.build(num_devices, rate_multiplier).run()
+        nonlocal traffic
+        simulation = scenario.build(num_devices, rate_multiplier)
+        if traffic is None:
+            traffic = _Replay(simulation.traffic.generate(horizon))
+        simulation.traffic = traffic
+        for name, plan in simulation.fault_plans.items():
+            if name not in faults:
+                faults[name] = _Replay(plan.events(horizon))
+            simulation.fault_plans[name] = faults[name]
+        result = simulation.run()
         evaluation = evaluate_slo(result, slo)
         evaluations.append(evaluation)
         return evaluation

@@ -1,17 +1,12 @@
 """Per-upstream circuit breaker (closed -> open -> half-open).
 
-Replaces the router's bare ``down_cooldown`` flag.  The cooldown treated every
-failure the same — one refused connection and the replica was skipped for a
-fixed window, then hammered again at full rate.  The breaker adds the two
-missing behaviours:
-
-* **failure accumulation** — the circuit opens only after
-  ``failure_threshold`` *consecutive* failures (the fleet router opens on
-  the first);
-* **probing** — after ``open_for`` seconds the circuit goes *half-open* and
-  admits exactly one trial request; its outcome closes the circuit (success)
-  or re-opens it for another window (failure), so a still-dead replica sees
-  one probe per window instead of a thundering retry herd.
+Replaces the router's bare ``down_cooldown`` flag.  The cooldown skipped a
+replica for a fixed window after one failure, then hammered it again at full
+rate.  The breaker opens on the first failure too, and adds **probing**:
+after ``open_for`` seconds the circuit goes *half-open* and admits exactly
+one trial request; its outcome closes the circuit (success) or re-opens it
+for another window (failure), so a still-dead replica sees one probe per
+window instead of a thundering retry herd.
 
 The breaker is intentionally clock-injectable and lock-free: the router
 drives it from a single event loop, and the worst cross-thread race (two
@@ -35,9 +30,6 @@ class CircuitBreaker:
 
     Parameters
     ----------
-    failure_threshold:
-        Consecutive failures that open the circuit.  The fleet router uses
-        ``1``: any failure opens.
     open_for:
         Seconds the circuit stays open before admitting a half-open probe.
     clock:
@@ -46,18 +38,13 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        failure_threshold: int = 3,
         open_for: float = 0.5,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if failure_threshold <= 0:
-            raise ValueError("failure_threshold must be positive")
         if open_for <= 0:
             raise ValueError("open_for must be positive")
-        self.failure_threshold = failure_threshold
         self.open_for = open_for
         self.clock = clock
-        self.consecutive_failures = 0
         self.opened_total = 0  # times the circuit transitioned closed->open
         self._opened_at: float | None = None  # None while closed
         self._probing = False  # a half-open trial is in flight
@@ -91,19 +78,16 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         """A request to this upstream completed: close the circuit."""
-        self.consecutive_failures = 0
         self._opened_at = None
         self._probing = False
 
     def record_failure(self) -> None:
-        """A request failed: accumulate, and (re)open past the threshold."""
-        self.consecutive_failures += 1
-        was_closed = self._opened_at is None
-        if self._opened_at is not None or (
-            self.consecutive_failures >= self.failure_threshold
-        ):
-            # a failed half-open probe re-opens for a fresh window
-            self._opened_at = self.clock()
-            self._probing = False
-            if was_closed:
-                self.opened_total += 1
+        """A request failed: open the circuit for a fresh window.
+
+        A failed half-open probe re-opens it; only a closed -> open edge
+        counts in ``opened_total``.
+        """
+        if self._opened_at is None:
+            self.opened_total += 1
+        self._opened_at = self.clock()
+        self._probing = False

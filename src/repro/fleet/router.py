@@ -153,7 +153,7 @@ class UpstreamPool:
         self.node = f"{host}:{port}"
         self.config = config
         self._idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-        self.breaker = CircuitBreaker(failure_threshold=1, open_for=config.down_cooldown)
+        self.breaker = CircuitBreaker(open_for=config.down_cooldown)
         self.routed = 0
         self.failures = 0
         #: EWMA of the replica's self-reported micro-batcher queue depth

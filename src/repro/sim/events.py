@@ -1,11 +1,14 @@
 """The deterministic priority event queue.
 
-Events are ordered by ``(time, kind priority, insertion sequence)``.  The
-kind priority makes same-instant behavior well defined — completions free
-resources before repairs restore devices, repairs land before faults strike,
-faults land before new arrivals are admitted — and the insertion sequence
-breaks the remaining ties FIFO, so two runs with the same seeds pop events in
-exactly the same order.
+Events are ordered by ``(time, kind, insertion sequence)``.
+:class:`SimEventKind` is an :class:`~enum.IntEnum` whose value *is* its
+same-instant priority — COMPLETE 0, REPAIR 1, FAULT 2, ARRIVAL 3 — so
+completions free resources before repairs restore devices, repairs land
+before faults strike, and faults land before new arrivals are admitted.  The
+insertion sequence breaks the remaining ties FIFO, so two runs with the same
+seeds pop events in exactly the same order.  The fleet simulation's flat
+loop (:meth:`repro.capacity.fleet.FleetSimulation.run`) orders its plain
+tuples by the same values.
 
 The queue is a batched heap: pre-generated schedules (the arrival and fault
 streams, known up front) enter through :meth:`EventQueue.push_batch`, which
@@ -24,22 +27,13 @@ import heapq
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 
-class SimEventKind(enum.Enum):
-    """Kinds of simulator events, in same-instant processing order."""
+class SimEventKind(enum.IntEnum):
+    """Kinds of simulator events; a value is its same-instant priority."""
 
-    COMPLETE = "complete"
-    REPAIR = "repair"
-    FAULT = "fault"
-    ARRIVAL = "arrival"
-
-
-#: Same-instant processing order (lower pops first).
-_PRIORITY = {
-    SimEventKind.COMPLETE: 0,
-    SimEventKind.REPAIR: 1,
-    SimEventKind.FAULT: 2,
-    SimEventKind.ARRIVAL: 3,
-}
+    COMPLETE = 0
+    REPAIR = 1
+    FAULT = 2
+    ARRIVAL = 3
 
 
 class SimEvent(NamedTuple):
@@ -66,7 +60,7 @@ class EventQueue:
         time = float(time)
         seq = self._seq
         self._seq = seq + 1
-        return (time, _PRIORITY[kind], seq, SimEvent(time, kind, seq, payload))
+        return (time, kind, seq, SimEvent(time, kind, seq, payload))
 
     def push(self, time: float, kind: SimEventKind, payload: object = None) -> SimEvent:
         """Schedule one event; returns the stored record."""

@@ -8,8 +8,7 @@ and renders them through the :mod:`repro.analysis` table helpers.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.report import (
     SIM_LATENCY_HEADERS,
@@ -22,12 +21,13 @@ from repro.analysis.report import (
 PERCENTILES = (50, 90, 99)
 
 
-@dataclasses.dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """The lifecycle of one mode-activation request.
 
     ``arrival <= start <= finish``; ``ok`` is false for requests the policy
     could not serve (blocked by faults, missing free areas, queue overflow).
+    An immutable named tuple: a fleet simulation builds one per served
+    request, and a tuple builds in about a third of a frozen dataclass's time.
     """
 
     request_id: int
@@ -68,6 +68,18 @@ def percentile(values: Sequence[float], pct: float, presorted: bool = False) -> 
     ordered = values if presorted else sorted(values)
     rank = max(1, -(-len(ordered) * pct // 100))  # ceil without floats
     return ordered[int(rank) - 1]
+
+
+def summarize(values: Sequence[float]) -> Dict[str, float]:
+    """Count, mean, max and :data:`PERCENTILES` of one sample."""
+    summary: Dict[str, float] = {"count": len(values)}
+    if values:
+        ordered = sorted(values)  # one sort shared across every percentile
+        summary["mean"] = sum(ordered) / len(ordered)
+        summary["max"] = ordered[-1]
+        for pct in PERCENTILES:
+            summary[f"p{pct}"] = percentile(ordered, pct, presorted=True)
+    return summary
 
 
 def histogram(
@@ -159,24 +171,13 @@ class SimStats:
             counts[record.action] = counts.get(record.action, 0) + 1
         return dict(sorted(counts.items()))
 
-    @staticmethod
-    def _summary(values: Sequence[float]) -> Dict[str, float]:
-        summary: Dict[str, float] = {"count": len(values)}
-        if values:
-            ordered = sorted(values)  # one sort shared across every percentile
-            summary["mean"] = sum(ordered) / len(ordered)
-            summary["max"] = ordered[-1]
-            for pct in PERCENTILES:
-                summary[f"p{pct}"] = percentile(ordered, pct, presorted=True)
-        return summary
-
     def latency_summary(self) -> Dict[str, Dict[str, float]]:
         """Percentile summaries of latency / wait / service over served requests."""
         served = self.served
         return {
-            "latency": self._summary([record.latency for record in served]),
-            "wait": self._summary([record.wait for record in served]),
-            "service": self._summary([record.service for record in served]),
+            "latency": summarize([record.latency for record in served]),
+            "wait": summarize([record.wait for record in served]),
+            "service": summarize([record.service for record in served]),
         }
 
     # ------------------------------------------------------------------

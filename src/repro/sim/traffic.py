@@ -34,12 +34,14 @@ from __future__ import annotations
 import abc
 import dataclasses
 import math
-from typing import Callable, List, Sequence
+from typing import TYPE_CHECKING, Callable, List, Sequence
 
 import numpy as np
 
-from repro.runtime.scheduler import ModeSchedule
 from repro.utils.rng import make_rng
+
+if TYPE_CHECKING:  # the runtime stack loads only when a capture is replayed
+    from repro.runtime.scheduler import ModeSchedule
 
 
 @dataclasses.dataclass(frozen=True)
@@ -329,6 +331,8 @@ class TraceReplayTraffic(TrafficModel):
         dwells equal to the observed inter-arrival gaps, so the simulator
         sees the production request sequence at its original cadence.
         """
+        from repro.runtime.scheduler import ModeSchedule
+
         schedule = ModeSchedule.from_dict(capture.get("schedule", {}))
         if not schedule.steps:
             raise ValueError("capture carries no replayable requests")

@@ -1,7 +1,8 @@
 """What the capacity CLI loads, and the reports it writes.
 
 The CLI runs only the simulator and capacity layers, so it must not import
-the solver or serving stack.  Its JSON reports must hash to the digests the
+the solver or serving stack, nor the runtime and bitstream layers the
+single-device engine drives.  Its JSON reports must hash to the digests the
 end-to-end benchmark stores for its scenario seeds.
 """
 
@@ -18,7 +19,12 @@ import pytest
 from repro.capacity.__main__ import main as capacity_main
 
 PERFBENCH = Path(__file__).resolve().parents[2] / "perfbench"
-HEAVY = tuple(f"{name}." for name in ("scipy", "repro.milp", "repro.server", "repro.service"))
+HEAVY = tuple(
+    f"{name}."
+    for name in (
+        "scipy", "repro.milp", "repro.server", "repro.service", "repro.runtime", "repro.bitstream",
+    )
+)
 
 
 def test_cli_imports_no_solver_or_serving_stack():

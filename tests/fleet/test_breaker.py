@@ -16,18 +16,12 @@ class FakeClock:
         self.now += seconds
 
 
-def make_breaker(threshold=3, open_for=0.5):
+def make_breaker(open_for=0.5):
     clock = FakeClock()
-    return CircuitBreaker(
-        failure_threshold=threshold, open_for=open_for, clock=clock
-    ), clock
+    return CircuitBreaker(open_for=open_for, clock=clock), clock
 
 
 class TestValidation:
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-
     def test_open_for_must_be_positive(self):
         with pytest.raises(ValueError):
             CircuitBreaker(open_for=0.0)
@@ -39,32 +33,34 @@ class TestTransitions:
         assert breaker.state == CLOSED
         assert breaker.allow()
 
-    def test_opens_only_past_the_failure_threshold(self):
-        breaker, _clock = make_breaker(threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED  # two flakes do not blackhole
+    def test_opens_on_the_first_failure(self):
+        breaker, _clock = make_breaker()
         breaker.record_failure()
         assert breaker.state == OPEN
         assert not breaker.allow()
         assert breaker.opened_total == 1
 
-    def test_threshold_one_reproduces_cooldown_semantics(self):
-        breaker, _clock = make_breaker(threshold=1)
+    def test_failure_while_open_restarts_the_window(self):
+        breaker, clock = make_breaker(open_for=0.5)
         breaker.record_failure()
-        assert breaker.state == OPEN
+        clock.advance(0.4)
+        breaker.record_failure()  # a straggler's failure lands mid-window
+        clock.advance(0.4)
+        assert breaker.state == OPEN  # 0.4 s into the fresh window
+        assert breaker.opened_total == 1
 
-    def test_success_resets_accumulated_failures(self):
-        breaker, _clock = make_breaker(threshold=3)
-        breaker.record_failure()
+    def test_success_closes_and_the_next_failure_reopens(self):
+        breaker, _clock = make_breaker()
         breaker.record_failure()
         breaker.record_success()
+        assert breaker.state == CLOSED
+        assert breaker.allow()
         breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED  # the streak restarted
+        assert breaker.state == OPEN
+        assert breaker.opened_total == 2  # two closed -> open edges
 
     def test_half_open_admits_exactly_one_probe(self):
-        breaker, clock = make_breaker(threshold=1, open_for=0.5)
+        breaker, clock = make_breaker(open_for=0.5)
         breaker.record_failure()
         assert not breaker.allow()
         clock.advance(0.6)
@@ -74,7 +70,7 @@ class TestTransitions:
         assert breaker.state == HALF_OPEN
 
     def test_successful_probe_closes(self):
-        breaker, clock = make_breaker(threshold=1, open_for=0.5)
+        breaker, clock = make_breaker(open_for=0.5)
         breaker.record_failure()
         clock.advance(0.6)
         assert breaker.allow()
@@ -83,7 +79,7 @@ class TestTransitions:
         assert breaker.allow()
 
     def test_failed_probe_reopens_a_fresh_window(self):
-        breaker, clock = make_breaker(threshold=1, open_for=0.5)
+        breaker, clock = make_breaker(open_for=0.5)
         breaker.record_failure()
         clock.advance(0.6)
         assert breaker.allow()
