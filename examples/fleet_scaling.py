@@ -4,15 +4,13 @@
 For each fleet size this script spawns the real thing — N ``repro.server``
 gateway subprocesses supervised by a :class:`~repro.fleet.manager.FleetManager`
 behind a consistent-hash :class:`~repro.fleet.router.FleetRouter` — and drives
-the same closed-loop workload: 8 clients hammering 2 *fresh* instances
-(4 identical concurrent misses per unique, spread across the replica ports).
+the same closed-loop workload through the router: 8 clients hammering 2
+*fresh* instances (4 identical concurrent misses per unique).
 
-The table to watch is ``solves/unique``: however many replicas the duplicate
-herd is spread over, the shared cache tier's per-fingerprint lock files elect
-exactly **one** solver per unique job fleet-wide — every other replica awaits
-the winner's entry (``flight_waits``) instead of burning a core re-solving
-it, and repeats that reach the winner's own replica join its solve there.
-On a multi-core box the distinct-miss work also spreads across replica
+The table to watch is ``solves/unique``: however many replicas the fleet
+has, the router's ring sends every duplicate of a job to the one replica that
+owns its fingerprint, where it joins the running solve — exactly **one**
+solve per unique job fleet-wide.  On a multi-core box the distinct-miss work also spreads across replica
 processes for near-linear throughput; on a single-core runner throughput is
 roughly flat and the win is the collapsed work.
 
@@ -28,11 +26,11 @@ import tempfile
 
 from repro.analysis import format_table
 from repro.fleet import BackgroundFleet
-from repro.server.loadgen import demo_payloads, fetch_metrics_json, run_fleet_closed_loop
+from repro.server.loadgen import demo_payloads, fetch_metrics_json, run_closed_loop
 
 # the single-gateway shape of the fleet.herd_single benchmark: one job per
-# batch and a shard pool wider than the herd.  Duplicates that reach one
-# replica join its solve; the ones spread over replicas meet in the cache tier
+# batch and a shard pool wider than the herd, so duplicates that reach one
+# replica are collapsed by joining its solve, not by sharing a batch
 UNBATCHED_ARGS = (
     "--max-batch", "1",
     "--shards", "12", "--batch-workers", "8",
@@ -48,10 +46,8 @@ def drive_fleet(replicas: int, payloads) -> dict:
     with BackgroundFleet(
         replicas=replicas, cache_dir=cache_dir, server_args=UNBATCHED_ARGS
     ) as fleet:
-        # duplicates are spread across the replica *ports* (round-robin), so
-        # collapsing them is the shared tier's job, not the router's affinity
-        result = run_fleet_closed_loop(
-            fleet.manager.addresses, payloads, clients=CLIENTS, requests_per_client=1
+        result = run_closed_loop(
+            fleet.host, fleet.port, payloads, clients=CLIENTS, requests_per_client=1
         )
         rollup = fetch_metrics_json(fleet.host, fleet.port)
     solves = rollup["cache"]["stores"]
@@ -62,7 +58,6 @@ def drive_fleet(replicas: int, payloads) -> dict:
         "errors": result.errors,
         "solves": solves,
         "solves_per_unique": solves / UNIQUE,
-        "flight_waits": rollup["counters"]["flight_waits"],
     }
 
 
@@ -101,7 +96,6 @@ def main(argv=None) -> int:
                 f"{outcome['p50_ms']:.1f}",
                 outcome["solves"],
                 f"{outcome['solves_per_unique']:.1f}",
-                outcome["flight_waits"],
                 outcome["errors"],
             ]
         )
@@ -112,14 +106,13 @@ def main(argv=None) -> int:
     print()
     print(
         format_table(
-            ["replicas", "req/s", "p50 (ms)", "solves", "solves/unique",
-             "flight waits", "errors"],
+            ["replicas", "req/s", "p50 (ms)", "solves", "solves/unique", "errors"],
             rows,
             title=f"duplicate-miss herd: {CLIENTS} clients, {UNIQUE} unique jobs",
         )
     )
     print(
-        "\nsingle-flight keeps solves/unique at 1.0 at every fleet size: the\n"
+        "\nthe router's ring keeps solves/unique at 1.0 at every fleet size: the\n"
         "herd's duplicate work is collapsed fleet-wide, not multiplied by N."
     )
     return 0

@@ -430,9 +430,8 @@ def server_gateway_open_loop(profile: BenchProfile) -> Workload:
 # fleet: multi-process replicas behind the consistent-hash router
 # ----------------------------------------------------------------------
 #: Per-replica knobs of the fleet cache-miss benchmarks: within one process
-#: every unique job dispatches as its own single-job batch.  Duplicates that
-#: meet in one replica join its solve; duplicates spread over replicas are
-#: collapsed by the cache tier's cross-replica single-flight.
+#: every unique job dispatches as its own single-job batch.  The router sends
+#: every duplicate of a job to one replica, where it joins that job's solve.
 _FLEET_UNBATCHED = ("--max-batch", "1")
 #: The one gateway of ``fleet.herd_single``: one job per batch and enough
 #: shards that dispatch is never queue-limited.
@@ -446,8 +445,8 @@ def _fleet_miss_rounds(profile: BenchProfile, per_round: int):
     replicas hold in-memory LRU copies a parent process cannot reach.  Fresh
     fingerprints per round make every round a true miss regardless.  The
     payloads are the heavy three-region instances: collapsing duplicate *solves*
-    is only visible when a solve costs far more than the lock/poll/HTTP
-    coordination spent collapsing it.
+    is only visible when a solve costs far more than the HTTP hops spent
+    collapsing it.
     """
     rounds = profile.warmup + profile.repeats + 2  # +2 slack for re-runs
     pool = scenarios.server_payloads(unique=rounds * per_round, heavy=True)
@@ -459,25 +458,21 @@ def _fleet_workload(
     replicas: int,
     clients: int,
     per_round: int,
-    direct: bool,
     server_args=_FLEET_UNBATCHED,
 ):
     """Shared shape of the ``fleet.*`` cache-miss benchmarks.
 
     A :class:`~repro.fleet.BackgroundFleet` (replica processes + router) is
     started once in setup; each timed round throws one closed-loop burst of
-    *fresh-fingerprint* payloads at it.  ``direct=True`` round-robins the
-    clients over the replica ports themselves (the cross-replica single-
-    flight shape); ``direct=False`` sends everything through the router.
-    Per-round extras record fleet-wide solve counts scraped from the
-    router's ``/metrics`` roll-up, so the snapshot carries the
-    work-collapse evidence (``solves_per_unique``) alongside the latency
-    numbers.
+    *fresh-fingerprint* payloads at its router.  Per-round extras record
+    fleet-wide solve counts scraped from the router's ``/metrics`` roll-up,
+    so the snapshot carries the work-collapse evidence
+    (``solves_per_unique``) alongside the latency numbers.
     """
     import tempfile
 
     from repro.fleet import BackgroundFleet
-    from repro.server.loadgen import fetch_metrics_json, run_fleet_closed_loop
+    from repro.server.loadgen import fetch_metrics_json, run_closed_loop
 
     rounds = _fleet_miss_rounds(profile, per_round)
     fleet = BackgroundFleet(
@@ -485,18 +480,16 @@ def _fleet_workload(
         cache_dir=tempfile.mkdtemp(prefix="repro-bench-fleet-"),
         server_args=server_args,
     )
-    state = {"round": 0, "stores": 0.0, "flight_waits": 0.0}
+    state = {"round": 0, "stores": 0.0}
 
     def run():
         batch = rounds[state["round"] % len(rounds)]
         state["round"] += 1
-        targets = fleet.manager.addresses if direct else [(fleet.host, fleet.port)]
-        result = run_fleet_closed_loop(
-            targets, batch, clients=clients, requests_per_client=1
+        result = run_closed_loop(
+            fleet.host, fleet.port, batch, clients=clients, requests_per_client=1
         )
         rollup = fetch_metrics_json(fleet.host, fleet.port)
         stores = float(rollup["cache"]["stores"])
-        flight_waits = float(rollup["counters"]["flight_waits"])
         workload.units = float(result.sent)
         workload.extras.update(
             {
@@ -507,11 +500,9 @@ def _fleet_workload(
                 "unique_jobs": float(per_round),
                 "solves_fleetwide": stores - state["stores"],
                 "solves_per_unique": (stores - state["stores"]) / per_round,
-                "flight_waits": flight_waits - state["flight_waits"],
             }
         )
         state["stores"] = stores
-        state["flight_waits"] = flight_waits
         return result
 
     workload = Workload(run, units=float(clients), unit_name="requests")
@@ -526,9 +517,8 @@ def fleet_herd_single(profile: BenchProfile) -> Workload:
     8 concurrent requests over 2 unique jobs, fresh fingerprints per round,
     ``max_batch=1`` over the wide ``_HERD_GATEWAY`` shard pool.  Every
     duplicate meets its job in the gateway's batcher and joins that solve,
-    so ``solves_per_unique`` is 1; ``fleet.herd_fleet4`` spreads the same
-    herd over four replicas, where the cache tier's single-flight collapses
-    it instead.
+    so ``solves_per_unique`` is 1; ``fleet.herd_fleet4`` sends the same
+    herd through a four-replica fleet's router.
     """
     from repro.server.gateway import BackgroundGateway, GatewayConfig
     from repro.server.loadgen import run_closed_loop
@@ -570,16 +560,13 @@ def fleet_herd_single(profile: BenchProfile) -> Workload:
 def fleet_herd_fleet4(profile: BenchProfile) -> Workload:
     """The same duplicate-miss herd against a 4-replica fleet.
 
-    Identical load as ``fleet.herd_single``, but the duplicates are
-    deliberately spread over the replica *ports* (bypassing the router,
-    whose fingerprint affinity would hide the mechanism): the replicas meet
-    in the shared cache tier, the per-fingerprint lock files elect one
-    solver per unique job, and everyone else serves the stored result.  The
-    snapshot's acceptance evidence: ``solves_per_unique == 1`` (8 duplicate
-    misses → 2 solves fleet-wide, as on the single gateway of
-    ``fleet.herd_single``).
+    Identical load as ``fleet.herd_single``, sent through the router: its
+    ring sends every duplicate of a job to that job's owner replica, whose
+    batcher joins it onto the running solve.  The snapshot's acceptance
+    evidence: ``solves_per_unique == 1`` (8 duplicate misses → 2 solves
+    fleet-wide, as on the single gateway of ``fleet.herd_single``).
     """
-    return _fleet_workload(profile, replicas=4, clients=8, per_round=2, direct=True)
+    return _fleet_workload(profile, replicas=4, clients=8, per_round=2)
 
 
 @benchmark("fleet.miss_r1")
@@ -587,12 +574,12 @@ def fleet_miss_r1(profile: BenchProfile) -> Workload:
     """Distinct-fingerprint misses through the router, 1 replica.
 
     The honest replica-scaling pair (with ``fleet.miss_r4``): 4 concurrent
-    clients, 4 unique jobs per round, no duplicates — so single-flight never
-    fires and the margin is pure multi-process parallelism.  On a
+    clients, 4 unique jobs per round, no duplicates — so no solve is ever
+    joined and the margin is pure multi-process parallelism.  On a
     multi-core host r4 approaches linear scaling; on a single-core runner
     the pair is ~flat and documents exactly that.
     """
-    return _fleet_workload(profile, replicas=1, clients=4, per_round=4, direct=False)
+    return _fleet_workload(profile, replicas=1, clients=4, per_round=4)
 
 
 @benchmark("fleet.miss_r4")
@@ -601,7 +588,7 @@ def fleet_miss_r4(profile: BenchProfile) -> Workload:
 
     See ``fleet.miss_r1`` — this is the scaled half of the pair.
     """
-    return _fleet_workload(profile, replicas=4, clients=4, per_round=4, direct=False)
+    return _fleet_workload(profile, replicas=4, clients=4, per_round=4)
 
 
 # ----------------------------------------------------------------------

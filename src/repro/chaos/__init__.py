@@ -26,7 +26,6 @@ from repro.chaos.actions import (
     ChaosAction,
     ChaosContext,
     CorruptCacheEntry,
-    CorruptLockFile,
     FillCacheDir,
     KillReplica,
     PauseReplica,
@@ -49,7 +48,6 @@ __all__ = [
     "PauseReplica",
     "SlowReplica",
     "CorruptCacheEntry",
-    "CorruptLockFile",
     "FillCacheDir",
     # plan
     "ChaosEvent",

@@ -11,18 +11,16 @@ The catalogue:
 * :class:`KillReplica` — SIGKILL; the supervisor restarts it after
   (jittered) backoff, the router's retries mask the gap.
 * :class:`PauseReplica` — SIGSTOP.  The process still polls as *alive*, so
-  the supervisor will not replace it: this is the wedged-but-alive shape
-  that exercises the bounded ``await_flight`` + ``break_flight`` takeover.
+  the supervisor will not replace it: this is the wedged-but-alive shape,
+  whose requests wait out the pause and must still be answered.
 * :class:`SlowReplica` — latency injection via a SIGSTOP/SIGCONT duty
   cycle, stretching every in-flight request without ever failing one.
 * :class:`CorruptCacheEntry` — overwrite a stored ``<fp>.json`` with
   garbage; the cache must treat it as a miss (counted), never serve it.
-* :class:`CorruptLockFile` — garbage bytes in a single-flight ``.lock``;
-  waiters must reclaim it as corrupt instead of waiting forever.
 * :class:`FillCacheDir` — hijack the cache-tier path itself (the directory
   is replaced by a plain file, so every mkdir/open under it fails with
-  ``OSError``), simulating a full or remounted disk; stores and lock
-  acquisitions must degrade to counted errors, not request failures.
+  ``OSError``), simulating a full or remounted disk; stores must degrade to
+  counted errors, not request failures.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ __all__ = [
     "PauseReplica",
     "SlowReplica",
     "CorruptCacheEntry",
-    "CorruptLockFile",
     "FillCacheDir",
 ]
 
@@ -180,39 +177,6 @@ class CorruptCacheEntry(ChaosAction):
                 pass  # the cache's own corrupt-entry cleanup beat us to it
 
 
-class CorruptLockFile(ChaosAction):
-    """Garbage bytes where a single-flight lock should be.
-
-    Corrupts an existing in-flight lock when one exists (waiters must
-    reclaim it as corrupt, not spin until timeout); otherwise plants an
-    orphan garbage lock that the next acquirer of that fingerprint has to
-    clear.
-    """
-
-    ORPHAN_FINGERPRINT = "chaos-orphan"
-
-    def __init__(self) -> None:
-        self._planted: Optional[Path] = None
-
-    def apply(self, ctx: ChaosContext) -> None:
-        locks = sorted(ctx.cache_dir.glob("*.lock"))
-        path = locks[0] if locks else (
-            ctx.cache_dir / f"{self.ORPHAN_FINGERPRINT}.lock"
-        )
-        try:
-            path.write_bytes(_GARBAGE)
-        except OSError:
-            return
-        self._planted = path
-
-    def revert(self, ctx: ChaosContext) -> None:
-        if self._planted is not None:
-            try:
-                self._planted.unlink()
-            except OSError:
-                pass  # reclaimed by a waiter already
-
-
 class FillCacheDir(ChaosAction):
     """Make the cache-tier path unusable, the way a full or remounted disk
     would.
@@ -220,8 +184,8 @@ class FillCacheDir(ChaosAction):
     ``chmod`` is useless here (tests run as root), so the directory is moved
     aside and replaced by a plain *file*: every ``mkdir``/``open`` under the
     path now raises ``OSError``, which the cache layer must absorb as
-    ``store_errors``/``lock_errors`` while requests keep succeeding from
-    memory and local solves.
+    ``store_errors`` while requests keep succeeding from memory and local
+    solves.
     """
 
     def __init__(self) -> None:

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence
 from repro.chaos.actions import (
     ChaosAction,
     CorruptCacheEntry,
-    CorruptLockFile,
     FillCacheDir,
     KillReplica,
     PauseReplica,
@@ -78,7 +77,6 @@ _KINDS = (
     "pause", "pause",
     "slow",
     "corrupt_entry",
-    "corrupt_lock",
     "fill_cache",
 )
 
@@ -118,8 +116,6 @@ def random_plan(
             events.append(ChaosEvent(when, SlowReplica(index), duration=duration))
         elif kind == "corrupt_entry":
             events.append(ChaosEvent(when, CorruptCacheEntry()))
-        elif kind == "corrupt_lock":
-            events.append(ChaosEvent(when, CorruptLockFile()))
         else:
             events.append(ChaosEvent(when, FillCacheDir(), duration=duration))
     return ChaosPlan(events)

@@ -15,11 +15,11 @@ One machine, N replica processes, one front door.  The pieces:
 * :mod:`repro.fleet.harness` — :class:`BackgroundFleet`, the synchronous
   manager-plus-router harness the tests, benchmarks and examples share.
 
-Duplicate work is collapsed at three layers: the ring sends repeats of a job
-to one replica, that replica's micro-batcher dedups concurrent identical
-misses in-process, and the cache tier's per-fingerprint lock files
-(:mod:`repro.service.cache`) give cross-replica single-flight for duplicates
-that arrive at different replicas anyway.
+Duplicate work is collapsed at two layers: the ring sends repeats of a job
+to one replica, and that replica's micro-batcher joins concurrent identical
+misses onto one solve.  The shared cache directory
+(:mod:`repro.service.cache`) is a result store, not a lock: identical misses
+sent to two replica ports directly, past the router, may be solved twice.
 
 Quickstart::
 

@@ -2,9 +2,8 @@
 
 A :class:`FleetManager` owns N replica subprocesses, each running the PR 5
 gateway (``python -m repro.server``) on its own port with a **shared**
-``--cache-dir`` — the content-addressed cache tier the replicas coordinate
-through (entries land once, per-fingerprint lock files give cross-replica
-single-flight).  The manager:
+``--cache-dir`` — the content-addressed result store the replicas share (an
+entry one replica stores is a disk hit on every other).  The manager:
 
 * picks ports (ephemeral by default), builds each replica's command line and
   environment (``PYTHONPATH`` is extended so ``-m repro.server`` resolves from
@@ -58,8 +57,8 @@ class FleetConfig:
         First replica port; replica ``i`` listens on ``base_port + i``.
         ``0`` lets the manager pick free ephemeral ports.
     cache_dir:
-        The shared cache-tier directory (required: without it the replicas
-        cannot share entries and single-flight degenerates to per-process).
+        The shared result-store directory (required: without it a replica
+        cannot serve an entry another replica solved).
     server_args:
         Extra command-line arguments appended to every replica's
         ``python -m repro.server`` invocation (batching, shard, admission
@@ -304,7 +303,7 @@ class FleetManager:
     def pause_replica(self, index: int) -> None:
         """SIGSTOP one replica.  The process still polls as alive, so the
         supervisor will *not* restart it — exactly the wedged-but-alive shape
-        (holder of a single-flight lock that never progresses) the chaos
+        (a replica that holds requests and never answers them) the chaos
         harness needs."""
         replica = self.replicas[index]
         if replica.process is not None and replica.alive:

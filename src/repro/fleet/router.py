@@ -224,7 +224,9 @@ class UpstreamPool:
     async def _checkout(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
         while self._idle:
             reader, writer = self._idle.pop()
-            if not writer.is_closing():
+            # at_eof: the replica closed its end while idle (it was killed or
+            # restarted); sending on it would fail as if the replica were down
+            if not writer.is_closing() and not reader.at_eof():
                 return reader, writer
             self._discard(writer)
         try:

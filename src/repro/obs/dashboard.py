@@ -223,18 +223,14 @@ def render_dashboard(
         + "</section>"
     )
 
-    # --- cache + single flight ----------------------------------------
+    # --- cache -------------------------------------------------------
     sections.append(
-        '<section id="panel-cache"><h2>cache &amp; single flight</h2><table>'
+        '<section id="panel-cache"><h2>cache</h2><table>'
         + _rows(
             [
                 ("tier hits", _fmt(cache.get("hits", 0))),
                 ("tier misses", _fmt(cache.get("misses", 0))),
                 ("stores", _fmt(cache.get("stores", 0))),
-                ("flight waits", _fmt(counters.get("flight_waits", 0))),
-                ("flight takeovers", _fmt(counters.get("flight_takeovers", 0))),
-                ("flights held", _fmt(cache.get("flights", 0))),
-                ("stale locks reclaimed", _fmt(cache.get("stale_locks", 0))),
             ]
         )
         + "</table></section>"

@@ -16,9 +16,9 @@ Request lifecycle for ``POST /solve``:
 4. **job** — a miss whose key came from the memo is decoded into its full
    job now, off the loop;
 5. **single-flight** — a fingerprint this replica is already solving joins
-   that solve in the batcher; otherwise, with a shared cache directory, the
-   request takes the per-fingerprint flight lock or awaits the replica that
-   holds it;
+   that solve in the batcher.  Across replicas the router's ring is the
+   single-flight: it sends every fingerprint to one replica.  A client that
+   sends one miss to two replica ports directly may get two solves;
 6. **admission** — misses are shed with 429 ``queue_full`` when the
    micro-batcher already holds ``max_queue_depth`` unserved jobs;
 7. **batch + solve** — admitted misses go to the
@@ -91,16 +91,11 @@ class GatewayConfig:
         Worker-pool shape (see :class:`~repro.server.workers.WorkerPool`).
     cache_dir:
         Optional persistence directory for the solve cache.  Pointing several
-        gateway processes at one directory makes it the shared fleet cache
-        tier: entries are shared, and per-fingerprint lock files give
-        cross-replica single-flight on concurrent identical misses.
+        gateway processes at one directory makes it the fleet's shared result
+        store: one replica's solve is a disk hit on every other.  It does not
+        deduplicate concurrent misses; the router's ring does.
     cache_capacity:
         In-memory LRU bound of the solve cache.
-    flight_timeout:
-        Single-flight wait bound: a request that finds another replica
-        already solving its fingerprint polls the shared cache (every
-        0.02 s) for up to ``max(flight_timeout, 2 x the job's time_limit)``
-        seconds before taking the solve over.
     brownout_watermark:
         Queue depth at which the gateway enters brown-out: fresh solves are
         served heuristic-only (annealing, no MILP) and flagged
@@ -114,12 +109,12 @@ class GatewayConfig:
         authenticating proxy that sets the header itself.
     tracing, trace_capacity, trace_sink:
         Request tracing (:mod:`repro.obs`).  When on, every ``/solve``
-        records a multi-span trace (decode, admission, cache lookup,
-        single-flight wait, batch assembly, solve + solver stages) into an
-        in-memory ring of ``trace_capacity`` traces served at
-        ``GET /debug/traces``; ``trace_sink`` additionally appends every
-        completed trace to a rotating JSONL file for capture→replay
-        (``python -m repro.obs export``).
+        records a multi-span trace (decode, admission, cache lookup, batch
+        assembly, solve + solver stages) into an in-memory ring of
+        ``trace_capacity`` traces served at ``GET /debug/traces``;
+        ``trace_sink`` additionally appends every completed trace to a
+        rotating JSONL file for capture→replay (``python -m repro.obs
+        export``).
     """
 
     host: str = "127.0.0.1"
@@ -132,7 +127,6 @@ class GatewayConfig:
     batch_workers: Optional[int] = 4
     cache_dir: Optional[str] = None
     cache_capacity: Optional[int] = 1024
-    flight_timeout: float = 60.0
     brownout_watermark: Optional[int] = None
     trust_client_id: bool = False
     tracing: bool = True
@@ -174,8 +168,6 @@ class SolveGateway(HttpServer):
             slots=self.config.shards,
             on_batch=self.metrics.observe_batch,
         )
-        #: fingerprints a request here is taking the flight lock for
-        self._claims: Dict[str, asyncio.Event] = {}
         self.admission = AdmissionController(
             max_queue_depth=self.config.max_queue_depth,
             rate_limit=self.config.rate_limit,
@@ -300,8 +292,8 @@ class SolveGateway(HttpServer):
         self.metrics.cache_misses += 1
 
         if job is None:
-            # a memo hit that both cache tiers missed: the solve (or a flight
-            # wait) needs the full job, decoded off the loop as on a first send
+            # a memo hit that both cache tiers missed: the solve needs the
+            # full job, decoded off the loop as on a first send
             decode_started = time.perf_counter()
             job = await loop.run_in_executor(None, lambda: job_from_dict(request.json()))
             if trace is not None:
@@ -309,71 +301,22 @@ class SolveGateway(HttpServer):
                     "gateway.decode_job", decode_started, time.perf_counter(), parent=root
                 )
 
-        # cross-replica single-flight: with a shared cache directory, only the
-        # per-fingerprint lock holder may occupy solver capacity for this job;
-        # every other replica's request awaits the shared entry instead of
-        # duplicating the solve.  A repeat of a job this replica is already
-        # solving joins it in the batcher, as it does without a directory.
-        acquired = False  # does this request hold the flight lock?
-        claim: Optional[bool] = None
-        if self.cache.directory is not None:
-            claim = await self._claim_flight(job.fingerprint)
-            acquired = claim is True
-            if claim is False:
-                flight_started = time.perf_counter()
-                result = await self._await_flight(job, deadline_at)
-                if trace is not None:
-                    trace.add_span(
-                        "flight.wait", flight_started, time.perf_counter(),
-                        parent=root, landed=result is not None,
-                    )
-                if result is not None:
-                    self.metrics.flight_waits += 1
-                    self.metrics.observe_hit(time.perf_counter() - started)
-                    return 200, self._result_payload(key.fingerprint, result, cached=True), None
-                if deadline_at is not None and time.monotonic() >= deadline_at:
-                    return self._expired(trace, root, arrival, budget, where="flight")
-                # the holder died, wedged, or the wait timed out: break its
-                # lock (a *live* SIGSTOPped holder passes the pid probe
-                # forever, so stale reclaim alone can't free it) and take the
-                # solve over.  Losing the takeover race to another waiter
-                # means one duplicate solve, which the cache absorbs —
-                # liveness beats perfect deduplication.
-                self.metrics.flight_takeovers += 1
-                await loop.run_in_executor(
-                    None, self.cache.break_flight, job.fingerprint
-                )
-                acquired = await loop.run_in_executor(
-                    None, self.cache.try_acquire_flight, job.fingerprint
-                )
-
-        try:
-            queue_started = time.perf_counter()
-            decision = self.admission.check_queue(self.batcher.queue_depth)
-            if trace is not None:
-                trace.add_span(
-                    "admission.queue", queue_started, time.perf_counter(),
-                    parent=root, admitted=decision.admitted,
-                    queue_depth=self.batcher.queue_depth,
-                )
-            if not decision.admitted:
-                if acquired:
-                    await loop.run_in_executor(
-                        None, self.cache.release_flight, job.fingerprint
-                    )
-                self.metrics.shed_queue_full += 1
-                retry_after = str(max(1, round(decision.retry_after)))
-                return (
-                    429,
-                    {"error": "shed", "reason": decision.reason},
-                    {"Retry-After": retry_after},
-                )
-        finally:
-            if claim is True:
-                # admitted (it submits below without yielding, so a woken
-                # repeat finds the job in the batcher) or shed with the lock
-                # already released (a woken repeat takes the lock afresh)
-                self._end_claim(job.fingerprint)
+        queue_started = time.perf_counter()
+        decision = self.admission.check_queue(self.batcher.queue_depth)
+        if trace is not None:
+            trace.add_span(
+                "admission.queue", queue_started, time.perf_counter(),
+                parent=root, admitted=decision.admitted,
+                queue_depth=self.batcher.queue_depth,
+            )
+        if not decision.admitted:
+            self.metrics.shed_queue_full += 1
+            retry_after = str(max(1, round(decision.retry_after)))
+            return (
+                429,
+                {"error": "shed", "reason": decision.reason},
+                {"Retry-After": retry_after},
+            )
 
         submit_started = time.perf_counter()
         solve_span: Optional[Span] = None
@@ -406,10 +349,6 @@ class SolveGateway(HttpServer):
             self.metrics.observe_solved(time.perf_counter() - started, error=True)
             return 500, {"error": f"{type(exc).__name__}: {exc}"}, None
         finally:
-            if acquired:
-                await loop.run_in_executor(
-                    None, self.cache.release_flight, job.fingerprint
-                )
             if solve_span is not None:
                 solve_span.end = trace.wall(time.perf_counter())
                 trace.spans.append(solve_span)
@@ -457,55 +396,6 @@ class SolveGateway(HttpServer):
             {"error": "deadline expired", "reason": "deadline_expired", "where": where},
             {"Retry-After": "1"},
         )
-
-    async def _claim_flight(self, fingerprint: str) -> Optional[bool]:
-        """Take ``fingerprint``'s flight lock unless this replica solves it already.
-
-        ``None`` means the batcher already holds the fingerprint: the request
-        joins that solve and takes no lock.  Otherwise the result says whether
-        the lock is now this request's (``False``: another replica holds it).
-        Requests on this replica claim a fingerprint one at a time, so a
-        repeat that arrives while the first is taking the lock finds the job
-        in the batcher, not behind the lock file its own process wrote.  A
-        ``True`` claim stays open until the caller ends it with
-        :meth:`_end_claim`, once it has submitted the job or released the lock.
-        """
-        while (pending := self._claims.get(fingerprint)) is not None:
-            await pending.wait()
-        if self.batcher.holds(fingerprint):
-            return None
-        self._claims[fingerprint] = asyncio.Event()
-        acquired = False
-        try:
-            acquired = await asyncio.get_running_loop().run_in_executor(
-                None, self.cache.try_acquire_flight, fingerprint
-            )
-            return acquired
-        finally:
-            if not acquired:
-                self._end_claim(fingerprint)
-
-    def _end_claim(self, fingerprint: str) -> None:
-        """Wake the requests queued behind this replica's claim on ``fingerprint``."""
-        self._claims.pop(fingerprint).set()
-
-    async def _await_flight(self, job, deadline_at: Optional[float] = None):
-        """Await another replica's in-flight solve of ``job``.
-
-        Returns the shared cache entry once the holder stores it, or ``None``
-        when the lock disappears/goes stale without a result or the wait bound
-        expires — the caller then breaks the lock and takes the solve over
-        (see :meth:`~repro.service.cache.SolveCache.await_flight`).  The bound
-        is ``max(flight_timeout, 2 x the job's time_limit)`` capped by the
-        request's remaining deadline budget (``deadline_at``, absolute
-        ``time.monotonic()``), so a budgeted waiter never outwaits its own
-        client.
-        """
-        time_limit = job.options.time_limit or 0.0
-        timeout = max(self.config.flight_timeout, 2.0 * float(time_limit))
-        if deadline_at is not None:
-            timeout = min(timeout, max(0.0, deadline_at - time.monotonic()))
-        return await self.cache.await_flight(job.fingerprint, timeout=timeout)
 
     def health(self) -> Dict[str, object]:
         return {

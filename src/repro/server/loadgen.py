@@ -27,7 +27,7 @@ import dataclasses
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.server.http import open_connection, round_trip
 from repro.server.protocol import DEADLINE_HEADER
@@ -43,8 +43,6 @@ __all__ = [
     "run_closed_loop",
     "run_open_loop",
     "run_replay",
-    "fleet_closed_loop",
-    "run_fleet_closed_loop",
     "fetch_metrics_json",
     "run_fleet_smoke",
 ]
@@ -232,8 +230,7 @@ def demo_payloads(
     The default instance is tiny (tens of milliseconds warm) so load tests
     measure the serving path; ``heavy=True`` produces a three-region
     instance costing a few hundred milliseconds per solve, for benchmarks
-    where the *solve* must dominate coordination overhead (the fleet
-    single-flight herd).
+    where the *solve* must dominate coordination overhead (the fleet herd).
     """
     from repro.device.catalog import synthetic_device
     from repro.device.resources import ResourceVector
@@ -293,9 +290,25 @@ async def closed_loop(
 ) -> LoadResult:
     """``clients`` keep-alive clients, each firing ``requests_per_client``
     requests back to back, round-robining over ``payloads``."""
-    return await _closed_loop(
-        [(host, port)], payloads, clients, requests_per_client, "closed"
-    )
+    if clients <= 0 or requests_per_client <= 0:
+        raise ValueError("clients and requests_per_client must be positive")
+    latencies: List[float] = []
+    statuses: List[int] = []
+    cached: List[bool] = []
+
+    async def one_client(index: int) -> None:
+        async with GatewayClient(host, port, client_id=f"closed-{index}") as client:
+            for step in range(requests_per_client):
+                payload = payloads[(index + step * clients) % len(payloads)]
+                started = time.perf_counter()
+                status, body = await client.solve(payload)
+                latencies.append(time.perf_counter() - started)
+                statuses.append(status)
+                cached.append(bool(isinstance(body, dict) and body.get("cached")))
+
+    started = time.perf_counter()
+    await asyncio.gather(*(one_client(index) for index in range(clients)))
+    return LoadResult(latencies, statuses, cached, time.perf_counter() - started)
 
 
 async def open_loop(
@@ -451,62 +464,8 @@ def run_open_loop(*args, **kwargs) -> LoadResult:
 
 
 # ----------------------------------------------------------------------
-# fleet driver
+# fleet checks
 # ----------------------------------------------------------------------
-async def fleet_closed_loop(
-    targets: Sequence[Tuple[str, int]],
-    payloads: Sequence[Dict[str, object]],
-    clients: int = 4,
-    requests_per_client: int = 8,
-) -> LoadResult:
-    """Closed-loop load spread over several endpoints.
-
-    Client ``i`` holds one keep-alive connection to ``targets[i % len]`` —
-    round-robin over the fleet's replica ports (or a single-element target
-    list for the router frontend).  Driving replica ports *directly* is how
-    the benchmarks exercise the cache tier's cross-replica single-flight:
-    the router would send identical fingerprints to one replica, where the
-    in-process micro-batcher already dedups them.
-    """
-    if not targets:
-        raise ValueError("fleet_closed_loop needs at least one target")
-    return await _closed_loop(targets, payloads, clients, requests_per_client, "fleet")
-
-
-async def _closed_loop(
-    targets: Sequence[Tuple[str, int]],
-    payloads: Sequence[Dict[str, object]],
-    clients: int,
-    requests_per_client: int,
-    client_prefix: str,
-) -> LoadResult:
-    if clients <= 0 or requests_per_client <= 0:
-        raise ValueError("clients and requests_per_client must be positive")
-    latencies: List[float] = []
-    statuses: List[int] = []
-    cached: List[bool] = []
-
-    async def one_client(index: int) -> None:
-        host, port = targets[index % len(targets)]
-        async with GatewayClient(host, port, client_id=f"{client_prefix}-{index}") as client:
-            for step in range(requests_per_client):
-                payload = payloads[(index + step * clients) % len(payloads)]
-                started = time.perf_counter()
-                status, body = await client.solve(payload)
-                latencies.append(time.perf_counter() - started)
-                statuses.append(status)
-                cached.append(bool(isinstance(body, dict) and body.get("cached")))
-
-    started = time.perf_counter()
-    await asyncio.gather(*(one_client(index) for index in range(clients)))
-    return LoadResult(latencies, statuses, cached, time.perf_counter() - started)
-
-
-def run_fleet_closed_loop(*args, **kwargs) -> LoadResult:
-    """Synchronous wrapper around :func:`fleet_closed_loop`."""
-    return asyncio.run(fleet_closed_loop(*args, **kwargs))
-
-
 async def _fetch_metrics_json(host: str, port: int) -> Dict[str, object]:
     async with GatewayClient(host, port) as client:
         status, body = await client.request("GET", "/metrics?format=json")

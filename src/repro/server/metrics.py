@@ -214,8 +214,6 @@ class GatewayMetrics:
     batches: int = 0  # batches dispatched to the worker shards
     batched_jobs: int = 0  # jobs carried by those batches
     deduped_jobs: int = 0  # waiters a batch carried beyond one per job
-    flight_waits: int = 0  # misses served by awaiting another replica's solve
-    flight_takeovers: int = 0  # awaited flights that died and were re-solved here
     deadline_expired: int = 0  # 504s: the client budget ran out before a result
     degraded: int = 0  # 200s served best-effort (brown-out or clamped deadline)
 
@@ -294,8 +292,8 @@ class GatewayMetrics:
             "batched_jobs": self.batched_jobs,
             "deduped_jobs": self.deduped_jobs,
             "mean_batch_size": round(self.mean_batch_size, 3),
-            "flight_waits": self.flight_waits,
-            "flight_takeovers": self.flight_takeovers,
+            # always 0: perfbench/layers.py reads this key; ROADMAP item 6 deletes it
+            "flight_waits": 0,
             "deadline_expired": self.deadline_expired,
             "degraded": self.degraded,
         }

@@ -10,8 +10,10 @@ The optional directory layer persists every entry as ``<fingerprint>.json`` so
 warm sweeps survive process restarts — and so memory-evicted entries are still
 hits on their next lookup.
 
-The directory layer is **multi-process safe** and is the shared cache tier of
-the :mod:`repro.fleet` replica fleet:
+The directory layer is **multi-process safe** and is the shared result store
+of the :mod:`repro.fleet` replica fleet.  It does no deduplication: the
+router's ring sends a fingerprint to one replica, whose batcher joins repeats
+onto the running solve.
 
 * Disk writes are atomic (write to a temp file, then :func:`os.replace`) so a
   killed run never leaves a truncated entry behind, and concurrent writers of
@@ -19,11 +21,6 @@ the :mod:`repro.fleet` replica fleet:
 * On-disk entries carry a schema version and a **migration registry** upgrades
   valid-but-older entries on read (persisting the upgraded form), so a schema
   bump costs one rewrite per entry instead of silently re-solving the world.
-* Per-fingerprint ``<fingerprint>.lock`` files implement **cross-replica
-  single-flight**: one process claims the solve for a hot miss
-  (:meth:`SolveCache.try_acquire_flight`) while every other process awaits the
-  entry (:meth:`SolveCache.await_flight`).  A lock whose holder died mid-solve
-  goes stale and is reclaimed; corrupt lock files are deleted and counted.
 
 Corrupt (non-JSON) entries found at load time are deleted and recorded, so one
 bad file costs a re-solve instead of poisoning the request path forever;
@@ -34,14 +31,11 @@ to a newer version sharing the directory.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import json
 import os
-import socket
 import tempfile
 import threading
-import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, Iterator, Optional, Union
@@ -55,10 +49,6 @@ DEFAULT_CAPACITY = 1024
 #: ``JobResult.as_dict()`` with no version marker); version 2 stamps
 #: ``schema_version`` and guarantees the ``worker`` field is present.
 CACHE_SCHEMA_VERSION = 2
-
-#: Seconds after which a flight lock is presumed abandoned even when its
-#: holder pid cannot be probed (e.g. the holder ran on another host).
-DEFAULT_STALE_LOCK_AFTER = 300.0
 
 _MIGRATIONS: Dict[int, Callable[[Dict[str, object]], Dict[str, object]]] = {}
 
@@ -117,19 +107,9 @@ def _migrate_v1(data: Dict[str, object]) -> Dict[str, object]:
     return data
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True  # exists but isn't ours (or unprobeable): assume alive
-    return True
-
-
 @dataclasses.dataclass
 class CacheStats:
-    """Hit/miss/eviction/flight counters of one :class:`SolveCache`."""
+    """Hit/miss/eviction counters of one :class:`SolveCache`."""
 
     hits: int = 0
     misses: int = 0
@@ -137,11 +117,6 @@ class CacheStats:
     evictions: int = 0
     corrupt: int = 0
     migrated: int = 0  # older-schema entries upgraded on read
-    flights: int = 0  # single-flight leases this process acquired
-    stale_locks: int = 0  # abandoned locks reclaimed (holder died mid-solve)
-    corrupt_locks: int = 0  # undecodable lock files deleted
-    broken_locks: int = 0  # live-holder locks force-broken after an await bound
-    lock_errors: int = 0  # lock dir unusable (full/unwritable): solved locally
     store_errors: int = 0  # disk writes that failed (entry kept in memory only)
 
     @property
@@ -162,11 +137,6 @@ class CacheStats:
             "evictions": self.evictions,
             "corrupt": self.corrupt,
             "migrated": self.migrated,
-            "flights": self.flights,
-            "stale_locks": self.stale_locks,
-            "corrupt_locks": self.corrupt_locks,
-            "broken_locks": self.broken_locks,
-            "lock_errors": self.lock_errors,
             "store_errors": self.store_errors,
             "hit_rate": self.hit_rate,
         }
@@ -186,10 +156,6 @@ class SolveCache:
         counted in ``stats.evictions``.  Disk entries are never evicted — an
         evicted fingerprint is reloaded (and re-promoted) on its next lookup
         when a directory is configured.  ``None`` disables the bound.
-    stale_lock_after:
-        Seconds before a single-flight lock with an unprobeable holder is
-        presumed abandoned.  Locks whose holder pid is probeable and dead are
-        reclaimed immediately regardless of age.
 
     The cache is safe to share across the gateway event loop and worker-shard
     threads (every memory-layer mutation happens under one lock), and the
@@ -200,15 +166,11 @@ class SolveCache:
         self,
         directory: Union[str, Path, None] = None,
         capacity: Optional[int] = DEFAULT_CAPACITY,
-        stale_lock_after: float = DEFAULT_STALE_LOCK_AFTER,
     ) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError("cache capacity must be positive (or None for unbounded)")
-        if stale_lock_after <= 0:
-            raise ValueError("stale_lock_after must be positive")
         self.directory = Path(directory) if directory is not None else None
         self.capacity = capacity
-        self.stale_lock_after = stale_lock_after
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, JobResult]" = OrderedDict()
         self._lock = threading.RLock()
@@ -248,29 +210,18 @@ class SolveCache:
         Re-checks memory (a store may have landed since), then loads the
         entry from disk and promotes it into memory; counts one hit or miss.
         """
-        result = self.probe(fingerprint)
-        with self._lock:
-            if result is None:
-                self.stats.misses += 1
-            else:
-                self.stats.hits += 1
-        return result
-
-    def probe(self, fingerprint: str) -> Optional[JobResult]:
-        """Like :meth:`get` but without touching the hit/miss counters.
-
-        Single-flight waiters poll this; counting every poll as a miss would
-        swamp the hit-rate statistics with retries of one lookup.
-        """
         with self._lock:
             result = self._from_memory(fingerprint)
         if result is None and self.directory is not None:
             result = self._load(fingerprint)
-            if result is not None:
-                with self._lock:
-                    self._memory[fingerprint] = result
-                    self._memory.move_to_end(fingerprint)
-                    self._evict_overflow()
+        with self._lock:
+            if result is None:
+                self.stats.misses += 1
+                return None
+            self.stats.hits += 1
+            self._memory[fingerprint] = result
+            self._memory.move_to_end(fingerprint)
+            self._evict_overflow()
         return result
 
     def put(self, result: JobResult) -> None:
@@ -307,189 +258,29 @@ class SolveCache:
         yield from sorted(memory | set(self._disk_fingerprints()))
 
     def clear(self, disk: bool = True) -> None:
-        """Drop all entries (and, optionally, the persisted files + locks)."""
+        """Drop all entries (and, optionally, the persisted files)."""
         with self._lock:
             self._memory.clear()
         if disk and self.directory is not None and self.directory.exists():
-            for path in list(self.directory.glob("*.json")) + list(
-                self.directory.glob("*.lock")
-            ):
+            for path in self.directory.glob("*.json"):
                 try:
                     path.unlink()
                 except OSError:
-                    pass  # a concurrent clear/release got there first
+                    pass  # a concurrent clear got there first
 
     def drop_memory(self) -> None:
         """Forget the in-memory layer only (used to test disk round-trips)."""
         with self._lock:
             self._memory.clear()
 
-    # ------------------------------------------------------------------
-    # cross-replica single-flight
-    # ------------------------------------------------------------------
+    # Kept as a no-op: perfbench/layers.py times it (cache.flight_us); ROADMAP item 6 deletes it.
     def try_acquire_flight(self, fingerprint: str) -> bool:
-        """Try to become the fleet-wide solver for ``fingerprint``.
+        """Always ``True``; writes no file."""
+        return True
 
-        Returns ``True`` when this process now holds the per-fingerprint lock
-        file (it must :meth:`release_flight` when the solve finishes, success
-        or not), ``False`` when another live process already holds it.  Stale
-        locks — holder pid dead, or older than ``stale_lock_after`` — are
-        reclaimed transparently.  Directory-less caches trivially grant every
-        claim: in-process dedup is the micro-batcher's job, this lock only
-        exists to coordinate *across* processes sharing a directory.
-        """
-        if self.directory is None:
-            return True
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            # the cache dir itself is unusable (full disk, path hijacked by a
-            # chaos action): nobody can coordinate through it, so claim the
-            # solve locally — liveness beats deduplication
-            with self._lock:
-                self.stats.lock_errors += 1
-            return True
-        lock_path = self._lock_path(fingerprint)
-        payload = json.dumps(
-            {
-                "pid": os.getpid(),
-                "host": socket.gethostname(),
-                "acquired_at": time.time(),
-            }
-        )
-        for _attempt in range(8):  # bounded: stale reclaim may race other claimants
-            try:
-                _publish_lock(lock_path, payload)
-            except FileExistsError:
-                if not self._reclaim_if_stale(lock_path):
-                    return False
-                continue  # reclaimed (or holder vanished): race for it again
-            except OSError:
-                # can't create the lock file (full/unwritable lock dir): no
-                # process can win this lock either, so solve locally and count
-                # the degraded coordination instead of failing the request
-                with self._lock:
-                    self.stats.lock_errors += 1
-                return True
-            with self._lock:
-                self.stats.flights += 1
-            return True
-        return False
-
-    def break_flight(self, fingerprint: str) -> None:
-        """Forcibly delete the flight lock even if its holder looks alive.
-
-        The escape hatch behind :meth:`await_flight`'s wall-clock bound: a
-        holder that is alive-but-wedged (e.g. SIGSTOPped mid-solve) passes the
-        ``_pid_alive`` probe forever, so stale reclaim never fires.  A waiter
-        whose wait bound expired breaks the lock, claims the flight itself,
-        and solves — if the wedged holder later wakes up and releases, it
-        unlinks a lock it no longer owns, which is harmless (the release path
-        never validates ownership).
-        """
-        if self.directory is None:
-            return
-        try:
-            self._lock_path(fingerprint).unlink()
-        except OSError:
-            return  # already gone: nothing was broken
-        with self._lock:
-            self.stats.broken_locks += 1
-
+    # Kept as a no-op: perfbench/layers.py times it (cache.flight_us); ROADMAP item 6 deletes it.
     def release_flight(self, fingerprint: str) -> None:
-        """Drop this process's flight lock (idempotent, never raises)."""
-        if self.directory is None:
-            return
-        try:
-            self._lock_path(fingerprint).unlink()
-        except OSError:
-            pass
-
-    def flight_in_progress(self, fingerprint: str) -> bool:
-        """Is another process currently solving ``fingerprint``?
-
-        Reclaims stale/corrupt locks as a side effect, so a waiter polling
-        this sees ``False`` (and can claim the solve) the moment the holder is
-        known dead.
-        """
-        if self.directory is None:
-            return False
-        lock_path = self._lock_path(fingerprint)
-        if not lock_path.exists():
-            return False
-        return not self._reclaim_if_stale(lock_path)
-
-    async def await_flight(
-        self,
-        fingerprint: str,
-        timeout: float = 60.0,
-        poll_interval: float = 0.02,
-    ) -> Optional[JobResult]:
-        """Wait for another process's in-flight solve to land, and return it.
-
-        Returns ``None`` when the lock disappears or goes stale without a
-        result (the holder failed — the caller should claim the flight and
-        solve), or when ``timeout`` expires (the caller should solve anyway:
-        liveness beats deduplication).  Every disk probe runs off the event
-        loop, so waiting parks no thread: any number of waiters can share one
-        loop.
-        """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        while True:
-            result = await loop.run_in_executor(None, self.probe, fingerprint)
-            if result is not None:
-                return result
-            if not await loop.run_in_executor(
-                None, self.flight_in_progress, fingerprint
-            ):
-                # released (or reclaimed) — one last probe catches the
-                # store-then-release window before giving up on the holder
-                return await loop.run_in_executor(None, self.probe, fingerprint)
-            if loop.time() >= deadline:
-                return None
-            await asyncio.sleep(poll_interval)
-
-    def _lock_path(self, fingerprint: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"{fingerprint}.lock"
-
-    def _reclaim_if_stale(self, lock_path: Path) -> bool:
-        """Delete a stale or corrupt lock.  ``True`` when the path is now free
-        (deleted here, or already gone), ``False`` while its holder looks
-        alive."""
-        try:
-            raw = lock_path.read_text(encoding="utf-8")
-        except OSError:
-            return True  # vanished: holder released between exists() and here
-        try:
-            info = json.loads(raw)
-            pid = int(info["pid"])
-            acquired_at = float(info["acquired_at"])
-            host = info.get("host")
-        except (ValueError, TypeError, KeyError, json.JSONDecodeError):
-            # a partially-written or garbage lock can never be released by a
-            # holder we can identify: delete it and count the cleanup
-            with self._lock:
-                self.stats.corrupt_locks += 1
-            self._unlink_quiet(lock_path)
-            return True
-        stale = time.time() - acquired_at > self.stale_lock_after
-        if not stale and host == socket.gethostname():
-            stale = not _pid_alive(pid)
-        if stale:
-            with self._lock:
-                self.stats.stale_locks += 1
-            self._unlink_quiet(lock_path)
-            return True
-        return False
-
-    @staticmethod
-    def _unlink_quiet(path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass  # a concurrent reclaimer won the race
+        """Does nothing."""
 
     # ------------------------------------------------------------------
     def _from_memory(self, fingerprint: str) -> Optional[JobResult]:
@@ -597,20 +388,3 @@ class SolveCache:
                 pass
             raise
 
-
-def _publish_lock(lock_path: Path, payload: str) -> None:
-    """Create ``lock_path`` holding ``payload``, atomically.
-
-    The payload goes to a private temporary file that is then hard-linked
-    into place (``FileExistsError`` when the lock exists).  A lock created
-    empty and written afterwards could be read half-written by a concurrent
-    claimant, which would reclaim it as corrupt and solve beside the holder.
-    """
-    temporary = lock_path.with_name(
-        f"{lock_path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-    )
-    temporary.write_text(payload, encoding="utf-8")
-    try:
-        os.link(temporary, lock_path)
-    finally:
-        temporary.unlink(missing_ok=True)

@@ -1,8 +1,8 @@
 """The chaos acceptance scenario, end to end.
 
 A real two-replica fleet under closed-loop client load; the seeded plan
-SIGKILLs one replica mid-run and SIGSTOPs the other while it may hold
-single-flight locks.  The run must lose zero client requests, violate zero
+SIGKILLs one replica mid-run and SIGSTOPs the other while it holds
+requests.  The run must lose zero client requests, violate zero
 invariants, and every shed must carry ``Retry-After``.
 """
 
@@ -12,7 +12,6 @@ from repro.chaos import (
     ChaosEvent,
     ChaosPlan,
     CorruptCacheEntry,
-    CorruptLockFile,
     FillCacheDir,
     KillReplica,
     PauseReplica,
@@ -56,7 +55,6 @@ class TestChaosAcceptance:
     def test_cache_torture_never_serves_corruption(self):
         plan = ChaosPlan([
             ChaosEvent(1.0, CorruptCacheEntry()),
-            ChaosEvent(1.5, CorruptLockFile()),
             ChaosEvent(2.0, FillCacheDir(), duration=1.0),
         ])
         report = run_chaos(

@@ -11,7 +11,6 @@ from repro.chaos import (
     ChaosEvent,
     ChaosPlan,
     CorruptCacheEntry,
-    CorruptLockFile,
     FillCacheDir,
     InvariantViolation,
     KillReplica,
@@ -200,25 +199,6 @@ class TestCacheActions:
         action.apply(ctx)
         action.revert(ctx)
         assert list(ctx.cache_dir.iterdir()) == []
-
-    def test_corrupt_lock_file_prefers_live_locks(self, tmp_path):
-        ctx = make_ctx(tmp_path)
-        lock = ctx.cache_dir / ("b" * 64 + ".lock")
-        lock.write_text('{"pid": 1, "host": "x", "acquired_at": 0}')
-        action = CorruptLockFile()
-        action.apply(ctx)
-        assert b"chaos" in lock.read_bytes()
-        action.revert(ctx)
-        assert not lock.exists()
-
-    def test_corrupt_lock_file_plants_an_orphan_when_none_exist(self, tmp_path):
-        ctx = make_ctx(tmp_path)
-        action = CorruptLockFile()
-        action.apply(ctx)
-        orphan = ctx.cache_dir / f"{CorruptLockFile.ORPHAN_FINGERPRINT}.lock"
-        assert orphan.exists()
-        action.revert(ctx)
-        assert not orphan.exists()
 
     def test_fill_cache_dir_hijacks_and_restores_the_path(self, tmp_path):
         ctx = make_ctx(tmp_path)

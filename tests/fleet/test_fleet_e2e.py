@@ -64,24 +64,23 @@ class TestColdWarm:
         assert body["cached"] is True
 
 
-class TestCrossReplicaSingleFlight:
+class TestRouterSingleFlight:
     def test_concurrent_identical_misses_store_exactly_once(self, fleet, payloads):
         payload = payloads[2]
         stores_before = rollup_cache(fleet)["stores"]
-        first_port, second_port = fleet.manager.ports
 
         async def race():
-            async def hit(port):
-                async with GatewayClient(fleet.host, port) as client:
+            async def hit():
+                async with GatewayClient(fleet.host, fleet.port) as client:
                     return await client.solve(payload)
 
-            return await asyncio.gather(hit(first_port), hit(second_port))
+            return await asyncio.gather(*(hit() for _ in range(4)))
 
         responses = asyncio.run(race())
-        assert [status for status, _body in responses] == [200, 200]
+        assert [status for status, _body in responses] == [200] * 4
         assert all(body["result"]["feasible"] for _status, body in responses)
-        # exactly one solve fleet-wide: the loser awaited the winner's flight
-        # (or arrived after the store and hit), it never solved again
+        # exactly one solve fleet-wide: the ring sent every copy to the owner
+        # replica, where the repeats joined the first solve (or hit its entry)
         assert rollup_cache(fleet)["stores"] - stores_before == 1
 
 

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.fleet.harness import BackgroundRouter
-from repro.fleet.router import FleetRouter, RouterConfig
+from repro.fleet.router import FleetRouter, RouterConfig, UpstreamPool
 from repro.server.loadgen import GatewayClient, demo_payloads
 from repro.server.metrics import GatewayMetrics
 from repro.server.protocol import job_from_dict
@@ -226,7 +226,7 @@ class TestRollupArithmetic:
     def test_raw_fields_are_summed_and_rates_rederived(self, monkeypatch):
         first = GatewayMetrics(
             received=10, ok=7, shed_rate_limited=1, shed_queue_full=2,
-            cache_hits=3, cache_misses=4, batches=2, batched_jobs=5, flight_waits=1,
+            cache_hits=3, cache_misses=4, batches=2, batched_jobs=5, deduped_jobs=1,
         )
         second = GatewayMetrics(
             received=30, ok=25, shed_queue_full=1, cache_hits=9, cache_misses=3,
@@ -251,7 +251,7 @@ class TestRollupArithmetic:
         assert rollup["replicas_reporting"] == 2
         assert counters["received"] == 40 and counters["ok"] == 32
         assert counters["shed_queue_full"] == 3 and counters["degraded"] == 2
-        assert counters["flight_waits"] == 1
+        assert counters["deduped_jobs"] == 1
         assert counters["queue_depth"] == 5
         assert counters["uptime_s"] == 40.25
         assert cache["hits"] == 12 and cache["stores"] == 4 and cache["corrupt"] == 1
@@ -347,3 +347,33 @@ class TestMalformedUpstream:
 
             with pytest.raises(ConnectionError):
                 asyncio.run(scenario())
+
+
+class TestUpstreamPool:
+    def test_connection_the_replica_closed_while_idle_is_not_reused(self):
+        """A replica that was killed or restarted between two requests left
+        its pooled connection at EOF; the next request must open a fresh one
+        instead of failing as if the replica were down."""
+
+        async def handle(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+            await writer.drain()
+            writer.close()  # no Connection: close, so the pool keeps its end
+
+        async def scenario():
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            pool = UpstreamPool("127.0.0.1", port, RouterConfig(port=0))
+            try:
+                first = await pool.request("GET", "/healthz")
+                assert len(pool._idle) == 1
+                await asyncio.sleep(0.1)  # the close reaches the pooled reader
+                second = await pool.request("GET", "/healthz")
+            finally:
+                await pool.close()
+                server.close()
+                await server.wait_closed()
+            return first[0], second[0], pool.failures
+
+        assert asyncio.run(scenario()) == (200, 200, 0)

@@ -7,12 +7,11 @@ GATEWAY_DOC = {
     "counters": {
         "received": 10, "ok": 9, "hit_rate": 0.5, "shed_rate": 0.1,
         "queue_depth": 1, "batches": 3, "batched_jobs": 7, "deduped_jobs": 1,
-        "mean_batch_size": 2.3, "flight_waits": 2, "flight_takeovers": 0,
-        "uptime_s": 5.0,
+        "mean_batch_size": 2.3, "uptime_s": 5.0,
     },
     "latency": {"request": {"count": 9, "p50": 0.01, "p90": 0.02, "p99": 0.05,
                             "max": 0.07, "mean": 0.015}},
-    "cache": {"hits": 4, "misses": 5, "stores": 5, "flights": 0, "stale_locks": 0},
+    "cache": {"hits": 4, "misses": 5, "stores": 5},
     "histograms": {"request": {"counts": [0, 2, 5, 2, 0], "bounds": []},
                    "batch_size": {"counts": [1, 2], "bounds": []}},
 }

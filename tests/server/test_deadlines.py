@@ -249,7 +249,6 @@ class TestJoinerDeadline:
         assert waited < 0.6  # the solve it joined takes 1 s
         assert first_status == 200 and first_body["cached"] is False
         assert pool.solved == 1
-        assert gw.gateway.metrics.flight_waits == 0
 
 
 class TestDeadlinesAtDispatch:

@@ -7,6 +7,8 @@ the full stack.
 
 import asyncio
 import json
+import os
+import socket
 import time
 
 import pytest
@@ -459,8 +461,8 @@ class TestRealSolveEndToEnd:
 class TestSameReplicaRepeats:
     @pytest.mark.parametrize("with_directory", [False, True], ids=["memory", "directory"])
     def test_concurrent_identical_misses_solve_once(self, payloads, tmp_path, with_directory):
-        """The repeat joins the first request's solve in the batcher; with a
-        cache directory it does not wait on its own process's flight lock."""
+        """The repeat joins the first request's solve in the batcher, with or
+        without a cache directory."""
         cache = SolveCache(tmp_path if with_directory else None)
         pool = StubWorkerPool(cache, delay=0.2)
         with BackgroundGateway(
@@ -478,114 +480,35 @@ class TestSameReplicaRepeats:
         assert [status for status, _body in answers] == [200, 200]
         assert sorted(body["cached"] for _status, body in answers) == [False, True]
         assert pool.solved == 1
-        assert gw.gateway.metrics.flight_waits == 0
-        assert "flight.wait" not in spans
-
-    def test_shed_claimant_releases_the_lock_before_a_repeat_tries_it(
-        self, payloads, tmp_path
-    ):
-        """A claimant shed by admission hands its flight lock back before the
-        repeat queued behind its claim tries the lock, so the repeat never
-        polls its own process's lock file or takes it over."""
-        cache = SolveCache(tmp_path)
-        release = cache.release_flight
-
-        def slow_release(fingerprint):
-            time.sleep(0.1)  # widen the window between the shed and the release
-            release(fingerprint)
-
-        cache.release_flight = slow_release
-        pool = StubWorkerPool(cache, delay=2.0)  # holds the queue while both are shed
-        config = GatewayConfig(port=0, max_queue_depth=1)
-        with BackgroundGateway(config=config, cache=cache, worker_pool=pool) as gw:
-            async def solve(payload):
-                async with GatewayClient(gw.host, gw.port) as client:
-                    return await client.solve(payload)
-
-            async def scenario():
-                blocker = asyncio.ensure_future(solve(payloads[1]))
-                while gw.gateway.batcher.queue_depth < 1:  # the queue is full
-                    await asyncio.sleep(0.005)
-                shed = await asyncio.gather(solve(payloads[0]), solve(payloads[0]))
-                await blocker
-                return shed
-
-            answers = asyncio.run(scenario())
-            spans = [span["name"] for doc in gw.gateway.recorder.list() for span in doc["spans"]]
-        assert [status for status, _body in answers] == [429, 429]
-        assert gw.gateway.metrics.flight_takeovers == 0
-        assert gw.gateway.metrics.flight_waits == 0
         assert "flight.wait" not in spans
 
 
-class TestCrossReplicaFlightWait:
-    """A miss whose fingerprint another replica is solving awaits the shared
-    cache entry.  A second :class:`SolveCache` on the same directory holds the
-    flight lock, standing in for that replica."""
-
-    @staticmethod
-    def holder_gateway(tmp_path, **config):
+class TestLockFilesAreIgnored:
+    def test_hand_written_lock_file_does_not_delay_a_miss(self, payloads, tmp_path):
+        """A ``<fingerprint>.lock`` file naming a live process, as an older
+        replica sharing the directory would leave, is not a lock: the miss is
+        solved at once and the file is left alone."""
+        fingerprint = job_from_dict(payloads[0]).fingerprint
+        lock = tmp_path / f"{fingerprint}.lock"
+        lock.write_text(json.dumps(
+            {"pid": os.getpid(), "host": socket.gethostname(), "acquired_at": time.time()}
+        ))
+        before = lock.read_bytes()
         cache = SolveCache(tmp_path)
         pool = StubWorkerPool(cache)
-        gateway = BackgroundGateway(
-            config=GatewayConfig(port=0, **config), cache=cache, worker_pool=pool
-        )
-        return gateway, pool, SolveCache(tmp_path)
+        with BackgroundGateway(
+            config=GatewayConfig(port=0), cache=cache, worker_pool=pool
+        ) as gw:
+            async def solve():
+                async with GatewayClient(gw.host, gw.port) as client:
+                    return await client.solve(payloads[0], deadline=2.0)
 
-    @staticmethod
-    async def solve(gw, payload, deadline=None):
-        async with GatewayClient(gw.host, gw.port) as client:
-            return await client.solve(payload, deadline=deadline)
-
-    def test_deadline_ends_the_wait_with_504_at_the_flight(self, payloads, tmp_path):
-        fingerprint = job_from_dict(payloads[0]).fingerprint
-        gw, pool, holder = self.holder_gateway(tmp_path)
-        assert holder.try_acquire_flight(fingerprint)
-        try:
-            with gw:
-                started = time.monotonic()
-                status, body = asyncio.run(self.solve(gw, payloads[0], deadline=0.3))
-                elapsed = time.monotonic() - started
-        finally:
-            holder.release_flight(fingerprint)
-        assert status == 504 and body["where"] == "flight"
-        assert elapsed < 5.0  # the budget, not the 60 s flight_timeout, ended it
-        assert pool.solved == 0
-        assert gw.gateway.metrics.flight_takeovers == 0
-
-    def test_result_the_holder_stores_answers_the_waiter(self, payloads, tmp_path):
-        fingerprint = job_from_dict(payloads[0]).fingerprint
-        gw, pool, holder = self.holder_gateway(tmp_path)
-        assert holder.try_acquire_flight(fingerprint)
-        with gw:
-            async def scenario():
-                waiter = asyncio.ensure_future(self.solve(gw, payloads[0]))
-                await asyncio.sleep(0.2)
-                holder.put(
-                    JobResult(
-                        fingerprint=fingerprint, job_name="holder", status="optimal",
-                        feasible=True, objective=3.0, solve_time=0.01, wall_time=0.01,
-                        backend="holder", mode="HO",
-                    )
-                )
-                holder.release_flight(fingerprint)
-                return await waiter
-
-            status, body = asyncio.run(scenario())
-        assert status == 200 and body["cached"] is True
-        assert body["result"]["backend"] == "holder"
-        assert gw.gateway.metrics.flight_waits == 1
-        assert pool.solved == 0
-
-    def test_wedged_holder_is_taken_over_after_the_flight_timeout(self, tmp_path):
-        payload = demo_payloads(unique=1, time_limit=0.1)[0]
-        fingerprint = job_from_dict(payload).fingerprint
-        gw, pool, holder = self.holder_gateway(tmp_path, flight_timeout=0.2)
-        assert holder.try_acquire_flight(fingerprint)  # never released
-        with gw:
-            status, body = asyncio.run(self.solve(gw, payload))
+            started = time.monotonic()
+            status, body = asyncio.run(solve())
+            elapsed = time.monotonic() - started
+            spans = [span["name"] for doc in gw.gateway.recorder.list() for span in doc["spans"]]
         assert status == 200 and body["cached"] is False
-        assert gw.gateway.metrics.flight_takeovers == 1
-        assert gw.gateway.cache.stats.broken_locks == 1
         assert pool.solved == 1
-        assert not (tmp_path / f"{fingerprint}.lock").exists()
+        assert elapsed < 1.0
+        assert "flight.wait" not in spans
+        assert lock.read_bytes() == before

@@ -6,6 +6,7 @@ import pytest
 
 from repro.milp import SolverOptions
 from repro.relocation import RelocationSpec
+from repro.server.metrics import GatewayMetrics
 from repro.service import CacheStats, JobResult, SolveCache, SolveJob
 from repro.workloads.synthetic import SyntheticWorkloadConfig, config_grid, synthetic_problem
 
@@ -202,11 +203,34 @@ class TestSolveCache:
         assert cache.get_memory("f" * 64) is not None
         assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
+    def test_hijacked_directory_counts_store_errors(self, tmp_path):
+        # the chaos FillCacheDir shape: the cache directory path is suddenly a
+        # plain file, so every mkdir/open underneath it raises OSError
+        target = tmp_path / "cache"
+        cache = SolveCache(directory=target)
+        target.write_bytes(b"chaos: cache tier unavailable\n")
+        cache.put(make_result())
+        assert cache.stats.store_errors == 1
+        assert cache.get("f" * 64) is not None  # the memory tier still answers
+
     def test_stats(self):
         stats = CacheStats(hits=3, misses=1)
         assert stats.lookups == 4
         assert stats.hit_rate == 0.75
         assert set(stats.as_dict()) >= {"hits", "misses", "evictions", "corrupt"}
+
+
+class TestPerfbenchCompatibility:
+    """Names ``perfbench/layers.py`` reads, kept until its metrics go."""
+
+    def test_flight_calls_are_no_ops(self, tmp_path):
+        cache = SolveCache(tmp_path)
+        assert cache.try_acquire_flight("f" * 64) is True
+        assert list(tmp_path.iterdir()) == []
+        cache.release_flight("f" * 64)
+
+    def test_flight_waits_counter_reads_zero(self):
+        assert GatewayMetrics().counters()["flight_waits"] == 0
 
 
 class TestSolveCacheLRU:
