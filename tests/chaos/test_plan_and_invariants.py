@@ -20,6 +20,8 @@ from repro.chaos import (
     check_invariants,
     random_plan,
 )
+from repro.service.cache import SolveCache
+from repro.service.results import JobResult
 
 
 class StubManager:
@@ -42,6 +44,13 @@ def make_ctx(tmp_path) -> ChaosContext:
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir(exist_ok=True)
     return ChaosContext(manager=StubManager(), cache_dir=cache_dir)
+
+
+def stored_result(fingerprint: str = "a" * 64) -> JobResult:
+    return JobResult(
+        fingerprint=fingerprint, job_name="chaos", status="optimal", feasible=True,
+        objective=1.0, solve_time=0.01, wall_time=0.01, backend="test", mode="HO",
+    )
 
 
 def outcome(
@@ -101,6 +110,16 @@ class TestPlan:
             assert isinstance(
                 event.action, (KillReplica, PauseReplica, SlowReplica)
             ), event.action.name
+
+    def test_random_plan_draws_every_catalogue_action_and_nothing_else(self):
+        catalogue = (KillReplica, PauseReplica, SlowReplica, CorruptCacheEntry, FillCacheDir)
+        drawn = set()
+        for seed in range(10):
+            plan = random_plan(replicas=2, rate=5.0, horizon=20.0, seed=seed)
+            for event in plan.events(horizon=20.0):
+                assert isinstance(event.action, catalogue), event.action.name
+                drawn.add(type(event.action))
+        assert drawn == set(catalogue)
 
     def test_random_plan_validates_replicas(self):
         with pytest.raises(ValueError, match="replicas"):
@@ -199,6 +218,32 @@ class TestCacheActions:
         action.apply(ctx)
         action.revert(ctx)
         assert list(ctx.cache_dir.iterdir()) == []
+
+    def test_corrupted_entry_is_a_counted_miss_for_a_replica_never_served(self, tmp_path):
+        ctx = make_ctx(tmp_path)
+        SolveCache(ctx.cache_dir).put(stored_result())
+        action = CorruptCacheEntry()
+        action.apply(ctx)
+        replica = SolveCache(ctx.cache_dir)
+        assert replica.get("a" * 64) is None
+        assert replica.stats.corrupt == 1
+        assert list(ctx.cache_dir.iterdir()) == []  # the carcass is deleted
+        action.revert(ctx)  # nothing left to unlink: must not raise
+
+    def test_filled_cache_dir_turns_stores_into_store_errors_until_reverted(self, tmp_path):
+        ctx = make_ctx(tmp_path)
+        cache = SolveCache(ctx.cache_dir)
+        action = FillCacheDir()
+        action.apply(ctx)
+        cache.put(stored_result("a" * 64))
+        assert cache.stats.store_errors == 1
+        assert cache.get("a" * 64) is not None  # memory still answers
+        action.revert(ctx)
+        cache.put(stored_result("d" * 64))
+        assert cache.stats.store_errors == 1
+        replica = SolveCache(ctx.cache_dir)
+        assert replica.get("a" * 64) is None  # the store during the fault was lost
+        assert replica.get("d" * 64) is not None
 
     def test_fill_cache_dir_hijacks_and_restores_the_path(self, tmp_path):
         ctx = make_ctx(tmp_path)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.fleet.harness import BackgroundRouter
 from repro.fleet.router import FleetRouter, RouterConfig, UpstreamPool
-from repro.server.loadgen import GatewayClient, demo_payloads
+from repro.server.loadgen import GatewayClient, demo_payloads, run_closed_loop
 from repro.server.metrics import GatewayMetrics
 from repro.server.protocol import job_from_dict
 from repro.service.cache import CacheStats
@@ -25,11 +25,13 @@ from tests.server.test_gateway_e2e import stub_gateway
 class StubFleet:
     """N stub gateways plus a router frontend, torn down in one call."""
 
-    def __init__(self, replicas: int = 2, router_config: RouterConfig = None):
+    def __init__(
+        self, replicas: int = 2, router_config: RouterConfig = None, delay: float = 0.0
+    ):
         self.gateways = []
         self.pools = []
         for _ in range(replicas):
-            gateway, pool = stub_gateway()
+            gateway, pool = stub_gateway(delay=delay)
             self.gateways.append(gateway)
             self.pools.append(pool)
         addresses = [(gw.host, gw.port) for gw in self.gateways]
@@ -100,6 +102,29 @@ class TestRouting:
             assert all(body["cached"] for _status, body in repeats)
             assert fleet.router.router.metrics.routed == 2 * len(payloads)
             assert fleet.router.router.metrics.failovers == 0
+
+    def test_each_fingerprint_is_solved_on_its_ring_owner(self, payloads):
+        with StubFleet(replicas=3) as fleet:
+            for payload in payloads:
+                owner = fleet.owner_index(payload)
+                before = [pool.solved for pool in fleet.pools]
+                (status, _body), = via_router(fleet, [payload])
+                assert status == 200
+                after = [pool.solved for pool in fleet.pools]
+                expected = list(before)
+                expected[owner] += 1
+                assert after == expected
+
+    def test_concurrent_herd_solves_each_unique_once(self, payloads):
+        """Clients 0 and 2 (and 1 and 3) open with the same payload at once;
+        the ring sends both to one replica, whose batcher joins the repeat."""
+        with StubFleet(replicas=2, delay=0.2) as fleet:
+            result = run_closed_loop(
+                fleet.host, fleet.port, payloads[:2], clients=4, requests_per_client=4
+            )
+            assert result.sent == 16 and result.ok == 16
+            assert sum(pool.solved for pool in fleet.pools) == 2
+            assert result.hits == 14
 
     def test_routes_and_errors(self, payloads):
         with StubFleet() as fleet:

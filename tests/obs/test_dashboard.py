@@ -26,6 +26,14 @@ class TestRenderDashboard:
             assert marker in page
         assert "panel-fleet" not in page  # no replicas block on a gateway
 
+    def test_cache_panel_shows_the_tier_counters(self):
+        page = render_dashboard(GATEWAY_DOC)
+        panel = page[page.index('id="panel-cache"'):]
+        panel = panel[:panel.index("</section>")]
+        for label, value in (("tier hits", 4), ("tier misses", 5), ("stores", 5)):
+            assert f"<td>{label}</td><td class='num'>{value}</td>" in panel
+        assert "flight" not in panel and "lock" not in panel
+
     def test_router_rollup_adds_fleet_panel(self):
         doc = dict(
             GATEWAY_DOC,

@@ -512,3 +512,53 @@ class TestLockFilesAreIgnored:
         assert elapsed < 1.0
         assert "flight.wait" not in spans
         assert lock.read_bytes() == before
+
+
+class TestSharedDirectory:
+    """Two gateways on one cache directory, as two fleet replicas are."""
+
+    @staticmethod
+    def replica(directory, delay=0.0):
+        cache = SolveCache(directory)
+        pool = StubWorkerPool(cache, delay=delay)
+        return BackgroundGateway(config=GatewayConfig(port=0), cache=cache, worker_pool=pool), pool
+
+    @staticmethod
+    def solve(gateway, payload):
+        async def scenario():
+            async with GatewayClient(gateway.host, gateway.port) as client:
+                return await client.solve(payload)
+
+        return scenario()
+
+    def test_second_replica_answers_from_the_directory_without_solving(self, payloads, tmp_path):
+        (first, first_pool), (second, second_pool) = self.replica(tmp_path), self.replica(tmp_path)
+        with first, second:
+            cold = asyncio.run(self.solve(first, payloads[0]))
+            warm = asyncio.run(self.solve(second, payloads[0]))
+        assert cold[0] == warm[0] == 200
+        assert (cold[1]["cached"], warm[1]["cached"]) == (False, True)
+        assert (first_pool.solved, second_pool.solved) == (1, 0)
+        assert {**warm[1]["result"], "cached": False} == cold[1]["result"]
+
+    def test_identical_misses_on_two_replicas_both_solve_and_store_one_entry(
+        self, payloads, tmp_path
+    ):
+        """Without the router in front nothing joins the two requests: each
+        replica solves, and the directory keeps one whole entry."""
+        (first, first_pool), (second, second_pool) = (
+            self.replica(tmp_path, delay=0.2), self.replica(tmp_path, delay=0.2)
+        )
+        with first, second:
+            async def scenario():
+                return await asyncio.gather(
+                    self.solve(first, payloads[0]), self.solve(second, payloads[0])
+                )
+
+            answers = asyncio.run(scenario())
+        assert [status for status, _body in answers] == [200, 200]
+        assert (first_pool.solved, second_pool.solved) == (1, 1)
+        fingerprint = job_from_dict(payloads[0]).fingerprint
+        assert [path.name for path in tmp_path.iterdir()] == [f"{fingerprint}.json"]
+        stored = SolveCache(tmp_path).get(fingerprint)
+        assert stored is not None and stored.status == "optimal"
