@@ -31,8 +31,10 @@ first access.  ``from repro import X``, ``from repro import *``,
 ``hasattr(repro, X)`` and ``dir(repro)`` work as with eager imports, but a
 caller that needs only the simulator, such as ``python -m repro.capacity``,
 no longer pays for scipy, the MILP layer or the serving stack.
-``repro.floorplan``, ``repro.sim`` and ``repro.fleet`` export lazily the same
-way.
+``repro.floorplan``, ``repro.sim``, ``repro.fleet``, ``repro.server``,
+``repro.service``, ``repro.milp``, ``repro.obs``, ``repro.relocation`` and
+``repro.analysis`` export lazily the same way, so the fleet's router, which
+needs only job decoding and fingerprints, loads no scipy either.
 
 Quickstart::
 

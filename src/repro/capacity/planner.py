@@ -119,7 +119,9 @@ class _Replay(TrafficModel, FaultPlan):
 
     Every evaluation of one plan draws the same arrivals (same seed, rate and
     horizon) and gives device ``i`` the same faults (seed ``seed + 1000 +
-    i``), so :func:`plan_min_devices` draws each stream once.
+    i``), so :func:`plan_min_devices` draws each stream once, and
+    :func:`capacity_curve` draws each device's faults once for all its
+    multipliers.
     """
 
     def __init__(self, drawn: list) -> None:
@@ -189,12 +191,27 @@ def plan_min_devices(
     rate_multiplier: float = 1.0,
 ) -> PlanOutcome:
     """The minimum fleet size meeting ``slo``, by doubling + binary search."""
+    return _search_min_devices(scenario, slo, max_devices, rate_multiplier, faults={})
+
+
+def _search_min_devices(
+    scenario: CapacityScenario,
+    slo: CapacitySLO,
+    max_devices: int,
+    rate_multiplier: float,
+    faults: Dict[str, _Replay],
+) -> PlanOutcome:
+    """:func:`plan_min_devices` drawing device faults into ``faults``.
+
+    ``faults`` maps a device name to its drawn fault events.  The draws do
+    not depend on the rate multiplier, so :func:`capacity_curve` shares one
+    mapping across its multipliers.
+    """
     if max_devices <= 0:
         raise ValueError("max_devices must be positive")
     evaluations: List[Evaluation] = []
     horizon = scenario.horizon
     traffic: Optional[_Replay] = None
-    faults: Dict[str, _Replay] = {}  # device name -> its drawn fault events
 
     def evaluate(num_devices: int) -> Evaluation:
         nonlocal traffic
@@ -258,14 +275,15 @@ def capacity_curve(
     ``max_devices`` (the CLI passes its multiplier-1.0 plan).
     """
     outcomes: Dict[float, PlanOutcome] = dict(planned or {})
+    faults: Dict[str, _Replay] = {}  # drawn once per device, shared by every multiplier
     curve: List[Dict[str, object]] = []
     for multiplier in multipliers:
         if multiplier <= 0:
             raise ValueError("rate multipliers must be positive")
         outcome = outcomes.get(multiplier)
         if outcome is None:
-            outcome = outcomes[multiplier] = plan_min_devices(
-                scenario, slo, max_devices=max_devices, rate_multiplier=multiplier
+            outcome = outcomes[multiplier] = _search_min_devices(
+                scenario, slo, max_devices, multiplier, faults
             )
         point: Dict[str, object] = {
             "rate_multiplier": float(multiplier),

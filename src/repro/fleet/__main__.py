@@ -1,9 +1,11 @@
 """Command-line entry point: ``python -m repro.fleet``.
 
 Spawns the replica fleet, starts the router frontend, and serves until
-SIGINT/SIGTERM.  On shutdown the router drains first (so clients get clean
-503s instead of resets), then the replicas are stopped, then the fleet-wide
-metrics roll-up is printed.
+SIGINT/SIGTERM.  The replicas spawn first and the router module is imported
+while they boot, so the two start-ups overlap instead of queueing; the router
+loads no solver stack.  On shutdown the router drains first (so clients get
+clean 503s instead of resets), then the replicas are stopped, then the
+fleet-wide metrics roll-up is printed.
 """
 
 from __future__ import annotations
@@ -13,19 +15,29 @@ import asyncio
 import contextlib
 import sys
 import tempfile
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
+from repro.fleet.hashing import DEFAULT_VNODES
 from repro.fleet.manager import FleetConfig, FleetManager
-from repro.fleet.router import FleetRouter, RouterConfig
 
 
 async def serve(
-    fleet_config: FleetConfig, router_config: RouterConfig, quiet: bool = False
+    fleet_config: FleetConfig, router_settings: Mapping[str, object], quiet: bool = False
 ) -> None:
+    """Run the fleet until SIGINT/SIGTERM.
+
+    ``router_settings`` are the :class:`~repro.fleet.router.RouterConfig`
+    fields.  The replicas are spawned before the router module is imported,
+    and every replica is stopped however serving ends.
+    """
     manager = FleetManager(fleet_config)
-    manager.start(wait_healthy=True)
-    router = FleetRouter(manager.addresses, router_config)
+    manager.start(wait_healthy=False)
     try:
+        from repro.fleet.router import FleetRouter, RouterConfig
+
+        router_config = RouterConfig(**router_settings)
+        manager.wait_all_healthy(fleet_config.health_timeout)
+        router = FleetRouter(manager.addresses, router_config)
         await router.start()
         if not quiet:
             ports = ", ".join(str(port) for port in manager.ports)
@@ -66,7 +78,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="shared cache-tier directory (default: a fresh temp directory)",
     )
     parser.add_argument(
-        "--vnodes", type=int, default=RouterConfig.vnodes,
+        "--vnodes", type=int, default=DEFAULT_VNODES,
         help="virtual nodes per replica on the hash ring",
     )
     parser.add_argument(
@@ -104,7 +116,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         server_args=tuple(args.server_arg),
         backoff_base=args.backoff_base,
     )
-    router_config = RouterConfig(
+    router_settings = dict(
         host=args.host,
         port=args.port,
         vnodes=args.vnodes,
@@ -113,7 +125,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         trace_sink=args.trace_sink,
     )
     try:
-        asyncio.run(serve(fleet_config, router_config, quiet=args.quiet))
+        asyncio.run(serve(fleet_config, router_settings, quiet=args.quiet))
     except KeyboardInterrupt:  # pragma: no cover - ^C before the handler installs
         pass
     return 0

@@ -3,8 +3,9 @@
 The router maps every :class:`~repro.service.jobs.SolveJob` fingerprint to an
 *owning* replica so each hot cache entry has one home: repeat requests for the
 same job land on the replica whose in-memory LRU already holds it, and
-concurrent identical misses meet in one process where the micro-batcher dedups
-them before the cross-replica lock files ever come into play.
+concurrent identical misses meet in one process where the micro-batcher joins
+them onto one solve.  The ring plus the batcher's join is the fleet's
+single-flight; there is no cross-replica lock.
 
 A :class:`HashRing` hashes each node into ``vnodes`` points on a 64-bit ring
 (SHA-256, so placement is deterministic across processes and Python runs —

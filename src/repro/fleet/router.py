@@ -1,7 +1,9 @@
 """The fleet's front door: consistent-hash routing over replica gateways.
 
 A :class:`FleetRouter` is a stdlib-asyncio HTTP frontend that owns no solver
-at all.  For every ``POST /solve`` it reads the body's job fingerprint through
+at all, and importing this module loads no scipy or MILP code (the fleet
+entry point imports it while the replicas boot).  For every ``POST /solve``
+it reads the body's job fingerprint through
 the same :meth:`~repro.server.http.HttpServer.decode_job` the gateway uses: a
 body seen before is a decode-memo hit, keyed on the event loop without a
 parse; a new one is decoded into a fingerprint-exact
@@ -10,8 +12,8 @@ body bytes untouched, to the replica that **owns** that fingerprint on the
 :class:`~repro.fleet.hashing.HashRing`.  Ownership is what
 makes the fleet's caches compose: repeats of a job land where its entry is
 already memory-hot, and concurrent identical misses meet in one process where
-the micro-batcher dedups them before the cache tier's cross-replica lock
-files are even needed.
+the micro-batcher joins them onto one solve.  The ring plus the batcher's
+join is the fleet's single-flight; there is no cross-replica lock.
 
 Per-replica **keep-alive upstream pools** recycle connections between
 requests; an upstream that refuses or drops a connection is marked down for a

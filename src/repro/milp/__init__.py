@@ -14,29 +14,22 @@ small but complete modelling language of its own:
 * :mod:`~repro.milp.branch_bound` is a pure-Python branch-and-bound solver on
   top of LP relaxations, used as a fallback backend and for ablations;
 * :func:`~repro.milp.solver.solve` dispatches between backends and applies
-  :class:`~repro.milp.solver.SolverOptions` (time limit, MIP gap, verbosity).
+  :class:`~repro.milp.options.SolverOptions` (time limit, MIP gap, verbosity).
+
+The exports are lazy (PEP 562): :class:`SolverOptions` resolves without
+loading scipy, so code that only describes or fingerprints jobs stays light.
 """
 
-from repro.milp.expr import LinExpr, Variable, VarType, quicksum
-from repro.milp.constraint import Constraint, Sense
-from repro.milp.model import MatrixForm, Model, ModelStats
-from repro.milp.solution import MILPSolution, SolveStatus
-from repro.milp.solver import SolverOptions, prepare_model, solve, split_matrix_form
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LinExpr",
-    "Variable",
-    "VarType",
-    "quicksum",
-    "Constraint",
-    "Sense",
-    "MatrixForm",
-    "Model",
-    "ModelStats",
-    "MILPSolution",
-    "SolveStatus",
-    "SolverOptions",
-    "prepare_model",
-    "split_matrix_form",
-    "solve",
-]
+_EXPORTS = {
+    "repro.milp.expr": ["LinExpr", "Variable", "VarType", "quicksum"],
+    "repro.milp.constraint": ["Constraint", "Sense"],
+    "repro.milp.model": ["MatrixForm", "Model", "ModelStats"],
+    "repro.milp.solution": ["MILPSolution", "SolveStatus"],
+    "repro.milp.options": ["SolverOptions"],
+    "repro.milp.solver": ["prepare_model", "split_matrix_form", "solve"],
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

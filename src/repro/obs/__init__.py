@@ -8,46 +8,31 @@ and :mod:`repro.obs.capture` (captured traces → ``ModeSchedule``/TraceReplay
 scenarios and loadgen replay files; ``python -m repro.obs export``).
 """
 
-from repro.obs.capture import (
-    CAPTURE_SCHEMA_VERSION,
-    build_capture,
-    capture_schedule,
-    load_capture,
-    load_trace_docs,
-    write_capture,
-)
-from repro.obs.recorder import JsonlSink, TraceRecorder, TraceRing
-from repro.obs.trace import (
-    TRACE_HEADER,
-    TRACE_SCHEMA_VERSION,
-    Span,
-    Trace,
-    collect_stages,
-    format_trace_header,
-    new_id,
-    parse_trace_header,
-    record_stage,
-    stage_timer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CAPTURE_SCHEMA_VERSION",
-    "TRACE_HEADER",
-    "TRACE_SCHEMA_VERSION",
-    "Span",
-    "Trace",
-    "TraceRing",
-    "JsonlSink",
-    "TraceRecorder",
-    "new_id",
-    "parse_trace_header",
-    "format_trace_header",
-    "record_stage",
-    "stage_timer",
-    "collect_stages",
-    "build_capture",
-    "capture_schedule",
-    "load_trace_docs",
-    "load_capture",
-    "write_capture",
-]
+_EXPORTS = {
+    "repro.obs.capture": [
+        "CAPTURE_SCHEMA_VERSION",
+        "build_capture",
+        "capture_schedule",
+        "load_trace_docs",
+        "load_capture",
+        "write_capture",
+    ],
+    "repro.obs.trace": [
+        "TRACE_HEADER",
+        "TRACE_SCHEMA_VERSION",
+        "Span",
+        "Trace",
+        "new_id",
+        "parse_trace_header",
+        "format_trace_header",
+        "record_stage",
+        "stage_timer",
+        "collect_stages",
+    ],
+    "repro.obs.recorder": ["TraceRing", "JsonlSink", "TraceRecorder"],
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -15,29 +15,22 @@
   floorplans.
 """
 
-from repro.relocation.compatibility import (
-    areas_compatible,
-    enumerate_free_compatible_areas,
-)
-from repro.relocation.spec import RelocationRequest, RelocationSpec
-from repro.relocation.constraints import RelocationRows, apply_relocation_constraints
-from repro.relocation.metric import relocation_cost, relocation_summary
-from repro.relocation.analysis import (
-    FeasibilityResult,
-    feasibility_analysis,
-    count_reachable_copies,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "areas_compatible",
-    "enumerate_free_compatible_areas",
-    "RelocationRequest",
-    "RelocationSpec",
-    "RelocationRows",
-    "apply_relocation_constraints",
-    "relocation_cost",
-    "relocation_summary",
-    "FeasibilityResult",
-    "feasibility_analysis",
-    "count_reachable_copies",
-]
+_EXPORTS = {
+    "repro.relocation.compatibility": [
+        "areas_compatible",
+        "enumerate_free_compatible_areas",
+    ],
+    "repro.relocation.spec": ["RelocationRequest", "RelocationSpec"],
+    "repro.relocation.constraints": ["RelocationRows", "apply_relocation_constraints"],
+    "repro.relocation.metric": ["relocation_cost", "relocation_summary"],
+    "repro.relocation.analysis": [
+        "FeasibilityResult",
+        "feasibility_analysis",
+        "count_reachable_copies",
+    ],
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

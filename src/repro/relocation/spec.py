@@ -18,11 +18,13 @@ the region name followed by a copy number (``"Signal Decoder 2"``).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Mapping
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping
 
 from repro.device.resources import ResourceVector
-from repro.floorplan.milp_builder import AreaSpec
 from repro.floorplan.problem import FloorplanProblem
+
+if TYPE_CHECKING:
+    from repro.floorplan.milp_builder import AreaSpec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,6 +139,9 @@ class RelocationSpec:
 
     def build_area_specs(self, problem: FloorplanProblem) -> List[AreaSpec]:
         """Expand the spec into the free-compatible-area :class:`AreaSpec`\\ s."""
+        # Deferred: a spec is described and fingerprinted without the MILP stack.
+        from repro.floorplan.milp_builder import AreaSpec
+
         specs: List[AreaSpec] = []
         for request in self._requests.values():
             region = problem.region_by_name(request.region)  # validates the name

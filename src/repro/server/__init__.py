@@ -26,63 +26,36 @@ Start one with ``python -m repro.server``; throw load at it with
 Everything is stdlib ``asyncio`` — no new dependencies.
 """
 
-from repro.server.admission import AdmissionController, AdmissionDecision, TokenBucket
-from repro.server.batcher import MicroBatcher
-from repro.server.gateway import BackgroundGateway, GatewayConfig, SolveGateway
-from repro.server.metrics import GatewayMetrics, LatencyHistogram
-from repro.server.protocol import (
-    ProtocolError,
-    device_from_dict,
-    job_from_dict,
-    job_to_dict,
-    problem_from_dict,
-    relocation_from_list,
-)
-from repro.server.workers import WorkerPool
+from repro._lazy import lazy_exports
 
-#: Load-generator names resolved lazily (PEP 562) so ``python -m
-#: repro.server.loadgen`` does not re-execute an already-imported module.
-_LOADGEN_NAMES = (
-    "GatewayClient",
-    "LoadResult",
-    "demo_payloads",
-    "closed_loop",
-    "open_loop",
-    "run_closed_loop",
-    "run_open_loop",
-)
+_EXPORTS = {
+    "repro.server.gateway": ["GatewayConfig", "SolveGateway", "BackgroundGateway"],
+    "repro.server.batcher": ["MicroBatcher"],
+    "repro.server.workers": ["WorkerPool"],
+    "repro.server.admission": [
+        "AdmissionController",
+        "AdmissionDecision",
+        "TokenBucket",
+    ],
+    "repro.server.metrics": ["GatewayMetrics", "LatencyHistogram"],
+    "repro.server.protocol": [
+        "ProtocolError",
+        "job_from_dict",
+        "job_to_dict",
+        "problem_from_dict",
+        "device_from_dict",
+        "relocation_from_list",
+    ],
+    "repro.server.loadgen": [
+        "GatewayClient",
+        "LoadResult",
+        "demo_payloads",
+        "closed_loop",
+        "open_loop",
+        "run_closed_loop",
+        "run_open_loop",
+    ],
+}
 
-
-def __getattr__(name: str):
-    if name in _LOADGEN_NAMES:
-        from repro.server import loadgen
-
-        return getattr(loadgen, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "GatewayConfig",
-    "SolveGateway",
-    "BackgroundGateway",
-    "MicroBatcher",
-    "WorkerPool",
-    "AdmissionController",
-    "AdmissionDecision",
-    "TokenBucket",
-    "GatewayMetrics",
-    "LatencyHistogram",
-    "ProtocolError",
-    "job_from_dict",
-    "job_to_dict",
-    "problem_from_dict",
-    "device_from_dict",
-    "relocation_from_list",
-    "GatewayClient",
-    "LoadResult",
-    "demo_payloads",
-    "closed_loop",
-    "open_loop",
-    "run_closed_loop",
-    "run_open_loop",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -28,42 +28,28 @@ Quickstart::
     print(report.format())
 """
 
-from repro.service.cache import (
-    CACHE_SCHEMA_VERSION,
-    CacheStats,
-    SolveCache,
-    cache_migration,
-    migrate_entry,
-)
-from repro.service.executor import BatchSolver, execute_job
-from repro.service.jobs import SolveJob
-from repro.service.portfolio import (
-    DEFAULT_STRATEGIES,
-    PortfolioResult,
-    Strategy,
-    run_portfolio,
-    run_strategy,
-)
-from repro.service.results import JobResult, SweepReport
-from repro.service.sweep import constraint_for, run_sweep, sweep_jobs
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SolveJob",
-    "SolveCache",
-    "CacheStats",
-    "CACHE_SCHEMA_VERSION",
-    "cache_migration",
-    "migrate_entry",
-    "BatchSolver",
-    "execute_job",
-    "JobResult",
-    "SweepReport",
-    "Strategy",
-    "DEFAULT_STRATEGIES",
-    "PortfolioResult",
-    "run_portfolio",
-    "run_strategy",
-    "sweep_jobs",
-    "run_sweep",
-    "constraint_for",
-]
+_EXPORTS = {
+    "repro.service.jobs": ["SolveJob"],
+    "repro.service.cache": [
+        "SolveCache",
+        "CacheStats",
+        "CACHE_SCHEMA_VERSION",
+        "cache_migration",
+        "migrate_entry",
+    ],
+    "repro.service.executor": ["BatchSolver", "execute_job"],
+    "repro.service.results": ["JobResult", "SweepReport"],
+    "repro.service.portfolio": [
+        "Strategy",
+        "DEFAULT_STRATEGIES",
+        "PortfolioResult",
+        "run_portfolio",
+        "run_strategy",
+    ],
+    "repro.service.sweep": ["sweep_jobs", "run_sweep", "constraint_for"],
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

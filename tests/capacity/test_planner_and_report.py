@@ -1,5 +1,7 @@
 """Tests of the capacity planner, SLO evaluation and deterministic reports."""
 
+import collections
+
 import pytest
 
 from repro.capacity import (
@@ -14,6 +16,7 @@ from repro.capacity import (
     render_markdown,
 )
 from repro.capacity.__main__ import main as capacity_main
+from repro.sim.faults import RandomFaults
 
 
 def scenario(rate=60.0, **kwargs):
@@ -85,6 +88,36 @@ class TestCapacityCurve:
     def test_rejects_nonpositive_multiplier(self):
         with pytest.raises(ValueError):
             capacity_curve(scenario(), SLO, [0.0])
+
+    def test_draws_each_device_fault_plan_once_per_curve(self, monkeypatch):
+        draws = collections.Counter()
+        events = RandomFaults.events
+
+        def counted(plan, horizon):
+            draws[plan.seed] += 1
+            return events(plan, horizon)
+
+        monkeypatch.setattr(RandomFaults, "events", counted)
+        faulty = scenario(fault_rate=0.05)
+        multipliers = [0.5, 1.0, 1.5, 2.0]
+        curve = capacity_curve(faulty, SLO, multipliers, max_devices=64)
+        assert draws and set(draws.values()) == {1}
+        # the largest plan evaluates the most devices, and each has one seed
+        largest = max(point["min_devices"] for point in curve)
+        assert set(range(1000, 1000 + largest)) <= set(draws)
+
+        draws.clear()
+        separate = [
+            plan_min_devices(faulty, SLO, max_devices=64, rate_multiplier=multiplier)
+            for multiplier in multipliers
+        ]
+        assert max(draws.values()) > 1  # separate plans re-draw shared seeds
+        assert [point["min_devices"] for point in curve] == [
+            outcome.min_devices for outcome in separate
+        ]
+        assert [point["metrics"] for point in curve] == [
+            outcome.evaluation_for(outcome.min_devices).metrics for outcome in separate
+        ]
 
 
 class TestReports:

@@ -4,7 +4,18 @@ import importlib
 
 import pytest
 
-LAZY_PACKAGES = ["repro", "repro.floorplan", "repro.sim", "repro.fleet"]
+LAZY_PACKAGES = [
+    "repro",
+    "repro.floorplan",
+    "repro.sim",
+    "repro.fleet",
+    "repro.server",
+    "repro.service",
+    "repro.milp",
+    "repro.obs",
+    "repro.relocation",
+    "repro.analysis",
+]
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
@@ -32,8 +43,11 @@ def test_from_imports_and_star_import_match_the_submodules():
     from repro.milp import SolverOptions as options_class
     from repro.sim.traffic import PoissonTraffic as traffic_class
 
+    from repro.milp.options import SolverOptions as options_home
+    from repro.milp.solver import SolverOptions as solver_options
+
     assert FloorplanSolver is solver_class
-    assert SolverOptions is options_class
+    assert SolverOptions is options_class is options_home is solver_options
     assert PoissonTraffic is traffic_class
 
     namespace = {}
