@@ -30,11 +30,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.packing import first_rect, region_anchors, sort_regions_by_demand
+from repro.floorplan.candidates import Candidates
 from repro.floorplan.geometry import Rect, manhattan
 from repro.floorplan.placement import Floorplan, RegionPlacement, rect_frames, rect_resources
 from repro.floorplan.problem import FloorplanProblem, Region
@@ -58,12 +59,15 @@ class AnnealingOptions:
 def annealing_floorplan(
     problem: FloorplanProblem,
     options: AnnealingOptions | None = None,
+    candidates: Mapping[str, Candidates] | None = None,
 ) -> Optional[Floorplan]:
     """Anneal a placement for every region of ``problem``.
 
-    Returns ``None`` only when even the initial construction fails; otherwise
-    the best feasible state seen is returned (or the best infeasible state,
-    flagged through ``solver_status``, when feasibility was never reached).
+    ``candidates`` are the regions' candidate rectangles the initial
+    construction selects from (enumerated when omitted).  Returns ``None``
+    only when even the initial construction fails; otherwise the best
+    feasible state seen is returned (or the best infeasible state, flagged
+    through ``solver_status``, when feasibility was never reached).
     """
     options = options or AnnealingOptions()
     start = time.perf_counter()
@@ -71,7 +75,7 @@ def annealing_floorplan(
     device = problem.device
     regions = list(problem.regions)
 
-    state = _initial_state(problem, rng)
+    state = _initial_state(problem, rng, candidates)
     if state is None:
         return None
 
@@ -122,10 +126,14 @@ def annealing_floorplan(
 
 
 # ----------------------------------------------------------------------
-def _initial_state(problem: FloorplanProblem, rng: np.random.Generator) -> Optional[Dict[str, Rect]]:
+def _initial_state(
+    problem: FloorplanProblem,
+    rng: np.random.Generator,
+    candidates: Mapping[str, Candidates] | None = None,
+) -> Optional[Dict[str, Rect]]:
     """Greedy construction, falling back to random rectangles when stuck."""
     device = problem.device
-    anchors = region_anchors(device, problem.regions)
+    anchors = region_anchors(device, problem.regions, candidates)
     occupied: List[Rect] = []
     state: Dict[str, Rect] = {}
     for region in sort_regions_by_demand(problem.regions):

@@ -10,9 +10,10 @@ attempt to minimize wasted frames or wirelength.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.baselines.packing import candidate_orders, first_rect, region_anchors
+from repro.floorplan.candidates import Candidates
 from repro.floorplan.geometry import Rect
 from repro.floorplan.placement import Floorplan, RegionPlacement
 from repro.floorplan.problem import FloorplanProblem
@@ -21,6 +22,7 @@ from repro.floorplan.problem import FloorplanProblem
 def first_fit_floorplan(
     problem: FloorplanProblem,
     region_order: Sequence[str] | None = None,
+    candidates: Mapping[str, Candidates] | None = None,
 ) -> Optional[Floorplan]:
     """Place every region with a first-fit scan.
 
@@ -31,6 +33,10 @@ def first_fit_floorplan(
     region_order:
         Optional explicit placement order (region names); defaults to
         decreasing resource demand.
+    candidates:
+        Optional per-region candidate rectangles
+        (:func:`~repro.floorplan.candidates.enumerate_areas`), shared with
+        the MILP build of the same solve; enumerated here when omitted.
 
     Returns
     -------
@@ -45,7 +51,7 @@ def first_fit_floorplan(
     else:
         orders = candidate_orders(device, problem.regions)
 
-    anchors = region_anchors(device, problem.regions)
+    anchors = region_anchors(device, problem.regions, candidates)
     for regions in orders:
         occupied: List[Rect] = []
         floorplan = Floorplan(problem=problem, solver_status="first-fit")

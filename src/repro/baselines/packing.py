@@ -2,33 +2,40 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
 from repro.device.grid import FPGADevice
 from repro.device.resources import ResourceVector
-from repro.floorplan.candidates import Candidates, _SummedAreaTables, enumerate_candidates
+from repro.floorplan.candidates import Candidates, enumerate_areas
 from repro.floorplan.geometry import Rect
 from repro.floorplan.milp_builder import AreaSpec
 from repro.floorplan.problem import Region
 
 
-def region_anchors(device: FPGADevice, regions: Sequence[Region]) -> Dict[str, Candidates]:
+def region_anchors(
+    device: FPGADevice,
+    regions: Sequence[Region],
+    candidates: Mapping[str, Candidates] | None = None,
+) -> Dict[str, Candidates]:
     """The narrowest feasible rectangle of each region at every anchor.
 
     An anchor is a ``(x, y, h)`` triple.  The rectangles are selected from
-    :func:`~repro.floorplan.candidates.enumerate_candidates` and ordered by
-    column, decreasing height, row — the first-fit scan order.  A wider
-    rectangle at the same anchor contains the narrowest one, so whatever
-    blocks the narrowest blocks it too: selecting per anchor before masking
-    the occupied cells (:func:`feasible_rects`) gives the rectangles a
-    width-growing scan over the free cells would give.
+    the regions' ``candidates`` (as
+    :func:`~repro.floorplan.candidates.enumerate_areas` lists them, and
+    enumerated here when not given) and ordered by column, decreasing height,
+    row — the first-fit scan order.  A wider rectangle at the same anchor
+    contains the narrowest one, so whatever blocks the narrowest blocks it
+    too: selecting per anchor before masking the occupied cells
+    (:func:`feasible_rects`) gives the rectangles a width-growing scan over
+    the free cells would give.
     """
-    tables = _SummedAreaTables(device)
+    if candidates is None:
+        candidates = enumerate_areas(device, [AreaSpec.for_region(region) for region in regions])
     anchors: Dict[str, Candidates] = {}
     for region in regions:
-        found = enumerate_candidates(device, AreaSpec.for_region(region), tables)
+        found = candidates[region.name]
         found = found.subset(np.lexsort((found.w, found.y, -found.h, found.x)))
         narrowest = np.ones(len(found), dtype=bool)
         narrowest[1:] = (np.diff(found.x) != 0) | (np.diff(found.h) != 0) | (np.diff(found.y) != 0)

@@ -21,7 +21,7 @@ problem, which the ablation benchmark compares against the MILP.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.baselines.packing import by_frames, candidate_orders, feasible_rects, region_anchors
 from repro.floorplan.candidates import Candidates
@@ -43,6 +43,7 @@ MAX_CANDIDATES_WITH_COPIES = 200
 def relocation_aware_greedy(
     problem: FloorplanProblem,
     spec: RelocationSpec | None = None,
+    candidates: Mapping[str, Candidates] | None = None,
 ) -> Optional[Floorplan]:
     """Greedy construction of a floorplan with reserved free-compatible areas.
 
@@ -53,6 +54,10 @@ def relocation_aware_greedy(
     spec:
         Relocation requests; ``None`` or an empty spec degenerates into a
         minimal-frames greedy placer.
+    candidates:
+        Optional per-region candidate rectangles
+        (:func:`~repro.floorplan.candidates.enumerate_areas`), shared with
+        the MILP build of the same solve; enumerated here when omitted.
 
     Returns
     -------
@@ -64,7 +69,7 @@ def relocation_aware_greedy(
     spec = spec or RelocationSpec.empty()
     start = time.perf_counter()
     device = problem.device
-    anchors = region_anchors(device, problem.regions)
+    anchors = region_anchors(device, problem.regions, candidates)
 
     # Orders are explored with a "fail-first" retry: when a region cannot be
     # served, it is promoted to the front of the order and the construction

@@ -18,9 +18,10 @@ greedy baseline with the same two defining characteristics:
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.baselines.packing import best_rect, candidate_orders, region_anchors
+from repro.floorplan.candidates import Candidates
 from repro.floorplan.geometry import Rect
 from repro.floorplan.placement import Floorplan, RegionPlacement
 from repro.floorplan.problem import FloorplanProblem
@@ -30,6 +31,7 @@ def tessellation_floorplan(
     problem: FloorplanProblem,
     region_order: Sequence[str] | None = None,
     align_rows: bool = True,
+    candidates: Mapping[str, Candidates] | None = None,
 ) -> Optional[Floorplan]:
     """Place every region on tessellated, power-of-two-height slots.
 
@@ -43,6 +45,10 @@ def tessellation_floorplan(
         Keep the kernel alignment (the defining restriction of the baseline);
         disabling it turns the heuristic into an unrestricted minimal-frames
         greedy packer, which the ablation benchmark uses for comparison.
+    candidates:
+        Optional per-region candidate rectangles
+        (:func:`~repro.floorplan.candidates.enumerate_areas`), shared with
+        the MILP build of the same solve; enumerated here when omitted.
 
     Returns
     -------
@@ -57,7 +63,7 @@ def tessellation_floorplan(
     else:
         orders = candidate_orders(device, problem.regions)
 
-    anchors = region_anchors(device, problem.regions)
+    anchors = region_anchors(device, problem.regions, candidates)
     floorplan: Optional[Floorplan] = None
     for regions in orders:
         occupied: List[Rect] = []

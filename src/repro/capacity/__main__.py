@@ -119,7 +119,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         min_throughput_fraction=args.throughput_fraction,
     )
 
-    outcome = plan_min_devices(scenario, slo, max_devices=args.max_devices)
+    faults: dict = {}  # each device's fault draws, shared by the plan and the curve
+    outcome = plan_min_devices(scenario, slo, max_devices=args.max_devices, faults=faults)
     multipliers = parse_multipliers(args.sweep)
     curve = (
         capacity_curve(
@@ -128,6 +129,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             multipliers,
             max_devices=args.max_devices,
             planned={1.0: outcome},
+            faults=faults,
         )
         if multipliers
         else None

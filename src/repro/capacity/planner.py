@@ -189,26 +189,18 @@ def plan_min_devices(
     slo: CapacitySLO,
     max_devices: int = 1024,
     rate_multiplier: float = 1.0,
+    faults: Optional[Dict[str, FaultPlan]] = None,
 ) -> PlanOutcome:
-    """The minimum fleet size meeting ``slo``, by doubling + binary search."""
-    return _search_min_devices(scenario, slo, max_devices, rate_multiplier, faults={})
+    """The minimum fleet size meeting ``slo``, by doubling + binary search.
 
-
-def _search_min_devices(
-    scenario: CapacityScenario,
-    slo: CapacitySLO,
-    max_devices: int,
-    rate_multiplier: float,
-    faults: Dict[str, _Replay],
-) -> PlanOutcome:
-    """:func:`plan_min_devices` drawing device faults into ``faults``.
-
-    ``faults`` maps a device name to its drawn fault events.  The draws do
-    not depend on the rate multiplier, so :func:`capacity_curve` shares one
-    mapping across its multipliers.
+    ``faults`` maps a device name to its drawn fault events; a device missing
+    from it is drawn and added.  The draws do not depend on the rate
+    multiplier, so plans of one scenario at several multipliers can share
+    one mapping (:func:`capacity_curve` does).
     """
     if max_devices <= 0:
         raise ValueError("max_devices must be positive")
+    faults = {} if faults is None else faults
     evaluations: List[Evaluation] = []
     horizon = scenario.horizon
     traffic: Optional[_Replay] = None
@@ -267,22 +259,25 @@ def capacity_curve(
     multipliers: Sequence[float],
     max_devices: int = 1024,
     planned: Optional[Mapping[float, PlanOutcome]] = None,
+    faults: Optional[Dict[str, FaultPlan]] = None,
 ) -> List[Dict[str, object]]:
     """Minimum fleet size at each rate multiplier (the capacity curve).
 
     Each distinct multiplier is planned once.  ``planned`` supplies outcomes
     the caller already has, keyed by multiplier, for the same ``slo`` and
-    ``max_devices`` (the CLI passes its multiplier-1.0 plan).
+    ``max_devices`` (the CLI passes its multiplier-1.0 plan), and ``faults``
+    the fault draws those plans made (see :func:`plan_min_devices`); every
+    plan shares the one mapping, so each device's faults are drawn once.
     """
     outcomes: Dict[float, PlanOutcome] = dict(planned or {})
-    faults: Dict[str, _Replay] = {}  # drawn once per device, shared by every multiplier
+    faults = {} if faults is None else faults
     curve: List[Dict[str, object]] = []
     for multiplier in multipliers:
         if multiplier <= 0:
             raise ValueError("rate multipliers must be positive")
         outcome = outcomes.get(multiplier)
         if outcome is None:
-            outcome = outcomes[multiplier] = _search_min_devices(
+            outcome = outcomes[multiplier] = plan_min_devices(
                 scenario, slo, max_devices, multiplier, faults
             )
         point: Dict[str, object] = {

@@ -6,7 +6,8 @@ its extent caps and supply its resource requirements.
 tile-type grid, one numpy pass per width.  Every consumer selects from these
 arrays: the MILP builder (:mod:`repro.floorplan.milp_builder`) gives each
 candidate a binary, the greedy placers (:mod:`repro.baselines.packing`) mask
-and order them, and the free-compatible-area search
+and order them — within one solve both read the arrays
+:func:`enumerate_areas` lists once — and the free-compatible-area search
 (:mod:`repro.relocation.compatibility`) reads the same forbidden window sums
 (:func:`forbidden_free_windows`) and matches columns by the partition's
 interned sequence ids that :func:`signature_keys` is built on.
@@ -182,6 +183,12 @@ def enumerate_candidates(
         empty = np.zeros(0, dtype=np.int64)
         return Candidates(empty, empty, empty, empty, empty)
     return Candidates(*(np.concatenate(column).astype(np.int64) for column in zip(*parts)))
+
+
+def enumerate_areas(device: FPGADevice, areas: Sequence[AreaSpec]) -> Dict[str, Candidates]:
+    """Every area's candidates, from one set of summed-area tables."""
+    tables = _SummedAreaTables(device)
+    return {area.name: enumerate_candidates(device, area, tables) for area in areas}
 
 
 def signature_keys(partition: ColumnarPartition, candidates: Candidates) -> np.ndarray:

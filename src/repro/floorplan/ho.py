@@ -16,8 +16,9 @@ heuristic and then reserves free-compatible areas geometrically.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
+from repro.floorplan.candidates import Candidates
 from repro.floorplan.placement import Floorplan, RegionPlacement
 from repro.floorplan.problem import FloorplanProblem
 from repro.floorplan.sequence_pair import SequencePair
@@ -40,10 +41,19 @@ class HOSeed:
 
 
 class HOSeeder:
-    """Produce HO seeds, optionally with free-compatible areas included."""
+    """Produce HO seeds, optionally with free-compatible areas included.
 
-    def __init__(self, problem: FloorplanProblem) -> None:
+    ``candidates`` are the regions' candidate rectangles
+    (:func:`~repro.floorplan.candidates.enumerate_areas`); every placer
+    selects from them, so a solve that enumerated them for its MILP does not
+    enumerate them again.  Each placer enumerates them when omitted.
+    """
+
+    def __init__(
+        self, problem: FloorplanProblem, candidates: Mapping[str, Candidates] | None = None
+    ) -> None:
         self.problem = problem
+        self.candidates = candidates
 
     # ------------------------------------------------------------------
     def seed_regions(self, heuristic: str = "tessellation") -> Floorplan:
@@ -57,8 +67,8 @@ class HOSeeder:
         from repro.baselines.first_fit import first_fit_floorplan
         from repro.baselines.tessellation import tessellation_floorplan
 
-        def tessellation_unaligned(problem):
-            return tessellation_floorplan(problem, align_rows=False)
+        def tessellation_unaligned(problem, candidates):
+            return tessellation_floorplan(problem, align_rows=False, candidates=candidates)
 
         order = {
             "tessellation": (
@@ -83,7 +93,7 @@ class HOSeeder:
         if heuristic not in order:
             raise ValueError(f"unknown heuristic {heuristic!r}")
         for placer in order[heuristic]:
-            floorplan = placer(self.problem)
+            floorplan = placer(self.problem, candidates=self.candidates)
             if floorplan is not None and floorplan.is_complete:
                 from repro.floorplan.verify import verify_floorplan
 
@@ -163,7 +173,7 @@ class HOSeeder:
             from repro.baselines.relocation_greedy import relocation_aware_greedy
             from repro.floorplan.verify import verify_floorplan
 
-            floorplan = relocation_aware_greedy(self.problem, spec)
+            floorplan = relocation_aware_greedy(self.problem, spec, self.candidates)
             if (
                 floorplan is None
                 or not floorplan.is_complete

@@ -35,6 +35,9 @@ feasibility.  Given an incumbent floorplan (the HO seed), the builder then
 drops every region candidate whose wasted frames, added to every other
 region's minimum, already exceed the incumbent's eq.-14 objective: no solution
 at least as good as the incumbent can use it, so this filter is exact too.
+The incumbent the filter accepted is also the model's MIP start
+(:attr:`FloorplanMILP.start`): every candidate it selects survives the filters,
+so it maps onto ``z`` rectangle by rectangle.
 """
 
 from __future__ import annotations
@@ -48,12 +51,7 @@ import numpy as np
 from repro.device.partition import ColumnarPartition
 from repro.device.resources import ResourceVector
 from repro.floorplan import sequence_pair as sp
-from repro.floorplan.candidates import (
-    Candidates,
-    _SummedAreaTables,
-    enumerate_candidates,
-    signature_keys,
-)
+from repro.floorplan.candidates import Candidates, enumerate_areas, signature_keys
 from repro.floorplan.geometry import Rect
 from repro.floorplan.metrics import (
     ObjectiveWeights,
@@ -133,6 +131,12 @@ class FloorplanMILP:
     filtered): the model is exact only for those weights, so
     :meth:`set_objective` refuses others until :meth:`cap_wasted_frames`
     releases the filter.
+
+    ``start`` is the incumbent the filter accepted as a complete assignment
+    of the model's variables (``None`` when nothing was filtered): one
+    selected candidate per placed area, ``v = 1`` for a soft area it leaves
+    out and each wirelength distance at its value.  The solver facade passes
+    it to the backend as the MIP start.
     """
 
     problem: FloorplanProblem
@@ -150,6 +154,7 @@ class FloorplanMILP:
     related: int
     filter_weights: Optional[ObjectiveWeights] = None
     filter_bound: Optional[int] = None
+    start: Optional[Dict[Variable, float]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -202,13 +207,14 @@ class FloorplanMILP:
         On a filtered model the cap is tightened to the filter's bound when
         that is smaller.  No solution under it can use a dropped candidate,
         so the model is then exact for any objective and the filter is
-        released.
+        released, together with the start, which the cap may cut off.
         """
         if self.filter_bound is not None:
             value = min(value, self.filter_bound)
         self.model.add(self.wasted_frames_expr <= value + 1e-6, name="lex_area_cap")
         self.filter_weights = None
         self.filter_bound = None
+        self.start = None
 
     # ------------------------------------------------------------------
     def extract(self, solution: MILPSolution) -> Floorplan:
@@ -255,6 +261,7 @@ def build_floorplan_milp(
     prune: bool = True,
     incumbent: Floorplan | None = None,
     weights: ObjectiveWeights | None = None,
+    candidates: Mapping[str, Candidates] | None = None,
 ) -> FloorplanMILP:
     """Build the candidate-rectangle MILP for a problem plus free areas.
 
@@ -282,6 +289,11 @@ def build_floorplan_milp(
         when it is not (a hard free area missing, a fixed relation broken).
     weights:
         Objective weights installed on the model and used by the filter.
+    candidates:
+        Every area's feasible rectangles as
+        :func:`~repro.floorplan.candidates.enumerate_areas` lists them (the
+        solver facade enumerates once for the seed and the model); enumerated
+        here when omitted.  The mapping is not modified.
     """
     partition = problem.partition
     device = partition.device
@@ -300,10 +312,9 @@ def build_floorplan_milp(
                 f"{area.compatible_with!r}"
             )
 
-    tables = _SummedAreaTables(device)
-    candidates: Dict[str, Candidates] = {
-        area.name: enumerate_candidates(device, area, tables) for area in areas
-    }
+    if candidates is None:
+        candidates = enumerate_areas(device, areas)
+    candidates = {area.name: candidates[area.name] for area in areas}
     enumerated = sum(len(c) for c in candidates.values())
     norms = normalization_constants(problem)
 
@@ -330,8 +341,11 @@ def build_floorplan_milp(
     settle()
     related = sum(len(c) for c in candidates.values())
     filter_bound = None
+    placed = None
     if prune and incumbent is not None:
-        filter_bound = _waste_bound(areas, norms, incumbent, weights, fixed_relations)
+        placed = _incumbent_rects(areas, incumbent, fixed_relations)
+    if placed is not None:
+        filter_bound = _waste_bound(areas, norms, incumbent, placed, weights)
     if filter_bound is not None:
         # the incumbent is feasible, so every region has a candidate
         waste = {n: candidates[n].frames - problem.required_frames(n) for n in region_names}
@@ -380,6 +394,7 @@ def build_floorplan_milp(
     milp.set_objective(weights)
     if filter_bound is not None:
         milp.filter_weights, milp.filter_bound = weights, filter_bound
+        milp.start = _start_values(milp, placed, geometry.distances)
     return milp
 
 
@@ -482,7 +497,11 @@ def _drop_unrelatable(
 
 
 class _Geometry:
-    """Writes the rows that couple candidates of different areas."""
+    """Writes the rows that couple candidates of different areas.
+
+    ``distances`` pairs each wirelength distance variable with the centre
+    difference it bounds from above, ``centre_0 - centre_1`` over ``z``.
+    """
 
     def __init__(
         self, candidates: Dict[str, Candidates], z: Dict[str, List[Variable]], height: int
@@ -490,6 +509,7 @@ class _Geometry:
         self.candidates = candidates
         self.z = z
         self.height = height
+        self.distances: List[Tuple[Variable, LinExpr]] = []
 
     def terms(self, names: Sequence[str], coefficient) -> Dict[Variable, float]:
         """``{z: coefficient(candidates)}`` over the candidates of ``names``."""
@@ -581,16 +601,17 @@ class _Geometry:
         for idx, connection in enumerate(problem.connections):
             for axis, pos, extent in (("dx", "x", "w"), ("dy", "y", "h")):
                 distance = model.add_continuous(f"wl_{axis}[{idx}]", lb=0.0)
-                centres = [
+                (t0, c0), (t1, c1) = (
                     self._centre(problem, endpoint, pos, extent)
                     for endpoint in connection.endpoints()
-                ]
+                )
+                difference = dict(t0)
+                for var, coef in t1.items():
+                    difference[var] = difference.get(var, 0.0) - coef
+                self.distances.append((distance, LinExpr(difference, c0 - c1)))
                 for sign, suffix in ((1.0, "p"), (-1.0, "n")):
                     # distance >= sign * (centre_0 - centre_1)
-                    (t0, c0), (t1, c1) = centres
-                    terms = {var: -sign * coef for var, coef in t0.items()}
-                    for var, coef in t1.items():
-                        terms[var] = terms.get(var, 0.0) + sign * coef
+                    terms = {var: -sign * coef for var, coef in difference.items()}
                     terms[distance] = 1.0
                     model.add_ge_terms(
                         terms, sign * (c0 - c1), name=f"wl_{axis}_{suffix}[{idx}]"
@@ -610,28 +631,21 @@ class _Geometry:
         return {}, (pin.col if pos == "x" else pin.row) + 0.5
 
 
-def _waste_bound(
+def _incumbent_rects(
     areas: Sequence[AreaSpec],
-    norms: Dict[str, float],
     incumbent: Floorplan,
-    weights: ObjectiveWeights,
     fixed_relations: Mapping[Tuple[str, str], str],
-) -> Optional[int]:
-    """Most wasted frames a solution may have and still match the incumbent.
+) -> Optional[Dict[str, Optional[Rect]]]:
+    """Each area's rectangle in ``incumbent`` (``None`` for a soft area it left out).
 
-    The incumbent's eq.-14 objective under ``weights`` is an upper bound on
-    the optimum, and every other term of eq. 14 is non-negative, so a
-    solution whose wasted frames exceed the returned bound is worse than the
-    incumbent.  ``None`` when the incumbent is not a feasible point of the
-    model (its objective then bounds nothing) or wasted frames carry no
-    weight.
+    ``None`` when the incumbent is not a feasible point of the model: it does
+    not verify, leaves out a hard area or breaks a fixed relation.
     """
     from repro.floorplan.verify import verify_floorplan
 
-    if weights.wasted_frames <= 0 or not verify_floorplan(incumbent).is_feasible:
+    if not verify_floorplan(incumbent).is_feasible:
         return None
-    placed: Dict[str, Rect] = {}
-    missed_weight = 0.0
+    placed: Dict[str, Optional[Rect]] = {}
     for area in areas:
         placement = (
             incumbent.free_areas.get(area.name)
@@ -645,12 +659,36 @@ def _waste_bound(
         ):
             placed[area.name] = placement.rect
         elif area.soft:
-            missed_weight += area.weight
+            placed[area.name] = None
         else:
             return None
     for (a, b), relation in fixed_relations.items():
-        if a in placed and b in placed and not _relation_holds(relation, placed[a], placed[b]):
+        first, second = placed.get(a), placed.get(b)
+        if first is not None and second is not None and not _relation_holds(
+            relation, first, second
+        ):
             return None
+    return placed
+
+
+def _waste_bound(
+    areas: Sequence[AreaSpec],
+    norms: Dict[str, float],
+    incumbent: Floorplan,
+    placed: Mapping[str, Optional[Rect]],
+    weights: ObjectiveWeights,
+) -> Optional[int]:
+    """Most wasted frames a solution may have and still match the incumbent.
+
+    ``placed`` is the incumbent's :func:`_incumbent_rects`.  The incumbent's
+    eq.-14 objective under ``weights`` is an upper bound on the optimum, and
+    every other term of eq. 14 is non-negative, so a solution whose wasted
+    frames exceed the returned bound is worse than the incumbent.  ``None``
+    when wasted frames carry no weight.
+    """
+    if weights.wasted_frames <= 0:
+        return None
+    missed_weight = sum(area.weight for area in areas if placed[area.name] is None)
     soft_total = max(sum(area.weight for area in areas if area.soft), 1.0)
     objective = (
         weights.wirelength * wirelength(incumbent) / norms["wirelength"]
@@ -659,3 +697,37 @@ def _waste_bound(
         + weights.relocation * missed_weight / soft_total
     )
     return math.floor(objective * norms["wasted_frames"] / weights.wasted_frames + 1e-6)
+
+
+def _start_values(
+    milp: FloorplanMILP,
+    placed: Mapping[str, Optional[Rect]],
+    distances: Sequence[Tuple[Variable, LinExpr]],
+) -> Optional[Dict[Variable, float]]:
+    """The incumbent ``placed`` as a complete assignment of the model's variables.
+
+    Each placed area selects the candidate with its rectangle's
+    ``(x, y, w, h)``; a soft area left out gets ``v = 1``; each wirelength
+    distance takes the absolute centre difference it bounds.  ``None`` if a
+    rectangle is not among its area's candidates.
+    """
+    values: Dict[Variable, float] = {}
+    for area in milp.areas:
+        z = milp.z[area.name]
+        values.update(dict.fromkeys(z, 0.0))
+        rect = placed[area.name]
+        if area.soft:
+            values[milp.violation[area.name]] = float(rect is None)
+        if rect is None:
+            continue
+        cand = milp.candidates[area.name]
+        hit = np.flatnonzero(
+            (cand.x == rect.col) & (cand.y == rect.row)
+            & (cand.w == rect.width) & (cand.h == rect.height)
+        )
+        if not hit.size:
+            return None
+        values[z[int(hit[0])]] = 1.0
+    for distance, difference in distances:
+        values[distance] = abs(difference.evaluate(values))
+    return values

@@ -9,12 +9,15 @@ small but complete modelling language of its own:
   implement affine expressions with operator overloading;
 * :class:`~repro.milp.model.Model` collects variables, linear constraints and
   an objective, and can export the problem in a sparse matrix form;
-* :mod:`~repro.milp.scipy_backend` compiles a model to
-  :func:`scipy.optimize.milp` (the HiGHS branch-and-cut solver);
+* :mod:`~repro.milp.scipy_backend` passes a model's CSC arrays to the HiGHS
+  branch-and-cut solver through scipy's private HiGHS binding
+  (``scipy.optimize._highspy._core._Highs``), with the objective constant as
+  its offset and an optional MIP start;
 * :mod:`~repro.milp.branch_bound` is a pure-Python branch-and-bound solver on
   top of LP relaxations, used as a fallback backend and for ablations;
-* :func:`~repro.milp.solver.solve` dispatches between backends and applies
-  :class:`~repro.milp.options.SolverOptions` (time limit, MIP gap, verbosity).
+* :func:`~repro.milp.solver.solve` dispatches between backends, applies
+  :class:`~repro.milp.options.SolverOptions` (time limit, MIP gap, verbosity)
+  and hands both backends the MIP start (``start=``).
 
 The exports are lazy (PEP 562): :class:`SolverOptions` resolves without
 loading scipy, so code that only describes or fingerprints jobs stays light.

@@ -23,11 +23,13 @@ The algorithm is LP-based branch and bound, hot-started at every level:
    root, and LP reduced costs then fix provably-immovable integers, so
    best-first pruning bites from the first nodes on;
 5. on exit the solution carries the achieved MIP gap (``bound`` is always
-   populated from the weakest open or gap-pruned node).
+   populated from the weakest open or gap-pruned node);
+6. a feasible MIP start (``start=``), checked against every bound and row,
+   is the first incumbent.
 
 ``warm_start=False`` reverts to the textbook configuration (most-fractional
-branching, no heuristics, per-node constraint split) used as the ablation
-baseline by the ``milp.bb_textbook`` benchmark.
+branching, no heuristics and no MIP start, per-node constraint split) used as
+the ablation baseline by the ``milp.bb_textbook`` benchmark.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ import math
 import time
 import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 
+from repro.milp.expr import Variable
 from repro.milp.model import MatrixForm, Model
 from repro.milp.solution import GAP_EPS, MILPSolution, SolveStatus, relative_gap
 from repro.milp.solver import (
@@ -128,16 +131,17 @@ def solve_with_branch_bound(
     verbose: bool = False,
     warm_start: bool = True,
     prepared: PreparedModel | None = None,
+    start: Mapping[Variable, float] | None = None,
 ) -> MILPSolution:
     """Solve ``model`` with warm-started LP-based branch and bound.
 
     Parameters mirror :func:`repro.milp.scipy_backend.solve_with_scipy`;
     ``max_nodes`` bounds the search tree as a safety valve, ``warm_start``
-    toggles pseudo-cost branching plus the primal heuristics, and the
-    ``time_limit`` budget covers matrix lowering as well as the
-    node loop.
+    toggles pseudo-cost branching plus the primal heuristics and the MIP
+    ``start``, and the ``time_limit`` budget covers matrix lowering as well
+    as the node loop.
     """
-    start = time.perf_counter()
+    started = time.perf_counter()
     if prepared is None:
         prepared = prepare_model(model, backend="branch-bound")
 
@@ -146,15 +150,22 @@ def solve_with_branch_bound(
         return dataclasses.replace(
             prepared.shortcut,
             backend="branch-bound",
-            solve_time=time.perf_counter() - start,
+            solve_time=time.perf_counter() - started,
         )
 
     form = prepared.form
-    budget, exhausted = remaining_budget(time_limit, start)
+    x0 = prepared.start_point(start) if warm_start else None
+    budget, exhausted = remaining_budget(time_limit, started)
     if exhausted:
+        if x0 is not None:
+            return prepared.start_solution(
+                x0, "branch-bound", float("nan"),
+                "time limit exhausted during lowering; returning the start (gap=inf)",
+                solve_time=time.perf_counter() - started,
+            )
         return MILPSolution(
             status=SolveStatus.TIME_LIMIT,
-            solve_time=time.perf_counter() - start,
+            solve_time=time.perf_counter() - started,
             backend="branch-bound",
             message="time limit exhausted during lowering (gap=inf)",
         )
@@ -210,6 +221,10 @@ def solve_with_branch_bound(
     var_upper[integer_indices] = np.floor(var_upper[integer_indices] + _INT_TOL)
     root_lower = var_lower.copy()
     root_upper = var_upper.copy()
+    start_objective = None
+    if x0 is not None:
+        incumbent_obj, incumbent_x = float(form.objective @ x0), x0
+        start_objective = prepared.user_bound(incumbent_obj)
     nodes_explored += 1
     root = _solve_lp_with_duals(form, split, root_lower, root_upper)
     if root is None:
@@ -218,10 +233,11 @@ def solve_with_branch_bound(
             time.perf_counter() - search_start,
             backend="branch-bound",
             nodes=nodes_explored,
+            start_objective=start_objective,
         )
         return MILPSolution(
             status=SolveStatus.INFEASIBLE,
-            solve_time=time.perf_counter() - start,
+            solve_time=time.perf_counter() - started,
             node_count=nodes_explored,
             backend="branch-bound",
             message="LP relaxation infeasible",
@@ -325,12 +341,13 @@ def solve_with_branch_bound(
                 if gap <= gap_target:
                     break
 
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - started
     record_stage(
         "milp.search",
         time.perf_counter() - search_start,
         backend="branch-bound",
         nodes=nodes_explored,
+        start_objective=start_objective,
     )
 
     # the proven bound is the weakest open or gap-pruned node (or the

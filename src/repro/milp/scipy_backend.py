@@ -1,25 +1,62 @@
 """Backend that compiles a :class:`~repro.milp.model.Model` to HiGHS.
 
-`scipy.optimize.milp` wraps the HiGHS branch-and-cut solver, which is an exact
-MILP solver; the paper's formulation therefore keeps its feasibility and
-optimality semantics when solved through this backend.
+HiGHS is an exact branch-and-cut MILP solver, so the paper's formulation keeps
+its feasibility and optimality semantics when solved through this backend.
 
 The model is lowered through the shared
-:func:`repro.milp.solver.prepare_model` glue and HiGHS solves that matrix form
-directly; HiGHS runs its own presolve.
+:func:`repro.milp.solver.prepare_model` glue, and its CSC arrays go straight
+to the HiGHS object scipy ships, ``scipy.optimize._highspy._core._Highs``.
+That module is private to scipy; it is used because ``scipy.optimize.milp``
+takes neither a MIP start nor an objective offset:
+
+* the objective constant the lowering drops goes in as HiGHS's objective
+  offset, so ``mip_rel_gap`` measures the gap of the true objective;
+* a MIP start (:meth:`~repro.milp.solver.PreparedModel.start_point`) goes to
+  ``setSolution``, and with a start HiGHS skips its feasibility-jump
+  heuristic: the start already is a feasible point;
+* ``presolve=False`` turns HiGHS's presolve off (the floorplan solver does so
+  when it searches an HO model from its seed);
+* status, bound and node count are read from ``getModelStatus()`` and
+  ``getInfo()``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
+from typing import Mapping
 
-from scipy.optimize import Bounds, LinearConstraint, milp
+import numpy as np
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
+from repro.milp.expr import Variable
 from repro.milp.model import Model
 from repro.milp.solution import MILPSolution, SolveStatus
 from repro.milp.solver import PreparedModel, prepare_model, remaining_budget
 from repro.obs.trace import record_stage
+
+#: ``HighsMatrixFormat::kColwise`` and ``ObjSense::kMinimize``
+_COLWISE = 1
+_MINIMIZE = 1
+#: ``SolutionStatus::kSolutionStatusFeasible``
+_FEASIBLE_POINT = 2
+
+_STATUS = {
+    HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
+    HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
+    HighsModelStatus.kModelError: SolveStatus.INFEASIBLE,
+    HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
+    HighsModelStatus.kTimeLimit: SolveStatus.TIME_LIMIT,
+    HighsModelStatus.kIterationLimit: SolveStatus.TIME_LIMIT,
+}
+#: the statuses after which HiGHS's point and bound mean something
+_SEARCHED = {
+    HighsModelStatus.kOptimal,
+    HighsModelStatus.kTimeLimit,
+    HighsModelStatus.kIterationLimit,
+    HighsModelStatus.kSolutionLimit,
+}
 
 
 def solve_with_scipy(
@@ -28,8 +65,10 @@ def solve_with_scipy(
     mip_gap: float | None = None,
     verbose: bool = False,
     prepared: PreparedModel | None = None,
+    start: Mapping[Variable, float] | None = None,
+    presolve: bool = True,
 ) -> MILPSolution:
-    """Solve ``model`` using ``scipy.optimize.milp`` (HiGHS).
+    """Solve ``model`` with HiGHS.
 
     Parameters
     ----------
@@ -39,14 +78,21 @@ def solve_with_scipy(
         Wall-clock limit in seconds (``None`` = no limit).  The budget covers
         matrix lowering as well as HiGHS time.
     mip_gap:
-        Relative MIP gap at which HiGHS may stop early.
+        Relative MIP gap at which HiGHS may stop early, measured on the
+        objective with its constant.
     verbose:
-        Forwarded to HiGHS output.
+        Enable HiGHS's log output.
     prepared:
         Pre-built :class:`~repro.milp.solver.PreparedModel` (the facade
         passes one to avoid lowering twice); built here when omitted.
+    start:
+        Optional MIP start, a complete assignment of the variables.  When it
+        is feasible, the answer is never worse than it, and a solve that
+        ends without a solution of its own returns it as ``FEASIBLE``.
+    presolve:
+        Whether HiGHS runs its presolve.
     """
-    start = time.perf_counter()
+    started = time.perf_counter()
     if prepared is None:
         prepared = prepare_model(model, backend="scipy-highs")
 
@@ -55,58 +101,97 @@ def solve_with_scipy(
         return dataclasses.replace(
             prepared.shortcut,
             backend="scipy-highs",
-            solve_time=time.perf_counter() - start,
+            solve_time=time.perf_counter() - started,
         )
 
     form = prepared.form
-    budget, exhausted = remaining_budget(time_limit, start)
+    x0 = prepared.start_point(start)
+    budget, exhausted = remaining_budget(time_limit, started)
     if exhausted:
+        message = "time limit exhausted during lowering"
+        if x0 is not None:
+            return prepared.start_solution(
+                x0, "scipy-highs", float("nan"), f"{message}; returning the start",
+                solve_time=time.perf_counter() - started,
+            )
         return MILPSolution(
             status=SolveStatus.TIME_LIMIT,
-            solve_time=time.perf_counter() - start,
+            solve_time=time.perf_counter() - started,
             backend="scipy-highs",
-            message="time limit exhausted during lowering",
+            message=message,
         )
 
-    options: dict = {"disp": bool(verbose)}
+    # the lowering works in the minimize sense and drops the constant
+    constant = model.objective.constant
+    offset = constant if model.is_minimization else -constant
+    highs = _Highs()
+    highs.setOptionValue("output_flag", bool(verbose))
     if budget is not None:
-        options["time_limit"] = budget
+        highs.setOptionValue("time_limit", float(budget))
     if mip_gap is not None:
-        options["mip_rel_gap"] = float(mip_gap)
-
-    constraints = None
-    if form.num_constraints > 0:
-        constraints = LinearConstraint(
-            form.constraint_matrix, form.constraint_lb, form.constraint_ub
-        )
-
-    bounds = Bounds(form.var_lb, form.var_ub)
+        highs.setOptionValue("mip_rel_gap", float(mip_gap))
+    if not presolve:
+        highs.setOptionValue("presolve", "off")
+    if x0 is not None:
+        highs.setOptionValue("mip_heuristic_run_feasibility_jump", False)
+    matrix = form.constraint_matrix.tocsc()
+    highs.passModel(
+        form.num_variables,
+        form.num_constraints,
+        int(matrix.nnz),
+        _COLWISE,
+        _MINIMIZE,
+        float(offset),
+        form.objective,
+        form.var_lb.astype(np.float64),
+        form.var_ub.astype(np.float64),
+        form.constraint_lb,
+        form.constraint_ub,
+        matrix.indptr.astype(np.int32),
+        matrix.indices.astype(np.int32),
+        matrix.data.astype(np.float64),
+        form.integrality.astype(np.int32),
+    )
+    start_objective = None
+    if x0 is not None:
+        highs.setSolution(x0.size, np.arange(x0.size, dtype=np.int32), x0)
+        start_objective = prepared.user_bound(form.objective @ x0)
 
     search_start = time.perf_counter()
-    result = milp(
-        c=form.objective,
-        constraints=constraints,
-        integrality=form.integrality,
-        bounds=bounds,
-        options=options,
-    )
+    highs.run()
     search_seconds = time.perf_counter() - search_start
-    node_count = int(getattr(result, "mip_node_count", 0) or 0)
-    elapsed = time.perf_counter() - start
+    model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    node_count = max(int(info.mip_node_count), 0)
 
-    status = _map_status(result)
+    status = _STATUS.get(model_status, SolveStatus.ERROR)
+    status_text = highs.modelStatusToString(model_status)
+    message = status_text
+    searched = model_status in _SEARCHED
+    x = None
+    if searched and info.primal_solution_status == _FEASIBLE_POINT:
+        x = np.asarray(highs.getSolution().col_value)
+    elif status is SolveStatus.OPTIMAL:
+        status = SolveStatus.ERROR
+    if x0 is not None and (
+        x is None or form.objective @ x > form.objective @ x0 + 1e-9
+    ):
+        # HiGHS found nothing better than the start: the start is the answer
+        x = x0
+        message = f"{status_text}; returning the start"
+    if x is not None and status is not SolveStatus.OPTIMAL:
+        status = SolveStatus.FEASIBLE
+
     values = {}
     objective = float("nan")
-    if result.x is not None:
-        values = prepared.restore_values(result.x)
+    if x is not None:
+        values = prepared.restore_values(x)
         # Evaluate through the user-facing objective so the constant the
         # lowering dropped is reflected.
         objective = model.objective_value(values)
-
     bound = float("nan")
-    mip_dual_bound = getattr(result, "mip_dual_bound", None)
-    if mip_dual_bound is not None:
-        bound = prepared.user_bound(float(mip_dual_bound))
+    if searched and np.any(form.integrality > 0) and math.isfinite(info.mip_dual_bound):
+        bound = prepared.user_bound(info.mip_dual_bound - offset)
     elif status is SolveStatus.OPTIMAL:
         bound = objective
     record_stage(
@@ -115,32 +200,17 @@ def solve_with_scipy(
         backend="scipy-highs",
         nodes=node_count,
         bound=bound,
+        start_objective=start_objective,
+        presolve="on" if presolve else "off",
+        model_status=status_text,
     )
-
     return MILPSolution(
         status=status,
         objective=objective,
         values=values,
         bound=bound,
-        solve_time=elapsed,
+        solve_time=time.perf_counter() - started,
         node_count=node_count,
         backend="scipy-highs",
-        message=str(getattr(result, "message", "")),
+        message=message,
     )
-
-
-def _map_status(result) -> SolveStatus:
-    # scipy.optimize.milp status codes:
-    # 0 optimal, 1 iteration/time limit, 2 infeasible, 3 unbounded, 4 other
-    status = getattr(result, "status", 4)
-    if status == 0:
-        return SolveStatus.OPTIMAL
-    if status == 1:
-        return SolveStatus.FEASIBLE if result.x is not None else SolveStatus.TIME_LIMIT
-    if status == 2:
-        return SolveStatus.INFEASIBLE
-    if status == 3:
-        return SolveStatus.UNBOUNDED
-    if result.x is not None:
-        return SolveStatus.FEASIBLE
-    return SolveStatus.ERROR

@@ -15,13 +15,20 @@ ablations) can lower once and solve the same prepared problem with
 several backends; each backend copies any shortcut solution before stamping
 it, so a shared :class:`PreparedModel` is safe to reuse.  The time-limit
 budget always covers the preparation work, whoever triggered it.
+
+Both backends also take a MIP start (``start=``): a complete assignment that
+:meth:`PreparedModel.start_point` checks against every bound and row.  A
+start that passes is the first incumbent of HiGHS and of warm branch and
+bound (textbook branch and bound ignores it), so a backend never
+returns a solution worse than it, and a solve that ends without a solution of
+its own returns the start as ``FEASIBLE``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -100,6 +107,45 @@ class PreparedModel:
             values[var] = float(round(val)) if var.is_integral else float(val)
         return values
 
+    def start_point(self, start: Mapping[Variable, float] | None) -> Optional[np.ndarray]:
+        """``start`` as a point of ``form``, or ``None`` unless it is feasible.
+
+        A feasible start sets every variable, keeps every bound and row within
+        ``1e-6`` and gives integer variables integer values.
+        """
+        if not start:
+            return None
+        try:
+            x = np.array([start[var] for var in self.form.variables], dtype=float)
+        except KeyError:
+            return None
+        form, tol = self.form, 1e-6
+        activity = form.constraint_matrix @ x
+        integral = x[form.integrality > 0]
+        feasible = (
+            np.all(x >= form.var_lb - tol)
+            and np.all(x <= form.var_ub + tol)
+            and np.all(activity >= form.constraint_lb - tol)
+            and np.all(activity <= form.constraint_ub + tol)
+            and np.all(np.abs(integral - np.round(integral)) <= tol)
+        )
+        return x if feasible else None
+
+    def start_solution(
+        self, x: np.ndarray, backend: str, bound: float, message: str, **fields
+    ) -> MILPSolution:
+        """The start point ``x`` returned as a ``FEASIBLE`` solution."""
+        values = self.restore_values(x)
+        return MILPSolution(
+            status=SolveStatus.FEASIBLE,
+            objective=self.model.objective_value(values),
+            values=values,
+            bound=bound,
+            backend=backend,
+            message=message,
+            **fields,
+        )
+
     def user_bound(self, internal_bound: float) -> float:
         """Internal (minimize-sense) bound -> user-facing objective sense.
 
@@ -160,8 +206,20 @@ def remaining_budget(
 # ----------------------------------------------------------------------
 # dispatch
 # ----------------------------------------------------------------------
-def solve(model: Model, options: SolverOptions | None = None) -> MILPSolution:
-    """Solve ``model`` with the backend selected in ``options``."""
+def solve(
+    model: Model,
+    options: SolverOptions | None = None,
+    start: Mapping[Variable, float] | None = None,
+    presolve: bool = True,
+) -> MILPSolution:
+    """Solve ``model`` with the backend selected in ``options``.
+
+    ``start`` is an optional MIP start, a complete assignment of the model's
+    variables; HiGHS and warm branch and bound take it as their first
+    incumbent when it is feasible and ignore it otherwise.  ``presolve=False``
+    runs HiGHS without its presolve (branch and bound has none); the
+    floorplan solver asks for that when it searches from the HO seed.
+    """
     from repro.milp.branch_bound import solve_with_branch_bound
     from repro.milp.scipy_backend import solve_with_scipy
 
@@ -173,6 +231,8 @@ def solve(model: Model, options: SolverOptions | None = None) -> MILPSolution:
             time_limit=options.time_limit,
             mip_gap=options.mip_gap,
             verbose=options.verbose,
+            start=start,
+            presolve=presolve,
         )
     if backend in ("branch-bound", "bb", "branch_and_bound"):
         return solve_with_branch_bound(
@@ -182,5 +242,6 @@ def solve(model: Model, options: SolverOptions | None = None) -> MILPSolution:
             max_nodes=options.max_nodes,
             verbose=options.verbose,
             warm_start=options.warm_start,
+            start=start,
         )
     raise ValueError(f"unknown MILP backend {options.backend!r}")

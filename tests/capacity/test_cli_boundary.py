@@ -6,6 +6,7 @@ single-device engine drives.  Its JSON reports must hash to the digests the
 end-to-end benchmark stores for its scenario seeds.
 """
 
+import collections
 import hashlib
 import importlib.util
 import json
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.capacity.__main__ import main as capacity_main
+from repro.sim.faults import RandomFaults
 
 PERFBENCH = Path(__file__).resolve().parents[2] / "perfbench"
 HEAVY = tuple(
@@ -59,3 +61,21 @@ def test_report_matches_the_stored_benchmark_digest(
     assert capacity_main(argv) == 0
     digest = hashlib.sha256(report.read_bytes()).hexdigest()
     assert digest == stored["digests"][str(scenario_seed)]
+
+
+def test_cli_draws_each_device_fault_plan_once(benchmark_args, monkeypatch, tmp_path):
+    """The multiplier-1.0 plan and the sweep's curve share one set of fault
+    draws, so no device's faults are drawn twice (at seed 3 this was 48
+    draws for 32 devices when the curve re-drew the plan's)."""
+    draws = collections.Counter()
+    events = RandomFaults.events
+
+    def counted(plan, horizon):
+        draws[plan.seed] += 1
+        return events(plan, horizon)
+
+    monkeypatch.setattr(RandomFaults, "events", counted)
+    argv = [*benchmark_args, "--seed", "3", "--json", str(tmp_path / "plan.json"), "--quiet"]
+    assert capacity_main(argv) == 0
+    assert len(draws) == 32
+    assert set(draws.values()) == {1}

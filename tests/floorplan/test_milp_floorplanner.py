@@ -259,3 +259,28 @@ class TestStageAnnotations:
         assert 0 < build["candidates_kept"] <= build["candidates_related"] < build["candidates"]
         assert by_name["milp.search"]["bound"] == report.solution.bound
         assert report.solution.bound <= report.solution.objective + 1e-9
+
+    def test_search_stage_shows_the_start_presolve_and_model_status(self, tiny_problem):
+        from repro.floorplan.ho import HOSeeder
+        from repro.floorplan.metrics import evaluate_floorplan
+        from repro.floorplan.solver import run_job
+        from repro.service.jobs import SolveJob
+
+        report = run_job(SolveJob(tiny_problem, mode="HO"))
+        (search,) = [stage for stage in report.stages if stage["name"] == "milp.search"]
+        seed = HOSeeder(tiny_problem).build_seed().floorplan
+        assert search["start_objective"] == pytest.approx(
+            evaluate_floorplan(seed).objective, abs=1e-12
+        )
+        assert report.solution.objective <= search["start_objective"] + 1e-12
+        assert (search["presolve"], search["model_status"]) == ("off", "Optimal")
+
+    def test_o_mode_searches_from_the_seed_with_presolve(self, tiny_problem):
+        from repro.floorplan.solver import run_job
+        from repro.service.jobs import SolveJob
+
+        report = run_job(SolveJob(tiny_problem, mode="O"))
+        (search,) = [stage for stage in report.stages if stage["name"] == "milp.search"]
+        assert search["start_objective"] is not None
+        assert report.solution.objective <= search["start_objective"] + 1e-12
+        assert (search["presolve"], search["model_status"]) == ("on", "Optimal")

@@ -111,6 +111,13 @@ class TestOneTraceAcrossTheFleet:
             assert "gateway.solve" in replica_names
             assert "milp.search" in replica_names
             assert any(name.startswith("floorplan.") for name in replica_names)
+            # the search span says how HiGHS ran: from the HO seed, presolve off
+            search = next(s for s in replica_doc["spans"] if s["name"] == "milp.search")
+            seed = next(s for s in replica_doc["spans"] if s["name"] == "floorplan.ho_seed")
+            assert seed["annotations"]["seed_status"] != "failed"
+            assert search["annotations"]["start_objective"] >= body["result"]["objective"] - 1e-9
+            assert search["annotations"]["presolve"] == "off"
+            assert search["annotations"]["model_status"] == "Optimal"
 
             # span timestamps nest monotonically, within and across processes
             assert assert_nested(replica_doc, IN_PROCESS_EPS) >= 5
