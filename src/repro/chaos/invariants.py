@@ -9,8 +9,9 @@ observed, and returns every :class:`InvariantViolation` it finds:
    retry layers dropped a request on the floor.
 2. **No corrupt result served** — every 200 carries a structurally sound
    result document (fingerprint, ``result.status`` from the solver's
-   vocabulary); corruption injected into the cache tier must surface as a
-   re-solve, never as a response.
+   vocabulary, and a feasible result whenever the body says ``degraded``);
+   corruption injected into the cache tier must surface as a re-solve, never
+   as a response.
 3. **Honest shedding** — every shed or timeout response (429/503/504)
    carries a ``Retry-After`` header, so well-behaved clients can back off
    instead of hammering an overloaded fleet.
@@ -68,6 +69,8 @@ def _sound_result(body: object) -> bool:
     return (
         bool(body.get("fingerprint"))
         and result.get("status") in VALID_RESULT_STATUSES
+        # a best-effort answer is only worth serving with a verified floorplan
+        and (not body.get("degraded") or result.get("feasible") is True)
     )
 
 

@@ -63,6 +63,7 @@ from repro.server.http import (
 from repro.server.metrics import GatewayMetrics, LatencyHistogram, merge_raw_histograms
 from repro.server.protocol import (
     DEADLINE_HEADER,
+    NO_FLOORPLAN_HEADER,
     QUEUE_DEPTH_HEADER,
     ProtocolError,
     parse_deadline,
@@ -410,7 +411,7 @@ class FleetRouter(HttpServer):
                     forward_headers[DEADLINE_HEADER] = f"{remaining:.6f}"
                 forward_started = time.perf_counter()
                 try:
-                    status, _resp_headers, body = await pool.request(
+                    status, resp_headers, body = await pool.request(
                         "POST", "/solve", request.body, forward_headers
                     )
                 except UpstreamError as exc:
@@ -428,7 +429,7 @@ class FleetRouter(HttpServer):
                         parent=root, node=node, rank=rank, attempt=attempt,
                         status=status,
                     )
-                if status == 503:
+                if status == 503 and NO_FLOORPLAN_HEADER.lower() not in resp_headers:
                     # the replica is draining (mid-restart): retryable, the
                     # solve is idempotent and the cache absorbs duplicates
                     pool.mark_down()
@@ -442,8 +443,10 @@ class FleetRouter(HttpServer):
                 if rank > 0:
                     self.metrics.failovers += 1
                 self.metrics.latency.observe(time.perf_counter() - started)
-                # relayed verbatim: no decode/encode round trip
-                return status, body, None
+                # relayed verbatim: no decode/encode round trip, and a shed's
+                # Retry-After kept
+                retry_after = resp_headers.get("retry-after")
+                return status, body, {"Retry-After": retry_after} if retry_after else None
             if time.monotonic() >= deadline:
                 break
             # full sweep failed (or every circuit was open): back off with

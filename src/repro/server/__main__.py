@@ -81,8 +81,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--brownout-watermark", type=int, default=0,
-        help="queue depth past which solves brown out to heuristic-only "
-        "degraded answers (0 = disabled)",
+        help="queue depth past which fresh solves are clamped to the minimum "
+        "time limit and may answer degraded (0 = disabled)",
     )
     parser.add_argument(
         "--no-trace", action="store_true",

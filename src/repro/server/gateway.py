@@ -26,7 +26,8 @@ Request lifecycle for ``POST /solve``:
    free :class:`~repro.server.workers.WorkerPool` shard at once (or, with
    every shard busy, in the next batch a shard takes); each request is
    answered when its own job's solve finishes, and the response carries the
-   full :class:`~repro.service.results.JobResult`.
+   full :class:`~repro.service.results.JobResult` — except a ``degraded``
+   result without a feasible floorplan, answered 503 with ``Retry-After``.
 
 ``GET /healthz`` reports liveness and queue depth; ``GET /metrics`` serves
 counters, latency histograms and cache stats, plus the rendered
@@ -55,6 +56,7 @@ from repro.server.http import (
 from repro.server.metrics import GatewayMetrics
 from repro.server.protocol import (
     DEADLINE_HEADER,
+    NO_FLOORPLAN_HEADER,
     QUEUE_DEPTH_HEADER,
     ProtocolError,
     job_from_dict,
@@ -97,10 +99,12 @@ class GatewayConfig:
     cache_capacity:
         In-memory LRU bound of the solve cache.
     brownout_watermark:
-        Queue depth at which the gateway enters brown-out: fresh solves are
-        served heuristic-only (annealing, no MILP) and flagged
-        ``degraded: true`` until the queue falls back under the watermark.
-        ``None`` (default) disables degraded serving.
+        Queue depth at which the gateway enters brown-out: until the queue
+        falls back under the watermark, every fresh solve is clamped to
+        :data:`~repro.server.workers.MIN_CLAMPED_TIME_LIMIT`, as a tight
+        deadline would clamp it.  An answer that proves optimal anyway is
+        canonical and cached; any other is flagged ``degraded: true``.
+        ``None`` (default) disables brown-out.
     trust_client_id:
         Key rate-limit buckets on the ``X-Client-Id`` header instead of the
         peer address.  Off by default: the header is client-controlled, so
@@ -362,6 +366,10 @@ class SolveGateway(HttpServer):
             return 500, self._result_payload(key.fingerprint, result, cached=False), None
         if result.degraded:
             self.metrics.degraded += 1
+            if not result.feasible:  # the clamp ran out before any floorplan existed
+                body = {"error": "no floorplan in the clamped time limit",
+                        "reason": "degraded_no_floorplan"}
+                return 503, body, {"Retry-After": "1", NO_FLOORPLAN_HEADER: "1"}
         self.metrics.observe_solved(elapsed)
         return 200, self._result_payload(key.fingerprint, result, cached=result.cached), None
 

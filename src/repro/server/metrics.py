@@ -215,7 +215,7 @@ class GatewayMetrics:
     batched_jobs: int = 0  # jobs carried by those batches
     deduped_jobs: int = 0  # waiters a batch carried beyond one per job
     deadline_expired: int = 0  # 504s: the client budget ran out before a result
-    degraded: int = 0  # 200s served best-effort (brown-out or clamped deadline)
+    degraded: int = 0  # clamped solves short of optimal: 200 with a plan, else 503
 
     def __post_init__(self) -> None:
         self.started_monotonic = time.monotonic()

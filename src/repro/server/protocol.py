@@ -34,6 +34,7 @@ __all__ = [
     "ProtocolError",
     "DEADLINE_HEADER",
     "QUEUE_DEPTH_HEADER",
+    "NO_FLOORPLAN_HEADER",
     "parse_deadline",
     "deadline_from_payload",
     "device_from_dict",
@@ -56,6 +57,11 @@ DEADLINE_HEADER = "X-Repro-Deadline"
 #: EWMA and sheds at the front door when the fleet-wide depth crosses its
 #: watermark.
 QUEUE_DEPTH_HEADER = "X-Repro-Queue-Depth"
+
+#: Stamped on a gateway's 503 for a clamped solve that found no floorplan.
+#: The replica is healthy, so the router relays that 503 where it would mark
+#: a draining replica down and retry the next one.
+NO_FLOORPLAN_HEADER = "X-Repro-No-Floorplan"
 
 
 class ProtocolError(ValueError):

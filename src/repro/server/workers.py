@@ -4,15 +4,14 @@ A :class:`WorkerPool` owns ``shards`` dedicated threads.  Each dispatched
 batch occupies one shard thread, so the event loop never blocks on a MILP; the
 micro-batcher runs at most ``shards`` batches at once, so none waits here for
 a thread.  The shard streams the batch back one job at a time: cache hits
-first, then every fresh result the moment its own solve finishes — an
-:func:`~repro.service.executor.execute_job` MILP solve (time limit clamped to
-a tight client deadline) or the brown-out heuristic.  A batch's MILP solves
-run concurrently on one thread pool, so no job waits for a slower sibling; the
-GIL-bound heuristic runs one job after another on the shard thread.  Either
-way the micro-batcher answers each job's waiters as its result arrives.  The
-shard count bounds concurrent batch execution; ``batch_workers`` bounds
-intra-batch parallelism, giving ``shards * batch_workers`` as the solver
-thread ceiling.
+first, then every fresh result the moment its own
+:func:`~repro.service.executor.execute_job` MILP solve finishes, its time
+limit clamped to a tight client deadline or, under brown-out, to
+:data:`MIN_CLAMPED_TIME_LIMIT`.  A batch's solves run concurrently on one
+thread pool, so no job waits for a slower sibling, and the micro-batcher
+answers each job's waiters as its result arrives.  The shard count bounds
+concurrent batch execution; ``batch_workers`` bounds intra-batch
+parallelism, giving ``shards * batch_workers`` as the solver thread ceiling.
 
 The pool shares the gateway's :class:`~repro.service.cache.SolveCache`.  A
 result is stored before it is yielded, so the solve that answers one request
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import functools
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import AsyncIterator, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -34,8 +32,10 @@ from repro.service.results import JobResult
 
 __all__ = ["WorkerPool", "MIN_CLAMPED_TIME_LIMIT"]
 
-#: Floor on a deadline-clamped solver time limit: below this the backend
-#: cannot even build the model, so the clamp would buy nothing but an error.
+#: Floor on a clamped solver time limit, and every fresh job's limit under
+#: brown-out.  The limit starts at model lowering, after the heuristic seed
+#: and the build, so a clamped solve still answers with its verified seed (if
+#: it has one); the floor is HiGHS's search from it.
 MIN_CLAMPED_TIME_LIMIT = 0.05
 
 
@@ -55,9 +55,10 @@ class WorkerPool:
         solves share one thread pool.
     brownout:
         Optional zero-argument predicate polled once per batch.  While it
-        returns ``True`` the pool serves heuristic-only (annealing) results
-        flagged ``degraded`` instead of running MILP solves — the gateway
-        wires its overload watermark here.
+        returns ``True`` every fresh job is clamped to
+        :data:`MIN_CLAMPED_TIME_LIMIT`, like a job under a tight deadline: an
+        answer that proves optimal is cached as usual, any other is flagged
+        ``degraded`` — the gateway wires its overload watermark here.
     """
 
     def __init__(
@@ -112,88 +113,65 @@ class WorkerPool:
     ) -> Iterator[Tuple[str, JobResult]]:
         """The shard thread's per-job result stream.
 
-        Cache hits come first; every other job becomes one task — a MILP
-        solve (time limit clamped to a tight budget) or the brown-out
-        heuristic — and each result is yielded the moment it is finished and
-        stored.  A batch's MILP solves run concurrently, clamped ones
-        included; heuristics run one after another.
+        Cache hits come first; every other job becomes one MILP solve, its
+        time limit clamped to a tight budget or, under brown-out, to
+        :data:`MIN_CLAMPED_TIME_LIMIT`.  Each result is yielded the moment it
+        is finished and stored; a batch's solves run concurrently.
         """
-        heuristic = self.brownout is not None and self.brownout()
+        browned_out = self.brownout is not None and self.brownout()
         tasks: List[Tuple[SolveJob, Optional[float]]] = []
         for job in jobs:
             hit = self.cache.get(job.fingerprint)
             if hit is not None:
                 yield job.fingerprint, dataclasses.replace(hit, cached=True)
             else:
-                tasks.append((job, None if heuristic else self._clamp(job, budgets)))
-        # Only MILP solves share a pool.  The brown-out heuristic holds the
-        # GIL, so threads would interleave its jobs and delay every answer to
-        # the last; it runs here one job at a time, each yielded the moment it
-        # finishes, as does a one-job batch (no point in a pool of one).
-        if heuristic or len(tasks) <= 1:
+                tasks.append((job, self._clamp(job, budgets, browned_out)))
+        if len(tasks) <= 1:  # no point in a pool of one
             for job, clamp in tasks:
-                result = self._task(job, clamp, heuristic)()
-                yield job.fingerprint, self._finish(job, result, clamp, heuristic)
+                yield job.fingerprint, self._finish(job, self._solve(job, clamp), clamp)
             return
         with make_pool("thread", self.batch_workers, len(tasks)) as pool:
             futures = {
-                pool.submit(self._task(job, clamp, heuristic)): (job, clamp)
-                for job, clamp in tasks
+                pool.submit(self._solve, job, clamp): (job, clamp) for job, clamp in tasks
             }
             for future in as_completed(futures):
                 job, clamp = futures[future]
-                result = self._finish(job, future.result(), clamp, heuristic)
-                yield job.fingerprint, result
+                yield job.fingerprint, self._finish(job, future.result(), clamp)
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _clamp(job: SolveJob, budgets: Dict[str, float]) -> Optional[float]:
-        """The solver limit a client budget clamps ``job`` to (``None``: no clamp)."""
-        budget = budgets.get(job.fingerprint)
+    def _clamp(
+        job: SolveJob, budgets: Dict[str, float], browned_out: bool
+    ) -> Optional[float]:
+        """The solver limit a tight client budget or brown-out clamps ``job`` to
+        (``None``: no clamp)."""
+        budget = MIN_CLAMPED_TIME_LIMIT if browned_out else budgets.get(job.fingerprint)
         limit = job.options.time_limit
         if budget is None or (limit is not None and budget >= limit):
             return None
         return max(budget, MIN_CLAMPED_TIME_LIMIT)
 
     @staticmethod
-    def _task(
-        job: SolveJob, clamp: Optional[float], heuristic: bool
-    ) -> Callable[[], JobResult]:
-        """One job's solve as a zero-argument call."""
-        if heuristic:
-            from repro.service.portfolio import BROWNOUT_STRATEGY, run_strategy
-
-            return functools.partial(
-                run_strategy,
-                BROWNOUT_STRATEGY,
-                job.problem,
-                relocation=job.relocation,
-                options=job.options,
-                weights=job.weights,
-            )
+    def _solve(job: SolveJob, clamp: Optional[float]) -> JobResult:
+        """Run ``job``'s MILP solve, its time limit cut to ``clamp`` if set."""
         if clamp is not None:
             job = dataclasses.replace(job, options=job.options.replace(time_limit=clamp))
-        return functools.partial(execute_job, job)
+        return execute_job(job)
 
     def _finish(
-        self,
-        job: SolveJob,
-        result: JobResult,
-        clamp: Optional[float],
-        heuristic: bool,
+        self, job: SolveJob, result: JobResult, clamp: Optional[float]
     ) -> JobResult:
         """Key a fresh result by the request fingerprint; flag or cache it.
 
-        A clamp changes the job's content fingerprint, and a heuristic answer
-        carries its strategy's, so every result is re-keyed to the *request*
-        fingerprint before it is yielded.  Heuristic answers and clamped
+        A clamp changes the job's content fingerprint, so every result is
+        re-keyed to the *request* fingerprint before it is yielded.  Clamped
         solves that could not prove optimality are ``degraded`` and never
         cached — a clamped solve that proved optimality anyway did not bind
         and is canonical.  Other non-error results are stored before they are
         yielded, so a waiter's repeat request is a hit.
         """
         result = dataclasses.replace(result, fingerprint=job.fingerprint)
-        if heuristic or (clamp is not None and result.status != "optimal"):
+        if clamp is not None and result.status != "optimal":
             return dataclasses.replace(result, degraded=True)
         if result.status != "error":
             self.cache.put(result)

@@ -53,11 +53,6 @@ DEFAULT_STRATEGIES: Tuple[Strategy, ...] = (
     Strategy("annealing", kind="annealing"),
 )
 
-#: The brown-out strategy: while a gateway is overloaded its worker shards
-#: answer each fresh job with this heuristic instead of a MILP solve, one job
-#: at a time on the shard thread, and flag the results ``degraded``.
-BROWNOUT_STRATEGY = Strategy("annealing", kind="annealing")
-
 
 @dataclasses.dataclass
 class PortfolioResult:

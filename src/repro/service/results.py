@@ -40,11 +40,10 @@ class JobResult:
     error: Optional[str] = None
     cached: bool = False
     worker: str = ""
-    #: ``True`` when the result was produced under brown-out or a clamped
-    #: deadline budget and is best-effort rather than the canonical answer
-    #: (heuristic-only, or a solver pass that hit the clamped time limit
-    #: without proving optimality).  Degraded results are served but never
-    #: written to the shared cache.
+    #: ``True`` when a solve clamped by brown-out or a tight deadline budget
+    #: hit that limit without proving optimality: a best-effort answer, not
+    #: the canonical one.  Degraded results are never written to the shared
+    #: cache, and one without a feasible floorplan is never served as a 200.
     degraded: bool = False
     #: Solver stage timings (``{"name": ..., "seconds": ...}`` dicts) captured
     #: by the tracing hooks during the solve; ``None`` for cached entries

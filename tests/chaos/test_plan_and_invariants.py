@@ -144,6 +144,20 @@ class TestInvariants:
         assert [v.invariant for v in violations] == ["no_corrupt_result"]
         assert "2 200-responses" in violations[0].detail
 
+    def test_degraded_200_without_a_feasible_result_is_flagged(self):
+        served = outcome(body={
+            "fingerprint": "f" * 64, "degraded": True,
+            "result": {"status": "feasible", "feasible": True},
+        })
+        empty = outcome(body={
+            "fingerprint": "f" * 64, "degraded": True,
+            "result": {"status": "time_limit", "feasible": False},
+        })
+        assert check_invariants([outcome(), served]) == []
+        violations = check_invariants([outcome(), served, empty])
+        assert [v.invariant for v in violations] == ["no_corrupt_result"]
+        assert "1 200-responses" in violations[0].detail
+
     def test_shed_without_retry_after_is_flagged(self):
         honest = outcome(status=429, headers={"retry-after": "1"}, body={"error": "shed"})
         naked = outcome(status=503, headers={}, body={"error": "shed"})

@@ -19,19 +19,23 @@ from repro.server.metrics import GatewayMetrics
 from repro.server.protocol import job_from_dict
 from repro.service.cache import CacheStats
 from tests.server.malformed_bodies import DEVICE_ERRORS, mutated
-from tests.server.test_gateway_e2e import stub_gateway
+from tests.server.test_gateway_e2e import NO_FLOORPLAN, stub_gateway
 
 
 class StubFleet:
     """N stub gateways plus a router frontend, torn down in one call."""
 
     def __init__(
-        self, replicas: int = 2, router_config: RouterConfig = None, delay: float = 0.0
+        self,
+        replicas: int = 2,
+        router_config: RouterConfig = None,
+        delay: float = 0.0,
+        overrides=None,
     ):
         self.gateways = []
         self.pools = []
         for _ in range(replicas):
-            gateway, pool = stub_gateway(delay=delay)
+            gateway, pool = stub_gateway(delay=delay, overrides=overrides)
             self.gateways.append(gateway)
             self.pools.append(pool)
         addresses = [(gw.host, gw.port) for gw in self.gateways]
@@ -193,6 +197,25 @@ class TestFailover:
             assert status == 503
             assert "error" in body
             assert fleet.router.router.metrics.unavailable == 1
+
+
+class TestDegradedRelay:
+    def test_no_floorplan_503_is_relayed_once_with_retry_after(self, payloads):
+        """A healthy replica's degraded 503 is its answer: no retry on the
+        next replica, no breaker failure, and the Retry-After survives."""
+        with StubFleet(replicas=2, overrides=NO_FLOORPLAN) as fleet:
+            async def scenario():
+                async with GatewayClient(fleet.host, fleet.port) as client:
+                    status, body = await client.solve(payloads[0])
+                    return status, body, client.last_headers
+
+            status, body, headers = asyncio.run(scenario())
+            assert status == 503 and body["reason"] == "degraded_no_floorplan"
+            assert headers["retry-after"] == "1"
+            assert sorted(pool.solved for pool in fleet.pools) == [0, 1]
+            router = fleet.router.router
+            assert router.metrics.retries == 0 and router.metrics.unavailable == 0
+            assert all(pool.failures == 0 for pool in router.pools.values())
 
 
 class TestRollup:

@@ -11,7 +11,6 @@ from repro.milp import SolverOptions
 from repro.server import workers
 from repro.server.batcher import MicroBatcher
 from repro.server.workers import WorkerPool
-from repro.service import portfolio
 from repro.service.cache import SolveCache
 from repro.service.executor import BatchSolver
 from repro.service.jobs import SolveJob
@@ -365,46 +364,76 @@ class TestWorkerPool:
         assert clamp_start < free_end and free_start < clamp_end  # they overlapped
 
 
-def strategy_stub(calls):
-    """A ``run_strategy`` stand-in: every strategy answers with a feasible
-    plan keyed by its own fingerprint after 50 ms."""
-
-    def run_strategy(strategy, problem, relocation=None, options=None, weights=None):
-        started = time.perf_counter()
-        time.sleep(0.05)
-        calls.append((strategy.name, threading.current_thread().name, started, time.perf_counter()))
-        return dataclasses.replace(
-            canned_result(SolveJob(problem, options=options)),
-            fingerprint=f"{strategy.name}:{problem.name}",
-            status="feasible",
-        )
-
-    return run_strategy
-
-
 async def collect(stream):
-    return {fp: result async for fp, result in stream}
+    return [item async for item in stream]
+
+
+def recording_solver(calls, status="optimal"):
+    """An ``execute_job`` stand-in: records each job's time limit, thread and
+    run interval, and answers ``status`` after 0.2 s."""
+
+    def execute(job):
+        started = time.perf_counter()
+        time.sleep(0.2)
+        calls.append((job.options.time_limit, threading.current_thread().name,
+                      started, time.perf_counter()))
+        return dataclasses.replace(canned_result(job), status=status)
+
+    return execute
 
 
 class TestWorkerPoolBrownout:
-    def test_brownout_heuristics_run_one_by_one_degraded_and_uncached(self, monkeypatch):
+    def test_hits_first_then_every_fresh_job_clamped_to_the_floor(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(portfolio, "run_strategy", strategy_stub(calls))
+        monkeypatch.setattr(workers, "execute_job", recording_solver(calls))
         cache = SolveCache()
         hit = make_job(3)
         cache.put(canned_result(hit))
         pool = WorkerPool(cache=cache, shards=1, batch_workers=4, brownout=lambda: True)
-        jobs = [make_job(1), make_job(2), hit]
-        results = asyncio.run(collect(pool.solve_batch(jobs)))
+        fresh = [make_job(1), make_job(2)]
+        results = asyncio.run(collect(pool.solve_batch(fresh + [hit])))
         pool.shutdown()
-        assert results[hit.fingerprint].cached and not results[hit.fingerprint].degraded
-        fresh = jobs[:2]
-        for job in fresh:
-            assert results[job.fingerprint].fingerprint == job.fingerprint
-            assert results[job.fingerprint].degraded
-            assert job.fingerprint not in cache
-        # annealing only, on the shard thread, one job after the other
-        assert [name for name, *_ in calls] == ["annealing", "annealing"]
-        assert all(thread.startswith("repro-shard") for _, thread, *_ in calls)
-        (_, _, _, first_end), (_, _, second_start, _) = calls
-        assert first_end <= second_start
+        (first, answer), *rest = results
+        assert first == hit.fingerprint and answer.cached and not answer.degraded
+        assert {fp for fp, _ in rest} == {job.fingerprint for job in fresh}
+        assert [limit for limit, *_ in calls] == [workers.MIN_CLAMPED_TIME_LIMIT] * 2
+
+    def test_a_batch_of_brown_out_jobs_runs_concurrently(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(workers, "execute_job", recording_solver(calls))
+        pool = WorkerPool(cache=SolveCache(), shards=1, batch_workers=2, brownout=lambda: True)
+        asyncio.run(collect(pool.solve_batch([make_job(1), make_job(2)])))
+        pool.shutdown()
+        (_, thread, first_start, first_end), (_, _, second_start, second_end) = calls
+        assert first_start < second_end and second_start < first_end  # they overlapped
+        assert not thread.startswith("repro-shard")  # on the batch's pool
+
+    @pytest.mark.parametrize("status", ["optimal", "feasible"])
+    def test_only_an_answer_short_of_optimal_is_degraded_and_uncached(self, monkeypatch, status):
+        monkeypatch.setattr(workers, "execute_job", recording_solver([], status=status))
+        cache = SolveCache()
+        pool = WorkerPool(cache=cache, shards=1, brownout=lambda: True)
+        job = make_job(1)
+        [(fingerprint, result)] = asyncio.run(collect(pool.solve_batch([job])))
+        pool.shutdown()
+        assert fingerprint == result.fingerprint == job.fingerprint
+        assert result.degraded is (status != "optimal")
+        assert (job.fingerprint in cache) is (status == "optimal")
+
+    def test_heavy_payloads_answer_verified_floorplans_not_annealing(self):
+        """Real solves: a browned-out pool answers two heavy instances with
+        verified floorplans at objective <= 0.02 (annealing scores ~0.063)."""
+        from repro.floorplan.placement import Floorplan
+        from repro.floorplan.verify import verify_floorplan
+        from repro.server.loadgen import demo_payloads
+        from repro.server.protocol import job_from_dict
+
+        jobs = [job_from_dict(payload) for payload in demo_payloads(unique=2, heavy=True)]
+        pool = WorkerPool(cache=SolveCache(), shards=1, batch_workers=2, brownout=lambda: True)
+        results = dict(asyncio.run(collect(pool.solve_batch(jobs))))
+        pool.shutdown()
+        for job in jobs:
+            result = results[job.fingerprint]
+            assert result.feasible and result.objective <= 0.02, result
+            floorplan = Floorplan.from_dict(job.problem, result.floorplan)
+            assert verify_floorplan(floorplan).is_feasible

@@ -330,6 +330,29 @@ class TestShortBudgetDegrades:
         assert elapsed < 10.0  # nowhere near the 30 s solver budget
         assert gw.gateway.metrics.degraded == 1
 
+    def test_brownout_answers_the_deadline_instance_with_its_verified_seed(self):
+        """Past the watermark the slow miss is clamped like a tight deadline:
+        it answers within seconds with a verified floorplan no worse than
+        its HO seed (objective 0.224601), flagged degraded."""
+        from repro.floorplan.placement import Floorplan
+        from repro.floorplan.verify import verify_floorplan
+
+        payload = _slow_payload()
+        # the queue depth is 1 while the job's batch runs: brown-out holds
+        config = GatewayConfig(port=0, shards=1, batch_workers=1, brownout_watermark=1)
+        with BackgroundGateway(config) as gw:
+            async def scenario():
+                async with GatewayClient(gw.host, gw.port) as client:
+                    return await client.solve(payload)
+
+            status, body = asyncio.run(scenario())
+        assert status == 200, body
+        result = body["result"]
+        assert body["degraded"] is True and result["feasible"] is True
+        assert result["objective"] <= 0.224601
+        floorplan = Floorplan.from_dict(job_from_dict(payload).problem, result["floorplan"])
+        assert verify_floorplan(floorplan).is_feasible
+
     def test_degraded_results_are_not_cached(self):
         payload = _slow_payload()
         config = GatewayConfig(port=0, shards=1, batch_workers=1)

@@ -6,6 +6,7 @@ the full stack.
 """
 
 import asyncio
+import dataclasses
 import json
 import os
 import socket
@@ -26,6 +27,8 @@ class StubWorkerPool:
 
     ``delays`` overrides the delay per fingerprint; a batch's jobs wait
     concurrently and each result streams back the moment its own delay ends.
+    ``overrides`` replaces fields of every result; a ``degraded`` one is not
+    cached, as the real pool caches none.
     """
 
     def __init__(
@@ -34,11 +37,13 @@ class StubWorkerPool:
         delay: float = 0.0,
         fail: bool = False,
         delays=None,
+        overrides=None,
     ):
         self.cache = cache
         self.delay = delay
         self.fail = fail
         self.delays = dict(delays or {})
+        self.overrides = dict(overrides or {})
         self.solved = 0
 
     async def solve_batch(self, jobs, budgets=None):
@@ -58,7 +63,8 @@ class StubWorkerPool:
                 mode=job.mode,
                 error="stub failure" if self.fail else None,
             )
-            if not self.fail:
+            result = dataclasses.replace(result, **self.overrides)
+            if not self.fail and not result.degraded:
                 self.cache.put(result)
             return result
 
@@ -70,9 +76,9 @@ class StubWorkerPool:
         pass
 
 
-def stub_gateway(config=None, delay: float = 0.0, fail: bool = False):
+def stub_gateway(config=None, delay: float = 0.0, fail: bool = False, overrides=None):
     cache = SolveCache()
-    pool = StubWorkerPool(cache, delay=delay, fail=fail)
+    pool = StubWorkerPool(cache, delay=delay, fail=fail, overrides=overrides)
     config = config or GatewayConfig(port=0)
     return BackgroundGateway(config=config, cache=cache, worker_pool=pool), pool
 
@@ -299,6 +305,26 @@ class TestAdmission:
             assert health_status == 200 and health["status"] == "draining"
         finally:
             gw.stop()
+
+
+#: A clamped solve's result that ran out before any floorplan existed.
+NO_FLOORPLAN = dict(status="time_limit", feasible=False, objective=float("nan"), degraded=True)
+
+
+class TestDegradedAnswers:
+    def test_degraded_answer_without_a_floorplan_is_503_with_retry_after(self, payloads):
+        gw, _pool = stub_gateway(overrides=NO_FLOORPLAN)
+        with gw:
+            async def scenario():
+                async with GatewayClient(gw.host, gw.port) as client:
+                    status, body = await client.solve(payloads[0])
+                    return status, body, client.last_headers
+
+            status, body, headers = asyncio.run(scenario())
+        assert status == 503, body
+        assert body["reason"] == "degraded_no_floorplan"
+        assert headers["retry-after"] == "1"
+        assert gw.gateway.metrics.degraded == 1 and gw.gateway.metrics.ok == 0
 
 
 class TestWarmHitRate:
