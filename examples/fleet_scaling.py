@@ -28,14 +28,6 @@ from repro.analysis import format_table
 from repro.fleet import BackgroundFleet
 from repro.server.loadgen import demo_payloads, fetch_metrics_json, run_closed_loop
 
-# the single-gateway shape of the fleet.herd_single benchmark: one job per
-# batch and a shard pool wider than the herd, so duplicates that reach one
-# replica are collapsed by joining its solve, not by sharing a batch
-UNBATCHED_ARGS = (
-    "--max-batch", "1",
-    "--shards", "12", "--batch-workers", "8",
-)
-
 CLIENTS = 8
 UNIQUE = 2  # 8 requests over 2 uniques = 4 identical concurrent misses each
 
@@ -43,9 +35,7 @@ UNIQUE = 2  # 8 requests over 2 uniques = 4 identical concurrent misses each
 def drive_fleet(replicas: int, payloads) -> dict:
     """One fleet size: spawn, herd, scrape the roll-up, tear down."""
     cache_dir = tempfile.mkdtemp(prefix=f"fleet-scaling-{replicas}-")
-    with BackgroundFleet(
-        replicas=replicas, cache_dir=cache_dir, server_args=UNBATCHED_ARGS
-    ) as fleet:
+    with BackgroundFleet(replicas=replicas, cache_dir=cache_dir) as fleet:
         result = run_closed_loop(
             fleet.host, fleet.port, payloads, clients=CLIENTS, requests_per_client=1
         )

@@ -25,11 +25,10 @@ def burst_refill_s(config: GatewayConfig) -> float:
 
 
 def main() -> None:
-    # 1. gateway: 2 worker shards taking batches of up to 8 misses,
+    # 1. gateway: 8 solver threads (the default), one cache miss per solve,
     #    per-client rate limit of 40 req/s (burst 10)
     config = GatewayConfig(
         port=0,  # ephemeral: read the bound port back from the handle
-        max_batch=8,
         rate_limit=40.0,
         rate_burst=10.0,
     )

@@ -36,7 +36,7 @@ REQUESTS_PER_CLIENT = 3
 
 def main() -> None:
     payloads = demo_payloads(unique=3, time_limit=30.0)
-    config = GatewayConfig(port=0, max_batch=8)
+    config = GatewayConfig(port=0)
 
     with BackgroundGateway(config) as background:
         host, port = background.host, background.port

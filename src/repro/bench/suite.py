@@ -429,13 +429,6 @@ def server_gateway_open_loop(profile: BenchProfile) -> Workload:
 # ----------------------------------------------------------------------
 # fleet: multi-process replicas behind the consistent-hash router
 # ----------------------------------------------------------------------
-#: Per-replica knobs of the fleet cache-miss benchmarks: within one process
-#: every unique job dispatches as its own single-job batch.  The router sends
-#: every duplicate of a job to one replica, where it joins that job's solve.
-_FLEET_UNBATCHED = ("--max-batch", "1")
-#: The one gateway of ``fleet.herd_single``: one job per batch and enough
-#: shards that dispatch is never queue-limited.
-_HERD_GATEWAY = {"max_batch": 1, "shards": 12, "batch_workers": 8}
 
 
 def _fleet_miss_rounds(profile: BenchProfile, per_round: int):
@@ -458,7 +451,6 @@ def _fleet_workload(
     replicas: int,
     clients: int,
     per_round: int,
-    server_args=_FLEET_UNBATCHED,
 ):
     """Shared shape of the ``fleet.*`` cache-miss benchmarks.
 
@@ -478,7 +470,6 @@ def _fleet_workload(
     fleet = BackgroundFleet(
         replicas=replicas,
         cache_dir=tempfile.mkdtemp(prefix="repro-bench-fleet-"),
-        server_args=server_args,
     )
     state = {"round": 0, "stores": 0.0}
 
@@ -515,8 +506,8 @@ def fleet_herd_single(profile: BenchProfile) -> Workload:
     """The duplicate-miss herd against one gateway.
 
     8 concurrent requests over 2 unique jobs, fresh fingerprints per round,
-    ``max_batch=1`` over the wide ``_HERD_GATEWAY`` shard pool.  Every
-    duplicate meets its job in the gateway's batcher and joins that solve,
+    on a default-config gateway.  Every duplicate meets its job in the
+    gateway's batcher and joins that solve,
     so ``solves_per_unique`` is 1; ``fleet.herd_fleet4`` sends the same
     herd through a four-replica fleet's router.
     """
@@ -525,7 +516,7 @@ def fleet_herd_single(profile: BenchProfile) -> Workload:
 
     rounds = _fleet_miss_rounds(profile, 2)
     state = {"round": 0, "batches": 0.0}
-    background = BackgroundGateway(GatewayConfig(port=0, **_HERD_GATEWAY))
+    background = BackgroundGateway(GatewayConfig(port=0))
     gateway = background.gateway
 
     def run():

@@ -93,7 +93,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--server-arg", action="append", default=[], metavar="ARG",
         help="extra argument passed through to every `python -m repro.server` "
-        "replica (repeatable, e.g. --server-arg=--max-batch --server-arg=16)",
+        "replica (repeatable, e.g. --server-arg=--solver-threads --server-arg=16)",
     )
     parser.add_argument(
         "--no-trace", action="store_true",

@@ -61,7 +61,7 @@ class FleetConfig:
         cannot serve an entry another replica solved).
     server_args:
         Extra command-line arguments appended to every replica's
-        ``python -m repro.server`` invocation (batching, shard, admission
+        ``python -m repro.server`` invocation (solver thread, admission
         knobs).
     backoff_base, backoff_cap:
         Restart backoff: the ceiling doubles per consecutive failure from

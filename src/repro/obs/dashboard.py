@@ -206,7 +206,7 @@ def render_dashboard(
                 _latency_panel(name, latency.get(name, {}), histograms.get(name))
             )
 
-    # --- batching ------------------------------------------------------
+    # --- batching: each dispatched solve is one batch of its waiters ----
     batch_raw = histograms.get("batch_size")
     sections.append(
         '<section id="panel-batching"><h2>micro-batching</h2><table>'
@@ -215,7 +215,10 @@ def render_dashboard(
                 ("batches", _fmt(counters.get("batches", 0))),
                 ("batched jobs", _fmt(counters.get("batched_jobs", 0))),
                 ("deduped jobs", _fmt(counters.get("deduped_jobs", 0))),
-                ("mean batch size", _fmt(counters.get("mean_batch_size", 0.0))),
+                (
+                    "mean batch size (waiters per solve)",
+                    _fmt(counters.get("mean_batch_size", 0.0)),
+                ),
             ]
         )
         + "</table>"

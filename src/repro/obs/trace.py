@@ -6,7 +6,9 @@ or a gateway when hit directly) and propagated downstream in the
 ``X-Repro-Trace`` header as ``<trace_id>`` or ``<trace_id>:<parent_span_id>``,
 so the router's forward span becomes the remote parent of the replica's
 request handling.  Each process records **spans** — named, timed segments
-(decode, admission, cache lookup, batch assembly, the solve itself) — into its local :class:`~repro.obs.recorder.TraceRecorder`;
+(decode, admission, cache lookup, the wait for a solver thread recorded as
+``batch.assembly``, the solve itself) — into its local
+:class:`~repro.obs.recorder.TraceRecorder`;
 ``GET /debug/traces`` exposes them, and the shared trace id is what stitches
 the per-process fragments back into one request story.
 

@@ -6,10 +6,9 @@ system: an asyncio JSON-over-HTTP gateway that validates and fingerprints
 incoming solve requests (:mod:`~repro.server.protocol`; a repeated body is
 keyed from a bounded decode memo without a parse), answers repeats inline
 from the content-addressed :class:`~repro.service.cache.SolveCache`,
-hands cache misses to the first free worker shard, batching the ones that
-arrive while every shard is busy and solving concurrent repeats of one job
-once (:mod:`~repro.server.batcher`), and executes batches on worker shards that
-run MILP solves off the event loop and stream each result back as it lands
+starts each cache miss's solve as soon as a solver thread is free, solving
+concurrent repeats of one job once (:mod:`~repro.server.batcher`), and runs
+every solve on one thread pool off the event loop
 (:mod:`~repro.server.workers`).  Admission control
 (:mod:`~repro.server.admission`) sheds load with 429s — per-client token
 buckets at the front door, a bounded solver queue behind the cache — and

@@ -1,7 +1,7 @@
 """Command-line entry point: ``python -m repro.server``.
 
 Starts a gateway and serves until SIGINT/SIGTERM, then drains gracefully
-(refuse new work with 503, finish in-flight batches, close the listener).
+(refuse new work with 503, finish in-flight solves, close the listener).
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ def build_config(args: argparse.Namespace) -> GatewayConfig:
     return GatewayConfig(
         host=args.host,
         port=args.port,
-        max_batch=args.max_batch,
         max_queue_depth=args.queue_depth if args.queue_depth > 0 else None,
         rate_limit=args.rate_limit,
-        shards=args.shards,
-        batch_workers=args.batch_workers,
+        solver_threads=args.solver_threads,
         cache_dir=args.cache_dir,
         cache_capacity=args.cache_capacity if args.cache_capacity > 0 else None,
         trust_client_id=args.trust_client_id,
@@ -42,7 +40,7 @@ async def serve(config: GatewayConfig, quiet: bool = False) -> None:
         depth = config.max_queue_depth or "unbounded"
         print(
             f"repro.server listening on http://{config.host}:{gateway.port} "
-            f"(batches of up to {config.max_batch} on {config.shards} shard(s), "
+            f"({config.solver_threads} solver thread(s), "
             f"queue depth {depth})",
             flush=True,
         )
@@ -59,16 +57,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8765)
-    parser.add_argument("--max-batch", type=int, default=8, help="unique jobs per batch cap")
     parser.add_argument(
         "--queue-depth", type=int, default=64, help="solver queue bound (0 = unbounded)"
     )
     parser.add_argument(
         "--rate-limit", type=float, default=None, help="per-client requests/second"
     )
-    parser.add_argument("--shards", type=int, default=2, help="concurrent worker shards")
     parser.add_argument(
-        "--batch-workers", type=int, default=4, help="solver workers per shard"
+        "--solver-threads", type=int, default=8, help="cache-miss solves run at once"
     )
     parser.add_argument("--cache-dir", default=None, help="persist solve results here")
     parser.add_argument(

@@ -1,37 +1,32 @@
-"""Slot-driven micro-batching of cache-miss solve jobs.
+"""Deduplicated dispatch of cache-miss solve jobs onto the solver threads.
 
-Cache misses do not go to a solver one by one.  The batcher hands them to the
-worker shards in batches, one running batch per shard slot:
+Cache misses go to the solver one job per solve, at most ``limit`` at once
+(the gateway passes its solver thread count, so a dispatched job never waits
+in the worker pool for a thread):
 
-* a submission dispatches on the next loop tick when fewer than ``slots``
-  batches are running, so an idle gateway starts a miss's solve at once and
-  submissions made in the same tick still share a batch;
-* when every slot is busy, submissions wait in ``pending``, and the batch that
-  dispatches when a running stream ends takes up to ``max_batch`` of them.
+* a submission starts its solve at once when fewer than ``limit`` solves are
+  running, so an idle gateway starts a miss's solve without a batching window;
+* otherwise it waits in ``pending``, and each solve that ends starts the
+  oldest pending job.
 
 A submission whose fingerprint is already pending or in flight joins that
 fingerprint's waiters instead of queueing a second solve, so concurrent
 requests for one job (the thundering-herd shape of a cache miss under fan-in
-traffic) are solved once for every waiter.
+traffic) are solved once for every waiter.  Each dispatched solve is counted
+as one batch of its waiters (``on_dispatch``).
 
-Deadlines are checked when a slot takes the batch: a waiter whose deadline
-has passed by then gets :class:`DeadlineExpired` instead of a solve, and the
+Deadlines are checked when a job's solve starts: a waiter whose deadline has
+passed by then gets :class:`DeadlineExpired` instead of a solve, and the
 minimum remaining budget across a fingerprint's surviving waiters, measured
 at that instant, is what the solver clamps to.  A budget cannot clamp a solve
 that has already begun, so a waiter that joined a running solve, like one
-still waiting for a slot, leaves with :class:`DeadlineExpired` when its
-deadline passes; a job whose every waiter left before a slot took it is never
-solved.
+still waiting for a solver thread, leaves with :class:`DeadlineExpired` when
+its deadline passes; a job whose every waiter left before its solve started
+is never solved.
 
-The solver streams a batch's results back one job at a time
-(:data:`SolveBatch`), and the batcher answers a fingerprint's waiters the
-moment its result arrives: the first waiter gets the result as solved, the
-others a ``cached=True`` copy.  No waiter is held for a slower sibling in its
-batch, and ``queue_depth`` drops as each job is answered.  If the stream fails
-partway, answered waiters keep their results and only the rest get the error.
-
-``max_batch=1`` dispatches every job as its own batch, the shape the
-``fleet.*`` cache-miss benchmarks run each replica in.
+When a solve returns, the first waiter of its fingerprint gets the result as
+solved and the others a ``cached=True`` copy.  A failed solve fails only its
+own waiters.
 """
 
 from __future__ import annotations
@@ -40,9 +35,7 @@ import asyncio
 import collections
 import dataclasses
 import time
-from typing import (
-    AsyncIterator, Callable, Dict, List, Optional, Set, Tuple, Union,
-)
+from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.obs.trace import Span, Trace
 from repro.service.jobs import SolveJob
@@ -71,45 +64,37 @@ class DeadlineExpired(RuntimeError):
     gateway maps this to a 504 with ``Retry-After``.
     """
 
-#: Signature of the downstream solver: unique jobs plus the per-fingerprint
-#: remaining-budget map (seconds; absent fingerprints are unbudgeted) in, a
-#: stream of ``(fingerprint, result)`` out, each yielded as soon as that job's
-#: result is in the solve cache.
-SolveBatch = Callable[
-    [List[SolveJob], Dict[str, float]], AsyncIterator[Tuple[str, JobResult]]
-]
+#: Signature of the downstream solver: one job plus the remaining budget of
+#: its most impatient waiter (seconds; ``None`` is unbudgeted) in, its result
+#: out, already in the solve cache.
+Solve = Callable[[SolveJob, Optional[float]], Awaitable[JobResult]]
 
 
 class MicroBatcher:
-    """Batch awaitable solve submissions onto free solver slots, deduplicated.
+    """Dispatch awaitable solve submissions onto free solver threads, deduplicated.
 
     Single-event-loop object: ``submit`` must be called from the loop the
-    batcher dispatches on.  ``slots`` is the number of batches that may run
-    at once (the gateway passes its shard count, so a dispatched batch never
-    queues behind another inside the worker pool).  ``queue_depth`` (waiters
-    pending or in flight) is what the admission controller bounds.
+    batcher dispatches on.  ``limit`` is the number of solves that may run at
+    once.  ``queue_depth`` (waiters pending or in flight) is what the
+    admission controller bounds.
     """
 
     def __init__(
         self,
-        solve_batch: SolveBatch,
-        max_batch: int = 8,
-        slots: int = 2,
-        on_batch: Optional[Callable[[int, int], None]] = None,
+        solve: Solve,
+        limit: int = 8,
+        on_dispatch: Optional[Callable[[int], None]] = None,
     ) -> None:
-        if max_batch <= 0:
-            raise ValueError("max_batch must be positive")
-        if slots <= 0:
-            raise ValueError("slots must be positive")
-        self._solve_batch = solve_batch
-        self.max_batch = max_batch
-        self.slots = slots
-        self._on_batch = on_batch
+        if limit <= 0:
+            raise ValueError("limit must be positive")
+        self._solve = solve
+        self.limit = limit
+        self._on_dispatch = on_dispatch
         #: every fingerprint pending or in flight -> its waiters, oldest first
         self._waiters: Dict[str, List[Entry]] = {}
-        #: fingerprints no slot has taken yet, oldest first (an ordered set)
+        #: fingerprints whose solve has not started yet, oldest first (an
+        #: ordered set)
         self._pending: "collections.OrderedDict[str, None]" = collections.OrderedDict()
-        self._dispatch_handle: Optional[asyncio.Handle] = None
         self._tasks: Set[asyncio.Task] = set()
         self._running = 0
         self._depth = 0
@@ -135,22 +120,21 @@ class MicroBatcher:
 
         ``trace_ctx`` (the request trace and the span batcher work should
         nest under) rides alongside the job; when present, the time the job
-        waited for a free slot is recorded as a ``batch.assembly`` span
-        annotated with the batch shape it was dispatched in.
+        waited for a solver thread is recorded as a ``batch.assembly`` span
+        annotated with the number of waiters the solve holds when it starts.
 
         ``deadline`` is an absolute ``time.monotonic()`` instant: a waiter
-        whose deadline has passed when a slot takes its job is dropped with
+        whose deadline has passed when its job's solve starts is dropped with
         :class:`DeadlineExpired` instead of being solved, and the minimum
         remaining budget across a fingerprint's surviving waiters at that
         instant is handed to the solver so nobody blocks past their budget.
         A waiter whose budget cannot clamp the solve (it is still waiting for
-        a slot, or joined a solve already running) raises
+        a thread, or joined a solve already running) raises
         :class:`DeadlineExpired` at its deadline instead of blocking.
         """
         if self._closed:
             raise BatcherDraining("batcher is draining; no new submissions")
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         entry = (job, future, trace_ctx, time.perf_counter(), deadline)
         fingerprint = job.fingerprint
         self._depth += 1
@@ -161,9 +145,7 @@ class MicroBatcher:
         else:
             self._waiters[fingerprint] = [entry]
             self._pending[fingerprint] = None
-            if self._running < self.slots and self._dispatch_handle is None:
-                # next tick, so submissions made in this one share the batch
-                self._dispatch_handle = loop.call_soon(self._dispatch)
+            self._dispatch()
         if deadline is None:
             return await future
         try:
@@ -172,8 +154,8 @@ class MicroBatcher:
             )
         except asyncio.TimeoutError:
             if future.done() or not (joined_running or fingerprint in self._pending):
-                # answered meanwhile, or a slot took the job with this budget
-                # clamping its solve: that answer is on its way
+                # answered meanwhile, or its solve started with this budget
+                # clamping it: that answer is on its way
                 return await future
             self._withdraw(fingerprint, entry)
             raise DeadlineExpired(
@@ -194,31 +176,18 @@ class MicroBatcher:
             del self._waiters[fingerprint]
 
     def _dispatch(self) -> None:
-        """Hand pending jobs to free slots, up to ``max_batch`` per batch."""
-        if self._dispatch_handle is not None:
-            self._dispatch_handle.cancel()
-            self._dispatch_handle = None
-        while self._pending and self._running < self.slots:
+        """Start the oldest pending jobs' solves while a thread is free."""
+        while self._pending and self._running < self.limit:
             now = time.monotonic()
-            jobs: List[SolveJob] = []
-            live: List[Entry] = []
-            budgets: Dict[str, float] = {}
-            while self._pending and len(jobs) < self.max_batch:
-                entries = self._drop_expired(self._pending.popitem(last=False)[0], now)
-                if not entries:
-                    continue
-                job = entries[0][0]
-                jobs.append(job)
-                live.extend(entries)
-                deadlines = [entry[4] for entry in entries if entry[4] is not None]
-                if deadlines:
-                    budgets[job.fingerprint] = min(deadlines) - now
-            if not jobs:
+            entries = self._drop_expired(self._pending.popitem(last=False)[0], now)
+            if not entries:
                 continue
-            if self._on_batch is not None:
-                self._on_batch(len(live), len(jobs))
+            deadlines = [entry[4] for entry in entries if entry[4] is not None]
+            budget = min(deadlines) - now if deadlines else None
+            if self._on_dispatch is not None:
+                self._on_dispatch(len(entries))
             dispatched = time.perf_counter()
-            for _job, _future, ctx, submitted, _deadline in live:
+            for _job, _future, ctx, submitted, _deadline in entries:
                 if ctx is not None:
                     trace, parent = ctx
                     trace.add_span(
@@ -226,12 +195,11 @@ class MicroBatcher:
                         submitted,
                         dispatched,
                         parent=parent,
-                        batch_size=len(live),
-                        unique=len(jobs),
+                        waiters=len(entries),
                     )
             self._running += 1
             task = asyncio.get_running_loop().create_task(
-                self._run_batch(jobs, budgets, dispatched)
+                self._run(entries[0][0], budget, dispatched)
             )
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
@@ -252,7 +220,7 @@ class MicroBatcher:
             if not future.done():
                 future.set_exception(
                     DeadlineExpired(
-                        f"deadline passed while {job.short_id} waited for a solver slot"
+                        f"deadline passed while {job.short_id} waited for a solver thread"
                     )
                 )
         if live:
@@ -261,24 +229,14 @@ class MicroBatcher:
             del self._waiters[fingerprint]
         return live
 
-    async def _run_batch(
-        self, jobs: List[SolveJob], budgets: Dict[str, float], dispatched: float
-    ) -> None:
-        unanswered = {job.fingerprint: job for job in jobs}
-        failure: Optional[Exception] = None
+    async def _run(self, job: SolveJob, budget: Optional[float], dispatched: float) -> None:
         try:
-            async for fingerprint, result in self._solve_batch(jobs, budgets):
-                if unanswered.pop(fingerprint, None) is not None:
-                    self._answer(fingerprint, result, dispatched)
+            outcome: Union[JobResult, Exception] = await self._solve(job, budget)
         except Exception as exc:  # noqa: BLE001 — fail the waiters, not the loop
-            failure = exc
-        finally:
-            # the stream ended (or broke) with these fingerprints unanswered
-            for fingerprint, job in unanswered.items():
-                missing = RuntimeError(f"worker returned no result for {job.short_id}")
-                self._answer(fingerprint, failure or missing, dispatched)
-            self._running -= 1
-            self._dispatch()
+            outcome = exc
+        self._answer(job.fingerprint, outcome, dispatched)
+        self._running -= 1
+        self._dispatch()
 
     def _answer(
         self,
@@ -290,9 +248,9 @@ class MicroBatcher:
 
         The first waiter still waiting gets the result as solved, with the
         solver's stage timings laid under its trace to end now, when the
-        result arrived (but never before the batch's ``dispatched`` instant,
-        the earliest its solve can have begun); the rest, including waiters
-        that joined while the solve ran, get a ``cached=True`` copy.
+        result arrived (but never before the ``dispatched`` instant, the
+        earliest its solve can have begun); the rest, including waiters that
+        joined while the solve ran, get a ``cached=True`` copy.
         """
         entries = self._waiters.pop(fingerprint)
         self._depth -= len(entries)
@@ -322,6 +280,5 @@ class MicroBatcher:
     async def drain(self) -> None:
         """Refuse new work and wait until every accepted job is answered (idempotent)."""
         self._closed = True
-        self._dispatch()
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)

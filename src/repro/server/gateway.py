@@ -21,10 +21,10 @@ Request lifecycle for ``POST /solve``:
    sends one miss to two replica ports directly may get two solves;
 6. **admission** — misses are shed with 429 ``queue_full`` when the
    micro-batcher already holds ``max_queue_depth`` unserved jobs;
-7. **batch + solve** — admitted misses go to the
-   :class:`~repro.server.batcher.MicroBatcher`, which dispatches them to a
-   free :class:`~repro.server.workers.WorkerPool` shard at once (or, with
-   every shard busy, in the next batch a shard takes); each request is
+7. **dispatch + solve** — admitted misses go to the
+   :class:`~repro.server.batcher.MicroBatcher`, which starts each job's
+   solve on a free :class:`~repro.server.workers.WorkerPool` thread at once
+   (or, with every thread busy, when one frees); each request is
    answered when its own job's solve finishes, and the response carries the
    full :class:`~repro.service.results.JobResult` — except a ``degraded``
    result without a feasible floorplan, answered 503 with ``Retry-After``.
@@ -78,19 +78,17 @@ class GatewayConfig:
     host, port:
         Listen address; ``port=0`` binds an ephemeral port (tests and
         benchmarks read the bound port back from :attr:`SolveGateway.port`).
-    max_batch:
-        Most unique jobs one batch carries.  A miss dispatches as soon as one
-        of the ``shards`` is free; misses that arrive while every shard is
-        busy wait and go out together.  ``max_batch=1`` gives every job its
-        own batch (the unbatched baseline).
     max_queue_depth:
         Cache misses the batcher may hold before load shedding; ``None``
         disables the bound.
     rate_limit, rate_burst:
         Per-client token bucket (requests/second, bucket size); ``None``
         disables rate limiting.
-    shards, batch_workers:
-        Worker-pool shape (see :class:`~repro.server.workers.WorkerPool`).
+    solver_threads:
+        Solver threads, the most cache-miss solves that run at once.  Each
+        miss is its own solve on one thread of the
+        :class:`~repro.server.workers.WorkerPool`, and the
+        :class:`~repro.server.batcher.MicroBatcher` starts at most this many.
     cache_dir:
         Optional persistence directory for the solve cache.  Pointing several
         gateway processes at one directory makes it the fleet's shared result
@@ -123,12 +121,10 @@ class GatewayConfig:
 
     host: str = "127.0.0.1"
     port: int = 8765
-    max_batch: int = 8
     max_queue_depth: Optional[int] = 64
     rate_limit: Optional[float] = None
     rate_burst: Optional[float] = None
-    shards: int = 2
-    batch_workers: Optional[int] = 4
+    solver_threads: int = 8
     cache_dir: Optional[str] = None
     cache_capacity: Optional[int] = 1024
     brownout_watermark: Optional[int] = None
@@ -139,7 +135,7 @@ class GatewayConfig:
 
 
 class SolveGateway(HttpServer):
-    """One gateway instance: listener, batcher, shards, metrics.
+    """One gateway instance: listener, batcher, solver threads, metrics.
 
     ``cache`` and ``worker_pool`` are injectable so tests can run the full
     HTTP path against a stub solver.
@@ -162,15 +158,13 @@ class SolveGateway(HttpServer):
         self.metrics = GatewayMetrics()
         self.workers = worker_pool if worker_pool is not None else WorkerPool(
             cache=self.cache,
-            shards=self.config.shards,
-            batch_workers=self.config.batch_workers,
+            threads=self.config.solver_threads,
             brownout=self.brownout_active,
         )
         self.batcher = MicroBatcher(
-            self.workers.solve_batch,
-            max_batch=self.config.max_batch,
-            slots=self.config.shards,
-            on_batch=self.metrics.observe_batch,
+            self.workers.solve,
+            limit=self.config.solver_threads,
+            on_dispatch=self.metrics.observe_batch,
         )
         self.admission = AdmissionController(
             max_queue_depth=self.config.max_queue_depth,
@@ -426,7 +420,7 @@ class SolveGateway(HttpServer):
         The gateway's own ``counters.hit_rate`` is the served hit rate.  The
         ``cache`` block is the :class:`SolveCache`'s account of *its* lookups,
         which sees each end-to-end miss twice (once from the gateway probe,
-        once from the worker shard's dedup-across-batches probe) — so its
+        once from the worker pool's re-check before a solve) — so its
         hit_rate reads lower than the gateway's by design.
 
         ``raw=True`` swaps the rendered tables for exact histogram bucket

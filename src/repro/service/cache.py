@@ -157,7 +157,7 @@ class SolveCache:
         evicted fingerprint is reloaded (and re-promoted) on its next lookup
         when a directory is configured.  ``None`` disables the bound.
 
-    The cache is safe to share across the gateway event loop and worker-shard
+    The cache is safe to share across the gateway event loop and solver
     threads (every memory-layer mutation happens under one lock), and the
     directory layer is safe to share across processes.
     """

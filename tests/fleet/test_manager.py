@@ -69,11 +69,11 @@ class TestConfig:
             make_config(tmp_path, backoff_base=2.0, backoff_cap=1.0)
 
     def test_default_command_is_the_gateway(self):
-        argv = default_command("127.0.0.1", 9000, "/tmp/cache", ("--shards", "4"))
+        argv = default_command("127.0.0.1", 9000, "/tmp/cache", ("--solver-threads", "4"))
         assert argv[:3] == [sys.executable, "-m", "repro.server"]
         assert "--port" in argv and "9000" in argv
         assert "--cache-dir" in argv and "/tmp/cache" in argv
-        assert argv[-2:] == ["--shards", "4"]  # server_args ride at the end
+        assert argv[-2:] == ["--solver-threads", "4"]  # server_args ride at the end
 
 
 class TestLifecycle:

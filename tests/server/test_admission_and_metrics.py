@@ -141,7 +141,7 @@ class TestGatewayMetrics:
         metrics.received += 3
         metrics.observe_hit(0.001)
         metrics.cache_misses += 2
-        metrics.observe_batch(size=2, unique=1)
+        metrics.observe_batch(size=2)
         metrics.observe_solved(0.5)
         metrics.observe_solved(0.6, error=True)
         assert metrics.hit_rate == pytest.approx(1 / 3)

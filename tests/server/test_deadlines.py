@@ -1,5 +1,5 @@
 """Deadline propagation end to end: header/body budgets, 504 shedding,
-expiry while waiting for a solver slot, and degraded short-budget solves.
+expiry while waiting for a solver thread, and degraded short-budget solves.
 
 The stub-pool tests prove the *expiry* paths never reach the workers; the
 final tests run a real slow solve under a sub-second budget and checks the
@@ -117,20 +117,20 @@ class TestGatewayDeadlines:
 
 
 class TestBatcherDeadlines:
-    def test_deadline_expiring_while_the_slot_is_busy_drops_the_entry(self):
+    def test_deadline_expiring_while_the_thread_is_busy_drops_the_entry(self):
         from tests.server.test_batcher_and_workers import RecordingSolver, make_job, until
 
         async def scenario():
             solver = RecordingSolver(delay=0.1)
-            batcher = MicroBatcher(solver, max_batch=100, slots=1)
+            batcher = MicroBatcher(solver, limit=1)
             blocker = asyncio.ensure_future(batcher.submit(make_job(0)))
-            await until(lambda: len(solver.batches) == 1)
-            # expires long before the 100 ms solve frees the slot
+            await until(lambda: len(solver.solved) == 1)
+            # expires long before the 100 ms solve frees the thread
             doomed = batcher.submit(make_job(1), deadline=time.monotonic() + 0.01)
             with pytest.raises(DeadlineExpired):
                 await doomed
             await blocker
-            assert len(solver.batches) == 1  # the doomed job reached no solver
+            assert len(solver.solved) == 1  # the doomed job reached no solver
             assert batcher.queue_depth == 0
 
         asyncio.run(scenario())
@@ -140,9 +140,9 @@ class TestBatcherDeadlines:
 
         async def scenario():
             solver = RecordingSolver(delay=0.1)
-            batcher = MicroBatcher(solver, max_batch=100, slots=1)
+            batcher = MicroBatcher(solver, limit=1)
             blocker = asyncio.ensure_future(batcher.submit(make_job(0)))
-            await until(lambda: len(solver.batches) == 1)
+            await until(lambda: len(solver.solved) == 1)
             doomed = asyncio.ensure_future(
                 batcher.submit(make_job(1), deadline=time.monotonic() + 0.01)
             )
@@ -152,7 +152,7 @@ class TestBatcherDeadlines:
             results = await asyncio.gather(blocker, doomed, alive, return_exceptions=True)
             assert isinstance(results[1], DeadlineExpired)
             assert results[2].status == "optimal"
-            assert len(solver.batches) == 2 and len(solver.batches[1]) == 1
+            assert solver.solved == [make_job(0).fingerprint, make_job(2).fingerprint]
             assert batcher.queue_depth == 0  # accounting survived the drop
 
         asyncio.run(scenario())
@@ -163,15 +163,14 @@ class TestBatcherDeadlines:
         captured = {}
 
         class BudgetSolver:
-            async def __call__(self, jobs, budgets=None):
-                captured.update(budgets or {})
+            async def __call__(self, job, budget=None):
                 from tests.server.test_batcher_and_workers import canned_result
 
-                for job in jobs:
-                    yield job.fingerprint, canned_result(job)
+                captured[job.fingerprint] = budget
+                return canned_result(job)
 
         async def scenario():
-            batcher = MicroBatcher(BudgetSolver(), max_batch=1)
+            batcher = MicroBatcher(BudgetSolver())
             job = make_job(5)
             await batcher.submit(job, deadline=time.monotonic() + 7.0)
             assert job.fingerprint in captured
@@ -179,22 +178,22 @@ class TestBatcherDeadlines:
 
         asyncio.run(scenario())
 
-    def test_waiter_for_a_busy_slot_leaves_at_its_own_deadline(self):
+    def test_waiter_for_a_busy_thread_leaves_at_its_own_deadline(self):
         from tests.server.test_batcher_and_workers import RecordingSolver, make_job, until
 
         async def scenario():
             solver = RecordingSolver(delay=1.0)
-            batcher = MicroBatcher(solver, max_batch=100, slots=1)
+            batcher = MicroBatcher(solver, limit=1)
             blocker = asyncio.ensure_future(batcher.submit(make_job(0)))
-            await until(lambda: len(solver.batches) == 1)
+            await until(lambda: len(solver.solved) == 1)
             started = time.monotonic()
             with pytest.raises(DeadlineExpired):
                 await batcher.submit(make_job(1), deadline=started + 0.1)
-            assert time.monotonic() - started < 0.5  # not when the slot frees
+            assert time.monotonic() - started < 0.5  # not when the thread frees
             assert batcher.queue_depth == 1
             assert not batcher.holds(make_job(1).fingerprint)
             await blocker
-            assert len(solver.batches) == 1  # the expired job was never solved
+            assert len(solver.solved) == 1  # the expired job was never solved
 
         asyncio.run(scenario())
 
@@ -205,9 +204,9 @@ class TestBatcherDeadlines:
 
         async def scenario():
             solver = RecordingSolver(delay=1.0)
-            batcher = MicroBatcher(solver, max_batch=100, slots=2)
+            batcher = MicroBatcher(solver, limit=2)
             running = asyncio.ensure_future(batcher.submit(make_job(0)))
-            await until(lambda: len(solver.batches) == 1)
+            await until(lambda: len(solver.solved) == 1)
             started = time.monotonic()
             with pytest.raises(DeadlineExpired):
                 await batcher.submit(make_job(0), deadline=started + 0.1)
@@ -215,7 +214,7 @@ class TestBatcherDeadlines:
             assert batcher.queue_depth == 1  # only the first waiter is left
             result = await running
             assert result.status == "optimal" and not result.cached
-            assert len(solver.batches) == 1 and batcher.queue_depth == 0
+            assert len(solver.solved) == 1 and batcher.queue_depth == 0
 
         asyncio.run(scenario())
 
@@ -252,10 +251,10 @@ class TestJoinerDeadline:
 
 
 class TestDeadlinesAtDispatch:
-    """One shard, busy with a slow first job, while a budgeted job waits.
+    """One solver thread, busy with a slow first job, while a budgeted job waits.
 
-    The budget is checked, and the solver clamp computed, when the shard
-    takes the waiting job, not when it was first queued.
+    The budget is checked, and the solver clamp computed, when the waiting
+    job's solve starts, not when it was first queued.
     """
 
     BLOCK_S = 0.5
@@ -275,13 +274,13 @@ class TestDeadlinesAtDispatch:
             )
 
         monkeypatch.setattr(workers, "execute_job", execute)
-        config = GatewayConfig(port=0, shards=1, batch_workers=1)
+        config = GatewayConfig(port=0, solver_threads=1)
         with BackgroundGateway(config) as gw:
             async def scenario():
                 async with GatewayClient(gw.host, gw.port) as first, \
                         GatewayClient(gw.host, gw.port) as second:
                     running = asyncio.ensure_future(first.solve(payloads[0]))
-                    while not calls:  # the blocker holds the only shard
+                    while not calls:  # the blocker holds the only thread
                         await asyncio.sleep(0.005)
                     sent = time.monotonic()
                     status, body = await second.solve(payloads[1], deadline=second_deadline)
@@ -292,7 +291,7 @@ class TestDeadlinesAtDispatch:
         reached = {name: (limit, at) for name, limit, at in calls}
         return sent, status, body, reached.get(budgeted.name)
 
-    def test_budget_spent_waiting_for_the_shard_expires_unsolved(self, monkeypatch, payloads):
+    def test_budget_spent_waiting_for_the_thread_expires_unsolved(self, monkeypatch, payloads):
         _sent, status, body, call = self._serve(monkeypatch, payloads, 0.2)
         assert status == 504
         assert body["where"] == "batch"
@@ -304,7 +303,7 @@ class TestDeadlinesAtDispatch:
         clamp, called_at = call
         left = sent + 2.0 - called_at
         assert left < 2.0 - self.BLOCK_S + 0.1  # it did wait behind the blocker
-        # the slack covers the hop to the gateway and to the shard thread; a
+        # the slack covers the hop to the gateway and to the solver thread; a
         # clamp taken when the job was queued is BLOCK_S larger
         assert clamp <= left + 0.2
 
@@ -315,7 +314,7 @@ class TestShortBudgetDegrades:
         budget's order of magnitude, flagged degraded, instead of holding the
         request for the full 30 s solver time limit."""
         payload = _slow_payload()
-        config = GatewayConfig(port=0, shards=1, batch_workers=1)
+        config = GatewayConfig(port=0, solver_threads=1)
         with BackgroundGateway(config) as gw:
             async def scenario():
                 async with GatewayClient(gw.host, gw.port) as client:
@@ -338,8 +337,8 @@ class TestShortBudgetDegrades:
         from repro.floorplan.verify import verify_floorplan
 
         payload = _slow_payload()
-        # the queue depth is 1 while the job's batch runs: brown-out holds
-        config = GatewayConfig(port=0, shards=1, batch_workers=1, brownout_watermark=1)
+        # the queue depth is 1 while the job's solve runs: brown-out holds
+        config = GatewayConfig(port=0, solver_threads=1, brownout_watermark=1)
         with BackgroundGateway(config) as gw:
             async def scenario():
                 async with GatewayClient(gw.host, gw.port) as client:
@@ -355,7 +354,7 @@ class TestShortBudgetDegrades:
 
     def test_degraded_results_are_not_cached(self):
         payload = _slow_payload()
-        config = GatewayConfig(port=0, shards=1, batch_workers=1)
+        config = GatewayConfig(port=0, solver_threads=1)
         with BackgroundGateway(config) as gw:
             async def scenario():
                 async with GatewayClient(gw.host, gw.port) as client:

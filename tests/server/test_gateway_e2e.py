@@ -25,10 +25,9 @@ from tests.server.malformed_bodies import mutated
 class StubWorkerPool:
     """Answers every job with a canned optimal result after ``delay``.
 
-    ``delays`` overrides the delay per fingerprint; a batch's jobs wait
-    concurrently and each result streams back the moment its own delay ends.
-    ``overrides`` replaces fields of every result; a ``degraded`` one is not
-    cached, as the real pool caches none.
+    ``delays`` overrides the delay per fingerprint; concurrent jobs wait
+    out their delays concurrently.  ``overrides`` replaces fields of every
+    result; a ``degraded`` one is not cached, as the real pool caches none.
     """
 
     def __init__(
@@ -46,31 +45,26 @@ class StubWorkerPool:
         self.overrides = dict(overrides or {})
         self.solved = 0
 
-    async def solve_batch(self, jobs, budgets=None):
-        async def solve(job):
-            await asyncio.sleep(self.delays.get(job.fingerprint, self.delay))
-            self.solved += 1
-            status = "error" if self.fail else "optimal"
-            result = JobResult(
-                fingerprint=job.fingerprint,
-                job_name=job.name,
-                status=status,
-                feasible=not self.fail,
-                objective=3.0,
-                solve_time=0.01,
-                wall_time=0.01,
-                backend="stub",
-                mode=job.mode,
-                error="stub failure" if self.fail else None,
-            )
-            result = dataclasses.replace(result, **self.overrides)
-            if not self.fail and not result.degraded:
-                self.cache.put(result)
-            return result
-
-        for landed in asyncio.as_completed([solve(job) for job in jobs]):
-            result = await landed
-            yield result.fingerprint, result
+    async def solve(self, job, budget=None):
+        await asyncio.sleep(self.delays.get(job.fingerprint, self.delay))
+        self.solved += 1
+        status = "error" if self.fail else "optimal"
+        result = JobResult(
+            fingerprint=job.fingerprint,
+            job_name=job.name,
+            status=status,
+            feasible=not self.fail,
+            objective=3.0,
+            solve_time=0.01,
+            wall_time=0.01,
+            backend="stub",
+            mode=job.mode,
+            error="stub failure" if self.fail else None,
+        )
+        result = dataclasses.replace(result, **self.overrides)
+        if not self.fail and not result.degraded:
+            self.cache.put(result)
+        return result
 
     def shutdown(self, wait: bool = True):
         pass
@@ -214,9 +208,9 @@ class TestRoutes:
 
 class TestAdmission:
     def test_queue_full_sheds_with_429(self, payloads):
-        # one shard, busy with the first miss for 0.2 s: the rest find the
-        # queue full
-        config = GatewayConfig(port=0, max_queue_depth=1, shards=1, max_batch=100)
+        # one solver thread, busy with the first miss for 0.2 s: the rest
+        # find the queue full
+        config = GatewayConfig(port=0, max_queue_depth=1, solver_threads=1)
         gw, _pool = stub_gateway(config=config, delay=0.2)
         with gw:
             async def scenario():
@@ -373,15 +367,11 @@ async def until_queue_depth(gateway, depth: int) -> None:
 
 
 class TestStreamedAnswers:
-    def test_fast_request_answered_before_its_slow_batch_mate(self, payloads):
-        blocker, slow, fast = payloads[2], payloads[1], payloads[0]
+    def test_fast_request_answered_while_a_slow_one_solves(self, payloads):
+        slow, fast = payloads[1], payloads[0]
         cache = SolveCache()
-        pool = StubWorkerPool(cache, delays={
-            job_from_dict(blocker).fingerprint: 0.3, job_from_dict(slow).fingerprint: 0.3,
-        })
-        # one shard: both misses wait out the blocker and then share a batch
-        config = GatewayConfig(port=0, shards=1)
-        with BackgroundGateway(config=config, cache=cache, worker_pool=pool) as gw:
+        pool = StubWorkerPool(cache, delays={job_from_dict(slow).fingerprint: 0.3})
+        with BackgroundGateway(config=GatewayConfig(port=0), cache=cache, worker_pool=pool) as gw:
             async def scenario():
                 answered = []
 
@@ -391,16 +381,13 @@ class TestStreamedAnswers:
                         assert status == 200, body
                         answered.append((body["fingerprint"], time.perf_counter()))
 
-                first = asyncio.ensure_future(solve(blocker))
-                await until_queue_depth(gw.gateway, 1)
                 await asyncio.gather(solve(slow), solve(fast))
-                await first
-                return answered[1:]
+                return answered
 
             answered = asyncio.run(scenario())
-        # the blocker alone, then the two misses together
+        # each miss is its own solve, counted as a batch of one waiter
         assert gw.gateway.metrics.batches == 2
-        assert gw.gateway.metrics.batched_jobs == 3
+        assert gw.gateway.metrics.batched_jobs == 2
         (first, fast_at), (second, slow_at) = answered
         assert [first, second] == [
             job_from_dict(fast).fingerprint, job_from_dict(slow).fingerprint
@@ -408,11 +395,46 @@ class TestStreamedAnswers:
         assert slow_at - fast_at > 0.15  # not held for the slow solve
 
 
+class TestStaggeredMisses:
+    def test_staggered_misses_each_answer_in_one_solve_time(self, monkeypatch):
+        """Four 0.3 s misses sent 50 ms apart to a default-config gateway each
+        answer in about one solve time: none waits for a solve to end while a
+        solver thread sits idle."""
+        from repro.server import workers
+
+        def slow(job):
+            time.sleep(0.3)
+            return JobResult(
+                fingerprint=job.fingerprint, job_name=job.name, status="optimal",
+                feasible=True, objective=1.0, solve_time=0.3, wall_time=0.3,
+                backend="stub", mode=job.mode,
+            )
+
+        monkeypatch.setattr(workers, "execute_job", slow)
+        payloads = demo_payloads(unique=4, time_limit=20.0)
+        with BackgroundGateway(GatewayConfig(port=0)) as gw:
+            async def timed(payload, delay):
+                await asyncio.sleep(delay)
+                async with GatewayClient(gw.host, gw.port) as client:
+                    sent = time.perf_counter()
+                    status, _body = await client.solve(payload)
+                    return status, time.perf_counter() - sent
+
+            async def scenario():
+                return await asyncio.gather(
+                    *(timed(payload, 0.05 * index) for index, payload in enumerate(payloads))
+                )
+
+            answers = asyncio.run(scenario())
+        assert [status for status, _latency in answers] == [200] * 4
+        assert max(latency for _status, latency in answers) < 0.35, answers
+
+
 class TestRealSolveEndToEnd:
     def test_one_real_milp_solve_through_http(self):
         """Full stack, no stubs: HTTP -> protocol -> batcher -> BatchSolver."""
         payload = demo_payloads(unique=1, time_limit=30.0)[0]
-        config = GatewayConfig(port=0, shards=1, batch_workers=1)
+        config = GatewayConfig(port=0, solver_threads=1)
         with BackgroundGateway(config) as gw:
             async def scenario():
                 async with GatewayClient(gw.host, gw.port) as client:
@@ -430,14 +452,15 @@ class TestRealSolveEndToEnd:
 
     def test_stage_spans_sit_between_the_flush_and_the_answer(self, monkeypatch):
         """In a traced miss the solver's stages start no earlier than the end
-        of the request's wait for a shard and end by the end of its solve.
+        of the request's wait for a solver thread and end by the end of its
+        solve.
 
-        One shard, held by a first real solve padded by 0.3 s, so the two
-        misses behind it share the next batch.
+        One solver thread, held by a first real solve padded by 0.3 s, so the
+        two misses behind it wait for it.
         """
         from repro.server import workers
 
-        blocker, *batch = demo_payloads(unique=3, time_limit=30.0)
+        blocker, *behind = demo_payloads(unique=3, time_limit=30.0)
         blocker_name = job_from_dict(blocker).name
         execute = workers.execute_job
 
@@ -447,7 +470,7 @@ class TestRealSolveEndToEnd:
             return execute(job)
 
         monkeypatch.setattr(workers, "execute_job", padded)
-        config = GatewayConfig(port=0, shards=1)
+        config = GatewayConfig(port=0, solver_threads=1)
         with BackgroundGateway(config) as gw:
             async def solve(payload):
                 async with GatewayClient(gw.host, gw.port) as client:
@@ -457,14 +480,14 @@ class TestRealSolveEndToEnd:
             async def scenario():
                 first = asyncio.ensure_future(solve(blocker))
                 await until_queue_depth(gw.gateway, 1)
-                await asyncio.gather(*(solve(payload) for payload in batch))
+                await asyncio.gather(*(solve(payload) for payload in behind))
                 await first
 
             asyncio.run(scenario())
-            docs = [
+            docs = [  # the two misses that waited out the blocker
                 doc for doc in gw.gateway.recorder.list()
                 if any(
-                    span["name"] == "batch.assembly" and span["annotations"]["unique"] == 2
+                    span["name"] == "batch.assembly" and span["end"] - span["start"] > 0.2
                     for span in doc["spans"]
                 )
             ]
@@ -473,7 +496,7 @@ class TestRealSolveEndToEnd:
             spans = doc["spans"]
             solve_span = next(span for span in spans if span["name"] == "gateway.solve")
             assembly = next(span for span in spans if span["name"] == "batch.assembly")
-            assert assembly["annotations"]["unique"] == 2
+            assert assembly["annotations"] == {"waiters": 1}
             stages = [
                 span for span in spans
                 if span["parent_id"] == solve_span["span_id"]

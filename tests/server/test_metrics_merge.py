@@ -103,7 +103,7 @@ class TestMetricsJsonEndpoint:
         from repro.server.loadgen import demo_payloads
 
         payload = demo_payloads(unique=1, time_limit=20.0)[0]
-        config = GatewayConfig(port=0, shards=1, batch_workers=1)
+        config = GatewayConfig(port=0, solver_threads=1)
         with BackgroundGateway(config) as gw:
             async def scenario():
                 async with GatewayClient(gw.host, gw.port) as client:

@@ -165,6 +165,10 @@ class TestBatchSolverErrorPaths:
         assert "no-such-backend" in result.error
         assert result.objective != result.objective  # NaN sentinel
 
+    def test_mistyped_executor_is_rejected_not_run_as_a_process_pool(self):
+        with pytest.raises(ValueError, match="executor must be one of"):
+            BatchSolver(executor="threads")
+
     def test_error_results_never_enter_the_cache(self, grid_jobs):
         solver = BatchSolver(executor="thread", max_workers=2)
         bad = self.failing_job(grid_jobs[0])
