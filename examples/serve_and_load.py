@@ -25,8 +25,8 @@ def burst_refill_s(config: GatewayConfig) -> float:
 
 
 def main() -> None:
-    # 1. gateway: 8 solver threads (the default), one cache miss per solve,
-    #    per-client rate limit of 40 req/s (burst 10)
+    # 1. gateway: one solver thread per CPU core (the default), one cache
+    #    miss per solve, per-client rate limit of 40 req/s (burst 10)
     config = GatewayConfig(
         port=0,  # ephemeral: read the bound port back from the handle
         rate_limit=40.0,

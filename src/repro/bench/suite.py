@@ -793,13 +793,14 @@ def resilience_brownout_floor(profile: BenchProfile) -> Workload:
     """Throughput floor of a browned-out gateway on heavy cache misses.
 
     The gateway runs with ``brownout_watermark=1``: the queue depth is at
-    least one while any batch runs, so every fresh job is a clamped solve,
-    its time limit cut to ``MIN_CLAMPED_TIME_LIMIT`` and run concurrently
-    with its batch.  Each round is a fresh-fingerprint burst of the heavy
-    three-region instances, and the measured throughput is the floor the
-    gateway holds while overloaded.  ``degraded_share`` in the extras counts
-    the answers the clamp cut short of optimal; it reads 0 when every heavy
-    answer proves optimal inside the clamp, as it usually does.  The
+    least one while any solve runs, so every fresh job is a clamped solve,
+    its time limit cut to ``MIN_CLAMPED_TIME_LIMIT``, and the burst's jobs
+    run concurrently on the solver threads.  Each round is a
+    fresh-fingerprint burst of the heavy three-region instances, and the
+    measured throughput is the floor the gateway holds while overloaded.
+    ``degraded_share`` in the extras counts the answers the clamp cut short
+    of optimal; it reads 0 when every heavy answer proves optimal inside the
+    clamp, as it usually does.  The
     committed ``benchmarks/baselines/BENCH_snapshot.json`` still records the
     annealing answers this path replaced (p50 1671 ms).
     """

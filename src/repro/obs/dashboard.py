@@ -206,7 +206,7 @@ def render_dashboard(
                 _latency_panel(name, latency.get(name, {}), histograms.get(name))
             )
 
-    # --- batching: each dispatched solve is one batch of its waiters ----
+    # --- batching: each solve is one batch of the waiters it answers ----
     batch_raw = histograms.get("batch_size")
     sections.append(
         '<section id="panel-batching"><h2>micro-batching</h2><table>'

@@ -40,7 +40,7 @@ async def serve(config: GatewayConfig, quiet: bool = False) -> None:
         depth = config.max_queue_depth or "unbounded"
         print(
             f"repro.server listening on http://{config.host}:{gateway.port} "
-            f"({config.solver_threads} solver thread(s), "
+            f"({gateway.workers.threads} solver thread(s), "
             f"queue depth {depth})",
             flush=True,
         )
@@ -64,7 +64,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--rate-limit", type=float, default=None, help="per-client requests/second"
     )
     parser.add_argument(
-        "--solver-threads", type=int, default=8, help="cache-miss solves run at once"
+        "--solver-threads", type=int, default=None,
+        help="cache-miss solves run at once (default: one per CPU core)",
     )
     parser.add_argument("--cache-dir", default=None, help="persist solve results here")
     parser.add_argument(

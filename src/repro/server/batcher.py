@@ -1,8 +1,8 @@
 """Deduplicated dispatch of cache-miss solve jobs onto the solver threads.
 
 Cache misses go to the solver one job per solve, at most ``limit`` at once
-(the gateway passes its solver thread count, so a dispatched job never waits
-in the worker pool for a thread):
+(the gateway passes its worker pool's thread count, so a dispatched job never
+waits in the pool for a thread):
 
 * a submission starts its solve at once when fewer than ``limit`` solves are
   running, so an idle gateway starts a miss's solve without a batching window;
@@ -12,8 +12,9 @@ in the worker pool for a thread):
 A submission whose fingerprint is already pending or in flight joins that
 fingerprint's waiters instead of queueing a second solve, so concurrent
 requests for one job (the thundering-herd shape of a cache miss under fan-in
-traffic) are solved once for every waiter.  Each dispatched solve is counted
-as one batch of its waiters (``on_dispatch``).
+traffic) are solved once for every waiter.  Each solve is counted as one
+batch of the waiters it answers (``on_answer``), including those that joined
+it while it ran.
 
 Deadlines are checked when a job's solve starts: a waiter whose deadline has
 passed by then gets :class:`DeadlineExpired` instead of a solve, and the
@@ -26,7 +27,7 @@ is never solved.
 
 When a solve returns, the first waiter of its fingerprint gets the result as
 solved and the others a ``cached=True`` copy.  A failed solve fails only its
-own waiters.
+own waiters, and a cancelled one fails them with :class:`RuntimeError`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import dataclasses
+import functools
 import time
 from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple, Union
 
@@ -83,19 +85,19 @@ class MicroBatcher:
         self,
         solve: Solve,
         limit: int = 8,
-        on_dispatch: Optional[Callable[[int], None]] = None,
+        on_answer: Optional[Callable[[int], None]] = None,
     ) -> None:
         if limit <= 0:
             raise ValueError("limit must be positive")
         self._solve = solve
         self.limit = limit
-        self._on_dispatch = on_dispatch
+        self._on_answer = on_answer
         #: every fingerprint pending or in flight -> its waiters, oldest first
         self._waiters: Dict[str, List[Entry]] = {}
         #: fingerprints whose solve has not started yet, oldest first (an
         #: ordered set)
         self._pending: "collections.OrderedDict[str, None]" = collections.OrderedDict()
-        self._tasks: Set[asyncio.Task] = set()
+        self._tasks: Set[asyncio.Future] = set()
         self._running = 0
         self._depth = 0
         self._closed = False
@@ -184,8 +186,6 @@ class MicroBatcher:
                 continue
             deadlines = [entry[4] for entry in entries if entry[4] is not None]
             budget = min(deadlines) - now if deadlines else None
-            if self._on_dispatch is not None:
-                self._on_dispatch(len(entries))
             dispatched = time.perf_counter()
             for _job, _future, ctx, submitted, _deadline in entries:
                 if ctx is not None:
@@ -198,11 +198,10 @@ class MicroBatcher:
                         waiters=len(entries),
                     )
             self._running += 1
-            task = asyncio.get_running_loop().create_task(
-                self._run(entries[0][0], budget, dispatched)
-            )
+            job = entries[0][0]
+            task = asyncio.ensure_future(self._solve(job, budget))
             self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+            task.add_done_callback(functools.partial(self._solved, job, dispatched))
 
     def _drop_expired(self, fingerprint: str, now: float) -> List[Entry]:
         """Fail the waiters of ``fingerprint`` whose deadline has passed.
@@ -229,11 +228,20 @@ class MicroBatcher:
             del self._waiters[fingerprint]
         return live
 
-    async def _run(self, job: SolveJob, budget: Optional[float], dispatched: float) -> None:
-        try:
-            outcome: Union[JobResult, Exception] = await self._solve(job, budget)
-        except Exception as exc:  # noqa: BLE001 — fail the waiters, not the loop
-            outcome = exc
+    def _solved(self, job: SolveJob, dispatched: float, task: asyncio.Future) -> None:
+        """The solve of ``job`` ended: answer its waiters, start the next job.
+
+        A done callback, so it also runs for a solve cancelled before its
+        coroutine began; the waiters of a cancelled solve get
+        :class:`RuntimeError`, and a failed one fails only its own waiters.
+        """
+        self._tasks.discard(task)
+        if task.cancelled():
+            outcome: Union[JobResult, BaseException] = RuntimeError(
+                f"the solve of {job.short_id} was cancelled"
+            )
+        else:
+            outcome = task.exception() or task.result()
         self._answer(job.fingerprint, outcome, dispatched)
         self._running -= 1
         self._dispatch()
@@ -241,10 +249,11 @@ class MicroBatcher:
     def _answer(
         self,
         fingerprint: str,
-        outcome: Union[JobResult, Exception],
+        outcome: Union[JobResult, BaseException],
         dispatched: float,
     ) -> None:
-        """Resolve every waiter on one fingerprint (it leaves the queue first).
+        """Resolve every waiter on one fingerprint (it leaves the queue first)
+        and count them as one batch.
 
         The first waiter still waiting gets the result as solved, with the
         solver's stage timings laid under its trace to end now, when the
@@ -254,11 +263,13 @@ class MicroBatcher:
         """
         entries = self._waiters.pop(fingerprint)
         self._depth -= len(entries)
+        if self._on_answer is not None:
+            self._on_answer(len(entries))
         fresh = True
         for _job, future, ctx, submitted, _deadline in entries:
             if future.done():
                 continue
-            if isinstance(outcome, Exception):
+            if isinstance(outcome, BaseException):
                 future.set_exception(outcome)
                 continue
             result = outcome

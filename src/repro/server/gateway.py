@@ -85,10 +85,12 @@ class GatewayConfig:
         Per-client token bucket (requests/second, bucket size); ``None``
         disables rate limiting.
     solver_threads:
-        Solver threads, the most cache-miss solves that run at once.  Each
-        miss is its own solve on one thread of the
+        Solver threads, the most cache-miss solves that run at once; ``None``
+        is one per CPU core.  Each miss is its own solve on one thread of the
         :class:`~repro.server.workers.WorkerPool`, and the
-        :class:`~repro.server.batcher.MicroBatcher` starts at most this many.
+        :class:`~repro.server.batcher.MicroBatcher` starts at most as many
+        solves as that pool has threads (an injected ``worker_pool``'s own
+        size wins over this field).
     cache_dir:
         Optional persistence directory for the solve cache.  Pointing several
         gateway processes at one directory makes it the fleet's shared result
@@ -124,7 +126,7 @@ class GatewayConfig:
     max_queue_depth: Optional[int] = 64
     rate_limit: Optional[float] = None
     rate_burst: Optional[float] = None
-    solver_threads: int = 8
+    solver_threads: Optional[int] = None
     cache_dir: Optional[str] = None
     cache_capacity: Optional[int] = 1024
     brownout_watermark: Optional[int] = None
@@ -163,8 +165,8 @@ class SolveGateway(HttpServer):
         )
         self.batcher = MicroBatcher(
             self.workers.solve,
-            limit=self.config.solver_threads,
-            on_dispatch=self.metrics.observe_batch,
+            limit=self.workers.threads,
+            on_answer=self.metrics.observe_batch,
         )
         self.admission = AdmissionController(
             max_queue_depth=self.config.max_queue_depth,

@@ -211,9 +211,9 @@ class GatewayMetrics:
     solve_errors: int = 0  # 500 job executed but failed
     cache_hits: int = 0  # answered inline from the solve cache
     cache_misses: int = 0  # routed into the micro-batcher
-    batches: int = 0  # solves dispatched, each one batch of its waiters
-    batched_jobs: int = 0  # waiters those solves held when dispatched
-    deduped_jobs: int = 0  # waiters a solve held beyond its first
+    batches: int = 0  # solves answered, each one batch of its waiters
+    batched_jobs: int = 0  # waiters those solves answered, joiners included
+    deduped_jobs: int = 0  # waiters a solve answered beyond its first
     deadline_expired: int = 0  # 504s: the client budget ran out before a result
     degraded: int = 0  # clamped solves short of optimal: 200 with a plan, else 503
 
@@ -240,7 +240,8 @@ class GatewayMetrics:
         self.latency_miss.observe(seconds)
 
     def observe_batch(self, size: int) -> None:
-        """One dispatched solve, answering ``size`` waiters of one job."""
+        """One solve, answering ``size`` waiters of one job (those that joined
+        it while it ran included)."""
         self.batches += 1
         self.batched_jobs += size
         self.deduped_jobs += size - 1

@@ -1,10 +1,11 @@
 """The solver thread pool: run each cache-miss job off the gateway event loop.
 
 A :class:`WorkerPool` owns one :class:`~concurrent.futures.ThreadPoolExecutor`
-of ``threads`` solver threads.  Every job the micro-batcher dispatches is one
-:meth:`WorkerPool.solve` call, one MILP solve on one of those threads, so the
-event loop never blocks on a solve; the micro-batcher runs at most ``threads``
-solves at once, so none waits here for a thread.  The scipy/HiGHS backend
+of ``threads`` solver threads, one per CPU core by default.  Every job the
+micro-batcher dispatches is one :meth:`WorkerPool.solve` call, one MILP solve
+on one of those threads, so the event loop never blocks on a solve; the
+micro-batcher runs at most ``threads`` solves at once, so none waits here for
+a thread.  The scipy/HiGHS backend
 releases the GIL during the search, so the threads solve concurrently.
 
 A job's :func:`~repro.service.executor.execute_job` time limit is clamped to a
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
@@ -44,7 +46,10 @@ class WorkerPool:
         Shared solve cache (results land here; the gateway answers repeats
         inline from it).
     threads:
-        Solver threads, the most jobs that solve at once.
+        Solver threads, the most jobs that solve at once; ``None`` is one per
+        CPU core.  A solve is CPU-bound, so more threads than cores only
+        share the cores: each solve of a burst of distinct misses takes
+        longer, and a solve under a time limit gets less of the search.
     brownout:
         Optional zero-argument predicate polled once per job.  While it
         returns ``True`` every fresh job is clamped to
@@ -56,12 +61,15 @@ class WorkerPool:
     def __init__(
         self,
         cache: Optional[SolveCache] = None,
-        threads: int = 8,
+        threads: Optional[int] = None,
         brownout: Optional[Callable[[], bool]] = None,
     ) -> None:
+        if threads is None:
+            threads = os.cpu_count() or 1
         if threads <= 0:
             raise ValueError("threads must be positive")
         self.cache = cache if cache is not None else SolveCache()
+        self.threads = threads
         self.brownout = brownout
         self._threads = ThreadPoolExecutor(
             max_workers=threads, thread_name_prefix="repro-solver"

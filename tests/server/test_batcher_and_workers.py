@@ -199,17 +199,45 @@ class TestDispatch:
 
         asyncio.run(scenario())
 
-    def test_each_solve_counts_as_one_batch_of_its_waiters_at_dispatch(self):
+    def test_each_solve_counts_as_one_batch_of_the_waiters_it_answers(self):
         async def scenario():
-            dispatched = []
+            answered = []
             batcher = MicroBatcher(
-                RecordingSolver(delay=0.02), limit=1, on_dispatch=dispatched.append
+                RecordingSolver(delay=0.02), limit=1, on_answer=answered.append
             )
             # the blocker takes the only thread; the rest wait for it
             await asyncio.gather(*(batcher.submit(make_job(s)) for s in (0, 1, 1, 1, 2)))
-            return dispatched
+            # two repeats join a solve that is already running
+            running = asyncio.ensure_future(batcher.submit(make_job(3)))
+            await until(lambda: batcher.holds(make_job(3).fingerprint))
+            await asyncio.gather(running, *(batcher.submit(make_job(3)) for _ in range(2)))
+            return answered
 
-        assert asyncio.run(scenario()) == [1, 3, 1]
+        assert asyncio.run(scenario()) == [1, 3, 1, 3]
+
+    @pytest.mark.parametrize("started", [False, True], ids=["before-start", "mid-solve"])
+    def test_a_cancelled_solve_fails_its_waiters_and_frees_its_thread(self, started):
+        stuck, behind = make_job(1), make_job(2)
+
+        async def scenario():
+            solver = RecordingSolver(delays={stuck.fingerprint: 30.0})
+            batcher = MicroBatcher(solver, limit=1)
+            first = asyncio.ensure_future(batcher.submit(stuck))
+            repeat = asyncio.ensure_future(batcher.submit(stuck))
+            second = asyncio.ensure_future(batcher.submit(behind))
+            await until(lambda: len(batcher._tasks) == 1)
+            if started:
+                await until(lambda: solver.solved)
+            (task,) = batcher._tasks
+            task.cancel()
+            for waiter in (first, repeat):
+                with pytest.raises(RuntimeError, match="cancelled"):
+                    await asyncio.wait_for(waiter, 1.0)
+            # the freed thread took the job behind it
+            assert (await asyncio.wait_for(second, 1.0)).fingerprint == behind.fingerprint
+            assert batcher.queue_depth == 0
+
+        asyncio.run(scenario())
 
 
 class TestPerJobAnswers:
@@ -274,6 +302,25 @@ class TestWorkerPool:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             WorkerPool(threads=0)
+
+    def test_one_solver_thread_per_core_by_default(self, monkeypatch):
+        monkeypatch.setattr(workers.os, "cpu_count", lambda: 3)
+        pool = WorkerPool()
+        try:
+            assert pool.threads == 3
+        finally:
+            pool.shutdown()
+
+    def test_gateway_batcher_starts_no_more_solves_than_the_pool_has_threads(self):
+        from repro.server.gateway import GatewayConfig, SolveGateway
+
+        gateway = SolveGateway(
+            GatewayConfig(port=0, solver_threads=8), worker_pool=WorkerPool(threads=2)
+        )
+        try:
+            assert gateway.batcher.limit == 2
+        finally:
+            gateway.workers.shutdown()
 
     def test_tiny_job_answers_first_and_is_cached_on_arrival(self, monkeypatch):
         """Real solves on the solver threads; the slower job is held an

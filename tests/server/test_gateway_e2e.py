@@ -25,9 +25,10 @@ from tests.server.malformed_bodies import mutated
 class StubWorkerPool:
     """Answers every job with a canned optimal result after ``delay``.
 
-    ``delays`` overrides the delay per fingerprint; concurrent jobs wait
-    out their delays concurrently.  ``overrides`` replaces fields of every
-    result; a ``degraded`` one is not cached, as the real pool caches none.
+    ``delays`` overrides the delay per fingerprint; up to ``threads`` jobs
+    wait out their delays concurrently.  ``overrides`` replaces fields of
+    every result; a ``degraded`` one is not cached, as the real pool caches
+    none.
     """
 
     def __init__(
@@ -37,8 +38,10 @@ class StubWorkerPool:
         fail: bool = False,
         delays=None,
         overrides=None,
+        threads=None,
     ):
         self.cache = cache
+        self.threads = threads or 8
         self.delay = delay
         self.fail = fail
         self.delays = dict(delays or {})
@@ -72,8 +75,10 @@ class StubWorkerPool:
 
 def stub_gateway(config=None, delay: float = 0.0, fail: bool = False, overrides=None):
     cache = SolveCache()
-    pool = StubWorkerPool(cache, delay=delay, fail=fail, overrides=overrides)
     config = config or GatewayConfig(port=0)
+    pool = StubWorkerPool(
+        cache, delay=delay, fail=fail, overrides=overrides, threads=config.solver_threads
+    )
     return BackgroundGateway(config=config, cache=cache, worker_pool=pool), pool
 
 
@@ -397,9 +402,9 @@ class TestStreamedAnswers:
 
 class TestStaggeredMisses:
     def test_staggered_misses_each_answer_in_one_solve_time(self, monkeypatch):
-        """Four 0.3 s misses sent 50 ms apart to a default-config gateway each
-        answer in about one solve time: none waits for a solve to end while a
-        solver thread sits idle."""
+        """Four 0.3 s misses sent 50 ms apart to a gateway with four solver
+        threads each answer in about one solve time: none waits for a solve
+        to end while a solver thread sits idle."""
         from repro.server import workers
 
         def slow(job):
@@ -412,7 +417,7 @@ class TestStaggeredMisses:
 
         monkeypatch.setattr(workers, "execute_job", slow)
         payloads = demo_payloads(unique=4, time_limit=20.0)
-        with BackgroundGateway(GatewayConfig(port=0)) as gw:
+        with BackgroundGateway(GatewayConfig(port=0, solver_threads=4)) as gw:
             async def timed(payload, delay):
                 await asyncio.sleep(delay)
                 async with GatewayClient(gw.host, gw.port) as client:
@@ -530,6 +535,9 @@ class TestSameReplicaRepeats:
         assert sorted(body["cached"] for _status, body in answers) == [False, True]
         assert pool.solved == 1
         assert "flight.wait" not in spans
+        # the repeat joined a running solve: still one batch of two waiters
+        metrics = gw.gateway.metrics
+        assert (metrics.batches, metrics.deduped_jobs, metrics.mean_batch_size) == (1, 1, 2.0)
 
 
 class TestLockFilesAreIgnored:
