@@ -46,7 +46,6 @@ import dataclasses
 import json
 import platform
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -54,12 +53,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bench.runner import Measurement
 from repro.sim.stats import percentile
+from repro.utils.buildinfo import git_rev
 
 __all__ = [
     "SCHEMA_VERSION",
     "BenchResult",
     "BenchReport",
-    "git_revision",
     "default_report_name",
     "summarize",
     "load_report",
@@ -167,25 +166,9 @@ class BenchReport:
 
 
 # ----------------------------------------------------------------------
-def git_revision(cwd: str | Path | None = None) -> str:
-    """Short git revision of the working tree, or ``"unknown"``."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=str(cwd) if cwd else None,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "unknown"
-
-
 def default_report_name(rev: str | None = None) -> str:
     """The conventional output filename, ``BENCH_<rev>.json``."""
-    return f"BENCH_{rev or git_revision()}.json"
+    return f"BENCH_{rev or git_rev()}.json"
 
 
 def summarize(measurements: Sequence[Measurement], profile_name: str) -> BenchReport:
@@ -214,7 +197,7 @@ def summarize(measurements: Sequence[Measurement], profile_name: str) -> BenchRe
         )
     return BenchReport(
         results=results,
-        git_rev=git_revision(),
+        git_rev=git_rev(),
         python_version=platform.python_version(),
         platform=sys.platform,
         profile=profile_name,

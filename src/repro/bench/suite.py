@@ -142,8 +142,9 @@ def milp_matrix_form(profile: BenchProfile) -> Workload:
     return Workload(lambda: model.to_matrix_form(), units=nnz, unit_name="nonzeros")
 
 
-def _bb_workload(warm_start: bool) -> Workload:
-    """Branch-and-bound solve of the prebuilt HO ablation model.
+@benchmark("milp.bb_warmstart")
+def milp_bb_warmstart(profile: BenchProfile) -> Workload:
+    """Warm-started branch and bound on the prebuilt HO ablation model.
 
     The HO model is built (and seeded) once in setup so the timed section
     measures the solver alone.
@@ -161,7 +162,6 @@ def _bb_workload(warm_start: bool) -> Workload:
         backend="branch-bound",
         time_limit=scenarios.bench_time_limit(60.0),
         mip_gap=0.05,
-        warm_start=warm_start,
     )
 
     def run():
@@ -170,22 +170,6 @@ def _bb_workload(warm_start: bool) -> Workload:
         return solution
 
     return Workload(run, units=1, unit_name="solves")
-
-
-@benchmark("milp.bb_warmstart")
-def milp_bb_warmstart(profile: BenchProfile) -> Workload:
-    """Warm-started branch and bound on the HO ablation model."""
-    return _bb_workload(warm_start=True)
-
-
-@benchmark("milp.bb_textbook")
-def milp_bb_textbook(profile: BenchProfile) -> Workload:
-    """The textbook ablation of ``milp.bb_warmstart`` on the same model.
-
-    Most-fractional branching, no heuristics and a per-node constraint
-    split.
-    """
-    return _bb_workload(warm_start=False)
 
 
 @benchmark("milp.solve_small")

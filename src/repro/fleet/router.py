@@ -444,9 +444,14 @@ class FleetRouter(HttpServer):
                     self.metrics.failovers += 1
                 self.metrics.latency.observe(time.perf_counter() - started)
                 # relayed verbatim: no decode/encode round trip, and a shed's
-                # Retry-After kept
+                # Retry-After kept, with a no-floorplan 503's marker
                 retry_after = resp_headers.get("retry-after")
-                return status, body, {"Retry-After": retry_after} if retry_after else None
+                if not retry_after:
+                    return status, body, None
+                relayed = {"Retry-After": retry_after}
+                if NO_FLOORPLAN_HEADER.lower() in resp_headers:
+                    relayed[NO_FLOORPLAN_HEADER] = resp_headers[NO_FLOORPLAN_HEADER.lower()]
+                return status, body, relayed
             if time.monotonic() >= deadline:
                 break
             # full sweep failed (or every circuit was open): back off with

@@ -14,10 +14,12 @@ small but complete modelling language of its own:
   (``scipy.optimize._highspy._core._Highs``), with the objective constant as
   its offset and an optional MIP start;
 * :mod:`~repro.milp.branch_bound` is a pure-Python branch-and-bound solver on
-  top of LP relaxations, used as a fallback backend and for ablations;
-* :func:`~repro.milp.solver.solve` dispatches between backends, applies
-  :class:`~repro.milp.options.SolverOptions` (time limit, MIP gap, verbosity)
-  and hands both backends the MIP start (``start=``).
+  top of LP relaxations, the fallback backend and HiGHS's differential
+  oracle;
+* :func:`~repro.milp.solver.solve` dispatches between backends with
+  :class:`~repro.milp.options.SolverOptions` and a MIP start (``start=``);
+  both run through one pipeline, :func:`~repro.milp.solver.solve_pipeline`,
+  and supply only their search.
 
 The exports are lazy (PEP 562): :class:`SolverOptions` resolves without
 loading scipy, so code that only describes or fingerprints jobs stays light.
@@ -31,7 +33,8 @@ _EXPORTS = {
     "repro.milp.model": ["MatrixForm", "Model", "ModelStats"],
     "repro.milp.solution": ["MILPSolution", "SolveStatus"],
     "repro.milp.options": ["SolverOptions"],
-    "repro.milp.solver": ["prepare_model", "split_matrix_form", "solve"],
+    "repro.milp.solver": ["prepare_model", "solve"],
+    "repro.milp.branch_bound": ["split_matrix_form"],
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

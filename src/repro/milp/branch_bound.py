@@ -3,64 +3,94 @@
 This backend exists for two reasons:
 
 * it removes the hard dependency on HiGHS MIP support (only LP is needed), and
-* it provides a transparent reference implementation used by the ablation
-  benchmarks to study how much of the paper's runtime story is attributable to
-  the solver rather than the model.
+* it is the differential oracle HiGHS's answers are checked against, and a
+  transparent reference for how much of the paper's runtime story is
+  attributable to the solver rather than the model.
 
-The algorithm is LP-based branch and bound, hot-started at every level:
+Lowering, the MIP start check, the time budget and the answer are the shared
+:func:`repro.milp.solver.solve_pipeline`; this module is the search, LP-based
+branch and bound hot-started at every level:
 
-1. the model is lowered once through
-   :func:`repro.milp.solver.prepare_model`, and the ``linprog``-shaped
-   constraint split (:func:`repro.milp.solver.split_matrix_form`) is built
-   once per solve instead of once per node — only the variable-bound arrays
-   differ between nodes (bound-delta re-solves);
+1. the ``linprog``-shaped constraint split (:func:`split_matrix_form`) is
+   built once per solve instead of once per node — only the variable-bound
+   arrays differ between nodes (bound-delta re-solves);
 2. children inherit the parent's LP state (objective bound and branch
    fractionality): it feeds the pseudo-cost estimates and lets a node be
    pruned against the incumbent *before* its LP is solved;
 3. branching uses pseudo-costs (observed objective degradation per unit of
-   fractionality, product rule) instead of most-fractional selection;
+   fractionality, product rule);
 4. a rounding pass plus a fix-and-propagate dive produce an incumbent at the
    root, and LP reduced costs then fix provably-immovable integers, so
    best-first pruning bites from the first nodes on;
-5. on exit the solution carries the achieved MIP gap (``bound`` is always
-   populated from the weakest open or gap-pruned node);
-6. a feasible MIP start (``start=``), checked against every bound and row,
-   is the first incumbent.
-
-``warm_start=False`` reverts to the textbook configuration (most-fractional
-branching, no heuristics and no MIP start, per-node constraint split) used as
-the ablation baseline by the ``milp.bb_textbook`` benchmark.
+5. the search reports the weakest open or gap-pruned node as its bound, so
+   the answer carries the achieved MIP gap;
+6. a feasible MIP start is the first incumbent.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 import time
-import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from repro.milp.expr import Variable
 from repro.milp.model import MatrixForm, Model
 from repro.milp.solution import GAP_EPS, MILPSolution, SolveStatus, relative_gap
-from repro.milp.solver import (
-    PreparedModel,
-    SplitForm,
-    prepare_model,
-    remaining_budget,
-    split_matrix_form,
-)
-from repro.obs.trace import record_stage
+from repro.milp.solver import PreparedModel, Search, solve_pipeline
 
 _INT_TOL = 1e-6
 
 #: Round cap of the fix-and-propagate dive (at most two LP solves per round).
 _MAX_DIVE_ROUNDS = 12
+
+
+@dataclass
+class SplitForm:
+    """``linprog``-shaped constraint data derived from a :class:`MatrixForm`.
+
+    Rows with a finite upper bound contribute to ``A_ub``, rows with a finite
+    lower bound contribute negated, and two-sided-equal rows become ``A_eq``.
+    """
+
+    a_ub: Optional[sparse.csr_matrix]
+    b_ub: Optional[np.ndarray]
+    a_eq: Optional[sparse.csr_matrix]
+    b_eq: Optional[np.ndarray]
+
+
+def split_matrix_form(form: MatrixForm) -> SplitForm:
+    """Split two-sided rows into the inequality/equality blocks once."""
+    matrix = form.constraint_matrix
+    lb = form.constraint_lb
+    ub = form.constraint_ub
+    finite_ub = np.isfinite(ub)
+    finite_lb = np.isfinite(lb)
+    equality = finite_lb & finite_ub & (np.abs(ub - lb) < 1e-12)
+    ineq_ub = finite_ub & ~equality
+    ineq_lb = finite_lb & ~equality
+
+    a_ub_parts = []
+    b_ub_parts = []
+    if np.any(ineq_ub):
+        a_ub_parts.append(matrix[ineq_ub])
+        b_ub_parts.append(ub[ineq_ub])
+    if np.any(ineq_lb):
+        a_ub_parts.append(-matrix[ineq_lb])
+        b_ub_parts.append(-lb[ineq_lb])
+
+    a_ub = sparse.vstack(a_ub_parts) if a_ub_parts else None
+    b_ub = np.concatenate(b_ub_parts) if b_ub_parts else None
+    a_eq = matrix[equality] if np.any(equality) else None
+    b_eq = lb[equality] if np.any(equality) else None
+    return SplitForm(a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
 
 @dataclass(order=True)
@@ -129,58 +159,40 @@ def solve_with_branch_bound(
     mip_gap: float | None = None,
     max_nodes: int = 200_000,
     verbose: bool = False,
-    warm_start: bool = True,
     prepared: PreparedModel | None = None,
     start: Mapping[Variable, float] | None = None,
 ) -> MILPSolution:
     """Solve ``model`` with warm-started LP-based branch and bound.
 
     Parameters mirror :func:`repro.milp.scipy_backend.solve_with_scipy`;
-    ``max_nodes`` bounds the search tree as a safety valve, ``warm_start``
-    toggles pseudo-cost branching plus the primal heuristics and the MIP
-    ``start``, and the ``time_limit`` budget covers matrix lowering as well
-    as the node loop.
+    ``max_nodes`` bounds the search tree as a safety valve, and the
+    ``time_limit`` budget covers matrix lowering as well as the node loop.
+    ``verbose`` is accepted for symmetry; this backend logs nothing.
     """
-    started = time.perf_counter()
-    if prepared is None:
-        prepared = prepare_model(model, backend="branch-bound")
+    search = functools.partial(_search, mip_gap=mip_gap, max_nodes=max_nodes)
+    return solve_pipeline(model, "branch-bound", search, time_limit, prepared, start)
 
-    if prepared.shortcut is not None:
-        # copy before stamping: a PreparedModel may be reused across backends
-        return dataclasses.replace(
-            prepared.shortcut,
-            backend="branch-bound",
-            solve_time=time.perf_counter() - started,
-        )
 
+def _search(
+    prepared: PreparedModel,
+    x0: Optional[np.ndarray],
+    budget: float | None,
+    mip_gap: float | None,
+    max_nodes: int,
+) -> Search:
+    """Best-first branch and bound on ``prepared`` from the start ``x0``."""
     form = prepared.form
-    x0 = prepared.start_point(start) if warm_start else None
-    budget, exhausted = remaining_budget(time_limit, started)
-    if exhausted:
-        if x0 is not None:
-            return prepared.start_solution(
-                x0, "branch-bound", float("nan"),
-                "time limit exhausted during lowering; returning the start (gap=inf)",
-                solve_time=time.perf_counter() - started,
-            )
-        return MILPSolution(
-            status=SolveStatus.TIME_LIMIT,
-            solve_time=time.perf_counter() - started,
-            backend="branch-bound",
-            message="time limit exhausted during lowering (gap=inf)",
-        )
     deadline = None if budget is None else time.perf_counter() + budget
     gap_target = 0.0 if mip_gap is None else float(mip_gap)
+    offset = prepared.offset
 
     integer_indices = np.flatnonzero(form.integrality > 0)
-    split = split_matrix_form(form) if warm_start else None
+    split = split_matrix_form(form)
 
-    incumbent_x: Optional[np.ndarray] = None
-    incumbent_obj = math.inf
-    best_bound = -math.inf
+    incumbent_x: Optional[np.ndarray] = x0
+    incumbent_obj = math.inf if x0 is None else float(form.objective @ x0)
     #: weakest bound discarded by gap-aware pruning (keeps the exit gap honest)
     pruned_bound = math.inf
-    nodes_explored = 0
     counter = itertools.count()
     pseudo = _PseudoCosts(form.num_variables)
     timed_out = False
@@ -192,27 +204,25 @@ def solve_with_branch_bound(
         as :attr:`MILPSolution.gap` reports it; the lowering shifts the
         objective but not the difference to a bound.
         """
-        return max(abs(prepared.user_bound(incumbent_obj)), GAP_EPS)
+        return max(abs(incumbent_obj + offset), GAP_EPS)
 
     def _prune_cut() -> float:
         """Objective level at which a subtree is not worth exploring.
 
-        Warm mode discards subtrees that cannot improve the incumbent by more
-        than the requested MIP gap — the contract of ``mip_gap`` — instead of
-        only strictly-dominated ones; ``pruned_bound`` records what was cut so
-        the reported bound never overstates what was proven.  Without a gap
-        the cut keeps a 1e-9 tolerance; with one it is exactly the allowance,
-        so a cut subtree never widens the gap past ``mip_gap``.
+        Subtrees that cannot improve the incumbent by more than the requested
+        MIP gap are discarded — the contract of ``mip_gap`` — instead of only
+        strictly-dominated ones; ``pruned_bound`` records what was cut so the
+        reported bound never overstates what was proven.  Without a gap the
+        cut keeps a 1e-9 tolerance; with one it is exactly the allowance, so
+        a cut subtree never widens the gap past ``mip_gap``.
         """
         if not math.isfinite(incumbent_obj):
             return math.inf
-        allowance = gap_target * _gap_scale() if warm_start else 0.0
-        return incumbent_obj - max(allowance, 1e-9)
+        return incumbent_obj - max(gap_target * _gap_scale(), 1e-9)
 
     # ------------------------------------------------------------------
     # root node
     # ------------------------------------------------------------------
-    search_start = time.perf_counter()
     # integer variables take only integer values: round their bounds inward
     # once, so the rounding heuristic cannot clip onto a fractional bound
     var_lower = form.var_lb.astype(float).copy()
@@ -221,59 +231,41 @@ def solve_with_branch_bound(
     var_upper[integer_indices] = np.floor(var_upper[integer_indices] + _INT_TOL)
     root_lower = var_lower.copy()
     root_upper = var_upper.copy()
-    start_objective = None
-    if x0 is not None:
-        incumbent_obj, incumbent_x = float(form.objective @ x0), x0
-        start_objective = prepared.user_bound(incumbent_obj)
-    nodes_explored += 1
-    root = _solve_lp_with_duals(form, split, root_lower, root_upper)
+    nodes_explored = 1
+    root = _node_lp(form, split, root_lower, root_upper)
     if root is None:
-        record_stage(
-            "milp.search",
-            time.perf_counter() - search_start,
-            backend="branch-bound",
-            nodes=nodes_explored,
-            start_objective=start_objective,
-        )
-        return MILPSolution(
-            status=SolveStatus.INFEASIBLE,
-            solve_time=time.perf_counter() - started,
-            node_count=nodes_explored,
-            backend="branch-bound",
-            message="LP relaxation infeasible",
+        return Search(
+            SolveStatus.INFEASIBLE, None, math.nan, nodes_explored, "LP relaxation infeasible"
         )
     root_obj, root_x, root_rc_lb, root_rc_ub = root
     best_bound = root_obj
 
     heap: List[_Node] = []
 
-    fractional = _most_fractional(root_x, integer_indices)
-    if fractional is None:
+    if _most_fractional(root_x, integer_indices) is None:
         incumbent_obj, incumbent_x = root_obj, root_x.copy()
     else:
-        if warm_start:
-            # primal heuristics: rounding, then depth-limited diving
-            rounded = _try_round(form, root_x, integer_indices, var_lower, var_upper)
-            if rounded is not None and rounded[0] < incumbent_obj:
-                incumbent_obj, incumbent_x = rounded[0], rounded[1]
-            dive = _dive(
-                form, split, root_lower, root_upper, root_x,
-                integer_indices, deadline,
-            )
-            if dive is not None and dive[0] < incumbent_obj:
-                incumbent_obj, incumbent_x = dive[0], dive[1]
-            # with an incumbent in hand, the root duals prove many integer
-            # variables immovable (up to the allowed gap) — fix them for the
-            # entire tree and account the cutoff in the proven bound
-            if _reduced_cost_fix(
-                root_obj, root_x, root_rc_lb, root_rc_ub,
-                root_lower, root_upper, integer_indices, _prune_cut(),
-            ):
-                pruned_bound = min(pruned_bound, _prune_cut())
+        # primal heuristics: rounding, then depth-limited diving
+        rounded = _try_round(form, root_x, integer_indices, var_lower, var_upper)
+        if rounded is not None and rounded[0] < incumbent_obj:
+            incumbent_obj, incumbent_x = rounded[0], rounded[1]
+        dive = _dive(
+            form, split, root_lower, root_upper, root_x,
+            integer_indices, deadline,
+        )
+        if dive is not None and dive[0] < incumbent_obj:
+            incumbent_obj, incumbent_x = dive[0], dive[1]
+        # with an incumbent in hand, the root duals prove many integer
+        # variables immovable (up to the allowed gap) — fix them for the
+        # entire tree and account the cutoff in the proven bound
+        if _reduced_cost_fix(
+            root_obj, root_x, root_rc_lb, root_rc_ub,
+            root_lower, root_upper, integer_indices, _prune_cut(),
+        ):
+            pruned_bound = min(pruned_bound, _prune_cut())
         _branch(
             heap, counter, root_obj, root_x, root_lower, root_upper,
-            fractional if not warm_start else None,
-            integer_indices, pseudo, warm_start,
+            integer_indices, pseudo,
         )
 
     # ------------------------------------------------------------------
@@ -288,18 +280,18 @@ def solve_with_branch_bound(
             break
 
         node = heapq.heappop(heap)
-        if warm_start and node.priority >= _prune_cut():
+        if node.priority >= _prune_cut():
             # parent bound already dominates the incumbent: prune without LP
             pruned_bound = min(pruned_bound, node.priority)
             continue
         nodes_explored += 1
 
-        relaxation = _solve_lp_with_duals(form, split, node.lower, node.upper)
+        relaxation = _node_lp(form, split, node.lower, node.upper)
         if relaxation is None:
             continue  # infeasible subproblem
         obj, x, rc_lb, rc_ub = relaxation
 
-        if warm_start and node.branch_idx >= 0:
+        if node.branch_idx >= 0:
             pseudo.update(
                 node.branch_idx, node.branch_up, obj - node.priority, node.branch_frac
             )
@@ -308,30 +300,24 @@ def solve_with_branch_bound(
             pruned_bound = min(pruned_bound, obj)
             continue  # pruned by bound
 
-        fractional = _most_fractional(x, integer_indices)
-        if fractional is None:
+        if _most_fractional(x, integer_indices) is None:
             # integral solution: new incumbent
             if obj < incumbent_obj:
                 incumbent_obj = obj
                 incumbent_x = x.copy()
             continue
 
-        if warm_start:
-            rounded = _try_round(form, x, integer_indices, var_lower, var_upper)
-            if rounded is not None and rounded[0] < incumbent_obj:
-                incumbent_obj, incumbent_x = rounded[0], rounded[1]
-            # subtree-local reduced-cost fixing against the pruning cutoff
-            if _reduced_cost_fix(
-                obj, x, rc_lb, rc_ub,
-                node.lower, node.upper, integer_indices, _prune_cut(),
-            ):
-                pruned_bound = min(pruned_bound, _prune_cut())
+        rounded = _try_round(form, x, integer_indices, var_lower, var_upper)
+        if rounded is not None and rounded[0] < incumbent_obj:
+            incumbent_obj, incumbent_x = rounded[0], rounded[1]
+        # subtree-local reduced-cost fixing against the pruning cutoff
+        if _reduced_cost_fix(
+            obj, x, rc_lb, rc_ub,
+            node.lower, node.upper, integer_indices, _prune_cut(),
+        ):
+            pruned_bound = min(pruned_bound, _prune_cut())
 
-        _branch(
-            heap, counter, obj, x, node.lower, node.upper,
-            fractional if not warm_start else None,
-            integer_indices, pseudo, warm_start,
-        )
+        _branch(heap, counter, obj, x, node.lower, node.upper, integer_indices, pseudo)
 
         # optional early stop on gap (signed: dominated open nodes close it)
         if heap and incumbent_obj < math.inf:
@@ -341,15 +327,6 @@ def solve_with_branch_bound(
                 if gap <= gap_target:
                     break
 
-    elapsed = time.perf_counter() - started
-    record_stage(
-        "milp.search",
-        time.perf_counter() - search_start,
-        backend="branch-bound",
-        nodes=nodes_explored,
-        start_objective=start_objective,
-    )
-
     # the proven bound is the weakest open or gap-pruned node (or the
     # incumbent itself when the tree closed completely)
     if heap:
@@ -358,41 +335,20 @@ def solve_with_branch_bound(
         best_bound = min(pruned_bound, incumbent_obj)
 
     if incumbent_x is None:
-        status = SolveStatus.TIME_LIMIT if timed_out else SolveStatus.INFEASIBLE
-        bound = prepared.user_bound(best_bound) if math.isfinite(best_bound) else float("nan")
-        return MILPSolution(
-            status=status,
-            bound=bound,
-            solve_time=elapsed,
-            node_count=nodes_explored,
-            backend="branch-bound",
-            message=(
-                "no incumbent found (gap=inf)"
-                if timed_out
-                else "search exhausted without incumbent"
-            ),
-        )
-
-    proven_optimal = not timed_out and best_bound >= incumbent_obj - 1e-9
-
-    values = prepared.restore_values(incumbent_x)
-    objective = model.objective_value(values)
-    user_bound = prepared.user_bound(best_bound)
-    gap = relative_gap(objective, user_bound)
-
-    return MILPSolution(
-        status=SolveStatus.OPTIMAL if proven_optimal else SolveStatus.FEASIBLE,
-        objective=objective,
-        values=values,
-        bound=user_bound,
-        solve_time=elapsed,
-        node_count=nodes_explored,
-        backend="branch-bound",
-        message=(
-            "optimal"
-            if proven_optimal
-            else f"stopped early with incumbent (gap={gap:.4%})"
-        ),
+        if timed_out:
+            status, message = SolveStatus.TIME_LIMIT, "no incumbent found (gap=inf)"
+        else:
+            status, message = SolveStatus.INFEASIBLE, "search exhausted without incumbent"
+        return Search(status, None, best_bound, nodes_explored, message)
+    if not timed_out and best_bound >= incumbent_obj - 1e-9:
+        return Search(SolveStatus.OPTIMAL, incumbent_x, best_bound, nodes_explored, "optimal")
+    gap = relative_gap(incumbent_obj + offset, best_bound + offset)
+    return Search(
+        SolveStatus.FEASIBLE,
+        incumbent_x,
+        best_bound,
+        nodes_explored,
+        f"stopped early with incumbent (gap={gap:.4%})",
     )
 
 
@@ -406,17 +362,11 @@ def _branch(
     x: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    fractional: Optional[Tuple[int, float]],
     integer_indices: np.ndarray,
     pseudo: _PseudoCosts,
-    warm_start: bool,
 ) -> None:
-    """Push the two children of a node onto the heap."""
-    if fractional is None:
-        candidates = _fractional_indices(x, integer_indices)
-        idx, value = pseudo.select(x, candidates)
-    else:
-        idx, value = fractional
+    """Push the two children of a node, branched on by pseudo-cost, onto the heap."""
+    idx, value = pseudo.select(x, _fractional_indices(x, integer_indices))
     floor_val = math.floor(value + _INT_TOL)
     frac = value - floor_val
 
@@ -436,36 +386,20 @@ def _branch(
     heapq.heappush(heap, up)
 
 
-def _solve_lp(
+def _node_lp(
     form: MatrixForm,
-    split: Optional[SplitForm],
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> Optional[Tuple[float, np.ndarray]]:
-    """Solve the LP relaxation restricted to the node's bounds.
-
-    With ``split`` provided (warm-start mode) the constraint blocks are reused
-    across nodes and only the bound arrays differ; the legacy path rebuilds
-    the split per node, reproducing the pre-optimization cost profile.
-    """
-    solved = _solve_lp_with_duals(form, split, lower, upper)
-    if solved is None:
-        return None
-    obj, x, _, _ = solved
-    return obj, x
-
-
-def _solve_lp_with_duals(
-    form: MatrixForm,
-    split: Optional[SplitForm],
+    split: SplitForm,
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> Optional[Tuple[float, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]]:
-    """Node LP returning the bound-dual marginals for reduced-cost fixing."""
+    """The LP relaxation within a node's bounds: objective, point and the
+    bound-dual marginals for reduced-cost fixing (``None``: infeasible).
+
+    The constraint blocks of ``split`` are shared by every node; only the
+    bound arrays differ.
+    """
     if np.any(lower > upper + 1e-12):
         return None
-    if split is None:
-        split = split_matrix_form(form)
     result = linprog(
         c=form.objective,
         A_ub=split.a_ub,
@@ -574,7 +508,7 @@ def _try_round(
 
 def _dive(
     form: MatrixForm,
-    split: Optional[SplitForm],
+    split: SplitForm,
     lower: np.ndarray,
     upper: np.ndarray,
     x: np.ndarray,
@@ -614,7 +548,7 @@ def _dive(
         target = float(np.clip(round(value), lower[idx], upper[idx]))
         trial_lower[idx] = target
         trial_upper[idx] = target
-        relaxation = _solve_lp(form, split, trial_lower, trial_upper)
+        relaxation = _node_lp(form, split, trial_lower, trial_upper)
 
         if relaxation is None:
             # roll the aggressive fixes back; flip only the branching value
@@ -623,12 +557,12 @@ def _dive(
             flipped = float(np.clip(flipped, lower[idx], upper[idx]))
             trial_lower[idx] = flipped
             trial_upper[idx] = flipped
-            relaxation = _solve_lp(form, split, trial_lower, trial_upper)
+            relaxation = _node_lp(form, split, trial_lower, trial_upper)
             if relaxation is None:
                 return None
 
         lower, upper = trial_lower, trial_upper
-        _, current = relaxation
+        current = relaxation[1]
     fractional = _most_fractional(current, integer_indices)
     if fractional is None:
         return float(form.objective @ current), current

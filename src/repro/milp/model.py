@@ -14,7 +14,6 @@ milliseconds rather than seconds.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -305,7 +304,7 @@ class Model:
         )
 
     # ------------------------------------------------------------------
-    # validation / export
+    # validation
     # ------------------------------------------------------------------
     def check_assignment(
         self, values: Dict[Variable, float], tol: float = 1e-6
@@ -322,45 +321,3 @@ class Model:
             elif var.is_integral and abs(value - round(value)) > tol:
                 violated.append(Constraint(LinExpr({var: 1.0}, 0.0), Sense.EQ, name=f"integrality[{var.name}]"))
         return violated
-
-    def to_lp_string(self, max_constraints: int | None = None) -> str:
-        """Export a CPLEX-LP-like textual representation (for debugging)."""
-        lines = ["\\ model " + self.name, "Minimize" if self._sense_minimize else "Maximize"]
-        lines.append(" obj: " + _format_expr(self._objective))
-        lines.append("Subject To")
-        constraints = self._constraints
-        if max_constraints is not None:
-            constraints = constraints[:max_constraints]
-        for constraint in constraints:
-            op = {"<=": "<=", ">=": ">=", "==": "="}[constraint.sense.value]
-            lines.append(
-                f" {constraint.name}: "
-                + _format_expr(LinExpr(constraint.lhs.terms, 0.0))
-                + f" {op} {constraint.rhs:g}"
-            )
-        lines.append("Bounds")
-        for var in self._variables:
-            lb = "-inf" if math.isinf(var.lb) else f"{var.lb:g}"
-            ub = "+inf" if math.isinf(var.ub) else f"{var.ub:g}"
-            lines.append(f" {lb} <= {var.name} <= {ub}")
-        integers = [v.name for v in self._variables if v.vtype is VarType.INTEGER]
-        binaries = [v.name for v in self._variables if v.vtype is VarType.BINARY]
-        if integers:
-            lines.append("General")
-            lines.append(" " + " ".join(integers))
-        if binaries:
-            lines.append("Binary")
-            lines.append(" " + " ".join(binaries))
-        lines.append("End")
-        return "\n".join(lines)
-
-
-def _format_expr(expr: LinExpr) -> str:
-    parts = []
-    for var, coef in sorted(expr.terms.items(), key=lambda kv: kv[0].index):
-        if coef == 0:
-            continue
-        parts.append(f"{coef:+g} {var.name}")
-    if expr.constant:
-        parts.append(f"{expr.constant:+g}")
-    return " ".join(parts) if parts else "0"

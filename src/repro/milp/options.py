@@ -33,15 +33,11 @@ class SolverOptions:
         Node budget for the branch-and-bound backend.
     verbose:
         Enable backend log output.
-    presolve:
-        Accepted and ignored: both backends solve the lowered model directly.
-        The field stays because job fingerprints hash :meth:`as_dict`, so
-        dropping it would change every fingerprint and orphan every cache
-        entry.
-    warm_start:
-        Branch-and-bound only: pseudo-cost branching plus rounding/diving
-        primal heuristics hot-started from parent-node LP solutions.
-        Disabling reverts to textbook most-fractional branching.
+
+    :meth:`as_dict` also carries two keys that are always ``True``, left from
+    two options that are gone: job fingerprints hash it, so dropping the keys
+    would change every fingerprint and orphan every cache entry.
+    :meth:`from_dict` drops them.
     """
 
     backend: str = "highs"
@@ -49,8 +45,6 @@ class SolverOptions:
     mip_gap: float | None = None
     max_nodes: int = 200_000
     verbose: bool = False
-    presolve: bool = True
-    warm_start: bool = True
 
     def replace(self, **changes) -> "SolverOptions":
         """Return a copy with the given fields replaced."""
@@ -64,8 +58,8 @@ class SolverOptions:
             "mip_gap": self.mip_gap,
             "max_nodes": self.max_nodes,
             "verbose": self.verbose,
-            "presolve": self.presolve,
-            "warm_start": self.warm_start,
+            "presolve": True,
+            "warm_start": True,
         }
 
     @classmethod

@@ -1,37 +1,30 @@
-"""Solve facade dispatching between MILP backends.
+"""Solve facade and the solve pipeline both MILP backends share.
 
-Besides the user-facing :func:`solve`, this module owns the glue that both
-backends used to duplicate:
+Besides the user-facing :func:`solve`, this module owns every step of a solve
+that does not depend on the backend.  :func:`solve_pipeline` lowers the model
+(:func:`prepare_model`, or a :class:`PreparedModel` the caller built, which
+may be shared by several solves), returns the shortcut answer of a model
+without variables, checks the MIP start, starts the time-limit budget, runs
+the backend's search (:data:`SearchFn`) and turns what it found into the
+:class:`MILPSolution`.  A backend (:mod:`repro.milp.scipy_backend`,
+:mod:`repro.milp.branch_bound`) is its search alone.
 
-* :func:`prepare_model` lowers a model to sparse matrix form and produces a
-  :class:`PreparedModel` carrying that form and, for a model without
-  variables, its shortcut solution;
-* :func:`split_matrix_form` converts the two-sided ``lb <= A x <= ub`` row
-  form into the ``A_ub/b_ub/A_eq/b_eq`` shape ``scipy.optimize.linprog``
-  wants — computed once per solve instead of once per branch-and-bound node.
-
-Both backends accept a ``prepared=`` argument so advanced callers (tests,
-ablations) can lower once and solve the same prepared problem with
-several backends; each backend copies any shortcut solution before stamping
-it, so a shared :class:`PreparedModel` is safe to reuse.  The time-limit
-budget always covers the preparation work, whoever triggered it.
-
-Both backends also take a MIP start (``start=``): a complete assignment that
+A MIP start (``start=``) is a complete assignment that
 :meth:`PreparedModel.start_point` checks against every bound and row.  A
-start that passes is the first incumbent of HiGHS and of warm branch and
-bound (textbook branch and bound ignores it), so a backend never
-returns a solution worse than it, and a solve that ends without a solution of
-its own returns the start as ``FEASIBLE``.
+start that passes is the first incumbent of both backends, so no answer is
+worse than it, and a solve that ends without a better solution of its own
+(also one whose budget runs out during lowering) returns the start as
+``FEASIBLE``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.milp.expr import Variable
 from repro.milp.model import MatrixForm, Model
@@ -44,53 +37,12 @@ from repro.obs.trace import record_stage
 # shared backend glue
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
-class SplitForm:
-    """``linprog``-shaped constraint data derived from a :class:`MatrixForm`.
-
-    Rows with a finite upper bound contribute to ``A_ub``, rows with a finite
-    lower bound contribute negated, and two-sided-equal rows become ``A_eq``.
-    """
-
-    a_ub: Optional[sparse.csr_matrix]
-    b_ub: Optional[np.ndarray]
-    a_eq: Optional[sparse.csr_matrix]
-    b_eq: Optional[np.ndarray]
-
-
-def split_matrix_form(form: MatrixForm) -> SplitForm:
-    """Split two-sided rows into the inequality/equality blocks once."""
-    matrix = form.constraint_matrix
-    lb = form.constraint_lb
-    ub = form.constraint_ub
-    finite_ub = np.isfinite(ub)
-    finite_lb = np.isfinite(lb)
-    equality = finite_lb & finite_ub & (np.abs(ub - lb) < 1e-12)
-    ineq_ub = finite_ub & ~equality
-    ineq_lb = finite_lb & ~equality
-
-    a_ub_parts = []
-    b_ub_parts = []
-    if np.any(ineq_ub):
-        a_ub_parts.append(matrix[ineq_ub])
-        b_ub_parts.append(ub[ineq_ub])
-    if np.any(ineq_lb):
-        a_ub_parts.append(-matrix[ineq_lb])
-        b_ub_parts.append(-lb[ineq_lb])
-
-    a_ub = sparse.vstack(a_ub_parts) if a_ub_parts else None
-    b_ub = np.concatenate(b_ub_parts) if b_ub_parts else None
-    a_eq = matrix[equality] if np.any(equality) else None
-    b_eq = lb[equality] if np.any(equality) else None
-    return SplitForm(a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-
-
-@dataclasses.dataclass
 class PreparedModel:
     """Everything a backend needs, built once by :func:`prepare_model`.
 
     ``shortcut`` is a complete :class:`MILPSolution` when preparation already
-    decided the model (a model without variables); backends must return it
-    directly after stamping their name and their solve time.
+    decided the model (a model without variables); the pipeline returns a
+    copy stamped with the backend and the solve time.
     """
 
     model: Model
@@ -131,20 +83,15 @@ class PreparedModel:
         )
         return x if feasible else None
 
-    def start_solution(
-        self, x: np.ndarray, backend: str, bound: float, message: str, **fields
-    ) -> MILPSolution:
-        """The start point ``x`` returned as a ``FEASIBLE`` solution."""
-        values = self.restore_values(x)
-        return MILPSolution(
-            status=SolveStatus.FEASIBLE,
-            objective=self.model.objective_value(values),
-            values=values,
-            bound=bound,
-            backend=backend,
-            message=message,
-            **fields,
-        )
+    @property
+    def offset(self) -> float:
+        """The objective constant in the lowered, minimize-sense objective.
+
+        The lowering drops it; a point's objective in that sense is
+        ``form.objective @ x + offset``.
+        """
+        constant = self.model.objective.constant
+        return constant if self.model.is_minimization else -constant
 
     def user_bound(self, internal_bound: float) -> float:
         """Internal (minimize-sense) bound -> user-facing objective sense.
@@ -188,19 +135,122 @@ def prepare_model(
     return PreparedModel(model=model, form=form, shortcut=shortcut)
 
 
-def remaining_budget(
-    time_limit: float | None, start: float, now: float | None = None
-) -> Tuple[float | None, bool]:
-    """Time left from a budget started at ``start`` (``perf_counter`` space).
-
-    Returns ``(remaining_seconds_or_None, exhausted)``; preparation time is
-    thereby charged against the caller's ``time_limit``.
-    """
+def remaining_budget(time_limit: float | None, start: float) -> Tuple[float | None, bool]:
+    """``(seconds left or None, exhausted)`` of a budget started at ``start``
+    (``perf_counter`` space)."""
     if time_limit is None:
         return None, False
-    now = time.perf_counter() if now is None else now
-    remaining = float(time_limit) - (now - start)
+    remaining = float(time_limit) - (time.perf_counter() - start)
     return max(0.0, remaining), remaining <= 0.0
+
+
+@dataclasses.dataclass
+class Search:
+    """What a backend's search found on a :class:`PreparedModel`.
+
+    ``x`` is a point of the prepared form (``None``: none found) and
+    ``bound`` the proven bound in the lowered, minimize sense without the
+    objective constant (not finite: none).  ``annotations`` extend the
+    ``milp.search`` stage.
+    """
+
+    status: SolveStatus
+    x: Optional[np.ndarray]
+    bound: float
+    nodes: int
+    message: str
+    annotations: Dict[str, object] = dataclasses.field(default_factory=dict)
+
+
+#: A backend's search: ``(prepared, checked start or None, remaining budget
+#: in seconds or None) -> Search``.
+SearchFn = Callable[[PreparedModel, Optional[np.ndarray], Optional[float]], Search]
+
+
+def solve_pipeline(
+    model: Model,
+    backend: str,
+    search: SearchFn,
+    time_limit: float | None = None,
+    prepared: PreparedModel | None = None,
+    start: Mapping[Variable, float] | None = None,
+) -> MILPSolution:
+    """Solve ``model`` with ``search``, the one step that is the backend's own.
+
+    The ``time_limit`` budget starts here, so it covers the lowering, and a
+    budget that runs out before the search returns the checked start as
+    ``FEASIBLE``, or ``TIME_LIMIT`` without one.
+    """
+    started = time.perf_counter()
+    if prepared is None:
+        prepared = prepare_model(model, backend=backend)
+    if prepared.shortcut is not None:
+        # copy before stamping: a PreparedModel may be reused across backends
+        return dataclasses.replace(
+            prepared.shortcut, backend=backend, solve_time=time.perf_counter() - started
+        )
+
+    x0 = prepared.start_point(start)
+    budget, exhausted = remaining_budget(time_limit, started)
+    if exhausted:
+        found = Search(
+            SolveStatus.TIME_LIMIT, None, math.nan, 0, "time limit exhausted during lowering"
+        )
+        return _answer(prepared, found, x0, backend, started)
+
+    search_started = time.perf_counter()
+    found = search(prepared, x0, budget)
+    search_seconds = time.perf_counter() - search_started
+    solution = _answer(prepared, found, x0, backend, started)
+    record_stage(
+        "milp.search",
+        search_seconds,
+        backend=backend,
+        nodes=found.nodes,
+        bound=solution.bound,
+        start_objective=None if x0 is None else prepared.user_bound(prepared.form.objective @ x0),
+        **found.annotations,
+    )
+    return solution
+
+
+def _answer(
+    prepared: PreparedModel,
+    found: Search,
+    x0: Optional[np.ndarray],
+    backend: str,
+    started: float,
+) -> MILPSolution:
+    """The :class:`MILPSolution` for what a search found, given the start ``x0``."""
+    status, x, message = found.status, found.x, found.message
+    objective = prepared.form.objective
+    if x0 is not None and (x is None or objective @ x > objective @ x0 + 1e-9):
+        # the search found nothing better than the start: the start is the answer
+        x, message = x0, f"{message}; returning the start"
+    if x is not None and status is not SolveStatus.OPTIMAL:
+        status = SolveStatus.FEASIBLE
+
+    values: Dict[Variable, float] = {}
+    value = math.nan
+    if x is not None:
+        values = prepared.restore_values(x)
+        # the user-facing objective, with the constant the lowering dropped
+        value = prepared.model.objective_value(values)
+    bound = math.nan
+    if math.isfinite(found.bound):
+        bound = prepared.user_bound(found.bound)
+    elif status is SolveStatus.OPTIMAL:
+        bound = value  # an LP's optimum is its own bound
+    return MILPSolution(
+        status=status,
+        objective=value,
+        values=values,
+        bound=bound,
+        solve_time=time.perf_counter() - started,
+        node_count=found.nodes,
+        backend=backend,
+        message=message,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -215,8 +265,8 @@ def solve(
     """Solve ``model`` with the backend selected in ``options``.
 
     ``start`` is an optional MIP start, a complete assignment of the model's
-    variables; HiGHS and warm branch and bound take it as their first
-    incumbent when it is feasible and ignore it otherwise.  ``presolve=False``
+    variables; both backends take it as their first incumbent when it is
+    feasible and ignore it otherwise.  ``presolve=False``
     runs HiGHS without its presolve (branch and bound has none); the
     floorplan solver asks for that when it searches from the HO seed.
     """
@@ -241,7 +291,6 @@ def solve(
             mip_gap=options.mip_gap,
             max_nodes=options.max_nodes,
             verbose=options.verbose,
-            warm_start=options.warm_start,
             start=start,
         )
     raise ValueError(f"unknown MILP backend {options.backend!r}")

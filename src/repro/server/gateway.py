@@ -26,8 +26,10 @@ Request lifecycle for ``POST /solve``:
    solve on a free :class:`~repro.server.workers.WorkerPool` thread at once
    (or, with every thread busy, when one frees); each request is
    answered when its own job's solve finishes, and the response carries the
-   full :class:`~repro.service.results.JobResult` — except a ``degraded``
-   result without a feasible floorplan, answered 503 with ``Retry-After``.
+   full :class:`~repro.service.results.JobResult` — except a result with no
+   floorplan to give (a ``degraded`` one without a feasible floorplan, or an
+   HO job whose heuristic seed failed), answered 503 with ``Retry-After``
+   and ``X-Repro-No-Floorplan``.
 
 ``GET /healthz`` reports liveness and queue depth; ``GET /metrics`` serves
 counters, latency histograms and cache stats, plus the rendered
@@ -357,6 +359,11 @@ class SolveGateway(HttpServer):
                 cached=result.cached, backend=result.backend, worker=result.worker
             )
         elapsed = time.perf_counter() - started
+        if result.seed_failed:
+            # HO mode without a heuristic seed has no floorplan: not a crash,
+            # and never cached, so a repeat is solved (and refused) again
+            body = {"error": result.error, "reason": "seed_failed"}
+            return 503, body, {"Retry-After": "1", NO_FLOORPLAN_HEADER: "1"}
         if result.status == "error":
             self.metrics.observe_solved(elapsed, error=True)
             return 500, self._result_payload(key.fingerprint, result, cached=False), None

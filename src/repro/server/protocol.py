@@ -58,9 +58,11 @@ DEADLINE_HEADER = "X-Repro-Deadline"
 #: watermark.
 QUEUE_DEPTH_HEADER = "X-Repro-Queue-Depth"
 
-#: Stamped on a gateway's 503 for a clamped solve that found no floorplan.
-#: The replica is healthy, so the router relays that 503 where it would mark
-#: a draining replica down and retry the next one.
+#: Stamped on a gateway's 503 for a job that has no floorplan to answer with:
+#: a clamped solve that found none, or an HO job whose heuristic seed could
+#: not be built.  The replica is healthy, so the router relays that 503 (with
+#: this header) where it would mark a draining replica down and retry the
+#: next one.
 NO_FLOORPLAN_HEADER = "X-Repro-No-Floorplan"
 
 

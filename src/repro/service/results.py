@@ -111,6 +111,14 @@ class JobResult:
 
     # ------------------------------------------------------------------
     @property
+    def seed_failed(self) -> bool:
+        """Whether the job failed because HO mode's heuristic seed could not
+        be built (:class:`~repro.floorplan.ho.HOSeedError`, named in the
+        ``error`` :func:`~repro.service.executor.execute_job` records): the
+        job has no floorplan, and the solver did not crash."""
+        return self.status == "error" and (self.error or "").startswith("HOSeedError:")
+
+    @property
     def wasted_frames(self) -> Optional[int]:
         """Wasted-frame count of the solution (``None`` when unsolved)."""
         if self.metrics is None:

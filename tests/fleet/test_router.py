@@ -19,7 +19,7 @@ from repro.server.metrics import GatewayMetrics
 from repro.server.protocol import job_from_dict
 from repro.service.cache import CacheStats
 from tests.server.malformed_bodies import DEVICE_ERRORS, mutated
-from tests.server.test_gateway_e2e import NO_FLOORPLAN, stub_gateway
+from tests.server.test_gateway_e2e import NO_FLOORPLAN, SEED_FAILED, stub_gateway
 
 
 class StubFleet:
@@ -212,7 +212,31 @@ class TestDegradedRelay:
             status, body, headers = asyncio.run(scenario())
             assert status == 503 and body["reason"] == "degraded_no_floorplan"
             assert headers["retry-after"] == "1"
+            assert headers["x-repro-no-floorplan"] == "1"
             assert sorted(pool.solved for pool in fleet.pools) == [0, 1]
+            router = fleet.router.router
+            assert router.metrics.retries == 0 and router.metrics.unavailable == 0
+            assert all(pool.failures == 0 for pool in router.pools.values())
+
+    def test_seed_failure_503_is_relayed_without_a_retry(self, payloads):
+        """A replica's seed-failure 503 reaches the client with both headers,
+        on the first send and on the repeat: the owner solves it each time
+        (an error result is never cached) and no other replica is tried."""
+        with StubFleet(replicas=2, overrides=SEED_FAILED) as fleet:
+            async def scenario():
+                answers = []
+                async with GatewayClient(fleet.host, fleet.port) as client:
+                    for _ in range(2):
+                        status, body = await client.solve(payloads[0])
+                        answers.append((status, body, dict(client.last_headers)))
+                return answers
+
+            answers = asyncio.run(scenario())
+            for status, body, headers in answers:
+                assert status == 503 and body["reason"] == "seed_failed"
+                assert headers["retry-after"] == "1"
+                assert headers["x-repro-no-floorplan"] == "1"
+            assert sorted(pool.solved for pool in fleet.pools) == [0, 2]
             router = fleet.router.router
             assert router.metrics.retries == 0 and router.metrics.unavailable == 0
             assert all(pool.failures == 0 for pool in router.pools.values())

@@ -123,12 +123,3 @@ def test_branch_bound_takes_the_start_as_its_first_incumbent():
     (search,) = [stage for stage in stages if stage["name"] == "milp.search"]
     assert search["start_objective"] == pytest.approx(model.objective_value(start), abs=1e-12)
 
-
-def test_textbook_branch_bound_ignores_the_start():
-    model, start = _cover_and_start()
-    result = solve(
-        model,
-        SolverOptions(backend="branch-bound", warm_start=False, time_limit=0.0),
-        start=start,
-    )
-    assert result.status is SolveStatus.TIME_LIMIT

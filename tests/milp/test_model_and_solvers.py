@@ -84,16 +84,6 @@ class TestModel:
         fractional = model.check_assignment({x: 1.5})
         assert any("integrality" in (c.name or "") for c in fractional)
 
-    def test_lp_export_mentions_sections(self):
-        model = Model("export")
-        x = model.add_integer("x", ub=2)
-        y = model.add_binary("y")
-        model.add(x + y <= 2, name="c0")
-        model.minimize(x)
-        text = model.to_lp_string()
-        for token in ("Minimize", "Subject To", "Bounds", "General", "Binary", "c0"):
-            assert token in text
-
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBackends:
@@ -306,11 +296,23 @@ class TestSharedGlue:
         assert result.values[y] == pytest.approx(1.5)
 
     def test_presolve_field_stays_in_the_fingerprinted_dict(self):
-        # job fingerprints hash as_dict(), so the ignored field must stay in it
-        options = SolverOptions(presolve=False)
-        assert options.as_dict()["presolve"] is False
-        assert SolverOptions().as_dict()["presolve"] is True
+        # job fingerprints hash as_dict(), so the removed options' keys stay
+        # in it as constants
+        options = SolverOptions(backend="branch-bound", mip_gap=0.1)
+        assert options.as_dict()["presolve"] is True
+        assert options.as_dict()["warm_start"] is True
         assert SolverOptions.from_dict(options.as_dict()) == options
+
+    def test_payload_with_the_removed_options_decodes_to_the_default_fingerprint(self):
+        # a job that set either removed option solves as the default job does
+        from repro.server.loadgen import demo_payloads
+        from repro.server.protocol import job_from_dict
+
+        payload = demo_payloads(unique=1)[0]
+        legacy = {**payload, "options": {**payload["options"], "presolve": False}}
+        legacy["options"]["warm_start"] = False
+        assert job_from_dict(legacy).options == job_from_dict(payload).options
+        assert job_from_dict(legacy).fingerprint == job_from_dict(payload).fingerprint
 
     def test_prepare_model_compatibility_names(self):
         model = _mixed_model()
@@ -365,14 +367,6 @@ class TestDirectSolveEdgeCases:
         model.add(x + y >= 8)
         model.minimize(x)
         assert solve(model, SolverOptions(backend=backend)).status is SolveStatus.INFEASIBLE
-
-    def test_presolve_option_is_ignored(self, backend):
-        model = _mixed_model()
-        on = solve(model, SolverOptions(backend=backend, presolve=True))
-        off = solve(model, SolverOptions(backend=backend, presolve=False))
-        assert on.status is off.status is SolveStatus.OPTIMAL
-        assert on.objective == off.objective
-        assert on.values == off.values
 
     def test_lowering_is_recorded_as_a_stage(self, backend):
         with collect_stages() as stages:

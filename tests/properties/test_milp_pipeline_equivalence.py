@@ -2,7 +2,7 @@
 
 Four equivalences are enforced:
 
-* HiGHS and branch and bound, warm-started and textbook, agree on whether
+* HiGHS and branch and bound agree on whether
   randomized MILPs have a solution and on their optimal objective, and every
   returned assignment satisfies the model;
 * filtered and unfiltered ``build_floorplan_milp`` models extract identical
@@ -136,11 +136,9 @@ class TestBackendDifferential:
     @pytest.mark.parametrize("seed", RANDOM_SEEDS)
     def test_random_models_agree_across_backends(self, seed):
         model, reference = _solved_by_highs(seed)
-        bb = SolverOptions(backend="branch-bound", time_limit=30)
         results = {
             "highs": reference,
-            "bb-warm": solve(model, bb),
-            "bb-textbook": solve(model, bb.replace(warm_start=False)),
+            "branch-bound": solve(model, SolverOptions(backend="branch-bound", time_limit=30)),
         }
         for name, result in results.items():
             assert result.status.has_solution == reference.status.has_solution, name

@@ -27,8 +27,8 @@ class StubWorkerPool:
 
     ``delays`` overrides the delay per fingerprint; up to ``threads`` jobs
     wait out their delays concurrently.  ``overrides`` replaces fields of
-    every result; a ``degraded`` one is not cached, as the real pool caches
-    none.
+    every result; an ``error`` or ``degraded`` one is not cached, as the real
+    pool caches neither.
     """
 
     def __init__(
@@ -65,7 +65,7 @@ class StubWorkerPool:
             error="stub failure" if self.fail else None,
         )
         result = dataclasses.replace(result, **self.overrides)
-        if not self.fail and not result.degraded:
+        if result.status != "error" and not result.degraded:
             self.cache.put(result)
         return result
 
@@ -308,6 +308,12 @@ class TestAdmission:
 
 #: A clamped solve's result that ran out before any floorplan existed.
 NO_FLOORPLAN = dict(status="time_limit", feasible=False, objective=float("nan"), degraded=True)
+SEED_FAILED = dict(
+    status="error",
+    feasible=False,
+    objective=float("nan"),
+    error="HOSeedError: could only reserve 1/3 free-compatible areas for 'Carrier Recovery'",
+)
 
 
 class TestDegradedAnswers:
@@ -324,6 +330,41 @@ class TestDegradedAnswers:
         assert body["reason"] == "degraded_no_floorplan"
         assert headers["retry-after"] == "1"
         assert gw.gateway.metrics.degraded == 1 and gw.gateway.metrics.ok == 0
+
+    def test_seed_failure_is_503_on_the_first_send_and_the_repeat(self):
+        """SDR3 with hard relocation in HO mode: the heuristic seed cannot
+        reserve every copy, so there is no floorplan.  The answer is a 503
+        with Retry-After and X-Repro-No-Floorplan, never a 500, and it is not
+        cached, so the repeat is no 200."""
+        from repro.milp import SolverOptions
+        from repro.server.protocol import job_to_dict
+        from repro.service.jobs import SolveJob
+        from repro.workloads.sdr import sdr3_spec, sdr_problem
+
+        job = SolveJob(
+            sdr_problem(), relocation=sdr3_spec(hard=True), mode="HO",
+            options=SolverOptions(time_limit=30.0),
+        )
+        with BackgroundGateway(GatewayConfig(port=0, solver_threads=1)) as gw:
+            async def scenario():
+                answers = []
+                async with GatewayClient(gw.host, gw.port) as client:
+                    for _ in range(2):
+                        status, body = await client.solve(job_to_dict(job))
+                        answers.append((status, body, dict(client.last_headers)))
+                return answers
+
+            answers = asyncio.run(scenario())
+            assert gw.gateway.cache.get(job.fingerprint) is None
+            metrics = gw.gateway.metrics
+        for status, body, headers in answers:
+            assert status == 503, body
+            assert body["reason"] == "seed_failed"
+            assert body["error"].startswith("HOSeedError:")
+            assert headers["retry-after"] == "1"
+            assert headers["x-repro-no-floorplan"] == "1"
+        assert metrics.solve_errors == 0 and metrics.ok == 0
+        assert metrics.cache_misses == 2
 
 
 class TestWarmHitRate:
