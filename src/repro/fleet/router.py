@@ -443,8 +443,9 @@ class FleetRouter(HttpServer):
                 if rank > 0:
                     self.metrics.failovers += 1
                 self.metrics.latency.observe(time.perf_counter() - started)
-                # relayed verbatim: no decode/encode round trip, and a shed's
-                # Retry-After kept, with a no-floorplan 503's marker
+                # relayed verbatim as the replica's JSON bytes (sent as
+                # application/json): no decode/encode round trip, and a
+                # shed's Retry-After kept, with a no-floorplan 503's marker
                 retry_after = resp_headers.get("retry-after")
                 if not retry_after:
                     return status, body, None

@@ -12,7 +12,8 @@ Request lifecycle for ``POST /solve``:
    shared :class:`~repro.service.cache.SolveCache` on the loop, and in the
    disk tier off the loop only when memory misses and a directory is set;
    hits are answered inline without touching the solver queue or decoding
-   the job;
+   the job, from a body their cache entry encoded on its first hit
+   (:meth:`~repro.service.cache.SolveCache.hit_body`);
 4. **job** — a miss whose key came from the memo is decoded into its full
    job now, off the loop;
 5. **single-flight** — a fingerprint this replica is already solving joins
@@ -53,6 +54,7 @@ from repro.server.http import (
     HttpError,
     HttpRequest,
     HttpServer,
+    Response,
     render_tables,
 )
 from repro.server.metrics import GatewayMetrics
@@ -61,8 +63,10 @@ from repro.server.protocol import (
     NO_FLOORPLAN_HEADER,
     QUEUE_DEPTH_HEADER,
     ProtocolError,
+    hit_body,
     job_from_dict,
     parse_deadline,
+    result_body,
 )
 from repro.server.workers import WorkerPool
 from repro.service.cache import CACHE_SCHEMA_VERSION, SolveCache
@@ -199,9 +203,7 @@ class SolveGateway(HttpServer):
     # ------------------------------------------------------------------
     # routes
     # ------------------------------------------------------------------
-    async def _solve(
-        self, request: HttpRequest
-    ) -> Tuple[int, Dict[str, object], Optional[Dict[str, str]]]:
+    async def _solve(self, request: HttpRequest) -> Response:
         client = request.peer
         if self.config.trust_client_id:
             client = request.header("x-client-id") or client
@@ -224,7 +226,7 @@ class SolveGateway(HttpServer):
         client: str,
         trace: Optional[Trace],
         root: Optional[Span],
-    ) -> Tuple[int, Dict[str, object], Optional[Dict[str, str]]]:
+    ) -> Response:
         self.metrics.received += 1
         arrival = time.monotonic()
         if self._draining:
@@ -290,7 +292,7 @@ class SolveGateway(HttpServer):
             )
         if hit is not None:
             self.metrics.observe_hit(time.perf_counter() - started)
-            return 200, self._result_payload(key.fingerprint, hit, cached=True), None
+            return 200, self.cache.hit_body(hit, hit_body), None
         self.metrics.cache_misses += 1
 
         if job is None:
@@ -362,11 +364,12 @@ class SolveGateway(HttpServer):
         if result.seed_failed:
             # HO mode without a heuristic seed has no floorplan: not a crash,
             # and never cached, so a repeat is solved (and refused) again
+            self.metrics.seed_failures += 1
             body = {"error": result.error, "reason": "seed_failed"}
             return 503, body, {"Retry-After": "1", NO_FLOORPLAN_HEADER: "1"}
         if result.status == "error":
             self.metrics.observe_solved(elapsed, error=True)
-            return 500, self._result_payload(key.fingerprint, result, cached=False), None
+            return 500, result_body(result, cached=False), None
         if result.degraded:
             self.metrics.degraded += 1
             if not result.feasible:  # the clamp ran out before any floorplan existed
@@ -374,7 +377,7 @@ class SolveGateway(HttpServer):
                         "reason": "degraded_no_floorplan"}
                 return 503, body, {"Retry-After": "1", NO_FLOORPLAN_HEADER: "1"}
         self.metrics.observe_solved(elapsed)
-        return 200, self._result_payload(key.fingerprint, result, cached=result.cached), None
+        return 200, result_body(result, cached=result.cached), None
 
     def _expired(
         self,
@@ -445,17 +448,6 @@ class SolveGateway(HttpServer):
         if raw:
             return snapshot
         return render_tables(snapshot, "gateway counters", "request latency (s)")
-
-    @staticmethod
-    def _result_payload(fingerprint: str, result, cached: bool) -> Dict[str, object]:
-        data = result.as_dict()
-        data["cached"] = bool(cached)  # describes *this* response, not the store
-        return {
-            "fingerprint": fingerprint,
-            "cached": bool(cached),
-            "degraded": bool(result.degraded),
-            "result": data,
-        }
 
 
 class BackgroundGateway(BackgroundServer):

@@ -209,15 +209,14 @@ def encode_response(
     keep_alive: bool = True,
     extra_headers: Optional[Dict[str, str]] = None,
 ) -> bytes:
-    """Serialize a JSON response (dict payload) or raw bytes."""
+    """Serialize a response: a payload to encode as JSON, a JSON body already
+    encoded as ``bytes`` (a cache entry's hit body, a relayed replica answer),
+    or an :class:`HtmlPayload`."""
     if isinstance(payload, HtmlPayload):
         body = str(payload).encode("utf-8")
         content_type = "text/html; charset=utf-8"
-    elif isinstance(payload, (bytes, bytearray)):
-        body = bytes(payload)
-        content_type = "application/octet-stream"
     else:
-        body = json.dumps(payload).encode("utf-8")
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         content_type = "application/json"
     reason = REASONS.get(status, "Unknown")
     lines = [

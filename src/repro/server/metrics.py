@@ -216,6 +216,7 @@ class GatewayMetrics:
     deduped_jobs: int = 0  # waiters a solve answered beyond its first
     deadline_expired: int = 0  # 504s: the client budget ran out before a result
     degraded: int = 0  # clamped solves short of optimal: 200 with a plan, else 503
+    seed_failures: int = 0  # 503s for HO jobs whose heuristic seed failed
 
     def __post_init__(self) -> None:
         self.started_monotonic = time.monotonic()
@@ -298,6 +299,7 @@ class GatewayMetrics:
             "flight_waits": 0,
             "deadline_expired": self.deadline_expired,
             "degraded": self.degraded,
+            "seed_failures": self.seed_failures,
         }
 
     def latency_summaries(self) -> Dict[str, Dict[str, float]]:

@@ -15,9 +15,10 @@ to a 400 response; nothing in a request body can take the server down.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from repro.floorplan.problem import Connection, FloorplanProblem, IOPin, Region
 from repro.milp import SolverOptions
 from repro.relocation.spec import RelocationRequest, RelocationSpec
 from repro.service.jobs import SolveJob
+
+if TYPE_CHECKING:
+    from repro.service.results import JobResult
 
 __all__ = [
     "ProtocolError",
@@ -42,6 +46,8 @@ __all__ = [
     "relocation_from_list",
     "job_from_dict",
     "job_to_dict",
+    "result_body",
+    "hit_body",
 ]
 
 #: Per-request budget header: remaining wall-clock seconds the client is
@@ -283,3 +289,28 @@ def job_to_dict(job: SolveJob) -> Dict[str, object]:
     if job.tag:
         data["tag"] = job.tag
     return data
+
+
+def result_body(result: JobResult, cached: bool) -> bytes:
+    """The JSON body of a ``/solve`` answer that carries ``result``.
+
+    ``cached`` describes this response, not the stored record, and is
+    written both beside the result and inside it.  Every result answer of
+    the gateway, hit or miss, is encoded here.
+    """
+    data = result.as_dict()
+    data["cached"] = cached
+    return json.dumps(
+        {
+            "fingerprint": result.fingerprint,
+            "cached": cached,
+            "degraded": bool(result.degraded),
+            "result": data,
+        }
+    ).encode("utf-8")
+
+
+def hit_body(result: JobResult) -> bytes:
+    """The body of a cache hit's answer (what
+    :meth:`~repro.service.cache.SolveCache.hit_body` stores per entry)."""
+    return result_body(result, cached=True)

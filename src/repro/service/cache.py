@@ -107,6 +107,16 @@ def _migrate_v1(data: Dict[str, object]) -> Dict[str, object]:
     return data
 
 
+class _Entry:
+    """One memory-tier entry: a record and, once a hit encoded it, its body."""
+
+    __slots__ = ("result", "body")
+
+    def __init__(self, result: JobResult) -> None:
+        self.result = result
+        self.body: Optional[bytes] = None
+
+
 @dataclasses.dataclass
 class CacheStats:
     """Hit/miss/eviction counters of one :class:`SolveCache`."""
@@ -160,6 +170,13 @@ class SolveCache:
     The cache is safe to share across the gateway event loop and solver
     threads (every memory-layer mutation happens under one lock), and the
     directory layer is safe to share across processes.
+
+    Each memory entry can also keep the **encoded hit body** of its record,
+    opaque bytes the caller encodes (:meth:`hit_body`): built on the entry's
+    first hit and answered as-is after that.  The body lives and dies with
+    its entry, so it is evicted with it, a :meth:`put` over the fingerprint
+    starts the new record without one, and an entry promoted from disk
+    encodes its own on its first hit.  ``capacity`` bounds the bodies too.
     """
 
     def __init__(
@@ -172,7 +189,7 @@ class SolveCache:
         self.directory = Path(directory) if directory is not None else None
         self.capacity = capacity
         self.stats = CacheStats()
-        self._memory: "OrderedDict[str, JobResult]" = OrderedDict()
+        self._memory: "OrderedDict[str, _Entry]" = OrderedDict()
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -219,7 +236,9 @@ class SolveCache:
                 self.stats.misses += 1
                 return None
             self.stats.hits += 1
-            self._memory[fingerprint] = result
+            entry = self._memory.get(fingerprint)
+            if entry is None or entry.result is not result:
+                self._memory[fingerprint] = _Entry(result)
             self._memory.move_to_end(fingerprint)
             self._evict_overflow()
         return result
@@ -228,11 +247,32 @@ class SolveCache:
         """Store a result under its fingerprint (memory + disk)."""
         with self._lock:
             self.stats.stores += 1
-            self._memory[result.fingerprint] = result
+            self._memory[result.fingerprint] = _Entry(result)
             self._memory.move_to_end(result.fingerprint)
             self._evict_overflow()
         if self.directory is not None:
             self._dump(result)
+
+    def hit_body(self, result: JobResult, encode: Callable[[JobResult], bytes]) -> bytes:
+        """``encode(result)``, encoded once per memory entry.
+
+        ``result`` is a record a lookup just returned.  While it is still its
+        fingerprint's memory entry, the first call stores the bytes with the
+        entry and later calls return them without calling ``encode``.  A
+        record that has since been replaced or evicted is encoded and nothing
+        is stored.  Counts nothing and does not refresh the LRU order: the
+        lookup did both.
+        """
+        with self._lock:
+            entry = self._memory.get(result.fingerprint)
+            if entry is not None and entry.result is result and entry.body is not None:
+                return entry.body
+        body = encode(result)
+        with self._lock:
+            entry = self._memory.get(result.fingerprint)
+            if entry is not None and entry.result is result:
+                entry.body = body
+        return body
 
     def __contains__(self, fingerprint: str) -> bool:
         with self._lock:
@@ -284,11 +324,12 @@ class SolveCache:
 
     # ------------------------------------------------------------------
     def _from_memory(self, fingerprint: str) -> Optional[JobResult]:
-        """The memory entry, LRU-refreshed (caller holds the lock)."""
-        result = self._memory.get(fingerprint)
-        if result is not None:
-            self._memory.move_to_end(fingerprint)
-        return result
+        """The memory entry's record, LRU-refreshed (caller holds the lock)."""
+        entry = self._memory.get(fingerprint)
+        if entry is None:
+            return None
+        self._memory.move_to_end(fingerprint)
+        return entry.result
 
     def _evict_overflow(self) -> None:
         """Pop LRU-tail entries past capacity (caller holds the lock)."""

@@ -94,8 +94,16 @@ class JobResult:
 
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, object]:
-        """JSON-serializable representation (see :meth:`from_dict`)."""
-        data = dataclasses.asdict(self)
+        """JSON-serializable representation (see :meth:`from_dict`).
+
+        A flat copy of the fields: the top level is a fresh dict the caller
+        may change, but the nested ``floorplan``, ``metrics`` and ``stages``
+        containers are the record's own and are read-only.  They are plain
+        JSON types already (:meth:`from_report` builds them fresh,
+        :meth:`from_dict` takes them from ``json.load``), so no deep copy is
+        needed to encode them.
+        """
+        data = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
         if math.isnan(self.objective):
             data["objective"] = None  # JSON has no NaN
         return data

@@ -242,6 +242,75 @@ class TestDegradedRelay:
             assert all(pool.failures == 0 for pool in router.pools.values())
 
 
+class TestRelayedContentType:
+    """The router relays a replica's JSON bytes as ``application/json``, as
+    the replica itself sends them."""
+
+    def test_relayed_200_miss_and_hit_are_json(self, payloads):
+        with StubFleet(replicas=2) as fleet:
+            async def scenario():
+                answers = []
+                async with GatewayClient(fleet.host, fleet.port) as client:
+                    for _ in range(2):
+                        status, body = await client.solve(payloads[0])
+                        answers.append((status, body, dict(client.last_headers)))
+                return answers
+
+            answers = asyncio.run(scenario())
+        assert [body["cached"] for _status, body, _headers in answers] == [False, True]
+        for status, _body, headers in answers:
+            assert status == 200
+            assert headers["content-type"] == "application/json"
+
+    def test_relayed_no_floorplan_503_is_json(self, payloads):
+        with StubFleet(replicas=2, overrides=NO_FLOORPLAN) as fleet:
+            async def scenario():
+                async with GatewayClient(fleet.host, fleet.port) as client:
+                    status, body = await client.solve(payloads[0])
+                    return status, body, client.last_headers
+
+            status, body, headers = asyncio.run(scenario())
+        assert status == 503 and body["reason"] == "degraded_no_floorplan"
+        assert headers["x-repro-no-floorplan"] == "1"
+        assert headers["content-type"] == "application/json"
+
+
+class TestSeedFailureCount:
+    def test_seed_failures_count_on_the_replica_and_in_the_rollup(self):
+        """Two SDR3-hard HO sends through a router to one real gateway: both
+        are seed-failure 503s, counted by the replica and summed fleet-wide."""
+        from repro.milp import SolverOptions
+        from repro.server.gateway import BackgroundGateway, GatewayConfig
+        from repro.server.protocol import job_to_dict
+        from repro.service.jobs import SolveJob
+        from repro.workloads.sdr import sdr3_spec, sdr_problem
+
+        job = SolveJob(
+            sdr_problem(), relocation=sdr3_spec(hard=True), mode="HO",
+            options=SolverOptions(time_limit=30.0),
+        )
+        gateway = BackgroundGateway(GatewayConfig(port=0, solver_threads=1))
+        upstream = [(gateway.host, gateway.port)]
+        with gateway, BackgroundRouter(FleetRouter(upstream, RouterConfig(port=0))) as router:
+            async def scenario():
+                answers = []
+                async with GatewayClient(router.host, router.port) as client:
+                    for _ in range(2):
+                        status, body = await client.solve(job_to_dict(job))
+                        answers.append((status, body, dict(client.last_headers)))
+                    _status, rollup = await client.request("GET", "/metrics?format=json")
+                return answers, rollup
+
+            answers, rollup = asyncio.run(scenario())
+        replica = gateway.gateway.metrics
+        for status, body, headers in answers:
+            assert status == 503 and body["reason"] == "seed_failed"
+            assert headers["content-type"] == "application/json"
+        assert replica.seed_failures == 2
+        assert replica.counters()["seed_failures"] == 2
+        assert rollup["counters"]["seed_failures"] == 2
+
+
 class TestRollup:
     def test_counters_sum_and_histograms_merge(self, payloads):
         with StubFleet(replicas=2) as fleet:

@@ -364,7 +364,7 @@ class TestDegradedAnswers:
             assert headers["retry-after"] == "1"
             assert headers["x-repro-no-floorplan"] == "1"
         assert metrics.solve_errors == 0 and metrics.ok == 0
-        assert metrics.cache_misses == 2
+        assert metrics.cache_misses == 2 and metrics.seed_failures == 2
 
 
 class TestWarmHitRate:
