@@ -1,19 +1,20 @@
-"""Batch-service throughput: parallel fan-out vs. sequential solves, and the
-cold-vs-warm cache speedup of re-running an identical sweep.
+"""Solving-service throughput: the cold-vs-warm cache speedup of re-running an
+identical sweep through ``execute_job`` behind a ``SolveCache``.
 
 Run with ``PYTHONPATH=src pytest benchmarks/bench_service_throughput.py -q``.
-The parallel/sequential ratio depends on the core count of the machine (on a
-single-core box the process pool only adds overhead); the warm-cache speedup
-does not — replaying a sweep against a populated cache skips every solve and
-must come out far above the 2x bar on any hardware.
+Replaying a sweep against a populated cache skips every solve, so the warm
+speedup does not depend on the core count and must come out far above the
+2x bar on any hardware.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.bench.scenarios import throughput_sweep_jobs
-from repro.service import BatchSolver, SolveCache
+from repro.service import SolveCache, execute_job
 from repro.utils.timing import Timer
 
 
@@ -25,40 +26,38 @@ def grid_jobs():
     return jobs
 
 
-def test_batch_vs_sequential(grid_jobs):
-    """Wall-clock of one parallel batch vs. solving the jobs one by one."""
-    with Timer() as sequential:
-        seq_report = BatchSolver(executor="serial").solve_all(grid_jobs)
-    with Timer() as parallel:
-        par_report = BatchSolver(executor="process").solve_all(grid_jobs)
+def solve_all(jobs, cache):
+    """Serve each job from ``cache`` or solve and store it (errors are not
+    stored); returns the results in job order."""
+    results = []
+    for job in jobs:
+        result = cache.get(job.fingerprint)
+        if result is not None:
+            result = dataclasses.replace(result, cached=True)
+        else:
+            result = execute_job(job)
+            if result.status != "error":
+                cache.put(result)
+        results.append(result)
+    return results
 
-    assert seq_report.num_feasible == len(grid_jobs)
-    assert par_report.num_feasible == len(grid_jobs)
-    # parallel execution must not change the solutions
-    for seq_result, par_result in zip(seq_report.results, par_report.results):
-        assert seq_result.fingerprint == par_result.fingerprint
-        assert seq_result.wasted_frames == par_result.wasted_frames
 
-    ratio = sequential.elapsed / max(parallel.elapsed, 1e-9)
-    print(
-        f"\nsequential {sequential.elapsed:.2f}s, parallel {parallel.elapsed:.2f}s "
-        f"({ratio:.2f}x, {len(grid_jobs)} jobs)"
-    )
+def hits(results):
+    return sum(result.cached for result in results)
 
 
 def test_warm_cache_resweep_speedup(grid_jobs, tmp_path):
     """Re-running an identical sweep against a warm cache must be >= 2x faster."""
     cache = SolveCache(tmp_path / "cache")
-    solver = BatchSolver(cache=cache, executor="process")
 
     with Timer() as cold:
-        cold_report = solver.solve_all(grid_jobs)
+        cold_results = solve_all(grid_jobs, cache)
     with Timer() as warm:
-        warm_report = solver.solve_all(grid_jobs)
+        warm_results = solve_all(grid_jobs, cache)
 
-    assert cold_report.cache_hits == 0
-    assert warm_report.cache_hits == len(grid_jobs)  # 100% hit rate
-    assert warm_report.hit_rate == 1.0
+    assert all(result.feasible for result in cold_results)
+    assert hits(cold_results) == 0
+    assert hits(warm_results) == len(grid_jobs)  # 100% hit rate
 
     speedup = cold.elapsed / max(warm.elapsed, 1e-9)
     print(
@@ -68,6 +67,5 @@ def test_warm_cache_resweep_speedup(grid_jobs, tmp_path):
     assert speedup >= 2.0
 
     # a fresh process (fresh cache object) still hits 100% via the disk layer
-    disk_solver = BatchSolver(cache=SolveCache(tmp_path / "cache"), executor="serial")
-    disk_report = disk_solver.solve_all(grid_jobs)
-    assert disk_report.cache_hits == len(grid_jobs)
+    disk_results = solve_all(grid_jobs, SolveCache(tmp_path / "cache"))
+    assert hits(disk_results) == len(grid_jobs)

@@ -17,8 +17,9 @@ The public API re-exported here is the surface a downstream user needs:
 * workloads (:mod:`repro.workloads`): the SDR case study and synthetic
   generators;
 * analysis (:mod:`repro.analysis`): ASCII floorplan rendering and tables;
-* batch service (:mod:`repro.service`): content-addressed solve caching,
-  parallel batch execution, a strategy portfolio and scenario sweeps;
+* solving service (:mod:`repro.service`): content-addressed solve caching,
+  the one solve entry point (``execute_job``), a strategy portfolio and
+  scenario sweeps;
 * online simulation (:mod:`repro.sim`): discrete-event simulation of the
   runtime under stochastic traffic, fault injection and live
   re-floorplanning policies;
@@ -120,10 +121,7 @@ _EXPORTS = {
     "repro.service": [
         "SolveJob",
         "SolveCache",
-        "BatchSolver",
-        "SweepReport",
         "sweep_jobs",
-        "run_sweep",
         "run_portfolio",
     ],
     "repro.server": ["SolveGateway", "GatewayConfig", "BackgroundGateway"],

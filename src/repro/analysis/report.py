@@ -102,7 +102,7 @@ SWEEP_HEADERS = [
 
 
 def sweep_table_rows(results: Sequence[object]) -> List[List[object]]:
-    """Per-job rows for a batch/sweep run.
+    """Per-job rows for a sweep of solve results.
 
     ``results`` are :class:`repro.service.results.JobResult`-shaped objects
     (duck-typed so this module stays independent of the service layer).

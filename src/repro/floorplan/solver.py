@@ -297,7 +297,7 @@ def run_job(job) -> SolveReport:
     ``heuristic``, ``weights``, ``lexicographic``) — duck-typed so this module
     does not depend on the service layer.  The function holds no state and
     returns a :meth:`SolveReport.portable` report, which makes it safe to run
-    inside :class:`concurrent.futures.ProcessPoolExecutor` workers.
+    on any thread or in any process.
     """
     solver = FloorplanSolver(
         job.problem,
@@ -309,7 +309,7 @@ def run_job(job) -> SolveReport:
     # Collect solver stage timings (floorplan.ho_seed, floorplan.build,
     # milp.lower, milp.search, floorplan.postsolve) on this thread so the serving layers
     # can attach them to the request trace — the collector is thread-local,
-    # which is exactly what survives the executor pools the service uses.
+    # and each solve runs start to end on one of the gateway's solver threads.
     with collect_stages() as stages:
         report = solver.solve(weights=job.weights, lexicographic=job.lexicographic)
     portable = report.portable()

@@ -1,6 +1,6 @@
 """Async solve gateway: the network front door of the solver fleet.
 
-Everything built below this package — the MILP pipeline, the batch service,
+Everything built below this package — the MILP pipeline, the solve service,
 the portfolio — is a blocking library call.  ``repro.server`` turns it into a
 system: an asyncio JSON-over-HTTP gateway that validates and fingerprints
 incoming solve requests (:mod:`~repro.server.protocol`; a repeated body is

@@ -1,4 +1,4 @@
-"""Batch-solving service: jobs, caching, parallel execution, portfolio, sweeps.
+"""Solving service: jobs, caching, the one solve entry point, portfolio, sweeps.
 
 The library core (:mod:`repro.floorplan`) answers one floorplanning question
 per blocking call.  This package turns those calls into *jobs* that a
@@ -8,24 +8,31 @@ production deployment can throw traffic at:
   with a deterministic content hash;
 * :mod:`~repro.service.cache` — :class:`SolveCache`, a content-addressed
   in-memory + JSON-on-disk result store;
-* :mod:`~repro.service.executor` — :class:`BatchSolver`, a process-pool
-  fan-out with job deduplication and streamed results;
+* :mod:`~repro.service.executor` — :func:`execute_job`, one job solved into
+  one flat result, errors captured (the gateway's solver threads call it);
 * :mod:`~repro.service.portfolio` — the strategy portfolio (O / HO variants /
   annealing) run in turn under a shared deadline, best result kept;
 * :mod:`~repro.service.sweep` — scenario grids (devices x workloads x
   relocation specs) expanded into job lists;
-* :mod:`~repro.service.results` — :class:`JobResult` records and the
-  aggregate :class:`SweepReport`.
+* :mod:`~repro.service.results` — :class:`JobResult`, the record a solve
+  returns and the cache stores.
 
 Quickstart::
 
-    from repro.service import BatchSolver, SolveCache, SolveJob
+    import dataclasses
+
+    from repro.service import SolveCache, SolveJob, execute_job
 
     cache = SolveCache("results/cache")
-    solver = BatchSolver(cache=cache)
-    report = solver.solve_all([SolveJob(problem) for problem in problems])
-    print(report.summary())
-    print(report.format())
+    for job in [SolveJob(problem) for problem in problems]:
+        result = cache.get(job.fingerprint)
+        if result is not None:
+            result = dataclasses.replace(result, cached=True)
+        else:
+            result = execute_job(job)
+            if result.status != "error":  # failures are retried, not cached
+                cache.put(result)
+        print(result.job_name, result.status, result.wasted_frames)
 """
 
 from repro._lazy import lazy_exports
@@ -39,8 +46,8 @@ _EXPORTS = {
         "cache_migration",
         "migrate_entry",
     ],
-    "repro.service.executor": ["BatchSolver", "execute_job"],
-    "repro.service.results": ["JobResult", "SweepReport"],
+    "repro.service.executor": ["execute_job"],
+    "repro.service.results": ["JobResult"],
     "repro.service.portfolio": [
         "Strategy",
         "DEFAULT_STRATEGIES",
@@ -48,7 +55,7 @@ _EXPORTS = {
         "run_portfolio",
         "run_strategy",
     ],
-    "repro.service.sweep": ["sweep_jobs", "run_sweep", "constraint_for"],
+    "repro.service.sweep": ["sweep_jobs", "constraint_for"],
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

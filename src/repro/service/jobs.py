@@ -5,7 +5,8 @@ A :class:`SolveJob` captures *everything* that determines the outcome of one
 regions, connectivity), the relocation spec, the solve mode, the MILP options
 and the objective weights.  Two jobs with identical content produce identical
 fingerprints, which is what makes the solve cache (:mod:`repro.service.cache`)
-content-addressed and lets the batch executor deduplicate identical work.
+content-addressed and lets the gateway solve concurrent repeats of one job
+once.
 
 The fingerprint is a SHA-256 over a canonical JSON encoding: dictionaries are
 key-sorted, floats are repr-encoded, and collections that carry no semantic
@@ -104,7 +105,7 @@ def relocation_spec_dict(spec: Optional[RelocationSpec]) -> List[Dict[str, objec
 
 @dataclasses.dataclass
 class SolveJob:
-    """One unit of floorplanning work for the batch service.
+    """One unit of floorplanning work for the solving service.
 
     Attributes
     ----------

@@ -1,9 +1,9 @@
-"""Result records produced by the batch service and sweep aggregation.
+"""The result record of one solve job.
 
-:class:`JobResult` is the flat, JSON-round-trippable record stored in the
-solve cache and streamed out of the batch executor; :class:`SweepReport`
-aggregates a grid of them into the tables wired through
-:mod:`repro.analysis.report`.
+:class:`JobResult` is the flat, JSON-round-trippable record that
+:func:`~repro.service.executor.execute_job` returns and the solve cache
+stores; :func:`repro.analysis.report.sweep_table_rows` turns a list of them
+into table rows.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from typing import Dict, List, Mapping, Optional
-
-from repro.analysis.report import SWEEP_HEADERS, format_table, sweep_table_rows
 
 
 @dataclasses.dataclass
@@ -152,74 +150,3 @@ class JobResult:
             self.job_name,
         )
 
-
-@dataclasses.dataclass
-class SweepReport:
-    """Aggregate outcome of one batch/sweep run.
-
-    Attributes
-    ----------
-    results:
-        One :class:`JobResult` per submitted job, in submission order
-        (deduplicated jobs share the same underlying record content).
-    wall_time:
-        Wall-clock seconds for the whole batch, including scheduling.
-    cache_hits, cache_misses:
-        How many submitted jobs were served from the solve cache vs. solved.
-    """
-
-    results: List[JobResult]
-    wall_time: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.results)
-
-    @property
-    def num_feasible(self) -> int:
-        """Jobs that produced a verified-feasible floorplan."""
-        return sum(1 for result in self.results if result.feasible)
-
-    @property
-    def num_errors(self) -> int:
-        """Jobs whose execution failed."""
-        return sum(1 for result in self.results if result.status == "error")
-
-    @property
-    def total_solve_time(self) -> float:
-        """Sum of per-job backend solve times (the sequential-cost proxy)."""
-        return sum(result.solve_time for result in self.results)
-
-    @property
-    def parallel_speedup(self) -> float:
-        """Aggregate solver seconds divided by batch wall-clock seconds."""
-        if self.wall_time <= 0:
-            return float("inf")
-        return self.total_solve_time / self.wall_time
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of submitted jobs served from the cache."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    # ------------------------------------------------------------------
-    def rows(self) -> List[List[object]]:
-        """Per-job metric rows (see :func:`repro.analysis.report.sweep_table_rows`)."""
-        return sweep_table_rows(self.results)
-
-    def format(self, title: str | None = None) -> str:
-        """The per-job metrics table as fixed-width text."""
-        return format_table(SWEEP_HEADERS, self.rows(), title=title)
-
-    def summary(self) -> str:
-        """One-line aggregate summary."""
-        return (
-            f"{len(self.results)} jobs: {self.num_feasible} feasible, "
-            f"{self.num_errors} errors, {self.cache_hits} cache hits "
-            f"({100 * self.hit_rate:.0f}%), wall {self.wall_time:.2f}s, "
-            f"solver {self.total_solve_time:.2f}s "
-            f"(speedup {self.parallel_speedup:.1f}x)"
-        )

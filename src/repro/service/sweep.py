@@ -1,8 +1,8 @@
-"""Scenario-sweep driver: cross devices x workloads x relocation specs.
+"""Scenario sweeps: cross devices x workloads x relocation specs into jobs.
 
-A sweep expands a grid of scenarios into concrete
-:class:`~repro.service.jobs.SolveJob` lists and hands them to the
-:class:`~repro.service.executor.BatchSolver`.  Problems are built once per
+A sweep expands a grid of scenarios into a concrete
+:class:`~repro.service.jobs.SolveJob` list; each job is then one
+:func:`~repro.service.executor.execute_job` call.  Problems are built once per
 ``(device, workload config)`` cell and shared by every relocation/mode
 variant, so the expensive part of the cross product — device construction and
 synthetic generation — is not repeated.
@@ -21,10 +21,7 @@ from repro.floorplan.metrics import ObjectiveWeights
 from repro.floorplan.problem import FloorplanProblem
 from repro.milp import SolverOptions
 from repro.relocation.spec import RelocationSpec
-from repro.service.cache import SolveCache
-from repro.service.executor import BatchSolver
 from repro.service.jobs import SolveJob
-from repro.service.results import SweepReport
 from repro.workloads.synthetic import SyntheticWorkloadConfig, synthetic_problem
 
 RelocationEntry = Union[
@@ -96,13 +93,3 @@ def sweep_jobs(
                     )
     return jobs
 
-
-def run_sweep(
-    jobs: Sequence[SolveJob],
-    cache: Optional[SolveCache] = None,
-    max_workers: Optional[int] = None,
-    executor: str = "process",
-) -> SweepReport:
-    """Solve a job grid with a :class:`BatchSolver` and aggregate the results."""
-    solver = BatchSolver(cache=cache, max_workers=max_workers, executor=executor)
-    return solver.solve_all(jobs)

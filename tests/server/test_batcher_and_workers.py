@@ -299,6 +299,21 @@ class TestWorkerPool:
         assert result.status != "error" and not result.cached
         assert job.fingerprint in cache
 
+    def test_error_results_are_never_cached_and_are_retried(self):
+        cache = SolveCache()
+        pool = WorkerPool(cache=cache, threads=1)
+        job = dataclasses.replace(make_job(0), options=SolverOptions(backend="no-such-backend"))
+
+        async def twice():
+            return [await pool.solve(job), await pool.solve(job)]
+
+        results = asyncio.run(twice())
+        pool.shutdown()
+        for result in results:  # the repeat is solved again, and fails again
+            assert result.status == "error" and not result.cached
+            assert "no-such-backend" in result.error
+        assert cache.stats.stores == 0 and job.fingerprint not in cache
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             WorkerPool(threads=0)

@@ -478,7 +478,7 @@ class TestStaggeredMisses:
 
 class TestRealSolveEndToEnd:
     def test_one_real_milp_solve_through_http(self):
-        """Full stack, no stubs: HTTP -> protocol -> batcher -> BatchSolver."""
+        """Full stack, no stubs: HTTP -> protocol -> batcher -> WorkerPool -> execute_job."""
         payload = demo_payloads(unique=1, time_limit=30.0)[0]
         config = GatewayConfig(port=0, solver_threads=1)
         with BackgroundGateway(config) as gw:
