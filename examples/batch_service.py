@@ -1,11 +1,9 @@
 #!/usr/bin/env python
-"""Solving service walkthrough: a cached sweep, then a strategy portfolio.
+"""Solving service walkthrough: a cached sweep.
 
 Expands a devices x workloads x relocation-specs grid into content-hashed
-solve jobs and solves each with ``execute_job`` behind an on-disk solve
-cache, re-runs the sweep to show the 100% warm-cache replay, and finally runs
-the O / HO / annealing strategies in turn on the hardest instance of the
-grid, keeping the best feasible floorplan.
+solve jobs, solves each with ``execute_job`` behind an on-disk solve cache,
+and re-runs the sweep to show the 100% warm-cache replay.
 
 Run with::
 
@@ -16,7 +14,7 @@ import dataclasses
 import tempfile
 import time
 
-from repro import SolverOptions, run_portfolio, sweep_jobs, synthetic_device
+from repro import SolverOptions, sweep_jobs, synthetic_device
 from repro.analysis import SWEEP_HEADERS, format_table, sweep_table_rows
 from repro.service import SolveCache, constraint_for, execute_job
 from repro.workloads.synthetic import config_grid
@@ -72,17 +70,7 @@ def main() -> None:
         # 3. warm sweep: identical jobs -> 100% cache hits, no solver calls
         started = time.perf_counter()
         replay = solve_all(jobs, cache)
-        print("replay:", summary(replay, time.perf_counter() - started), "\n")
-
-    # 4. strategy portfolio on one instance: the best feasible result wins
-    hardest = max(jobs, key=lambda job: len(job.problem.regions))
-    result = run_portfolio(
-        hardest.problem,
-        relocation=hardest.relocation,
-        options=SolverOptions(time_limit=30, mip_gap=0.05),
-        deadline=90,
-    )
-    print("portfolio:", result.summary())
+        print("replay:", summary(replay, time.perf_counter() - started))
 
 
 if __name__ == "__main__":

@@ -18,8 +18,7 @@ The public API re-exported here is the surface a downstream user needs:
   generators;
 * analysis (:mod:`repro.analysis`): ASCII floorplan rendering and tables;
 * solving service (:mod:`repro.service`): content-addressed solve caching,
-  the one solve entry point (``execute_job``), a strategy portfolio and
-  scenario sweeps;
+  the one solve entry point (``execute_job``) and scenario sweeps;
 * online simulation (:mod:`repro.sim`): discrete-event simulation of the
   runtime under stochastic traffic, fault injection and live
   re-floorplanning policies;
@@ -122,7 +121,7 @@ _EXPORTS = {
         "SolveJob",
         "SolveCache",
         "sweep_jobs",
-        "run_portfolio",
+        "execute_job",
     ],
     "repro.server": ["SolveGateway", "GatewayConfig", "BackgroundGateway"],
     "repro.fleet": [

@@ -23,6 +23,7 @@ the id and therefore saw the request first.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 from typing import Dict, Iterable, List, Mapping, Optional
@@ -83,14 +84,26 @@ def load_trace_docs(path: str) -> List[Dict[str, object]]:
 def fetch_trace_docs(
     host: str, port: int, limit: int = 500, timeout: float = 10.0
 ) -> List[Dict[str, object]]:
-    """Full trace documents from a live gateway or router's debug endpoint."""
-    from urllib.request import urlopen
+    """Full trace documents from a live gateway or router's debug endpoint.
 
-    url = f"http://{host}:{port}/debug/traces?full=1&limit={int(limit)}"
-    with urlopen(url, timeout=timeout) as response:  # noqa: S310 — http only
-        data = json.loads(response.read())
-    traces = data.get("traces", []) if isinstance(data, dict) else []
-    return [doc for doc in traces if isinstance(doc, dict)]
+    Raises :class:`OSError` when the endpoint cannot be reached within
+    ``timeout`` seconds or answers anything but a 200 JSON object (a gateway
+    with tracing off answers 404).
+    """
+    # imported here so the offline capture paths load no HTTP client
+    from repro.server.http import TRACES_PATH
+    from repro.server.loadgen import GatewayClient
+
+    async def fetch():
+        async with GatewayClient(host, port) as client:
+            return await client.request(
+                "GET", f"{TRACES_PATH}?full=1&limit={int(limit)}"
+            )
+
+    status, data = asyncio.run(asyncio.wait_for(fetch(), timeout))
+    if status != 200 or not isinstance(data, dict):
+        raise ConnectionError(f"{host}:{port} {TRACES_PATH} answered {status}")
+    return [doc for doc in data.get("traces", []) if isinstance(doc, dict)]
 
 
 def _is_origin(doc: Mapping[str, object]) -> bool:

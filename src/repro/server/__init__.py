@@ -1,7 +1,7 @@
 """Async solve gateway: the network front door of the solver fleet.
 
-Everything built below this package — the MILP pipeline, the solve service,
-the portfolio — is a blocking library call.  ``repro.server`` turns it into a
+Everything built below this package — the MILP pipeline and the solve
+service — is a blocking library call.  ``repro.server`` turns it into a
 system: an asyncio JSON-over-HTTP gateway that validates and fingerprints
 incoming solve requests (:mod:`~repro.server.protocol`; a repeated body is
 keyed from a bounded decode memo without a parse), answers repeats inline

@@ -1,4 +1,4 @@
-"""Solving service: jobs, caching, the one solve entry point, portfolio, sweeps.
+"""Solving service: jobs, caching, the one solve entry point, sweeps.
 
 The library core (:mod:`repro.floorplan`) answers one floorplanning question
 per blocking call.  This package turns those calls into *jobs* that a
@@ -10,8 +10,6 @@ production deployment can throw traffic at:
   in-memory + JSON-on-disk result store;
 * :mod:`~repro.service.executor` — :func:`execute_job`, one job solved into
   one flat result, errors captured (the gateway's solver threads call it);
-* :mod:`~repro.service.portfolio` — the strategy portfolio (O / HO variants /
-  annealing) run in turn under a shared deadline, best result kept;
 * :mod:`~repro.service.sweep` — scenario grids (devices x workloads x
   relocation specs) expanded into job lists;
 * :mod:`~repro.service.results` — :class:`JobResult`, the record a solve
@@ -48,13 +46,6 @@ _EXPORTS = {
     ],
     "repro.service.executor": ["execute_job"],
     "repro.service.results": ["JobResult"],
-    "repro.service.portfolio": [
-        "Strategy",
-        "DEFAULT_STRATEGIES",
-        "PortfolioResult",
-        "run_portfolio",
-        "run_strategy",
-    ],
     "repro.service.sweep": ["sweep_jobs", "constraint_for"],
 }
 

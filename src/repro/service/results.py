@@ -137,16 +137,3 @@ class JobResult:
         if self.metrics is None:
             return None
         return float(self.metrics["wirelength"])
-
-    def objective_key(self):
-        """Deterministic comparison key: fewer wasted frames, then shorter
-        wires, then the job name as a tie breaker."""
-        wasted = self.wasted_frames
-        wires = self.wirelength
-        return (
-            0 if self.feasible else 1,
-            wasted if wasted is not None else float("inf"),
-            wires if wires is not None else float("inf"),
-            self.job_name,
-        )
-

@@ -5,8 +5,8 @@ system: stochastic traffic (:mod:`~repro.sim.traffic`) emits timed
 mode-activation requests per region, a fault plan (:mod:`~repro.sim.faults`)
 breaks fabric under live modules, a decision policy
 (:mod:`~repro.sim.policies`) serves each request — reconfigure in place,
-relocate into floorplanner-reserved free areas, or re-floorplan live through
-the :mod:`repro.service` portfolio — and the engine
+relocate into floorplanner-reserved free areas, or re-floorplan live with one
+O-mode :mod:`repro.service` solve — and the engine
 (:mod:`~repro.sim.engine`) plays everything on seeded virtual time with
 reconfiguration-port contention and per-region busy periods.  Statistics
 (:mod:`~repro.sim.stats`) aggregate into the latency/utilization tables of

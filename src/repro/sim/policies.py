@@ -9,9 +9,9 @@ A policy is handed the live :class:`ReconfigurationManager` and one
   the loaded module into a reserved free-compatible area first, then load the
   requested mode there;
 * :class:`ResolveViaService` — escalate past relocation: when neither
-  in-place nor relocation can serve the request, re-floorplan live through
-  the :mod:`repro.service` portfolio (under a solver deadline budget), swap
-  in a manager on the new floorplan and reload the displaced modules.
+  in-place nor relocation can serve the request, re-floorplan live with one
+  O-mode :func:`~repro.service.executor.execute_job` solve, swap in a
+  manager on the new floorplan and reload the displaced modules.
 
 Policies return a :class:`PolicyOutcome`; the engine turns ``frames`` into
 service time on the reconfiguration port and ``extra_time`` into additional
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.floorplan.metrics import ObjectiveWeights
 from repro.milp import SolverOptions
@@ -148,15 +148,16 @@ class RelocateFirst(Policy):
 
 
 class ResolveViaService(Policy):
-    """Escalate to a live re-floorplan through the service portfolio.
+    """Escalate to a live re-floorplan: one O-mode solve of the masked problem.
 
     Requests are first tried with :class:`RelocateFirst`; when that blocks,
-    the floorplanning problem is re-solved via
-    :func:`repro.service.portfolio.run_portfolio` (strategies run in order,
-    best result kept — fully deterministic), a fresh manager is built on the
-    winning floorplan, previously-loaded modules are reloaded at their new
-    homes and the request is served there.  The sim charges ``resolve_latency`` virtual
-    seconds for the re-solve, standing in for the solver deadline budget.
+    the fault-masked floorplanning problem is re-solved as one O-mode
+    :class:`~repro.service.jobs.SolveJob` through
+    :func:`~repro.service.executor.execute_job` (in-process, so
+    deterministic), a fresh manager is built on the new floorplan,
+    previously-loaded modules are reloaded at their new homes and the request
+    is served there.  The sim charges ``resolve_latency`` virtual seconds for
+    the re-solve, standing in for the solver's ``time_limit``.
     """
 
     name = "resolve-via-service"
@@ -164,18 +165,14 @@ class ResolveViaService(Policy):
     def __init__(
         self,
         options: Optional[SolverOptions] = None,
-        strategies: Optional[Sequence] = None,
         weights: Optional[ObjectiveWeights] = None,
-        deadline: Optional[float] = None,
         resolve_latency: float = 1.0,
         relocation: Optional[RelocationSpec] = None,
     ) -> None:
         if resolve_latency < 0:
             raise ValueError("resolve_latency must be non-negative")
         self.options = options or SolverOptions(time_limit=30, mip_gap=0.05)
-        self.strategies = strategies
         self.weights = weights
-        self.deadline = deadline
         self.resolve_latency = float(resolve_latency)
         self.relocation = relocation
         self._fallback = RelocateFirst()
@@ -205,7 +202,8 @@ class ResolveViaService(Policy):
     def _resolve(
         self, manager: ReconfigurationManager, request: ModeRequest, reason: str
     ) -> PolicyOutcome:
-        from repro.service.portfolio import DEFAULT_STRATEGIES, run_portfolio
+        from repro.service.executor import execute_job
+        from repro.service.jobs import SolveJob
         from repro.sim.faults import fault_masked_problem
 
         self.resolve_count += 1
@@ -214,16 +212,16 @@ class ResolveViaService(Policy):
         problem = fault_masked_problem(
             manager.floorplan.problem, manager.faulty_rects
         )
-        result = run_portfolio(
-            problem,
-            relocation=self._relocation_spec(manager),
-            options=self.options,
-            weights=self.weights,
-            strategies=self.strategies or DEFAULT_STRATEGIES,
-            deadline=self.deadline,
+        result = execute_job(
+            SolveJob(
+                problem=problem,
+                relocation=self._relocation_spec(manager),
+                mode="O",
+                options=self.options,
+                weights=self.weights,
+            )
         )
-        winner = result.winner_result
-        if winner is None or winner.floorplan is None:
+        if not result.feasible or result.floorplan is None:
             return PolicyOutcome(
                 ok=False,
                 action="blocked",
@@ -233,7 +231,7 @@ class ResolveViaService(Policy):
 
         from repro.floorplan.placement import Floorplan
 
-        floorplan = Floorplan.from_dict(problem, winner.floorplan)
+        floorplan = Floorplan.from_dict(problem, result.floorplan)
 
         # the replacement manager keeps the same bitstream cache store
         # (counters and capacity persist across the swap; entries are

@@ -15,6 +15,7 @@ from repro.obs.capture import (
 )
 from repro.obs.__main__ import main as obs_main
 from repro.runtime.scheduler import ModeSchedule
+from repro.server.gateway import BackgroundGateway, GatewayConfig
 from repro.sim.traffic import TraceReplayTraffic
 
 
@@ -134,3 +135,13 @@ class TestExportCli:
         source.write_text("")
         assert obs_main(["export", str(source), "-o", str(tmp_path / "c.json")]) == 1
         assert "no replayable" in capsys.readouterr().err
+
+    def test_export_fails_cleanly_against_a_gateway_with_tracing_off(
+        self, tmp_path, capsys
+    ):
+        with BackgroundGateway(GatewayConfig(port=0, tracing=False)) as gateway:
+            endpoint = f"{gateway.host}:{gateway.port}"
+            out = tmp_path / "c.json"
+            assert obs_main(["export", endpoint, "-o", str(out)]) == 1
+        assert "export FAIL: cannot fetch traces" in capsys.readouterr().err
+        assert not out.exists()

@@ -107,13 +107,6 @@ class TestJobResultRoundTrip:
     def test_metric_accessors(self):
         assert make_result().wasted_frames == 4
         assert make_result(metrics=None).wasted_frames is None
-        assert make_result().objective_key() < make_result(
-            metrics={"wasted_frames": 9, "wirelength": 1.0}
-        ).objective_key()
-        # infeasible sorts after any feasible result
-        assert make_result().objective_key() < make_result(
-            feasible=False, metrics=None
-        ).objective_key()
 
 
 class TestSolveCache:

@@ -1,5 +1,4 @@
-"""The solve entry point, a cached sweep solve, sweep expansion and the
-strategy portfolio.
+"""The solve entry point, a cached sweep solve and sweep expansion.
 
 The tests share one module-scoped job grid (8 jobs on a small device) and one
 cold solve of it through the solver thread pool, so the whole file adds a few
@@ -10,7 +9,6 @@ import asyncio
 import dataclasses
 import math
 import os
-import time
 
 import pytest
 
@@ -23,32 +21,13 @@ from repro.service import (
     JobResult,
     SolveCache,
     SolveJob,
-    Strategy,
     execute_job,
-    portfolio,
-    run_portfolio,
     sweep_jobs,
 )
-from repro.service.portfolio import DEFAULT_STRATEGIES, _pick_winner
 from repro.service.sweep import constraint_for
 from repro.workloads.synthetic import config_grid
 
 FAST = SolverOptions(time_limit=30, mip_gap=0.05)
-
-
-def fake_result(name, wasted, wires, feasible=True):
-    return JobResult(
-        fingerprint="",
-        job_name=name,
-        status="optimal" if feasible else "infeasible",
-        feasible=feasible,
-        objective=0.0,
-        solve_time=0.0,
-        wall_time=0.0,
-        backend="",
-        mode="O",
-        metrics={"wasted_frames": wasted, "wirelength": wires},
-    )
 
 
 @pytest.fixture(scope="module")
@@ -242,125 +221,6 @@ class TestSweepJobs:
         assert spec.total_copies == 1
 
 
-class TestPortfolio:
-    @pytest.fixture(scope="class")
-    def race(self, grid_jobs):
-        job = grid_jobs[0]
-        return run_portfolio(
-            job.problem,
-            options=FAST,
-            strategies=(
-                Strategy("HO-tessellation", kind="milp", mode="HO"),
-                Strategy("annealing", kind="annealing"),
-            ),
-        )
-
-    def test_winner_is_best_feasible_by_objective_key(self, race):
-        feasible = {
-            name: outcome
-            for name, outcome in race.outcomes.items()
-            if outcome.feasible
-        }
-        assert feasible, "at least one strategy must solve the instance"
-        expected = min(feasible, key=lambda name: feasible[name].objective_key())
-        assert race.winner == expected
-        assert race.winner_result is feasible[race.winner]
-
-    def test_every_strategy_reported(self, race):
-        assert list(race.outcomes) == ["HO-tessellation", "annealing"]
-        assert "winner=" in race.summary()
-
-    def test_expired_deadline_marks_everything(self, grid_jobs):
-        result = run_portfolio(
-            grid_jobs[0].problem,
-            options=FAST,
-            deadline=0.0,
-        )
-        assert result.winner is None
-        assert all(o.status == "deadline" for o in result.outcomes.values())
-
-    def test_pick_winner_prefers_fewer_wasted_frames(self):
-        names = ["a", "b", "c", "d"]
-        outcomes = {
-            "a": fake_result("a", wasted=10, wires=1.0),
-            "b": fake_result("b", wasted=4, wires=9.0),
-            "c": fake_result("c", wasted=4, wires=2.0),
-            "d": fake_result("d", wasted=0, wires=0.0, feasible=False),
-        }
-        # fewest wasted frames wins; wirelength breaks the tie; infeasible
-        # results never win no matter their metrics
-        assert _pick_winner(names, outcomes) == "c"
-
-    def test_deadline_after_first_strategy_keeps_its_result(self, grid_jobs, monkeypatch):
-        calls = []
-
-        def stub(strategy, problem, relocation=None, options=None, weights=None):
-            calls.append(strategy.name)
-            time.sleep(0.05)  # the shared deadline passes while this one runs
-            return fake_result(strategy.name, wasted=3, wires=1.0)
-
-        monkeypatch.setattr(portfolio, "run_strategy", stub)
-        result = run_portfolio(
-            grid_jobs[0].problem,
-            strategies=(
-                Strategy("first"),
-                Strategy("second", mode="HO"),
-                Strategy("third", kind="annealing"),
-            ),
-            deadline=0.01,
-        )
-        assert calls == ["first"]
-        assert list(result.outcomes) == ["first", "second", "third"]
-        assert result.outcomes["first"].status == "optimal"
-        assert result.outcomes["second"].status == "deadline"
-        assert result.outcomes["third"].status == "deadline"
-        assert result.winner == "first"
-
-    def test_default_strategies_run_in_order_and_best_wins(self, grid_jobs, monkeypatch):
-        scores = {
-            "O": (6, 1.0),
-            "HO-tessellation": (2, 3.0),
-            "HO-first-fit": (2, 1.5),
-            "annealing": (9, 0.5),
-        }
-        calls = []
-
-        def stub(strategy, problem, relocation=None, options=None, weights=None):
-            calls.append(strategy.name)
-            wasted, wires = scores[strategy.name]
-            return fake_result(strategy.name, wasted=wasted, wires=wires)
-
-        monkeypatch.setattr(portfolio, "run_strategy", stub)
-        result = run_portfolio(grid_jobs[0].problem)
-        assert calls == [strategy.name for strategy in DEFAULT_STRATEGIES]
-        assert list(result.outcomes) == calls
-        assert result.winner == "HO-first-fit"
-
-    def test_crashing_annealing_strategy_is_captured(self, grid_jobs, monkeypatch):
-        import repro.baselines.annealing as annealing_mod
-
-        def boom(problem, options=None):
-            raise RuntimeError("annealer exploded")
-
-        monkeypatch.setattr(annealing_mod, "annealing_floorplan", boom)
-        result = run_portfolio(
-            grid_jobs[0].problem,
-            options=FAST,
-            strategies=(Strategy("annealing", kind="annealing"),),
-        )
-        outcome = result.outcomes["annealing"]
-        assert outcome.status == "error"
-        assert "annealer exploded" in outcome.error
-        assert result.winner is None
-
-    def test_duplicate_strategy_names_rejected(self, grid_jobs):
-        with pytest.raises(ValueError):
-            run_portfolio(
-                grid_jobs[0].problem,
-                strategies=(Strategy("x"), Strategy("x")),
-            )
-
-
 class TestTopLevelExports:
     def test_service_surface_reexported(self):
         import repro
@@ -369,7 +229,7 @@ class TestTopLevelExports:
             "SolveJob",
             "SolveCache",
             "sweep_jobs",
-            "run_portfolio",
+            "execute_job",
         ):
             assert name in repro.__all__ and hasattr(repro, name)
 

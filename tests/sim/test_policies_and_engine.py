@@ -4,11 +4,14 @@ import pytest
 
 from repro.device.resources import ResourceVector
 from repro.floorplan.geometry import Rect
+from repro.floorplan.metrics import evaluate_floorplan
 from repro.floorplan.placement import Floorplan
 from repro.floorplan.problem import FloorplanProblem, Region
+from repro.floorplan.verify import verify_floorplan
+from repro.milp import SolverOptions
 from repro.runtime import EventKind, ReconfigurationManager
 from repro.runtime.scheduler import round_robin_schedule
-from repro.service.portfolio import Strategy
+from repro.service import SolveJob, execute_job
 from repro.sim import (
     ModeRequest,
     PoissonTraffic,
@@ -21,6 +24,7 @@ from repro.sim import (
     SimConfig,
     SimulationEngine,
     TraceReplayTraffic,
+    fault_masked_problem,
 )
 
 
@@ -215,29 +219,32 @@ class TestEngineEndToEnd:
         assert stats["size"] <= stats["capacity"]
 
 
+def run_refloorplan_scenario(report, options):
+    """Serve a round-robin trace while a fault lands on ``alpha``, a region
+    with no reserved free area, forcing one live re-floorplan."""
+    manager = ReconfigurationManager(report.floorplan)
+    policy = ResolveViaService(options=options, resolve_latency=0.5)
+    schedule = round_robin_schedule(
+        ["alpha", "beta", "gamma"], modes_per_region=2, rounds=2
+    ).with_dwells([1.0] * 6)
+    engine = SimulationEngine(
+        manager,
+        traffic=TraceReplayTraffic(schedule),
+        policy=policy,
+        faults=ScheduledFaults([(2.5, "alpha")]),
+        config=SimConfig(horizon=30.0, seconds_per_frame=1e-3),
+    )
+    return manager, policy, engine.run()
+
+
 class TestResolveViaService:
-    def test_refloorplan_recovers_an_unrelocatable_region(
-        self, tiny_relocation_solution, fast_options
-    ):
+    @pytest.fixture(scope="class")
+    def scenario(self, tiny_relocation_solution, fast_options):
         report, _ = tiny_relocation_solution
-        manager = ReconfigurationManager(report.floorplan)
-        policy = ResolveViaService(
-            options=fast_options,
-            strategies=[Strategy("HO-tessellation", kind="milp", mode="HO")],
-            resolve_latency=0.5,
-        )
-        schedule = round_robin_schedule(
-            ["alpha", "beta", "gamma"], modes_per_region=2, rounds=2
-        ).with_dwells([1.0] * 6)
-        # alpha has no reserved free area: the fault forces a live re-floorplan
-        engine = SimulationEngine(
-            manager,
-            traffic=TraceReplayTraffic(schedule),
-            policy=policy,
-            faults=ScheduledFaults([(2.5, "alpha")]),
-            config=SimConfig(horizon=30.0, seconds_per_frame=1e-3),
-        )
-        result = engine.run()
+        return run_refloorplan_scenario(report, fast_options)
+
+    def test_refloorplan_recovers_an_unrelocatable_region(self, scenario):
+        manager, policy, result = scenario
         assert policy.resolve_count == 1
         assert result.refloorplans == 1
         assert result.stats.actions().get("resolve+reconfigure", 0) == 1
@@ -252,6 +259,45 @@ class TestResolveViaService:
         assert len(result.stats.fault_times) == 1
         # the bitstream cache object survived the manager swap
         assert result.manager.bitstream_cache is manager.bitstream_cache
+
+    def test_swapped_in_floorplan_is_the_verified_o_optimum(
+        self, scenario, tiny_relocation_solution, fast_options
+    ):
+        report, spec = tiny_relocation_solution
+        _, _, result = scenario
+        floorplan = result.manager.floorplan
+        assert verify_floorplan(floorplan).is_feasible
+        direct = execute_job(
+            SolveJob(
+                problem=fault_masked_problem(
+                    report.floorplan.problem, result.manager.faulty_rects
+                ),
+                relocation=spec,
+                mode="O",
+                options=fast_options,
+            )
+        )
+        assert direct.feasible
+        served = evaluate_floorplan(floorplan).objective
+        assert served == pytest.approx(direct.objective)
+        assert served == pytest.approx(0.009821, abs=1e-6)
+
+    def test_report_is_identical_across_runs(
+        self, scenario, tiny_relocation_solution, fast_options
+    ):
+        report, _ = tiny_relocation_solution
+        _, _, again = run_refloorplan_scenario(report, fast_options)
+        assert again.refloorplans == 1
+        assert again.format_report() == scenario[2].format_report()
+
+    def test_a_solve_without_a_floorplan_blocks(self, tiny_relocation_solution):
+        report, _ = tiny_relocation_solution
+        _, policy, result = run_refloorplan_scenario(
+            report, SolverOptions(backend="no-such-backend")
+        )
+        assert policy.resolve_count == 1 and result.refloorplans == 0
+        details = [record.detail for record in result.stats.blocked]
+        assert any("re-floorplan found no feasible placement" in d for d in details)
 
     def test_passes_through_when_relocation_suffices(self, manual_floorplan):
         manager = ReconfigurationManager(manual_floorplan)
