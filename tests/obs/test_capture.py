@@ -1,6 +1,10 @@
 """Capture building, schedule encoding, and both replay front-ends (offline)."""
 
+import asyncio
 import json
+import socket
+import threading
+import time
 
 import pytest
 
@@ -8,6 +12,7 @@ from repro.obs.capture import (
     CAPTURE_SCHEMA_VERSION,
     build_capture,
     capture_schedule,
+    fetch_trace_docs,
     load_capture,
     load_trace_docs,
     select_requests,
@@ -15,7 +20,10 @@ from repro.obs.capture import (
 )
 from repro.obs.__main__ import main as obs_main
 from repro.runtime.scheduler import ModeSchedule
+from repro.server import workers
 from repro.server.gateway import BackgroundGateway, GatewayConfig
+from repro.server.loadgen import GatewayClient, demo_payloads
+from repro.service.results import JobResult
 from repro.sim.traffic import TraceReplayTraffic
 
 
@@ -145,3 +153,101 @@ class TestExportCli:
             assert obs_main(["export", endpoint, "-o", str(out)]) == 1
         assert "export FAIL: cannot fetch traces" in capsys.readouterr().err
         assert not out.exists()
+
+
+def stub_solve(job):
+    return JobResult(
+        fingerprint=job.fingerprint, job_name=job.name, status="optimal",
+        feasible=True, objective=1.0, solve_time=0.0, wall_time=0.0,
+        backend="stub", mode=job.mode,
+    )
+
+
+def send_all(gateway, payloads):
+    async def scenario():
+        async with GatewayClient(gateway.host, gateway.port) as client:
+            return [(await client.solve(payload))[0] for payload in payloads]
+
+    return asyncio.run(scenario())
+
+
+def one_shot_server(response: bytes):
+    """A listening socket that answers its first request with ``response``
+    (``b""``: reads the request and never answers) on a daemon thread."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    done = threading.Event()
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            data = b""
+            while b"\r\n\r\n" not in data:
+                chunk = conn.recv(4096)
+                if not chunk:
+                    break
+                data += chunk
+            if response:
+                conn.sendall(response)
+            done.wait(5.0)
+
+    threading.Thread(target=serve, daemon=True).start()
+    return listener, done
+
+
+class TestFetchTraceDocs:
+    def test_reads_full_documents_from_a_live_gateway(self, monkeypatch):
+        monkeypatch.setattr(workers, "execute_job", stub_solve)
+        payloads = demo_payloads(unique=2, time_limit=5.0)
+        with BackgroundGateway(GatewayConfig(port=0)) as gateway:
+            assert send_all(gateway, payloads) == [200, 200]
+            docs = fetch_trace_docs(gateway.host, gateway.port, limit=10)
+        requests = select_requests(docs)
+        assert len(requests) == 2
+        assert len({request["fingerprint"] for request in requests}) == 2
+        # full documents, not the summaries the endpoint lists by default
+        assert all(isinstance(doc["spans"], list) and doc["spans"] for doc in docs)
+
+    def test_limit_caps_the_documents(self, monkeypatch):
+        monkeypatch.setattr(workers, "execute_job", stub_solve)
+        with BackgroundGateway(GatewayConfig(port=0)) as gateway:
+            send_all(gateway, demo_payloads(unique=3, time_limit=5.0))
+            docs = fetch_trace_docs(gateway.host, gateway.port, limit=1)
+        assert len(docs) == 1
+
+    def test_tracing_off_raises_a_connection_error_naming_the_status(self):
+        with BackgroundGateway(GatewayConfig(port=0, tracing=False)) as gateway:
+            with pytest.raises(ConnectionError, match="answered 404"):
+                fetch_trace_docs(gateway.host, gateway.port)
+
+    def test_a_closed_port_raises_os_error(self):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        with pytest.raises(OSError):
+            fetch_trace_docs("127.0.0.1", port, timeout=5.0)
+
+    def test_a_silent_endpoint_times_out_as_os_error(self):
+        listener, done = one_shot_server(b"")
+        try:
+            started = time.perf_counter()
+            with pytest.raises(OSError):
+                fetch_trace_docs("127.0.0.1", listener.getsockname()[1], timeout=0.2)
+            assert time.perf_counter() - started < 3.0
+        finally:
+            done.set()
+            listener.close()
+
+    def test_a_non_object_answer_raises_a_connection_error(self):
+        listener, done = one_shot_server(
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 2\r\n\r\n[]"
+        )
+        try:
+            with pytest.raises(ConnectionError, match="answered 200"):
+                fetch_trace_docs("127.0.0.1", listener.getsockname()[1], timeout=5.0)
+        finally:
+            done.set()
+            listener.close()

@@ -442,7 +442,9 @@ class TestStreamedAnswers:
 
 
 class TestStaggeredMisses:
-    def test_staggered_misses_each_answer_in_one_solve_time(self, monkeypatch):
+    def test_staggered_misses_each_answer_in_one_solve_time(
+        self, monkeypatch, no_gc_pauses
+    ):
         """Four 0.3 s misses sent 50 ms apart to a gateway with four solver
         threads each answer in about one solve time: none waits for a solve
         to end while a solver thread sits idle."""

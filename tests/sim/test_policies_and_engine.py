@@ -4,14 +4,16 @@ import pytest
 
 from repro.device.resources import ResourceVector
 from repro.floorplan.geometry import Rect
-from repro.floorplan.metrics import evaluate_floorplan
+from repro.floorplan.metrics import ObjectiveWeights, evaluate_floorplan
 from repro.floorplan.placement import Floorplan
 from repro.floorplan.problem import FloorplanProblem, Region
 from repro.floorplan.verify import verify_floorplan
 from repro.milp import SolverOptions
+from repro.relocation.spec import RelocationSpec
 from repro.runtime import EventKind, ReconfigurationManager
 from repro.runtime.scheduler import round_robin_schedule
 from repro.service import SolveJob, execute_job
+from repro.service import executor
 from repro.sim import (
     ModeRequest,
     PoissonTraffic,
@@ -219,11 +221,11 @@ class TestEngineEndToEnd:
         assert stats["size"] <= stats["capacity"]
 
 
-def run_refloorplan_scenario(report, options):
+def run_refloorplan_scenario(report, options, **policy_args):
     """Serve a round-robin trace while a fault lands on ``alpha``, a region
     with no reserved free area, forcing one live re-floorplan."""
     manager = ReconfigurationManager(report.floorplan)
-    policy = ResolveViaService(options=options, resolve_latency=0.5)
+    policy = ResolveViaService(options=options, resolve_latency=0.5, **policy_args)
     schedule = round_robin_schedule(
         ["alpha", "beta", "gamma"], modes_per_region=2, rounds=2
     ).with_dwells([1.0] * 6)
@@ -298,6 +300,48 @@ class TestResolveViaService:
         assert policy.resolve_count == 1 and result.refloorplans == 0
         details = [record.detail for record in result.stats.blocked]
         assert any("re-floorplan found no feasible placement" in d for d in details)
+
+    @pytest.fixture()
+    def solved_jobs(self, monkeypatch):
+        """Every job the policy hands to ``execute_job``, solved for real."""
+        jobs = []
+
+        def recording(job):
+            jobs.append(job)
+            return execute_job(job)
+
+        monkeypatch.setattr(executor, "execute_job", recording)
+        return jobs
+
+    def test_the_resolve_is_one_o_job_with_the_policy_settings(
+        self, solved_jobs, tiny_relocation_solution, fast_options
+    ):
+        report, _ = tiny_relocation_solution
+        weights = ObjectiveWeights(wirelength=0.5, wasted_frames=1.0)
+        _, policy, result = run_refloorplan_scenario(report, fast_options, weights=weights)
+        assert result.refloorplans == 1
+        (job,) = solved_jobs
+        assert job.mode == "O"
+        assert job.options is fast_options and job.weights is weights
+        # the faulty fabric is forbidden in the re-solved problem
+        assert job.problem.device.forbidden
+        assert not report.floorplan.problem.device.forbidden
+        # with no spec given, one hard request per reserved free area
+        assert {r.region: (r.copies, r.hard) for r in job.relocation.requests} == {
+            "beta": (1, True), "gamma": (1, True),
+        }
+
+    def test_a_given_relocation_spec_is_solved_as_given(
+        self, solved_jobs, tiny_relocation_solution, fast_options
+    ):
+        report, _ = tiny_relocation_solution
+        spec = RelocationSpec.as_constraint({"beta": 1})
+        _, _, result = run_refloorplan_scenario(report, fast_options, relocation=spec)
+        assert result.refloorplans == 1
+        (job,) = solved_jobs
+        assert job.relocation is spec
+        free_areas = result.manager.floorplan.free_areas.values()
+        assert [area.compatible_with for area in free_areas] == ["beta"]
 
     def test_passes_through_when_relocation_suffices(self, manual_floorplan):
         manager = ReconfigurationManager(manual_floorplan)
