@@ -23,7 +23,6 @@ the id and therefore saw the request first.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 from typing import Dict, Iterable, List, Mapping, Optional
@@ -92,17 +91,9 @@ def fetch_trace_docs(
     """
     # imported here so the offline capture paths load no HTTP client
     from repro.server.http import TRACES_PATH
-    from repro.server.loadgen import GatewayClient
+    from repro.server.loadgen import fetch_json
 
-    async def fetch():
-        async with GatewayClient(host, port) as client:
-            return await client.request(
-                "GET", f"{TRACES_PATH}?full=1&limit={int(limit)}"
-            )
-
-    status, data = asyncio.run(asyncio.wait_for(fetch(), timeout))
-    if status != 200 or not isinstance(data, dict):
-        raise ConnectionError(f"{host}:{port} {TRACES_PATH} answered {status}")
+    data = fetch_json(host, port, f"{TRACES_PATH}?full=1&limit={int(limit)}", timeout)
     return [doc for doc in data.get("traces", []) if isinstance(doc, dict)]
 
 

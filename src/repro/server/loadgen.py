@@ -43,6 +43,7 @@ __all__ = [
     "run_closed_loop",
     "run_open_loop",
     "run_replay",
+    "fetch_json",
     "fetch_metrics_json",
     "run_fleet_smoke",
 ]
@@ -466,18 +467,29 @@ def run_open_loop(*args, **kwargs) -> LoadResult:
 # ----------------------------------------------------------------------
 # fleet checks
 # ----------------------------------------------------------------------
-async def _fetch_metrics_json(host: str, port: int) -> Dict[str, object]:
-    async with GatewayClient(host, port) as client:
-        status, body = await client.request("GET", "/metrics?format=json")
+def fetch_json(
+    host: str, port: int, path: str, timeout: Optional[float] = None
+) -> Dict[str, object]:
+    """``GET path`` from a gateway or router and return its JSON object.
+
+    Raises :class:`OSError` when the endpoint cannot be reached within
+    ``timeout`` seconds (``None``: no bound) or answers anything but a 200
+    JSON object.
+    """
+    async def fetch():
+        async with GatewayClient(host, port) as client:
+            return await client.request("GET", path)
+
+    status, body = asyncio.run(asyncio.wait_for(fetch(), timeout))
     if status != 200 or not isinstance(body, dict):
-        raise ConnectionError(f"{host}:{port} /metrics?format=json answered {status}")
+        raise ConnectionError(f"{host}:{port} {path} answered {status}")
     return body
 
 
 def fetch_metrics_json(host: str, port: int) -> Dict[str, object]:
     """The machine-readable ``/metrics?format=json`` document of a gateway —
     or, pointed at a fleet router, the fleet-wide roll-up."""
-    return asyncio.run(_fetch_metrics_json(host, port))
+    return fetch_json(host, port, "/metrics?format=json")
 
 
 def run_fleet_smoke(replicas: int = 2, cache_dir: Optional[str] = None) -> int:

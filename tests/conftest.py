@@ -7,8 +7,6 @@ instances.
 
 from __future__ import annotations
 
-import gc
-
 import pytest
 
 from repro.device.catalog import (
@@ -22,24 +20,6 @@ from repro.floorplan.problem import Connection, FloorplanProblem, Region
 from repro.floorplan.solver import FloorplanSolver
 from repro.milp import SolverOptions
 from repro.relocation.spec import RelocationSpec
-
-
-@pytest.fixture()
-def no_gc_pauses():
-    """Collect garbage now and keep the cyclic collector off for the test.
-
-    A full collection of the heap a whole test session builds up stops every
-    thread for tens of milliseconds; a test that times a 50 ms solver budget
-    or a 50 ms latency margin would measure that pause, not the code.
-    """
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 @pytest.fixture(scope="session")

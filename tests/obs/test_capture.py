@@ -1,6 +1,5 @@
 """Capture building, schedule encoding, and both replay front-ends (offline)."""
 
-import asyncio
 import json
 import socket
 import threading
@@ -22,9 +21,9 @@ from repro.obs.__main__ import main as obs_main
 from repro.runtime.scheduler import ModeSchedule
 from repro.server import workers
 from repro.server.gateway import BackgroundGateway, GatewayConfig
-from repro.server.loadgen import GatewayClient, demo_payloads
-from repro.service.results import JobResult
+from repro.server.loadgen import demo_payloads
 from repro.sim.traffic import TraceReplayTraffic
+from tests.server.stubs import canned_result, send_all
 
 
 def trace_doc(tid, start, fingerprint, job, origin="router", remote_parent=None):
@@ -155,22 +154,6 @@ class TestExportCli:
         assert not out.exists()
 
 
-def stub_solve(job):
-    return JobResult(
-        fingerprint=job.fingerprint, job_name=job.name, status="optimal",
-        feasible=True, objective=1.0, solve_time=0.0, wall_time=0.0,
-        backend="stub", mode=job.mode,
-    )
-
-
-def send_all(gateway, payloads):
-    async def scenario():
-        async with GatewayClient(gateway.host, gateway.port) as client:
-            return [(await client.solve(payload))[0] for payload in payloads]
-
-    return asyncio.run(scenario())
-
-
 def one_shot_server(response: bytes):
     """A listening socket that answers its first request with ``response``
     (``b""``: reads the request and never answers) on a daemon thread."""
@@ -198,7 +181,7 @@ def one_shot_server(response: bytes):
 
 class TestFetchTraceDocs:
     def test_reads_full_documents_from_a_live_gateway(self, monkeypatch):
-        monkeypatch.setattr(workers, "execute_job", stub_solve)
+        monkeypatch.setattr(workers, "execute_job", canned_result)
         payloads = demo_payloads(unique=2, time_limit=5.0)
         with BackgroundGateway(GatewayConfig(port=0)) as gateway:
             assert send_all(gateway, payloads) == [200, 200]
@@ -210,7 +193,7 @@ class TestFetchTraceDocs:
         assert all(isinstance(doc["spans"], list) and doc["spans"] for doc in docs)
 
     def test_limit_caps_the_documents(self, monkeypatch):
-        monkeypatch.setattr(workers, "execute_job", stub_solve)
+        monkeypatch.setattr(workers, "execute_job", canned_result)
         with BackgroundGateway(GatewayConfig(port=0)) as gateway:
             send_all(gateway, demo_payloads(unique=3, time_limit=5.0))
             docs = fetch_trace_docs(gateway.host, gateway.port, limit=1)

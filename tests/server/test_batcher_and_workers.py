@@ -13,8 +13,8 @@ from repro.server.batcher import MicroBatcher
 from repro.server.workers import WorkerPool
 from repro.service.cache import SolveCache
 from repro.service.jobs import SolveJob
-from repro.service.results import JobResult
 from repro.workloads.synthetic import SyntheticWorkloadConfig, synthetic_problem
+from tests.server.stubs import canned_result
 
 
 def make_job(seed: int = 0, time_limit: float = 30.0) -> SolveJob:
@@ -22,20 +22,6 @@ def make_job(seed: int = 0, time_limit: float = 30.0) -> SolveJob:
         config=SyntheticWorkloadConfig(num_regions=2, seed=seed)
     )
     return SolveJob(problem, options=SolverOptions(time_limit=time_limit, mip_gap=0.1))
-
-
-def canned_result(job: SolveJob) -> JobResult:
-    return JobResult(
-        fingerprint=job.fingerprint,
-        job_name=job.name,
-        status="optimal",
-        feasible=True,
-        objective=1.0,
-        solve_time=0.0,
-        wall_time=0.0,
-        backend="stub",
-        mode=job.mode,
-    )
 
 
 class RecordingSolver:
@@ -459,21 +445,16 @@ class TestWorkerPoolBrownout:
         assert result.degraded is (status != "optimal")
         assert (job.fingerprint in cache) is (status == "optimal")
 
-    def test_heavy_payloads_answer_verified_floorplans_not_annealing(self, no_gc_pauses):
+    def test_heavy_payloads_answer_verified_floorplans_not_annealing(self):
         """Real solves: a browned-out pool answers two heavy instances with
-        verified floorplans at objective <= 0.02 (annealing scores ~0.063).
-
-        One solver thread: each solve gets a core for its 50 ms floor.  Two
-        real solves at once on a two-core runner share the cores with the
-        event loop and with each other's seeding, and leave the first
-        instance's search ~45 of its 50 ms, a margin any load erases."""
+        verified floorplans at objective <= 0.02 (annealing scores ~0.063)."""
         from repro.floorplan.placement import Floorplan
         from repro.floorplan.verify import verify_floorplan
         from repro.server.loadgen import demo_payloads
         from repro.server.protocol import job_from_dict
 
         jobs = [job_from_dict(payload) for payload in demo_payloads(unique=2, heavy=True)]
-        pool = WorkerPool(cache=SolveCache(), threads=1, brownout=lambda: True)
+        pool = WorkerPool(cache=SolveCache(), threads=2, brownout=lambda: True)
         results = asyncio.run(solve_all(pool, jobs))
         pool.shutdown()
         for job, result in zip(jobs, results):

@@ -17,8 +17,8 @@ from repro.server.gateway import BackgroundGateway, GatewayConfig
 from repro.server.loadgen import GatewayClient, demo_payloads
 from repro.server.protocol import job_from_dict
 from repro.service.cache import SolveCache
-from repro.service.results import JobResult
 
+from tests.server.stubs import canned_result
 from tests.server.test_gateway_e2e import StubWorkerPool, stub_gateway
 
 
@@ -267,11 +267,7 @@ class TestDeadlinesAtDispatch:
             calls.append((job.name, job.options.time_limit, time.monotonic()))
             if job.name == blocker.name:
                 time.sleep(self.BLOCK_S)
-            return JobResult(
-                fingerprint=job.fingerprint, job_name=job.name, status="optimal",
-                feasible=True, objective=1.0, solve_time=0.0, wall_time=0.0,
-                backend="stub", mode=job.mode,
-            )
+            return canned_result(job)
 
         monkeypatch.setattr(workers, "execute_job", execute)
         config = GatewayConfig(port=0, solver_threads=1)

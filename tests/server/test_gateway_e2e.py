@@ -18,8 +18,8 @@ from repro.server.gateway import BackgroundGateway, GatewayConfig
 from repro.server.loadgen import GatewayClient, closed_loop, demo_payloads, open_loop
 from repro.server.protocol import job_from_dict
 from repro.service.cache import SolveCache
-from repro.service.results import JobResult
 from tests.server.malformed_bodies import mutated
+from tests.server.stubs import canned_result
 
 
 class StubWorkerPool:
@@ -52,16 +52,13 @@ class StubWorkerPool:
         await asyncio.sleep(self.delays.get(job.fingerprint, self.delay))
         self.solved += 1
         status = "error" if self.fail else "optimal"
-        result = JobResult(
-            fingerprint=job.fingerprint,
-            job_name=job.name,
+        result = canned_result(
+            job,
             status=status,
             feasible=not self.fail,
             objective=3.0,
             solve_time=0.01,
             wall_time=0.01,
-            backend="stub",
-            mode=job.mode,
             error="stub failure" if self.fail else None,
         )
         result = dataclasses.replace(result, **self.overrides)
@@ -442,9 +439,7 @@ class TestStreamedAnswers:
 
 
 class TestStaggeredMisses:
-    def test_staggered_misses_each_answer_in_one_solve_time(
-        self, monkeypatch, no_gc_pauses
-    ):
+    def test_staggered_misses_each_answer_in_one_solve_time(self, monkeypatch):
         """Four 0.3 s misses sent 50 ms apart to a gateway with four solver
         threads each answer in about one solve time: none waits for a solve
         to end while a solver thread sits idle."""
@@ -452,11 +447,7 @@ class TestStaggeredMisses:
 
         def slow(job):
             time.sleep(0.3)
-            return JobResult(
-                fingerprint=job.fingerprint, job_name=job.name, status="optimal",
-                feasible=True, objective=1.0, solve_time=0.3, wall_time=0.3,
-                backend="stub", mode=job.mode,
-            )
+            return canned_result(job, solve_time=0.3, wall_time=0.3)
 
         monkeypatch.setattr(workers, "execute_job", slow)
         payloads = demo_payloads(unique=4, time_limit=20.0)
