@@ -41,19 +41,24 @@ from repro.floorplan.placement import Floorplan, RegionPlacement, rect_frames, r
 from repro.floorplan.problem import FloorplanProblem, Region
 
 
+# Geometric cooling schedule.
+INITIAL_TEMPERATURE = 50.0
+COOLING = 0.999
+# Weights of the penalized cost: hard-constraint violations dominate, then
+# wasted frames, then wirelength.
+OVERLAP_PENALTY = 500.0
+DEFICIT_PENALTY = 500.0
+FORBIDDEN_PENALTY = 500.0
+WASTED_FRAME_WEIGHT = 1.0
+WIRELENGTH_WEIGHT = 0.2
+
+
 @dataclasses.dataclass
 class AnnealingOptions:
-    """Tuning knobs of the simulated-annealing baseline."""
+    """Run length and RNG seed of the simulated-annealing baseline."""
 
     iterations: int = 20_000
-    initial_temperature: float = 50.0
-    cooling: float = 0.999
     seed: int = 0
-    overlap_penalty: float = 500.0
-    deficit_penalty: float = 500.0
-    forbidden_penalty: float = 500.0
-    wasted_frame_weight: float = 1.0
-    wirelength_weight: float = 0.2
 
 
 def annealing_floorplan(
@@ -88,7 +93,7 @@ def annealing_floorplan(
     if evaluator.feasible(state):
         best_feasible, best_feasible_cost = dict(state), current_cost
 
-    temperature = options.initial_temperature
+    temperature = INITIAL_TEMPERATURE
     region_names = [region.name for region in regions]
 
     for _ in range(options.iterations):
@@ -112,7 +117,7 @@ def annealing_floorplan(
         else:
             evaluator.reject()
             state[name] = old_rect
-        temperature *= options.cooling
+        temperature *= COOLING
 
     chosen = best_feasible if best_feasible is not None else best_state
     status = "annealing" if best_feasible is not None else "annealing-infeasible"
@@ -187,11 +192,13 @@ class _IncrementalCostEvaluator:
     components are integers (exact under any update order) and the wirelength
     is re-accumulated over the per-connection values in connection order —
     the same additions, in the same order, as the reference loop.
+
+    ``options`` is part of the evaluator protocol the reference shares; the
+    cost weights themselves are the module constants.
     """
 
     def __init__(self, problem: FloorplanProblem, options: AnnealingOptions) -> None:
         self.problem = problem
-        self.options = options
         self.device = problem.device
         self.regions: Dict[str, Region] = {r.name: r for r in problem.regions}
         self.required_frames = {
@@ -243,13 +250,12 @@ class _IncrementalCostEvaluator:
         return connection.weight * manhattan(centers[0], centers[1])
 
     def _total_cost(self, wirelength: float, forbidden: int, deficit: int, wasted: int) -> float:
-        options = self.options
         return (
-            options.overlap_penalty * self._overlap_total
-            + options.forbidden_penalty * forbidden
-            + options.deficit_penalty * deficit
-            + options.wasted_frame_weight * wasted
-            + options.wirelength_weight * wirelength
+            OVERLAP_PENALTY * self._overlap_total
+            + FORBIDDEN_PENALTY * forbidden
+            + DEFICIT_PENALTY * deficit
+            + WASTED_FRAME_WEIGHT * wasted
+            + WIRELENGTH_WEIGHT * wirelength
         )
 
     def _summed_components(self) -> Tuple[int, int, int]:

@@ -26,9 +26,9 @@ def crc32(data: bytes | bytearray | Iterable[int], initial: int = 0) -> int:
     return zlib.crc32(data, initial) & 0xFFFFFFFF
 
 
-def crc32_of_words(words: Iterable[int], word_bytes: int = 4) -> int:
-    """CRC-32 of a sequence of little-endian fixed-width integers."""
+def crc32_of_words(words: Iterable[int]) -> int:
+    """CRC-32 of a sequence of little-endian 32-bit words."""
     payload = bytearray()
     for word in words:
-        payload.extend(int(word).to_bytes(word_bytes, "little", signed=False))
+        payload.extend(int(word).to_bytes(4, "little", signed=False))
     return crc32(payload)

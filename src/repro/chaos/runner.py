@@ -190,6 +190,10 @@ def _traffic_thread(
 # ----------------------------------------------------------------------
 # the experiment
 # ----------------------------------------------------------------------
+#: How long the traffic clients get to finish in-flight requests at the end.
+_DRAIN_GRACE_S = 30.0
+
+
 def run_chaos(
     plan: ChaosPlan,
     replicas: int = 2,
@@ -199,7 +203,6 @@ def run_chaos(
     cache_dir: Optional[str] = None,
     server_args: Sequence[str] = (),
     p99_bound_s: float = 30.0,
-    drain_grace: float = 30.0,
 ) -> ChaosReport:
     """Execute ``plan`` against a fresh fleet under closed-loop load."""
     import tempfile
@@ -265,7 +268,7 @@ def run_chaos(
                 event.action.revert(ctx)
                 windows.append((start, horizon))
             stop.set()
-            traffic.join(timeout=drain_grace)
+            traffic.join(timeout=_DRAIN_GRACE_S)
 
         restarts = fleet.manager.total_restarts
 

@@ -258,26 +258,26 @@ class FPGADevice:
         """Tiles available to reconfigurable regions (not forbidden)."""
         return int(self.num_tiles - self._forbidden_mask.sum())
 
-    def _type_counts(self, include_forbidden: bool) -> List[int]:
-        """Tiles of each dense type index over the (usable) fabric."""
-        cells = self._grid if include_forbidden else self._grid[~self._forbidden_mask]
+    def _type_counts(self) -> List[int]:
+        """Tiles of each dense type index over the usable fabric."""
+        cells = self._grid[~self._forbidden_mask]
         return np.bincount(cells.ravel(), minlength=len(self._type_list)).tolist()
 
-    def total_resources(self, include_forbidden: bool = False) -> ResourceVector:
-        """Aggregate resources of the fabric."""
+    def total_resources(self) -> ResourceVector:
+        """Aggregate resources of the usable (not forbidden) fabric."""
         total = ResourceVector.zero()
-        for tile_type, count in zip(self._type_list, self._type_counts(include_forbidden)):
+        for tile_type, count in zip(self._type_list, self._type_counts()):
             total = total + tile_type.resources * count
         return total
 
-    def total_frames(self, include_forbidden: bool = False) -> int:
-        """Aggregate configuration frames of the fabric."""
-        counts = self._type_counts(include_forbidden)
+    def total_frames(self) -> int:
+        """Aggregate configuration frames of the usable fabric."""
+        counts = self._type_counts()
         return sum(tile_type.frames * count for tile_type, count in zip(self._type_list, counts))
 
-    def tile_count_by_type(self, include_forbidden: bool = False) -> Dict[TileType, int]:
-        """Number of tiles of each type (types with no counted tile are omitted)."""
-        counts = self._type_counts(include_forbidden)
+    def tile_count_by_type(self) -> Dict[TileType, int]:
+        """Usable tiles of each type (types with no usable tile are omitted)."""
+        counts = self._type_counts()
         return {tile_type: count for tile_type, count in zip(self._type_list, counts) if count}
 
     # ------------------------------------------------------------------

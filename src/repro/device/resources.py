@@ -66,11 +66,6 @@ class ResourceVector:
         """The empty resource vector."""
         return ResourceVector()
 
-    @staticmethod
-    def single(rtype: ResourceType, count: int = 1) -> "ResourceVector":
-        """A vector with ``count`` units of a single resource type."""
-        return ResourceVector({rtype: count})
-
     # ------------------------------------------------------------------
     def get(self, rtype: ResourceType) -> int:
         """Units of ``rtype`` (0 if absent)."""

@@ -17,22 +17,17 @@ class DeviceValidationError(ValueError):
     """Raised when a device description is structurally inconsistent."""
 
 
-def validate_device(device: FPGADevice, require_columnar: bool = True) -> List[str]:
+def validate_device(device: FPGADevice) -> List[str]:
     """Validate a device and return a list of informational warnings.
 
-    Parameters
-    ----------
-    device:
-        The device to validate.
-    require_columnar:
-        When true (default), the device must admit a columnar partition; this
-        is a hard requirement of the paper's model simplification.
+    The device must admit a columnar partition; this is a hard requirement
+    of the paper's model simplification.
 
     Raises
     ------
     DeviceValidationError
-        On hard errors (overlapping forbidden rectangles, non-columnar device
-        when ``require_columnar`` is set).
+        On hard errors (overlapping forbidden rectangles, no usable tile, a
+        non-columnar device).
     """
     warnings: List[str] = []
 
@@ -55,12 +50,11 @@ def validate_device(device: FPGADevice, require_columnar: bool = True) -> List[s
             f"more than half of the device ({1 - usable_fraction:.0%}) is forbidden"
         )
 
-    if require_columnar:
-        try:
-            partition = columnar_partition(device)
-        except PartitionError as exc:
-            raise DeviceValidationError(str(exc)) from exc
-        _validate_partition(partition, warnings)
+    try:
+        partition = columnar_partition(device)
+    except PartitionError as exc:
+        raise DeviceValidationError(str(exc)) from exc
+    _validate_partition(partition, warnings)
 
     return warnings
 

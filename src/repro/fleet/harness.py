@@ -24,9 +24,9 @@ __all__ = ["BackgroundRouter", "BackgroundFleet"]
 class BackgroundRouter(BackgroundServer):
     """Run a :class:`FleetRouter` on a dedicated event-loop thread."""
 
-    def __init__(self, router: FleetRouter, start_timeout: float = 10.0) -> None:
+    def __init__(self, router: FleetRouter) -> None:
         self.router = router
-        super().__init__(router, start_timeout, thread_name="repro-fleet-router")
+        super().__init__(router, thread_name="repro-fleet-router")
 
 
 class BackgroundFleet:

@@ -114,10 +114,6 @@ class Replica:
     restart_due_at: float = 0.0  # monotonic instant the next respawn may run
 
     @property
-    def address(self) -> str:
-        return f"{self.port}"
-
-    @property
     def alive(self) -> bool:
         return self.process is not None and self.process.poll() is None
 

@@ -39,21 +39,18 @@ from repro.obs.trace import collect_stages, record_stage, stage_timer
 
 @dataclasses.dataclass
 class SolveReport:
-    """Everything produced by one :meth:`FloorplanSolver.solve` call.
-
-    ``milp`` is ``None`` on *portable* reports (see :meth:`portable`), which
-    drop the model so the report pickles cheaply across process boundaries.
-    """
+    """Everything produced by one :meth:`FloorplanSolver.solve` call."""
 
     floorplan: Floorplan
     solution: MILPSolution
     metrics: Optional[FloorplanMetrics]
     verification: Optional[VerificationReport]
-    milp: Optional[FloorplanMILP] = None
+    milp: FloorplanMILP
     #: Solver stage timings (name/seconds dicts) collected by
     #: :func:`repro.obs.trace.collect_stages` during :func:`run_job`; ``None``
-    #: outside traced service solves.  Travels with the portable report so the
-    #: gateway can attach per-stage spans to the request trace.
+    #: outside service solves.  :class:`~repro.service.results.JobResult`
+    #: carries them to the gateway, which attaches per-stage spans to the
+    #: request trace.
     stages: Optional[List[Dict[str, object]]] = None
 
     @property
@@ -63,23 +60,6 @@ class SolveReport:
             self.solution.status.has_solution
             and self.verification is not None
             and self.verification.is_feasible
-        )
-
-    def portable(self) -> "SolveReport":
-        """A copy safe and cheap to pickle across processes.
-
-        Drops the MILP model and the per-variable incumbent (the floorplan is
-        already extracted), shrinking the pickled payload by two orders of
-        magnitude.  Metrics, verification and solve metadata are preserved.
-        """
-        slim_solution = dataclasses.replace(self.solution, values={})
-        return SolveReport(
-            floorplan=self.floorplan,
-            solution=slim_solution,
-            metrics=self.metrics,
-            verification=self.verification,
-            milp=None,
-            stages=self.stages,
         )
 
     def summary(self) -> str:
@@ -290,14 +270,13 @@ def _phase1_weights(weights: ObjectiveWeights) -> ObjectiveWeights:
 
 
 def run_job(job) -> SolveReport:
-    """Pure, picklable-result entry point used by :mod:`repro.service`.
+    """Solve one job: the entry point of :func:`repro.service.executor.execute_job`.
 
     ``job`` is any object exposing the :class:`~repro.service.jobs.SolveJob`
     attributes (``problem``, ``relocation``, ``mode``, ``options``,
     ``heuristic``, ``weights``, ``lexicographic``) — duck-typed so this module
-    does not depend on the service layer.  The function holds no state and
-    returns a :meth:`SolveReport.portable` report, which makes it safe to run
-    on any thread or in any process.
+    does not depend on the service layer.  The function holds no state, so
+    any thread may run it; the report carries the solve's stage timings.
     """
     solver = FloorplanSolver(
         job.problem,
@@ -312,9 +291,8 @@ def run_job(job) -> SolveReport:
     # and each solve runs start to end on one of the gateway's solver threads.
     with collect_stages() as stages:
         report = solver.solve(weights=job.weights, lexicographic=job.lexicographic)
-    portable = report.portable()
-    portable.stages = stages or None
-    return portable
+    report.stages = stages or None
+    return report
 
 
 def _finalize_report(

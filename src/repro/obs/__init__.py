@@ -31,7 +31,7 @@ _EXPORTS = {
         "stage_timer",
         "collect_stages",
     ],
-    "repro.obs.recorder": ["TraceRing", "JsonlSink", "TraceRecorder"],
+    "repro.obs.recorder": ["JsonlSink", "TraceRecorder"],
 }
 
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -21,94 +21,7 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.obs.trace import Trace
 
-__all__ = ["TraceRing", "JsonlSink", "TraceRecorder"]
-
-
-class TraceRing:
-    """Bounded FIFO of traces with by-id lookup.
-
-    Evicts the oldest trace once ``capacity`` is exceeded; eviction count is
-    surfaced in stats so operators can tell "trace not found" from "trace
-    aged out".
-
-    Entries are stored as whatever ``add`` received — a sealed
-    :class:`~repro.obs.trace.Trace` or an exported document — and are only
-    serialized to documents when read.  ``add`` sits on the request hot path
-    (every traced request lands here before its response is written), while
-    ``/debug/traces`` reads are rare, so the dict-building cost belongs on
-    the read side.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"ring capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._order: collections.deque = collections.deque()
-        self._by_id: Dict[str, object] = {}
-        self._lock = threading.Lock()
-        self.recorded = 0
-        self.evicted = 0
-
-    @staticmethod
-    def _entry_id(entry) -> str:
-        if isinstance(entry, Trace):
-            return entry.trace_id
-        return str(entry.get("trace_id", ""))
-
-    @staticmethod
-    def _materialize(entry) -> Dict[str, object]:
-        if isinstance(entry, Trace):
-            return entry.as_dict()
-        return dict(entry)
-
-    def add(self, entry) -> None:
-        if not isinstance(entry, Trace):
-            entry = dict(entry)  # detach from the caller's mutable doc
-        trace_id = self._entry_id(entry)
-        with self._lock:
-            self.recorded += 1
-            if trace_id in self._by_id:
-                # Same id recorded twice (e.g. a retry): keep the newest,
-                # leaving its position in the eviction order untouched.
-                self._by_id[trace_id] = entry
-                return
-            self._order.append(trace_id)
-            self._by_id[trace_id] = entry
-            while len(self._order) > self.capacity:
-                oldest = self._order.popleft()
-                self._by_id.pop(oldest, None)
-                self.evicted += 1
-
-    def get(self, trace_id: str) -> Optional[Dict[str, object]]:
-        with self._lock:
-            entry = self._by_id.get(trace_id)
-        return self._materialize(entry) if entry is not None else None
-
-    def list(self, limit: Optional[int] = None) -> List[Dict[str, object]]:
-        """Most-recent-first trace documents (bounded by ``limit``)."""
-        with self._lock:
-            ids = list(self._order)
-            entries = [self._by_id.get(trace_id) for trace_id in reversed(ids)]
-        docs = []
-        for entry in entries:
-            if entry is not None:
-                docs.append(self._materialize(entry))
-            if limit is not None and len(docs) >= limit:
-                break
-        return docs
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._order)
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "size": len(self._order),
-                "recorded": self.recorded,
-                "evicted": self.evicted,
-            }
+__all__ = ["JsonlSink", "TraceRecorder"]
 
 
 class JsonlSink:
@@ -176,47 +89,69 @@ class JsonlSink:
 
 
 class TraceRecorder:
-    """Facade the serving layers talk to: ring + optional JSONL sink.
+    """Bounded FIFO of completed traces with by-id lookup, plus an optional
+    JSONL sink.
 
-    ``record`` accepts either a live :class:`Trace` (sealed if still open) or
-    an already-exported document, so process-boundary consumers (the router
-    recording its fragment, tests injecting fixtures) share one entry point.
+    Evicts the oldest trace once ``capacity`` is exceeded; eviction count is
+    surfaced in stats so operators can tell "trace not found" from "trace
+    aged out".
+
+    ``record`` seals a still-open :class:`~repro.obs.trace.Trace` and stores
+    the object itself; it is serialized to a document only when read.
+    ``record`` sits on the request hot path (every traced request lands here
+    before its response is written), while ``/debug/traces`` reads are rare,
+    so the dict-building cost belongs on the read side.  The sink, when
+    configured, writes every recorded trace's document.
     """
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        sink_path: Optional[str] = None,
-        sink_max_bytes: int = 16 * 1024 * 1024,
-        sink_backups: int = 2,
-    ) -> None:
-        self.ring = TraceRing(capacity=capacity)
-        self.sink = (
-            JsonlSink(sink_path, max_bytes=sink_max_bytes, backups=sink_backups)
-            if sink_path
-            else None
-        )
+    def __init__(self, capacity: int = 256, sink_path: Optional[str] = None) -> None:
+        if capacity < 1:
+            raise ValueError(f"ring capacity must be >= 1, got {capacity}")
+        self.capacity = int(capacity)
+        self._order: collections.deque = collections.deque()
+        self._by_id: Dict[str, Trace] = {}
+        self._lock = threading.Lock()
+        self.recorded = 0
+        self.evicted = 0
+        self.sink = JsonlSink(sink_path) if sink_path else None
 
-    def record(self, trace) -> None:
-        if isinstance(trace, Trace):
-            trace.finish(trace.status if trace.status != "open" else "ok")
-            self.ring.add(trace)
-            if self.sink is not None:
-                self.sink.write(trace.as_dict())
-        else:
-            doc = dict(trace)
-            self.ring.add(doc)
-            if self.sink is not None:
-                self.sink.write(doc)
+    def record(self, trace: Trace) -> None:
+        trace.finish(trace.status if trace.status != "open" else "ok")
+        trace_id = trace.trace_id
+        with self._lock:
+            self.recorded += 1
+            if trace_id in self._by_id:
+                # Same id recorded twice (e.g. a retry): keep the newest,
+                # leaving its position in the eviction order untouched.
+                self._by_id[trace_id] = trace
+            else:
+                self._order.append(trace_id)
+                self._by_id[trace_id] = trace
+                while len(self._order) > self.capacity:
+                    self._by_id.pop(self._order.popleft(), None)
+                    self.evicted += 1
+        if self.sink is not None:
+            self.sink.write(trace.as_dict())
 
     def get(self, trace_id: str) -> Optional[Dict[str, object]]:
-        return self.ring.get(trace_id)
+        with self._lock:
+            trace = self._by_id.get(trace_id)
+        return trace.as_dict() if trace is not None else None
 
     def list(self, limit: Optional[int] = None) -> List[Dict[str, object]]:
-        return self.ring.list(limit=limit)
+        """Most-recent-first trace documents (bounded by ``limit``)."""
+        with self._lock:
+            traces = [self._by_id[trace_id] for trace_id in reversed(self._order)]
+        return [trace.as_dict() for trace in traces[:limit]]
 
     def stats(self) -> Dict[str, object]:
-        stats: Dict[str, object] = dict(self.ring.stats())
+        with self._lock:
+            stats: Dict[str, object] = {
+                "capacity": self.capacity,
+                "size": len(self._order),
+                "recorded": self.recorded,
+                "evicted": self.evicted,
+            }
         if self.sink is not None:
             stats["sink"] = self.sink.stats()
         return stats

@@ -17,14 +17,13 @@ Span timestamps are wall-clock seconds derived from a per-trace
 precision while absolute times stay comparable across processes on one host.
 
 **Solver stage hooks.**  The MILP and floorplan solvers run deep below the
-gateway, often on pool threads or in child processes where no trace object is
-reachable.  They report coarse stage timings (``floorplan.ho_seed``,
-``floorplan.build``, ``milp.lower``, ``milp.search``,
-``floorplan.postsolve``) through a thread-local sink: :func:`record_stage` is
-a no-op costing one attribute probe unless :func:`collect_stages` installed a
-sink on the current thread — which :func:`repro.floorplan.solver.run_job`
-does around every service-layer solve.
-The collected stages travel inside the picklable
+gateway, on a solver thread where no trace object is reachable.  They report
+coarse stage timings (``floorplan.ho_seed``, ``floorplan.build``,
+``milp.lower``, ``milp.search``, ``floorplan.postsolve``) through a
+thread-local sink: :func:`record_stage` is a no-op costing one attribute probe
+unless :func:`collect_stages` installed a sink on the current thread — which
+:func:`repro.floorplan.solver.run_job` does around every service-layer solve.
+The collected stages travel inside the
 :class:`~repro.service.results.JobResult` and are re-attached to the request
 trace as child spans of its solve span by the gateway.
 """
@@ -70,10 +69,8 @@ _ID_POOL: List[str] = []
 _ID_BATCH = 256
 
 
-def new_id(nbytes: int = 8) -> str:
-    """A fresh random hex id (crypto-random so ids never collide by seed)."""
-    if nbytes != 8:
-        return os.urandom(nbytes).hex()
+def new_id() -> str:
+    """A fresh random 8-byte hex id (crypto-random so ids never collide by seed)."""
     try:
         return _ID_POOL.pop()
     except IndexError:
@@ -280,10 +277,10 @@ class Trace:
     ) -> None:
         """Re-attach solver stage timings as child spans of ``parent``.
 
-        Stages carry durations, not absolute instants (they may have been
-        measured in another thread or process), so they are laid out
-        back-to-back — preserving order and proportion, which is what the
-        dashboard and the nesting tests read.  The first starts at ``start``
+        Stages carry durations, not absolute instants (they were measured
+        on a solver thread), so they are laid out back-to-back — preserving
+        order and proportion, which is what the dashboard and the nesting
+        tests read.  The first starts at ``start``
         (a ``perf_counter`` instant; default the parent span's start).  With
         ``end`` (the ``perf_counter`` instant the result arrived) the last
         ends there instead, unless that would start the first before

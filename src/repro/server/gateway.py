@@ -463,11 +463,10 @@ class BackgroundGateway(BackgroundServer):
         config: Optional[GatewayConfig] = None,
         cache: Optional[SolveCache] = None,
         worker_pool: Optional[WorkerPool] = None,
-        start_timeout: float = 10.0,
     ) -> None:
         self.gateway = SolveGateway(config=config, cache=cache, worker_pool=worker_pool)
         try:
-            super().__init__(self.gateway, start_timeout, thread_name="repro-gateway")
+            super().__init__(self.gateway, thread_name="repro-gateway")
         except BaseException:
             # a failed bind must not leak the worker pool either
             self.gateway.workers.shutdown(wait=False)

@@ -609,6 +609,10 @@ class HttpServer:
         return 200, page, None
 
 
+#: How long a :class:`BackgroundServer` waits for its server to bind.
+_START_TIMEOUT_S = 10.0
+
+
 class BackgroundServer:
     """Run an :class:`HttpServer` on a dedicated event-loop thread.
 
@@ -618,12 +622,7 @@ class BackgroundServer:
     a context manager.
     """
 
-    def __init__(
-        self,
-        server: HttpServer,
-        start_timeout: float = 10.0,
-        thread_name: str = "repro-http",
-    ) -> None:
+    def __init__(self, server: HttpServer, thread_name: str = "repro-http") -> None:
         self.server = server
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
@@ -632,11 +631,11 @@ class BackgroundServer:
         self._thread.start()
         future = asyncio.run_coroutine_threadsafe(server.start(), self._loop)
         try:
-            future.result(timeout=start_timeout)
+            future.result(timeout=_START_TIMEOUT_S)
         except BaseException:
             # a failed bind (port in use, bad host) must not leak the loop
             # thread this constructor just started
-            self._stop_loop(start_timeout)
+            self._stop_loop(_START_TIMEOUT_S)
             raise
         self._stopped = False
 

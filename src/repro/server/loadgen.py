@@ -610,37 +610,6 @@ async def _smoke(host: str, port: int, timeout: float) -> int:
     return 0
 
 
-def _fleet_main(args: argparse.Namespace) -> int:
-    """``--fleet N``: spawn the fleet here and drive it."""
-    if args.smoke:
-        return run_fleet_smoke(replicas=args.fleet, cache_dir=args.cache_dir)
-
-    import tempfile
-
-    from repro.fleet import BackgroundFleet
-
-    payloads = demo_payloads(unique=args.unique)
-    cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="repro-fleet-load-")
-    with BackgroundFleet(replicas=args.fleet, cache_dir=cache_dir) as fleet:
-        if args.mode == "closed":
-            result = run_closed_loop(
-                fleet.host, fleet.port, payloads,
-                clients=args.clients, requests_per_client=args.requests,
-            )
-        else:
-            result = run_open_loop(
-                fleet.host, fleet.port, payloads,
-                rate=args.rate, horizon=args.horizon, seed=args.seed,
-            )
-        rollup = fetch_metrics_json(fleet.host, fleet.port)
-    print(result.summary())
-    print(json.dumps(result.as_dict(), indent=2))
-    print(json.dumps({"fleet_counters": rollup["counters"],
-                      "fleet_cache": rollup["cache"],
-                      "router": rollup["router"]}, indent=2))
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.server.loadgen",
@@ -651,9 +620,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--smoke", action="store_true", help="miss-then-hit CI check")
     parser.add_argument(
         "--fleet", type=int, default=0, metavar="REPLICAS",
-        help="spawn a fleet of this many replicas and drive it (with --smoke: "
-        "the cross-replica shared-cache CI check; otherwise the chosen load "
-        "mode through the router)",
+        help="with --smoke: spawn a fleet of this many replicas and run the "
+        "cross-replica shared-cache CI check",
     )
     parser.add_argument(
         "--cache-dir", default=None,
@@ -677,9 +645,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--timeout", type=float, default=30.0, help="healthz wait")
     args = parser.parse_args(argv)
+    if args.fleet and not args.smoke:
+        parser.error("--fleet needs --smoke; drive a fleet with python -m repro.fleet "
+                     "plus --port")
 
     if args.fleet:
-        return _fleet_main(args)
+        return run_fleet_smoke(replicas=args.fleet, cache_dir=args.cache_dir)
 
     if args.smoke:
         return asyncio.run(_smoke(args.host, args.port, args.timeout))

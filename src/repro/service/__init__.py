@@ -41,7 +41,6 @@ _EXPORTS = {
         "SolveCache",
         "CacheStats",
         "CACHE_SCHEMA_VERSION",
-        "cache_migration",
         "migrate_entry",
     ],
     "repro.service.executor": ["execute_job"],

@@ -18,15 +18,15 @@ onto the running solve.
 * Disk writes are atomic (write to a temp file, then :func:`os.replace`) so a
   killed run never leaves a truncated entry behind, and concurrent writers of
   the same fingerprint last-write-win an identical payload.
-* On-disk entries carry a schema version and a **migration registry** upgrades
+* On-disk entries carry a schema version and :func:`migrate_entry` upgrades
   valid-but-older entries on read (persisting the upgraded form), so a schema
   bump costs one rewrite per entry instead of silently re-solving the world.
 
 Corrupt (non-JSON) entries found at load time are deleted and recorded, so one
 bad file costs a re-solve instead of poisoning the request path forever;
-entries that are valid JSON but fit neither this build's schema nor a
-registered migration are recorded as misses and left on disk — they may belong
-to a newer version sharing the directory.
+entries that are valid JSON but fit neither this build's schema nor an older
+one it can upgrade are recorded as misses and left on disk — they may belong to
+a newer version sharing the directory.
 """
 
 from __future__ import annotations
@@ -50,60 +50,24 @@ DEFAULT_CAPACITY = 1024
 #: ``schema_version`` and guarantees the ``worker`` field is present.
 CACHE_SCHEMA_VERSION = 2
 
-_MIGRATIONS: Dict[int, Callable[[Dict[str, object]], Dict[str, object]]] = {}
-
-
-def cache_migration(from_version: int):
-    """Register an on-disk entry migration step ``from_version -> +1``.
-
-    The decorated function receives the (already shallow-copied) entry dict
-    and must return the upgraded dict with ``schema_version`` bumped by one.
-    Steps chain: a version-1 entry read by a version-4 build runs the 1->2,
-    2->3 and 3->4 steps in order.
-    """
-
-    def register(fn: Callable[[Dict[str, object]], Dict[str, object]]):
-        if from_version in _MIGRATIONS:
-            raise ValueError(f"duplicate cache migration from version {from_version}")
-        _MIGRATIONS[from_version] = fn
-        return fn
-
-    return register
-
-
 def migrate_entry(data: Dict[str, object]) -> Optional[Dict[str, object]]:
     """Upgrade a loaded entry dict to :data:`CACHE_SCHEMA_VERSION`.
 
     Returns the upgraded dict (the input is not mutated), or ``None`` when the
     entry cannot be brought to the current version — an unknown future version
-    (a newer build shares the directory) or a gap in the migration chain.
+    (a newer build shares the directory) or one no build ever wrote.
     """
     try:
         version = int(data.get("schema_version", 1))
     except (TypeError, ValueError):
         return None
-    if version > CACHE_SCHEMA_VERSION:
-        return None  # written by a newer build; not ours to touch
-    while version < CACHE_SCHEMA_VERSION:
-        step = _MIGRATIONS.get(version)
-        if step is None:
-            return None
-        data = step(dict(data))
-        new_version = int(data.get("schema_version", version))
-        if new_version <= version:
-            raise RuntimeError(
-                f"cache migration from version {version} did not advance the "
-                f"schema_version (got {new_version})"
-            )
-        version = new_version
-    return data
-
-
-@cache_migration(1)
-def _migrate_v1(data: Dict[str, object]) -> Dict[str, object]:
-    """PR 5 entries: no version marker, ``worker`` missing on early records."""
-    data.setdefault("worker", "")
-    data["schema_version"] = 2
+    if not 1 <= version <= CACHE_SCHEMA_VERSION:
+        return None  # a newer build's entry is not ours to touch
+    if version == 1:
+        # version-1 entries: no version marker, ``worker`` missing on early records
+        data = dict(data)
+        data.setdefault("worker", "")
+        data["schema_version"] = 2
     return data
 
 
@@ -373,8 +337,8 @@ class SolveCache:
             return None
         upgraded = migrate_entry(data) if isinstance(data, dict) else None
         if upgraded is None:
-            # valid JSON that fits neither this build's schema nor a migration
-            # step: a *newer* process sharing the directory may have written
+            # valid JSON that fits no schema this build can read or upgrade:
+            # a *newer* process sharing the directory may have written
             # it, so leave the file alone and just miss
             with self._lock:
                 self.stats.corrupt += 1

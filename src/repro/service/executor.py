@@ -2,7 +2,7 @@
 :class:`~repro.service.results.JobResult` out.
 
 :func:`execute_job` wraps the pure :func:`repro.floorplan.solver.run_job` and
-converts the portable report into a flat result.  Exceptions are captured into
+converts its report into a flat result.  Exceptions are captured into
 error results, so a failing job never takes its caller (a gateway solver
 thread, a benchmark loop) down.  Callers that cache apply one rule: a hit is
 served as a ``cached=True`` copy, and only non-error results are stored, so a

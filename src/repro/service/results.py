@@ -69,7 +69,7 @@ class JobResult:
             metrics=report.metrics.as_dict() if report.metrics is not None else None,
             floorplan=floorplan,
             worker=worker,
-            stages=getattr(report, "stages", None),
+            stages=report.stages,
         )
 
     @classmethod

@@ -162,13 +162,17 @@ class PoissonTraffic(_RandomModeMixin, TrafficModel):
         return self._materialize(times)
 
 
+#: Samples of the tabulated cumulative rate Λ(t) the IPPP inversion uses.
+LAMBDA_GRID_POINTS = 1025
+
+
 class InhomogeneousPoissonTraffic(_RandomModeMixin, TrafficModel):
     """Inhomogeneous Poisson arrivals with rate ``rate_fn(t)``.
 
     The default path is the IPPP inversion method: the cumulative rate
-    Λ(t) = ∫₀ᵗ λ(s) ds is tabulated by the trapezoid rule on ``grid_points``
-    samples, N ~ Poisson(Λ(T)) arrivals are drawn, and sorted uniforms on
-    [0, Λ(T)] are mapped through the inverse of Λ by linear interpolation.
+    Λ(t) = ∫₀ᵗ λ(s) ds is tabulated by the trapezoid rule on
+    :data:`LAMBDA_GRID_POINTS` samples, N ~ Poisson(Λ(T)) arrivals are drawn,
+    and sorted uniforms on [0, Λ(T)] are mapped through the inverse of Λ by linear interpolation.
     ``rate_fn`` must satisfy ``0 <= rate_fn(t) <= rate_max`` over the horizon
     (checked on the grid; violations raise, as the thinning loop always did).
 
@@ -183,18 +187,14 @@ class InhomogeneousPoissonTraffic(_RandomModeMixin, TrafficModel):
         rate_max: float,
         modes_per_region: int = 3,
         seed: int = 0,
-        grid_points: int = 1025,
     ) -> None:
         if rate_max <= 0:
             raise ValueError(f"rate_max must be positive, got {rate_max}")
-        if grid_points < 2:
-            raise ValueError(f"grid_points must be at least 2, got {grid_points}")
         self.regions = list(regions)
         self.rate_fn = rate_fn
         self.rate_max = float(rate_max)
         self.modes_per_region = modes_per_region
         self.seed = seed
-        self.grid_points = int(grid_points)
         self._check_population()
 
     def _rates_on_grid(self, grid: np.ndarray) -> np.ndarray:
@@ -211,7 +211,7 @@ class InhomogeneousPoissonTraffic(_RandomModeMixin, TrafficModel):
     def generate(self, horizon: float) -> List[ModeRequest]:
         horizon = self._check_horizon(horizon)
         rng = make_rng(self.seed)
-        grid = np.linspace(0.0, horizon, self.grid_points)
+        grid = np.linspace(0.0, horizon, LAMBDA_GRID_POINTS)
         rates = self._rates_on_grid(grid)
         cumulative = np.concatenate(
             [[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(grid))]

@@ -18,6 +18,12 @@ from repro.device.grid import FPGADevice
 from repro.device.resources import ResourceType, ResourceVector
 from repro.floorplan.problem import Connection, FloorplanProblem, Region
 
+# Probability that a region also requires BRAM / DSP tiles.
+BRAM_FRACTION = 0.4
+DSP_FRACTION = 0.3
+# Weight of each generated bus between consecutive regions.
+BUS_WIDTH = 32.0
+
 
 @dataclasses.dataclass
 class SyntheticWorkloadConfig:
@@ -29,23 +35,12 @@ class SyntheticWorkloadConfig:
         Number of reconfigurable regions to generate.
     utilization:
         Target fraction of the device's usable CLB tiles demanded in total.
-    bram_fraction, dsp_fraction:
-        Probability that a region also requires BRAM / DSP tiles.
-    chain_connectivity:
-        Connect consecutive regions with a bus (mirrors the SDR topology);
-        otherwise a sparse random connection set is generated.
-    bus_width:
-        Weight of each generated connection.
     seed:
         RNG seed (all randomness flows through it).
     """
 
     num_regions: int = 5
     utilization: float = 0.5
-    bram_fraction: float = 0.4
-    dsp_fraction: float = 0.3
-    chain_connectivity: bool = True
-    bus_width: float = 32.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -59,20 +54,16 @@ def config_grid(
     num_regions: Sequence[int] = (3, 5),
     utilizations: Sequence[float] = (0.5,),
     seeds: Sequence[int] = (0,),
-    **common,
 ) -> List[SyntheticWorkloadConfig]:
     """Cross parameter axes into a grid of workload configs.
 
     The cartesian product ``num_regions x utilizations x seeds`` is returned
-    in deterministic (itertools.product) order; ``common`` supplies the
-    remaining :class:`SyntheticWorkloadConfig` fields shared by every cell.
-    The scenario-sweep driver (:mod:`repro.service.sweep`) crosses these
-    configs with devices and relocation specs into solve-job grids.
+    in deterministic (itertools.product) order.  The scenario-sweep driver
+    (:mod:`repro.service.sweep`) crosses these configs with devices and
+    relocation specs into solve-job grids.
     """
     return [
-        SyntheticWorkloadConfig(
-            num_regions=regions, utilization=utilization, seed=seed, **common
-        )
+        SyntheticWorkloadConfig(num_regions=regions, utilization=utilization, seed=seed)
         for regions, utilization, seed in itertools.product(
             num_regions, utilizations, seeds
         )
@@ -109,12 +100,12 @@ def synthetic_problem(
     regions: List[Region] = []
     for index in range(config.num_regions):
         requirement = {ResourceType.CLB: int(clb_demands[index])}
-        if bram_left > 0 and rng.random() < config.bram_fraction:
+        if bram_left > 0 and rng.random() < BRAM_FRACTION:
             amount = int(rng.integers(1, max(2, bram_left // 2 + 1)))
             amount = min(amount, bram_left)
             requirement[ResourceType.BRAM] = amount
             bram_left -= amount
-        if dsp_left > 0 and rng.random() < config.dsp_fraction:
+        if dsp_left > 0 and rng.random() < DSP_FRACTION:
             amount = int(rng.integers(1, max(2, dsp_left // 2 + 1)))
             amount = min(amount, dsp_left)
             requirement[ResourceType.DSP] = amount
@@ -123,19 +114,11 @@ def synthetic_problem(
             Region(name=f"R{index}", requirements=ResourceVector(requirement))
         )
 
-    connections: List[Connection] = []
-    if config.chain_connectivity:
-        for a, b in zip(regions, regions[1:]):
-            connections.append(
-                Connection(source=a.name, target=b.name, weight=config.bus_width)
-            )
-    else:
-        for i, a in enumerate(regions):
-            for b in regions[i + 1 :]:
-                if rng.random() < 0.3:
-                    connections.append(
-                        Connection(source=a.name, target=b.name, weight=config.bus_width)
-                    )
+    # consecutive regions share a bus, mirroring the SDR chain topology
+    connections = [
+        Connection(source=a.name, target=b.name, weight=BUS_WIDTH)
+        for a, b in zip(regions, regions[1:])
+    ]
 
     return FloorplanProblem(
         device=device,

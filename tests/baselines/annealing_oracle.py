@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.baselines import annealing
 from repro.baselines.annealing import AnnealingOptions
 from repro.floorplan.geometry import Rect, manhattan
 from repro.floorplan.placement import rect_frames, rect_resources
@@ -28,7 +29,6 @@ class CostEvaluator:
 
     def __init__(self, problem: FloorplanProblem, options: AnnealingOptions) -> None:
         self.problem = problem
-        self.options = options
         self.device = problem.device
         self.regions: Dict[str, Region] = {r.name: r for r in problem.regions}
         self.required_frames = {
@@ -37,7 +37,6 @@ class CostEvaluator:
 
     # ------------------------------------------------------------------
     def cost(self, state: Dict[str, Rect]) -> float:
-        options = self.options
         overlap = 0
         rects = list(state.items())
         for i, (_, first) in enumerate(rects):
@@ -66,11 +65,11 @@ class CostEvaluator:
             wirelength += connection.weight * manhattan(centers[0], centers[1])
 
         return (
-            options.overlap_penalty * overlap
-            + options.forbidden_penalty * forbidden
-            + options.deficit_penalty * deficit_total
-            + options.wasted_frame_weight * wasted
-            + options.wirelength_weight * wirelength
+            annealing.OVERLAP_PENALTY * overlap
+            + annealing.FORBIDDEN_PENALTY * forbidden
+            + annealing.DEFICIT_PENALTY * deficit_total
+            + annealing.WASTED_FRAME_WEIGHT * wasted
+            + annealing.WIRELENGTH_WEIGHT * wirelength
         )
 
     def is_feasible(self, state: Dict[str, Rect]) -> bool:

@@ -15,30 +15,27 @@ from repro.device.resources import ResourceVector
 from repro.device.tile import TileType
 
 
-def _included_cells(device, include_forbidden: bool):
+def _usable_cells(device):
     for col in range(device.width):
         for row in range(device.height):
-            if include_forbidden or not device.is_forbidden(col, row):
+            if not device.is_forbidden(col, row):
                 yield col, row
 
 
-def total_resources(device, include_forbidden: bool = False) -> ResourceVector:
+def total_resources(device) -> ResourceVector:
     total = ResourceVector.zero()
-    for col, row in _included_cells(device, include_forbidden):
+    for col, row in _usable_cells(device):
         total = total + device.tile_type_at(col, row).resources
     return total
 
 
-def total_frames(device, include_forbidden: bool = False) -> int:
-    return sum(
-        device.tile_type_at(col, row).frames
-        for col, row in _included_cells(device, include_forbidden)
-    )
+def total_frames(device) -> int:
+    return sum(device.tile_type_at(col, row).frames for col, row in _usable_cells(device))
 
 
-def tile_count_by_type(device, include_forbidden: bool = False) -> Dict[TileType, int]:
+def tile_count_by_type(device) -> Dict[TileType, int]:
     counts: Dict[TileType, int] = {}
-    for col, row in _included_cells(device, include_forbidden):
+    for col, row in _usable_cells(device):
         tile_type = device.tile_type_at(col, row)
         counts[tile_type] = counts.get(tile_type, 0) + 1
     return counts

@@ -62,18 +62,14 @@ def test_interning_matches_first_seen_oracle(case):
 
 
 @settings(**SETTINGS)
-@given(devices(), st.booleans())
-def test_aggregates_match_cell_oracle(case, include_forbidden):
+@given(devices())
+def test_aggregates_match_cell_oracle(case):
     _grid, device = case
-    assert device.total_resources(include_forbidden) == cell_oracle.total_resources(
-        device, include_forbidden
-    )
-    frames = device.total_frames(include_forbidden)
+    assert device.total_resources() == cell_oracle.total_resources(device)
+    frames = device.total_frames()
     assert type(frames) is int
-    assert frames == cell_oracle.total_frames(device, include_forbidden)
-    assert device.tile_count_by_type(include_forbidden) == cell_oracle.tile_count_by_type(
-        device, include_forbidden
-    )
+    assert frames == cell_oracle.total_frames(device)
+    assert device.tile_count_by_type() == cell_oracle.tile_count_by_type(device)
 
 
 @settings(**SETTINGS)
@@ -92,13 +88,8 @@ def test_spec_dict_matches_cell_oracle_and_round_trips(case):
     ids=["virtex5", "syn24x8", "syn12x5"],
 )
 def test_catalog_devices_match_cell_oracle(device):
-    for include_forbidden in (False, True):
-        assert device.total_resources(include_forbidden) == cell_oracle.total_resources(
-            device, include_forbidden
-        )
-        assert device.total_frames(include_forbidden) == cell_oracle.total_frames(
-            device, include_forbidden
-        )
+    assert device.total_resources() == cell_oracle.total_resources(device)
+    assert device.total_frames() == cell_oracle.total_frames(device)
     spec = device_spec_dict(device)
     assert spec == cell_oracle.device_spec_dict(device)
     assert device_spec_dict(device_from_dict(spec)) == spec

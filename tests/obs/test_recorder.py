@@ -1,48 +1,53 @@
-"""Unit tests for the trace ring (eviction) and the JSONL sink (rotation)."""
+"""Unit tests for the trace recorder (eviction) and the JSONL sink (rotation)."""
 
 import json
 import os
 
 import pytest
 
-from repro.obs.recorder import JsonlSink, TraceRecorder, TraceRing
+from repro.obs.recorder import JsonlSink, TraceRecorder
 from repro.obs.trace import Trace
 
 
-def doc(trace_id: str, **extra):
-    return {"trace_id": trace_id, "status": "ok", "spans": [], **extra}
+def trace(trace_id: str, **metadata) -> Trace:
+    return Trace(trace_id=trace_id, metadata=metadata)
+
+
+def ids(recorder, limit=None):
+    return [d["trace_id"] for d in recorder.list(limit=limit)]
 
 
 class TestRingEviction:
     def test_oldest_evicted_beyond_capacity(self):
-        ring = TraceRing(capacity=3)
+        recorder = TraceRecorder(capacity=3)
         for index in range(5):
-            ring.add(doc(f"t{index}"))
-        assert len(ring) == 3
-        assert ring.get("t0") is None and ring.get("t1") is None
-        assert ring.get("t2") is not None
-        stats = ring.stats()
+            recorder.record(trace(f"t{index}"))
+        assert recorder.get("t0") is None and recorder.get("t1") is None
+        assert recorder.get("t2") is not None
+        stats = recorder.stats()
         assert stats == {"capacity": 3, "size": 3, "recorded": 5, "evicted": 2}
 
     def test_list_is_most_recent_first_and_bounded(self):
-        ring = TraceRing(capacity=10)
+        recorder = TraceRecorder(capacity=10)
         for index in range(4):
-            ring.add(doc(f"t{index}"))
-        assert [d["trace_id"] for d in ring.list()] == ["t3", "t2", "t1", "t0"]
-        assert [d["trace_id"] for d in ring.list(limit=2)] == ["t3", "t2"]
+            recorder.record(trace(f"t{index}"))
+        assert ids(recorder) == ["t3", "t2", "t1", "t0"]
+        assert ids(recorder, limit=2) == ["t3", "t2"]
 
     def test_same_id_re_record_replaces_in_place(self):
-        ring = TraceRing(capacity=2)
-        ring.add(doc("a", attempt=1))
-        ring.add(doc("b"))
-        ring.add(doc("a", attempt=2))  # replaces, does not re-order
-        ring.add(doc("c"))  # evicts "a" (still oldest), not "b"
-        assert ring.get("a") is None
-        assert ring.get("b") is not None and ring.get("c") is not None
+        recorder = TraceRecorder(capacity=2)
+        recorder.record(trace("a", attempt=1))
+        recorder.record(trace("b"))
+        recorder.record(trace("a", attempt=2))  # replaces, does not re-order
+        assert recorder.get("a")["metadata"] == {"attempt": 2}
+        assert ids(recorder) == ["b", "a"]
+        recorder.record(trace("c"))  # evicts "a" (still oldest), not "b"
+        assert recorder.get("a") is None
+        assert recorder.get("b") is not None and recorder.get("c") is not None
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            TraceRing(capacity=0)
+            TraceRecorder(capacity=0)
 
 
 class TestSinkRotation:
@@ -78,17 +83,20 @@ class TestSinkRotation:
 
 
 class TestRecorderFacade:
-    def test_records_live_trace_and_plain_doc(self, tmp_path):
+    def test_records_live_trace_into_ring_and_sink(self, tmp_path):
         recorder = TraceRecorder(capacity=8, sink_path=str(tmp_path / "t.jsonl"))
-        trace = Trace.begin(None, origin="gateway")
-        with trace.span("work"):
+        live = Trace.begin(None, origin="gateway")
+        with live.span("work"):
             pass
-        recorder.record(trace)  # still open: sealed on record
-        assert trace.status == "ok"
-        assert recorder.get(trace.trace_id)["status"] == "ok"
-        recorder.record(doc("plain"))
-        assert recorder.get(trace.trace_id)["origin"] == "gateway"
-        assert [d["trace_id"] for d in recorder.list()][0] == "plain"
+        recorder.record(live)  # still open: sealed on record
+        assert live.status == "ok"
+        assert recorder.get(live.trace_id)["status"] == "ok"
+        recorder.record(trace("second"))
+        assert recorder.get(live.trace_id)["origin"] == "gateway"
+        assert ids(recorder)[0] == "second"
         stats = recorder.stats()
         assert stats["recorded"] == 2
         assert stats["sink"]["written"] == 2
+        with open(tmp_path / "t.jsonl", encoding="utf-8") as handle:
+            lines = [json.loads(line)["trace_id"] for line in handle]
+        assert lines == [live.trace_id, "second"]

@@ -7,6 +7,7 @@ the full stack.
 
 import asyncio
 import dataclasses
+import gc
 import json
 import os
 import socket
@@ -438,7 +439,22 @@ class TestStreamedAnswers:
         assert slow_at - fast_at > 0.15  # not held for the slow solve
 
 
+@pytest.fixture
+def no_gc_pauses():
+    """Collect now, then keep the cyclic collector off for the test, so a
+    gen-2 collection cannot pause the latencies the test measures."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class TestStaggeredMisses:
+    @pytest.mark.usefixtures("no_gc_pauses")
     def test_staggered_misses_each_answer_in_one_solve_time(self, monkeypatch):
         """Four 0.3 s misses sent 50 ms apart to a gateway with four solver
         threads each answer in about one solve time: none waits for a solve

@@ -82,3 +82,17 @@ class TestPackageSurface:
 
         for name in ("SolveGateway", "GatewayConfig", "BackgroundGateway"):
             assert name in repro.__all__ and hasattr(repro, name)
+
+
+class TestCommandLine:
+    def test_fleet_without_smoke_is_refused(self, monkeypatch, capsys):
+        from repro.server import loadgen
+
+        def must_not_spawn(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a refused --fleet run spawned a fleet")
+
+        monkeypatch.setattr(loadgen, "run_fleet_smoke", must_not_spawn)
+        with pytest.raises(SystemExit) as refused:
+            loadgen.main(["--fleet", "2"])
+        assert refused.value.code == 2
+        assert "--fleet needs --smoke" in capsys.readouterr().err

@@ -1,16 +1,8 @@
-"""On-disk cache entry schema versioning and the migration registry."""
+"""On-disk cache entry schema versioning and upgrade-on-read."""
 
 import json
 
-import pytest
-
-from repro.service.cache import (
-    CACHE_SCHEMA_VERSION,
-    _MIGRATIONS,
-    SolveCache,
-    cache_migration,
-    migrate_entry,
-)
+from repro.service.cache import CACHE_SCHEMA_VERSION, SolveCache, migrate_entry
 from repro.service.results import JobResult
 
 FP = "a" * 64
@@ -65,30 +57,12 @@ class TestMigrateEntry:
         assert migrate_entry(data) is None
 
     def test_gap_in_the_chain_gives_up(self):
-        # version 0 has no registered step
+        # no build ever wrote version 0, so there is nothing to upgrade from
         assert migrate_entry({"schema_version": 0}) is None
 
     def test_non_integer_version_gives_up(self):
         assert migrate_entry({"schema_version": "new"}) is None
         assert migrate_entry({"schema_version": None}) is None
-
-    def test_step_that_does_not_advance_is_an_error(self):
-        @cache_migration(0)
-        def bad_step(data):
-            return data  # forgets to bump schema_version
-
-        try:
-            with pytest.raises(RuntimeError, match="did not advance"):
-                migrate_entry({"schema_version": 0})
-        finally:
-            del _MIGRATIONS[0]
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="duplicate cache migration"):
-
-            @cache_migration(1)
-            def shadow(data):  # pragma: no cover - must not register
-                return data
 
 
 class TestUpgradeOnRead:

@@ -281,7 +281,3 @@ class TestConfigGrid:
         assert len(grid) == 12
         assert grid[0].num_regions == 3 and grid[0].utilization == 0.4
         assert grid[-1].num_regions == 5 and grid[-1].seed == 2
-
-    def test_common_kwargs_forwarded(self):
-        grid = config_grid(num_regions=(4,), bus_width=8.0)
-        assert grid[0].bus_width == 8.0

@@ -37,6 +37,16 @@ def test_unknown_names_raise_attribute_error(package):
         module.no_such_export
 
 
+@pytest.mark.parametrize(
+    "package, name",
+    [("repro.obs", "TraceRing"), ("repro.service", "cache_migration")],
+)
+def test_retired_names_are_not_exported(package, name):
+    module = importlib.import_module(package)
+    assert name not in module.__all__
+    assert not hasattr(module, name)
+
+
 def test_from_imports_and_star_import_match_the_submodules():
     from repro import FloorplanSolver, PoissonTraffic, SolverOptions
     from repro.floorplan.solver import FloorplanSolver as solver_class
